@@ -25,11 +25,7 @@ async fn pfs_rank_phase(
                 f.write(
                     &sim,
                     off,
-                    Payload::Pattern {
-                        seed: data_seed(rank, s, k),
-                        skew: 0,
-                        len: params.transfer_size,
-                    },
+                    Payload::pattern(data_seed(rank, s, k), params.transfer_size),
                 )
                 .await?;
             } else {

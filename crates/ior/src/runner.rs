@@ -254,21 +254,13 @@ async fn rank_io_phase(
         }
         let off = params.offset(ranks, data_rank, s, k);
         if is_write {
-            let data = Payload::Pattern {
-                seed: data_seed(data_rank, s, k),
-                skew: 0,
-                len: params.transfer_size,
-            };
+            let data = Payload::pattern(data_seed(data_rank, s, k), params.transfer_size);
             io.write(&sim, off, data).await?;
         } else {
             let segs = io.read(&sim, off, params.transfer_size).await?;
             if params.verify {
-                let want = Payload::Pattern {
-                    seed: data_seed(data_rank, s, k),
-                    skew: 0,
-                    len: params.transfer_size,
-                }
-                .materialize();
+                let want = Payload::pattern(data_seed(data_rank, s, k), params.transfer_size)
+                    .materialize();
                 let got = daos_mpiio::assemble(&segs, off, params.transfer_size).materialize();
                 if got != want {
                     return Err(DaosError::Other(format!(

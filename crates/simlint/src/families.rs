@@ -491,7 +491,7 @@ fn a01(rel_path: &str, lx: &Lexed, st: &Structure, out: &mut Vec<FamilyHit>) {
 const ITER_MARKERS: [&str; 10] = [
     "csum64",
     "csum64_bytes",
-    "csum64_pattern",
+    "csum_fold_pattern",
     "csum_fold",
     "pattern_block",
     "PatternWords",

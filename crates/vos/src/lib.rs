@@ -26,7 +26,8 @@ pub use target::{ScrubFinding, ScrubReport, VosConfig, VosCounters, VosError, Vo
 pub use tree::{CsumViolation, Extent, ExtentTree, ReadSeg};
 
 use bytes::Bytes;
-use std::cell::RefCell;
+use std::cell::Cell;
+use std::num::NonZeroU64;
 
 /// An update epoch (DAOS uses HLC timestamps; monotonic u64 here).
 pub type Epoch = u64;
@@ -46,7 +47,42 @@ pub enum Payload {
     /// Actual data.
     Bytes(Bytes),
     /// `len` synthetic bytes from a seeded stream starting at `skew`.
-    Pattern { seed: u64, skew: u64, len: u64 },
+    /// `digest` caches the checksum fold of exactly these bytes; build
+    /// patterns with [`Payload::pattern`] and [`Payload::slice`].
+    Pattern {
+        seed: u64,
+        skew: u64,
+        len: u64,
+        digest: Digest,
+    },
+}
+
+/// The checksum fold of a pattern payload's own bytes, carried with the
+/// value so every verify site after the first compares against one
+/// computation. It is a cache of a pure function of the payload's
+/// `(seed, skew, len)`: only [`csum64`] fills it, `clone()` and the
+/// identity slice keep it, and everything that yields different bytes
+/// ([`Payload::slice`] of a sub-range, [`Payload::corrupted`]) starts
+/// empty. The field is private, so no code outside this crate can attach
+/// a digest to bytes it was not computed over.
+#[derive(Clone, Default)]
+pub struct Digest(Cell<Option<NonZeroU64>>);
+
+/// A digest is not part of a payload's value: two payloads with the same
+/// bytes are equal whether or not either has been hashed yet.
+impl PartialEq for Digest {
+    fn eq(&self, _: &Digest) -> bool {
+        true
+    }
+}
+impl Eq for Digest {}
+
+/// Prints the same whether or not the payload has been hashed, so no
+/// formatted output can depend on which check site ran first.
+impl std::fmt::Debug for Digest {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("..")
+    }
 }
 
 impl Payload {
@@ -57,7 +93,12 @@ impl Payload {
 
     /// A synthetic payload of `len` bytes.
     pub fn pattern(seed: u64, len: u64) -> Self {
-        Payload::Pattern { seed, skew: 0, len }
+        Payload::Pattern {
+            seed,
+            skew: 0,
+            len,
+            digest: Digest::default(),
+        }
     }
 
     /// Length in bytes.
@@ -75,15 +116,17 @@ impl Payload {
 
     /// Sub-range `[off, off+len)`; both payload kinds slice consistently
     /// (a pattern's slice yields the same bytes as slicing its
-    /// materialisation).
+    /// materialisation). Only the identity slice keeps a pattern's digest.
     pub fn slice(&self, off: u64, len: u64) -> Payload {
         debug_assert!(off + len <= self.len(), "slice out of range");
         match self {
             Payload::Bytes(b) => Payload::Bytes(b.slice(off as usize..(off + len) as usize)),
+            Payload::Pattern { len: whole, .. } if off == 0 && len == *whole => self.clone(),
             Payload::Pattern { seed, skew, .. } => Payload::Pattern {
                 seed: *seed,
                 skew: *skew + off,
                 len,
+                digest: Digest::default(),
             },
         }
     }
@@ -100,7 +143,9 @@ impl Payload {
     pub fn materialize(&self) -> Bytes {
         match self {
             Payload::Bytes(b) => b.clone(),
-            Payload::Pattern { seed, skew, len } => {
+            Payload::Pattern {
+                seed, skew, len, ..
+            } => {
                 let mut v = Vec::with_capacity(*len as usize);
                 let mut gen = PatternWords::new(*seed, *skew);
                 let words = *len / 8;
@@ -118,7 +163,8 @@ impl Payload {
     /// A deterministically *corrupted* copy of this payload — the
     /// fault-injection primitive behind bit rot and torn frames. The result
     /// has the same length but different bytes, so a checksum computed over
-    /// the original no longer matches.
+    /// the original no longer matches; it never inherits the original's
+    /// digest.
     pub fn corrupted(&self) -> Payload {
         match self {
             Payload::Bytes(b) => {
@@ -130,10 +176,13 @@ impl Payload {
                 v[mid] ^= 0x80;
                 Payload::Bytes(Bytes::from(v))
             }
-            Payload::Pattern { seed, skew, len } => Payload::Pattern {
+            Payload::Pattern {
+                seed, skew, len, ..
+            } => Payload::Pattern {
                 seed: seed ^ 0xB17_2077_DEAD_BEEF,
                 skew: *skew,
                 len: *len,
+                digest: Digest::default(),
             },
         }
     }
@@ -144,93 +193,182 @@ impl Payload {
 /// all-zero data).
 pub const CSUM_SEED: u64 = 0xC5C5_5EED_DA05_0001;
 
-/// Seeded 64-bit checksum over a payload's *real bytes*. `Payload::Bytes`
-/// hashes the slice directly; `Payload::Pattern` folds the synthetic
-/// stream word-by-word straight out of the generator, so terabyte-scale
-/// synthetic payloads stay allocation-free and never touch a byte buffer.
-/// Both kinds of payload with identical bytes produce the identical
-/// checksum.
+/// Seeded 64-bit checksum over a payload's *real bytes*: their 8-byte
+/// words folded round-robin into four multiply-rotate lanes, lanes and
+/// length combined at the end, the seed mixed in last. `Payload::Bytes`
+/// folds the slice; `Payload::Pattern` folds the synthetic stream
+/// word-by-word straight out of the generator, so terabyte-scale synthetic
+/// payloads stay allocation-free and never touch a byte buffer. Both kinds
+/// of payload with identical bytes produce the identical checksum.
 ///
-/// The pattern path is a pure function of `(seed, pseed, skew, len)`, and
-/// the data path hashes each chunk several times (client wire checksum,
+/// The data path checks each chunk several times (client wire checksum,
 /// server verify, stored extent checksum, fetch verify, reply checksum,
-/// scrubber), so results are memoised in a small per-thread direct-mapped
-/// cache. Memoising a pure function has no observable effect beyond host
-/// time — simulated time and every simulation outcome are unchanged.
+/// client verify, scrubber). A pattern payload is folded by the first of
+/// those calls and carries the result in its [`Digest`] from then on, so
+/// each distinct payload costs one pass however many sites check it. The
+/// digest is a cache of a pure function: it has no observable effect
+/// beyond host time ([`csum_stats`] counts it).
 pub fn csum64(seed: u64, p: &Payload) -> u64 {
-    match p {
-        Payload::Bytes(b) => csum64_bytes(seed, b),
+    let fold = match p {
+        Payload::Bytes(b) => {
+            count(|s| s.literal_bytes += b.len() as u64);
+            count_cold(b.len() as u64);
+            csum_fold(b)
+        }
         Payload::Pattern {
             seed: pseed,
             skew,
             len,
-        } => csum64_pattern(seed, *pseed, *skew, *len),
-    }
+            digest,
+        } => match digest.0.get() {
+            Some(fold) => {
+                count(|s| s.digest_hits += 1);
+                fold.get()
+            }
+            None => {
+                count_cold(*len);
+                let fold = csum_fold_pattern(*pseed, *skew, *len);
+                // a fold of exactly zero is simply never cached
+                digest.0.set(NonZeroU64::new(fold));
+                fold
+            }
+        },
+    };
+    daos_splitmix(seed ^ fold)
 }
 
-/// Direct-mapped memo cache for [`csum64`] on pattern payloads. Entries
-/// below 1 KiB are not cached — the hash is cheaper than the lookup noise.
-/// `len == 0` marks an empty slot (zero-length payloads are never cached).
-#[derive(Clone, Copy)]
-struct CsumCacheEnt {
-    seed: u64,
-    pseed: u64,
-    skew: u64,
-    len: u64,
-    val: u64,
+/// Seeded 64-bit checksum over literal bytes (same function as
+/// [`csum64`] on a `Payload::Bytes`).
+pub fn csum64_bytes(seed: u64, bytes: &[u8]) -> u64 {
+    daos_splitmix(seed ^ csum_fold(bytes))
 }
 
-const CSUM_CACHE_SLOTS: usize = 8192;
-const CSUM_CACHE_MIN_LEN: u64 = 1024;
+/// Host-cost counters of [`csum64`] on the calling thread: the
+/// deterministic "bytes hashed" proxy for simulator speed.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CsumStats {
+    /// Bytes actually folded (payloads without a digest to reuse).
+    pub cold_bytes: u64,
+    /// Calls that folded their payload.
+    pub cold_calls: u64,
+    /// Calls answered from the payload's digest.
+    pub digest_hits: u64,
+    /// The part of `cold_bytes` that was `Payload::Bytes`, which carries
+    /// no digest (metadata values; every check re-folds them).
+    pub literal_bytes: u64,
+}
 
 thread_local! {
-    static CSUM_CACHE: RefCell<Vec<CsumCacheEnt>> = RefCell::new(vec![
-        CsumCacheEnt { seed: 0, pseed: 0, skew: 0, len: 0, val: 0 };
-        CSUM_CACHE_SLOTS
-    ]);
+    static CSUM_STATS: Cell<CsumStats> = const { Cell::new(CsumStats {
+        cold_bytes: 0,
+        cold_calls: 0,
+        digest_hits: 0,
+        literal_bytes: 0,
+    }) };
 }
 
-fn csum64_pattern(seed: u64, pseed: u64, skew: u64, len: u64) -> u64 {
-    if len < CSUM_CACHE_MIN_LEN {
-        return csum64_pattern_uncached(seed, pseed, skew, len);
+fn count(f: impl FnOnce(&mut CsumStats)) {
+    CSUM_STATS.with(|c| {
+        let mut s = c.get();
+        f(&mut s);
+        c.set(s);
+    });
+}
+
+fn count_cold(len: u64) {
+    count(|s| {
+        s.cold_bytes += len;
+        s.cold_calls += 1;
+    });
+}
+
+/// This thread's [`CsumStats`] since the last [`reset_csum_stats`].
+pub fn csum_stats() -> CsumStats {
+    CSUM_STATS.with(Cell::get)
+}
+
+/// Zero this thread's [`CsumStats`].
+pub fn reset_csum_stats() {
+    CSUM_STATS.with(|s| s.set(CsumStats::default()));
+}
+
+const FOLD_MUL: u64 = 0x100_0000_01b3;
+
+/// Four independent fold lanes: word `i` of the stream goes to lane
+/// `i % 4`, so the multiply-rotate chains of consecutive words overlap
+/// instead of serialising.
+struct Lanes([u64; 4]);
+
+impl Lanes {
+    fn new() -> Self {
+        Lanes([
+            0x9E37_79B9_7F4A_7C15,
+            0xBF58_476D_1CE4_E5B9,
+            0x94D0_49BB_1331_11EB,
+            0xD6E8_FEB8_6659_FD93,
+        ])
     }
-    let slot = (daos_splitmix(seed ^ pseed.rotate_left(17) ^ skew.rotate_left(34) ^ len) as usize)
-        & (CSUM_CACHE_SLOTS - 1);
-    CSUM_CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        let ent = &mut cache[slot];
-        if ent.len == len && ent.seed == seed && ent.pseed == pseed && ent.skew == skew {
-            return ent.val;
+
+    #[inline]
+    fn fold(&mut self, lane: usize, word: u64) {
+        self.0[lane] = (self.0[lane] ^ word).wrapping_mul(FOLD_MUL).rotate_left(23);
+    }
+
+    /// Combine the lanes with the stream length, then the up-to-7 tail
+    /// bytes that did not fill a word.
+    fn finish(self, len: u64, tail: impl Iterator<Item = u8>) -> u64 {
+        let mut h = len;
+        for lane in self.0 {
+            h = (h ^ lane).wrapping_mul(FOLD_MUL).rotate_left(23);
         }
-        let val = csum64_pattern_uncached(seed, pseed, skew, len);
-        *ent = CsumCacheEnt {
-            seed,
-            pseed,
-            skew,
-            len,
-            val,
-        };
-        val
-    })
+        for b in tail {
+            h = (h ^ b as u64).wrapping_mul(FOLD_MUL);
+        }
+        h
+    }
 }
 
-/// Fold the synthetic stream directly: one splitmix block per 8 bytes,
-/// shifted into place when `skew` is unaligned, with no intermediate
-/// buffer. The byte stream (and therefore the checksum value) is identical
-/// to hashing the materialised bytes; the equivalence test below pins that
-/// at every skew alignment.
-fn csum64_pattern_uncached(seed: u64, pseed: u64, skew: u64, len: u64) -> u64 {
-    let mut h = seed ^ len;
+/// The unseeded fold of a byte string: 8-byte little-endian words into
+/// four lanes round-robin, lanes and length combined at the end, tail
+/// bytes last. [`csum_fold_pattern`] is the same function computed from
+/// the generator.
+fn csum_fold(bytes: &[u8]) -> u64 {
+    // INVARIANT: every slice handed to `word` is exactly 8 bytes long.
+    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().unwrap());
+    let mut lanes = Lanes::new();
+    let mut groups = bytes.chunks_exact(32);
+    for g in &mut groups {
+        for lane in 0..4 {
+            lanes.fold(lane, word(&g[8 * lane..8 * lane + 8]));
+        }
+    }
+    let mut words = groups.remainder().chunks_exact(8);
+    for (lane, w) in (&mut words).enumerate() {
+        lanes.fold(lane, word(w));
+    }
+    lanes.finish(bytes.len() as u64, words.remainder().iter().copied())
+}
+
+/// [`csum_fold`] of a pattern's bytes without materialising them: one
+/// splitmix block per 8 bytes, shifted into place when `skew` is
+/// unaligned, with no intermediate buffer. The equivalence test below pins
+/// the two at every skew alignment.
+fn csum_fold_pattern(pseed: u64, skew: u64, len: u64) -> u64 {
+    let mut lanes = Lanes::new();
     let mut gen = PatternWords::new(pseed, skew);
     let words = len / 8;
-    for _ in 0..words {
-        let v = gen.next_word();
-        h = (h ^ v).wrapping_mul(0x100_0000_01b3).rotate_left(23);
+    for _ in 0..words / 4 {
+        for lane in 0..4 {
+            lanes.fold(lane, gen.next_word());
+        }
     }
-    for i in (words * 8)..len {
-        h = (h ^ pattern_byte(pseed, skew + i) as u64).wrapping_mul(0x100_0000_01b3);
+    for lane in 0..(words % 4) as usize {
+        lanes.fold(lane, gen.next_word());
     }
-    daos_splitmix(h)
+    lanes.finish(
+        len,
+        ((words * 8)..len).map(|i| pattern_byte(pseed, skew + i)),
+    )
 }
 
 /// Streaming 64-bit-word view of the synthetic pattern starting at stream
@@ -287,28 +425,6 @@ fn pattern_block(seed: u64, q: u64) -> u64 {
     daos_splitmix(seed ^ q.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// Seeded 64-bit checksum over literal bytes (same function as
-/// [`csum64`] on a `Payload::Bytes`).
-pub fn csum64_bytes(seed: u64, bytes: &[u8]) -> u64 {
-    daos_splitmix(csum_fold(seed ^ bytes.len() as u64, bytes))
-}
-
-/// Fold a byte chunk into the running hash, 8 bytes at a time. Chunk
-/// boundaries must fall on multiples of 8 (except the final chunk) so
-/// chunked and one-shot hashing agree; [`csum64`] uses 256-byte chunks.
-fn csum_fold(mut h: u64, chunk: &[u8]) -> u64 {
-    let mut words = chunk.chunks_exact(8);
-    for w in &mut words {
-        // INVARIANT: chunks_exact(8) yields exactly-8-byte slices.
-        let v = u64::from_le_bytes(w.try_into().unwrap());
-        h = (h ^ v).wrapping_mul(0x100_0000_01b3).rotate_left(23);
-    }
-    for &b in words.remainder() {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// Deterministic byte `pos` of the synthetic stream for `seed`.
 #[inline]
 pub fn pattern_byte(seed: u64, pos: u64) -> u8 {
@@ -363,19 +479,60 @@ mod tests {
         assert_eq!(&s2.materialize()[..], &p.materialize()[300..350]);
     }
 
-    /// The blockwise pattern fast path in [`csum64`] must produce the
-    /// same value as hashing the materialized bytes, at every block
-    /// alignment of `skew` and for lengths straddling the internal
-    /// buffer boundary.
+    /// The generator-fed fold in [`csum64`] must produce the same value
+    /// as folding the materialized bytes, at every block alignment of
+    /// `skew` and for lengths on both sides of the word and four-lane
+    /// group boundaries.
     #[test]
     fn pattern_csum_matches_bytes_csum_at_all_alignments() {
         for skew in 0..9u64 {
-            for len in [0u64, 1, 7, 8, 9, 255, 256, 257, 1000, 4096] {
+            for len in [
+                0u64, 1, 7, 8, 9, 24, 31, 32, 33, 63, 255, 256, 257, 1000, 4096,
+            ] {
                 let p = Payload::pattern(42, skew + len).slice(skew, len);
                 let direct = csum64(CSUM_SEED, &p);
                 let via_bytes = csum64_bytes(CSUM_SEED, &p.materialize());
                 assert_eq!(direct, via_bytes, "skew {skew} len {len}");
             }
         }
+    }
+
+    /// Which payloads answer from a digest: the hashed value itself, its
+    /// clones and its identity slice — never a sub-slice or a corrupted
+    /// copy, and never a literal.
+    #[test]
+    fn digest_travels_with_the_value_and_no_further() {
+        let cold_after = |p: &Payload| {
+            let before = csum_stats();
+            csum64(CSUM_SEED, p);
+            csum_stats().cold_calls - before.cold_calls
+        };
+        let p = Payload::pattern(9, 4096);
+        let early_clone = p.clone();
+        assert_eq!(cold_after(&p), 1);
+        assert_eq!(cold_after(&p), 0);
+        assert_eq!(cold_after(&p.clone()), 0);
+        assert_eq!(cold_after(&p.slice(0, 4096)), 0);
+        assert_eq!(cold_after(&early_clone), 1, "cloned before the hash");
+        assert_eq!(cold_after(&p.slice(0, 4095)), 1);
+        assert_eq!(cold_after(&p.slice(8, 4088)), 1);
+        assert_eq!(cold_after(&p.corrupted()), 1);
+        let lit = Payload::bytes(p.materialize());
+        assert_eq!(cold_after(&lit), 1);
+        assert_eq!(cold_after(&lit), 1);
+        assert_eq!(p, early_clone);
+
+        reset_csum_stats();
+        csum64(CSUM_SEED, &p);
+        csum64(CSUM_SEED, &lit);
+        assert_eq!(
+            csum_stats(),
+            CsumStats {
+                cold_bytes: 4096,
+                cold_calls: 1,
+                digest_hits: 1,
+                literal_bytes: 4096,
+            }
+        );
     }
 }

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use daos_placement::{place, place_width, ObjectClass, ObjectId, PoolMap};
 use daos_vos::tree::ExtentTree;
-use daos_vos::Payload;
+use daos_vos::{csum64, csum64_bytes, Payload, CSUM_SEED};
 
 // ------------------------------------------------------------ extent tree
 
@@ -156,6 +156,40 @@ proptest! {
         let m = p.materialize();
         for i in (0..len).step_by(17) {
             prop_assert_eq!(p.byte_at(i), m[i as usize]);
+        }
+    }
+
+    /// A digest must never leak across different bytes: the checksum of a
+    /// slice is that of its own bytes whether or not the parent, an
+    /// identical earlier slice, or a corrupted sibling was hashed first.
+    #[test]
+    fn slice_csum_ignores_what_was_hashed_before(
+        seed in any::<u64>(),
+        skew in 0u64..64,
+        len in 0u64..600,
+        off in 0u64..600,
+        sublen in 0u64..600,
+        warm_parent in any::<bool>(),
+        warm_twin in any::<bool>(),
+    ) {
+        let off = off.min(len);
+        let sublen = sublen.min(len - off);
+        let parent = Payload::pattern(seed, skew + len).slice(skew, len);
+        if warm_parent {
+            csum64(CSUM_SEED, &parent);
+            csum64(CSUM_SEED, &parent.corrupted());
+        }
+        if warm_twin {
+            csum64(CSUM_SEED, &parent.slice(off, sublen));
+        }
+        let s = parent.slice(off, sublen);
+        let want = csum64_bytes(CSUM_SEED, &s.materialize());
+        prop_assert_eq!(csum64(CSUM_SEED, &s), want);
+        // and again from the digest the first call left, and from a clone's
+        prop_assert_eq!(csum64(CSUM_SEED, &s), want);
+        prop_assert_eq!(csum64(CSUM_SEED, &s.clone()), want);
+        if sublen > 0 {
+            prop_assert_ne!(csum64(CSUM_SEED, &s.corrupted()), want);
         }
     }
 }
