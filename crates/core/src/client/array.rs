@@ -1,0 +1,638 @@
+//! `daos_array`: a byte array chunked over an object's shards, written and
+//! read through the object's protection class.
+
+use std::future::Future;
+use std::ops::Range;
+
+use daos_placement::{splitmix64, ObjectClass, ObjectId};
+use daos_sim::executor::join_all;
+use daos_sim::Sim;
+use daos_vos::tree::{flatten, ReadSeg};
+use daos_vos::{Epoch, Payload};
+
+use super::damp::Attempt;
+use super::{try_join_all, ObjectHandle, EPOCH_LATEST};
+use crate::proto::{
+    array_akey, chunk_dkey, chunk_of_dkey, wire_csum, DaosError, Request, Response,
+};
+
+/// The redundancy group an array chunk belongs to.
+///
+/// DAOS routes array chunks by dkey hash, not round-robin: the spread is
+/// statistical, which is what makes wide classes blow the engines' stream
+/// windows in file-per-process workloads. Shared with the rebuild pass,
+/// which must agree with the client on chunk → group routing.
+pub(crate) fn group_of_chunk(oid: ObjectId, chunk: u64, group_count: u32) -> u32 {
+    let h = splitmix64(chunk ^ oid.mix().rotate_left(23));
+    daos_placement::jump_consistent_hash(h, group_count)
+}
+
+/// The shards that may serve cell `cell` of `chunk`, in the order a read
+/// tries them, for a redundancy group starting at shard `group`: a sharded
+/// chunk has its one shard; replicas all qualify, rotated by chunk (to
+/// spread reads) and by retry round (to start each retry somewhere else);
+/// an EC cell has only its data shard — the rest of the stripe can
+/// reconstruct it but not serve it.
+fn read_candidates(
+    class: ObjectClass,
+    group: u32,
+    chunk: u64,
+    round: u32,
+    cell: u64,
+) -> impl Iterator<Item = u32> {
+    let (first, count, ring) = match class {
+        ObjectClass::Sharded(_) | ObjectClass::ShardedMax => (0, 1, 1),
+        ObjectClass::Replicated { replicas: r, .. } => (chunk + round as u64, r as u64, r as u64),
+        ObjectClass::ErasureCoded { .. } => (cell, 1, u64::MAX),
+    };
+    (0..count).map(move |i| group + ((first + i) % ring) as u32)
+}
+
+/// `acc ^= src`, bytewise: the one parity operation of `EC_kP1` stripes.
+pub(crate) fn xor_into(acc: &mut [u8], src: &[u8]) {
+    for (o, b) in acc.iter_mut().zip(src) {
+        *o ^= b;
+    }
+}
+
+/// `daos_array`-style byte-array API: the array is chunked at `chunk_size`;
+/// chunk `i` is dkey `i` (big-endian), placed on a shard chosen by dkey
+/// hash (jump consistent hash), as `libdaos` does.
+#[derive(Clone)]
+pub struct ArrayHandle {
+    pub(super) obj: ObjectHandle,
+    pub(super) chunk_size: u64,
+}
+
+impl ArrayHandle {
+    /// The underlying object handle.
+    pub fn object(&self) -> &ObjectHandle {
+        &self.obj
+    }
+    /// The array's chunk size.
+    pub fn chunk_size(&self) -> u64 {
+        self.chunk_size
+    }
+
+    /// Redundancy-group width (1 for plain sharding, r for RP_r, k+p for EC).
+    fn group_width(&self) -> u32 {
+        self.obj.class.group_width()
+    }
+
+    /// Shard indices of the redundancy group `chunk` belongs to (see
+    /// [`group_of_chunk`]).
+    fn group_of(&self, chunk: u64) -> Range<u32> {
+        let w = self.group_width();
+        let groups = (self.obj.width() / w).max(1);
+        let g = group_of_chunk(self.obj.oid, chunk, groups);
+        g * w..(g + 1) * w
+    }
+
+    /// Bytes of a chunk one shard holds: the whole chunk, or one of an EC
+    /// stripe's `k` data cells.
+    fn cell_size(&self) -> u64 {
+        match self.obj.class {
+            ObjectClass::ErasureCoded { data: k, .. } => self.chunk_size / k as u64,
+            _ => self.chunk_size,
+        }
+    }
+
+    /// Is the target behind `shard` excluded from the current pool map?
+    fn shard_excluded(&self, shard: u32) -> bool {
+        let t = self.obj.layout.borrow().target_of(shard);
+        self.obj.cont.client.cluster.pool_map().is_excluded(t)
+    }
+
+    /// Should a *read* avoid `shard`? True for excluded targets, and for
+    /// re-placed shards whose new home hasn't been refilled yet by the
+    /// rebuild pass still running.
+    fn shard_unreadable(&self, shard: u32) -> bool {
+        if self.shard_excluded(shard) {
+            return true;
+        }
+        self.obj.cont.client.cluster.rebuilds_running() > 0
+            && self.obj.moved.borrow().contains(&shard)
+    }
+
+    /// Drive `attempt(round)` through the client's one retry loop; between
+    /// rounds the loop refreshes the pool map and re-places this object,
+    /// so a retry lands on a moved shard's new home.
+    fn retry<'a, T, A>(
+        &'a self,
+        sim: &'a Sim,
+        exhausted: DaosError,
+        attempt: impl FnMut(u32) -> A + 'a,
+    ) -> impl Future<Output = Result<T, DaosError>> + 'a
+    where
+        A: Future<Output = Attempt<T>> + 'a,
+        T: 'a,
+    {
+        let refresh = move || self.obj.refresh(sim);
+        let damp = &self.obj.cont.client.damp;
+        damp.retry_rounds(sim, exhausted, attempt, refresh)
+    }
+
+    /// Raw single-shard update of chunk data at a chunk-relative offset.
+    ///
+    /// Retryable faults (timeout, stale map, transport) trigger a pool-map
+    /// refresh and re-route: the shard index is stable but the target
+    /// behind it moves with the layout, so after an exclusion the retry
+    /// lands on the shard's new home.
+    async fn update_shard(
+        &self,
+        sim: &Sim,
+        shard: u32,
+        chunk: u64,
+        offset: u64,
+        data: Payload,
+    ) -> Result<(), DaosError> {
+        let (obj, data) = (&self.obj, &data);
+        let csum = wire_csum(data);
+        let attempt = move |_round| async move {
+            let (engine, target) = obj.route(shard);
+            let (cont, data) = (obj.cont.cont, data.clone());
+            let req = Request::update_chunk(target, cont, obj.oid, chunk, offset, data, csum);
+            let rsp = obj.cont.client.call_gated(sim, engine, req).await;
+            rsp.and_then(Response::ok).into()
+        };
+        self.retry(sim, DaosError::Timeout, attempt).await
+    }
+
+    /// Write each `(shard, offset, data)` piece of `chunk` concurrently.
+    async fn update_shards(
+        &self,
+        sim: &Sim,
+        chunk: u64,
+        writes: impl Iterator<Item = (u32, u64, Payload)>,
+    ) -> Result<(), DaosError> {
+        let futs: Vec<_> = writes
+            .map(|(shard, offset, data)| {
+                let (this, sim) = (self.clone(), sim.clone());
+                async move { this.update_shard(&sim, shard, chunk, offset, data).await }
+            })
+            .collect();
+        try_join_all(sim, futs).await
+    }
+
+    /// One fetch attempt against one shard, no retry — the failover
+    /// building block for degraded reads. `want` and the returned segments
+    /// are shard-relative.
+    async fn fetch_shard_once(
+        &self,
+        sim: &Sim,
+        shard: u32,
+        chunk: u64,
+        want: Range<u64>,
+    ) -> Result<Vec<ReadSeg>, DaosError> {
+        let obj = &self.obj;
+        let (engine, target) = obj.route(shard);
+        let (offset, len) = (want.start, want.end - want.start);
+        let req = Request::fetch_chunk(
+            target,
+            obj.cont.cont,
+            obj.oid,
+            chunk,
+            offset,
+            len,
+            EPOCH_LATEST,
+        );
+        let rsp = obj.cont.client.call_gated(sim, engine, req).await?;
+        rsp.fetched()
+    }
+
+    /// Fire-and-forget corruption report for `chunk`'s copy on `shard`'s
+    /// current target; the pool service schedules a targeted repair. The
+    /// read that hit the mismatch does not wait on it.
+    fn report_rot(&self, sim: &Sim, chunk: u64, shard: u32) {
+        let target = self.obj.layout.borrow().target_of(shard);
+        let client = self.obj.cont.client.clone();
+        let req = Request::ReportCorrupt {
+            cont: self.obj.cont.cont,
+            oid: self.obj.oid,
+            chunk,
+            target,
+        };
+        let s = sim.clone();
+        sim.spawn(async move {
+            let _ = client.control(&s, req).await;
+        });
+    }
+
+    /// One round of reading `want` (shard-relative) of cell `cell` of
+    /// `chunk`, whose redundancy group starts at shard `group` — fixed by
+    /// the caller before the first round, so retries after a re-place keep
+    /// asking the same shards. The first of the class's
+    /// [`read_candidates`] to answer clean serves it. A `protected` read
+    /// skips shards the pool map or a running rebuild rules out, fails
+    /// over past rotten and unresponsive ones, and when nobody answers
+    /// does what the class can: a replicated read backs off for another
+    /// round unless no replica is left at all, an EC read reconstructs the
+    /// cell from its stripe. An unprotected read (a sharded object, or the
+    /// parity read-modify-write of an EC write) asks its one shard whatever
+    /// the map says, and a rotten copy there is final. Rot is reported
+    /// either way.
+    #[allow(clippy::too_many_arguments)]
+    async fn read_cell(
+        &self,
+        sim: &Sim,
+        group: u32,
+        chunk: u64,
+        cell: u64,
+        round: u32,
+        want: Range<u64>,
+        protected: bool,
+    ) -> Attempt<Vec<ReadSeg>> {
+        let class = self.obj.class;
+        // why no candidate served the cell; `None`: none was fit to ask
+        let mut miss = None;
+        for shard in read_candidates(class, group, chunk, round, cell) {
+            if protected && self.shard_unreadable(shard) {
+                continue;
+            }
+            match self.fetch_shard_once(sim, shard, chunk, want.clone()).await {
+                Ok(segs) => return Attempt::Done(segs),
+                Err(DaosError::CsumMismatch) => {
+                    self.report_rot(sim, chunk, shard);
+                    miss = Some(DaosError::CsumMismatch);
+                }
+                Err(e) if e.is_retryable() => miss = Some(e),
+                Err(e) => return Attempt::Fail(e),
+            }
+        }
+        match (miss, class) {
+            (Some(DaosError::CsumMismatch), _) if !protected => {
+                Attempt::Fail(DaosError::CsumMismatch)
+            }
+            (_, ObjectClass::ErasureCoded { data, parity, .. }) if protected => {
+                let (k, p) = (data as u64, parity as u64);
+                self.reconstruct(sim, group, chunk, cell, k, p, want)
+                    .await
+                    .into()
+            }
+            (Some(e), _) => Attempt::Retry(e),
+            (None, _) => Attempt::Fail(DaosError::NoSurvivingReplicas),
+        }
+    }
+
+    /// One round of reading one piece of one chunk: each cell the piece
+    /// touches (the whole chunk is one cell unless the class is EC) is
+    /// served by [`ArrayHandle::read_cell`]; segments come back
+    /// chunk-relative.
+    async fn read_piece_once(
+        &self,
+        sim: &Sim,
+        group: u32,
+        chunk: u64,
+        in_chunk: u64,
+        len: u64,
+        round: u32,
+    ) -> Attempt<Vec<ReadSeg>> {
+        let protected = !matches!(
+            self.obj.class,
+            ObjectClass::Sharded(_) | ObjectClass::ShardedMax
+        );
+        let cell = self.cell_size();
+        let end = in_chunk + len;
+        let mut out = Vec::new();
+        for c in in_chunk / cell..=(end - 1) / cell {
+            let base = c * cell;
+            let want = base.max(in_chunk) - base..(base + cell).min(end) - base;
+            let segs = match self
+                .read_cell(sim, group, chunk, c, round, want, protected)
+                .await
+            {
+                Attempt::Done(segs) => segs.into_iter().map(|s| s.rebased(0, base)),
+                other => return other,
+            };
+            if out.is_empty() {
+                // the usual one-cell piece keeps the reply's allocation
+                out = segs.collect();
+            } else {
+                out.extend(segs);
+            }
+        }
+        Attempt::Done(out)
+    }
+
+    /// Rebuild `want` of data cell `c` of an EC stripe whose own shard
+    /// cannot serve it: XOR of the other data cells plus one live parity.
+    /// A reconstruction *source* failing is returned as the retryable
+    /// error it produced (the caller refreshes and retries); a stripe with
+    /// no live parity left is [`DaosError::NoSurvivingReplicas`].
+    #[allow(clippy::too_many_arguments)]
+    async fn reconstruct(
+        &self,
+        sim: &Sim,
+        group: u32,
+        chunk: u64,
+        c: u64,
+        k: u64,
+        p: u64,
+        want: Range<u64>,
+    ) -> Result<Vec<ReadSeg>, DaosError> {
+        let cell = self.cell_size();
+        let mut acc = vec![0u8; cell as usize];
+        for other in (0..k).filter(|&o| o != c) {
+            let oshard = group + other as u32;
+            if self.shard_excluded(oshard) {
+                // two losses in one group: beyond what XOR parity covers
+                return Err(DaosError::NoSurvivingReplicas);
+            }
+            if self.shard_unreadable(oshard) {
+                // the source is itself mid-refill; retry once it lands
+                return Err(DaosError::Timeout);
+            }
+            let segs = match self.fetch_shard_once(sim, oshard, chunk, 0..cell).await {
+                Ok(s) => s,
+                Err(DaosError::CsumMismatch) => {
+                    // a reconstruction source is itself rotten: report
+                    // it and retry the pass once repair catches up
+                    self.report_rot(sim, chunk, oshard);
+                    return Err(DaosError::Timeout);
+                }
+                Err(e) => return Err(e),
+            };
+            xor_into(&mut acc, &flatten(&segs, 0, cell));
+        }
+        // live parities that merely timed out are worth a retry; a stripe
+        // with every parity excluded is truly lost
+        let mut parity_err = DaosError::NoSurvivingReplicas;
+        for pshard in (k..k + p).map(|j| group + j as u32) {
+            if self.shard_unreadable(pshard) {
+                continue;
+            }
+            match self.fetch_shard_once(sim, pshard, chunk, 0..cell).await {
+                Ok(segs) => {
+                    xor_into(&mut acc, &flatten(&segs, 0, cell));
+                    let bytes = acc[want.start as usize..want.end as usize].to_vec();
+                    return Ok(vec![ReadSeg {
+                        offset: want.start,
+                        len: want.end - want.start,
+                        data: Some(Payload::bytes(bytes)),
+                    }]);
+                }
+                Err(DaosError::CsumMismatch) => {
+                    // rotten parity: report it and try the next one
+                    self.report_rot(sim, chunk, pshard);
+                    parity_err = DaosError::Timeout;
+                }
+                Err(e) if e.is_retryable() => parity_err = e,
+                Err(e) => return Err(e),
+            }
+        }
+        Err(parity_err)
+    }
+
+    /// Write one piece of one chunk through the object's protection class.
+    async fn write_piece(
+        &self,
+        sim: &Sim,
+        chunk: u64,
+        in_chunk: u64,
+        piece: Payload,
+    ) -> Result<(), DaosError> {
+        let group = self.group_of(chunk);
+        match self.obj.class {
+            ObjectClass::Sharded(_) | ObjectClass::ShardedMax => {
+                self.update_shard(sim, group.start, chunk, in_chunk, piece)
+                    .await
+            }
+            ObjectClass::Replicated { .. } => {
+                // fan the identical piece out to every replica of the group
+                let writes = group.map(|shard| (shard, in_chunk, piece.clone()));
+                self.update_shards(sim, chunk, writes).await
+            }
+            ObjectClass::ErasureCoded {
+                data: k, parity: p, ..
+            } => {
+                let (k, p) = (k as u64, p as u64);
+                if !self.chunk_size.is_multiple_of(k) {
+                    return Err(DaosError::Other(
+                        "EC arrays need chunk_size divisible by k".into(),
+                    ));
+                }
+                let cell = self.cell_size();
+                if !in_chunk.is_multiple_of(cell) || !piece.len().is_multiple_of(cell) {
+                    return Err(DaosError::Other(format!(
+                        "EC arrays require cell-aligned I/O (cell = {cell} bytes)"
+                    )));
+                }
+                let first_cell = in_chunk / cell;
+                let n_cells = piece.len() / cell;
+                let shard_of = |c: u64| group.start + c as u32;
+                // write the data cells
+                let cells = (0..n_cells)
+                    .map(|i| (shard_of(first_cell + i), 0, piece.slice(i * cell, cell)));
+                self.update_shards(sim, chunk, cells).await?;
+                // parity = XOR over the stripe; read-modify-write any cells
+                // this piece did not cover
+                let mut parity = vec![0u8; cell as usize];
+                for c in 0..k {
+                    if c >= first_cell && c < first_cell + n_cells {
+                        let covered = piece.slice((c - first_cell) * cell, cell);
+                        xor_into(&mut parity, &covered.materialize());
+                    } else {
+                        let read = |round| {
+                            self.read_cell(sim, group.start, chunk, c, round, 0..cell, false)
+                        };
+                        let segs = self.retry(sim, DaosError::Timeout, read).await?;
+                        xor_into(&mut parity, &flatten(&segs, 0, cell));
+                    }
+                }
+                let parities = (k..k + p).map(|j| (shard_of(j), 0, Payload::bytes(parity.clone())));
+                self.update_shards(sim, chunk, parities).await
+            }
+        }
+    }
+
+    /// Read one piece of one chunk through the protection class; returns
+    /// chunk-relative segments. Survives excluded *and silently dead*
+    /// targets where the class has redundancy: replicated reads fail over
+    /// to surviving replicas, EC reads reconstruct lost cells from the
+    /// stripe, and a full pass over the group that finds nobody alive
+    /// surfaces as [`DaosError::NoSurvivingReplicas`]. Transient faults
+    /// (every live shard timing out) back off, refresh the pool map and
+    /// retry under the client's attempt budget.
+    async fn read_piece(
+        &self,
+        sim: &Sim,
+        chunk: u64,
+        in_chunk: u64,
+        len: u64,
+    ) -> Result<Vec<ReadSeg>, DaosError> {
+        // replicas that never answered in any round are as good as gone
+        let exhausted = match self.obj.class {
+            ObjectClass::Replicated { .. } => DaosError::NoSurvivingReplicas,
+            _ => DaosError::Timeout,
+        };
+        let group = self.group_of(chunk).start;
+        let round = |round| self.read_piece_once(sim, group, chunk, in_chunk, len, round);
+        self.retry(sim, exhausted, round).await
+    }
+
+    /// Split `[offset, offset+len)` into per-chunk pieces:
+    /// `(chunk, offset_in_chunk, piece_offset_in_request, piece_len)`.
+    fn pieces(&self, offset: u64, len: u64) -> Vec<(u64, u64, u64, u64)> {
+        let mut out = Vec::new();
+        let mut cur = offset;
+        let end = offset + len;
+        while cur < end {
+            let chunk = cur / self.chunk_size;
+            let in_chunk = cur % self.chunk_size;
+            let take = (self.chunk_size - in_chunk).min(end - cur);
+            out.push((chunk, in_chunk, cur - offset, take));
+            cur += take;
+        }
+        out
+    }
+
+    /// Write `data` at byte `offset`; chunks are written concurrently
+    /// (libdaos event-queue style).
+    pub async fn write(&self, sim: &Sim, offset: u64, data: Payload) -> Result<(), DaosError> {
+        let pieces = self.pieces(offset, data.len());
+        let futs: Vec<_> = pieces
+            .into_iter()
+            .map(|(chunk, in_chunk, src_off, len)| {
+                let this = self.clone();
+                let sim = sim.clone();
+                let piece = data.slice(src_off, len);
+                async move { this.write_piece(&sim, chunk, in_chunk, piece).await }
+            })
+            .collect();
+        try_join_all(sim, futs).await
+    }
+
+    /// Read `[offset, offset+len)` as of a container snapshot epoch.
+    ///
+    /// Only supported for unprotected classes (snapshots of replicated/EC
+    /// data read the primary). Writes after the snapshot are invisible.
+    pub async fn read_at_epoch(
+        &self,
+        sim: &Sim,
+        offset: u64,
+        len: u64,
+        epoch: Epoch,
+    ) -> Result<Vec<ReadSeg>, DaosError> {
+        let obj = &self.obj;
+        let mut segs = Vec::new();
+        for (chunk, in_chunk, _src, plen) in self.pieces(offset, len) {
+            let (engine, target) = obj.route(self.group_of(chunk).start);
+            let req =
+                Request::fetch_chunk(target, obj.cont.cont, obj.oid, chunk, in_chunk, plen, epoch);
+            let piece = obj.cont.client.call(sim, engine, req).await?.fetched()?;
+            let base = chunk * self.chunk_size;
+            segs.extend(piece.into_iter().map(|s| s.rebased(0, base)));
+        }
+        segs.sort_by_key(|s| s.offset);
+        Ok(segs)
+    }
+
+    /// Read `len` bytes at `offset` (latest); unwritten ranges come back as
+    /// holes. Segments are returned in array-offset order.
+    pub async fn read(&self, sim: &Sim, offset: u64, len: u64) -> Result<Vec<ReadSeg>, DaosError> {
+        let pieces = self.pieces(offset, len);
+        let futs: Vec<_> = pieces
+            .into_iter()
+            .map(|(chunk, in_chunk, _src_off, plen)| {
+                let this = self.clone();
+                let sim = sim.clone();
+                async move {
+                    let segs = this.read_piece(&sim, chunk, in_chunk, plen).await?;
+                    // rebase chunk-relative offsets to array offsets
+                    let base = chunk * this.chunk_size;
+                    let segs = segs.into_iter().map(|s| s.rebased(0, base));
+                    Ok::<_, DaosError>(segs.collect::<Vec<_>>())
+                }
+            })
+            .collect();
+        let mut segs = Vec::new();
+        for r in join_all(sim, futs).await {
+            segs.extend(r?);
+        }
+        segs.sort_by_key(|s| s.offset);
+        Ok(segs)
+    }
+
+    /// Punch (logically zero) `[offset, offset+len)`; all shards of each
+    /// affected chunk are punched so every replica stays consistent.
+    pub async fn punch(&self, sim: &Sim, offset: u64, len: u64) -> Result<(), DaosError> {
+        let (cont, oid) = (self.obj.cont.cont, self.obj.oid);
+        for (chunk, in_chunk, _src, plen) in self.pieces(offset, len) {
+            let punch = move |target| Request::PunchArray {
+                target,
+                cont,
+                oid,
+                dkey: chunk_dkey(chunk),
+                akey: array_akey(),
+                offset: in_chunk,
+                len: plen,
+            };
+            let replies = self.obj.fan_out(sim, self.group_of(chunk), punch).await;
+            replies.into_iter().try_for_each(|r| r?.ok())?;
+        }
+        Ok(())
+    }
+
+    /// The array's size in bytes (highest written offset + 1), queried
+    /// from every shard like `daos_array_get_size`.
+    pub async fn size(&self, sim: &Sim) -> Result<u64, DaosError> {
+        let (cont, oid) = (self.obj.cont.cont, self.obj.oid);
+        let max_chunk = move |target| Request::ArrayMaxChunk {
+            target,
+            cont,
+            oid,
+            akey: array_akey(),
+        };
+        let mut size = 0u64;
+        for r in self.obj.fan_out(sim, 0..self.obj.width(), max_chunk).await {
+            match r? {
+                Response::MaxChunk(Some((dk, inner))) => {
+                    let chunk = chunk_of_dkey(&dk)
+                        .ok_or_else(|| DaosError::Other("malformed chunk dkey".into()))?;
+                    size = size.max(chunk * self.chunk_size + inner);
+                }
+                Response::MaxChunk(None) => {}
+                other => return Err(other.into_err()),
+            }
+        }
+        Ok(size)
+    }
+
+    /// Read and materialise exactly `len` bytes (holes as zeroes) — test
+    /// helper; benchmarks use [`ArrayHandle::read`] to avoid allocation.
+    pub async fn read_bytes(&self, sim: &Sim, offset: u64, len: u64) -> Result<Vec<u8>, DaosError> {
+        let segs = self.read(sim, offset, len).await?;
+        Ok(flatten(&segs, offset, len))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn read_candidate_order_per_class() {
+        let rp3 = ObjectClass::Replicated {
+            replicas: 3,
+            groups: None,
+        };
+        let ec_2p1 = ObjectClass::ErasureCoded {
+            data: 2,
+            parity: 1,
+            groups: None,
+        };
+        // chunk 4 of a group starting at shard 6: (class, round, cell) → order
+        for (class, round, cell, want) in [
+            (ObjectClass::S1, 0, 0, vec![6]),
+            (ObjectClass::SX, 2, 0, vec![6]),
+            (rp3, 0, 0, vec![7, 8, 6]),
+            (rp3, 1, 0, vec![8, 6, 7]),
+            (rp3, 2, 0, vec![6, 7, 8]),
+            (ec_2p1, 0, 0, vec![6]),
+            (ec_2p1, 2, 1, vec![7]),
+        ] {
+            let got: Vec<u32> = read_candidates(class, 6, 4, round, cell).collect();
+            assert_eq!(got, want, "{class:?} round {round} cell {cell}");
+        }
+    }
+}

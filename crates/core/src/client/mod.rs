@@ -1,0 +1,386 @@
+//! `libdaos` for applications: pool/container handles and the object APIs.
+//!
+//! Clients compute shard placement locally from the pool map (DAOS's
+//! algorithmic placement) and talk directly to the engine holding each
+//! shard. Two object APIs are provided, mirroring `daos_kv`/`daos_array`:
+//!
+//! * [`KvHandle`] — flat key → value;
+//! * [`ArrayHandle`] — a byte array chunked over the object's shards
+//!   (`chunk_size` bytes per dkey, dkeys round-robined across shards),
+//!   which is what DFS files are built on.
+
+mod array;
+mod damp;
+mod object;
+
+use std::future::Future;
+use std::ops::Range;
+use std::rc::Rc;
+
+use daos_fabric::NodeId;
+use daos_placement::{ObjectClass, ObjectId};
+use daos_sim::executor::join_all;
+use daos_sim::Sim;
+use daos_vos::Epoch;
+
+use crate::cluster::Cluster;
+use crate::proto::{DaosError, Request, Response};
+use crate::ContId;
+
+pub use array::ArrayHandle;
+pub(crate) use array::{group_of_chunk, xor_into};
+use damp::{Admit, DampState};
+pub use damp::{DampStats, RetryPolicy};
+pub use object::{KvHandle, ObjectHandle};
+
+/// Read "latest" epoch sentinel.
+pub const EPOCH_LATEST: Epoch = Epoch::MAX;
+
+/// Run `futs` concurrently to completion; the first error in submission
+/// order wins.
+async fn try_join_all<F>(sim: &Sim, futs: Vec<F>) -> Result<(), DaosError>
+where
+    F: Future<Output = Result<(), DaosError>> + 'static,
+{
+    join_all(sim, futs).await.into_iter().collect()
+}
+
+/// A client process bound to a client node's fabric port.
+#[derive(Clone)]
+pub struct DaosClient {
+    cluster: Rc<Cluster>,
+    node: NodeId,
+    damp: Rc<DampState>,
+    /// QoS tenant every RPC from this client is billed to (0 = the
+    /// default class; see [`DaosClient::with_tenant`]).
+    tenant: u8,
+}
+
+impl DaosClient {
+    /// A client on client node `client_node_idx` (0-based).
+    pub fn new(cluster: Rc<Cluster>, client_node_idx: u32) -> Self {
+        let node = cluster.client_node(client_node_idx);
+        DaosClient {
+            cluster,
+            node,
+            damp: Rc::new(DampState::new(RetryPolicy::default())),
+            tenant: 0,
+        }
+    }
+
+    /// Same client billing its RPCs to `tenant`'s QoS class (handles
+    /// opened from it inherit the tenant). Requests go out wrapped in a
+    /// [`Request::Tagged`] envelope; tenant 0 stays untagged — byte-
+    /// identical wire traffic to a pre-QoS client.
+    pub fn with_tenant(mut self, tenant: u8) -> Self {
+        self.tenant = tenant;
+        self
+    }
+
+    /// The QoS tenant this client bills to.
+    pub fn tenant(&self) -> u8 {
+        self.tenant
+    }
+
+    /// Wrap an outgoing request in this client's tenant envelope.
+    fn tag(&self, req: Request) -> Request {
+        if self.tenant == 0 {
+            req
+        } else {
+            req.tagged(self.tenant)
+        }
+    }
+
+    /// Same client with a different retry policy (handles opened from it
+    /// inherit the policy). Resets the damping state: the token bucket is
+    /// refilled to the new policy's budget and all breakers close.
+    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
+        self.damp = Rc::new(DampState::new(retry));
+        self
+    }
+
+    /// The client's retry policy.
+    pub fn retry(&self) -> RetryPolicy {
+        self.damp.policy
+    }
+
+    /// Storm-damping counters, cumulative across every clone and handle
+    /// sharing this client's damping state.
+    pub fn damp_stats(&self) -> DampStats {
+        self.damp.stats()
+    }
+
+    /// The cluster this client talks to.
+    pub fn cluster(&self) -> &Rc<Cluster> {
+        &self.cluster
+    }
+    /// The fabric node this client injects from.
+    pub fn node(&self) -> NodeId {
+        self.node
+    }
+
+    /// Issue one RPC to engine `engine_idx` (no deadline: fails fast on a
+    /// dead link, hangs on a partition — resilient paths use
+    /// [`DaosClient::call_deadline`]).
+    pub async fn call(
+        &self,
+        sim: &Sim,
+        engine_idx: u32,
+        req: Request,
+    ) -> Result<Response, DaosError> {
+        let req = self.tag(req);
+        let bulk = req.bulk_in();
+        self.cluster
+            .engine(engine_idx)
+            .endpoint()
+            .call(sim, self.node, req, bulk)
+            .await
+            .map_err(|_| DaosError::Transport)
+    }
+
+    /// Issue one RPC with the policy's per-attempt deadline; faults come
+    /// back as typed retryable errors.
+    pub async fn call_deadline(
+        &self,
+        sim: &Sim,
+        engine_idx: u32,
+        req: Request,
+    ) -> Result<Response, DaosError> {
+        let req = self.tag(req);
+        let bulk = req.bulk_in();
+        self.cluster
+            .engine(engine_idx)
+            .endpoint()
+            .call_deadline(sim, self.node, req, bulk, self.damp.policy.rpc_timeout)
+            .await
+            .map_err(DaosError::from)
+    }
+
+    /// Data-plane RPC through the storm-damping layer: an open circuit
+    /// breaker fast-fails client-side with `Busy { queued: 0 }` (no wire
+    /// traffic), sheds and timeouts feed the breaker, and responsive
+    /// outcomes refund retry-budget tokens. Control-plane paths bypass
+    /// this on purpose — pool-map refreshes must stay reachable while the
+    /// data plane is damped, or recovery itself would be throttled.
+    async fn call_gated(
+        &self,
+        sim: &Sim,
+        engine_idx: u32,
+        req: Request,
+    ) -> Result<Response, DaosError> {
+        let probe = match self.damp.breaker_gate(sim, engine_idx) {
+            Admit::FastFail => return Err(DaosError::Busy { queued: 0 }),
+            Admit::Yes { probe } => probe,
+        };
+        let r = self.call_deadline(sim, engine_idx, req).await;
+        self.damp.settle(sim, engine_idx, probe, &r);
+        r
+    }
+
+    /// One plain [`DaosClient::call`] per index in `range`, all in flight
+    /// at once, replies in index order. `send` maps an index to its
+    /// `(engine, request)` only when that index's task first runs, so
+    /// routing sees the layout of that moment.
+    async fn fan_out(
+        &self,
+        sim: &Sim,
+        range: Range<u32>,
+        send: impl Fn(u32) -> (u32, Request) + Clone + 'static,
+    ) -> Vec<Result<Response, DaosError>> {
+        let futs: Vec<_> = range
+            .map(|i| {
+                let (client, sim, send) = (self.clone(), sim.clone(), send.clone());
+                async move {
+                    let (engine, req) = send(i);
+                    client.call(&sim, engine, req).await
+                }
+            })
+            .collect();
+        join_all(sim, futs).await
+    }
+
+    /// Control-plane RPC: retries across pool-service replicas following
+    /// `NotLeader` hints, with the same bounded backoff policy as data
+    /// RPCs. The service may still return a semantic error such as
+    /// `ContainerExists`; a dead or partitioned service surfaces as a
+    /// typed `Timeout`/`Transport` after the attempt budget.
+    pub async fn control(&self, sim: &Sim, req: Request) -> Result<Response, DaosError> {
+        let svc = self.cluster.replicas().len().max(1) as u32;
+        let mut engine = 0u32;
+        let mut last = DaosError::Timeout;
+        for attempt in 0..self.damp.policy.max_attempts {
+            match self.call_deadline(sim, engine, req.clone()).await {
+                Ok(Response::Err(DaosError::NotLeader { hint })) => {
+                    engine = match hint {
+                        // raft ids are engine index + 1
+                        Some(id) if id >= 1 && id <= svc as u64 => (id - 1) as u32,
+                        _ => (engine + 1) % svc,
+                    };
+                    last = DaosError::NotLeader { hint };
+                }
+                Ok(other) => return Ok(other),
+                Err(e) if e.is_retryable() => {
+                    engine = (engine + 1) % svc;
+                    last = e;
+                }
+                Err(e) => return Err(e),
+            }
+            if !self.damp.retry_gate(sim, attempt, &last).await {
+                return Err(last);
+            }
+        }
+        Err(last)
+    }
+
+    /// Refresh the shared pool-map cache from the pool service; returns
+    /// whether the cache changed. Best-effort: an unreachable service
+    /// leaves the cache as is.
+    pub async fn refresh_pool_map(&self, sim: &Sim) -> bool {
+        match self.control(sim, Request::PoolQuery).await {
+            Ok(Response::PoolMapInfo { version, excluded }) => {
+                self.cluster.sync_pool_map(version, &excluded)
+            }
+            _ => false,
+        }
+    }
+
+    /// Declare a tenant pool with shard reservations on `reserved`
+    /// targets (replicated through the pool service; idempotent). The
+    /// reservations feed the engine shapers once the cluster applies
+    /// its QoS policy — see `Cluster::apply_qos`.
+    pub async fn create_tenant_pool(
+        &self,
+        sim: &Sim,
+        pool: u64,
+        tenant: u8,
+        reserved: Vec<daos_placement::TargetId>,
+    ) -> Result<(), DaosError> {
+        self.control(
+            sim,
+            Request::PoolCreate {
+                pool,
+                tenant,
+                reserved,
+            },
+        )
+        .await?
+        .ok()
+    }
+
+    /// Connect to the pool (waits for the pool service to be up).
+    pub async fn connect(&self, sim: &Sim) -> Result<PoolHandle, DaosError> {
+        match self.control(sim, Request::PoolConnect).await? {
+            Response::Connected { .. } => Ok(PoolHandle {
+                client: self.clone(),
+            }),
+            other => Err(other.into_err()),
+        }
+    }
+}
+
+/// An open pool connection.
+#[derive(Clone)]
+pub struct PoolHandle {
+    client: DaosClient,
+}
+
+impl PoolHandle {
+    /// Create a container (error if it exists).
+    pub async fn create_container(
+        &self,
+        sim: &Sim,
+        cont: ContId,
+    ) -> Result<ContainerHandle, DaosError> {
+        self.client
+            .control(sim, Request::ContCreate { cont })
+            .await?
+            .ok()?;
+        Ok(self.handle(cont))
+    }
+
+    /// Open an existing container.
+    pub async fn open_container(
+        &self,
+        sim: &Sim,
+        cont: ContId,
+    ) -> Result<ContainerHandle, DaosError> {
+        self.client
+            .control(sim, Request::ContOpen { cont })
+            .await?
+            .ok()?;
+        Ok(self.handle(cont))
+    }
+
+    /// Open-or-create (what `dfs_mount` does).
+    pub async fn open_or_create(
+        &self,
+        sim: &Sim,
+        cont: ContId,
+    ) -> Result<ContainerHandle, DaosError> {
+        match self.create_container(sim, cont).await {
+            Ok(h) => Ok(h),
+            Err(DaosError::ContainerExists(_)) => self.open_container(sim, cont).await,
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Destroy a container.
+    pub async fn destroy_container(&self, sim: &Sim, cont: ContId) -> Result<(), DaosError> {
+        self.client
+            .control(sim, Request::ContDestroy { cont })
+            .await?
+            .ok()
+    }
+
+    fn handle(&self, cont: ContId) -> ContainerHandle {
+        ContainerHandle {
+            client: self.client.clone(),
+            cont,
+        }
+    }
+}
+
+/// An open container.
+#[derive(Clone)]
+pub struct ContainerHandle {
+    client: DaosClient,
+    cont: ContId,
+}
+
+impl ContainerHandle {
+    /// The container id.
+    pub fn id(&self) -> ContId {
+        self.cont
+    }
+    /// The client this handle rides on.
+    pub fn client(&self) -> &DaosClient {
+        &self.client
+    }
+
+    /// Capture a container snapshot: an epoch at or above every update
+    /// completed so far (queried from every target, like
+    /// `daos_cont_create_snap`). Reads at this epoch see exactly the data
+    /// present now, regardless of later overwrites.
+    pub async fn snapshot(&self, sim: &Sim) -> Result<Epoch, DaosError> {
+        let cfg = &self.client.cluster.cfg;
+        let tpe = cfg.targets_per_engine;
+        let query = move |t| (t / tpe, Request::QueryEpoch { target: t % tpe });
+        let mut max = 0;
+        for r in self
+            .client
+            .fan_out(sim, 0..cfg.engine_count() * tpe, query)
+            .await
+        {
+            match r? {
+                Response::Epoch(e) => max = max.max(e),
+                other => return Err(other.into_err()),
+            }
+        }
+        Ok(max)
+    }
+
+    /// Open an object with a class; computes the layout client-side.
+    pub fn object(&self, oid: ObjectId, class: ObjectClass) -> ObjectHandle {
+        ObjectHandle::open(self, oid, class)
+    }
+}

@@ -22,7 +22,7 @@ use daos_sim::{Pipe, Semaphore, SharedPipe, Sim};
 use daos_vos::target::VosConfig;
 use daos_vos::VosTarget;
 
-use crate::proto::{wire_csum, wire_csum_segs, DaosError, Request, Response};
+use crate::proto::{chunk_of_dkey, wire_csum, wire_csum_segs, DaosError, Request, Response};
 use crate::qos::{Drr, QosParams, TokenBucket, BG_TENANT};
 use crate::rebuild::{CorruptionHook, CorruptionReport};
 
@@ -605,15 +605,15 @@ impl Engine {
                             }
                             for f in rep.findings {
                                 e.scrub_found.set(e.scrub_found.get() + 1);
-                                // only 8-byte array dkeys map to a chunk
-                                // index the repair path understands
-                                let Ok(raw) = <[u8; 8]>::try_from(f.dkey.as_slice()) else {
+                                // only array dkeys map to a chunk index
+                                // the repair path understands
+                                let Some(chunk) = chunk_of_dkey(&f.dkey) else {
                                     continue;
                                 };
                                 let report = CorruptionReport {
                                     cont: f.cid,
                                     oid: ObjectId::new((f.oid >> 64) as u64, f.oid as u64),
-                                    chunk: u64::from_be_bytes(raw),
+                                    chunk,
                                     target: e.index * e.target_count() + t,
                                 };
                                 if let Some(hook) = e.on_corruption.borrow().as_ref() {
@@ -807,6 +807,42 @@ impl Engine {
         ppm > 0 && sim.rand_below(1_000_000) < ppm as u64
     }
 
+    /// Why the networking core turns a data-plane request away before it
+    /// queues, in precedence order: the client routed to a target this
+    /// engine knows is excluded (`StaleMap` — it must not serve or accept
+    /// data), then the two admission gates (`Busy`; both default-off).
+    /// Every refusal is header-only (`Response::Err` has `bulk_out() ==
+    /// 0`), so a shed costs the engine a queue-depth probe and one eager
+    /// frame: the same cheap lane heartbeats ride on. Note the fabric
+    /// charges write bulk on the client's TX path, so a shed saves the
+    /// engine's queue slots, service time, and buffer memory — not the
+    /// sender's wire time.
+    fn refusal(
+        &self,
+        t: usize,
+        bulk_in: u64,
+        xstream: &Semaphore,
+        cfg: &EngineConfig,
+    ) -> Option<DaosError> {
+        if self.local_excluded.borrow().contains(&(t as u32)) {
+            return Some(DaosError::StaleMap {
+                version: self.map_version.get(),
+            });
+        }
+        // waiters plus the request currently in service
+        let queued = (xstream.queue_len() + (1 - xstream.available())) as u32;
+        if cfg.queue_cap.is_some_and(|cap| queued >= cap) {
+            self.shed_queue.set(self.shed_queue.get() + 1);
+            return Some(DaosError::Busy { queued });
+        }
+        let inflight = self.inflight_bytes.get().saturating_add(bulk_in);
+        if bulk_in > 0 && cfg.inflight_cap.is_some_and(|cap| inflight > cap) {
+            self.shed_bytes.set(self.shed_bytes.get() + 1);
+            return Some(DaosError::Busy { queued });
+        }
+        None
+    }
+
     async fn handle(
         &self,
         sim: &Sim,
@@ -835,75 +871,18 @@ impl Engine {
             return;
         }
 
-        let target_idx = match &req {
-            Request::UpdateArray { target, .. }
-            | Request::FetchArray { target, .. }
-            | Request::UpdateSingle { target, .. }
-            | Request::FetchSingle { target, .. }
-            | Request::PunchObject { target, .. }
-            | Request::PunchArray { target, .. }
-            | Request::ListDkeys { target, .. }
-            | Request::ArrayMaxChunk { target, .. }
-            | Request::QueryEpoch { target } => Some(*target),
-            _ => None,
-        };
-
-        let rsp = match target_idx {
-            Some(t) => {
+        let rsp = match req.target() {
+            Some(t) => 'served: {
                 let t = t as usize % self.targets.len();
-                if self.local_excluded.borrow().contains(&(t as u32)) {
-                    // the client routed with an out-of-date map: this target
-                    // is excluded and must not serve or accept data
-                    let rsp = Response::Err(DaosError::StaleMap {
-                        version: self.map_version.get(),
-                    });
-                    if self.alive.get() {
-                        responder.respond(rsp, 0);
-                    }
-                    return;
-                }
-                // -------- admission control (both gates default-off) -----
-                // Shed decisions happen on the networking core *before* the
-                // xstream queue, and the Busy reply is header-only (no bulk
-                // behind it — `Response::Err` has `bulk_out() == 0`), so a
-                // shed costs the engine a queue-depth probe and one eager
-                // frame: the same cheap lane heartbeats ride on. Note the
-                // fabric charges write bulk on the client's TX path, so a
-                // shed saves the engine's queue slots, service time, and
-                // buffer memory — not the sender's wire time.
                 let bulk_in = req.bulk_in();
-                if let Some(cap) = cfg.queue_cap {
-                    // waiters plus the request currently in service
-                    let depth = (xstreams[t].queue_len() + (1 - xstreams[t].available())) as u32;
-                    if depth >= cap {
-                        self.shed_queue.set(self.shed_queue.get() + 1);
-                        if self.alive.get() {
-                            responder.respond(Response::Err(DaosError::Busy { queued: depth }), 0);
-                        }
-                        return;
-                    }
-                }
-                if let Some(cap) = cfg.inflight_cap {
-                    if bulk_in > 0 && self.inflight_bytes.get().saturating_add(bulk_in) > cap {
-                        let depth =
-                            (xstreams[t].queue_len() + (1 - xstreams[t].available())) as u32;
-                        self.shed_bytes.set(self.shed_bytes.get() + 1);
-                        if self.alive.get() {
-                            responder.respond(Response::Err(DaosError::Busy { queued: depth }), 0);
-                        }
-                        return;
-                    }
+                if let Some(e) = self.refusal(t, bulk_in, &xstreams[t], &cfg) {
+                    break 'served Response::Err(e);
                 }
                 self.admitted.set(self.admitted.get() + 1);
                 self.inflight_bytes.set(self.inflight_bytes.get() + bulk_in);
                 // payload cost the shaper charges: write bulk or the
                 // requested fetch length (reconciled by refund below)
-                let copy_bytes = match &req {
-                    Request::UpdateArray { data, .. } => data.len(),
-                    Request::UpdateSingle { value, .. } => value.len(),
-                    Request::FetchArray { len, .. } => *len,
-                    _ => 0,
-                };
+                let copy_bytes = req.payload_bytes();
                 // -------- QoS shaper (default-off) ------------------------
                 // Sits *behind* the admission gates and *before* the
                 // xstream FIFO: DRR picks whose request runs next, token

@@ -2,7 +2,7 @@
 
 use daos_placement::ObjectId;
 use daos_vos::tree::ReadSeg;
-use daos_vos::{Epoch, Key, Payload};
+use daos_vos::{key, Epoch, Key, Payload};
 
 use crate::ContId;
 
@@ -125,6 +125,22 @@ impl From<daos_fabric::CallError> for DaosError {
             daos_fabric::CallError::Closed => DaosError::Transport,
         }
     }
+}
+
+/// The akey every array chunk's extents live under.
+pub fn array_akey() -> Key {
+    key("0")
+}
+
+/// Array chunk `chunk`'s dkey: the index big-endian, so dkeys sort in
+/// chunk order.
+pub fn chunk_dkey(chunk: u64) -> Key {
+    chunk.to_be_bytes().to_vec()
+}
+
+/// The chunk index an array dkey encodes (`None`: not an array dkey).
+pub fn chunk_of_dkey(dkey: &[u8]) -> Option<u64> {
+    dkey.try_into().ok().map(u64::from_be_bytes)
 }
 
 /// A request addressed to one engine; data-plane ops carry the local target
@@ -267,6 +283,51 @@ pub enum Request {
 }
 
 impl Request {
+    /// Fetch `[offset, offset + len)` of array chunk `chunk` as of `epoch`.
+    pub fn fetch_chunk(
+        target: u32,
+        cont: ContId,
+        oid: ObjectId,
+        chunk: u64,
+        offset: u64,
+        len: u64,
+        epoch: Epoch,
+    ) -> Request {
+        Request::FetchArray {
+            target,
+            cont,
+            oid,
+            dkey: chunk_dkey(chunk),
+            akey: array_akey(),
+            offset,
+            len,
+            epoch,
+        }
+    }
+
+    /// Write `data` at `offset` of array chunk `chunk`; `csum` is the
+    /// sender's [`wire_csum`] of `data`, taken before any transfer.
+    pub fn update_chunk(
+        target: u32,
+        cont: ContId,
+        oid: ObjectId,
+        chunk: u64,
+        offset: u64,
+        data: Payload,
+        csum: u64,
+    ) -> Request {
+        Request::UpdateArray {
+            target,
+            cont,
+            oid,
+            dkey: chunk_dkey(chunk),
+            akey: array_akey(),
+            offset,
+            data,
+            csum,
+        }
+    }
+
     /// Bytes of bulk payload this request carries on the wire (write data).
     pub fn bulk_in(&self) -> u64 {
         match self {
@@ -274,6 +335,33 @@ impl Request {
             Request::UpdateSingle { value, .. } => value.len(),
             Request::Tagged { inner, .. } => inner.bulk_in(),
             _ => 0,
+        }
+    }
+
+    /// The local target a data-plane request addresses (`None`: control
+    /// plane, heartbeat or envelope).
+    pub fn target(&self) -> Option<u32> {
+        match self {
+            Request::UpdateArray { target, .. }
+            | Request::FetchArray { target, .. }
+            | Request::UpdateSingle { target, .. }
+            | Request::FetchSingle { target, .. }
+            | Request::PunchObject { target, .. }
+            | Request::PunchArray { target, .. }
+            | Request::ListDkeys { target, .. }
+            | Request::ArrayMaxChunk { target, .. }
+            | Request::QueryEpoch { target } => Some(*target),
+            _ => None,
+        }
+    }
+
+    /// Payload bytes the serving xstream copies and the QoS shaper
+    /// charges: write bulk, or the requested length of an array fetch.
+    pub fn payload_bytes(&self) -> u64 {
+        match self {
+            Request::FetchArray { len, .. } => *len,
+            Request::Tagged { inner, .. } => inner.payload_bytes(),
+            other => other.bulk_in(),
         }
     }
 
@@ -359,8 +447,28 @@ impl Response {
             | Response::Connected { .. }
             | Response::Pong
             | Response::PoolMapInfo { .. } => Ok(()),
-            Response::Err(e) => Err(e),
-            other => Err(DaosError::UnexpectedResponse(format!("{other:?}"))),
+            other => Err(other.into_err()),
+        }
+    }
+
+    /// The error a reply of the wrong kind stands for: the one it carries,
+    /// else a protocol mismatch.
+    pub fn into_err(self) -> DaosError {
+        match self {
+            Response::Err(e) => e,
+            other => DaosError::UnexpectedResponse(format!("{other:?}")),
+        }
+    }
+
+    /// Decode a fetch reply, re-hashing the received segments against the
+    /// reply checksum: a disagreement is a frame torn in flight.
+    pub fn fetched(self) -> Result<Vec<ReadSeg>, DaosError> {
+        match self {
+            Response::Fetched { segs, csum } => match csum {
+                Some(c) if wire_csum_segs(&segs) != c => Err(DaosError::CorruptFrame),
+                _ => Ok(segs),
+            },
+            other => Err(other.into_err()),
         }
     }
 }
@@ -389,19 +497,26 @@ pub fn wire_csum_segs(segs: &[ReadSeg]) -> u64 {
 mod tests {
     use super::*;
 
+    /// A 4 KiB write of chunk 0 to target 0.
+    fn update_4k() -> Request {
+        let data = Payload::pattern(1, 4096);
+        let csum = wire_csum(&data);
+        Request::update_chunk(0, 1, ObjectId::new(0, 1), 0, 0, data, csum)
+    }
+
     #[test]
     fn bulk_accounting() {
-        let w = Request::UpdateArray {
-            target: 0,
-            cont: 1,
-            oid: ObjectId::new(0, 1),
-            dkey: vec![0],
-            akey: vec![0],
-            offset: 0,
-            data: Payload::pattern(1, 4096),
-            csum: wire_csum(&Payload::pattern(1, 4096)),
-        };
+        let w = update_4k();
         assert_eq!(w.bulk_in(), 4096);
+        assert_eq!((w.target(), w.payload_bytes()), (Some(0), 4096));
+        let f = Request::fetch_chunk(3, 1, ObjectId::new(0, 1), 9, 0, 512, Epoch::MAX);
+        assert_eq!(
+            (f.target(), f.bulk_in(), f.payload_bytes()),
+            (Some(3), 0, 512)
+        );
+        assert_eq!(Request::PoolQuery.target(), None);
+        assert_eq!(chunk_of_dkey(&chunk_dkey(9)), Some(9));
+        assert_eq!(chunk_of_dkey(b"dirent"), None);
         let r = Response::Fetched {
             segs: vec![
                 ReadSeg {
@@ -462,16 +577,7 @@ mod tests {
 
     #[test]
     fn tenant_envelope_is_transparent() {
-        let w = Request::UpdateArray {
-            target: 0,
-            cont: 1,
-            oid: ObjectId::new(0, 1),
-            dkey: vec![0],
-            akey: vec![0],
-            offset: 0,
-            data: Payload::pattern(1, 4096),
-            csum: wire_csum(&Payload::pattern(1, 4096)),
-        };
+        let w = update_4k();
         // the envelope adds no bulk: byte accounting recurses
         let t = w.clone().tagged(7);
         assert_eq!(t.bulk_in(), w.bulk_in());

@@ -19,12 +19,12 @@ use daos_placement::{place, ObjectClass, ObjectId, PoolMap, TargetId};
 use daos_sim::executor::join_all;
 use daos_sim::time::SimDuration;
 use daos_sim::{Semaphore, Sim};
-use daos_vos::tree::ReadSeg;
-use daos_vos::{key, Epoch, Payload};
+use daos_vos::tree::{flatten, ReadSeg};
+use daos_vos::{Epoch, Payload};
 
-use crate::client::group_of_chunk;
+use crate::client::{group_of_chunk, xor_into};
 use crate::cluster::Cluster;
-use crate::proto::{wire_csum, wire_csum_segs, Request, Response};
+use crate::proto::{chunk_of_dkey, wire_csum, Request, Response};
 use crate::ContId;
 
 /// Per-RPC deadline inside a rebuild pass; a source that stays dark this
@@ -87,21 +87,6 @@ fn map_with(cluster: &Cluster, excluded: &BTreeSet<TargetId>) -> PoolMap {
     m
 }
 
-/// Materialise shard-relative segments into `len` bytes (holes = 0);
-/// `false` if no segment carried data.
-fn flatten(segs: &[ReadSeg], len: u64) -> (Vec<u8>, bool) {
-    let mut out = vec![0u8; len as usize];
-    let mut any = false;
-    for s in segs {
-        if let Some(d) = &s.data {
-            let m = d.materialize();
-            out[s.offset as usize..(s.offset + s.len) as usize].copy_from_slice(&m);
-            any = true;
-        }
-    }
-    (out, any)
-}
-
 /// One engine-to-engine RPC, issued from `from_engine`'s node. Every
 /// rebuild/repair RPC crosses this one chokepoint, so tagging here puts
 /// the whole repair path under the background tenant's QoS budget at the
@@ -125,85 +110,37 @@ async fn engine_rpc(
         .ok()
 }
 
-/// Fetch `[0, len)` of one chunk cell/replica from `src` target.
-#[allow(clippy::too_many_arguments)]
+/// Fetch `[0, len)` of one chunk cell/replica from `src` target. A donor
+/// read torn in flight must not be written back as truth: like any other
+/// failure it comes back as `None`.
 async fn fetch_from(
     sim: &Sim,
     cluster: &Cluster,
     dest_engine: u32,
     src: TargetId,
-    cont: u64,
-    oid: ObjectId,
-    dkey: &[u8],
+    (cont, oid, chunk): (ContId, ObjectId, u64),
     len: u64,
 ) -> Option<Vec<ReadSeg>> {
-    let tpe = cluster.cfg.targets_per_engine;
-    let rsp = engine_rpc(
-        sim,
-        cluster,
-        dest_engine,
-        src,
-        Request::FetchArray {
-            target: src % tpe,
-            cont,
-            oid,
-            dkey: dkey.to_vec(),
-            akey: key("0"),
-            offset: 0,
-            len,
-            epoch: Epoch::MAX,
-        },
-    )
-    .await?;
-    match rsp {
-        Response::Fetched { segs, csum } => {
-            // a donor read torn in flight must not be written back as truth
-            if let Some(c) = csum {
-                if wire_csum_segs(&segs) != c {
-                    return None;
-                }
-            }
-            Some(segs)
-        }
-        _ => None,
-    }
+    let target = src % cluster.cfg.targets_per_engine;
+    let req = Request::fetch_chunk(target, cont, oid, chunk, 0, len, Epoch::MAX);
+    let rsp = engine_rpc(sim, cluster, dest_engine, src, req).await?;
+    rsp.fetched().ok()
 }
 
 /// Write `data` at `offset` of one chunk on `dst` target.
-#[allow(clippy::too_many_arguments)]
 async fn write_to(
     sim: &Sim,
     cluster: &Cluster,
     dst: TargetId,
-    cont: u64,
-    oid: ObjectId,
-    dkey: &[u8],
+    (cont, oid, chunk): (ContId, ObjectId, u64),
     offset: u64,
     data: Payload,
 ) -> bool {
     let tpe = cluster.cfg.targets_per_engine;
-    let dest_engine = dst / tpe;
     let csum = wire_csum(&data);
-    matches!(
-        engine_rpc(
-            sim,
-            cluster,
-            dest_engine,
-            dst,
-            Request::UpdateArray {
-                target: dst % tpe,
-                cont,
-                oid,
-                dkey: dkey.to_vec(),
-                akey: key("0"),
-                offset,
-                data,
-                csum,
-            },
-        )
-        .await,
-        Some(Response::Written { .. })
-    )
+    let req = Request::update_chunk(dst % tpe, cont, oid, chunk, offset, data, csum);
+    let rsp = engine_rpc(sim, cluster, dst / tpe, dst, req).await;
+    matches!(rsp, Some(Response::Written { .. }))
 }
 
 /// Repair one chunk of one moved shard; returns bytes written, or `None`
@@ -222,7 +159,7 @@ async fn repair_chunk(
     donors: &[u32],
     new_targets: &[TargetId],
 ) -> Option<u64> {
-    let dkey = chunk.to_be_bytes().to_vec();
+    let at = (cont, oid, chunk);
     let dst = new_targets[moved_shard as usize];
     let dest_engine = dst / cluster.cfg.targets_per_engine;
     match class {
@@ -231,17 +168,8 @@ async fn repair_chunk(
             // clean — a donor can itself hold rot (its engine answers the
             // fetch with a checksum error, surfacing here as None)
             for &donor in donors {
-                let Some(segs) = fetch_from(
-                    sim,
-                    cluster,
-                    dest_engine,
-                    new_targets[donor as usize],
-                    cont,
-                    oid,
-                    &dkey,
-                    chunk_size,
-                )
-                .await
+                let src = new_targets[donor as usize];
+                let Some(segs) = fetch_from(sim, cluster, dest_engine, src, at, chunk_size).await
                 else {
                     continue;
                 };
@@ -249,7 +177,7 @@ async fn repair_chunk(
                 for s in segs {
                     if let Some(d) = s.data {
                         moved += d.len();
-                        if !write_to(sim, cluster, dst, cont, oid, &dkey, s.offset, d).await {
+                        if !write_to(sim, cluster, dst, at, s.offset, d).await {
                             return None;
                         }
                     }
@@ -279,27 +207,15 @@ async fn repair_chunk(
             let mut acc = vec![0u8; cell as usize];
             let mut any = false;
             for src in sources {
-                let segs = fetch_from(
-                    sim,
-                    cluster,
-                    dest_engine,
-                    new_targets[src as usize],
-                    cont,
-                    oid,
-                    &dkey,
-                    cell,
-                )
-                .await?;
-                let (bytes, had) = flatten(&segs, cell);
-                any |= had;
-                for (o, b) in acc.iter_mut().zip(bytes) {
-                    *o ^= b;
-                }
+                let src = new_targets[src as usize];
+                let segs = fetch_from(sim, cluster, dest_engine, src, at, cell).await?;
+                any |= segs.iter().any(|s| s.data.is_some());
+                xor_into(&mut acc, &flatten(&segs, 0, cell));
             }
             if !any {
                 return Some(0); // chunk exists but this stripe was never written
             }
-            if !write_to(sim, cluster, dst, cont, oid, &dkey, 0, Payload::bytes(acc)).await {
+            if !write_to(sim, cluster, dst, at, 0, Payload::bytes(acc)).await {
                 return None;
             }
             Some(cell)
@@ -418,7 +334,7 @@ pub(crate) async fn run(
             };
             let chunks: Vec<u64> = dkeys
                 .iter()
-                .filter_map(|d| d.as_slice().try_into().ok().map(u64::from_be_bytes))
+                .filter_map(|d| chunk_of_dkey(d))
                 .filter(|&c| group_of_chunk(oid, c, group_count) == g)
                 .collect();
             let new_targets: Vec<TargetId> = (0..width).map(|i| new_layout.target_of(i)).collect();

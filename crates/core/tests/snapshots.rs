@@ -3,7 +3,7 @@
 
 use std::rc::Rc;
 
-use daos_core::{Cluster, ClusterConfig, DaosClient};
+use daos_core::{Cluster, ClusterConfig, DaosClient, DaosError};
 use daos_placement::{ObjectClass, ObjectId};
 use daos_sim::time::SimDuration;
 use daos_sim::units::MIB;
@@ -187,5 +187,24 @@ fn background_aggregation_reclaims_overwrite_history() {
         // and the visible data is untouched
         let got = arr.read_bytes(&sim, 0, MIB).await.unwrap();
         assert_eq!(got, latest.materialize().to_vec());
+    });
+}
+
+#[test]
+fn snapshot_read_torn_in_flight_is_a_corrupt_frame() {
+    let mut sim = Sim::new(0x5AC);
+    sim.block_on(|sim| async move {
+        let cluster = Cluster::build(&sim, ClusterConfig::tiny(1));
+        let client = DaosClient::new(Rc::clone(&cluster), 0);
+        let pool = client.connect(&sim).await.unwrap();
+        let cont = pool.create_container(&sim, 1).await.unwrap();
+        let arr = cont.object(ObjectId::new(4, 4), ObjectClass::S1).array(MIB);
+        arr.write(&sim, 0, Payload::pattern(3, MIB)).await.unwrap();
+        let snap = cont.snapshot(&sim).await.unwrap();
+        // every frame the serving engine sends from now on is torn
+        let engine = arr.object().layout().target_of(0) / cluster.cfg.targets_per_engine;
+        cluster.engine(engine).set_corrupt_inflight(1_000_000);
+        let got = arr.read_at_epoch(&sim, 0, MIB, snap).await;
+        assert_eq!(got, Err(DaosError::CorruptFrame));
     });
 }

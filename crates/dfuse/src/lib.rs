@@ -32,7 +32,7 @@ use daos_dfs::{Dfs, DfsFile, Stat};
 use daos_placement::ObjectClass;
 use daos_sim::time::SimDuration;
 use daos_sim::{Semaphore, Sim};
-use daos_vos::tree::ReadSeg;
+use daos_vos::tree::{flatten, ReadSeg};
 use daos_vos::Payload;
 
 /// Cut `[offset, offset+len)` at `max_req`-aligned file offsets, the way
@@ -311,15 +311,7 @@ impl PosixFile {
         len: u64,
     ) -> Result<Vec<u8>, DaosError> {
         let segs = self.pread(sim, offset, len).await?;
-        let mut out = vec![0u8; len as usize];
-        for s in segs {
-            if let Some(d) = s.data {
-                let m = d.materialize();
-                let start = (s.offset - offset) as usize;
-                out[start..start + s.len as usize].copy_from_slice(&m);
-            }
-        }
-        Ok(out)
+        Ok(flatten(&segs, offset, len))
     }
 
     /// POSIX `fstat(2)` size query.

@@ -34,7 +34,7 @@ use daos_dfuse::PosixFile;
 use daos_mpiio::MpiFile;
 use daos_sim::time::SimDuration;
 use daos_sim::Sim;
-use daos_vos::tree::ReadSeg;
+use daos_vos::tree::{flatten, ReadSeg};
 use daos_vos::Payload;
 
 /// Superblock size (format v0).
@@ -396,14 +396,7 @@ impl Dataset {
             Layout::Contiguous => {
                 let base = self.info.borrow().data_off;
                 let segs = self.file.vfd.read(sim, base + off, len).await?;
-                Ok(segs
-                    .into_iter()
-                    .map(|s| ReadSeg {
-                        offset: s.offset - base,
-                        len: s.len,
-                        data: s.data,
-                    })
-                    .collect())
+                Ok(segs.into_iter().map(|s| s.rebased(base, 0)).collect())
             }
             Layout::Chunked { chunk } => {
                 let mut out = Vec::new();
@@ -422,11 +415,7 @@ impl Dataset {
                                 self.file.vfd.read_meta(sim, fo, BTREE_NODE).await?;
                             }
                             let segs = self.file.vfd.read(sim, fo + in_chunk, take).await?;
-                            out.extend(segs.into_iter().map(|s| ReadSeg {
-                                offset: cur + (s.offset - (fo + in_chunk)),
-                                len: s.len,
-                                data: s.data,
-                            }));
+                            out.extend(segs.into_iter().map(|s| s.rebased(fo + in_chunk, cur)));
                         }
                         None => out.push(ReadSeg {
                             offset: cur,
@@ -452,15 +441,7 @@ impl Dataset {
     /// Materialising read (test helper).
     pub async fn read_bytes(&self, sim: &Sim, off: u64, len: u64) -> Result<Vec<u8>, DaosError> {
         let segs = self.read(sim, off, len).await?;
-        let mut out = vec![0u8; len as usize];
-        for s in segs {
-            if let Some(d) = s.data {
-                let m = d.materialize();
-                let start = (s.offset - off) as usize;
-                out[start..start + s.len as usize].copy_from_slice(&m);
-            }
-        }
-        Ok(out)
+        Ok(flatten(&segs, off, len))
     }
 }
 

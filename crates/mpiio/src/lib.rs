@@ -23,7 +23,7 @@ use daos_dfs::DfsFile;
 use daos_dfuse::PosixFile;
 use daos_mpi::MpiRank;
 use daos_sim::Sim;
-use daos_vos::tree::ReadSeg;
+use daos_vos::tree::{flatten, ReadSeg};
 use daos_vos::Payload;
 
 /// Collective-buffering mode (`romio_cb_write` / `romio_cb_read`).
@@ -109,22 +109,7 @@ pub fn assemble(segs: &[ReadSeg], off: u64, len: u64) -> Payload {
             return d.clone();
         }
     }
-    let mut out = vec![0u8; len as usize];
-    for s in segs {
-        let Some(d) = &s.data else { continue };
-        // clip to [off, off+len)
-        let s_start = s.offset.max(off);
-        let s_end = (s.offset + s.len).min(off + len);
-        if s_start >= s_end {
-            continue;
-        }
-        let m = d.materialize();
-        let src = (s_start - s.offset) as usize;
-        let dst = (s_start - off) as usize;
-        let n = (s_end - s_start) as usize;
-        out[dst..dst + n].copy_from_slice(&m[src..src + n]);
-    }
-    Payload::bytes(out)
+    Payload::bytes(flatten(segs, off, len))
 }
 
 /// Slice `[off, off+len)` out of a set of segments (absolute offsets kept).

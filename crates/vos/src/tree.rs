@@ -58,6 +58,35 @@ pub struct ReadSeg {
     pub data: Option<Payload>,
 }
 
+impl ReadSeg {
+    /// The same segment in another address space: the byte at `from` in
+    /// this segment's space sits at `to` in the new one (shard-relative →
+    /// chunk-relative → array → dataset offsets).
+    pub fn rebased(self, from: u64, to: u64) -> ReadSeg {
+        ReadSeg {
+            offset: self.offset - from + to,
+            ..self
+        }
+    }
+}
+
+/// Materialise the window `[base, base + len)` of a read result: holes are
+/// zero, segments are clipped to the window.
+pub fn flatten(segs: &[ReadSeg], base: u64, len: u64) -> Vec<u8> {
+    let mut out = vec![0u8; len as usize];
+    for s in segs {
+        let Some(d) = &s.data else { continue };
+        let lo = s.offset.max(base);
+        let hi = (s.offset + s.len).min(base + len);
+        if lo < hi {
+            let m = d.materialize();
+            out[(lo - base) as usize..(hi - base) as usize]
+                .copy_from_slice(&m[(lo - s.offset) as usize..(hi - s.offset) as usize]);
+        }
+    }
+    out
+}
+
 /// Intermediate paint segment: `src` points into the visible-extent list of
 /// the overlay it came from (`None` = hole).
 #[derive(Clone)]
@@ -494,6 +523,26 @@ mod tests {
             }
         }
         out
+    }
+
+    #[test]
+    fn flatten_zeroes_holes_honours_base_and_clips() {
+        let seg = |offset, len, seed: Option<u64>| ReadSeg {
+            offset,
+            len,
+            data: seed.map(|s| payload(s, len)),
+        };
+        let segs = [
+            seg(90, 20, Some(1)),
+            seg(110, 10, None),
+            seg(120, 30, Some(2)),
+        ];
+        let got = flatten(&segs, 100, 40);
+        let (a, b) = (payload(1, 20).materialize(), payload(2, 30).materialize());
+        assert_eq!(got[..10], a[10..], "first segment clipped at the base");
+        assert_eq!(got[10..20], [0u8; 10], "holes read as zeroes");
+        assert_eq!(got[20..], b[..20], "last segment clipped at the end");
+        assert_eq!(seg(5, 3, None).rebased(4, 100).offset, 101);
     }
 
     #[test]
