@@ -26,18 +26,17 @@
 //! p99 at least in half at every overload point, never degrades Jain
 //! fairness, and keeps background work inside its budget.
 
-use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use daos_core::{Cluster, ClusterConfig, DaosClient, QosClass, QosParams, RetryPolicy, BG_TENANT};
 use daos_placement::{ObjectClass, ObjectId, TargetId};
 use daos_sim::time::SimDuration;
 use daos_sim::units::{KIB, MIB};
-use daos_sim::{PercentileSketch, Sim};
+use daos_sim::Sim;
 use daos_vos::Payload;
-use rand::Rng;
 
 use crate::report::{fnv1a, Record};
+use crate::traffic::{nominal_bytes_per_sec, Arrivals, Counters, OpenLoop};
 use crate::Reporter;
 
 /// Root seed for the QoS sweep; each point salts it with its series name
@@ -259,17 +258,6 @@ pub struct QosCell {
     pub noisy_throttle_ms: f64,
 }
 
-/// Shared per-tenant accounting, written by request tasks.
-#[derive(Default)]
-struct TenantCounters {
-    arrivals: Cell<u64>,
-    completed: Cell<u64>,
-    failed: Cell<u64>,
-    good_bytes: Cell<u64>,
-    inflight: Cell<u64>,
-    latency: RefCell<PercentileSketch>,
-}
-
 /// Jain's fairness index over per-tenant shares: `(Σx)² / (n·Σx²)`,
 /// 1.0 when all shares are equal, → 1/n as one share dominates.
 pub fn jain_index(shares: &[f64]) -> f64 {
@@ -280,75 +268,6 @@ pub fn jain_index(shares: &[f64]) -> f64 {
         return 1.0; // all-zero shares: degenerate but not unfair
     }
     (sum * sum) / (n * sq)
-}
-
-/// Nominal aggregate engine write bandwidth, bytes/s — the 100% mark of
-/// the noisy offered-load axis.
-fn nominal_bytes_per_sec(cfg: &ClusterConfig) -> f64 {
-    cfg.engine.bulk_write_bw.0 * cfg.engine_count() as f64
-}
-
-/// Spawn one open-loop Poisson arrival process over `arrays` issuing
-/// `reads` (victim) or writes (noisy) of `req` bytes at `mean_gap_ns`
-/// spacing until `t_end`, accounting into `counters`.
-#[allow(clippy::too_many_arguments)]
-fn spawn_generator(
-    sim: &Sim,
-    counters: &Rc<TenantCounters>,
-    arrays: Vec<daos_core::ArrayHandle>,
-    rng_salt: u64,
-    chunks_per_array: u64,
-    req: u64,
-    mean_gap_ns: f64,
-    reads: bool,
-    t_end: daos_sim::SimTime,
-) -> daos_sim::JoinHandle<()> {
-    let sim = sim.clone();
-    let counters = Rc::clone(counters);
-    sim.clone().spawn(async move {
-        // Arrival randomness comes from a derived stream, not the global
-        // RNG: client backoff jitter draws from the global stream, and
-        // the offered workload must not change shape when the shaper
-        // (and hence the number of jitter draws) changes.
-        let mut rng = sim.derive_rng(QOS_SEED ^ rng_salt);
-        loop {
-            let ai = rng.gen_range(0..arrays.len() as u64) as usize;
-            let chunk = rng.gen_range(0..chunks_per_array);
-            let seq = counters.arrivals.get();
-            counters.arrivals.set(seq + 1);
-            counters.inflight.set(counters.inflight.get() + 1);
-            let arr = arrays[ai].clone();
-            let sim2 = sim.clone();
-            let c = Rc::clone(&counters);
-            sim.spawn(async move {
-                let start = sim2.now();
-                let outcome = if reads {
-                    arr.read(&sim2, chunk * req, req).await.map(|_| ())
-                } else {
-                    let data = Payload::pattern(seq, req);
-                    arr.write(&sim2, chunk * req, data).await
-                };
-                match outcome {
-                    Ok(()) => {
-                        let lat = (sim2.now() - start).as_ns();
-                        c.completed.set(c.completed.get() + 1);
-                        c.good_bytes.set(c.good_bytes.get() + req);
-                        c.latency.borrow_mut().add(lat);
-                    }
-                    Err(_) => c.failed.set(c.failed.get() + 1),
-                }
-                c.inflight.set(c.inflight.get() - 1);
-            });
-            // exponential gap: u ∈ [0,1) so 1-u ∈ (0,1] and the log is
-            // finite
-            let u: f64 = rng.gen();
-            let gap = (-mean_gap_ns * (1.0 - u).ln()) as u64;
-            sim.sleep_ns(gap).await;
-            if sim.now() >= t_end {
-                break;
-            }
-        }
-    })
 }
 
 /// Run one `(shaped?, load)` point in a fresh deterministic simulation.
@@ -442,40 +361,34 @@ pub fn qos_point(shaped: bool, load_pct: u32, params: QosSweepParams) -> QosCell
                 cluster.apply_qos(qos_policy_classes(per_engine_bps));
             }
 
-            let victim = Rc::new(TenantCounters::default());
-            let noisy = Rc::new(TenantCounters::default());
+            let victim = Rc::new(Counters::default());
+            let noisy = Rc::new(Counters::default());
             let t_start = sim.now();
             let t_end = t_start + params.duration;
             let victim_gap_ns =
                 params.victim_req as f64 * 1e9 / (victim_bps / params.victim_nodes as f64);
             let noisy_gap_ns =
                 params.noisy_req as f64 * 1e9 / (noisy_bps / params.noisy_nodes as f64);
+            // one Poisson process per client node: victims read, the
+            // noisy tenant writes
+            let process = |arrays, node: u64, req, mean_gap_ns, reads| OpenLoop {
+                arrays,
+                rng_seed: QOS_SEED ^ (node << 8) ^ ((load_pct as u64) << 32),
+                chunks_per_array: params.chunks_per_array,
+                req,
+                mean_gap_ns,
+                arrivals: Arrivals::Poisson,
+                reads,
+                t_end,
+            };
             let mut gens = Vec::new();
             for (n, arrays) in victim_arrays.into_iter().enumerate() {
-                gens.push(spawn_generator(
-                    &sim,
-                    &victim,
-                    arrays,
-                    ((n as u64) << 8) ^ ((load_pct as u64) << 32),
-                    params.chunks_per_array,
-                    params.victim_req,
-                    victim_gap_ns,
-                    true,
-                    t_end,
-                ));
+                let p = process(arrays, n as u64, params.victim_req, victim_gap_ns, true);
+                gens.push(p.spawn(&sim, &victim));
             }
             for (n, arrays) in noisy_arrays.into_iter().enumerate() {
-                gens.push(spawn_generator(
-                    &sim,
-                    &noisy,
-                    arrays,
-                    ((n as u64 + 64) << 8) ^ ((load_pct as u64) << 32),
-                    params.chunks_per_array,
-                    params.noisy_req,
-                    noisy_gap_ns,
-                    false,
-                    t_end,
-                ));
+                let p = process(arrays, n as u64 + 64, params.noisy_req, noisy_gap_ns, false);
+                gens.push(p.spawn(&sim, &noisy));
             }
             for g in gens {
                 g.await;

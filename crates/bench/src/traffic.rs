@@ -32,11 +32,11 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use daos_core::{Cluster, ClusterConfig, DaosClient, RetryPolicy};
+use daos_core::{ArrayHandle, Cluster, ClusterConfig, DaosClient, RetryPolicy};
 use daos_placement::{ObjectClass, ObjectId};
 use daos_sim::time::SimDuration;
 use daos_sim::units::{gib_per_sec, Gibps, MIB};
-use daos_sim::{PercentileSketch, Sim};
+use daos_sim::{JoinHandle, PercentileSketch, Sim, SimTime};
 use daos_vos::Payload;
 use rand::Rng;
 
@@ -250,21 +250,99 @@ pub struct TrafficCell {
     pub logical_clients: u64,
 }
 
-/// Shared per-point accounting, written by request tasks.
+/// Shared accounting for one arrival stream (a traffic point, or one
+/// tenant of a QoS point), written by request tasks.
 #[derive(Default)]
-struct Counters {
-    arrivals: Cell<u64>,
-    completed: Cell<u64>,
-    failed: Cell<u64>,
-    good_bytes: Cell<u64>,
-    inflight: Cell<u64>,
-    latency: RefCell<PercentileSketch>,
+pub(crate) struct Counters {
+    pub(crate) arrivals: Cell<u64>,
+    pub(crate) completed: Cell<u64>,
+    pub(crate) failed: Cell<u64>,
+    pub(crate) good_bytes: Cell<u64>,
+    pub(crate) inflight: Cell<u64>,
+    pub(crate) latency: RefCell<PercentileSketch>,
 }
 
 /// Nominal aggregate engine write bandwidth, bytes/s — the 100% mark of
 /// the offered-load axis.
-fn nominal_bytes_per_sec(cfg: &ClusterConfig) -> f64 {
+pub(crate) fn nominal_bytes_per_sec(cfg: &ClusterConfig) -> f64 {
     cfg.engine.bulk_write_bw.0 * cfg.engine_count() as f64
+}
+
+/// One open-loop arrival process: requests of `req` bytes on a random
+/// chunk of a random array, spaced by `arrivals` around `mean_gap_ns`,
+/// until `t_end`.
+pub(crate) struct OpenLoop {
+    pub(crate) arrays: Vec<ArrayHandle>,
+    /// Seed of the process's own derived RNG stream. Arrival randomness
+    /// must *not* come from the sim's global RNG: backoff jitter in the
+    /// client stack draws from the global stream, and the offered
+    /// workload must not change shape when the protection mode or the
+    /// shaper (and hence the number of jitter draws) changes.
+    pub(crate) rng_seed: u64,
+    pub(crate) chunks_per_array: u64,
+    pub(crate) req: u64,
+    pub(crate) mean_gap_ns: f64,
+    pub(crate) arrivals: Arrivals,
+    /// Issue reads instead of writes.
+    pub(crate) reads: bool,
+    pub(crate) t_end: SimTime,
+}
+
+impl OpenLoop {
+    /// Start the process; every request is its own task, accounted into
+    /// `counters`. The handle resolves once arrivals stop (requests may
+    /// still be in flight: poll `counters.inflight`).
+    pub(crate) fn spawn(self, sim: &Sim, counters: &Rc<Counters>) -> JoinHandle<()> {
+        let sim = sim.clone();
+        let counters = Rc::clone(counters);
+        let (clump, stretch) = match self.arrivals {
+            Arrivals::Poisson => (1u32, 1.0),
+            Arrivals::Bursty { burst } => (burst, burst as f64),
+        };
+        let (req, reads) = (self.req, self.reads);
+        sim.clone().spawn(async move {
+            let mut rng = sim.derive_rng(self.rng_seed);
+            loop {
+                for _ in 0..clump {
+                    let ai = rng.gen_range(0..self.arrays.len() as u64) as usize;
+                    let chunk = rng.gen_range(0..self.chunks_per_array);
+                    let seq = counters.arrivals.get();
+                    counters.arrivals.set(seq + 1);
+                    counters.inflight.set(counters.inflight.get() + 1);
+                    let arr = self.arrays[ai].clone();
+                    let sim2 = sim.clone();
+                    let c = Rc::clone(&counters);
+                    sim.spawn(async move {
+                        let start = sim2.now();
+                        let outcome = if reads {
+                            arr.read(&sim2, chunk * req, req).await.map(|_| ())
+                        } else {
+                            let data = Payload::pattern(seq, req);
+                            arr.write(&sim2, chunk * req, data).await
+                        };
+                        match outcome {
+                            Ok(()) => {
+                                let lat = (sim2.now() - start).as_ns();
+                                c.completed.set(c.completed.get() + 1);
+                                c.good_bytes.set(c.good_bytes.get() + req);
+                                c.latency.borrow_mut().add(lat);
+                            }
+                            Err(_) => c.failed.set(c.failed.get() + 1),
+                        }
+                        c.inflight.set(c.inflight.get() - 1);
+                    });
+                }
+                // exponential gap: u ∈ [0,1) so 1-u ∈ (0,1] and the
+                // log is finite
+                let u: f64 = rng.gen();
+                let gap = (-(self.mean_gap_ns * stretch) * (1.0 - u).ln()) as u64;
+                sim.sleep_ns(gap).await;
+                if sim.now() >= self.t_end {
+                    break;
+                }
+            }
+        })
+    }
 }
 
 /// Run one `(mode, load)` point in a fresh deterministic simulation.
@@ -310,56 +388,17 @@ pub fn traffic_point(mode: TrafficMode, load_pct: u32, params: TrafficParams) ->
         let t_end = sim.now() + params.duration;
         let mut gens = Vec::new();
         for (n, arrays) in node_arrays.into_iter().enumerate() {
-            let sim = sim.clone();
-            let counters = Rc::clone(&counters);
-            gens.push(sim.clone().spawn(async move {
-                // Arrival randomness comes from a stream derived per
-                // node, *not* the sim's global RNG: backoff jitter in the
-                // client stack draws from the global stream, and the
-                // offered workload must not change shape when the
-                // protection mode (and hence the number of jitter draws)
-                // changes.
-                let mut rng =
-                    sim.derive_rng(TRAFFIC_SEED ^ ((n as u64) << 8) ^ ((load_pct as u64) << 32));
-                loop {
-                    let (clump, stretch) = match mode.arrivals {
-                        Arrivals::Poisson => (1u32, 1.0),
-                        Arrivals::Bursty { burst } => (burst, burst as f64),
-                    };
-                    for _ in 0..clump {
-                        let ai = rng.gen_range(0..arrays.len() as u64) as usize;
-                        let chunk = rng.gen_range(0..params.chunks_per_array);
-                        let seq = counters.arrivals.get();
-                        counters.arrivals.set(seq + 1);
-                        counters.inflight.set(counters.inflight.get() + 1);
-                        let arr = arrays[ai].clone();
-                        let sim2 = sim.clone();
-                        let c = Rc::clone(&counters);
-                        sim.spawn(async move {
-                            let start = sim2.now();
-                            let data = Payload::pattern(seq, params.req_size);
-                            match arr.write(&sim2, chunk * params.req_size, data).await {
-                                Ok(()) => {
-                                    let lat = (sim2.now() - start).as_ns();
-                                    c.completed.set(c.completed.get() + 1);
-                                    c.good_bytes.set(c.good_bytes.get() + params.req_size);
-                                    c.latency.borrow_mut().add(lat);
-                                }
-                                Err(_) => c.failed.set(c.failed.get() + 1),
-                            }
-                            c.inflight.set(c.inflight.get() - 1);
-                        });
-                    }
-                    // exponential gap: u ∈ [0,1) so 1-u ∈ (0,1] and the
-                    // log is finite
-                    let u: f64 = rng.gen();
-                    let gap = (-(mean_gap_ns * stretch) * (1.0 - u).ln()) as u64;
-                    sim.sleep_ns(gap).await;
-                    if sim.now() >= t_end {
-                        break;
-                    }
-                }
-            }));
+            let process = OpenLoop {
+                arrays,
+                rng_seed: TRAFFIC_SEED ^ ((n as u64) << 8) ^ ((load_pct as u64) << 32),
+                chunks_per_array: params.chunks_per_array,
+                req: params.req_size,
+                mean_gap_ns,
+                arrivals: mode.arrivals,
+                reads: false,
+                t_end,
+            };
+            gens.push(process.spawn(&sim, &counters));
         }
         for g in gens {
             g.await;

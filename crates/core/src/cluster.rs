@@ -282,11 +282,7 @@ impl Cluster {
     pub fn tenant_stats(&self, tenant: u8) -> crate::engine::TenantStats {
         let mut total = crate::engine::TenantStats::default();
         for e in &self.engines {
-            let s = e.tenant_stats(tenant);
-            total.ops += s.ops;
-            total.bytes += s.bytes;
-            total.refunded += s.refunded;
-            total.throttle_ns += s.throttle_ns;
+            total.merge(&e.tenant_stats(tenant));
         }
         total
     }

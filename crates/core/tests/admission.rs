@@ -277,3 +277,78 @@ fn queue_cap_one_serial_traffic_never_sheds_and_burst_counters_conserve() {
         assert_eq!(stats.inflight_bytes, 0, "byte budget must drain to zero");
     });
 }
+
+/// Every exit from service releases what admission handed out — the
+/// in-flight byte budget, the shaper's gate grant and the xstream permit
+/// — even when the engine crashes with writes queued and in service and
+/// their replies are swallowed. After the drain and a restart nothing is
+/// leaked: the budget reads zero and the next request to the same
+/// xstream is admitted, granted and served.
+#[test]
+fn crash_mid_service_releases_budget_grant_and_xstream() {
+    use daos_core::{QosClass, QosParams};
+    let mut sim = Sim::new(16);
+    sim.block_on(move |sim| async move {
+        const BURST: u64 = 6;
+        const LEN: u64 = 64 * KIB;
+        let cluster = Cluster::build(&sim, testbed(None, Some(BURST * LEN)));
+        cluster.apply_qos(QosParams::default().with_class(7, QosClass::weighted(4)));
+        let client = DaosClient::new(Rc::clone(&cluster), 0).with_tenant(7);
+        let pool = client.connect(&sim).await.unwrap();
+        pool.create_container(&sim, 1).await.unwrap();
+        let engine = Rc::clone(cluster.engine(1));
+
+        // a burst at one xstream: the single-grant gate lets one write
+        // into service and parks the rest behind it
+        let burst: Vec<_> = (0..BURST)
+            .map(|_| {
+                let c = DaosClient::new(Rc::clone(&cluster), 0).with_tenant(7);
+                let s = sim.clone();
+                sim.spawn(async move { c.call(&s, 1, raw_update(0, LEN)).await })
+            })
+            .collect();
+        while engine.admission_stats().admitted < BURST {
+            sim.sleep_us(1).await;
+        }
+        let before = engine.admission_stats();
+        assert!(
+            before.inflight_bytes >= 2 * LEN,
+            "the crash must catch one write in service and at least one queued: {before:?}"
+        );
+        assert!(
+            engine.tenant_stats(7).ops < BURST,
+            "some writes must still be waiting for their grant"
+        );
+        engine.crash();
+
+        let mut swallowed = 0;
+        for h in burst {
+            if h.await.is_err() {
+                swallowed += 1;
+            }
+        }
+        assert!(swallowed >= 2, "replies after the crash are swallowed");
+        engine.restart();
+
+        let drained = engine.admission_stats();
+        assert_eq!(drained.inflight_bytes, 0, "budget leaked: {drained:?}");
+        assert_eq!(
+            engine.tenant_stats(7).ops,
+            BURST,
+            "every parked write was granted in turn, crash or not"
+        );
+
+        // a full-budget write to the same xstream: it passes the bytes
+        // gate only if the budget drained, is granted only if the last
+        // gate grant was released, and is served only if the permit was
+        let next = client.call(&sim, 1, raw_update(0, BURST * LEN)).await;
+        assert!(
+            matches!(next, Ok(Response::Written { .. })),
+            "the restarted engine must serve the next write: {next:?}"
+        );
+        let after = engine.admission_stats();
+        assert_eq!((after.admitted, after.shed_bytes), (BURST + 1, 0));
+        assert_eq!(engine.tenant_stats(7).ops, BURST + 1);
+        assert_eq!(after.inflight_bytes, 0);
+    });
+}

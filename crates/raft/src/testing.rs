@@ -75,6 +75,8 @@ impl<C: Clone> Cluster<C> {
     }
 
     fn harvest(&mut self, id: NodeId) {
+        // INVARIANT: both callers in `step` harvest a node they have just
+        // ticked or stepped, so `id` is a key of `self.nodes`.
         let node = self.nodes.get_mut(&id).unwrap();
         if node.role() == Role::Leader {
             self.leaders_by_term
@@ -84,11 +86,11 @@ impl<C: Clone> Cluster<C> {
         }
         for ev in node.take_applies() {
             match ev {
-                Apply::Committed(e) => self.applied.get_mut(&id).unwrap().push(e),
+                Apply::Committed(e) => self.applied.entry(id).or_default().push(e),
                 Apply::Restore(snap) => {
                     // restored nodes logically have everything to snap index;
                     // truncate-and-mark so prefix checks still work
-                    let v = self.applied.get_mut(&id).unwrap();
+                    let v = self.applied.entry(id).or_default();
                     v.retain(|e| e.index <= snap.last_index);
                 }
             }
@@ -100,6 +102,8 @@ impl<C: Clone> Cluster<C> {
         self.round += 1;
         let ids: Vec<NodeId> = self.nodes.keys().copied().collect();
         for id in &ids {
+            // INVARIANT: `ids` was read from `self.nodes` just above and
+            // nothing in this loop removes a node.
             let out = self.nodes.get_mut(id).unwrap().tick();
             self.enqueue(*id, out);
             self.harvest(*id);
@@ -112,7 +116,12 @@ impl<C: Clone> Cluster<C> {
                 self.net.push_back(m);
                 continue;
             }
-            let out = self.nodes.get_mut(&m.to).unwrap().step(m.from, m.msg);
+            // a message addressed outside the cluster is lost, as on a
+            // real network
+            let Some(node) = self.nodes.get_mut(&m.to) else {
+                continue;
+            };
+            let out = node.step(m.from, m.msg);
             self.enqueue(m.to, out);
             self.harvest(m.to);
         }
@@ -146,13 +155,14 @@ impl<C: Clone> Cluster<C> {
                 return l;
             }
         }
+        // simlint: allow(P01) documented harness assertion: callers want the run to fail here, not an Option to unwrap
         panic!("no leader elected after {max} rounds");
     }
 
     /// Propose on the current leader; returns the index, or None if no leader.
     pub fn propose(&mut self, cmd: C) -> Option<Index> {
         let l = self.leader()?;
-        let node = self.nodes.get_mut(&l).unwrap();
+        let node = self.nodes.get_mut(&l)?;
         match node.propose(cmd) {
             Ok((idx, out)) => {
                 self.enqueue(l, out);

@@ -31,7 +31,10 @@ pub const C01_TITLE: &str = "payload iteration must reach the charged cost engin
 
 /// Crates whose `src/` is simulation-visible: a panic here can take
 /// down a simulated run that the paper's figures depend on.
-pub const SIM_VISIBLE: [&str; 8] = [
+pub const SIM_VISIBLE: [&str; 9] = [
+    // planted violations: the default walk skips them, and CI's smoke
+    // checks name them explicitly to prove these rules still gate
+    "crates/simlint/fixtures/",
     "crates/sim/src/",
     "crates/core/src/",
     "crates/fabric/src/",

@@ -26,9 +26,7 @@
 //! | A01  | no `RefCell` borrow or lock guard live across `.await` |
 //! | C01  | async payload iteration in `vos`/`media` must reach the charged cost engine |
 //!
-//! Legacy P01/U01 debt is carried by a committed ratchet baseline
-//! ([`baseline`], `results/simlint_baseline.json`): per-file counts may
-//! only decrease, and new code gates at zero.
+//! Every rule gates at zero violations.
 //!
 //! Legitimate exceptions are documented **at the use site** with a
 //! pragma and counted in the report:
@@ -44,8 +42,8 @@
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod families;
+pub mod json;
 pub mod lexer;
 pub mod structure;
 
@@ -156,9 +154,6 @@ pub struct FileReport {
     /// P01 sites carrying an audited `// INVARIANT:` justification;
     /// `reason` holds the invariant text.
     pub audited: Vec<Hit>,
-    /// Legacy debt excused by the committed ratchet baseline (filled by
-    /// [`baseline::apply`], empty straight out of [`analyze_source`]).
-    pub baseline_excused: Vec<Hit>,
 }
 
 // ---------------------------------------------------------------------
@@ -574,7 +569,6 @@ pub fn render_report(reports: &[FileReport]) -> (String, usize) {
     let mut sanctioned: Vec<(&FileReport, &Hit)> = Vec::new();
     let mut violations = 0usize;
     let mut audited = 0usize;
-    let mut excused = 0usize;
     for fr in reports {
         for h in &fr.violations {
             by_rule.entry(h.rule).or_default().push((fr, h));
@@ -583,7 +577,6 @@ pub fn render_report(reports: &[FileReport]) -> (String, usize) {
         waived.extend(fr.waived.iter().map(|h| (fr, h)));
         sanctioned.extend(fr.sanctioned.iter().map(|h| (fr, h)));
         audited += fr.audited.len();
-        excused += fr.baseline_excused.len();
     }
 
     let mut s = String::new();
@@ -620,12 +613,11 @@ pub fn render_report(reports: &[FileReport]) -> (String, usize) {
     }
     let _ = writeln!(
         s,
-        "\nsummary: {} violation(s), {} waived, {} sanctioned, {} audited INVARIANT, {} baseline-excused",
+        "\nsummary: {} violation(s), {} waived, {} sanctioned, {} audited INVARIANT",
         violations,
         waived.len(),
         sanctioned.len(),
         audited,
-        excused,
     );
     (s, violations)
 }

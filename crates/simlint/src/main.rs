@@ -5,48 +5,31 @@
 //! cargo run -p simlint --release -- path/to/file.rs    # scan explicit paths
 //! cargo run -p simlint --release -- --report out.txt   # also write the report
 //! cargo run -p simlint --release -- --json out.json    # machine-readable report
-//! cargo run -p simlint --release -- --update-baseline  # regenerate the ratchet
 //! ```
 //!
 //! Exit codes: `0` clean, `1` at least one unwaived violation, `2` usage
 //! or I/O error. Explicit path arguments bypass the `fixtures/` skip so
 //! CI can smoke-check the gate against a planted violation.
-//!
-//! The ratchet baseline (`results/simlint_baseline.json`, override with
-//! `--baseline FILE`, disable with `--no-baseline`) excuses committed
-//! legacy P01/U01 debt per file; anything beyond the recorded counts
-//! gates exactly like a violation in new code. Baseline application is
-//! skipped when explicit PATHS are given — planted-violation smoke
-//! checks must see the raw verdict.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use simlint::baseline::{apply, render_json, Baseline};
+use simlint::json::render_json;
 use simlint::{analyze_files, collect_paths, default_files, render_report, workspace_root};
 
-const USAGE: &str = "usage: simlint [PATHS...] [--report FILE] [--json FILE] [--baseline FILE | --no-baseline] [--update-baseline]
+const USAGE: &str = "usage: simlint [PATHS...] [--report FILE] [--json FILE]
   PATHS              .rs files or directories to scan (default: the workspace's
                      crates/, tests/ and examples/, skipping target/, vendor/
                      and fixtures/)
   --report FILE      also write the text report to FILE (parent dirs created)
-  --json FILE        also write the machine-readable JSON report to FILE
-  --baseline FILE    ratchet baseline to apply (default:
-                     <root>/results/simlint_baseline.json when present;
-                     never applied when explicit PATHS are given)
-  --no-baseline      gate everything at zero, ignoring any baseline
-  --update-baseline  rewrite the baseline from the current scan's
-                     ratchet-rule violations, then apply it";
+  --json FILE        also write the machine-readable JSON report to FILE";
 
 fn main() -> ExitCode {
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut report_path: Option<PathBuf> = None;
     let mut json_path: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut no_baseline = false;
-    let mut update_baseline = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -68,15 +51,6 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--baseline" => match args.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("simlint: --baseline needs a file argument\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--no-baseline" => no_baseline = true,
-            "--update-baseline" => update_baseline = true,
             flag if flag.starts_with('-') => {
                 eprintln!("simlint: unknown flag {flag:?}\n{USAGE}");
                 return ExitCode::from(2);
@@ -89,65 +63,17 @@ fn main() -> ExitCode {
         eprintln!("simlint: no workspace root found (no ancestor Cargo.toml with [workspace])");
         return ExitCode::from(2);
     };
-    let explicit = !paths.is_empty();
-    let files = if explicit {
-        collect_paths(&paths)
-    } else {
+    let files = if paths.is_empty() {
         default_files(&root)
+    } else {
+        collect_paths(&paths)
     };
     if files.is_empty() {
         eprintln!("simlint: nothing to scan");
         return ExitCode::from(2);
     }
 
-    let mut reports = analyze_files(&root, &files);
-
-    // -- ratchet ------------------------------------------------------
-    let default_baseline = root.join("results/simlint_baseline.json");
-    let baseline_file = baseline_path.or_else(|| {
-        (!no_baseline && !explicit && default_baseline.is_file()).then_some(default_baseline)
-    });
-    let mut baseline: Option<Baseline> = None;
-    if update_baseline {
-        let b = Baseline::from_reports(&reports);
-        let out = baseline_file
-            .clone()
-            .unwrap_or_else(|| root.join("results/simlint_baseline.json"));
-        if let Some(parent) = out.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        if let Err(e) = std::fs::write(&out, b.render()) {
-            eprintln!("simlint: cannot write baseline {}: {e}", out.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "simlint: baseline rewritten ({} excused site(s)) -> {}",
-            b.total(),
-            out.display()
-        );
-        baseline = Some(b);
-    } else if let Some(path) = &baseline_file {
-        if no_baseline {
-            // explicit --baseline wins over --no-baseline only if both
-            // were given; treat that as a usage error instead of guessing
-            eprintln!("simlint: --baseline and --no-baseline are mutually exclusive");
-            return ExitCode::from(2);
-        }
-        match std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|t| Baseline::parse(&t))
-        {
-            Ok(b) => baseline = Some(b),
-            Err(e) => {
-                eprintln!("simlint: bad baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Some(b) = &baseline {
-        apply(&mut reports, b);
-    }
-
+    let reports = analyze_files(&root, &files);
     let (text, violations) = render_report(&reports);
     print!("{text}");
     if let Some(path) = report_path {
@@ -163,8 +89,7 @@ fn main() -> ExitCode {
         if let Some(parent) = path.parent() {
             let _ = std::fs::create_dir_all(parent);
         }
-        let json = render_json(&reports, baseline.as_ref());
-        if let Err(e) = std::fs::write(&path, &json) {
+        if let Err(e) = std::fs::write(&path, render_json(&reports)) {
             eprintln!("simlint: cannot write JSON report {}: {e}", path.display());
             return ExitCode::from(2);
         }

@@ -1,8 +1,7 @@
 //! Fixture-based self-tests: each per-rule good/bad snippet under
 //! `fixtures/` must produce exactly the expected hits, and the committed
-//! workspace itself must scan clean modulo the committed ratchet
-//! baseline — `cargo test -p simlint` is the same gate CI runs via the
-//! binary.
+//! workspace itself must scan clean — `cargo test -p simlint` is the same
+//! gate CI runs via the binary.
 
 use std::path::{Path, PathBuf};
 
@@ -193,7 +192,7 @@ fn bad_fixtures_gate_the_exit_path() {
 }
 
 #[test]
-fn committed_workspace_scans_clean_modulo_ratchet() {
+fn committed_workspace_scans_clean() {
     let root = workspace_root().expect("workspace root");
     let files = default_files(&root);
     assert!(
@@ -208,33 +207,20 @@ fn committed_workspace_scans_clean_modulo_ratchet() {
         })),
         "walk must skip fixtures/, vendor/ and target/"
     );
-    let mut reports = analyze_files(&root, &files);
-    // dogfood with the committed ratchet applied — exactly what CI runs
-    let base_src = std::fs::read_to_string(root.join("results/simlint_baseline.json"))
-        .expect("committed ratchet baseline readable");
-    let base = simlint::baseline::Baseline::parse(&base_src).expect("baseline parses");
-    let excused = simlint::baseline::apply(&mut reports, &base);
-    assert!(
-        excused as u64 <= base.total(),
-        "excused {excused} exceeds baseline total {}",
-        base.total()
-    );
+    // dogfood: exactly what CI runs
+    let reports = analyze_files(&root, &files);
     let (text, violations) = render_report(&reports);
-    assert_eq!(
-        violations, 0,
-        "workspace must lint clean modulo the committed ratchet:\n{text}"
-    );
+    assert_eq!(violations, 0, "workspace must lint clean:\n{text}");
     // C01 (media charge accounting) carries zero debt in any bucket:
     // scrubber and rebuild media traffic route through the engine's
-    // charged-cost path, so nothing in the media zone needs a waiver,
-    // a ratchet excuse, or — worst of all — an unwaived violation.
+    // charged-cost path, so nothing in the media zone needs a waiver
+    // or — worst of all — an unwaived violation.
     let c01 = |hits: &[simlint::Hit]| hits.iter().filter(|h| h.rule == "C01").count();
     for fr in &reports {
         assert_eq!(
-            c01(&fr.violations) + c01(&fr.waived) + c01(&fr.baseline_excused),
+            c01(&fr.violations) + c01(&fr.waived),
             0,
-            "{}: media-charge debt must stay at zero (no C01 violations, \
-             waivers, or ratchet excuses)",
+            "{}: media-charge debt must stay at zero (no C01 violations or waivers)",
             fr.path
         );
     }
