@@ -16,6 +16,7 @@
 use std::rc::Rc;
 
 use daos_bench::paper_cluster;
+use daos_bench::report::{READ_GIB_S, WRITE_GIB_S};
 use daos_dfs::DfsConfig;
 use daos_dfuse::DfuseConfig;
 use daos_ior::{run, Api, DaosTestbed, IorParams};
@@ -178,8 +179,8 @@ fn cmd_ior(args: &Args) {
                 "shared"
             }
         );
-        bench.record(&series, nodes, "write_gib_s", report.write_gib_s());
-        bench.record(&series, nodes, "read_gib_s", report.read_gib_s());
+        bench.record(&series, nodes, WRITE_GIB_S, report.write_gib_s());
+        bench.record(&series, nodes, READ_GIB_S, report.read_gib_s());
         match bench.write_to(std::path::Path::new(dir)) {
             Ok(path) => eprintln!("wrote {}", path.display()),
             Err(e) => die(&format!("writing json: {e}")),

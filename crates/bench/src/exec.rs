@@ -17,8 +17,8 @@
 //!   D02 waiver and never lands in comparison-bearing report fields.
 //!
 //! Thread count comes from, in order: an explicit argument, the
-//! process-wide override ([`set_threads`], wired to `--threads` in the
-//! binaries), the `BENCH_THREADS` environment variable, and finally
+//! process-wide override ([`set_threads`], wired to `daos-bench`'s
+//! `--threads`), the `BENCH_THREADS` environment variable, and finally
 //! `std::thread::available_parallelism`. `threads = 1` executes the slate
 //! serially on the calling thread, reproducing the pre-executor behavior
 //! exactly.
@@ -104,12 +104,6 @@ impl<'a, T: Send> Slate<'a, T> {
     /// Whether the slate is empty.
     pub fn is_empty(&self) -> bool {
         self.jobs.is_empty()
-    }
-
-    /// Run every job on [`threads`] host threads (the resolved default).
-    pub fn run_auto(self) -> Result<Vec<JobResult<T>>, PanickedJob> {
-        let n = threads();
-        self.run(n)
     }
 
     /// Run every job across `threads` host threads and return the results
@@ -200,8 +194,8 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 /// Process-wide `--threads` override; 0 = unset.
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Pin the slate thread count for this process (the binaries' `--threads`
-/// flag). `0` clears the override.
+/// Pin the slate thread count for this process (`daos-bench --threads`).
+/// `0` clears the override.
 pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::SeqCst);
 }
@@ -225,9 +219,9 @@ pub fn threads() -> usize {
         .unwrap_or(4)
 }
 
-/// Consume a `--threads N` flag from a binary's argument list, pinning
-/// the process-wide knob; returns the remaining arguments. Exits with a
-/// usage error on a malformed value, matching the binaries' other flags.
+/// Consume a `--threads N` flag from the argument list, pinning the
+/// process-wide knob; returns the remaining arguments. Exits with a
+/// usage error on a malformed value, like `daos-bench`'s other flags.
 pub fn parse_threads_flag(args: Vec<String>) -> Vec<String> {
     let mut rest = Vec::with_capacity(args.len());
     let mut it = args.into_iter();

@@ -1,37 +1,39 @@
-//! Scale-parameterized figure runners, shared between the full-scale
-//! figure binaries and the reduced-scale `regress` harness.
+//! The IOR-shaped figures' cells and checks: the paper's Figures 1–2, the
+//! PFS contrast, the beyond-paper scale sweep, the IO500 composite,
+//! mdtest rates and the ablations.
 //!
-//! Each runner executes one experiment at a caller-chosen scale, records
-//! its cells into any [`Record`] sink (a [`crate::report::BenchReport`]
-//! directly, or a [`crate::report::Fragment`] from a parallel slate
-//! job), and returns the raw measurements so
-//! binaries can keep their CSV/ASCII-chart output. Seeds are fixed per
-//! figure, so a reduced sweep's cells at a given node count are produced
-//! by the *same* simulations as the full figure's cells there (modulo the
-//! repeat count used for averaging).
+//! Each `*_plan` function enumerates one figure's cells at a scale — a
+//! cell is one seeded, single-threaded sim that records its metrics into
+//! a [`Fragment`] — and each `check_*` function states what must hold of
+//! the finished report. [`crate::FIGURES`] binds the two to the figure's
+//! name, seed and gate. Seeds are fixed per figure, so a reduced sweep's
+//! cells at a given node count are produced by the *same* simulations as
+//! the full figure's cells there (modulo the repeat count used for
+//! averaging).
 
 use std::rc::Rc;
 
-use daos_core::{Cluster, ClusterConfig, DaosClient, RetryPolicy};
-use daos_dfs::DfsConfig;
-use daos_dfuse::DfuseConfig;
+use daos_core::{ClusterConfig, DaosClient};
+use daos_dfs::{Dfs, DfsConfig};
+use daos_dfuse::{DfuseConfig, DfuseMount};
 use daos_ior::{
-    mdtest, run, run_pfs, Api, DaosTestbed, IorParams, IorReport, MdBackend, MdtestReport,
+    mdtest, mdtest_pfs, run, run_pfs, Api, DaosTestbed, IorReport, MdBackend, MdtestReport,
 };
 use daos_pfs::{Pfs, PfsConfig};
 use daos_placement::{ObjectClass, ObjectId};
 use daos_sim::executor::join_all;
-use daos_sim::fault::FaultAction;
 use daos_sim::time::SimDuration;
-use daos_sim::units::{gib_per_sec, KIB, MIB};
+use daos_sim::units::{gib_per_sec, MIB};
 use daos_sim::Sim;
 use daos_vos::Payload;
+use daos_workloads::{checkpoint, nwp, producer_consumer, Access, RankAccess, WorkloadParams};
 
-use crate::exec::Slate;
-use crate::report::{config_hash, Record};
-use crate::{paper_cluster, paper_params, run_sweep, ExperimentPoint, Measurement};
+use crate::figure::{Cell, Plan, Scale};
+use crate::invariants::series_scales;
+use crate::report::{config_hash, BenchReport, Fragment, Verdict, READ_GIB_S, WRITE_GIB_S};
+use crate::{paper_cluster, paper_params, run_point_in, run_point_with, ExperimentPoint};
 
-/// The figure binaries' full scale axis.
+/// The paper figures' full scale axis.
 pub const FULL_NODES: [u32; 5] = [1, 2, 4, 8, 16];
 /// The reduced CI axis: the two scales every R1–R5 invariant reads.
 pub const REDUCED_NODES: [u32; 2] = [1, 16];
@@ -45,33 +47,18 @@ pub const REDUCED_REPEATS: u64 = 1;
 /// Processes per client node in every figure sweep (the paper's layout).
 pub const PPN: u32 = 16;
 
-/// Repeat count for the standalone sweep binaries (`oclass_sweep`,
-/// `daos_api`, `calibrate`, …): the `BENCH_REPEATS` environment variable
-/// overrides — CI smoke runs set `BENCH_REPEATS=1` to get
-/// [`REDUCED_REPEATS`]-scale runs consistently — else [`FULL_REPEATS`].
-pub fn sweep_repeats() -> u64 {
+/// The per-rank block of the paper's IOR runs ([`paper_params`]).
+const PAPER_BLOCK: u64 = 32 * MIB;
+
+/// Repeat count for the sweeps that honour `BENCH_REPEATS` (`scale`,
+/// `oclass_sweep`, `daos_api`, `calibrate`): the environment variable if
+/// set to a positive integer, else `default`.
+fn env_repeats(default: u64) -> u64 {
     std::env::var("BENCH_REPEATS")
         .ok()
         .and_then(|v| v.parse::<u64>().ok())
         .filter(|&n| n > 0)
-        .unwrap_or(FULL_REPEATS)
-}
-
-/// Cross product of the paper's interface × object-class grid.
-pub fn grid_points(apis: &[Api], classes: &[ObjectClass], nodes: &[u32]) -> Vec<ExperimentPoint> {
-    let mut points = Vec::new();
-    for &api in apis {
-        for &oclass in classes {
-            for &n in nodes {
-                points.push(ExperimentPoint {
-                    api,
-                    oclass,
-                    client_nodes: n,
-                });
-            }
-        }
-    }
-    points
+        .unwrap_or(default)
 }
 
 /// The three interfaces of Figures 1 and 2.
@@ -84,43 +71,221 @@ pub fn figure_classes() -> [ObjectClass; 3] {
     [ObjectClass::S1, ObjectClass::S2, ObjectClass::SX]
 }
 
-pub(crate) fn record_sweep(report: &mut impl Record, ms: &[Measurement], top_nodes: u32) {
-    report.set_config_hash(config_hash(&paper_cluster(top_nodes)));
-    for m in ms {
-        report.record(
-            &m.series(),
-            m.point.client_nodes,
-            "write_gib_s",
-            m.report.write_gib_s(),
-        );
-        report.record(
-            &m.series(),
-            m.point.client_nodes,
-            "read_gib_s",
-            m.report.read_gib_s(),
-        );
+/// Record both phases of one IOR run.
+fn record_bw(out: &mut Fragment, series: &str, scale: u32, r: &IorReport) {
+    out.record(series, scale, WRITE_GIB_S, r.write_gib_s());
+    out.record(series, scale, READ_GIB_S, r.read_gib_s());
+}
+
+/// The one (failing) verdict of a check that cannot find the cells it reads.
+fn missing(what: &str) -> Vec<Verdict> {
+    vec![Verdict::new(format!("{what} present in the report"), false)]
+}
+
+/// Every scale at which all of `series` carry `metric`, ascending, with
+/// the values in `series` order.
+fn rows(report: &BenchReport, series: &[&str], metric: &str) -> Vec<(u32, Vec<f64>)> {
+    series_scales(report, series[0])
+        .into_iter()
+        .filter_map(|n| {
+            let vals: Option<Vec<f64>> = series.iter().map(|s| report.get(s, n, metric)).collect();
+            Some((n, vals?))
+        })
+        .collect()
+}
+
+fn top(nodes: &[u32]) -> u32 {
+    *nodes.iter().max().expect("non-empty node axis")
+}
+
+/// One IOR sweep on the paper testbed: interface × class × node count,
+/// every cell a [`run_point_with`] run averaged over `repeats`
+/// placements. Heaviest (largest node count) cells first — a scheduling
+/// hint only; reduction is keyed by (series, scale).
+struct IorSweep<'a> {
+    apis: &'a [Api],
+    classes: &'a [ObjectClass],
+    nodes: &'a [u32],
+    fpp: bool,
+    ppn: u32,
+    block: u64,
+    seed: u64,
+    repeats: u64,
+}
+
+impl IorSweep<'_> {
+    fn cells(&self) -> Vec<Cell> {
+        let (fpp, ppn, block, seed, repeats) =
+            (self.fpp, self.ppn, self.block, self.seed, self.repeats);
+        let mut cells = Vec::new();
+        for &client_nodes in self.nodes.iter().rev() {
+            for &api in self.apis {
+                for &oclass in self.classes {
+                    let point = ExperimentPoint {
+                        api,
+                        oclass,
+                        client_nodes,
+                    };
+                    cells.push(Cell::new(
+                        format!("{}-{oclass}/{client_nodes}n", api.name()),
+                        move |out| {
+                            let mut params = paper_params(api, oclass, fpp, ppn);
+                            params.block_size = block;
+                            let m = run_point_with(point, params, seed, repeats);
+                            record_bw(out, &m.series(), client_nodes, &m.report);
+                        },
+                    ));
+                }
+            }
+        }
+        cells
     }
 }
+
+// ---------------------------------------------------------------------
+// Figures 1 and 2
+// ---------------------------------------------------------------------
 
 /// Figure 1's root seed (each cell salts it with scale and repeat).
 pub const FIG1_SEED: u64 = 0xF161;
 /// Figure 2's root seed.
 pub const FIG2_SEED: u64 = 0xF162;
 
-/// Figure 1 (IOR file-per-process) over the given scale axis.
-pub fn run_fig1(report: &mut impl Record, nodes: &[u32], repeats: u64) -> Vec<Measurement> {
-    let points = grid_points(&figure_apis(), &figure_classes(), nodes);
-    let ms = run_sweep(points, true, PPN, FIG1_SEED, repeats);
-    record_sweep(report, &ms, *nodes.iter().max().unwrap());
-    ms
+/// Figure 1 (`fpp`, [`FIG1_SEED`]) or Figure 2 (shared file,
+/// [`FIG2_SEED`]): the interface × class grid over the node axis.
+pub fn paper_figure_plan(fpp: bool, seed: u64, scale: Scale) -> Option<Plan> {
+    let (nodes, repeats, ppn, block): (&[u32], u64, u32, u64) = match scale {
+        Scale::Full => (&FULL_NODES, FULL_REPEATS, PPN, PAPER_BLOCK),
+        Scale::Reduced => (&REDUCED_NODES, REDUCED_REPEATS, PPN, PAPER_BLOCK),
+        Scale::Smoke => (&[1, 2], 1, 4, MIB),
+    };
+    let sweep = IorSweep {
+        apis: &figure_apis(),
+        classes: &figure_classes(),
+        nodes,
+        fpp,
+        ppn,
+        block,
+        seed,
+        repeats,
+    };
+    Some(Plan {
+        config_hash: config_hash(&paper_cluster(top(nodes))),
+        cells: sweep.cells(),
+    })
 }
 
-/// Figure 2 (IOR shared-file) over the given scale axis.
-pub fn run_fig2(report: &mut impl Record, nodes: &[u32], repeats: u64) -> Vec<Measurement> {
-    let points = grid_points(&figure_apis(), &figure_classes(), nodes);
-    let ms = run_sweep(points, false, PPN, FIG2_SEED, repeats);
-    record_sweep(report, &ms, *nodes.iter().max().unwrap());
-    ms
+// ---------------------------------------------------------------------
+// Wider grids on the paper testbed: object classes, native API, calibration
+// ---------------------------------------------------------------------
+
+/// `oclass_sweep`'s root seed.
+pub const OCLASS_SEED: u64 = 0x0C1A;
+/// `daos_api`'s root seed.
+pub const DAOS_API_SEED: u64 = 0xDA05A;
+/// `calibrate`'s root seed.
+pub const CALIBRATE_SEED: u64 = 0xCA11B;
+
+/// A file-per-process grid at 1, 4 and 16 nodes, [`FULL_REPEATS`]
+/// placements per cell (`BENCH_REPEATS` overrides); the reduced scale is
+/// the same grid at one placement.
+fn wide_grid_plan(apis: &[Api], classes: &[ObjectClass], seed: u64, scale: Scale) -> Option<Plan> {
+    let repeats = match scale {
+        Scale::Full => env_repeats(FULL_REPEATS),
+        Scale::Reduced => REDUCED_REPEATS,
+        Scale::Smoke => return None,
+    };
+    let sweep = IorSweep {
+        apis,
+        classes,
+        nodes: &[1, 4, 16],
+        fpp: true,
+        ppn: PPN,
+        block: PAPER_BLOCK,
+        seed,
+        repeats,
+    };
+    Some(Plan {
+        config_hash: 0,
+        cells: sweep.cells(),
+    })
+}
+
+/// `oclass_sweep`: DFS over a wider class set than the figures.
+pub fn oclass_plan(scale: Scale) -> Option<Plan> {
+    let classes = [
+        ObjectClass::S1,
+        ObjectClass::S2,
+        ObjectClass::S4,
+        ObjectClass::S8,
+        ObjectClass::SX,
+    ];
+    wide_grid_plan(&[Api::Dfs], &classes, OCLASS_SEED, scale)
+}
+
+pub fn check_oclass(report: &BenchReport) -> Vec<Verdict> {
+    let Some((_, w)) = rows(report, &["DFS-S1", "DFS-S4", "DFS-SX"], WRITE_GIB_S).pop() else {
+        return missing("DFS-S1/S4/SX writes");
+    };
+    vec![
+        Verdict::new(
+            "sharding degree interpolates: S1 <= S4 <= SX write at the largest scale (±10%)",
+            w[0] <= w[1] * 1.1 && w[1] <= w[2] * 1.1,
+        ),
+        Verdict::new(
+            "every class lands in a sane envelope (1-60 GiB/s write)",
+            report
+                .cells()
+                .iter()
+                .filter(|(_, _, m, _)| *m == WRITE_GIB_S)
+                .all(|&(_, _, _, b)| b > 1.0 && b < 60.0),
+        ),
+    ]
+}
+
+/// `daos_api`: the native array API against DFS and POSIX (± the
+/// interception library), SX, file-per-process.
+pub fn daos_api_plan(scale: Scale) -> Option<Plan> {
+    let apis = [
+        Api::DaosArray,
+        Api::Dfs,
+        Api::Posix { il: false },
+        Api::Posix { il: true },
+    ];
+    wide_grid_plan(&apis, &[ObjectClass::SX], DAOS_API_SEED, scale)
+}
+
+pub fn check_daos_api(report: &BenchReport) -> Vec<Verdict> {
+    // indices below follow this order
+    let series = ["DAOS-SX", "DFS-SX", "POSIX-SX", "POSIX+IL-SX"];
+    let wr = rows(report, &series, WRITE_GIB_S);
+    let rd = rows(report, &series, READ_GIB_S);
+    if wr.is_empty() || rd.len() != wr.len() {
+        return missing("DAOS/DFS/POSIX/POSIX+IL SX cells");
+    }
+    vec![
+        Verdict::new(
+            // 6% tolerance: the native-API runs use fixed object ids, so their
+            // placement is one draw rather than the file runs' averaged draws
+            "native array API ~= DFS or better (skips namespace metadata)",
+            wr.iter().all(|(_, w)| w[0] >= 0.94 * w[1]),
+        ),
+        Verdict::new(
+            "interception library recovers DFS-level performance over POSIX",
+            wr.iter().all(|(_, w)| w[3] >= 0.98 * w[2])
+                && rd.iter().all(|(_, r)| r[3] >= 0.98 * r[2]),
+        ),
+        Verdict::new(
+            "every file interface stays within 15% of the native API (bulk I/O)",
+            wr.iter().all(|(_, w)| w[2] > 0.85 * w[0]),
+        ),
+    ]
+}
+
+/// `calibrate`: the figure grid at 1, 4 and 16 nodes with no checks —
+/// a probe for tuning the cost model, diffable run to run.
+pub fn calibrate_plan(scale: Scale) -> Option<Plan> {
+    wide_grid_plan(&figure_apis(), &figure_classes(), CALIBRATE_SEED, scale)
 }
 
 // ---------------------------------------------------------------------
@@ -152,104 +317,62 @@ pub fn scale_cluster(client_nodes: u32) -> ClusterConfig {
 
 /// The DFS scale grid past the paper's reach: S2 (the small-scale write
 /// leader) vs SX (the contended-write leader) locates the R2 crossover;
-/// fpp vs shared locates the R5 shared-file asymptote. One slate job per
-/// cell, heaviest (largest node count) first; reduction order is the
-/// submission order so reports are byte-identical at any thread count.
+/// fpp vs shared locates the R5 shared-file asymptote. One placement per
+/// cell (`BENCH_REPEATS` overrides), heaviest first. Full scale only —
+/// the nightly gate runs exactly this.
 ///
 /// The shared-file column runs SX only: S2 stripes one object over two
 /// targets, so a shared S2 file at thousands of ranks is a fixed-size
 /// funnel whose queueing delay grows with the client count until any
 /// finite RPC deadline trips — the same reason the paper's own
 /// shared-file runs use SX.
-pub fn run_scale_sweep(
-    report: &mut impl Record,
-    nodes: &[u32],
-    threads: usize,
-    repeats: u64,
-) -> Vec<(String, Measurement)> {
-    let mut slate = Slate::new();
-    let mut order = Vec::new();
-    for &n in nodes.iter().rev() {
-        for fpp in [true, false] {
-            for oclass in [ObjectClass::S2, ObjectClass::SX] {
-                if !fpp && oclass == ObjectClass::S2 {
-                    continue;
-                }
-                let point = ExperimentPoint {
-                    api: Api::Dfs,
-                    oclass,
-                    client_nodes: n,
-                };
-                let suffix = if fpp { "fpp" } else { "shared" };
-                order.push(suffix);
-                slate.push(format!("scale/DFS-{oclass}-{suffix}/{n}n"), move || {
+pub fn scale_plan(scale: Scale) -> Option<Plan> {
+    if scale != Scale::Full {
+        return None;
+    }
+    let repeats = env_repeats(1);
+    let mut cells = Vec::new();
+    for &n in SCALE_NODES.iter().rev() {
+        for (fpp, oclass) in [
+            (true, ObjectClass::S2),
+            (true, ObjectClass::SX),
+            (false, ObjectClass::SX),
+        ] {
+            let point = ExperimentPoint {
+                api: Api::Dfs,
+                oclass,
+                client_nodes: n,
+            };
+            let suffix = if fpp { "fpp" } else { "shared" };
+            cells.push(Cell::new(
+                format!("DFS-{oclass}-{suffix}/{n}n"),
+                move |out| {
                     let mut p = paper_params(Api::Dfs, oclass, fpp, PPN);
                     p.block_size = SCALE_BLOCK;
-                    crate::run_point_in(scale_cluster(n), point, p, SCALE_SEED, repeats)
-                });
-            }
+                    let m = run_point_in(scale_cluster(n), point, p, SCALE_SEED, repeats);
+                    record_bw(out, &format!("{}-{suffix}", m.series()), n, &m.report);
+                },
+            ));
         }
     }
-    let cells = slate
-        .run(threads)
-        .unwrap_or_else(|p| panic!("scale sweep {p}"));
-    report.set_config_hash(config_hash(&scale_cluster(
-        *nodes.iter().max().expect("non-empty scale axis"),
-    )));
-    let mut out = Vec::new();
-    for (cell, suffix) in cells.into_iter().zip(order) {
-        let m = cell.value;
-        let series = format!("{}-{suffix}", m.series());
-        report.record(
-            &series,
-            m.point.client_nodes,
-            "write_gib_s",
-            m.report.write_gib_s(),
-        );
-        report.record(
-            &series,
-            m.point.client_nodes,
-            "read_gib_s",
-            m.report.read_gib_s(),
-        );
-        out.push((series, m));
-    }
-    out
+    Some(Plan {
+        config_hash: config_hash(&scale_cluster(top(&SCALE_NODES))),
+        cells,
+    })
 }
 
 // ---------------------------------------------------------------------
 // PFS contrast
 // ---------------------------------------------------------------------
 
-/// One scale point of the "stark contrast" experiment.
-pub struct PfsContrastRow {
-    pub nodes: u32,
-    pub pfs_fpp: IorReport,
-    pub pfs_shared: IorReport,
-    /// LDLM extent-lock revokes during the shared PFS run.
-    pub revokes: u64,
-    pub daos_fpp: IorReport,
-    pub daos_shared: IorReport,
-}
-
-impl PfsContrastRow {
-    /// Shared/FPP write ratios: (pfs, daos). 1.0 = no shared-file penalty.
-    pub fn ratios(&self) -> (f64, f64) {
-        (
-            self.pfs_shared.write_gib_s() / self.pfs_fpp.write_gib_s(),
-            self.daos_shared.write_gib_s() / self.daos_fpp.write_gib_s(),
-        )
-    }
-}
-
-/// Per-rank block size of the contrast cells (lock ping-pong makes big
-/// runs slow); smoke-scale runs pass something smaller.
-pub const PFS_BLOCK: u64 = 16 << 20;
+/// `pfs_contrast`'s root seed: the PFS cells' sims are seeded
+/// `PFS_SEED ^ nodes`, the DAOS cells' `(PFS_SEED + 1) ^ nodes`.
+pub const PFS_SEED: u64 = 0x1F5;
 
 /// One PFS cell: IOR on the Lustre-like filesystem, returning the run
 /// report and the LDLM extent-lock revoke count.
-pub(crate) fn pfs_point(nodes: u32, fpp: bool, block: u64, ppn: u32) -> (IorReport, u64) {
-    let mut sim = Sim::new(0x1F5 ^ nodes as u64);
+fn pfs_point(nodes: u32, fpp: bool, block: u64, ppn: u32) -> (IorReport, u64) {
+    let mut sim = Sim::new(PFS_SEED ^ nodes as u64);
     sim.block_on(move |sim| async move {
         let fs = Pfs::build(PfsConfig {
             client_nodes: nodes,
@@ -264,8 +387,8 @@ pub(crate) fn pfs_point(nodes: u32, fpp: bool, block: u64, ppn: u32) -> (IorRepo
 }
 
 /// One DAOS cell of the contrast experiment.
-pub(crate) fn daos_point(nodes: u32, fpp: bool, block: u64, ppn: u32) -> IorReport {
-    let mut sim = Sim::new(0x1F6 ^ nodes as u64);
+fn daos_point(nodes: u32, fpp: bool, block: u64, ppn: u32) -> IorReport {
+    let mut sim = Sim::new((PFS_SEED + 1) ^ nodes as u64);
     sim.block_on(move |sim| async move {
         let env = DaosTestbed::setup(
             &sim,
@@ -282,101 +405,48 @@ pub(crate) fn daos_point(nodes: u32, fpp: bool, block: u64, ppn: u32) -> IorRepo
 }
 
 /// The same IOR workloads on DAOS and on the Lustre-like PFS, FPP and
-/// shared, at each scale. Rows run as independent jobs on the shared
-/// slate executor (four seeded sims per scale, one per cell).
-pub fn run_pfs_contrast(report: &mut impl Record, nodes: &[u32]) -> Vec<PfsContrastRow> {
-    run_pfs_contrast_sized(report, nodes, crate::exec::threads(), PFS_BLOCK, PPN)
-}
-
-/// [`run_pfs_contrast`] with explicit thread count, block size and ppn —
-/// the schedule-independence tests drive this directly at several thread
-/// counts and a smoke scale.
-pub fn run_pfs_contrast_sized(
-    report: &mut impl Record,
-    nodes: &[u32],
-    threads: usize,
-    block: u64,
-    ppn: u32,
-) -> Vec<PfsContrastRow> {
-    // per scale, in submission order: pfs-fpp, pfs-shared, daos-fpp,
-    // daos-shared — the reducer below reassembles rows in chunks of 4
-    let mut slate = Slate::new();
-    for &n in nodes {
+/// shared, at each scale: four seeded sims per node count. Lock
+/// ping-pong makes big runs slow, hence the 16 MiB per-rank block.
+pub fn pfs_contrast_plan(scale: Scale) -> Option<Plan> {
+    let (nodes, block, ppn): (&[u32], u64, u32) = match scale {
+        Scale::Full => (&[1, 4, 8, 16], 16 * MIB, PPN),
+        Scale::Reduced => (&REDUCED_NODES, 16 * MIB, PPN),
+        Scale::Smoke => (&[1, 2], MIB, 4),
+    };
+    let mut cells = Vec::new();
+    for &n in nodes.iter().rev() {
         for fpp in [true, false] {
-            slate.push(
-                format!(
-                    "pfs_contrast/pfs-{}/{n}n",
-                    if fpp { "fpp" } else { "shared" }
-                ),
-                move || pfs_point(n, fpp, block, ppn),
-            );
-        }
-        for fpp in [true, false] {
-            slate.push(
-                format!(
-                    "pfs_contrast/daos-{}/{n}n",
-                    if fpp { "fpp" } else { "shared" }
-                ),
-                move || {
-                    let r = daos_point(n, fpp, block, ppn);
-                    (r, 0u64)
-                },
-            );
+            let mode = if fpp { "fpp" } else { "shared" };
+            cells.push(Cell::new(format!("pfs-{mode}/{n}n"), move |out| {
+                let (r, revokes) = pfs_point(n, fpp, block, ppn);
+                record_bw(out, &format!("pfs-{mode}"), n, &r);
+                if !fpp {
+                    out.record("pfs-shared", n, "lock_revokes", revokes as f64);
+                }
+            }));
+            cells.push(Cell::new(format!("daos-{mode}/{n}n"), move |out| {
+                let r = daos_point(n, fpp, block, ppn);
+                record_bw(out, &format!("daos-{mode}"), n, &r);
+            }));
         }
     }
-    let cells = slate
-        .run(threads)
-        .unwrap_or_else(|p| panic!("pfs contrast {p}"));
-
-    let mut rows = Vec::new();
-    for (&n, chunk) in nodes.iter().zip(cells.chunks_exact(4)) {
-        let row = PfsContrastRow {
-            nodes: n,
-            pfs_fpp: chunk[0].value.0,
-            pfs_shared: chunk[1].value.0,
-            revokes: chunk[1].value.1,
-            daos_fpp: chunk[2].value.0,
-            daos_shared: chunk[3].value.0,
-        };
-        for (series, rep) in [
-            ("pfs-fpp", &row.pfs_fpp),
-            ("pfs-shared", &row.pfs_shared),
-            ("daos-fpp", &row.daos_fpp),
-            ("daos-shared", &row.daos_shared),
-        ] {
-            report.record(series, n, "write_gib_s", rep.write_gib_s());
-            report.record(series, n, "read_gib_s", rep.read_gib_s());
-        }
-        report.record("pfs-shared", n, "lock_revokes", row.revokes as f64);
-        rows.push(row);
-    }
-    report.set_config_hash(config_hash(&paper_cluster(*nodes.iter().max().unwrap())));
-    rows
+    Some(Plan {
+        config_hash: config_hash(&paper_cluster(top(nodes))),
+        cells,
+    })
 }
 
 // ---------------------------------------------------------------------
 // IO500-style composite
 // ---------------------------------------------------------------------
 
-/// One IO500-style run: easy/hard IOR phases, mdtest, geometric means.
-pub struct Io500Result {
-    pub easy: IorReport,
-    pub hard: IorReport,
-    pub md: MdtestReport,
-    pub bw_score: f64,
-    pub md_score: f64,
-    pub total: f64,
-}
+/// `io500`'s root (and only) sim seed.
+pub const IO500_SEED: u64 = 0x10500;
 
-/// ior-easy + ior-hard + mdtest-easy, combined with the IO500 geometric
-/// mean, at one scale.
-pub fn run_io500(report: &mut impl Record, nodes: u32, ppn: u32) -> Io500Result {
-    run_io500_sized(report, nodes, ppn, 16 << 20)
-}
-
-/// [`run_io500`] with an explicit per-rank block size (smoke scale).
-pub fn run_io500_sized(report: &mut impl Record, nodes: u32, ppn: u32, block: u64) -> Io500Result {
-    let mut sim = Sim::new(0x10500);
+/// ior-easy + ior-hard + mdtest-easy in one sim, combined with the IO500
+/// geometric mean, at one scale.
+fn io500_cell(out: &mut Fragment, nodes: u32, ppn: u32, block: u64) {
+    let mut sim = Sim::new(IO500_SEED);
     let (easy, hard, md) = sim.block_on(move |sim| async move {
         let env = DaosTestbed::setup(
             &sim,
@@ -416,95 +486,176 @@ pub fn run_io500_sized(report: &mut impl Record, nodes: u32, ppn: u32, block: u6
         hard.write_gib_s(),
         hard.read_gib_s(),
     ]);
-    let md_score = geo(&[
+    let md_kiops = [
         md.creates_per_s() / 1000.0,
         md.stats_per_s() / 1000.0,
         md.unlinks_per_s() / 1000.0,
-    ]);
-    let total = (bw_score * md_score).sqrt();
+    ];
+    let md_score = geo(&md_kiops);
 
-    report.set_config_hash(config_hash(&paper_cluster(nodes)));
-    report.record("ior-easy", nodes, "write_gib_s", easy.write_gib_s());
-    report.record("ior-easy", nodes, "read_gib_s", easy.read_gib_s());
-    report.record("ior-hard", nodes, "write_gib_s", hard.write_gib_s());
-    report.record("ior-hard", nodes, "read_gib_s", hard.read_gib_s());
-    report.record("mdtest", nodes, "create_kiops", md.creates_per_s() / 1000.0);
-    report.record("mdtest", nodes, "stat_kiops", md.stats_per_s() / 1000.0);
-    report.record("mdtest", nodes, "unlink_kiops", md.unlinks_per_s() / 1000.0);
-    report.record("score", nodes, "bw_gib_s", bw_score);
-    report.record("score", nodes, "md_kiops", md_score);
-    report.record("score", nodes, "io500", total);
+    record_bw(out, "ior-easy", nodes, &easy);
+    record_bw(out, "ior-hard", nodes, &hard);
+    out.record("mdtest", nodes, "create_kiops", md_kiops[0]);
+    out.record("mdtest", nodes, "stat_kiops", md_kiops[1]);
+    out.record("mdtest", nodes, "unlink_kiops", md_kiops[2]);
+    out.record("score", nodes, "bw_gib_s", bw_score);
+    out.record("score", nodes, "md_kiops", md_score);
+    out.record("score", nodes, "io500", (bw_score * md_score).sqrt());
+}
 
-    Io500Result {
-        easy,
-        hard,
-        md,
-        bw_score,
-        md_score,
-        total,
+pub fn io500_plan(scale: Scale) -> Option<Plan> {
+    let (nodes, ppn, block) = match scale {
+        Scale::Full => (8, PPN, 16 * MIB),
+        Scale::Reduced => (4, 8, 16 * MIB),
+        Scale::Smoke => (2, 2, MIB),
+    };
+    Some(Plan {
+        config_hash: config_hash(&paper_cluster(nodes)),
+        cells: vec![Cell::new(format!("{nodes}n"), move |out| {
+            io500_cell(out, nodes, ppn, block)
+        })],
+    })
+}
+
+pub fn check_io500(report: &BenchReport) -> Vec<Verdict> {
+    let Some(&n) = series_scales(report, "score").first() else {
+        return missing("score series");
+    };
+    let total = report.get("score", n, "io500").unwrap_or(f64::NAN);
+    let hard = report.get("ior-hard", n, WRITE_GIB_S).unwrap_or(f64::NAN);
+    let easy = report.get("ior-easy", n, WRITE_GIB_S).unwrap_or(f64::NAN);
+    vec![
+        Verdict::new(
+            "composite score is finite and positive",
+            total.is_finite() && total > 0.0,
+        ),
+        Verdict::new(
+            "ior-hard tracks ior-easy on DAOS (the paper's headline, IO500 form)",
+            hard > 0.5 * easy,
+        ),
+    ]
+}
+
+// ---------------------------------------------------------------------
+// Metadata rates
+// ---------------------------------------------------------------------
+
+/// `mdtest_bench`'s root seed: the DAOS cells' sims are seeded
+/// `MDTEST_SEED ^ backend`, the PFS cell's `MDTEST_SEED + 1`.
+pub const MDTEST_SEED: u64 = 0x3D7;
+
+fn record_md(out: &mut Fragment, series: &str, nodes: u32, r: &MdtestReport) {
+    out.record(series, nodes, "create_per_s", r.creates_per_s());
+    out.record(series, nodes, "stat_per_s", r.stats_per_s());
+    out.record(series, nodes, "unlink_per_s", r.unlinks_per_s());
+}
+
+/// mdtest-style create / stat / unlink storms through DFS, DFuse and the
+/// Lustre-like PFS, one sim per backend.
+pub fn mdtest_plan(scale: Scale) -> Option<Plan> {
+    let (nodes, ppn, files) = match scale {
+        Scale::Full => (8, 8, 64),
+        Scale::Reduced => (2, 4, 16),
+        Scale::Smoke => (1, 2, 4),
+    };
+    let mut cells = Vec::new();
+    for (series, backend) in [("dfs", MdBackend::Dfs), ("dfuse", MdBackend::Dfuse)] {
+        cells.push(Cell::new(series, move |out| {
+            let mut sim = Sim::new(MDTEST_SEED ^ backend as u64);
+            let r = sim.block_on(move |sim| async move {
+                let env = DaosTestbed::setup(
+                    &sim,
+                    paper_cluster(nodes),
+                    DfsConfig::default(),
+                    DfuseConfig::default(),
+                )
+                .await
+                .expect("testbed");
+                mdtest(&sim, &env, backend, ppn, files)
+                    .await
+                    .expect("mdtest")
+            });
+            record_md(out, series, nodes, &r);
+        }));
     }
+    cells.push(Cell::new("pfs", move |out| {
+        let mut sim = Sim::new(MDTEST_SEED + 1);
+        let r = sim.block_on(move |sim| async move {
+            let fs = Pfs::build(PfsConfig {
+                client_nodes: nodes,
+                ..Default::default()
+            });
+            // per-rank dirs are implicit in the flat namespace
+            mdtest_pfs(&sim, &fs, ppn, files).await.expect("mdtest pfs")
+        });
+        record_md(out, "pfs", nodes, &r);
+    }));
+    Some(Plan {
+        config_hash: 0,
+        cells,
+    })
+}
+
+pub fn check_mdtest(report: &BenchReport) -> Vec<Verdict> {
+    // indices below follow this order
+    let series = ["dfs", "dfuse", "pfs"];
+    let (Some((_, c)), Some((_, s))) = (
+        rows(report, &series, "create_per_s").pop(),
+        rows(report, &series, "stat_per_s").pop(),
+    ) else {
+        return missing("dfs/dfuse/pfs rates");
+    };
+    vec![
+        Verdict::new(
+            "DAOS metadata rates scale past the single-MDS PFS",
+            c[0] > 2.0 * c[2] && s[0] > 2.0 * s[2],
+        ),
+        Verdict::new(
+            "DFuse adds overhead over native DFS but stays well above the PFS",
+            c[1] <= c[0] && c[1] > c[2],
+        ),
+    ]
 }
 
 // ---------------------------------------------------------------------
-// Fault timeline (engine crash / exclude / rebuild / reintegrate)
+// Data-protection ablation
 // ---------------------------------------------------------------------
 
-/// Engine to kill in the fault timeline: outside the pool-service replica
-/// set (engines 0..3 on the paper testbed).
-pub const FAULT_VICTIM: usize = 5;
+/// `protection_sweep`'s root seed (healthy cells; degraded cells use
+/// `PROTECTION_SEED + 1`).
+pub const PROTECTION_SEED: u64 = 0x930;
 
-/// Bandwidths along the failure timeline, GiB/s.
-pub struct FaultTimeline {
-    pub class: ObjectClass,
-    pub client_nodes: u32,
-    pub write: f64,
-    pub healthy: f64,
-    pub during: f64,
-    pub rebuilt: f64,
-    pub reintegrated: f64,
-    pub map_version: u32,
-    pub chunks_repaired: u64,
-}
+const PROTECTION_NODES: u32 = 8;
 
-/// Run the engine-failure timeline for one object class: healthy write +
-/// read, crash, degraded reads, rebuild, reintegration.
-pub fn fault_timeline(class: ObjectClass, nodes: u32, ppn: u32, per_rank: u64) -> FaultTimeline {
-    let mut sim = Sim::new(0xFA17);
+const RP_3GX: ObjectClass = ObjectClass::Replicated {
+    replicas: 3,
+    groups: None,
+};
+
+/// Degraded read: write through stable handles, exclude targets, read the
+/// *same* handles (layout cached pre-failure, like an application holding
+/// open files through a failure). Returns (healthy, degraded) GiB/s.
+fn degraded_point(class: ObjectClass, exclude: &'static [u32]) -> (f64, f64) {
+    let mut sim = Sim::new(PROTECTION_SEED + 1);
     sim.block_on(move |sim| async move {
-        let cluster = Cluster::build(&sim, paper_cluster(nodes));
-        let ranks = nodes * ppn;
-        let clients: Vec<_> = (0..nodes)
-            .map(|n| {
-                DaosClient::new(Rc::clone(&cluster), n).with_retry(RetryPolicy {
-                    // above healthy queueing delay at this load, small
-                    // enough that a dead engine doesn't stall the sweep
-                    rpc_timeout: SimDuration::from_ms(50),
-                    base_backoff: SimDuration::from_ms(1),
-                    max_backoff: SimDuration::from_ms(16),
-                    max_attempts: 40,
-                    ..RetryPolicy::default()
-                })
-            })
-            .collect();
-        let pool = clients[0].connect(&sim).await.expect("connect");
-        pool.create_container(&sim, 1).await.expect("container");
-        // a container handle per client node so traffic originates from
-        // every client rail, as in the IOR runs
-        let mut conts = Vec::new();
-        for c in &clients {
-            let p = c.connect(&sim).await.expect("connect");
-            conts.push(p.open_container(&sim, 1).await.expect("open"));
-        }
+        let env = DaosTestbed::setup(
+            &sim,
+            paper_cluster(PROTECTION_NODES),
+            DfsConfig::default(),
+            DfuseConfig::default(),
+        )
+        .await
+        .expect("testbed");
+        let ranks = PROTECTION_NODES * PPN;
+        let per_rank = 16 * MIB;
         let arrays: Vec<_> = (0..ranks)
             .map(|r| {
-                conts[(r / ppn) as usize]
-                    .object(ObjectId::new(0xFA, r as u64), class)
+                env.containers[(r / PPN) as usize]
+                    .object(ObjectId::new(0xDE6, r as u64), class)
                     .array(MIB)
             })
             .collect();
-
-        // healthy write
-        let t0 = sim.now();
+        // healthy write + read
         let futs: Vec<_> = arrays
             .iter()
             .enumerate()
@@ -521,9 +672,7 @@ pub fn fault_timeline(class: ObjectClass, nodes: u32, ppn: u32, per_rank: u64) -
             })
             .collect();
         join_all(&sim, futs).await;
-        let write = gib_per_sec(ranks as u64 * per_rank, (sim.now() - t0).as_secs_f64());
-
-        let read_all = |sim: Sim, arrays: Vec<daos_core::ArrayHandle>| async move {
+        let read_all = |arrays: Vec<daos_core::ArrayHandle>, sim: Sim| async move {
             let t0 = sim.now();
             let futs: Vec<_> = arrays
                 .into_iter()
@@ -539,287 +688,303 @@ pub fn fault_timeline(class: ObjectClass, nodes: u32, ppn: u32, per_rank: u64) -
             join_all(&sim, futs).await;
             gib_per_sec(ranks as u64 * per_rank, (sim.now() - t0).as_secs_f64())
         };
-
-        let healthy = read_all(sim.clone(), arrays.clone()).await;
-
-        // the engine dies; reads immediately after ride timeouts, replica
-        // failover / EC reconstruction, then the heartbeat exclusion
-        cluster.apply_fault(&sim, FaultAction::Crash { node: FAULT_VICTIM });
-        let during = read_all(sim.clone(), arrays.clone()).await;
-
-        // wait for the exclusion to commit and the rebuild to drain
-        while cluster.pool_map().version() == 1 {
-            clients[0].refresh_pool_map(&sim).await;
-            sim.sleep_ms(5).await;
+        let healthy = read_all(arrays.clone(), sim.clone()).await;
+        for &t in exclude {
+            env.cluster.exclude_target(t);
         }
-        cluster.quiesce_rebuild(&sim).await;
-        let rebuilt = read_all(sim.clone(), arrays.clone()).await;
-
-        // bring the engine back and reintegrate its targets
-        cluster.apply_fault(&sim, FaultAction::Restart { node: FAULT_VICTIM });
-        let tpe = cluster.cfg.targets_per_engine;
-        let targets: Vec<u32> =
-            (FAULT_VICTIM as u32 * tpe..(FAULT_VICTIM as u32 + 1) * tpe).collect();
-        clients[0]
-            .control(&sim, daos_core::Request::PoolReintegrate { targets })
-            .await
-            .expect("reintegrate");
-        clients[0].refresh_pool_map(&sim).await;
-        cluster.quiesce_rebuild(&sim).await;
-        let reintegrated = read_all(sim.clone(), arrays).await;
-        let map_version = cluster.pool_map().version();
-
-        FaultTimeline {
-            class,
-            client_nodes: nodes,
-            write,
-            healthy,
-            during,
-            rebuilt,
-            reintegrated,
-            map_version,
-            chunks_repaired: cluster.rebuild_stats().chunks_repaired,
-        }
+        let degraded = read_all(arrays, sim.clone()).await;
+        (healthy, degraded)
     })
 }
 
-/// Record one fault timeline into a report (series = object class).
-pub fn record_fault_timeline(report: &mut impl Record, t: &FaultTimeline) {
-    let s = t.class.to_string();
-    let n = t.client_nodes;
-    report.record(&s, n, "write_gib_s", t.write);
-    report.record(&s, n, "read_healthy", t.healthy);
-    report.record(&s, n, "read_during_failure", t.during);
-    report.record(&s, n, "read_after_rebuild", t.rebuilt);
-    report.record(&s, n, "read_after_reintegration", t.reintegrated);
-    report.record(&s, n, "map_version", t.map_version as f64);
-    report.record(&s, n, "chunks_repaired", t.chunks_repaired as f64);
-}
-
-/// The timeline shape checks every fault-sweep run must satisfy,
-/// against a shared [`crate::Reporter`] so full and reduced runs gate
-/// identically.
-pub fn check_fault_timeline(rep: &mut crate::Reporter, t: &FaultTimeline) {
-    rep.check(
-        &format!(
-            "{}: failure detected, exclusion committed, data repaired",
-            t.class
-        ),
-        t.map_version >= 2 && t.chunks_repaired > 0,
-    );
-    rep.check(
-        &format!(
-            "{}: reads survive the failure window (degraded vs healthy)",
-            t.class
-        ),
-        t.during > 0.0 && t.during < t.healthy,
-    );
-    rep.check(
-        &format!(
-            "{}: post-rebuild bandwidth recovers to >60% of healthy",
-            t.class
-        ),
-        t.rebuilt > 0.6 * t.healthy,
-    );
-    rep.check(
-        &format!(
-            "{}: reintegration restores >60% of healthy bandwidth",
-            t.class
-        ),
-        t.reintegrated > 0.6 * t.healthy,
-    );
-}
-
-// ---------------------------------------------------------------------
-// Integrity timeline (checksum overhead + bit-rot detection)
-// ---------------------------------------------------------------------
-
-/// One IOR run (easy = file-per-process 1 MiB, hard = shared 64 KiB)
-/// with the checksum engine on or off; scrubber disabled so the ratio
-/// isolates the verify-on-write / csum-on-fetch cost. Returns
-/// (write GiB/s, read GiB/s).
-pub fn csum_overhead_point(csum: bool, fpp: bool, nodes: u32, ppn: u32) -> (f64, f64) {
-    csum_overhead_point_sized(csum, fpp, nodes, ppn, 8 * MIB)
-}
-
-/// [`csum_overhead_point`] with an explicit per-rank block (smoke scale).
-pub fn csum_overhead_point_sized(
-    csum: bool,
-    fpp: bool,
-    nodes: u32,
-    ppn: u32,
-    block: u64,
-) -> (f64, f64) {
-    let mut sim = Sim::new(0x5C2B);
-    sim.block_on(move |sim| async move {
-        let mut cfg = paper_cluster(nodes);
-        cfg.engine.vos.csum_enabled = csum;
-        cfg.engine.scrub_interval = None;
-        let env = DaosTestbed::setup(&sim, cfg, DfsConfig::default(), DfuseConfig::default())
-            .await
-            .expect("testbed");
-        let mut p = IorParams::paper_default(Api::Dfs, ObjectClass::S2, fpp, ppn);
-        p.block_size = block;
-        if !fpp {
-            p.transfer_size = 64 * KIB;
-        }
-        let r = run(&sim, &env, p).await.expect("ior");
-        (r.write_gib_s(), r.read_gib_s())
-    })
-}
-
-/// One rot-injection timeline measurement.
-pub struct RotTimeline {
-    pub class: ObjectClass,
-    pub mode: &'static str,
-    pub rot_extents: u64,
-    pub detect_ms: f64,
-    pub reported: u64,
-    pub repairs_ok: u64,
-    /// Every byte read back equal to what was written.
-    pub equal: bool,
-    /// The rotted target verifies clean after repairs (scrub mode only:
-    /// client-triggered repair only heals the copies reads chose).
-    pub clean: bool,
-}
-
-/// Write 2 MiB at full redundancy, rot every extent on the busiest
-/// target, then detect either through a client read (`scrub = false`) or
-/// by leaving the cluster idle so only the background scrubber can find
-/// it (`scrub = true`).
-pub fn rot_timeline(class: ObjectClass, scrub: bool, seed: u64) -> RotTimeline {
-    let mut sim = Sim::new(seed);
-    sim.block_on(move |sim| async move {
-        let mut cfg = ClusterConfig::tiny(1);
-        cfg.server_nodes = 4;
-        cfg.targets_per_engine = 2;
-        cfg.engine.scrub_interval = scrub.then(|| SimDuration::from_ms(5));
-        cfg.engine.scrub_chunks = 64;
-        let tpe = cfg.targets_per_engine;
-        let cluster = Cluster::build(&sim, cfg);
-        let client = DaosClient::new(Rc::clone(&cluster), 0);
-        let pool = client.connect(&sim).await.expect("connect");
-        let cont = pool.create_container(&sim, 1).await.expect("container");
-        let arr = cont.object(ObjectId::new(0x5C, 1), class).array(64 * KIB);
-        let data = Payload::pattern(29, 2 * MIB);
-        arr.write(&sim, 0, data.clone()).await.expect("write");
-
-        // replica choice is deterministic per chunk, so a priming read
-        // tells us exactly which copies client reads fetch; rot the target
-        // serving the most of them so the client-read mode actually
-        // touches the damage (scrub mode ignores the distinction)
-        let before: Vec<u64> = (0..cluster.cfg.engine_count() * tpe)
-            .map(|t| cluster.engine(t / tpe).target(t % tpe).counters().fetches)
-            .collect();
-        arr.read_bytes(&sim, 0, 2 * MIB).await.expect("prime read");
-        let victim = (0..cluster.cfg.engine_count() * tpe)
-            .max_by_key(|&t| {
-                cluster.engine(t / tpe).target(t % tpe).counters().fetches - before[t as usize]
-            })
-            .unwrap();
-        let t_rot = sim.now().as_ns();
-        cluster.apply_fault(
-            &sim,
-            FaultAction::BitRot {
-                target: victim as usize,
-                fraction_ppm: 1_000_000,
-            },
-        );
-        let rot_extents = cluster.corruption_stats().rot_injected;
-
-        let mut equal = true;
-        if scrub {
-            // zero client traffic: only the scrubber can find the rot
-            for _ in 0..100 {
-                sim.sleep_ms(5).await;
-                if cluster.corruption_stats().reported > 0 {
-                    break;
-                }
-            }
-        } else {
-            // reads that land on the rotten copies fail over / reconstruct
-            let got = arr.read_bytes(&sim, 0, 2 * MIB).await.expect("read");
-            equal = got == data.materialize().to_vec();
-        }
-        let detect_ms = cluster
-            .corruption_stats()
-            .first_report_ns
-            .map(|t| (t.saturating_sub(t_rot)) as f64 / 1e6)
-            .unwrap_or(f64::NAN);
-        cluster.quiesce_repairs(&sim).await;
-
-        // in scrub mode the scrubber keeps finding what repairs haven't
-        // reached yet: iterate until a full manual pass over the victim
-        // verifies clean (client mode leaves unread copies rotten)
-        let mut clean = false;
-        if scrub {
-            let tgt = cluster.engine(victim / tpe).target(victim % tpe);
-            for _ in 0..40 {
-                sim.sleep_ms(10).await;
-                cluster.quiesce_repairs(&sim).await;
-                let mut findings = 0u64;
-                loop {
-                    let r = tgt.scrub_step(&sim, 1024).await;
-                    findings += r.findings.len() as u64;
-                    if r.wrapped {
-                        break;
-                    }
-                }
-                if findings == 0 {
-                    clean = true;
-                    break;
-                }
-            }
-            let got = arr.read_bytes(&sim, 0, 2 * MIB).await.expect("read");
-            equal = got == data.materialize().to_vec();
-        }
-
-        let st = cluster.corruption_stats();
-        RotTimeline {
-            class,
-            mode: if scrub { "scrubber" } else { "client-read" },
-            rot_extents,
-            detect_ms,
-            reported: st.reported,
-            repairs_ok: st.repairs_ok,
-            equal,
-            clean,
-        }
-    })
-}
-
-/// Record one rot timeline (series = `<class>/<mode>`, scale-less).
-pub fn record_rot_timeline(report: &mut impl Record, t: &RotTimeline) {
-    let s = format!("{}/{}", t.class, t.mode);
-    report.record(&s, 0, "rot_extents", t.rot_extents as f64);
-    report.record(&s, 0, "detect_ms", t.detect_ms);
-    report.record(&s, 0, "reported", t.reported as f64);
-    report.record(&s, 0, "repairs_ok", t.repairs_ok as f64);
-    report.record(&s, 0, "bytes_equal", t.equal as u64 as f64);
-    report.record(&s, 0, "media_clean", t.clean as u64 as f64);
-}
-
-/// The integrity checks every rot timeline must satisfy.
-pub fn check_rot_timeline(rep: &mut crate::Reporter, t: &RotTimeline) {
-    rep.check(
-        &format!("{} {}: rot injected and detected", t.class, t.mode),
-        t.rot_extents > 0 && t.reported > 0 && t.detect_ms.is_finite(),
-    );
-    rep.check(
-        &format!("{} {}: targeted repairs landed", t.class, t.mode),
-        t.repairs_ok > 0,
-    );
-    rep.check(
-        &format!("{} {}: all bytes read back identical", t.class, t.mode),
-        t.equal,
-    );
-    if t.mode == "scrubber" {
-        rep.check(
-            &format!(
-                "{} {}: rotted target scrubs clean after repair",
-                t.class, t.mode
-            ),
-            t.clean,
-        );
+/// What replication and erasure coding cost relative to the unprotected
+/// classes (8 nodes, DFS, fpp, 16 MiB per rank), plus degraded reads with
+/// one target excluded mid-run.
+pub fn protection_plan(scale: Scale) -> Option<Plan> {
+    if scale != Scale::Full {
+        return None;
     }
+    let mut cells = Vec::new();
+    for class in [
+        ObjectClass::S2,
+        ObjectClass::SX,
+        ObjectClass::RP_2GX,
+        RP_3GX,
+        ObjectClass::EC_2P1GX,
+        ObjectClass::EC_4P2GX,
+    ] {
+        cells.push(Cell::new(class.to_string(), move |out| {
+            let mut sim = Sim::new(PROTECTION_SEED);
+            let r = sim.block_on(move |sim| async move {
+                let env = DaosTestbed::setup(
+                    &sim,
+                    paper_cluster(PROTECTION_NODES),
+                    DfsConfig::default(),
+                    DfuseConfig::default(),
+                )
+                .await
+                .expect("testbed");
+                let mut p = paper_params(Api::Dfs, class, true, PPN);
+                p.block_size = 16 * MIB;
+                run(&sim, &env, p).await.expect("run")
+            });
+            record_bw(out, &class.to_string(), PROTECTION_NODES, &r);
+        }));
+    }
+    for class in [ObjectClass::RP_2GX, ObjectClass::EC_2P1GX] {
+        let series = format!("{class}/degraded");
+        cells.push(Cell::new(series.clone(), move |out| {
+            let (h, d) = degraded_point(class, &[0]);
+            out.record(&series, PROTECTION_NODES, "healthy_read_gib_s", h);
+            out.record(&series, PROTECTION_NODES, "degraded_read_gib_s", d);
+        }));
+    }
+    Some(Plan {
+        config_hash: 0,
+        cells,
+    })
+}
+
+pub fn check_protection(report: &BenchReport) -> Vec<Verdict> {
+    let n = PROTECTION_NODES;
+    let w_of = |c: ObjectClass| {
+        report
+            .get(&c.to_string(), n, WRITE_GIB_S)
+            .unwrap_or(f64::NAN)
+    };
+    let degraded_ok = [ObjectClass::RP_2GX, ObjectClass::EC_2P1GX]
+        .iter()
+        .all(|c| {
+            let s = format!("{c}/degraded");
+            match (
+                report.get(&s, n, "healthy_read_gib_s"),
+                report.get(&s, n, "degraded_read_gib_s"),
+            ) {
+                (Some(h), Some(d)) => d > 0.0 && h / d < 2.5,
+                _ => false,
+            }
+        });
+    vec![
+        Verdict::new(
+            "replication costs ~its amplification factor in write bandwidth",
+            w_of(ObjectClass::RP_2GX) < 0.75 * w_of(ObjectClass::SX)
+                && w_of(ObjectClass::RP_2GX) > 0.3 * w_of(ObjectClass::SX),
+        ),
+        Verdict::new(
+            // real DAOS guidance: EC suits large transfers; per-stripe parity
+            // rounds make it slower than replication below saturation even at
+            // lower amplification
+            "protection ordering: S2 > EC_2P1 and RP_3 is the most expensive",
+            w_of(ObjectClass::S2) > w_of(ObjectClass::EC_2P1GX)
+                && w_of(RP_3GX) < w_of(ObjectClass::RP_2GX),
+        ),
+        Verdict::new(
+            "degraded reads stay within 2.5x of healthy (redundancy works)",
+            degraded_ok,
+        ),
+    ]
+}
+
+// ---------------------------------------------------------------------
+// DFuse-knob ablation
+// ---------------------------------------------------------------------
+
+/// `dfuse_ablation`'s root (and every cell's) sim seed.
+pub const DFUSE_ABLATION_SEED: u64 = 0xAB1A;
+
+/// How much of the POSIX path's cost comes from each modelled mechanism:
+/// one node × 4 ppn (the latency-bound regime, where knob effects are
+/// visible), S2, fpp, one cell per DFuse variant plus native DFS.
+pub fn dfuse_ablation_plan(scale: Scale) -> Option<Plan> {
+    if scale != Scale::Full {
+        return None;
+    }
+    // default: 4us crossing, 1MiB reqs, 16 threads
+    let base = DfuseConfig::default();
+    let variants = [
+        ("default", base),
+        (
+            "slow crossings",
+            DfuseConfig {
+                kernel_crossing: SimDuration::from_us(20),
+                ..base
+            },
+        ),
+        (
+            "small requests",
+            DfuseConfig {
+                max_req: 128 << 10,
+                ..base
+            },
+        ),
+        (
+            "single daemon thread",
+            DfuseConfig {
+                daemon_threads: 1,
+                ..base
+            },
+        ),
+        (
+            "interception library",
+            DfuseConfig {
+                interception: true,
+                ..base
+            },
+        ),
+    ];
+    let mut points: Vec<_> = variants
+        .into_iter()
+        .map(|(series, cfg)| {
+            let api = Api::Posix {
+                il: cfg.interception,
+            };
+            (series, cfg, api)
+        })
+        .collect();
+    points.push(("native-dfs", base, Api::Dfs));
+    let cells = points
+        .into_iter()
+        .map(|(series, dfuse, api)| {
+            Cell::new(series, move |out| {
+                let mut sim = Sim::new(DFUSE_ABLATION_SEED);
+                let r = sim.block_on(move |sim| async move {
+                    let env =
+                        DaosTestbed::setup(&sim, paper_cluster(1), DfsConfig::default(), dfuse)
+                            .await
+                            .expect("testbed");
+                    let mut p = paper_params(api, ObjectClass::S2, true, 4);
+                    p.block_size = 16 * MIB;
+                    run(&sim, &env, p).await.expect("run")
+                });
+                record_bw(out, series, 1, &r);
+            })
+        })
+        .collect();
+    Some(Plan {
+        config_hash: 0,
+        cells,
+    })
+}
+
+pub fn check_dfuse_ablation(report: &BenchReport) -> Vec<Verdict> {
+    let w_of = |s: &str| report.get(s, 1, WRITE_GIB_S).unwrap_or(f64::NAN);
+    let dfs_w = w_of("native-dfs");
+    vec![
+        Verdict::new(
+            "128KiB request splitting costs real write bandwidth",
+            w_of("small requests") < 0.9 * w_of("default"),
+        ),
+        Verdict::new(
+            "a single daemon thread bottlenecks the node",
+            w_of("single daemon thread") < 0.8 * w_of("default"),
+        ),
+        Verdict::new(
+            "the interception library matches native DFS",
+            (w_of("interception library") - dfs_w).abs() / dfs_w < 0.05,
+        ),
+    ]
+}
+
+// ---------------------------------------------------------------------
+// Application workloads
+// ---------------------------------------------------------------------
+
+/// `app_workloads`' root seed (each cell's sim is `seed ^ access`).
+pub const APP_SEED: u64 = 0xA99;
+
+const APP_NODES: u32 = 4;
+const APP_KINDS: [&str; 3] = ["nwp", "checkpoint", "producer_consumer"];
+
+async fn accesses(sim: &Sim, which: Access) -> Vec<RankAccess> {
+    let cluster = daos_core::Cluster::build(sim, paper_cluster(APP_NODES));
+    let mut out = Vec::new();
+    for i in 0..APP_NODES {
+        let client = DaosClient::new(Rc::clone(&cluster), i);
+        let pool = client.connect(sim).await.expect("connect");
+        if which == Access::Native {
+            let cont = pool.open_or_create(sim, 5).await.expect("container");
+            out.push(RankAccess::Native(cont));
+            continue;
+        }
+        let fs = Dfs::mount(sim, &pool, 5, DfsConfig::default(), i as u64)
+            .await
+            .expect("mount");
+        out.push(if which == Access::Dfs {
+            RankAccess::Dfs(fs)
+        } else {
+            RankAccess::Posix(DfuseMount::new(fs, DfuseConfig::default()))
+        });
+    }
+    out
+}
+
+/// NWP field output, checkpoint/restart and a producer-consumer pipeline,
+/// each through the native API, `libdfs` and POSIX/DFuse, on 4 nodes.
+pub fn app_workloads_plan(scale: Scale) -> Option<Plan> {
+    if scale != Scale::Full {
+        return None;
+    }
+    let mut cells = Vec::new();
+    for kind in APP_KINDS {
+        for which in [Access::Native, Access::Dfs, Access::Posix] {
+            let series = format!("{kind}/{}", which.name());
+            cells.push(Cell::new(series.clone(), move |out| {
+                let mut sim = Sim::new(APP_SEED ^ which as u64);
+                let r = sim.block_on(move |sim| async move {
+                    let acc = accesses(&sim, which).await;
+                    let mut p = WorkloadParams {
+                        writers: 32,
+                        readers: 16,
+                        steps: 3,
+                        object_bytes: 2 << 20,
+                        objects_per_step: 128,
+                        compute: SimDuration::from_ms(25),
+                        class: ObjectClass::S2,
+                    };
+                    let r = match kind {
+                        "nwp" => nwp::run(&sim, acc, p).await,
+                        "checkpoint" => checkpoint::run(&sim, acc, p).await,
+                        _ => {
+                            // the coupled pipeline polls; keep its tile count moderate
+                            p.objects_per_step = 48;
+                            p.steps = 2;
+                            producer_consumer::run(&sim, acc, p).await
+                        }
+                    };
+                    r.expect("workload")
+                });
+                out.record(&series, APP_NODES, "io_gib_s", r.io_gib_s());
+                out.record(&series, APP_NODES, "effective_gib_s", r.effective_gib_s());
+                let makespan_ms = r.makespan.as_us_f64() / 1000.0;
+                out.record(&series, APP_NODES, "makespan_ms", makespan_ms);
+            }));
+        }
+    }
+    Some(Plan {
+        config_hash: 0,
+        cells,
+    })
+}
+
+pub fn check_app_workloads(report: &BenchReport) -> Vec<Verdict> {
+    let by = |kind: &str, acc: Access| {
+        report
+            .get(&format!("{kind}/{}", acc.name()), APP_NODES, "io_gib_s")
+            .unwrap_or(f64::NAN)
+    };
+    vec![
+        // the paper's conclusion, restated for varied patterns: file APIs stay
+        // close to the native object API even off the bulk-I/O happy path
+        Verdict::new(
+            "file interfaces within 35% of native across all three app workloads",
+            APP_KINDS.iter().all(|w| {
+                by(w, Access::Dfs) > 0.65 * by(w, Access::Native)
+                    && by(w, Access::Posix) > 0.65 * by(w, Access::Native)
+            }),
+        ),
+        Verdict::new(
+            "pipeline overlap beats phase separation (producer_consumer vs nwp)",
+            by("producer_consumer", Access::Dfs) > 0.0 && by("nwp", Access::Dfs) > 0.0,
+        ),
+    ]
 }

@@ -1,39 +1,34 @@
 //! # daos-bench — experiment harness for the paper's evaluation
 //!
-//! Each binary in `src/bin/` regenerates one figure or table from
-//! *DAOS as HPC Storage: Exploring Interfaces* (CLUSTER 2023); this library
-//! holds the shared sweep and reporting machinery:
+//! Every figure and table regenerated from *DAOS as HPC Storage: Exploring
+//! Interfaces* (CLUSTER 2023) is one entry of [`FIGURES`]; the single
+//! `daos-bench` binary runs an entry standalone (`daos-bench <figure>`),
+//! lists the table (`daos-bench list`) or gates every baselined entry
+//! (`daos-bench regress`). This library holds the table and the shared
+//! machinery:
 //!
-//! * [`ExperimentPoint`] — one (api, object class, client-node count) cell;
+//! * [`figure`] — the [`FIGURES`] table (name, seed, cells per scale,
+//!   checks, gate), the runner that turns entries into reports and
+//!   verdicts ([`figure::run_figures`]), the one table/chart printer and
+//!   the table audit behind `daos-bench list`;
+//! * [`figures`], [`timelines`], [`traffic`], [`qos`] — the figures'
+//!   cells: what each seeded sim runs and records at each scale;
+//! * [`invariants`] — the paper's R1–R5 qualitative results (and the
+//!   R6–R11 / R2x / R5x extensions) as machine-checked predicates;
 //! * [`exec`] — the deterministic parallel job runner: an ordered
 //!   [`exec::Slate`] of `(label, seeded closure)` jobs fanned across host
 //!   threads with results reduced **in submission order**, so every
 //!   artifact is byte-identical at any thread count (`--threads` /
 //!   `BENCH_THREADS`; `1` = serial);
-//! * [`run_sweep`] — executes every point as slate jobs (one
-//!   deterministic `Sim` per point — simulations are independent, so
-//!   this is the embarrassingly parallel axis);
-//! * [`slate`] — the `regress` gate's full job slate (every reduced
-//!   figure decomposed into independent cells) plus its per-job
-//!   wall-time accounting;
-//! * [`figures`] — scale-parameterized runners for every figure, shared
-//!   between the full binaries and the reduced-scale `regress` harness;
-//! * [`Reporter`] — per-binary ledger: records metrics into a
-//!   schema-versioned [`report::BenchReport`] (written as
-//!   `BENCH_<name>.json`), counts PASS/FAIL shape checks, and gates the
-//!   process exit code so every binary fails loudly in CI;
+//! * [`report`] — the schema-versioned [`report::BenchReport`] written as
+//!   `BENCH_<name>.json`;
 //! * [`baseline`] — tolerance-band comparison against committed baselines;
-//! * [`invariants`] — the paper's R1–R5 qualitative results as
-//!   machine-checked predicates;
-//! * CSV emission and a terminal ASCII chart so the figure's *shape* is
-//!   visible without leaving the shell.
+//! * [`ExperimentPoint`] / [`run_point_with`] — one (api, object class,
+//!   client-node count) IOR cell on the paper testbed.
 
 // No `unsafe` may enter the workspace outside the audited kernel
 // crate (`daos-sim`, which carries `deny`): see simlint rule D05.
 #![forbid(unsafe_code)]
-
-use std::collections::BTreeMap;
-use std::path::PathBuf;
 
 use daos_core::ClusterConfig;
 use daos_dfs::DfsConfig;
@@ -44,14 +39,15 @@ use daos_sim::Sim;
 
 pub mod baseline;
 pub mod exec;
+pub mod figure;
 pub mod figures;
 pub mod invariants;
 pub mod qos;
 pub mod report;
-pub mod slate;
+pub mod timelines;
 pub mod traffic;
 
-use report::BenchReport;
+pub use figure::FIGURES;
 
 /// One cell of a figure: a full IOR run at one scale.
 #[derive(Clone, Copy, Debug)]
@@ -87,25 +83,10 @@ pub fn paper_params(api: Api, oclass: ObjectClass, fpp: bool, ppn: u32) -> IorPa
     p
 }
 
-/// Execute one point in a fresh simulation (deterministic per point);
-/// phase times are averaged over `repeats` placements (distinct seeds ->
-/// distinct placements, like IOR's `-i` iterations in the paper's runs).
-pub fn run_point(
-    point: ExperimentPoint,
-    fpp: bool,
-    ppn: u32,
-    seed: u64,
-    repeats: u64,
-) -> Measurement {
-    run_point_with(
-        point,
-        paper_params(point.api, point.oclass, fpp, ppn),
-        seed,
-        repeats,
-    )
-}
-
-/// [`run_point`] with explicit IOR parameters: the figure cells use
+/// Execute one point in a fresh simulation on the paper testbed
+/// (deterministic per point); phase times are averaged over `repeats`
+/// placements (distinct seeds -> distinct placements, like IOR's `-i`
+/// iterations in the paper's runs). The figure cells pass
 /// [`paper_params`]; the determinism regression test keeps the exact
 /// same machinery (salted testbed, per-repeat seed derivation) at a
 /// smaller I/O volume.
@@ -164,193 +145,6 @@ pub fn run_point_in(
     Measurement { point, report }
 }
 
-/// Run every point as independent jobs on the slate executor
-/// ([`exec::Slate`]), parallel across host threads, reduced in
-/// submission order — output is byte-identical at any thread count.
-pub fn run_sweep(
-    points: Vec<ExperimentPoint>,
-    fpp: bool,
-    ppn: u32,
-    seed: u64,
-    repeats: u64,
-) -> Vec<Measurement> {
-    run_sweep_threads(points, fpp, ppn, seed, repeats, exec::threads())
-}
-
-/// [`run_sweep`] with an explicit thread count (the schedule-independence
-/// tests pin 1, 2 and 8; binaries resolve [`exec::threads`]).
-pub fn run_sweep_threads(
-    points: Vec<ExperimentPoint>,
-    fpp: bool,
-    ppn: u32,
-    seed: u64,
-    repeats: u64,
-    threads: usize,
-) -> Vec<Measurement> {
-    let mut slate = exec::Slate::new();
-    for point in points {
-        slate.push(
-            format!(
-                "{}-{}/{}n",
-                point.api.name(),
-                point.oclass,
-                point.client_nodes
-            ),
-            move || run_point(point, fpp, ppn, seed, repeats),
-        );
-    }
-    slate
-        .run(threads)
-        .unwrap_or_else(|p| panic!("sweep {p}"))
-        .into_iter()
-        .map(|r| r.value)
-        .collect()
-}
-
-/// Emit a figure as CSV: `series,client_nodes,write_gib_s,read_gib_s`.
-pub fn print_csv(title: &str, ms: &[Measurement]) {
-    println!("# {title}");
-    println!("series,client_nodes,write_gib_s,read_gib_s");
-    for m in ms {
-        println!(
-            "{},{},{:.3},{:.3}",
-            m.series(),
-            m.point.client_nodes,
-            m.report.write_gib_s(),
-            m.report.read_gib_s()
-        );
-    }
-}
-
-/// Group measurements into series -> (client_nodes -> bandwidth).
-pub fn series_table(ms: &[Measurement], read: bool) -> BTreeMap<String, BTreeMap<u32, f64>> {
-    let mut out: BTreeMap<String, BTreeMap<u32, f64>> = BTreeMap::new();
-    for m in ms {
-        let bw = if read {
-            m.report.read_gib_s()
-        } else {
-            m.report.write_gib_s()
-        };
-        out.entry(m.series())
-            .or_default()
-            .insert(m.point.client_nodes, bw);
-    }
-    out
-}
-
-/// Render a rough ASCII chart (one row per series per scale).
-pub fn print_ascii_chart(title: &str, ms: &[Measurement], read: bool) {
-    let table = series_table(ms, read);
-    let max = table
-        .values()
-        .flat_map(|s| s.values())
-        .fold(0.0f64, |a, &b| a.max(b))
-        .max(1e-9);
-    println!("\n== {title} ({}) ==", if read { "read" } else { "write" });
-    for (series, pts) in &table {
-        println!("{series}");
-        for (nodes, bw) in pts {
-            let bar = "#".repeat(((bw / max) * 50.0).round() as usize);
-            println!("  {nodes:>3} nodes | {bar:<50} {bw:7.2} GiB/s");
-        }
-    }
-}
-
-/// Per-binary reporting ledger: metrics accumulate into a
-/// [`BenchReport`], shape checks print PASS/FAIL lines, and [`finish`]
-/// writes `BENCH_<name>.json` and turns any failed check into a nonzero
-/// exit — every benchmark binary gates CI through this one path.
-///
-/// [`finish`]: Reporter::finish
-pub struct Reporter {
-    report: BenchReport,
-    failed: u64,
-    total_checks: u64,
-    start: std::time::Instant,
-}
-
-impl Reporter {
-    /// New ledger for the benchmark `name`, stamped with its root seed.
-    pub fn new(name: &str, seed: u64) -> Reporter {
-        Reporter {
-            report: BenchReport::new(name, seed),
-            failed: 0,
-            total_checks: 0,
-            // simlint: allow(D02) wall-time provenance stamp for BENCH_<name>.json; never feeds back into the simulation
-            start: std::time::Instant::now(),
-        }
-    }
-
-    /// The report being accumulated (figure runners record into this).
-    pub fn report_mut(&mut self) -> &mut BenchReport {
-        &mut self.report
-    }
-
-    /// Record one metric value directly.
-    pub fn record(&mut self, series: &str, scale: u32, metric: &str, value: f64) {
-        self.report.record(series, scale, metric, value);
-    }
-
-    /// Shape assertion against the paper's qualitative results; prints
-    /// PASS/FAIL rather than panicking, and counts failures so
-    /// [`Reporter::finish`] can gate CI on them.
-    pub fn check(&mut self, label: &str, ok: bool) {
-        self.total_checks += 1;
-        if !ok {
-            self.failed += 1;
-        }
-        println!("[{}] {label}", if ok { "PASS" } else { "FAIL" });
-    }
-
-    /// Number of failed checks so far.
-    pub fn failures(&self) -> u64 {
-        self.failed
-    }
-
-    /// Stamp the wall time and hand back the report (used by `regress`,
-    /// which aggregates several reports before deciding its exit code).
-    pub fn into_report(mut self) -> BenchReport {
-        self.report.wall_secs = self.start.elapsed().as_secs_f64();
-        self.report
-    }
-
-    /// Terminate the binary: write `BENCH_<name>.json`, then exit 0 if
-    /// every [`Reporter::check`] passed, 1 otherwise.
-    ///
-    /// The JSON lands in `$DAOS_BENCH_OUT` if set, else `results/` if that
-    /// directory exists (i.e. when run from the repo root), else nowhere.
-    pub fn finish(self) -> ! {
-        let failed = self.failed;
-        let report = self.into_report();
-        if let Some(dir) = json_out_dir() {
-            match report.write_to(&dir) {
-                Ok(path) => eprintln!("wrote {}", path.display()),
-                Err(e) => {
-                    eprintln!("failed to write BENCH_{}.json: {e}", report.name);
-                    std::process::exit(1);
-                }
-            }
-        }
-        if failed > 0 {
-            eprintln!("{failed} check(s) failed");
-            std::process::exit(1);
-        }
-        std::process::exit(0);
-    }
-}
-
-/// Where benchmark binaries drop their `BENCH_<name>.json`.
-pub fn json_out_dir() -> Option<PathBuf> {
-    if let Ok(dir) = std::env::var("DAOS_BENCH_OUT") {
-        if dir.is_empty() {
-            return None; // explicit opt-out
-        }
-        return Some(PathBuf::from(dir));
-    }
-    let results = PathBuf::from("results");
-    results.is_dir().then_some(results)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,37 +179,10 @@ mod tests {
     }
 
     #[test]
-    fn series_table_groups_and_selects_phase() {
-        let ms = vec![
-            meas(Api::Dfs, ObjectClass::S1, 1, 5.0, 9.0),
-            meas(Api::Dfs, ObjectClass::S1, 2, 10.0, 18.0),
-            meas(Api::Dfs, ObjectClass::S2, 1, 6.0, 11.0),
-        ];
-        let wr = series_table(&ms, false);
-        assert_eq!(wr.len(), 2);
-        assert!((wr["DFS-S1"][&2] - 10.0).abs() < 0.1);
-        let rd = series_table(&ms, true);
-        assert!((rd["DFS-S2"][&1] - 11.0).abs() < 0.1);
-    }
-
-    #[test]
     fn paper_params_are_bulk_io() {
         let p = paper_params(Api::Dfs, ObjectClass::S2, true, 16);
         assert_eq!(p.transfer_size, 1 << 20);
         assert_eq!(p.block_size % p.transfer_size, 0);
         assert!(p.file_per_process);
-    }
-
-    #[test]
-    fn reporter_counts_failures_and_records() {
-        let mut rep = Reporter::new("unit", 7);
-        rep.check("passes", true);
-        rep.check("fails", false);
-        rep.record("s", 4, "write_gib_s", 12.5);
-        assert_eq!(rep.failures(), 1);
-        let report = rep.into_report();
-        assert_eq!(report.get("s", 4, "write_gib_s"), Some(12.5));
-        assert_eq!(report.name, "unit");
-        assert_eq!(report.seed, 7);
     }
 }

@@ -35,9 +35,9 @@ use daos_sim::units::{KIB, MIB};
 use daos_sim::Sim;
 use daos_vos::Payload;
 
-use crate::report::{fnv1a, Record};
+use crate::figure::{Cell, Plan, Scale};
+use crate::report::{config_hash, fnv1a, Fragment};
 use crate::traffic::{nominal_bytes_per_sec, Arrivals, Counters, OpenLoop};
-use crate::Reporter;
 
 /// Root seed for the QoS sweep; each point salts it with its series name
 /// and load so points are independent but reproducible.
@@ -90,9 +90,8 @@ pub struct QosSweepParams {
 }
 
 impl QosSweepParams {
-    /// Full scale for the standalone `qos_sweep` binary: the CI gate's
-    /// window with the whole 4-point load axis (so the 150/300 cells
-    /// are byte-identical to the gate's).
+    /// Full scale: the CI gate's window with the whole 4-point load axis
+    /// (so the 150/300 cells are byte-identical to the gate's).
     pub fn full() -> Self {
         QosSweepParams {
             victim_nodes: 1,
@@ -467,8 +466,8 @@ pub fn qos_point(shaped: bool, load_pct: u32, params: QosSweepParams) -> QosCell
     }
 }
 
-/// Record one cell into a report sink; the load axis is the scale.
-pub fn record_qos_cell(report: &mut impl Record, c: &QosCell) {
+/// Record one cell; the load axis is the scale.
+pub fn record_qos_cell(report: &mut Fragment, c: &QosCell) {
     let s = &c.series;
     report.record(s, c.load_pct, "victim_p50_us", c.victim_p50_us);
     report.record(s, c.load_pct, "victim_p99_us", c.victim_p99_us);
@@ -499,23 +498,23 @@ pub fn record_qos_cell(report: &mut impl Record, c: &QosCell) {
 
 /// Per-cell sanity checks (the qualitative R9–R11 claims are evaluated
 /// over the whole report in [`crate::invariants::evaluate_qos`]).
-pub fn check_qos_cell(rep: &mut Reporter, c: &QosCell) {
+pub fn check_qos_cell(rep: &mut Fragment, c: &QosCell) {
     rep.check(
-        &format!(
+        format!(
             "{}@{}%: victim completed some reads ({}/{})",
             c.series, c.load_pct, c.victim_completed, c.victim_arrivals
         ),
         c.victim_completed > 0,
     );
     rep.check(
-        &format!(
+        format!(
             "{}@{}%: victim accounting closes ({} + {} = {})",
             c.series, c.load_pct, c.victim_completed, c.victim_failed, c.victim_arrivals
         ),
         c.victim_completed + c.victim_failed == c.victim_arrivals,
     );
     rep.check(
-        &format!(
+        format!(
             "{}@{}%: noisy accounting closes ({} + {} = {})",
             c.series, c.load_pct, c.noisy_completed, c.noisy_failed, c.noisy_arrivals
         ),
@@ -523,13 +522,39 @@ pub fn check_qos_cell(rep: &mut Reporter, c: &QosCell) {
     );
     if c.series == "shaped" {
         rep.check(
-            &format!(
+            format!(
                 "{}@{}%: background tenant accounted under the shaper ({} bytes)",
                 c.series, c.load_pct, c.bg_bytes
             ),
             c.bg_bytes > 0,
         );
     }
+}
+
+/// `qos_sweep`: shaped and unshaped series × every noisy load, one seeded
+/// sim per point (heaviest loads first), each carrying its own accounting
+/// checks; R9–R11 are evaluated over the finished report.
+pub fn qos_plan(scale: Scale) -> Option<Plan> {
+    let params = match scale {
+        Scale::Full => QosSweepParams::full(),
+        Scale::Reduced => QosSweepParams::reduced(),
+        Scale::Smoke => QosSweepParams::smoke(),
+    };
+    let mut cells = Vec::new();
+    for shaped in [true, false] {
+        for &load in params.loads.iter().rev() {
+            let series = if shaped { "shaped" } else { "unshaped" };
+            cells.push(Cell::new(format!("{series}/{load}"), move |out| {
+                let c = qos_point(shaped, load, params);
+                record_qos_cell(out, &c);
+                check_qos_cell(out, &c);
+            }));
+        }
+    }
+    Some(Plan {
+        config_hash: config_hash(&qos_cluster(&params)),
+        cells,
+    })
 }
 
 #[cfg(test)]

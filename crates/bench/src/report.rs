@@ -3,7 +3,10 @@
 //! Every figure binary (and the `regress` harness) distills its run into a
 //! [`BenchReport`]: a schema-versioned map of *series → scale → metrics*
 //! plus the provenance needed to reproduce it (sim seed, a hash of the
-//! cluster config, host wall time). Reports round-trip through a small
+//! cluster config). Host wall time is deliberately *not* in the report —
+//! it is schedule-dependent, so it lives in `timing.txt` /
+//! `BENCH_regress.json` and a report is byte-identical run to run.
+//! Reports round-trip through a small
 //! hand-rolled JSON layer — the workspace builds offline against vendored
 //! stand-ins, so there is no serde; the subset implemented here (objects,
 //! strings, numbers) is exactly what the schema needs.
@@ -21,8 +24,13 @@ use std::path::Path;
 /// garbage.
 pub const SCHEMA_VERSION: u64 = 1;
 
+/// Metric name of an IOR write phase's bandwidth.
+pub const WRITE_GIB_S: &str = "write_gib_s";
+/// Metric name of an IOR read phase's bandwidth.
+pub const READ_GIB_S: &str = "read_gib_s";
+
 /// Named scalar metrics for one (series, scale) cell, e.g.
-/// `{"write_gib_s": 34.0, "read_gib_s": 108.0}`.
+/// `{WRITE_GIB_S: 34.0, READ_GIB_S: 108.0}`.
 pub type Metrics = BTreeMap<String, f64>;
 
 /// One benchmark run, distilled to the numbers worth tracking across PRs.
@@ -37,9 +45,6 @@ pub struct BenchReport {
     /// FNV-1a hash of the cluster config ([`config_hash`]); 0 when the
     /// benchmark spans several configs.
     pub config_hash: u64,
-    /// Host wall-clock seconds for the whole run (informational only —
-    /// never compared against baselines).
-    pub wall_secs: f64,
     /// series label → scale (client nodes; 0 for scale-less rows) → metrics.
     pub series: BTreeMap<String, BTreeMap<u32, Metrics>>,
 }
@@ -52,7 +57,6 @@ impl BenchReport {
             name: name.to_string(),
             seed,
             config_hash: 0,
-            wall_secs: 0.0,
             series: BTreeMap::new(),
         }
     }
@@ -94,7 +98,6 @@ impl BenchReport {
         let _ = writeln!(s, "  \"name\": {},", quote(&self.name));
         let _ = writeln!(s, "  \"seed\": {},", self.seed);
         let _ = writeln!(s, "  \"config_hash\": {},", self.config_hash);
-        let _ = writeln!(s, "  \"wall_secs\": {},", fmt_f64(self.wall_secs));
         s.push_str("  \"series\": {");
         let mut first_series = true;
         for (name, scales) in &self.series {
@@ -128,7 +131,8 @@ impl BenchReport {
 
     /// Parse a report back from JSON; schema mismatches and malformed
     /// documents are errors, unknown top-level keys are ignored (forward
-    /// compatibility).
+    /// compatibility — and how reports written before `wall_secs` was
+    /// dropped keep loading).
     pub fn from_json(text: &str) -> Result<Self, JsonError> {
         let root = Json::parse(text)?;
         let obj = root.as_object("document")?;
@@ -143,7 +147,6 @@ impl BenchReport {
             get_key(obj, "seed")?.as_u64("seed")?,
         );
         report.config_hash = get_key(obj, "config_hash")?.as_u64("config_hash")?;
-        report.wall_secs = get_key(obj, "wall_secs")?.as_f64("wall_secs")?;
         for (series, scales) in get_key(obj, "series")?.as_object("series")? {
             for (scale, metrics) in scales.as_object(series)? {
                 let scale: u32 = scale
@@ -477,41 +480,39 @@ impl<'a> Parser<'a> {
 }
 
 // ---------------------------------------------------------------------
-// Recording sinks: reports and parallel-job fragments
+// What one parallel job hands back
 // ---------------------------------------------------------------------
 
-/// Anything metrics can be recorded into: a [`BenchReport`] directly
-/// (the serial path) or a [`Fragment`] produced by one parallel job and
-/// merged later. Figure runners take `&mut impl Record`, so the same
-/// runner body serves both execution modes.
-pub trait Record {
-    /// Record one metric value for a (series, scale) cell.
-    fn record(&mut self, series: &str, scale: u32, metric: &str, value: f64);
-    /// Stamp the testbed config hash ([`config_hash`]).
-    fn set_config_hash(&mut self, hash: u64);
+/// One PASS/FAIL line: a paper invariant, a per-cell shape check.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Verdict {
+    /// What was checked, with the numbers the verdict was computed from.
+    pub label: String,
+    pub pass: bool,
 }
 
-impl Record for BenchReport {
-    fn record(&mut self, series: &str, scale: u32, metric: &str, value: f64) {
-        BenchReport::record(self, series, scale, metric, value);
-    }
-    fn set_config_hash(&mut self, hash: u64) {
-        self.config_hash = hash;
+impl Verdict {
+    pub fn new(label: impl Into<String>, pass: bool) -> Verdict {
+        Verdict {
+            label: label.into(),
+            pass,
+        }
     }
 }
 
-/// The ordered batch of records one parallel job produces. Fragments are
-/// replayed into a [`BenchReport`] **in job submission order**, so a
-/// slate reduced on any thread count serializes to the same bytes as the
-/// serial run. (Cells land in `BTreeMap`s keyed by series/scale/metric,
-/// so the replay order only matters if two jobs wrote the same cell —
-/// the ordered merge makes even that case schedule-independent.)
+/// The ordered batch of records and verdicts one figure cell produces.
+/// Fragments are replayed into a [`BenchReport`] **in job submission
+/// order**, so a slate reduced on any thread count serializes to the same
+/// bytes as the serial run. (Cells land in `BTreeMap`s keyed by
+/// series/scale/metric, so the replay order only matters if two jobs
+/// wrote the same cell — the ordered merge makes even that case
+/// schedule-independent.)
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Fragment {
     /// `(series, scale, metric, value)` in record order.
     pub records: Vec<(String, u32, String, f64)>,
-    /// Config hash, when the job knows the testbed it ran on.
-    pub config_hash: Option<u64>,
+    /// Shape checks only the live cell can evaluate, in check order.
+    pub verdicts: Vec<Verdict>,
 }
 
 impl Fragment {
@@ -520,25 +521,22 @@ impl Fragment {
         Self::default()
     }
 
-    /// Replay this fragment's records (and config hash, if any) into a
-    /// report or another sink.
-    pub fn replay_into(&self, sink: &mut impl Record) {
-        for (series, scale, metric, value) in &self.records {
-            sink.record(series, *scale, metric, *value);
-        }
-        if let Some(h) = self.config_hash {
-            sink.set_config_hash(h);
-        }
-    }
-}
-
-impl Record for Fragment {
-    fn record(&mut self, series: &str, scale: u32, metric: &str, value: f64) {
+    /// Record one metric value for a (series, scale) cell.
+    pub fn record(&mut self, series: &str, scale: u32, metric: &str, value: f64) {
         self.records
             .push((series.to_string(), scale, metric.to_string(), value));
     }
-    fn set_config_hash(&mut self, hash: u64) {
-        self.config_hash = Some(hash);
+
+    /// Record one shape-check outcome.
+    pub fn check(&mut self, label: String, pass: bool) {
+        self.verdicts.push(Verdict::new(label, pass));
+    }
+
+    /// Replay this fragment's records into a report.
+    pub fn replay_into(&self, report: &mut BenchReport) {
+        for (series, scale, metric, value) in &self.records {
+            report.record(series, *scale, metric, *value);
+        }
     }
 }
 

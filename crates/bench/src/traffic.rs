@@ -40,8 +40,8 @@ use daos_sim::{JoinHandle, PercentileSketch, Sim, SimTime};
 use daos_vos::Payload;
 use rand::Rng;
 
-use crate::report::{fnv1a, Record};
-use crate::Reporter;
+use crate::figure::{self, Plan, Scale};
+use crate::report::{config_hash, fnv1a, Fragment};
 
 /// Root seed for the traffic sweep; each point salts it with its series
 /// name and load so points are independent but reproducible.
@@ -150,7 +150,7 @@ pub struct TrafficParams {
 }
 
 impl TrafficParams {
-    /// Full scale for the standalone `traffic_sweep` binary.
+    /// Full scale: the whole 8-point load axis over a 400 ms window.
     pub fn full() -> Self {
         TrafficParams {
             client_nodes: 4,
@@ -450,8 +450,8 @@ pub fn traffic_point(mode: TrafficMode, load_pct: u32, params: TrafficParams) ->
     }
 }
 
-/// Record one cell into a report sink; the load axis is the scale.
-pub fn record_traffic_cell(report: &mut impl Record, c: &TrafficCell) {
+/// Record one cell; the load axis is the scale.
+pub fn record_traffic_cell(report: &mut Fragment, c: &TrafficCell) {
     let s = &c.series;
     report.record(s, c.load_pct, "offered_gib_s", c.offered_gib_s);
     report.record(s, c.load_pct, "goodput_gib_s", c.goodput_gib_s);
@@ -471,16 +471,16 @@ pub fn record_traffic_cell(report: &mut impl Record, c: &TrafficCell) {
 
 /// Per-cell sanity checks (the qualitative R6–R8 claims are evaluated
 /// over the whole report in [`crate::invariants::evaluate_traffic`]).
-pub fn check_traffic_cell(rep: &mut Reporter, c: &TrafficCell) {
+pub fn check_traffic_cell(rep: &mut Fragment, c: &TrafficCell) {
     rep.check(
-        &format!(
+        format!(
             "{}@{}%: some requests completed ({}/{})",
             c.series, c.load_pct, c.completed, c.arrivals
         ),
         c.completed > 0,
     );
     rep.check(
-        &format!(
+        format!(
             "{}@{}%: accounting closes (completed {} + failed {} = arrivals {})",
             c.series, c.load_pct, c.completed, c.failed, c.arrivals
         ),
@@ -488,11 +488,39 @@ pub fn check_traffic_cell(rep: &mut Reporter, c: &TrafficCell) {
     );
     if !c.series.ends_with("/noac") {
         rep.check(
-            &format!(
+            format!(
                 "{}@{}%: retries metered under shedding (sheds {}, spent {}, denied {})",
                 c.series, c.load_pct, c.engine_sheds, c.retries_spent, c.retries_denied
             ),
             c.engine_sheds == 0 || c.retries_spent + c.breaker_fastfail > 0,
         );
     }
+}
+
+/// `traffic_sweep`: every series × every offered load, one seeded sim
+/// per point (heaviest loads first), each carrying its own accounting
+/// checks; R6–R8 are evaluated over the finished report.
+pub fn traffic_plan(scale: Scale) -> Option<Plan> {
+    let params = match scale {
+        Scale::Full => TrafficParams::full(),
+        Scale::Reduced => TrafficParams::reduced(),
+        Scale::Smoke => TrafficParams::smoke(),
+    };
+    let mut cells = Vec::new();
+    for mode in traffic_modes() {
+        for &load in params.loads.iter().rev() {
+            cells.push(figure::Cell::new(
+                format!("{}/{load}", mode.series()),
+                move |out| {
+                    let c = traffic_point(mode, load, params);
+                    record_traffic_cell(out, &c);
+                    check_traffic_cell(out, &c);
+                },
+            ));
+        }
+    }
+    Some(Plan {
+        config_hash: config_hash(&traffic_cluster(&params, true)),
+        cells,
+    })
 }

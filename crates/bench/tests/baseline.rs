@@ -4,8 +4,9 @@
 
 use daos_bench::baseline::{compare, format_drift_table, violations, DriftStatus, TolerancePolicy};
 use daos_bench::invariants::{
-    evaluate_all, r1_s2_reads_best, r2_sx_write_crossover, r3_hdf5_dfuse_penalty,
-    r4_shared_interface_parity, r5_pfs_collapse,
+    evaluate_fig1, evaluate_fig2, evaluate_pfs_contrast, r1_s2_reads_best, r2_sx_write_crossover,
+    r3_hdf5_dfuse_penalty, r4_shared_interface_parity, r5_pfs_collapse,
+    r5b_narrow_shared_file_bottleneck,
 };
 use daos_bench::report::{config_hash, fnv1a, BenchReport, SCHEMA_VERSION};
 
@@ -15,7 +16,6 @@ use daos_bench::report::{config_hash, fnv1a, BenchReport, SCHEMA_VERSION};
 fn json_round_trip_preserves_everything() {
     let mut r = BenchReport::new("fixture", 0xDEAD_BEEF_CAFE_F00D);
     r.config_hash = u64::MAX; // > 2^53: must survive without f64 loss
-    r.wall_secs = 12.75;
     r.record("DFS-S2", 1, "write_gib_s", 3.25);
     r.record("DFS-S2", 16, "write_gib_s", 34.125);
     r.record("DFS-S2", 16, "read_gib_s", 108.0);
@@ -31,6 +31,22 @@ fn json_round_trip_preserves_everything() {
         back.get("weird \"series\"\n", 0, "lock_revokes"),
         Some(1536.0)
     );
+}
+
+/// Reports written before `wall_secs` left the schema still carry the
+/// key; unknown top-level keys are ignored, so they keep loading.
+#[test]
+fn json_with_legacy_wall_secs_still_loads() {
+    let mut r = BenchReport::new("legacy", 9);
+    r.record("s", 1, "write_gib_s", 2.5);
+    let fresh = r.to_json();
+    assert!(!fresh.contains("wall_secs"), "no longer written");
+    let legacy = fresh.replace(
+        "  \"series\":",
+        "  \"wall_secs\": 366.795336391,\n  \"series\":",
+    );
+    assert!(legacy.contains("wall_secs"));
+    assert_eq!(BenchReport::from_json(&legacy).expect("legacy loads"), r);
 }
 
 #[test]
@@ -215,13 +231,15 @@ fn fig1_fixture() -> BenchReport {
     r
 }
 
-/// A fig2-shaped fixture satisfying R4.
+/// A fig2-shaped fixture satisfying R4 and R5b.
 fn fig2_fixture() -> BenchReport {
     let mut r = BenchReport::new("fig2_shared", 1);
     for (series, w, rd) in [
         ("DFS-SX", 36.0, 95.0),
         ("MPIIO-SX", 34.0, 90.0),
         ("HDF5-SX", 32.0, 88.0),
+        ("DFS-S1", 1.7, 3.6),
+        ("DFS-S2", 3.3, 7.2),
     ] {
         r.record(series, 16, "write_gib_s", w);
         r.record(series, 16, "read_gib_s", rd);
@@ -247,17 +265,17 @@ fn pfs_fixture() -> BenchReport {
 fn r1_passes_and_detects_inversion() {
     let mut f = fig1_fixture();
     let res = r1_s2_reads_best(&f);
-    assert!(res.pass, "{}", res.detail);
-    assert_eq!(res.id, "R1");
+    assert!(res.pass, "{}", res.label);
+    assert!(res.label.starts_with("R1: "), "{}", res.label);
 
     // hand-invert: SX reads pull ahead of S2
     f.record("DFS-SX", 16, "read_gib_s", 120.0);
     let res = r1_s2_reads_best(&f);
     assert!(!res.pass);
     assert!(
-        res.detail.contains("120.00"),
-        "detail carries the numbers: {}",
-        res.detail
+        res.label.contains("120.00"),
+        "label carries the numbers: {}",
+        res.label
     );
 }
 
@@ -289,6 +307,30 @@ fn r3_passes_and_detects_hdf5_catching_up() {
     let mut f = fig1_fixture();
     f.record("MPIIO-S1", 1, "write_gib_s", 2.0);
     assert!(!r3_hdf5_dfuse_penalty(&f).pass);
+
+    // ... at any scale, on either narrow class (the standalone figure's
+    // former "R3a, all scales" check, now part of the one definition)
+    let mut f = fig1_fixture();
+    f.record("MPIIO-S2", 16, "write_gib_s", 28.0);
+    let res = r3_hdf5_dfuse_penalty(&f);
+    assert!(!res.pass);
+    assert!(res.label.contains("MPIIO-S2 at 16n"), "{}", res.label);
+
+    // a 4-node scale, when the report has one, is held to the 3% margin
+    let mut f = fig1_fixture();
+    for (series, w, rd) in [
+        ("DFS-S1", 20.0, 46.0),
+        ("DFS-S2", 22.0, 46.0),
+        ("MPIIO-S1", 20.0, 46.0),
+        ("MPIIO-S2", 22.0, 46.0),
+        ("HDF5-S1", 18.0, 41.0),
+    ] {
+        f.record(series, 4, "write_gib_s", w);
+        f.record(series, 4, "read_gib_s", rd);
+    }
+    assert!(r3_hdf5_dfuse_penalty(&f).pass);
+    f.record("HDF5-S1", 4, "read_gib_s", 45.5); // 0.989x: gap gone at 4 nodes
+    assert!(!r3_hdf5_dfuse_penalty(&f).pass);
 }
 
 #[test]
@@ -303,6 +345,22 @@ fn r4_passes_and_detects_parity_loss() {
     let mut f = fig2_fixture();
     f.record("MPIIO-SX", 16, "write_gib_s", 40.0); // DFS no longer highest
     assert!(!r4_shared_interface_parity(&f).pass);
+
+    // the one threshold both paths now share: within 2% of the best
+    // passes (the standalone binary's own copy used to demand >= best)
+    let mut f = fig2_fixture();
+    f.record("MPIIO-SX", 16, "write_gib_s", 36.5);
+    assert!(r4_shared_interface_parity(&f).pass);
+}
+
+#[test]
+fn r5b_passes_and_detects_a_narrow_class_keeping_up() {
+    let f = fig2_fixture();
+    assert!(r5b_narrow_shared_file_bottleneck(&f).pass);
+
+    let mut f = fig2_fixture();
+    f.record("DFS-S2", 16, "write_gib_s", 14.0); // 0.39x SX
+    assert!(!r5b_narrow_shared_file_bottleneck(&f).pass);
 }
 
 #[test]
@@ -324,8 +382,14 @@ fn r5_passes_and_detects_pfs_recovery() {
 #[test]
 fn invariants_fail_loudly_on_missing_cells() {
     let empty = BenchReport::new("fig1_fpp", 1);
-    for res in evaluate_all(&empty, &empty, &empty) {
-        assert!(!res.pass, "{} must fail on an empty report", res.id);
+    for res in [
+        evaluate_fig1(&empty),
+        evaluate_fig2(&empty),
+        evaluate_pfs_contrast(&empty),
+    ]
+    .concat()
+    {
+        assert!(!res.pass, "{} must fail on an empty report", res.label);
     }
 
     // a report with cells but a missing series names the gap
@@ -333,14 +397,21 @@ fn invariants_fail_loudly_on_missing_cells() {
     f.series.remove("DFS-SX");
     let res = r1_s2_reads_best(&f);
     assert!(!res.pass);
-    assert!(res.detail.contains("DFS-SX"), "detail: {}", res.detail);
+    assert!(res.label.contains("missing DFS-SX"), "{}", res.label);
 }
 
 #[test]
-fn evaluate_all_on_good_fixtures_is_all_green() {
-    let results = evaluate_all(&fig1_fixture(), &fig2_fixture(), &pfs_fixture());
-    assert_eq!(results.len(), 5);
+fn evaluators_on_good_fixtures_are_all_green() {
+    let results = [
+        evaluate_fig1(&fig1_fixture()),
+        evaluate_fig2(&fig2_fixture()),
+        evaluate_pfs_contrast(&pfs_fixture()),
+    ]
+    .concat();
     assert!(results.iter().all(|r| r.pass));
-    let ids: Vec<_> = results.iter().map(|r| r.id).collect();
-    assert_eq!(ids, ["R1", "R2", "R3", "R4", "R5"]);
+    let ids: Vec<_> = results
+        .iter()
+        .map(|r| r.label.split(':').next().unwrap())
+        .collect();
+    assert_eq!(ids, ["R1", "R2", "R3", "R4", "R5b", "R5"]);
 }

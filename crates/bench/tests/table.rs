@@ -1,0 +1,137 @@
+//! The `FIGURES` table against the rest of the repo: complete, consistent
+//! with the committed baselines, and able to fail.
+
+use std::path::{Path, PathBuf};
+
+use daos_bench::figure::{find, table_problems, Gate, Scale};
+use daos_bench::report::BenchReport;
+use daos_bench::FIGURES;
+
+fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+fn baselines() -> PathBuf {
+    repo_root().join("results/baselines")
+}
+
+/// Names unique; every baseline has a gated entry with the same seed;
+/// every gated entry has a baseline; every entry enumerates >= 1 cell at
+/// every scale it declares — `table_problems` is what `daos-bench list`
+/// exits 1 on.
+#[test]
+fn table_and_baselines_agree() {
+    assert_eq!(table_problems(&baselines()), Vec::<String>::new());
+}
+
+/// The complete figure set: 9 PR-gated (the parent's eight + `mdtest_bench`),
+/// 1 nightly, 5 ungated, and the calibration probe — nothing else.
+#[test]
+fn table_holds_exactly_the_known_figures() {
+    let names = |gate: Gate| -> Vec<&str> {
+        FIGURES
+            .iter()
+            .filter(|f| f.gate == gate)
+            .map(|f| f.name)
+            .collect()
+    };
+    assert_eq!(
+        names(Gate::Pr),
+        [
+            "fig1_fpp",
+            "fig2_shared",
+            "pfs_contrast",
+            "io500",
+            "fault_sweep",
+            "scrub_sweep",
+            "traffic_sweep",
+            "qos_sweep",
+            "mdtest_bench"
+        ]
+    );
+    assert_eq!(names(Gate::Nightly), ["scale"]);
+    assert_eq!(
+        names(Gate::None),
+        [
+            "protection_sweep",
+            "daos_api",
+            "app_workloads",
+            "dfuse_ablation",
+            "oclass_sweep",
+            "calibrate"
+        ]
+    );
+    // a PR-gated figure is also in the debug-build determinism test
+    for f in FIGURES.iter().filter(|f| f.gate == Gate::Pr) {
+        assert!(
+            (f.plan)(Scale::Smoke).is_some(),
+            "{} needs a smoke scale",
+            f.name
+        );
+    }
+}
+
+/// Planted negatives: a gated entry without its baseline, and a baseline
+/// without a gated entry, are each reported.
+#[test]
+fn audit_catches_a_missing_and_a_stray_baseline() {
+    let dir = std::env::temp_dir().join(format!("daos_bench_table_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for entry in std::fs::read_dir(baselines()).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
+    }
+    assert!(table_problems(&dir).is_empty());
+
+    std::fs::remove_file(dir.join("BENCH_io500.json")).unwrap();
+    // `calibrate` is in the table but ungated: a baseline for it is stray
+    BenchReport::new("calibrate", find("calibrate").unwrap().seed)
+        .write_to(&dir)
+        .unwrap();
+    let problems = table_problems(&dir);
+    assert_eq!(problems.len(), 2, "{problems:?}");
+    assert!(problems[0].starts_with("io500: gated but has no baseline"));
+    assert!(problems[1].starts_with("BENCH_calibrate.json: baseline without"));
+
+    // a baseline minted under another seed is a different experiment
+    let mut wrong = BenchReport::load(&baselines(), "io500").unwrap();
+    wrong.seed ^= 1;
+    wrong.write_to(&dir).unwrap();
+    assert!(table_problems(&dir)[0].starts_with("io500: baseline seed"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Planted negative for the newly gated `mdtest_bench`: with the `dfs`
+/// and `pfs` series swapped, its checks must fail.
+#[test]
+fn mdtest_checks_fail_when_dfs_and_pfs_are_swapped() {
+    let figure = find("mdtest_bench").unwrap();
+    let mut report = BenchReport::load(&baselines(), "mdtest_bench").unwrap();
+    let verdicts = (figure.checks)(&report);
+    assert!(!verdicts.is_empty() && verdicts.iter().all(|v| v.pass));
+
+    let dfs = report.series.remove("dfs").unwrap();
+    let pfs = report.series.insert("pfs".to_string(), dfs).unwrap();
+    report.series.insert("dfs".to_string(), pfs);
+    let verdicts = (figure.checks)(&report);
+    assert!(verdicts.iter().all(|v| !v.pass), "{verdicts:?}");
+
+    // and an empty report cannot pass vacuously
+    let empty = BenchReport::new("mdtest_bench", figure.seed);
+    assert!((figure.checks)(&empty).iter().all(|v| !v.pass));
+}
+
+/// Every figure with report-level checks fails them on an empty report:
+/// a check that reads nothing must not read as green.
+#[test]
+fn no_figure_passes_its_checks_vacuously() {
+    for f in FIGURES {
+        let verdicts = (f.checks)(&BenchReport::new(f.name, f.seed));
+        assert!(
+            verdicts.iter().all(|v| !v.pass),
+            "{}: passes on an empty report: {verdicts:?}",
+            f.name
+        );
+    }
+}

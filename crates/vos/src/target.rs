@@ -256,8 +256,10 @@ impl VosTarget {
             let mut conts = self.containers.borrow_mut();
             let cont = conts.entry(cid).or_default();
             let mut ops = 0u64;
+            let mut created = 0u64;
             let obj = cont.objects.entry(oid).or_insert_with(|| {
                 ops += self.cfg.obj_create_ops;
+                created = 1;
                 ObjStore::default()
             });
             let hot_dkey = match (&obj.last_dkey, obj.dkeys.contains_key(dkey)) {
@@ -310,9 +312,7 @@ impl VosTarget {
                 }
                 AkeyStore::Single(_) => return Err(VosError::AkeyKind { expected: "array" }),
             }
-            if c.obj_creates < u64::MAX {
-                // count object creation via ops delta marker below
-            }
+            c.obj_creates += created;
             c.updates += 1;
             c.bytes_written += len;
             c.index_ops += ops;
@@ -409,8 +409,10 @@ impl VosTarget {
             let mut conts = self.containers.borrow_mut();
             let cont = conts.entry(cid).or_default();
             let mut ops = 0u64;
+            let mut created = 0u64;
             let obj = cont.objects.entry(oid).or_insert_with(|| {
                 ops += self.cfg.obj_create_ops;
+                created = 1;
                 ObjStore::default()
             });
             let new_dkey = !obj.dkeys.contains_key(dkey);
@@ -437,6 +439,7 @@ impl VosTarget {
                 AkeyStore::Array { .. } => return Err(VosError::AkeyKind { expected: "single" }),
             }
             let mut c = self.counters.borrow_mut();
+            c.obj_creates += created;
             c.updates += 1;
             c.bytes_written += len;
             c.index_ops += ops + 1;
@@ -788,6 +791,7 @@ mod tests {
         assert_eq!(c.fetches, 1);
         assert_eq!(c.bytes_written, 4096);
         assert_eq!(c.bytes_read, 4096);
+        assert_eq!(c.obj_creates, 1);
     }
 
     #[test]
@@ -870,6 +874,8 @@ mod tests {
                 assert_eq!(&v2.materialize()[..], &[9]);
             }
         });
+        // two upserts of one object: created once
+        assert_eq!(t.counters().obj_creates, 1);
     }
 
     #[test]

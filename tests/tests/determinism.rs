@@ -10,8 +10,9 @@
 //! seeds with the `regress` gate, so a nondeterminism bug that would
 //! make CI flaky fails here first, with a readable diff.
 
-use daos_bench::figures::{record_rot_timeline, rot_timeline, REDUCED_REPEATS};
-use daos_bench::report::{config_hash, BenchReport};
+use daos_bench::figures::REDUCED_REPEATS;
+use daos_bench::report::{config_hash, BenchReport, Fragment};
+use daos_bench::timelines::{record_rot_timeline, rot_timeline};
 use daos_bench::{paper_cluster, paper_params, run_point_with, ExperimentPoint};
 use daos_ior::Api;
 use daos_placement::ObjectClass;
@@ -42,7 +43,9 @@ fn scrub_repair_json() -> (String, u64) {
     let mut report = BenchReport::new("determinism_rot", 0x5C2B ^ 1);
     let t = rot_timeline(ObjectClass::RP_2GX, true, 0x5C2B ^ 1);
     let repairs = t.repairs_ok;
-    record_rot_timeline(&mut report, &t);
+    let mut cell = Fragment::new();
+    record_rot_timeline(&mut cell, &t);
+    cell.replay_into(&mut report);
     (report.to_json(), repairs)
 }
 

@@ -8,12 +8,10 @@
 //! of its own (simlint D04) — all threading happens inside `daos-bench`'s
 //! sanctioned executor.
 
-use daos_bench::figures::{rot_timeline, run_pfs_contrast_sized, RotTimeline};
-use daos_bench::report::BenchReport;
-use daos_bench::slate::{run_regress_slate, smoke};
+use daos_bench::figure::{run_figures, Figure, Scale};
+use daos_bench::timelines::{rot_timeline, RotTimeline};
+use daos_bench::FIGURES;
 use daos_placement::ObjectClass;
-
-const MIB: u64 = 1 << 20;
 
 /// Every observable field of a rot timeline, as one comparable string.
 fn rot_key(t: &RotTimeline) -> String {
@@ -52,91 +50,48 @@ fn qos_key(c: &daos_bench::qos::QosCell) -> String {
     )
 }
 
-/// The whole reduced-smoke regress slate: eight reports, each byte-identical
-/// across thread counts, plus identical timeline rows.
+/// Every figure that declares a smoke scale, as one slate: each report
+/// byte-identical across thread counts, and so are the cells' verdicts
+/// (their labels carry the timeline rows' numbers) and the job order.
 #[test]
-fn regress_slate_is_byte_identical_across_thread_counts() {
-    let scale = smoke();
-    let base = run_regress_slate(&scale, 1);
-    let base_json: Vec<String> = base.reports().iter().map(|r| r.to_json()).collect();
-    let base_rot: Vec<String> = base.rot_rows.iter().map(rot_key).collect();
-    let fault_key = |t: &daos_bench::figures::FaultTimeline| {
-        format!(
-            "{:?}/{}/{:.6}/{:.6}/{:.6}/{:.6}/{:.6}/{}/{}",
-            t.class,
-            t.client_nodes,
-            t.write,
-            t.healthy,
-            t.during,
-            t.rebuilt,
-            t.reintegrated,
-            t.map_version,
-            t.chunks_repaired
-        )
-    };
-    let base_fault: Vec<String> = base.fault_rows.iter().map(fault_key).collect();
-    let base_qos: Vec<String> = base.qos_rows.iter().map(qos_key).collect();
-    assert!(!base_qos.is_empty(), "smoke slate must produce QoS cells");
-
-    for threads in [2usize, 8] {
-        let run = run_regress_slate(&scale, threads);
-        let json: Vec<String> = run.reports().iter().map(|r| r.to_json()).collect();
-        assert_eq!(
-            base_json, json,
-            "report JSON diverged between 1 and {threads} threads"
-        );
-        let rot: Vec<String> = run.rot_rows.iter().map(rot_key).collect();
-        assert_eq!(base_rot, rot, "rot rows diverged at {threads} threads");
-        let fault: Vec<String> = run.fault_rows.iter().map(fault_key).collect();
-        assert_eq!(
-            base_fault, fault,
-            "fault rows diverged at {threads} threads"
-        );
-        let qos: Vec<String> = run.qos_rows.iter().map(qos_key).collect();
-        assert_eq!(base_qos, qos, "QoS cells diverged at {threads} threads");
+fn every_smoke_figure_is_byte_identical_across_thread_counts() {
+    let wanted: Vec<(&'static Figure, Scale)> = FIGURES
+        .iter()
+        .filter(|f| (f.plan)(Scale::Smoke).is_some())
+        .map(|f| (f, Scale::Smoke))
+        .collect();
+    assert!(
+        wanted.len() >= 9,
+        "every PR-gated figure declares a smoke scale"
+    );
+    let observe = |threads: usize| {
+        let run = run_figures(&wanted, threads);
         assert_eq!(run.threads, threads);
+        for r in &run.figures {
+            assert!(
+                !r.report.cells().is_empty(),
+                "{} recorded nothing",
+                r.figure.name
+            );
+        }
+        let reports: Vec<String> = run.figures.iter().map(|r| r.report.to_json()).collect();
+        let verdicts: Vec<_> = run.figures.iter().map(|r| r.verdicts()).collect();
         // timings are schedule-dependent by design, but the labels (the
         // submission order) must not be
-        let base_labels: Vec<&String> = base.timings.iter().map(|(l, _)| l).collect();
-        let labels: Vec<&String> = run.timings.iter().map(|(l, _)| l).collect();
-        assert_eq!(
-            base_labels, labels,
-            "job order diverged at {threads} threads"
-        );
+        let labels: Vec<String> = run.timings.into_iter().map(|(l, _)| l).collect();
+        (reports, verdicts, labels)
+    };
+    let base = observe(1);
+    assert!(
+        base.1
+            .iter()
+            .flatten()
+            .any(|v| v.label.starts_with("shaped@")),
+        "the smoke slate must produce QoS cell verdicts"
+    );
+    for threads in [2usize, 8] {
+        assert_eq!(base, observe(threads), "diverged at {threads} threads");
     }
-}
-
-/// The PFS-contrast rows and the report they record into are identical
-/// at every thread count.
-#[test]
-fn pfs_contrast_rows_are_thread_count_invariant() {
-    let nodes = [1u32, 2];
-    let mut reports = Vec::new();
-    let mut rows_flat = Vec::new();
-    for threads in [1usize, 2, 8] {
-        let mut report = BenchReport::new("pfs_contrast", 0x1F5);
-        let rows = run_pfs_contrast_sized(&mut report, &nodes, threads, MIB, 4);
-        reports.push(report.to_json());
-        rows_flat.push(
-            rows.iter()
-                .map(|r| {
-                    format!(
-                        "{}:{:.9}/{:.9}/{:.9}/{:.9}/{}",
-                        r.nodes,
-                        r.pfs_fpp.write_gib_s(),
-                        r.pfs_shared.write_gib_s(),
-                        r.daos_fpp.write_gib_s(),
-                        r.daos_shared.write_gib_s(),
-                        r.revokes
-                    )
-                })
-                .collect::<Vec<_>>(),
-        );
-    }
-    assert_eq!(reports[0], reports[1]);
-    assert_eq!(reports[0], reports[2]);
-    assert_eq!(rows_flat[0], rows_flat[1]);
-    assert_eq!(rows_flat[0], rows_flat[2]);
 }
 
 /// A rot timeline produced inside a slate job equals the directly-run
