@@ -112,8 +112,7 @@ fn list_passes_and_bad_usage_is_rejected() {
 }
 
 /// `results/<name>.txt` is the one printer's rendering of the committed
-/// `results/BENCH_<name>.json` beside it (the three `.txt` files without a
-/// JSON twin are an earlier run's output and are not held to this).
+/// `results/BENCH_<name>.json` beside it.
 #[test]
 fn results_txt_is_the_printer_run_on_the_committed_json() {
     let results = repo_root().join("results");
@@ -134,5 +133,5 @@ fn results_txt_is_the_printer_run_on_the_committed_json() {
         );
         pinned += 1;
     }
-    assert_eq!(pinned, 10, "every .txt with a JSON twin is pinned");
+    assert_eq!(pinned, 13, "every .txt with a JSON twin is pinned");
 }

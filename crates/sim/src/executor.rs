@@ -11,8 +11,9 @@
 //! fixed-width slots covering the near future, with a binary-heap overflow
 //! for deadlines beyond the ring's span. Most simulated waits (RPC legs,
 //! media transfers, per-message CPU) land within a few microseconds of
-//! `now`, so pushes and pops are O(1) bitmap operations instead of
-//! `O(log n)` heap rebalances; selection is still strictly by
+//! `now`, so pushes and pops are O(1) bitmap operations plus a heap
+//! operation on the few timers sharing one slot, instead of an `O(log n)`
+//! rebalance over every pending timer; selection is still strictly by
 //! `(deadline, seq)` — the wheel orders *identically* to one global heap.
 //!
 //! Task storage is a slab arena with dense `u32` ids and a free list.
@@ -161,29 +162,6 @@ const SLOT_NS: u64 = 1024;
 /// Virtual time covered by the ring from its anchor.
 const WHEEL_SPAN: u64 = WHEEL_SLOTS as u64 * SLOT_NS;
 
-/// One ring slot: its timers, kept sorted *descending* by `(at, seq)`
-/// when clean so the minimum pops O(1) from the back. Sorting is lazy —
-/// a slot is only sorted when it is about to be popped from, which keeps
-/// bursts of same-instant registrations (barriers) linear instead of
-/// quadratic.
-#[derive(Default)]
-struct SlotQueue {
-    ents: Vec<TimerEnt>,
-    dirty: bool,
-}
-
-impl SlotQueue {
-    fn sort_if_dirty(&mut self) {
-        if self.dirty {
-            // keys are unique ((at, seq); seq never repeats), so an
-            // unstable sort is deterministic
-            self.ents
-                .sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
-            self.dirty = false;
-        }
-    }
-}
-
 /// Calendar-queue timer store: a ring of [`WHEEL_SLOTS`] slots of
 /// [`SLOT_NS`] ns each covering `[start, start + WHEEL_SPAN)`, plus a
 /// binary-heap overflow for deadlines beyond the span.
@@ -200,7 +178,10 @@ impl SlotQueue {
 ///   `(at, seq)` — selection is therefore *identical* to a single global
 ///   heap regardless of which store an entry sits in.
 struct TimerWheel {
-    slots: Vec<SlotQueue>,
+    /// One min-heap per ring slot: a burst of same-instant registrations
+    /// (a barrier, a 128-wide fan-out) shares a slot, and each of its pops
+    /// must stay O(log n) however pushes interleave with them.
+    slots: Vec<BinaryHeap<Reverse<TimerEnt>>>,
     /// One occupancy bit per slot; pop scans words, not slots.
     occupied: [u64; WHEEL_WORDS],
     /// Slot whose window starts at `start`.
@@ -217,7 +198,7 @@ struct TimerWheel {
 impl TimerWheel {
     fn new() -> Self {
         TimerWheel {
-            slots: (0..WHEEL_SLOTS).map(|_| SlotQueue::default()).collect(),
+            slots: (0..WHEEL_SLOTS).map(|_| BinaryHeap::new()).collect(),
             occupied: [0; WHEEL_WORDS],
             cursor: 0,
             start: 0,
@@ -245,9 +226,7 @@ impl TimerWheel {
         debug_assert!((self.start..self.start + WHEEL_SPAN).contains(&ent.at));
         let d = ((ent.at - self.start) / SLOT_NS) as usize;
         let idx = (self.cursor + d) & (WHEEL_SLOTS - 1);
-        let slot = &mut self.slots[idx];
-        slot.ents.push(ent);
-        slot.dirty = slot.ents.len() > 1;
+        self.slots[idx].push(Reverse(ent));
         self.occupied[idx / 64] |= 1 << (idx % 64);
         self.ring_len += 1;
     }
@@ -289,12 +268,10 @@ impl TimerWheel {
         let ring = self.first_occupied();
         let use_ring = match (&ring, self.overflow.peek()) {
             (&Some((idx, _)), Some(Reverse(h))) => {
-                let slot = &mut self.slots[idx];
-                slot.sort_if_dirty();
                 // INVARIANT: first_occupied only returns slots whose occupancy
                 // bit is set, and the bit is cleared when the slot drains.
-                let m = slot.ents.last().expect("occupied slot is non-empty");
-                (m.at, m.seq) < (h.at, h.seq)
+                let Reverse(m) = self.slots[idx].peek().expect("occupied slot is non-empty");
+                m < h
             }
             (Some(_), None) => true,
             (None, Some(_)) => false,
@@ -307,11 +284,10 @@ impl TimerWheel {
             self.start += d as u64 * SLOT_NS;
             self.cursor = idx;
             let slot = &mut self.slots[idx];
-            slot.sort_if_dirty();
             // INVARIANT: same occupancy-bit claim as above — the popped slot
             // index came from a set bit in `occupied`.
-            let ent = slot.ents.pop().expect("occupied slot is non-empty");
-            if slot.ents.is_empty() {
+            let Reverse(ent) = slot.pop().expect("occupied slot is non-empty");
+            if slot.is_empty() {
                 self.occupied[idx / 64] &= !(1 << (idx % 64));
             }
             self.ring_len -= 1;
@@ -342,8 +318,7 @@ impl TimerWheel {
     fn clear(&mut self) {
         if self.ring_len > 0 {
             for slot in &mut self.slots {
-                slot.ents.clear();
-                slot.dirty = false;
+                slot.clear();
             }
             self.occupied = [0; WHEEL_WORDS];
             self.ring_len = 0;
@@ -945,8 +920,8 @@ mod tests {
     // ---- adversarial coverage for the wheel and the arena ------------
 
     /// Many sleepers on the same tick interleaved with sleepers in other
-    /// slots: same-instant wakes must preserve registration order even
-    /// when the slot went dirty repeatedly.
+    /// slots: same-instant wakes must preserve registration order however
+    /// out of order the slot's pushes arrive.
     #[test]
     fn same_tick_order_survives_dirty_slots() {
         let mut sim = Sim::new(1);

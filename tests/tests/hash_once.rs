@@ -1,11 +1,12 @@
-//! The hash-once gate: with checksums on, every pattern payload handed to
-//! the stack is folded exactly once, however many sites verify it (client
-//! wire checksum, server verify, extent insert, fetch verify, reply
-//! checksum, client verify). `daos_vos::csum_stats` is the deterministic
-//! host-cost proxy; a clone taken before the first hash, or a digest
-//! dropped along the path, shows up here as `cold_bytes` above the bytes
-//! written. The planted negatives show the other side: payloads changed by
-//! fault injection never reuse a digest, so the corruption is still found.
+//! The hash-nothing gate: with checksums on, every check site (client wire
+//! checksum, server verify, extent insert, fetch verify, reply checksum,
+//! client verify) still runs `csum64`, and no pattern byte is walked to
+//! answer it — every pattern the stack hands those sites starts on a word
+//! boundary and is summed in closed form. `daos_vos::csum_stats` is the
+//! deterministic host-cost proxy; a layer that started slicing payloads
+//! mid-word would show up here as `walked_bytes` above `literal_bytes`.
+//! The planted negatives show the other side: payloads changed by fault
+//! injection are summed like any other, so the corruption is still found.
 
 use std::rc::Rc;
 
@@ -18,6 +19,7 @@ use daos_placement::{ObjectClass, ObjectId};
 use daos_sim::fault::FaultAction;
 use daos_sim::units::MIB;
 use daos_sim::Sim;
+use daos_vos::tree::flatten;
 use daos_vos::{csum_stats, reset_csum_stats, CsumStats, Payload};
 
 /// 2 nodes × 4 ppn IOR write + read of 4 MiB per rank in 1 MiB transfers;
@@ -38,31 +40,55 @@ fn ior_stats(api: Api, oclass: ObjectClass, fpp: bool) -> (u64, CsumStats) {
     })
 }
 
-/// Bytes folded from pattern payloads; `Payload::Bytes` metadata values
-/// (DFS dirents) carry no digest and are accounted separately.
-fn pattern_cold(s: &CsumStats) -> u64 {
-    s.cold_bytes - s.literal_bytes
+/// Pattern bytes that were generated and folded word by word;
+/// `Payload::Bytes` metadata values (DFS dirents) are always walked and
+/// are accounted separately.
+fn pattern_walked(s: &CsumStats) -> u64 {
+    s.walked_bytes - s.literal_bytes
 }
 
 #[test]
-fn dfs_fpp_folds_each_written_byte_once() {
+fn dfs_fpp_walks_no_pattern_byte() {
     let (total, s) = ior_stats(Api::Dfs, ObjectClass::S2, true);
     assert_eq!(total, 8 * 4 * MIB);
-    assert_eq!(pattern_cold(&s), total, "{s:?}");
-    // one cold call per transfer, the rest of the path rides the digest:
-    // server verify + extent insert on write, fetch verify + reply
-    // checksum + client verify on read
+    assert_eq!(pattern_walked(&s), 0, "{s:?}");
+    // every site still checks every transfer: client wire checksum, server
+    // verify + extent insert on write, fetch verify + reply checksum +
+    // client verify on read
     let transfers = total / MIB;
-    assert_eq!(s.digest_hits, 5 * transfers, "{s:?}");
+    assert_eq!(s.closed_form_calls, 6 * transfers, "{s:?}");
 }
 
 #[test]
-fn hdf5_shared_folds_each_written_byte_once() {
+fn hdf5_shared_walks_no_pattern_byte() {
     let (total, s) = ior_stats(Api::Hdf5, ObjectClass::SX, false);
-    // HDF5 metadata is pattern-typed too: superblock and root header at
-    // create, the dataset header, then header and superblock again at close
-    let meta = 2 * SUPERBLOCK + 3 * OBJ_HEADER;
-    assert_eq!(pattern_cold(&s), total + meta, "{s:?}");
+    assert_eq!(pattern_walked(&s), 0, "{s:?}");
+    // the dataset starts behind the superblock and two object headers, so
+    // each 1 MiB transfer straddles two chunks and is checked as two pieces
+    assert_ne!((SUPERBLOCK + 2 * OBJ_HEADER) % MIB, 0);
+    let pieces = 2 * (total / MIB);
+    // HDF5 metadata is pattern-typed too and written, never read back:
+    // superblock and root header at create, the dataset header, then
+    // header and superblock again at close — three write-path checks each
+    assert_eq!(s.closed_form_calls, 6 * pieces + 3 * 5, "{s:?}");
+}
+
+/// The walk is chosen by the payload, not by the caller: a slice that
+/// starts mid-word goes through the same sites, is generated and folded
+/// byte for byte, and verifies.
+#[test]
+fn an_unaligned_slice_is_walked_and_still_verifies() {
+    with_array(async |sim, _cluster, arr| {
+        let data = Payload::pattern(7, MIB + 3).slice(3, MIB);
+        reset_csum_stats();
+        arr.write(&sim, 0, data.clone()).await.expect("write");
+        let segs = arr.read(&sim, 0, MIB).await.expect("read");
+        let s = csum_stats();
+        assert_eq!(pattern_walked(&s), s.walked_calls * MIB, "{s:?}");
+        assert_eq!(s.walked_calls, 6, "{s:?}");
+        assert_eq!(s.closed_form_calls, 0, "{s:?}");
+        assert_eq!(flatten(&segs, 0, MIB), data.materialize().to_vec());
+    });
 }
 
 /// One S1 array on a small cluster, so a payload is one piece on one target.
@@ -89,12 +115,11 @@ fn torn_frames_are_rehashed_and_rejected() {
         reset_csum_stats();
         let err = arr.write(&sim, 0, Payload::pattern(7, MIB)).await;
         assert_eq!(err, Err(DaosError::CorruptFrame));
-        // the client's fold plus one per torn copy the engine received: a
-        // corrupted payload never answers from the original's digest
+        // the client's sum plus one per torn copy the engine received:
+        // each is summed from its own description, none is walked
         let s = csum_stats();
-        assert!(s.cold_bytes >= 2 * MIB, "{s:?}");
-        assert_eq!(s.cold_bytes, s.cold_calls * MIB, "{s:?}");
-        assert_eq!(s.digest_hits, 0, "{s:?}");
+        assert!(s.closed_form_calls >= 2, "{s:?}");
+        assert_eq!(s.walked_bytes, 0, "{s:?}");
     });
 }
 
@@ -105,7 +130,8 @@ fn rotted_extents_are_rehashed_and_reported() {
         arr.write(&sim, 0, Payload::pattern(7, MIB))
             .await
             .expect("write");
-        assert_eq!(csum_stats().cold_bytes, MIB);
+        // client wire checksum, server verify, extent insert
+        assert_eq!(csum_stats().closed_form_calls, 3);
         for target in 0..cluster.cfg.engine_count() * cluster.cfg.targets_per_engine {
             cluster.apply_fault(
                 &sim,
@@ -118,7 +144,8 @@ fn rotted_extents_are_rehashed_and_reported() {
         assert_eq!(cluster.corruption_stats().rot_injected, 1);
         let err = arr.read(&sim, 0, MIB).await;
         assert_eq!(err, Err(DaosError::CsumMismatch));
-        // the rotted copy is new bytes: folded afresh, and found bad
-        assert_eq!(csum_stats().cold_bytes, 2 * MIB);
+        // the rotted copy is new bytes: summed once more, and found bad
+        let s = csum_stats();
+        assert_eq!((s.closed_form_calls, s.walked_bytes), (4, 0), "{s:?}");
     });
 }

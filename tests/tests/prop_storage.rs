@@ -159,7 +159,7 @@ proptest! {
         }
     }
 
-    /// A digest must never leak across different bytes: the checksum of a
+    /// The checksum is a pure function of a payload's bytes: that of a
     /// slice is that of its own bytes whether or not the parent, an
     /// identical earlier slice, or a corrupted sibling was hashed first.
     #[test]
@@ -185,7 +185,7 @@ proptest! {
         let s = parent.slice(off, sublen);
         let want = csum64_bytes(CSUM_SEED, &s.materialize());
         prop_assert_eq!(csum64(CSUM_SEED, &s), want);
-        // and again from the digest the first call left, and from a clone's
+        // and again, and from a clone
         prop_assert_eq!(csum64(CSUM_SEED, &s), want);
         prop_assert_eq!(csum64(CSUM_SEED, &s.clone()), want);
         if sublen > 0 {
