@@ -558,8 +558,8 @@ impl ArrayHandle {
     pub async fn punch(&self, sim: &Sim, offset: u64, len: u64) -> Result<(), DaosError> {
         let (cont, oid) = (self.obj.cont.cont, self.obj.oid);
         for (chunk, in_chunk, _src, plen) in self.pieces(offset, len) {
-            let punch = move |target| Request::PunchArray {
-                target,
+            let punch = |targets| Request::PunchArray {
+                targets,
                 cont,
                 oid,
                 dkey: chunk_dkey(chunk),
@@ -567,24 +567,29 @@ impl ArrayHandle {
                 offset: in_chunk,
                 len: plen,
             };
-            let replies = self.obj.fan_out(sim, self.group_of(chunk), punch).await;
+            let replies = self.obj.per_engine(sim, self.group_of(chunk), punch).await;
             replies.into_iter().try_for_each(|r| r?.ok())?;
         }
         Ok(())
     }
 
     /// The array's size in bytes (highest written offset + 1), queried
-    /// from every shard like `daos_array_get_size`.
+    /// from every shard like `daos_array_get_size`: one RPC per engine
+    /// holding any of them, answered with that engine's highest chunk.
     pub async fn size(&self, sim: &Sim) -> Result<u64, DaosError> {
         let (cont, oid) = (self.obj.cont.cont, self.obj.oid);
-        let max_chunk = move |target| Request::ArrayMaxChunk {
-            target,
+        let max_chunk = |targets| Request::ArrayMaxChunk {
+            targets,
             cont,
             oid,
             akey: array_akey(),
         };
         let mut size = 0u64;
-        for r in self.obj.fan_out(sim, 0..self.obj.width(), max_chunk).await {
+        for r in self
+            .obj
+            .per_engine(sim, 0..self.obj.width(), max_chunk)
+            .await
+        {
             match r? {
                 Response::MaxChunk(Some((dk, inner))) => {
                     let chunk = chunk_of_dkey(&dk)

@@ -14,13 +14,12 @@ mod damp;
 mod object;
 
 use std::future::Future;
-use std::ops::Range;
 use std::rc::Rc;
 
 use daos_fabric::NodeId;
 use daos_placement::{ObjectClass, ObjectId};
 use daos_sim::executor::join_all;
-use daos_sim::Sim;
+use daos_sim::{join_inline, Sim};
 use daos_vos::Epoch;
 
 use crate::cluster::Cluster;
@@ -177,26 +176,15 @@ impl DaosClient {
         r
     }
 
-    /// One plain [`DaosClient::call`] per index in `range`, all in flight
-    /// at once, replies in index order. `send` maps an index to its
-    /// `(engine, request)` only when that index's task first runs, so
-    /// routing sees the layout of that moment.
-    async fn fan_out(
+    /// One plain [`DaosClient::call`] per `(engine, request)`, all in
+    /// flight at once inside the caller's own task; replies in order.
+    async fn call_each(
         &self,
         sim: &Sim,
-        range: Range<u32>,
-        send: impl Fn(u32) -> (u32, Request) + Clone + 'static,
+        reqs: impl Iterator<Item = (u32, Request)>,
     ) -> Vec<Result<Response, DaosError>> {
-        let futs: Vec<_> = range
-            .map(|i| {
-                let (client, sim, send) = (self.clone(), sim.clone(), send.clone());
-                async move {
-                    let (engine, req) = send(i);
-                    client.call(&sim, engine, req).await
-                }
-            })
-            .collect();
-        join_all(sim, futs).await
+        let calls = reqs.map(|(engine, req)| self.call(sim, engine, req));
+        join_inline(calls.collect()).await
     }
 
     /// Control-plane RPC: retries across pool-service replicas following
@@ -358,19 +346,17 @@ impl ContainerHandle {
     }
 
     /// Capture a container snapshot: an epoch at or above every update
-    /// completed so far (queried from every target, like
-    /// `daos_cont_create_snap`). Reads at this epoch see exactly the data
-    /// present now, regardless of later overwrites.
+    /// completed so far (queried from every target, one RPC per engine,
+    /// like `daos_cont_create_snap`). Reads at this epoch see exactly the
+    /// data present now, regardless of later overwrites.
     pub async fn snapshot(&self, sim: &Sim) -> Result<Epoch, DaosError> {
         let cfg = &self.client.cluster.cfg;
-        let tpe = cfg.targets_per_engine;
-        let query = move |t| (t / tpe, Request::QueryEpoch { target: t % tpe });
+        let query = (0..cfg.engine_count()).map(|engine| {
+            let targets = (0..cfg.targets_per_engine).collect();
+            (engine, Request::QueryEpoch { targets })
+        });
         let mut max = 0;
-        for r in self
-            .client
-            .fan_out(sim, 0..cfg.engine_count() * tpe, query)
-            .await
-        {
+        for r in self.client.call_each(sim, query).await {
             match r? {
                 Response::Epoch(e) => max = max.max(e),
                 other => return Err(other.into_err()),

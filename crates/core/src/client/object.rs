@@ -1,4 +1,4 @@
-//! Object handles: client-side placement, the per-shard fan-out, and the
+//! Object handles: client-side placement, the per-engine fan-out, and the
 //! `daos_kv` view.
 
 use std::cell::{Cell, RefCell};
@@ -104,36 +104,40 @@ impl ObjectHandle {
         (splitmix64(h) % self.width() as u64) as u32
     }
 
-    /// One plain RPC per shard in `shards`, concurrently, each routed
-    /// through the layout when its task first runs; replies in shard order.
-    pub(super) async fn fan_out(
+    /// One plain RPC per engine behind `shards`, concurrently; `build`
+    /// gets that engine's local targets in shard order, and replies come
+    /// back in engine order. An object on one target is the one-engine,
+    /// one-target case.
+    pub(super) async fn per_engine(
         &self,
         sim: &Sim,
         shards: Range<u32>,
-        build: impl Fn(u32) -> Request + Clone + 'static,
+        build: impl Fn(Vec<u32>) -> Request,
     ) -> Vec<Result<Response, DaosError>> {
-        let this = self.clone();
-        let send = move |shard| {
-            let (engine, target) = this.route(shard);
-            (engine, build(target))
-        };
-        self.cont.client.fan_out(sim, shards, send).await
+        let mut routed: Vec<(u32, u32)> = shards.map(|s| self.route(s)).collect();
+        routed.sort_by_key(|&(engine, _)| engine);
+        let reqs = routed.chunk_by(|a, b| a.0 == b.0).map(|on_engine| {
+            let targets = on_engine.iter().map(|&(_, target)| target).collect();
+            (on_engine[0].0, build(targets))
+        });
+        self.cont.client.call_each(sim, reqs).await
     }
 
-    /// Punch the object on every shard (unlink).
+    /// Punch the object on every shard (unlink): one RPC per engine
+    /// holding any of them.
     pub async fn punch(&self, sim: &Sim) -> Result<(), DaosError> {
         let (cont, oid) = (self.cont.cont, self.oid);
-        let punch = move |target| Request::PunchObject { target, cont, oid };
-        let replies = self.fan_out(sim, 0..self.width(), punch).await;
+        let punch = |targets| Request::PunchObject { targets, cont, oid };
+        let replies = self.per_engine(sim, 0..self.width(), punch).await;
         replies.into_iter().try_for_each(|r| r?.ok())
     }
 
     /// Enumerate dkeys across all shards, merged and sorted.
     pub async fn list_dkeys(&self, sim: &Sim) -> Result<Vec<Key>, DaosError> {
         let (cont, oid) = (self.cont.cont, self.oid);
-        let list = move |target| Request::ListDkeys { target, cont, oid };
+        let list = |targets| Request::ListDkeys { targets, cont, oid };
         let mut keys = Vec::new();
-        for r in self.fan_out(sim, 0..self.width(), list).await {
+        for r in self.per_engine(sim, 0..self.width(), list).await {
             match r? {
                 Response::Dkeys(mut ks) => keys.append(&mut ks),
                 other => return Err(other.into_err()),

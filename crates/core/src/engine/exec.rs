@@ -110,24 +110,24 @@ impl Engine {
         Ok(payload)
     }
 
-    /// Execute one data-plane request against its target. VOS failures
-    /// (csum violations, akey-shape mismatches) surface as their typed
-    /// [`DaosError`] twins.
+    /// Execute one data-plane request against one of its targets. VOS
+    /// failures (csum violations, akey-shape mismatches) surface as their
+    /// typed [`DaosError`] twins.
     pub(super) async fn exec_data(
         &self,
         sim: &Sim,
         target: &VosTarget,
-        req: Request,
+        req: &Request,
     ) -> Result<Response, DaosError> {
         let cfg = &self.cfg;
-        Ok(match req {
+        Ok(match *req {
             Request::UpdateArray {
                 cont,
                 oid,
-                dkey,
-                akey,
+                ref dkey,
+                ref akey,
                 offset,
-                data,
+                ref data,
                 csum,
                 ..
             } => {
@@ -136,18 +136,18 @@ impl Engine {
                     sim.sleep(cfg.write_miss_stall).await;
                 }
                 self.bulk_write.transfer(sim, data.len()).await;
-                let data = self.received(sim, data, csum)?;
+                let data = self.received(sim, data.clone(), csum)?;
                 let epoch = target.next_epoch_at(sim.now().as_ns());
                 target
-                    .update_array(sim, cont, oid_key(oid), &dkey, &akey, offset, epoch, data)
+                    .update_array(sim, cont, oid_key(oid), dkey, akey, offset, epoch, data)
                     .await?;
                 Response::Written { epoch }
             }
             Request::FetchArray {
                 cont,
                 oid,
-                dkey,
-                akey,
+                ref dkey,
+                ref akey,
                 offset,
                 len,
                 epoch,
@@ -158,7 +158,7 @@ impl Engine {
                     sim.sleep(cfg.read_miss_latency).await;
                 }
                 let segs = target
-                    .fetch_array(sim, cont, oid_key(oid), &dkey, &akey, offset, len, epoch)
+                    .fetch_array(sim, cont, oid_key(oid), dkey, akey, offset, len, epoch)
                     .await?;
                 let data: u64 = segs
                     .iter()
@@ -187,43 +187,43 @@ impl Engine {
             Request::UpdateSingle {
                 cont,
                 oid,
-                dkey,
-                akey,
-                value,
+                ref dkey,
+                ref akey,
+                ref value,
                 csum,
                 ..
             } => {
-                let value = self.received(sim, value, csum)?;
+                let value = self.received(sim, value.clone(), csum)?;
                 let epoch = target.next_epoch_at(sim.now().as_ns());
                 target
-                    .update_single(sim, cont, oid_key(oid), &dkey, &akey, epoch, value)
+                    .update_single(sim, cont, oid_key(oid), dkey, akey, epoch, value)
                     .await?;
                 Response::Written { epoch }
             }
             Request::FetchSingle {
                 cont,
                 oid,
-                dkey,
-                akey,
+                ref dkey,
+                ref akey,
                 epoch,
                 ..
             } => Response::Single(
                 target
-                    .fetch_single(sim, cont, oid_key(oid), &dkey, &akey, epoch)
+                    .fetch_single(sim, cont, oid_key(oid), dkey, akey, epoch)
                     .await?,
             ),
             Request::PunchArray {
                 cont,
                 oid,
-                dkey,
-                akey,
+                ref dkey,
+                ref akey,
                 offset,
                 len,
                 ..
             } => {
                 let epoch = target.next_epoch_at(sim.now().as_ns());
                 target
-                    .punch_array(sim, cont, oid_key(oid), &dkey, &akey, offset, len, epoch)
+                    .punch_array(sim, cont, oid_key(oid), dkey, akey, offset, len, epoch)
                     .await?;
                 Response::Ok
             }
@@ -236,10 +236,13 @@ impl Engine {
                 Response::Dkeys(target.list_dkeys(sim, cont, oid_key(oid), u64::MAX).await)
             }
             Request::ArrayMaxChunk {
-                cont, oid, akey, ..
+                cont,
+                oid,
+                ref akey,
+                ..
             } => Response::MaxChunk(
                 target
-                    .array_max_chunk(sim, cont, oid_key(oid), &akey, u64::MAX)
+                    .array_max_chunk(sim, cont, oid_key(oid), akey, u64::MAX)
                     .await,
             ),
             Request::QueryEpoch { .. } => Response::Epoch(target.current_epoch()),

@@ -1,13 +1,14 @@
 //! The DAOS engine: an RPC server with one service stream (xstream) per
 //! VOS target.
 //!
-//! Each data-plane request is dispatched to the xstream owning its target:
-//! the xstream charges a fixed per-RPC CPU cost, executes the VOS operation
-//! against the target's media, and replies. One xstream serves one request
-//! at a time (Argobots ULTs yield on I/O in real DAOS, but the paper's
-//! bulk-I/O workloads behave like FIFO service per target), so per-target
-//! queueing — the contention behaviour behind the object-class results —
-//! emerges naturally.
+//! Each data-plane request is dispatched to the xstream owning its target
+//! (an object-wide one to the xstream of every target it lists, all inside
+//! its one handler task): the xstream charges a fixed per-RPC CPU cost,
+//! executes the VOS operation against the target's media, and replies. One
+//! xstream serves one request at a time (Argobots ULTs yield on I/O in
+//! real DAOS, but the paper's bulk-I/O workloads behave like FIFO service
+//! per target), so per-target queueing — the contention behaviour behind
+//! the object-class results — emerges naturally.
 //!
 //! The request pipeline is the body of `Engine::handle` and
 //! `Engine::serve_data`, read top to bottom; each stage keeps its state
@@ -30,9 +31,10 @@ use std::rc::Rc;
 
 use daos_fabric::{Endpoint, Fabric, Incoming, NodeId};
 use daos_media::MediaSet;
+use daos_placement::ObjectId;
 use daos_sim::time::SimDuration;
 use daos_sim::units::Bandwidth;
-use daos_sim::{Pipe, SharedPipe, Sim};
+use daos_sim::{join_inline, Pipe, SharedPipe, Sim};
 use daos_vos::target::VosConfig;
 use daos_vos::VosTarget;
 
@@ -52,6 +54,8 @@ use crate::rebuild::CorruptionReport;
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
     /// Fixed CPU cost to parse/dispatch/complete one RPC on an xstream.
+    /// Per RPC, not per target: an object-wide op that visits several
+    /// local targets pays it once, on the xstream of one lead target.
     pub rpc_cpu: SimDuration,
     /// Per-byte CPU on the serving xstream for data ops (copy into/out of
     /// media buffers, checksumming). This makes the *target* a serial
@@ -392,18 +396,18 @@ impl Engine {
         // heartbeat fast path — sees the inner request, and the tenant
         // routes the op through its service class (untagged ≡ tenant 0).
         let (tenant, req) = req.untag();
-        let rsp = match req.target() {
-            Some(t) => {
-                let t = t as usize % self.targets.len();
-                self.serve_data(sim, t, tenant, req).await
-            }
-            None => match req {
+        let rsp = if let Some(t) = req.target() {
+            self.serve_data(sim, t, tenant, &req, true).await
+        } else if let Some((targets, oid)) = req.targets() {
+            self.visit(sim, targets, oid, tenant, &req).await
+        } else {
+            match req {
                 // Heartbeats are answered here, on the networking core,
                 // not an xstream: they must stay cheap and unqueued or a
                 // busy engine looks dead.
                 Request::Ping { version, excluded } => self.heartbeat(version, excluded),
                 req => self.forward_control(sim, req).await,
-            },
+            }
         };
         if self.alive.get() {
             let bulk = rsp.bulk_out();
@@ -451,12 +455,51 @@ impl Engine {
         self.admission.refuse(t, bulk_in)
     }
 
-    /// The data plane, for a request addressed to local target `t`. A
-    /// refusal is never billed: the shaper only ever sees admitted work.
-    /// The in-flight budget, the gate grant and the xstream permit are
-    /// all released on every exit, including service that outlives a
-    /// crash — the buffer is freed either way.
-    async fn serve_data(&self, sim: &Sim, t: usize, tenant: u8, req: Request) -> Response {
+    /// An object-wide op: every listed target is served concurrently
+    /// inside this handler's own task — one ULT per local target, not a
+    /// task each — and the replies merge into one in target order
+    /// ([`Response::merge`]). Each visit is a full [`Engine::serve_data`],
+    /// so exclusion, the admission gates, the shaper and the xstream FIFO
+    /// see it exactly as they would a request of its own. The RPC itself
+    /// was parsed once, so one visit carries its CPU cost: a lead picked
+    /// by object id, so that no xstream is every object's lead.
+    async fn visit(
+        &self,
+        sim: &Sim,
+        targets: &[u32],
+        oid: Option<ObjectId>,
+        tenant: u8,
+        req: &Request,
+    ) -> Response {
+        let lead = oid.map_or(0, |o| o.mix() % targets.len().max(1) as u64);
+        let visits = targets
+            .iter()
+            .zip(0u64..)
+            .map(|(&t, i)| self.serve_data(sim, t, tenant, req, i == lead));
+        let replies = join_inline(visits.collect()).await;
+        replies
+            .into_iter()
+            .reduce(Response::merge)
+            .unwrap_or(Response::Ok)
+    }
+
+    /// The data plane, for local target `t` of a request: the one it is
+    /// addressed to, or one of those it visits. A refusal is never
+    /// billed: the shaper only ever sees admitted work. The in-flight
+    /// budget, the gate grant and the xstream permit are all released on
+    /// every exit, including service that outlives a crash — the buffer
+    /// is freed either way. `rpc` is whether this target's xstream also
+    /// pays for the RPC itself ([`Engine::charge`]) or only for its VOS
+    /// op.
+    async fn serve_data(
+        &self,
+        sim: &Sim,
+        t: u32,
+        tenant: u8,
+        req: &Request,
+        rpc: bool,
+    ) -> Response {
+        let t = t as usize % self.targets.len();
         let bulk_in = req.bulk_in();
         if let Some(e) = self.refusal(t, bulk_in) {
             return Response::Err(e);
@@ -474,7 +517,9 @@ impl Engine {
             None => None,
         };
         let _xs = self.admission.xstream(t).acquire().await;
-        self.charge(sim, copy_bytes).await;
+        if rpc {
+            self.charge(sim, copy_bytes).await;
+        }
         let rsp = self
             .exec_data(sim, &self.targets[t], req)
             .await

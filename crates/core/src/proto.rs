@@ -143,8 +143,10 @@ pub fn chunk_of_dkey(dkey: &[u8]) -> Option<u64> {
     dkey.try_into().ok().map(u64::from_be_bytes)
 }
 
-/// A request addressed to one engine; data-plane ops carry the local target
-/// index the shard lives on.
+/// A request addressed to one engine. A single-shard data op carries the
+/// local target its shard lives on; an object-wide op carries every local
+/// target the engine is to visit for it (`targets`, in shard order), so an
+/// object costs one RPC per engine however many of its shards live there.
 #[derive(Clone, Debug)]
 pub enum Request {
     // ------------------------------------------------------- data plane
@@ -190,13 +192,13 @@ pub enum Request {
         epoch: Epoch,
     },
     PunchObject {
-        target: u32,
+        targets: Vec<u32>,
         cont: ContId,
         oid: ObjectId,
     },
     /// Punch a byte range inside one chunk (truncate support).
     PunchArray {
-        target: u32,
+        targets: Vec<u32>,
         cont: ContId,
         oid: ObjectId,
         dkey: Key,
@@ -205,20 +207,20 @@ pub enum Request {
         len: u64,
     },
     ListDkeys {
-        target: u32,
+        targets: Vec<u32>,
         cont: ContId,
         oid: ObjectId,
     },
     /// Highest chunk dkey + size within it, for array-size queries.
     ArrayMaxChunk {
-        target: u32,
+        targets: Vec<u32>,
         cont: ContId,
         oid: ObjectId,
         akey: Key,
     },
-    /// Highest epoch issued by this target (container snapshots).
+    /// Highest epoch issued by these targets (container snapshots).
     QueryEpoch {
-        target: u32,
+        targets: Vec<u32>,
     },
     /// Pool-service heartbeat probing engine liveness; gossips the current
     /// pool-map version and the engine's locally-excluded targets.
@@ -338,19 +340,27 @@ impl Request {
         }
     }
 
-    /// The local target a data-plane request addresses (`None`: control
-    /// plane, heartbeat or envelope).
+    /// The local target a single-shard data op addresses (`None`:
+    /// anything else).
     pub fn target(&self) -> Option<u32> {
         match self {
             Request::UpdateArray { target, .. }
             | Request::FetchArray { target, .. }
             | Request::UpdateSingle { target, .. }
-            | Request::FetchSingle { target, .. }
-            | Request::PunchObject { target, .. }
-            | Request::PunchArray { target, .. }
-            | Request::ListDkeys { target, .. }
-            | Request::ArrayMaxChunk { target, .. }
-            | Request::QueryEpoch { target } => Some(*target),
+            | Request::FetchSingle { target, .. } => Some(*target),
+            _ => None,
+        }
+    }
+
+    /// The local targets an object-wide op visits, and the object it
+    /// names if it names one (`None`: anything else).
+    pub fn targets(&self) -> Option<(&[u32], Option<ObjectId>)> {
+        match self {
+            Request::PunchObject { targets, oid, .. }
+            | Request::PunchArray { targets, oid, .. }
+            | Request::ListDkeys { targets, oid, .. }
+            | Request::ArrayMaxChunk { targets, oid, .. } => Some((targets, Some(*oid))),
+            Request::QueryEpoch { targets } => Some((targets, None)),
             _ => None,
         }
     }
@@ -436,6 +446,22 @@ impl Response {
             Response::Single(Some(p)) => p.len(),
             Response::Dkeys(keys) => keys.iter().map(|k| k.len() as u64 + 8).sum(),
             _ => 0,
+        }
+    }
+
+    /// Fold the next target's reply into an object-wide op's reply: the
+    /// first error wins, listings concatenate, and a query keeps its
+    /// maximum (the highest `(dkey, size)`, the highest epoch).
+    pub fn merge(self, next: Response) -> Response {
+        match (self, next) {
+            (Response::Err(e), _) | (_, Response::Err(e)) => Response::Err(e),
+            (Response::Dkeys(mut keys), Response::Dkeys(mut more)) => {
+                keys.append(&mut more);
+                Response::Dkeys(keys)
+            }
+            (Response::MaxChunk(a), Response::MaxChunk(b)) => Response::MaxChunk(a.max(b)),
+            (Response::Epoch(a), Response::Epoch(b)) => Response::Epoch(a.max(b)),
+            (first, _) => first,
         }
     }
 

@@ -322,7 +322,7 @@ pub(crate) async fn run(
                 dest_engine,
                 new_layout.target_of(lister),
                 Request::ListDkeys {
-                    target: new_layout.target_of(lister) % cluster.cfg.targets_per_engine,
+                    targets: vec![new_layout.target_of(lister) % cluster.cfg.targets_per_engine],
                     cont,
                     oid,
                 },

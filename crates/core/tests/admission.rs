@@ -63,7 +63,7 @@ fn queue_cap_zero_sheds_all_data_plane_but_control_plane_survives() {
         // data plane: header-only and bulk requests are both shed, and
         // the Busy reply itself carries no bulk payload
         let q = client
-            .call(&sim, 1, Request::QueryEpoch { target: 0 })
+            .call(&sim, 1, Request::QueryEpoch { targets: vec![0] })
             .await;
         assert!(is_busy(&q), "header-only data op must be shed: {q:?}");
         let w = client.call(&sim, 1, raw_update(0, 64 * KIB)).await;
@@ -132,7 +132,9 @@ fn inflight_cap_boundary_is_exact_and_ignores_headers() {
         let zero = Cluster::build(&sim, testbed(None, Some(0)));
         let zc = DaosClient::new(Rc::clone(&zero), 0);
         zc.connect(&sim).await.unwrap();
-        let q = zc.call(&sim, 1, Request::QueryEpoch { target: 0 }).await;
+        let q = zc
+            .call(&sim, 1, Request::QueryEpoch { targets: vec![0] })
+            .await;
         assert!(
             !is_busy(&q),
             "header-only op must pass at byte-cap 0: {q:?}"
@@ -215,7 +217,7 @@ fn shaper_sits_behind_admission_gates_and_sheds_are_unbilled() {
         client.connect(&sim).await.unwrap();
 
         let q = client
-            .call(&sim, 1, Request::QueryEpoch { target: 0 })
+            .call(&sim, 1, Request::QueryEpoch { targets: vec![0] })
             .await;
         assert!(is_busy(&q), "header-only data op must be shed: {q:?}");
         let w = client.call(&sim, 1, raw_update(0, 64 * KIB)).await;

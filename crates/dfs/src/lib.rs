@@ -453,7 +453,12 @@ impl Dfs {
         if ent.kind != EntryKind::Dir {
             return Err(DaosError::Other(format!("not a directory: {path}")));
         }
-        let kv = self.dir_kv(ent.oid);
+        self.entries(sim, ent.oid).await
+    }
+
+    /// Names of the live entries of directory object `dir`.
+    async fn entries(&self, sim: &Sim, dir: ObjectId) -> Result<Vec<String>, DaosError> {
+        let kv = self.dir_kv(dir);
         let keys = kv.list(sim).await?;
         // filter tombstones (unlinked entries)
         let mut names = Vec::with_capacity(keys.len());
@@ -467,7 +472,9 @@ impl Dfs {
         Ok(names)
     }
 
-    /// Remove a file (dirent tombstone + object punch).
+    /// Remove a file or an empty directory (dirent tombstone + object
+    /// punch). A directory with live entries is refused: each child owns
+    /// an object that only its own unlink punches.
     pub async fn unlink(&self, sim: &Sim, path: &str) -> Result<(), DaosError> {
         let (parent, name) = self.resolve_parent(sim, path).await?;
         let kv = self.dir_kv(parent);
@@ -476,6 +483,9 @@ impl Dfs {
         };
         let ent = DirEntry::from_bytes(&v.materialize())
             .ok_or_else(|| DaosError::CorruptMetadata("corrupt dirent".into()))?;
+        if ent.kind == EntryKind::Dir && !self.entries(sim, ent.oid).await?.is_empty() {
+            return Err(DaosError::Other(format!("directory not empty: {path}")));
+        }
         kv.put(sim, name, Payload::bytes(Vec::new())).await?;
         self.cont.object(ent.oid, ent.class).punch(sim).await?;
         Ok(())

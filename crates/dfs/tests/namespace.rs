@@ -132,6 +132,74 @@ fn unlink_removes_and_frees() {
     });
 }
 
+/// Unlinking a directory out from under its children would orphan every
+/// child's object: refused until the directory is empty, and the refusal
+/// touches nothing.
+#[test]
+fn unlink_refuses_a_directory_until_it_is_empty() {
+    let mut sim = Sim::new(0xD58);
+    sim.block_on(|sim| async move {
+        let fs = fs(&sim).await;
+        fs.mkdir(&sim, "/d").await.unwrap();
+        fs.mkdir(&sim, "/d/sub").await.unwrap();
+        let f = fs
+            .create(&sim, "/d/kept.dat", ObjectClass::SX, MIB)
+            .await
+            .unwrap();
+        f.write(&sim, 0, Payload::pattern(7, KIB)).await.unwrap();
+
+        let refused = fs.unlink(&sim, "/d").await;
+        assert!(
+            matches!(&refused, Err(daos_core::DaosError::Other(m)) if m.contains("not empty")),
+            "{refused:?}"
+        );
+        assert_eq!(fs.readdir(&sim, "/").await.unwrap(), vec!["d"]);
+        assert_eq!(fs.readdir(&sim, "/d").await.unwrap(), ["kept.dat", "sub"]);
+        assert_eq!(fs.stat(&sim, "/d/kept.dat").await.unwrap().size, KIB);
+
+        // children first, then the directory goes
+        fs.unlink(&sim, "/d/kept.dat").await.unwrap();
+        assert!(fs.unlink(&sim, "/d").await.is_err(), "/d/sub is still live");
+        fs.unlink(&sim, "/d/sub").await.unwrap();
+        fs.unlink(&sim, "/d").await.unwrap();
+        assert!(fs.readdir(&sim, "/").await.unwrap().is_empty());
+        assert!(fs.lookup(&sim, "/d").await.unwrap().is_none());
+    });
+}
+
+/// The emptiness check is for directories only: a file unlink is the
+/// parent lookup, the dirent fetch, the tombstone, and one punch RPC per
+/// engine holding a shard — however many shards that is.
+#[test]
+fn file_unlink_costs_three_rpcs_plus_one_per_engine() {
+    let mut sim = Sim::new(0xD59);
+    sim.block_on(|sim| async move {
+        // park the failure detector: every RPC counted is the unlink's own
+        let mut cfg = ClusterConfig::tiny(1);
+        cfg.heartbeat.interval = daos_sim::time::SimDuration::from_secs(3600);
+        let cluster = Cluster::build(&sim, cfg);
+        let pool = DaosClient::new(Rc::clone(&cluster), 0)
+            .connect(&sim)
+            .await
+            .unwrap();
+        let fs = Dfs::mount(&sim, &pool, 1, DfsConfig::default(), 3)
+            .await
+            .unwrap();
+        let rpcs = || -> u64 {
+            let engines = cluster.engines().iter();
+            engines.map(|e| e.endpoint().call_count()).sum()
+        };
+        fs.mkdir(&sim, "/d").await.unwrap();
+        // tiny: 2 engines x 4 targets, so SX is 8 shards on 2 engines
+        for (class, engines) in [(ObjectClass::SX, 2), (ObjectClass::S1, 1)] {
+            fs.create(&sim, "/d/f", class, MIB).await.unwrap();
+            let before = rpcs();
+            fs.unlink(&sim, "/d/f").await.unwrap();
+            assert_eq!(rpcs() - before, 3 + engines, "{class:?}");
+        }
+    });
+}
+
 #[test]
 fn symlinks_resolve_and_cap_loops() {
     let mut sim = Sim::new(0xD55);

@@ -31,6 +31,7 @@
 
 pub mod executor;
 pub mod fault;
+pub mod join;
 pub mod pipe;
 pub mod stats;
 pub mod sync;
@@ -39,6 +40,7 @@ pub mod units;
 
 pub use executor::{JoinHandle, Sim};
 pub use fault::{select2, timeout, Either, FaultAction, FaultInjector, FaultPlan};
+pub use join::join_inline;
 pub use pipe::{Pipe, SharedPipe};
 pub use stats::{Histogram, OnlineStats, PercentileSketch};
 pub use sync::{oneshot, Mailbox, Semaphore, SemaphorePermit};

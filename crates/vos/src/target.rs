@@ -524,7 +524,7 @@ impl VosTarget {
     pub async fn punch_object(&self, sim: &Sim, cid: ContId, oid: ObjKey, epoch: Epoch) {
         {
             let mut conts = self.containers.borrow_mut();
-            if let Some(obj) = conts.entry(cid).or_default().objects.get_mut(&oid) {
+            if let Some(obj) = conts.get_mut(&cid).and_then(|c| c.objects.get_mut(&oid)) {
                 obj.punched_at = Some(epoch);
             }
         }
@@ -936,6 +936,36 @@ mod tests {
                     .await
                     .unwrap();
                 assert!(old[0].data.is_some());
+            }
+        });
+    }
+
+    /// A wide object's punch visits every target, and most of them never
+    /// held a shard of it: the visit must leave no empty container behind
+    /// for aggregation and the scrubber to walk, and still pay for the
+    /// index lookup it made.
+    #[test]
+    fn punching_an_absent_object_creates_nothing_and_still_costs_two_index_writes() {
+        let (mut sim, t) = mk_target();
+        sim.block_on(|sim| {
+            let t = Rc::clone(&t);
+            async move {
+                let t0 = sim.now();
+                t.punch_object(&sim, 9, 5, t.next_epoch()).await;
+                let absent = sim.now() - t0;
+                assert!(t.container_ids().is_empty(), "{:?}", t.container_ids());
+
+                let (d, a) = (crate::key("d"), crate::key("a"));
+                t.update_single(&sim, 9, 5, &d, &a, t.next_epoch(), Payload::bytes(vec![0]))
+                    .await
+                    .unwrap();
+                let t1 = sim.now();
+                t.punch_object(&sim, 9, 5, t.next_epoch()).await;
+                assert_eq!(absent, sim.now() - t1, "absent or present, same cost");
+                let t2 = sim.now();
+                t.media().index_update(&sim, 2).await;
+                assert_eq!(absent, sim.now() - t2, "which is two index writes");
+                assert_eq!(t.container_ids(), vec![9]);
             }
         });
     }

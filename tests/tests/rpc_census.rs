@@ -1,0 +1,167 @@
+//! The RPC census of a metadata op, exact: an mdtest-style create / stat /
+//! unlink storm through DFuse on the paper's 16-engine × 8-target cluster,
+//! counted phase by phase from the engines' own counters. DFuse creates
+//! files with the mount's default class `SX`, 128 shards wide here, and
+//! `stat` and `unlink` must visit every shard; what they may not do is
+//! send every shard its own RPC. An object-wide op costs one RPC per
+//! engine holding a shard, so the census is 3 / 2 + 16 / 3 + 16 — it was
+//! 3 / 130 / 131 when `size` and `punch` fanned out per target — while
+//! every one of the 128 targets is still admitted and served. The same
+//! storm on `S1` files costs 3 / 3 / 4: the path is chosen by the layout.
+
+use std::rc::Rc;
+
+use daos_bench::paper_cluster;
+use daos_dfs::DfsConfig;
+use daos_dfuse::{DfuseConfig, OpenFlags};
+use daos_ior::DaosTestbed;
+use daos_placement::ObjectClass;
+use daos_sim::executor::join_all;
+use daos_sim::time::SimDuration;
+use daos_sim::Sim;
+
+const NODES: u32 = 2;
+const PPN: u32 = 4;
+const FILES: u32 = 16;
+const OPS: u64 = (NODES * PPN * FILES) as u64;
+/// Engines and targets of `paper_cluster`: an `SX` file has a shard on
+/// every target.
+const ENGINES: u64 = 16;
+const TARGETS: u64 = 128;
+
+/// `(rpcs, admitted)` per create, stat and unlink of an `SX` file:
+/// create: parent lookup, dirent probe, dirent insert;
+/// stat:   parent lookup, dirent fetch, then the size of all 128 shards;
+/// unlink: parent lookup, dirent fetch, tombstone, then 128 punches.
+const SX: [(u64, u64); 3] = [
+    (3, 3),
+    (2 + ENGINES, 2 + TARGETS),
+    (3 + ENGINES, 3 + TARGETS),
+];
+
+/// What one phase of the storm cost in total.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Phase {
+    /// RPCs received by the engines' endpoints.
+    rpcs: u64,
+    /// Data-plane requests admitted to an xstream.
+    admitted: u64,
+    /// Simulator tasks spawned.
+    tasks: u64,
+}
+
+/// Create, stat, then unlink `FILES` files per rank through DFuse, every
+/// rank in its own directory, all ranks of a phase at once.
+fn storm(flags: OpenFlags) -> [Phase; 3] {
+    let mut sim = Sim::new(0xCE5);
+    sim.block_on(move |sim| async move {
+        // park the failure detector: every RPC counted is an op's own
+        let mut cfg = paper_cluster(NODES);
+        cfg.heartbeat.interval = SimDuration::from_secs(3600);
+        let (dfs, dfuse) = (DfsConfig::default(), DfuseConfig::default());
+        let env = DaosTestbed::setup(&sim, cfg, dfs, dfuse)
+            .await
+            .expect("testbed");
+        assert_eq!(cfg.engine_count() as u64, ENGINES);
+        assert_eq!(ENGINES * cfg.targets_per_engine as u64, TARGETS);
+        for r in 0..NODES * PPN {
+            let mount = &env.dfuse[(r / PPN) as usize];
+            mount.mkdir(&sim, &format!("/md.{r}")).await.expect("mkdir");
+        }
+        let totals = |sim: &Sim| {
+            let engines = env.cluster.engines().iter();
+            let (rpcs, admitted) = engines.fold((0, 0), |(r, a), e| {
+                let calls = e.endpoint().call_count();
+                (r + calls, a + e.admission_stats().admitted)
+            });
+            (rpcs, admitted, sim.spawned_total())
+        };
+        let mut phases = Vec::new();
+        for op in 0..3 {
+            let before = totals(&sim);
+            let ranks = (0..NODES * PPN).map(|r| {
+                let (env, sim) = (Rc::clone(&env), sim.clone());
+                async move {
+                    let mount = &env.dfuse[(r / PPN) as usize];
+                    for i in 0..FILES {
+                        let path = format!("/md.{r}/f.{i:06}");
+                        match op {
+                            0 => drop(mount.open(&sim, &path, flags).await.expect("create")),
+                            1 => drop(mount.stat(&sim, &path).await.expect("stat")),
+                            _ => mount.unlink(&sim, &path).await.expect("unlink"),
+                        }
+                    }
+                }
+            });
+            join_all(&sim, ranks.collect()).await;
+            let after = totals(&sim);
+            phases.push(Phase {
+                rpcs: after.0 - before.0,
+                admitted: after.1 - before.1,
+                tasks: after.2 - before.2,
+            });
+        }
+        [phases[0], phases[1], phases[2]]
+    })
+}
+
+/// Check a census against per-op costs `(rpcs, admitted)` for create, stat
+/// and unlink. Counts are exact. Tasks are bounded: one engine handler
+/// per RPC and one rank task per `OPS / FILES` ops, nothing per target.
+fn check(census: &[Phase; 3], per_op: [(u64, u64); 3]) -> Result<(), String> {
+    for ((name, phase), (rpcs, admitted)) in
+        ["create", "stat", "unlink"].iter().zip(census).zip(per_op)
+    {
+        if (phase.rpcs, phase.admitted) != (OPS * rpcs, OPS * admitted) {
+            return Err(format!(
+                "{name}: {phase:?} is not {rpcs} RPCs and {admitted} admissions per op"
+            ));
+        }
+        if phase.tasks > phase.rpcs + OPS / FILES as u64 {
+            return Err(format!("{name}: {phase:?} spawns more than a task per RPC"));
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn sx_files_cost_one_rpc_per_engine_and_visit_every_target() {
+    let census = storm(OpenFlags::create());
+    check(&census, SX).unwrap_or_else(|e| panic!("{e}\n{census:#?}"));
+}
+
+#[test]
+fn s1_files_cost_one_rpc_where_sx_costs_sixteen() {
+    let census = storm(OpenFlags::create_with(ObjectClass::S1));
+    check(&census, [(3, 3), (3, 3), (4, 4)]).unwrap_or_else(|e| panic!("{e}\n{census:#?}"));
+}
+
+/// Planted negative: the census this repo had while `size` and `punch`
+/// sent one RPC to each of the 128 shards — 3 / 130 / 131 RPCs per op, a
+/// client task and a handler task for each — must not pass the check.
+#[test]
+fn the_per_target_census_fails_the_check() {
+    let per_target = [(3, 0), (2, TARGETS), (3, TARGETS)].map(|(kv, fanned)| Phase {
+        rpcs: OPS * (kv + fanned),
+        admitted: OPS * (kv + fanned),
+        tasks: OPS * (kv + 2 * fanned),
+    });
+    let verdict = check(&per_target, SX);
+    assert!(
+        verdict.as_ref().is_err_and(|e| e.starts_with("stat")),
+        "{verdict:?}"
+    );
+    // and neither do the right RPC counts with a task per target
+    let mut tasks_per_target = SX.map(|(rpcs, admitted)| Phase {
+        rpcs: OPS * rpcs,
+        admitted: OPS * admitted,
+        tasks: OPS * rpcs,
+    });
+    check(&tasks_per_target, SX).expect("a task per RPC passes");
+    tasks_per_target[2].tasks += OPS * TARGETS;
+    let verdict = check(&tasks_per_target, SX);
+    assert!(
+        verdict.as_ref().is_err_and(|e| e.starts_with("unlink")),
+        "{verdict:?}"
+    );
+}
