@@ -312,7 +312,7 @@ impl OpenLoop {
                     let arr = self.arrays[ai].clone();
                     let sim2 = sim.clone();
                     let c = Rc::clone(&counters);
-                    sim.spawn(async move {
+                    sim.spawn_detached(async move {
                         let start = sim2.now();
                         let outcome = if reads {
                             arr.read(&sim2, chunk * req, req).await.map(|_| ())

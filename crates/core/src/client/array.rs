@@ -5,13 +5,12 @@ use std::future::Future;
 use std::ops::Range;
 
 use daos_placement::{splitmix64, ObjectClass, ObjectId};
-use daos_sim::executor::join_all;
-use daos_sim::Sim;
+use daos_sim::{join_inline, Sim};
 use daos_vos::tree::{flatten, ReadSeg};
 use daos_vos::{Epoch, Payload};
 
 use super::damp::Attempt;
-use super::{try_join_all, ObjectHandle, EPOCH_LATEST};
+use super::{ObjectHandle, EPOCH_LATEST};
 use crate::proto::{
     array_akey, chunk_dkey, chunk_of_dkey, wire_csum, DaosError, Request, Response,
 };
@@ -158,20 +157,17 @@ impl ArrayHandle {
         self.retry(sim, DaosError::Timeout, attempt).await
     }
 
-    /// Write each `(shard, offset, data)` piece of `chunk` concurrently.
+    /// Write each `(shard, offset, data)` piece of `chunk` concurrently,
+    /// every one to completion; the first error in submission order wins.
     async fn update_shards(
         &self,
         sim: &Sim,
         chunk: u64,
         writes: impl Iterator<Item = (u32, u64, Payload)>,
     ) -> Result<(), DaosError> {
-        let futs: Vec<_> = writes
-            .map(|(shard, offset, data)| {
-                let (this, sim) = (self.clone(), sim.clone());
-                async move { this.update_shard(&sim, shard, chunk, offset, data).await }
-            })
-            .collect();
-        try_join_all(sim, futs).await
+        let futs =
+            writes.map(|(shard, offset, data)| self.update_shard(sim, shard, chunk, offset, data));
+        join_inline(futs.collect()).await.into_iter().collect()
     }
 
     /// One fetch attempt against one shard, no retry — the failover
@@ -213,7 +209,7 @@ impl ArrayHandle {
             target,
         };
         let s = sim.clone();
-        sim.spawn(async move {
+        sim.spawn_detached(async move {
             let _ = client.control(&s, req).await;
         });
     }
@@ -486,20 +482,27 @@ impl ArrayHandle {
         out
     }
 
+    /// The chunk `[offset, offset+len)` lies inside, as `(chunk,
+    /// offset_in_chunk)` — `None` when the range is empty or crosses a
+    /// chunk boundary.
+    fn single_chunk(&self, offset: u64, len: u64) -> Option<(u64, u64)> {
+        let in_chunk = offset % self.chunk_size;
+        (len > 0 && in_chunk + len <= self.chunk_size)
+            .then_some((offset / self.chunk_size, in_chunk))
+    }
+
     /// Write `data` at byte `offset`; chunks are written concurrently
-    /// (libdaos event-queue style).
+    /// (libdaos event-queue style) inside the caller's task, every one to
+    /// completion, and the first error in chunk order wins.
     pub async fn write(&self, sim: &Sim, offset: u64, data: Payload) -> Result<(), DaosError> {
+        if let Some((chunk, in_chunk)) = self.single_chunk(offset, data.len()) {
+            return self.write_piece(sim, chunk, in_chunk, data).await;
+        }
         let pieces = self.pieces(offset, data.len());
-        let futs: Vec<_> = pieces
-            .into_iter()
-            .map(|(chunk, in_chunk, src_off, len)| {
-                let this = self.clone();
-                let sim = sim.clone();
-                let piece = data.slice(src_off, len);
-                async move { this.write_piece(&sim, chunk, in_chunk, piece).await }
-            })
-            .collect();
-        try_join_all(sim, futs).await
+        let futs = pieces.into_iter().map(|(chunk, in_chunk, src_off, len)| {
+            self.write_piece(sim, chunk, in_chunk, data.slice(src_off, len))
+        });
+        join_inline(futs.collect()).await.into_iter().collect()
     }
 
     /// Read `[offset, offset+len)` as of a container snapshot epoch.
@@ -530,23 +533,22 @@ impl ArrayHandle {
     /// Read `len` bytes at `offset` (latest); unwritten ranges come back as
     /// holes. Segments are returned in array-offset order.
     pub async fn read(&self, sim: &Sim, offset: u64, len: u64) -> Result<Vec<ReadSeg>, DaosError> {
+        // one piece, rebased from chunk-relative to array offsets
+        let piece = |chunk, in_chunk, plen| async move {
+            let segs = self.read_piece(sim, chunk, in_chunk, plen).await?;
+            let base = chunk * self.chunk_size;
+            let segs = segs.into_iter().map(|s| s.rebased(0, base));
+            Ok::<_, DaosError>(segs.collect::<Vec<_>>())
+        };
+        if let Some((chunk, in_chunk)) = self.single_chunk(offset, len) {
+            return piece(chunk, in_chunk, len).await;
+        }
         let pieces = self.pieces(offset, len);
-        let futs: Vec<_> = pieces
+        let futs = pieces
             .into_iter()
-            .map(|(chunk, in_chunk, _src_off, plen)| {
-                let this = self.clone();
-                let sim = sim.clone();
-                async move {
-                    let segs = this.read_piece(&sim, chunk, in_chunk, plen).await?;
-                    // rebase chunk-relative offsets to array offsets
-                    let base = chunk * this.chunk_size;
-                    let segs = segs.into_iter().map(|s| s.rebased(0, base));
-                    Ok::<_, DaosError>(segs.collect::<Vec<_>>())
-                }
-            })
-            .collect();
+            .map(|(chunk, in_chunk, _src_off, plen)| piece(chunk, in_chunk, plen));
         let mut segs = Vec::new();
-        for r in join_all(sim, futs).await {
+        for r in join_inline(futs.collect()).await {
             segs.extend(r?);
         }
         segs.sort_by_key(|s| s.offset);
@@ -603,8 +605,10 @@ impl ArrayHandle {
         Ok(size)
     }
 
-    /// Read and materialise exactly `len` bytes (holes as zeroes) — test
-    /// helper; benchmarks use [`ArrayHandle::read`] to avoid allocation.
+    /// Read exactly `len` bytes into one buffer, holes as zeroes — for
+    /// callers that compare the bytes themselves (`Dfs` file reads, the
+    /// scrub timeline, tests); [`ArrayHandle::read`] hands back the
+    /// segments without materialising them.
     pub async fn read_bytes(&self, sim: &Sim, offset: u64, len: u64) -> Result<Vec<u8>, DaosError> {
         let segs = self.read(sim, offset, len).await?;
         Ok(flatten(&segs, offset, len))

@@ -13,12 +13,10 @@ mod array;
 mod damp;
 mod object;
 
-use std::future::Future;
 use std::rc::Rc;
 
 use daos_fabric::NodeId;
 use daos_placement::{ObjectClass, ObjectId};
-use daos_sim::executor::join_all;
 use daos_sim::{join_inline, Sim};
 use daos_vos::Epoch;
 
@@ -34,15 +32,6 @@ pub use object::{KvHandle, ObjectHandle};
 
 /// Read "latest" epoch sentinel.
 pub const EPOCH_LATEST: Epoch = Epoch::MAX;
-
-/// Run `futs` concurrently to completion; the first error in submission
-/// order wins.
-async fn try_join_all<F>(sim: &Sim, futs: Vec<F>) -> Result<(), DaosError>
-where
-    F: Future<Output = Result<(), DaosError>> + 'static,
-{
-    join_all(sim, futs).await.into_iter().collect()
-}
 
 /// A client process bound to a client node's fabric port.
 #[derive(Clone)]

@@ -359,7 +359,7 @@ impl Cluster {
         let version = state.map_version;
         let c = Rc::clone(self);
         let s = sim.clone();
-        sim.spawn(async move {
+        sim.spawn_detached(async move {
             let stats = rebuild::run(&s, &c, version, &old_excluded, &new_excluded).await;
             c.rebuild_stats.borrow_mut().merge(&stats);
             c.rebuilds_running.set(c.rebuilds_running.get() - 1);
@@ -382,7 +382,7 @@ impl Cluster {
         self.repairs_running.set(self.repairs_running.get() + 1);
         let c = Rc::clone(self);
         let s = sim.clone();
-        sim.spawn(async move {
+        sim.spawn_detached(async move {
             let ok = rebuild::repair_corruption(&s, &c, report).await;
             {
                 let mut st = c.corruption_stats.borrow_mut();

@@ -226,7 +226,7 @@ impl Engine {
             background: Background::default(),
         });
         if let Some(interval) = cfg.aggregation_interval {
-            sim.spawn(background::aggregation(
+            sim.spawn_detached(background::aggregation(
                 Rc::clone(&eng),
                 sim.clone(),
                 interval,
@@ -234,15 +234,15 @@ impl Engine {
         }
         // the scrubber is idle without checksums to verify against
         if let (true, Some(interval)) = (cfg.vos.csum_enabled, cfg.scrub_interval) {
-            sim.spawn(background::scrubber(Rc::clone(&eng), sim.clone(), interval));
+            sim.spawn_detached(background::scrubber(Rc::clone(&eng), sim.clone(), interval));
         }
         let e = Rc::clone(&eng);
         let s = sim.clone();
-        sim.spawn(async move {
+        sim.spawn_detached(async move {
             while let Some(inc) = e.endpoint.serve().await {
                 let e = Rc::clone(&e);
                 let s2 = s.clone();
-                s.spawn(async move { e.handle(&s2, inc).await });
+                s.spawn_detached(async move { e.handle(&s2, inc).await });
             }
         });
         eng

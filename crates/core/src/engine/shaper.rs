@@ -201,7 +201,7 @@ impl QosShaper {
                 gate.sleeping.set(true);
                 let sh = Rc::clone(self);
                 let s = sim.clone();
-                sim.spawn(async move {
+                sim.spawn_detached(async move {
                     s.sleep_ns(wait).await;
                     sh.gates[xs].sleeping.set(false);
                     sh.pump(&s, xs);

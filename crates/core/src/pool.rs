@@ -296,7 +296,7 @@ impl PoolReplica {
             let from_node = self.node;
             let me = self.raft_id;
             let s = sim.clone();
-            sim.spawn(async move {
+            sim.spawn_detached(async move {
                 // fire-and-forget; the receiver acks immediately
                 let _ = ep.call(&s, from_node, (me, env.msg), 0).await;
             });
@@ -492,7 +492,7 @@ pub fn spawn_pool_service(
         let r = Rc::clone(r);
         let control = members[i].2.clone();
         let s = sim.clone();
-        sim.spawn(async move {
+        sim.spawn_detached(async move {
             loop {
                 // 1. control requests from the engine front-end
                 while let Some((req, reply)) = control.try_recv() {
@@ -533,7 +533,7 @@ pub fn spawn_pool_service(
         let r = Rc::clone(r);
         let eps = engine_eps.clone();
         let s = sim.clone();
-        sim.spawn(async move {
+        sim.spawn_detached(async move {
             let mut misses: BTreeMap<u32, u32> = BTreeMap::new();
             let mut proposed: BTreeSet<u32> = BTreeSet::new();
             loop {

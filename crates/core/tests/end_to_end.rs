@@ -125,6 +125,32 @@ fn array_write_read_integrity_across_classes() {
     }
 }
 
+/// An empty range is nobody's chunk: the write and the read answer on the
+/// spot, wherever the offset falls, without an RPC, a task or a tick.
+#[test]
+fn zero_length_array_io_sends_nothing() {
+    let (mut sim, cfg) = tiny();
+    sim.block_on(move |sim| async move {
+        let cluster = Cluster::build(&sim, cfg);
+        let client = DaosClient::new(Rc::clone(&cluster), 0);
+        let pool = client.connect(&sim).await.unwrap();
+        let cont = pool.create_container(&sim, 1).await.unwrap();
+        let arr = cont.object(ObjectId::new(2, 8), ObjectClass::SX).array(MIB);
+        let cost = |sim: &Sim| {
+            let engines = cluster.engines().iter();
+            let rpcs: u64 = engines.map(|e| e.endpoint().call_count()).sum();
+            (rpcs, sim.spawned_total(), sim.now())
+        };
+        let before = cost(&sim);
+        for offset in [0, 12345, MIB, 3 * MIB - 1] {
+            let empty = Payload::pattern(1, 0);
+            assert_eq!(arr.write(&sim, offset, empty).await, Ok(()));
+            assert_eq!(arr.read(&sim, offset, 0).await, Ok(vec![]));
+        }
+        assert_eq!(cost(&sim), before);
+    });
+}
+
 #[test]
 fn array_overwrite_latest_wins() {
     let (mut sim, cfg) = tiny();

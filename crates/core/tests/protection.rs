@@ -5,7 +5,8 @@
 
 use std::rc::Rc;
 
-use daos_core::{Cluster, ClusterConfig, DaosClient};
+use daos_core::proto::{array_akey, chunk_dkey, wire_csum};
+use daos_core::{Cluster, ClusterConfig, DaosClient, DaosError, Request};
 use daos_placement::{ObjectClass, ObjectId};
 use daos_sim::units::{KIB, MIB};
 use daos_sim::Sim;
@@ -204,5 +205,58 @@ fn replication_spreads_reads_across_replicas() {
         arr.read(&sim, 0, MIB).await.unwrap();
         let after = cluster.total_bytes_read();
         assert_eq!(after - before, MIB, "reads must fetch one replica only");
+    });
+}
+
+/// A write spanning several chunks runs every piece to completion and
+/// reports the first error in chunk order, not the first to happen: the
+/// last piece is refused client-side at once (its length is not
+/// cell-aligned), chunk 1 is refused by its server one round trip later,
+/// and chunks 0 and 2 must land whole, parity included, all the same.
+#[test]
+fn multi_chunk_write_finishes_every_piece_and_reports_the_first_error_in_chunk_order() {
+    let (mut sim, cfg) = testbed();
+    sim.block_on(move |sim| async move {
+        let cluster = Cluster::build(&sim, cfg);
+        let client = DaosClient::new(Rc::clone(&cluster), 0);
+        let pool = client.connect(&sim).await.unwrap();
+        let cont = pool.create_container(&sim, 1).await.unwrap();
+        let class = ObjectClass::ErasureCoded {
+            data: 2,
+            parity: 1,
+            groups: Some(1),
+        };
+        let (oid, chunk) = (ObjectId::new(9, 9), 256 * KIB);
+        let obj = cont.object(oid, class);
+        let arr = obj.array(chunk);
+        // a single value where chunk 1's first cell goes: an array update
+        // of that key is a protocol violation, final on the first attempt
+        let t = obj.layout().target_of(0);
+        let value = Payload::pattern(1, 8);
+        let plant = Request::UpdateSingle {
+            target: t % cfg.targets_per_engine,
+            cont: cont.id(),
+            oid,
+            dkey: chunk_dkey(1),
+            akey: array_akey(),
+            csum: wire_csum(&value),
+            value,
+        };
+        let planted = client.call(&sim, t / cfg.targets_per_engine, plant).await;
+        planted.unwrap().ok().unwrap();
+
+        let before = cluster.total_bytes_written();
+        let data = Payload::pattern(31, 3 * chunk + 1000);
+        let err = arr.write(&sim, 0, data.clone()).await.unwrap_err();
+        assert_eq!(err, DaosError::KeyTypeMismatch { expected: "array" });
+        // chunks 0 and 2: two cells and a parity each; chunk 1: its second
+        // cell only (no parity after a failed cell); chunk 3: nothing
+        let cells = 3 + 1 + 3;
+        assert_eq!(cluster.total_bytes_written() - before, cells * chunk / 2);
+        for c in [0, 2] {
+            let got = arr.read_bytes(&sim, c * chunk, chunk).await.unwrap();
+            let want = data.slice(c * chunk, chunk).materialize();
+            assert_eq!(got, want.to_vec(), "chunk {c}");
+        }
     });
 }

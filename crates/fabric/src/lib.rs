@@ -806,7 +806,7 @@ mod tests {
             let ep: Rc<Endpoint<u32, u32>> = Endpoint::bind(Rc::clone(&f), 1);
             // server takes the request then drops it without responding
             let ep2 = Rc::clone(&ep);
-            sim.spawn(async move {
+            sim.spawn_detached(async move {
                 let inc = ep2.serve().await.unwrap();
                 drop(inc);
             });

@@ -417,7 +417,8 @@ struct JoinState<T> {
     finished: bool,
 }
 
-/// Awaitable completion of a spawned task. Dropping it detaches the task.
+/// Awaitable completion of a spawned task. Dropping it detaches the task
+/// (a task nobody means to join is spawned with [`Sim::spawn_detached`]).
 pub struct JoinHandle<T> {
     state: Rc<RefCell<JoinState<T>>>,
 }
@@ -476,7 +477,9 @@ impl Sim {
         self.inner.live_tasks.get()
     }
 
-    /// Spawn a task; it runs concurrently (in virtual time) with its parent.
+    /// Spawn a task whose completion the caller awaits through the
+    /// returned handle; it runs concurrently (in virtual time) with its
+    /// parent.
     pub fn spawn<T: 'static>(&self, fut: impl Future<Output = T> + 'static) -> JoinHandle<T> {
         let state = Rc::new(RefCell::new(JoinState {
             result: None,
@@ -493,13 +496,22 @@ impl Sim {
                 w.wake();
             }
         };
-        let id = self.inner.tasks.borrow_mut().insert(Box::pin(wrapped));
+        self.spawn_detached(wrapped);
+        JoinHandle { state }
+    }
+
+    /// Spawn a task nobody will join: no [`JoinHandle`], no result slot,
+    /// just the boxed future on the ready queue. It counts in
+    /// [`Sim::spawned_total`] and [`Sim::live_tasks`] like any task and is
+    /// torn down by [`Sim::block_on`] if it is still blocked when the root
+    /// finishes. Use [`Sim::spawn`] when the completion is awaited.
+    pub fn spawn_detached(&self, fut: impl Future<Output = ()> + 'static) {
+        let id = self.inner.tasks.borrow_mut().insert(Box::pin(fut));
         self.inner.live_tasks.set(self.inner.live_tasks.get() + 1);
         self.inner
             .spawned_total
             .set(self.inner.spawned_total.get() + 1);
         self.inner.ready.borrow_mut().push_back(id);
-        JoinHandle { state }
     }
 
     /// Register `waker` to fire at absolute time `at`.
@@ -872,6 +884,50 @@ mod tests {
     }
 
     #[test]
+    fn detached_task_runs_and_is_counted() {
+        let mut sim = Sim::new(1);
+        let ran = Rc::new(Cell::new(false));
+        let r = Rc::clone(&ran);
+        sim.block_on(move |sim| async move {
+            let (spawned, live) = (sim.spawned_total(), sim.live_tasks());
+            let s = sim.clone();
+            sim.spawn_detached(async move {
+                s.sleep_us(1).await;
+                r.set(true);
+            });
+            assert_eq!(sim.spawned_total(), spawned + 1);
+            assert_eq!(sim.live_tasks(), live + 1);
+            sim.sleep_us(2).await;
+            assert_eq!(sim.live_tasks(), live, "finished and released its slot");
+        });
+        assert!(ran.get());
+    }
+
+    #[test]
+    fn blocked_detached_task_is_dropped_after_root() {
+        /// Sets its flag when dropped.
+        struct OnDrop(Rc<Cell<bool>>);
+        impl Drop for OnDrop {
+            fn drop(&mut self) {
+                self.0.set(true);
+            }
+        }
+        let mut sim = Sim::new(1);
+        let dropped = Rc::new(Cell::new(false));
+        let guard = OnDrop(Rc::clone(&dropped));
+        sim.block_on(|sim| async move {
+            sim.spawn_detached(async move {
+                let _guard = guard;
+                std::future::pending::<()>().await;
+            });
+            sim.sleep_us(1).await;
+            assert_eq!(sim.live_tasks(), 2, "the root and the blocked task");
+        });
+        assert!(dropped.get(), "block_on tore the survivor down");
+        assert_eq!(sim.live_tasks(), 0);
+    }
+
+    #[test]
     fn run_until_quiescent_reports_blocked() {
         let sim = Sim::new(1);
         let _h = sim.spawn(std::future::pending::<()>());
@@ -923,7 +979,7 @@ mod tests {
     /// slots: same-instant wakes must preserve registration order however
     /// out of order the slot's pushes arrive.
     #[test]
-    fn same_tick_order_survives_dirty_slots() {
+    fn same_tick_order_survives_interleaved_pushes() {
         let mut sim = Sim::new(1);
         let log = Rc::new(RefCell::new(Vec::new()));
         let l2 = Rc::clone(&log);

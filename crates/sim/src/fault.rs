@@ -179,7 +179,7 @@ impl FaultInjector {
         let fired = Rc::new(RefCell::new(Vec::new()));
         let log = Rc::clone(&fired);
         let s = sim.clone();
-        sim.spawn(async move {
+        sim.spawn_detached(async move {
             for (when, action) in plan.events {
                 s.sleep_until(when).await;
                 handler(&s, action);

@@ -385,7 +385,7 @@ mod tests {
         let mut sim = Sim::new(1);
         let v = sim.block_on(|sim| async move {
             let (tx, rx) = oneshot::<u32>();
-            sim.spawn({
+            sim.spawn_detached({
                 let s = sim.clone();
                 async move {
                     s.sleep_us(3).await;
@@ -414,7 +414,7 @@ mod tests {
         let got = sim.block_on(|sim| async move {
             let mb: Mailbox<u32> = Mailbox::new();
             let tx = mb.clone();
-            sim.spawn({
+            sim.spawn_detached({
                 let s = sim.clone();
                 async move {
                     for i in 0..5 {

@@ -354,12 +354,10 @@ impl VosTarget {
             };
             match tree {
                 Some(tree) => {
-                    let violation = if self.cfg.csum_enabled {
-                        tree.verify_range(offset, len, epoch).err()
-                    } else {
-                        None
-                    };
-                    (tree.read(offset, len, epoch), violation)
+                    // one pass: the bytes and the verdict on them
+                    let overlay = tree.overlay(offset, len, epoch);
+                    let verdict = self.cfg.csum_enabled.then(|| overlay.verify());
+                    (overlay.segs(), verdict.and_then(Result::err))
                 }
                 None => (
                     vec![ReadSeg {

@@ -89,11 +89,62 @@ pub fn flatten(segs: &[ReadSeg], base: u64, len: u64) -> Vec<u8> {
 
 /// Intermediate paint segment: `src` points into the visible-extent list of
 /// the overlay it came from (`None` = hole).
-#[derive(Clone)]
+#[derive(Clone, Debug, PartialEq)]
 struct Seg {
     start: u64,
     end: u64,
     src: Option<(usize, u64)>, // (index into vis, offset within extent)
+}
+
+/// One overlay pass over a query range ([`ExtentTree::overlay`]): the
+/// coalesced segments in offset order plus the visible extents they came
+/// from. The bytes ([`Overlay::segs`]) and the checksum verdict
+/// ([`Overlay::verify`]) are both read off it without painting again.
+pub struct Overlay<'a> {
+    segs: Vec<Seg>,
+    vis: Vec<&'a Extent>,
+}
+
+impl Overlay<'_> {
+    /// The query range as maximal contiguous segments in order. Holes
+    /// appear as `data: None`.
+    pub fn segs(&self) -> Vec<ReadSeg> {
+        let seg = |s: &Seg| {
+            let data = s.src.and_then(|(i, off)| {
+                let stored = self.vis[i].data.as_ref();
+                stored.map(|p| p.slice(off, s.end - s.start))
+            });
+            ReadSeg {
+                offset: s.start,
+                len: s.end - s.start,
+                data,
+            }
+        };
+        self.segs.iter().map(seg).collect()
+    }
+
+    /// Verify the checksum of every stored extent that contributes at least
+    /// one visible byte, in segment order. Each contributing extent is
+    /// hashed over its *full* stored payload (the checksum covers the whole
+    /// extent, not the visible slice). Returns the total number of payload
+    /// bytes hashed, or the first violation found.
+    pub fn verify(&self) -> Result<u64, CsumViolation> {
+        let mut seen = vec![false; self.vis.len()];
+        let mut bytes = 0u64;
+        for (i, _) in self.segs.iter().filter_map(|s| s.src) {
+            if !std::mem::replace(&mut seen[i], true) {
+                let e = self.vis[i];
+                if !e.csum_ok() {
+                    return Err(CsumViolation {
+                        offset: e.offset,
+                        len: e.len,
+                    });
+                }
+                bytes += e.len;
+            }
+        }
+        Ok(bytes)
+    }
 }
 
 /// The epoch-versioned extent tree backing one array akey.
@@ -112,15 +163,19 @@ pub struct ExtentTree {
 }
 
 /// Dense-id interval index: extent ids (indices into `extents`) sorted by
-/// `(offset, id)`, plus `prefix_max_end[i]` = max `end()` over
-/// `by_start[0..=i]`. A range query `[offset, qend)` then reduces to two
-/// binary searches: ids at positions `< lo` all end at or before `offset`
-/// (prefix max is non-decreasing), ids at positions `>= hi` all start at
-/// or beyond `qend` — only `by_start[lo..hi]` need be tested.
+/// `(offset, id)`, and `bounds`, two arrays of that length end to end:
+/// `starts[i]`, the offset of extent `by_start[i]`, then
+/// `prefix_max_end[i]` = max `end()` over `by_start[0..=i]`. A range query
+/// `[offset, qend)` then reduces to two binary searches over contiguous
+/// arrays, no extent dereferenced: ids at positions `< lo` all end at or
+/// before `offset` (prefix max is non-decreasing), ids at positions `>= hi`
+/// all start at or beyond `qend` — only `by_start[lo..hi]` need be tested.
+/// (One vector for both arrays keeps the tree, and with it every akey slot
+/// of a dkey's map, the size it was with one array.)
 #[derive(Clone, Debug, Default)]
 struct ExtentIndex {
     by_start: Vec<u32>,
-    prefix_max_end: Vec<u64>,
+    bounds: Vec<u64>,
     dirty: bool,
 }
 
@@ -202,47 +257,14 @@ impl ExtentTree {
     /// Read `[offset, offset+len)` as of `epoch`, returning maximal
     /// contiguous segments in order. Holes appear as `data: None`.
     pub fn read(&self, offset: u64, len: u64, epoch: Epoch) -> Vec<ReadSeg> {
-        let (merged, vis) = self.overlay(offset, len, epoch);
-        merged
-            .into_iter()
-            .map(|s| {
-                let data = s.src.and_then(|(i, off)| {
-                    vis[i].data.as_ref().map(|p| p.slice(off, s.end - s.start))
-                });
-                ReadSeg {
-                    offset: s.start,
-                    len: s.end - s.start,
-                    data,
-                }
-            })
-            .collect()
+        self.overlay(offset, len, epoch).segs()
     }
 
     /// Verify the checksum of every stored extent that contributes at least
-    /// one visible byte to `[offset, offset+len)` at `epoch`. Each
-    /// contributing extent is hashed over its *full* stored payload (the
-    /// checksum covers the whole extent, not the visible slice). Returns the
-    /// total number of payload bytes hashed, or the first violation found.
+    /// one visible byte to `[offset, offset+len)` at `epoch`
+    /// ([`Overlay::verify`]).
     pub fn verify_range(&self, offset: u64, len: u64, epoch: Epoch) -> Result<u64, CsumViolation> {
-        let (merged, vis) = self.overlay(offset, len, epoch);
-        let mut seen = vec![false; vis.len()];
-        let mut bytes = 0u64;
-        for s in &merged {
-            if let Some((i, _)) = s.src {
-                if !seen[i] {
-                    seen[i] = true;
-                    let e = vis[i];
-                    if !e.csum_ok() {
-                        return Err(CsumViolation {
-                            offset: e.offset,
-                            len: e.len,
-                        });
-                    }
-                    bytes += e.len;
-                }
-            }
-        }
-        Ok(bytes)
+        self.overlay(offset, len, epoch).verify()
     }
 
     /// Fault injection: deterministically corrupt stored data extents,
@@ -278,42 +300,74 @@ impl ExtentTree {
             ix.by_start.extend(0..self.extents.len() as u32);
             ix.by_start
                 .sort_unstable_by_key(|&id| (self.extents[id as usize].offset, id));
-            ix.prefix_max_end.clear();
+            let sorted = || ix.by_start.iter().map(|&id| &self.extents[id as usize]);
+            ix.bounds.clear();
+            ix.bounds.extend(sorted().map(|e| e.offset));
             let mut m = 0u64;
-            for i in 0..ix.by_start.len() {
-                m = m.max(self.extents[ix.by_start[i] as usize].end());
-                ix.prefix_max_end.push(m);
-            }
+            ix.bounds.extend(sorted().map(|e| {
+                m = m.max(e.end());
+                m
+            }));
             ix.dirty = false;
         }
         f(ix)
     }
 
-    /// The paint algorithm shared by [`read`](Self::read) and
-    /// [`verify_range`](Self::verify_range): overlay visible extents in
-    /// `(epoch, minor)` order over the query range, returning coalesced
-    /// segments plus the visible-extent list their `src` indices refer to.
-    fn overlay(&self, offset: u64, len: u64, epoch: Epoch) -> (Vec<Seg>, Vec<&Extent>) {
+    /// Overlay the extents visible at `epoch` over `[offset, offset+len)`
+    /// in `(epoch, minor)` order — the one pass behind [`read`](Self::read),
+    /// [`verify_range`](Self::verify_range) and a verified fetch, which
+    /// takes both answers from the same [`Overlay`].
+    pub fn overlay(&self, offset: u64, len: u64, epoch: Epoch) -> Overlay<'_> {
         let qend = offset + len;
-        // visible extents in overlay order (older first, same epoch by
-        // minor) — candidates come from the interval index, then the
-        // epoch/end filters. The candidate *set* is identical to a full
-        // scan, and (epoch, minor) keys are unique, so the sorted order —
-        // all downstream behavior depends only on it — is too.
+        // candidates come from the interval index, then the epoch/end
+        // filters: the candidate *set* is identical to a full scan
         let mut vis: Vec<&Extent> = self.with_index(|ix| {
-            let hi = ix
-                .by_start
-                .partition_point(|&id| self.extents[id as usize].offset < qend);
-            let lo = ix.prefix_max_end[..hi].partition_point(|&m| m <= offset);
+            let (starts, prefix_max_end) = ix.bounds.split_at(ix.by_start.len());
+            let hi = starts.partition_point(|&start| start < qend);
+            let lo = prefix_max_end[..hi].partition_point(|&m| m <= offset);
             ix.by_start[lo..hi]
                 .iter()
                 .map(|&id| &self.extents[id as usize])
                 .filter(|e| e.epoch <= epoch && e.end() > offset)
                 .collect()
         });
-        vis.sort_by_key(|e| (e.epoch, e.minor));
+        let hole = |start, end| Seg {
+            start,
+            end,
+            src: None,
+        };
+        let clip = |e: &Extent| (e.offset.max(offset), e.end().min(qend));
+        // nothing or one extent to overlay: the answer is the extent
+        // clipped to the query between at most two holes. An extent that
+        // clips to nothing (a zero-length one inside the range) is left to
+        // the paint path, which drops it and rejoins the hole around it.
+        let segs = match vis[..] {
+            [] if len > 0 => vec![hole(offset, qend)],
+            [e] if clip(e).0 < clip(e).1 => {
+                let (start, end) = clip(e);
+                let src = Some((0, start - e.offset));
+                let laid = [
+                    hole(offset, start),
+                    Seg { start, end, src },
+                    hole(end, qend),
+                ];
+                laid.into_iter().filter(|s| s.start < s.end).collect()
+            }
+            _ => {
+                // overlay order: older first, same epoch by minor; the
+                // keys are unique, so the sorted order — all painting
+                // depends on — is that of a full scan too
+                vis.sort_by_key(|e| (e.epoch, e.minor));
+                Self::paint(&vis, offset, qend)
+            }
+        };
+        Overlay { segs, vis }
+    }
 
-        // paint: segment list covering the query range
+    /// The paint algorithm: lay `vis` (in overlay order) over `[offset, qend)`
+    /// one extent at a time, newer over older, and coalesce what is left into
+    /// maximal segments; `src` indices refer to `vis`.
+    fn paint(vis: &[&Extent], offset: u64, qend: u64) -> Vec<Seg> {
         let mut segs = vec![Seg {
             start: offset,
             end: qend,
@@ -372,8 +426,7 @@ impl ExtentTree {
             }
             merged.push(s);
         }
-
-        (merged, vis)
+        merged
     }
 
     /// Flatten history at or below `upto`: replace all extents with epoch
@@ -619,6 +672,47 @@ mod tests {
         let img3 = tree_read_bytes(&t, 25, 20, 3);
         assert_eq!(img3[0], None); // 25..30 still hole
         assert_eq!(img3[5], Some(payload(3, 10).materialize()[0]));
+    }
+
+    /// A zero-length extent inside the query contributes no byte: it must
+    /// neither surface as an empty segment nor split the hole around it.
+    #[test]
+    fn zero_length_extent_leaves_one_hole() {
+        for zero in [payload(1, 0), Payload::bytes(Vec::new())] {
+            let mut t = ExtentTree::new();
+            t.insert(50, 1, zero);
+            let hole = ReadSeg {
+                offset: 0,
+                len: 100,
+                data: None,
+            };
+            assert_eq!(t.read(0, 100, 1), vec![hole]);
+            assert_eq!(t.verify_range(0, 100, 1), Ok(0));
+        }
+        let mut t = ExtentTree::new();
+        t.punch(50, 0, 1);
+        assert_eq!(t.read(0, 100, 1).len(), 1);
+    }
+
+    /// With at most one visible extent `overlay` answers without painting;
+    /// the answer is the painted one for a data extent and for a punch, at
+    /// every query that starts or ends before, on, inside and beyond it.
+    #[test]
+    fn single_extent_shortcut_equals_the_paint_path() {
+        let mut data = ExtentTree::new();
+        data.insert(10, 2, payload(7, 10));
+        let mut punch = ExtentTree::new();
+        punch.punch(10, 10, 2);
+        for t in [data, punch] {
+            for (offset, len, epoch) in (0..25)
+                .flat_map(|o| (0..25).map(move |l| (o, l)))
+                .flat_map(|(o, l)| [1, 2].map(|e| (o, l, e)))
+            {
+                let got = t.overlay(offset, len, epoch);
+                let want = ExtentTree::paint(&got.vis, offset, offset + len);
+                assert_eq!(got.segs, want, "[{offset}, +{len}) at epoch {epoch}");
+            }
+        }
     }
 
     #[test]

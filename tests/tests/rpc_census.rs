@@ -8,6 +8,11 @@
 //! 3 / 130 / 131 when `size` and `punch` fanned out per target — while
 //! every one of the 128 targets is still admitted and served. The same
 //! storm on `S1` files costs 3 / 3 / 4: the path is chosen by the layout.
+//!
+//! And of an array data op, exact to the task: one RPC per chunk touched
+//! (per replica, for a replicated write), one engine handler task per RPC
+//! and no task on the client side — a write or read inside one chunk runs
+//! in its caller's task, one spanning several joins its pieces there.
 
 use std::rc::Rc;
 
@@ -15,10 +20,12 @@ use daos_bench::paper_cluster;
 use daos_dfs::DfsConfig;
 use daos_dfuse::{DfuseConfig, OpenFlags};
 use daos_ior::DaosTestbed;
-use daos_placement::ObjectClass;
+use daos_placement::{ObjectClass, ObjectId};
 use daos_sim::executor::join_all;
 use daos_sim::time::SimDuration;
+use daos_sim::units::{KIB, MIB};
 use daos_sim::Sim;
+use daos_vos::Payload;
 
 const NODES: u32 = 2;
 const PPN: u32 = 4;
@@ -162,6 +169,104 @@ fn the_per_target_census_fails_the_check() {
     let verdict = check(&tasks_per_target, SX);
     assert!(
         verdict.as_ref().is_err_and(|e| e.starts_with("unlink")),
+        "{verdict:?}"
+    );
+}
+
+/// The four shapes of array op the census takes: `(name, is a write,
+/// chunks touched)`, on 1 MiB chunks.
+const SHAPES: [(&str, bool, u64); 4] = [
+    ("write inside one chunk", true, 1),
+    ("read inside one chunk", false, 1),
+    ("write over three chunks", true, 3),
+    ("read over three chunks", false, 3),
+];
+
+/// `(rpcs, tasks)` of each of [`SHAPES`] on an array of `class`, issued
+/// from the root task with the cluster otherwise silent.
+fn array_census(class: ObjectClass) -> [(u64, u64); 4] {
+    let mut sim = Sim::new(0xCE5);
+    sim.block_on(move |sim| async move {
+        // park the failure detector and the raft chatter: every RPC and
+        // every task counted is an op's own
+        let mut cfg = paper_cluster(1);
+        cfg.heartbeat.interval = SimDuration::from_secs(3600);
+        cfg.svc_replicas = 1;
+        let (dfs, dfuse) = (DfsConfig::default(), DfuseConfig::default());
+        let env = DaosTestbed::setup(&sim, cfg, dfs, dfuse)
+            .await
+            .expect("testbed");
+        let arr = env.containers[0]
+            .object(ObjectId::new(0xA, 0xCE5), class)
+            .array(MIB);
+        let totals = |sim: &Sim| {
+            let engines = env.cluster.engines().iter();
+            let rpcs: u64 = engines.map(|e| e.endpoint().call_count()).sum();
+            (rpcs, sim.spawned_total())
+        };
+        let mut census = [(0, 0); 4];
+        for (cost, (_, write, chunks)) in census.iter_mut().zip(SHAPES) {
+            // start mid-chunk; a one-chunk op is the 4 KiB transfer of
+            // `ior_rand4k_dfs`, a wider one ends mid-chunk too
+            let (offset, len) = (8 * MIB + 300 * KIB, (chunks - 1) * MIB + 4 * KIB);
+            let before = totals(&sim);
+            if write {
+                let data = Payload::pattern(chunks, len);
+                arr.write(&sim, offset, data).await.expect("write");
+            } else {
+                arr.read(&sim, offset, len).await.expect("read");
+            }
+            let after = totals(&sim);
+            *cost = (after.0 - before.0, after.1 - before.1);
+        }
+        census
+    })
+}
+
+/// Check an array census: every shape costs one RPC per chunk — times
+/// `copies` for a write, which goes to every replica — and exactly one
+/// task per RPC, the engine's handler.
+fn check_array(census: &[(u64, u64); 4], copies: u64) -> Result<(), String> {
+    for (&(rpcs, tasks), (name, write, chunks)) in census.iter().zip(SHAPES) {
+        let want = chunks * if write { copies } else { 1 };
+        if (rpcs, tasks) != (want, want) {
+            return Err(format!(
+                "{name}: {rpcs} RPCs and {tasks} tasks, not {want} and {want}"
+            ));
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn an_array_op_costs_one_rpc_and_one_task_per_chunk() {
+    for class in [ObjectClass::S1, ObjectClass::S2, ObjectClass::SX] {
+        let census = array_census(class);
+        check_array(&census, 1).unwrap_or_else(|e| panic!("{class}: {e}\n{census:?}"));
+    }
+    let census = array_census(ObjectClass::RP_3G1);
+    check_array(&census, 3).unwrap_or_else(|e| panic!("RP_3: {e}\n{census:?}"));
+}
+
+/// Planted negative: the census this repo had while every piece of an
+/// array op, however few, ran in a client task of its own — 2 tasks for
+/// the 1 RPC of a one-chunk op, 7 for the 3 of an `RP_3` chunk write (the
+/// piece, its three shard updates, their handlers) — must not pass.
+#[test]
+fn the_task_per_piece_census_fails_the_check() {
+    let verdict = check_array(&[(1, 2), (1, 2), (3, 6), (3, 6)], 1);
+    assert!(
+        verdict
+            .as_ref()
+            .is_err_and(|e| e.starts_with("write inside")),
+        "{verdict:?}"
+    );
+    let verdict = check_array(&[(3, 7), (1, 2), (9, 21), (3, 6)], 3);
+    assert!(verdict.is_err(), "{verdict:?}");
+    // nor does a fan-out that is right for writes and spawns for reads
+    let verdict = check_array(&[(1, 1), (1, 1), (3, 3), (3, 6)], 1);
+    assert!(
+        verdict.as_ref().is_err_and(|e| e.starts_with("read over")),
         "{verdict:?}"
     );
 }
