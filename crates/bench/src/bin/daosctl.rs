@@ -10,8 +10,9 @@
 //! daosctl place --oclass CLASS [--count N]   # show placement statistics
 //! ```
 //!
-//! Sizes accept `k`/`m`/`g` suffixes (KiB/MiB/GiB). Everything runs in
-//! simulation; output includes both bandwidth and the simulated duration.
+//! Sizes accept `k`/`m`/`g` suffixes (KiB/MiB/GiB); `--reorder` (IOR's
+//! `-C`) needs `--shared`. Everything runs in simulation; output includes
+//! both bandwidth and the simulated duration.
 
 use std::rc::Rc;
 

@@ -258,15 +258,6 @@ pub const FIGURES: &[Figure] = &[
         plan: figures::oclass_plan,
         checks: figures::check_oclass,
     },
-    Figure {
-        name: "calibrate",
-        seed: figures::CALIBRATE_SEED,
-        about: "calibration probe: the figure grid at 1/4/16 nodes, no checks",
-        gate: Gate::None,
-        chart: false,
-        plan: figures::calibrate_plan,
-        checks: no_checks,
-    },
 ];
 
 /// Look a figure up by report name.

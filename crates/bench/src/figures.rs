@@ -11,13 +11,11 @@
 //! the full figure's cells there (modulo the repeat count used for
 //! averaging).
 
-use std::rc::Rc;
-
-use daos_core::{ClusterConfig, DaosClient};
-use daos_dfs::{Dfs, DfsConfig};
-use daos_dfuse::{DfuseConfig, DfuseMount};
+use daos_core::ClusterConfig;
+use daos_dfuse::DfuseConfig;
 use daos_ior::{
-    mdtest, mdtest_pfs, run, run_pfs, Api, DaosTestbed, IorReport, MdBackend, MdtestReport,
+    mdtest, mdtest_ranks, pfs_files, run, run_files, Api, IorReport, MdBackend, MdtestReport,
+    PfsClient,
 };
 use daos_pfs::{Pfs, PfsConfig};
 use daos_placement::{ObjectClass, ObjectId};
@@ -31,7 +29,10 @@ use daos_workloads::{checkpoint, nwp, producer_consumer, Access, RankAccess, Wor
 use crate::figure::{Cell, Plan, Scale};
 use crate::invariants::series_scales;
 use crate::report::{config_hash, BenchReport, Fragment, Verdict, READ_GIB_S, WRITE_GIB_S};
-use crate::{paper_cluster, paper_params, run_point_in, run_point_with, ExperimentPoint};
+use crate::{
+    on_testbed, on_testbed_with, paper_cluster, paper_params, run_point_in, run_point_with,
+    ExperimentPoint,
+};
 
 /// The paper figures' full scale axis.
 pub const FULL_NODES: [u32; 5] = [1, 2, 4, 8, 16];
@@ -49,17 +50,6 @@ pub const PPN: u32 = 16;
 
 /// The per-rank block of the paper's IOR runs ([`paper_params`]).
 const PAPER_BLOCK: u64 = 32 * MIB;
-
-/// Repeat count for the sweeps that honour `BENCH_REPEATS` (`scale`,
-/// `oclass_sweep`, `daos_api`, `calibrate`): the environment variable if
-/// set to a positive integer, else `default`.
-fn env_repeats(default: u64) -> u64 {
-    std::env::var("BENCH_REPEATS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
 
 /// The three interfaces of Figures 1 and 2.
 pub fn figure_apis() -> [Api; 3] {
@@ -176,22 +166,20 @@ pub fn paper_figure_plan(fpp: bool, seed: u64, scale: Scale) -> Option<Plan> {
 }
 
 // ---------------------------------------------------------------------
-// Wider grids on the paper testbed: object classes, native API, calibration
+// Wider grids on the paper testbed: object classes, native API
 // ---------------------------------------------------------------------
 
 /// `oclass_sweep`'s root seed.
 pub const OCLASS_SEED: u64 = 0x0C1A;
 /// `daos_api`'s root seed.
 pub const DAOS_API_SEED: u64 = 0xDA05A;
-/// `calibrate`'s root seed.
-pub const CALIBRATE_SEED: u64 = 0xCA11B;
 
 /// A file-per-process grid at 1, 4 and 16 nodes, [`FULL_REPEATS`]
-/// placements per cell (`BENCH_REPEATS` overrides); the reduced scale is
-/// the same grid at one placement.
+/// placements per cell; the reduced scale is the same grid at one
+/// placement.
 fn wide_grid_plan(apis: &[Api], classes: &[ObjectClass], seed: u64, scale: Scale) -> Option<Plan> {
     let repeats = match scale {
-        Scale::Full => env_repeats(FULL_REPEATS),
+        Scale::Full => FULL_REPEATS,
         Scale::Reduced => REDUCED_REPEATS,
         Scale::Smoke => return None,
     };
@@ -282,12 +270,6 @@ pub fn check_daos_api(report: &BenchReport) -> Vec<Verdict> {
     ]
 }
 
-/// `calibrate`: the figure grid at 1, 4 and 16 nodes with no checks —
-/// a probe for tuning the cost model, diffable run to run.
-pub fn calibrate_plan(scale: Scale) -> Option<Plan> {
-    wide_grid_plan(&figure_apis(), &figure_classes(), CALIBRATE_SEED, scale)
-}
-
 // ---------------------------------------------------------------------
 // Beyond the paper's scale: 64-512 client nodes
 // ---------------------------------------------------------------------
@@ -318,8 +300,8 @@ pub fn scale_cluster(client_nodes: u32) -> ClusterConfig {
 /// The DFS scale grid past the paper's reach: S2 (the small-scale write
 /// leader) vs SX (the contended-write leader) locates the R2 crossover;
 /// fpp vs shared locates the R5 shared-file asymptote. One placement per
-/// cell (`BENCH_REPEATS` overrides), heaviest first. Full scale only —
-/// the nightly gate runs exactly this.
+/// cell, heaviest first. Full scale only — the nightly gate runs exactly
+/// this.
 ///
 /// The shared-file column runs SX only: S2 stripes one object over two
 /// targets, so a shared S2 file at thousands of ranks is a fixed-size
@@ -330,7 +312,6 @@ pub fn scale_plan(scale: Scale) -> Option<Plan> {
     if scale != Scale::Full {
         return None;
     }
-    let repeats = env_repeats(1);
     let mut cells = Vec::new();
     for &n in SCALE_NODES.iter().rev() {
         for (fpp, oclass) in [
@@ -349,7 +330,7 @@ pub fn scale_plan(scale: Scale) -> Option<Plan> {
                 move |out| {
                     let mut p = paper_params(Api::Dfs, oclass, fpp, PPN);
                     p.block_size = SCALE_BLOCK;
-                    let m = run_point_in(scale_cluster(n), point, p, SCALE_SEED, repeats);
+                    let m = run_point_in(scale_cluster(n), point, p, SCALE_SEED, 1);
                     record_bw(out, &format!("{}-{suffix}", m.series()), n, &m.report);
                 },
             ));
@@ -379,25 +360,19 @@ fn pfs_point(nodes: u32, fpp: bool, block: u64, ppn: u32) -> (IorReport, u64) {
             stripe_count: 4,
             ..Default::default()
         });
+        // `api` and `oclass` are not read on this rung
         let mut p = paper_params(Api::Posix { il: false }, ObjectClass::S1, fpp, ppn);
         p.block_size = block;
-        let r = run_pfs(&sim, &fs, p).await.expect("pfs run");
+        let files = pfs_files(&sim, &fs, &p).await.expect("pfs open");
+        let r = run_files(&sim, nodes, p, files).await.expect("pfs run");
         (r, fs.stats().revokes)
     })
 }
 
 /// One DAOS cell of the contrast experiment.
 fn daos_point(nodes: u32, fpp: bool, block: u64, ppn: u32) -> IorReport {
-    let mut sim = Sim::new((PFS_SEED + 1) ^ nodes as u64);
-    sim.block_on(move |sim| async move {
-        let env = DaosTestbed::setup(
-            &sim,
-            paper_cluster(nodes),
-            DfsConfig::default(),
-            DfuseConfig::default(),
-        )
-        .await
-        .expect("testbed");
+    let seed = (PFS_SEED + 1) ^ nodes as u64;
+    on_testbed(seed, paper_cluster(nodes), move |sim, env| async move {
         let mut p = paper_params(Api::Dfs, ObjectClass::SX, fpp, ppn);
         p.block_size = block;
         run(&sim, &env, p).await.expect("daos run")
@@ -446,16 +421,7 @@ pub const IO500_SEED: u64 = 0x10500;
 /// ior-easy + ior-hard + mdtest-easy in one sim, combined with the IO500
 /// geometric mean, at one scale.
 fn io500_cell(out: &mut Fragment, nodes: u32, ppn: u32, block: u64) {
-    let mut sim = Sim::new(IO500_SEED);
-    let (easy, hard, md) = sim.block_on(move |sim| async move {
-        let env = DaosTestbed::setup(
-            &sim,
-            paper_cluster(nodes),
-            DfsConfig::default(),
-            DfuseConfig::default(),
-        )
-        .await
-        .expect("testbed");
+    let cell = move |sim: Sim, env| async move {
         // ior-easy: file-per-process, free choice of class -> S2
         let easy = run(&sim, &env, {
             let mut p = paper_params(Api::Dfs, ObjectClass::S2, true, ppn);
@@ -477,7 +443,8 @@ fn io500_cell(out: &mut Fragment, nodes: u32, ppn: u32, block: u64) {
             .await
             .expect("mdtest");
         (easy, hard, md)
-    });
+    };
+    let (easy, hard, md) = on_testbed(IO500_SEED, paper_cluster(nodes), cell);
 
     let geo = |vals: &[f64]| (vals.iter().map(|v| v.ln()).sum::<f64>() / vals.len() as f64).exp();
     let bw_score = geo(&[
@@ -561,16 +528,8 @@ pub fn mdtest_plan(scale: Scale) -> Option<Plan> {
     let mut cells = Vec::new();
     for (series, backend) in [("dfs", MdBackend::Dfs), ("dfuse", MdBackend::Dfuse)] {
         cells.push(Cell::new(series, move |out| {
-            let mut sim = Sim::new(MDTEST_SEED ^ backend as u64);
-            let r = sim.block_on(move |sim| async move {
-                let env = DaosTestbed::setup(
-                    &sim,
-                    paper_cluster(nodes),
-                    DfsConfig::default(),
-                    DfuseConfig::default(),
-                )
-                .await
-                .expect("testbed");
+            let seed = MDTEST_SEED ^ backend as u64;
+            let r = on_testbed(seed, paper_cluster(nodes), move |sim, env| async move {
                 mdtest(&sim, &env, backend, ppn, files)
                     .await
                     .expect("mdtest")
@@ -585,8 +544,9 @@ pub fn mdtest_plan(scale: Scale) -> Option<Plan> {
                 client_nodes: nodes,
                 ..Default::default()
             });
-            // per-rank dirs are implicit in the flat namespace
-            mdtest_pfs(&sim, &fs, ppn, files).await.expect("mdtest pfs")
+            mdtest_ranks(&sim, files, PfsClient::per_rank(&fs, ppn))
+                .await
+                .expect("mdtest pfs")
         });
         record_md(out, "pfs", nodes, &r);
     }));
@@ -636,16 +596,8 @@ const RP_3GX: ObjectClass = ObjectClass::Replicated {
 /// *same* handles (layout cached pre-failure, like an application holding
 /// open files through a failure). Returns (healthy, degraded) GiB/s.
 fn degraded_point(class: ObjectClass, exclude: &'static [u32]) -> (f64, f64) {
-    let mut sim = Sim::new(PROTECTION_SEED + 1);
-    sim.block_on(move |sim| async move {
-        let env = DaosTestbed::setup(
-            &sim,
-            paper_cluster(PROTECTION_NODES),
-            DfsConfig::default(),
-            DfuseConfig::default(),
-        )
-        .await
-        .expect("testbed");
+    let cluster = paper_cluster(PROTECTION_NODES);
+    on_testbed(PROTECTION_SEED + 1, cluster, move |sim, env| async move {
         let ranks = PROTECTION_NODES * PPN;
         let per_rank = 16 * MIB;
         let arrays: Vec<_> = (0..ranks)
@@ -714,16 +666,8 @@ pub fn protection_plan(scale: Scale) -> Option<Plan> {
         ObjectClass::EC_4P2GX,
     ] {
         cells.push(Cell::new(class.to_string(), move |out| {
-            let mut sim = Sim::new(PROTECTION_SEED);
-            let r = sim.block_on(move |sim| async move {
-                let env = DaosTestbed::setup(
-                    &sim,
-                    paper_cluster(PROTECTION_NODES),
-                    DfsConfig::default(),
-                    DfuseConfig::default(),
-                )
-                .await
-                .expect("testbed");
+            let cluster = paper_cluster(PROTECTION_NODES);
+            let r = on_testbed(PROTECTION_SEED, cluster, move |sim, env| async move {
                 let mut p = paper_params(Api::Dfs, class, true, PPN);
                 p.block_size = 16 * MIB;
                 run(&sim, &env, p).await.expect("run")
@@ -846,16 +790,12 @@ pub fn dfuse_ablation_plan(scale: Scale) -> Option<Plan> {
         .into_iter()
         .map(|(series, dfuse, api)| {
             Cell::new(series, move |out| {
-                let mut sim = Sim::new(DFUSE_ABLATION_SEED);
-                let r = sim.block_on(move |sim| async move {
-                    let env =
-                        DaosTestbed::setup(&sim, paper_cluster(1), DfsConfig::default(), dfuse)
-                            .await
-                            .expect("testbed");
+                let cell = move |sim, env| async move {
                     let mut p = paper_params(api, ObjectClass::S2, true, 4);
                     p.block_size = 16 * MIB;
                     run(&sim, &env, p).await.expect("run")
-                });
+                };
+                let r = on_testbed_with(DFUSE_ABLATION_SEED, paper_cluster(1), dfuse, 0, cell);
                 record_bw(out, series, 1, &r);
             })
         })
@@ -895,29 +835,6 @@ pub const APP_SEED: u64 = 0xA99;
 const APP_NODES: u32 = 4;
 const APP_KINDS: [&str; 3] = ["nwp", "checkpoint", "producer_consumer"];
 
-async fn accesses(sim: &Sim, which: Access) -> Vec<RankAccess> {
-    let cluster = daos_core::Cluster::build(sim, paper_cluster(APP_NODES));
-    let mut out = Vec::new();
-    for i in 0..APP_NODES {
-        let client = DaosClient::new(Rc::clone(&cluster), i);
-        let pool = client.connect(sim).await.expect("connect");
-        if which == Access::Native {
-            let cont = pool.open_or_create(sim, 5).await.expect("container");
-            out.push(RankAccess::Native(cont));
-            continue;
-        }
-        let fs = Dfs::mount(sim, &pool, 5, DfsConfig::default(), i as u64)
-            .await
-            .expect("mount");
-        out.push(if which == Access::Dfs {
-            RankAccess::Dfs(fs)
-        } else {
-            RankAccess::Posix(DfuseMount::new(fs, DfuseConfig::default()))
-        });
-    }
-    out
-}
-
 /// NWP field output, checkpoint/restart and a producer-consumer pipeline,
 /// each through the native API, `libdfs` and POSIX/DFuse, on 4 nodes.
 pub fn app_workloads_plan(scale: Scale) -> Option<Plan> {
@@ -931,7 +848,9 @@ pub fn app_workloads_plan(scale: Scale) -> Option<Plan> {
             cells.push(Cell::new(series.clone(), move |out| {
                 let mut sim = Sim::new(APP_SEED ^ which as u64);
                 let r = sim.block_on(move |sim| async move {
-                    let acc = accesses(&sim, which).await;
+                    let acc = RankAccess::per_node(&sim, paper_cluster(APP_NODES), which)
+                        .await
+                        .expect("mount");
                     let mut p = WorkloadParams {
                         writers: 32,
                         readers: 16,

@@ -30,6 +30,9 @@
 // crate (`daos-sim`, which carries `deny`): see simlint rule D05.
 #![forbid(unsafe_code)]
 
+use std::future::Future;
+use std::rc::Rc;
+
 use daos_core::ClusterConfig;
 use daos_dfs::DfsConfig;
 use daos_dfuse::DfuseConfig;
@@ -83,6 +86,35 @@ pub fn paper_params(api: Api, oclass: ObjectClass, fpp: bool, ppn: u32) -> IorPa
     p
 }
 
+/// Run `body` to completion in a fresh simulation seeded `seed`, against a
+/// testbed of `cluster` with everything mounted on every client node
+/// (default DFS and DFuse configurations, unsalted placement).
+pub fn on_testbed<T: 'static, Fut: Future<Output = T> + 'static>(
+    seed: u64,
+    cluster: ClusterConfig,
+    body: impl FnOnce(Sim, Rc<DaosTestbed>) -> Fut + 'static,
+) -> T {
+    on_testbed_with(seed, cluster, DfuseConfig::default(), 0, body)
+}
+
+/// [`on_testbed`] with the DFuse daemons configured by `dfuse` and the DFS
+/// object-id space shifted by `salt` ([`DaosTestbed::setup_salted`]).
+pub fn on_testbed_with<T: 'static, Fut: Future<Output = T> + 'static>(
+    seed: u64,
+    cluster: ClusterConfig,
+    dfuse: DfuseConfig,
+    salt: u64,
+    body: impl FnOnce(Sim, Rc<DaosTestbed>) -> Fut + 'static,
+) -> T {
+    let mut sim = Sim::new(seed);
+    sim.block_on(move |sim| async move {
+        let env = DaosTestbed::setup_salted(&sim, cluster, DfsConfig::default(), dfuse, salt)
+            .await
+            .expect("testbed setup");
+        body(sim, env).await
+    })
+}
+
 /// Execute one point in a fresh simulation on the paper testbed
 /// (deterministic per point); phase times are averaged over `repeats`
 /// placements (distinct seeds -> distinct placements, like IOR's `-i`
@@ -117,19 +149,14 @@ pub fn run_point_in(
 ) -> Measurement {
     let mut acc: Option<IorReport> = None;
     for it in 0..repeats {
-        let mut sim = Sim::new(seed ^ ((point.client_nodes as u64) << 32) ^ (it << 56));
-        let report = sim.block_on(move |sim| async move {
-            let env = DaosTestbed::setup_salted(
-                &sim,
-                cluster,
-                DfsConfig::default(),
-                DfuseConfig::default(),
-                it,
-            )
-            .await
-            .expect("testbed setup");
-            run(&sim, &env, params).await.expect("ior run")
-        });
+        let sim_seed = seed ^ ((point.client_nodes as u64) << 32) ^ (it << 56);
+        let report = on_testbed_with(
+            sim_seed,
+            cluster,
+            DfuseConfig::default(),
+            it,
+            move |sim, env| async move { run(&sim, &env, params).await.expect("ior run") },
+        );
         acc = Some(match acc {
             None => report,
             Some(a) => IorReport {

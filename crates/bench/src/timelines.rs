@@ -9,9 +9,7 @@
 use std::rc::Rc;
 
 use daos_core::{Cluster, ClusterConfig, DaosClient, RetryPolicy};
-use daos_dfs::DfsConfig;
-use daos_dfuse::DfuseConfig;
-use daos_ior::{run, Api, DaosTestbed, IorParams};
+use daos_ior::{run, Api, IorParams};
 use daos_placement::{ObjectClass, ObjectId};
 use daos_sim::executor::join_all;
 use daos_sim::fault::FaultAction;
@@ -22,8 +20,8 @@ use daos_vos::Payload;
 
 use crate::figure::{Cell, Plan, Scale};
 use crate::invariants::series_scales;
-use crate::paper_cluster;
 use crate::report::{BenchReport, Fragment, Verdict, WRITE_GIB_S};
+use crate::{on_testbed, paper_cluster};
 
 // ---------------------------------------------------------------------
 // Fault timeline (engine crash / exclude / rebuild / reintegrate)
@@ -255,14 +253,10 @@ pub const SCRUB_SEED: u64 = 0x5C2B;
 /// isolates the verify-on-write / csum-on-fetch cost. Returns
 /// (write GiB/s, read GiB/s).
 pub fn csum_overhead_point(csum: bool, fpp: bool, nodes: u32, ppn: u32, block: u64) -> (f64, f64) {
-    let mut sim = Sim::new(SCRUB_SEED);
-    sim.block_on(move |sim| async move {
-        let mut cfg = paper_cluster(nodes);
-        cfg.engine.vos.csum_enabled = csum;
-        cfg.engine.scrub_interval = None;
-        let env = DaosTestbed::setup(&sim, cfg, DfsConfig::default(), DfuseConfig::default())
-            .await
-            .expect("testbed");
+    let mut cfg = paper_cluster(nodes);
+    cfg.engine.vos.csum_enabled = csum;
+    cfg.engine.scrub_interval = None;
+    on_testbed(SCRUB_SEED, cfg, move |sim, env| async move {
         let mut p = IorParams::paper_default(Api::Dfs, ObjectClass::S2, fpp, ppn);
         p.block_size = block;
         if !fpp {

@@ -57,8 +57,7 @@ fn table_holds_exactly_the_known_figures() {
             "daos_api",
             "app_workloads",
             "dfuse_ablation",
-            "oclass_sweep",
-            "calibrate"
+            "oclass_sweep"
         ]
     );
     // a PR-gated figure is also in the debug-build determinism test
@@ -85,14 +84,14 @@ fn audit_catches_a_missing_and_a_stray_baseline() {
     assert!(table_problems(&dir).is_empty());
 
     std::fs::remove_file(dir.join("BENCH_io500.json")).unwrap();
-    // `calibrate` is in the table but ungated: a baseline for it is stray
-    BenchReport::new("calibrate", find("calibrate").unwrap().seed)
+    // `oclass_sweep` is in the table but ungated: a baseline for it is stray
+    BenchReport::new("oclass_sweep", find("oclass_sweep").unwrap().seed)
         .write_to(&dir)
         .unwrap();
     let problems = table_problems(&dir);
     assert_eq!(problems.len(), 2, "{problems:?}");
     assert!(problems[0].starts_with("io500: gated but has no baseline"));
-    assert!(problems[1].starts_with("BENCH_calibrate.json: baseline without"));
+    assert!(problems[1].starts_with("BENCH_oclass_sweep.json: baseline without"));
 
     // a baseline minted under another seed is a different experiment
     let mut wrong = BenchReport::load(&baselines(), "io500").unwrap();

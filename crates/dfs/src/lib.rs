@@ -404,12 +404,6 @@ impl Dfs {
         Ok(self.file_from(ent))
     }
 
-    /// Create with the mount defaults.
-    pub async fn create_default(&self, sim: &Sim, path: &str) -> Result<DfsFile, DaosError> {
-        self.create(sim, path, self.cfg.file_class, self.cfg.chunk_size)
-            .await
-    }
-
     /// Open an existing file (follows symlinks).
     pub async fn open(&self, sim: &Sim, path: &str) -> Result<DfsFile, DaosError> {
         match self.lookup_follow(sim, path).await? {

@@ -257,11 +257,6 @@ impl DfuseMount {
 }
 
 impl PosixFile {
-    /// The underlying DFS file (interception library's view).
-    pub fn dfs_file(&self) -> &DfsFile {
-        &self.file
-    }
-
     /// POSIX `pwrite(2)`.
     ///
     /// Without interception the kernel cuts the write at `max_req`-aligned

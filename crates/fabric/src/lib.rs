@@ -139,10 +139,6 @@ impl Fabric {
     pub fn set_node_up(&self, node: NodeId) {
         self.fault.down.borrow_mut().remove(&node);
     }
-    /// Whether `node`'s NIC is currently dark.
-    pub fn node_is_down(&self, node: NodeId) -> bool {
-        self.fault.down.borrow().contains(&node)
-    }
     /// Sever connectivity between `a` and `b` (both directions).
     pub fn partition_between(&self, a: NodeId, b: NodeId) {
         self.fault
@@ -213,11 +209,6 @@ impl Fabric {
     /// The fabric's configuration.
     pub fn config(&self) -> &FabricConfig {
         &self.cfg
-    }
-
-    /// Estimated request/response round-trip for a tiny control message.
-    pub fn rtt(&self) -> SimDuration {
-        (self.cfg.wire_latency + self.cfg.per_msg_cpu) * 2
     }
 
     /// Move `bytes` from `from` to `to`, returning the completion instant.
@@ -421,11 +412,6 @@ impl<Req: 'static, Rsp: 'static> Endpoint<Req, Rsp> {
     /// Mark the endpoint (un)reachable — a crashed or restarted service.
     pub fn set_online(&self, online: bool) {
         self.online.set(online);
-    }
-
-    /// Whether the endpoint currently admits requests.
-    pub fn is_online(&self) -> bool {
-        self.online.get()
     }
 
     /// Number of calls served so far.

@@ -5,13 +5,19 @@
 //! own file (*easy* / file-per-process, `-F`) or to a single shared file
 //! (*hard*), through one of the access APIs under study:
 //!
-//! | IOR `-a` | here | path to DAOS |
-//! |----------|------|--------------|
-//! | `POSIX`  | [`Api::Posix`]  | DFuse mount (optionally the interception library) |
-//! | `DFS`    | [`Api::Dfs`]    | `libdfs` |
-//! | `MPIIO`  | [`Api::Mpiio`]  | ROMIO UFS driver over DFuse |
-//! | `HDF5`   | [`Api::Hdf5`]   | mini-HDF5 over `sec2`(DFuse) / `mpio` |
-//! | `DAOS`   | [`Api::DaosArray`] | native `daos_array` (the paper's future work) |
+//! | IOR `-a` | here | rank's file ([`ByteFile`]) | path to DAOS |
+//! |----------|------|------|--------------|
+//! | `DAOS`   | [`Api::DaosArray`] | `ArrayHandle` | native `daos_array` (the paper's future work) |
+//! | `DFS`    | [`Api::Dfs`]    | `DfsFile` | `libdfs` |
+//! | `POSIX`  | [`Api::Posix`]  | `PosixFile` | DFuse mount (optionally the interception library) |
+//! | `MPIIO`  | [`Api::Mpiio`]  | `MpiFile` / [`Collective`] | ROMIO UFS driver over DFuse, independent or collective transfers |
+//! | `HDF5`   | [`Api::Hdf5`]   | `(Rc<H5File>, Dataset)` | mini-HDF5 over `sec2` (file per process) or `mpio` with independent transfers (shared), both over DFuse |
+//! | `POSIX` on the PFS | [`pfs_files`] | `PfsFile` | none: the Lustre-like baseline of the closing contrast |
+//!
+//! [`run`] matches the API once, opens every rank's file on that rung and
+//! hands them to [`run_files`], the one rank driver; the PFS has no DAOS
+//! testbed, so its caller opens the files ([`pfs_files`]) and calls the
+//! same driver. [`mdtest()`] / [`mdtest_ranks`] do the same over [`MetaOps`].
 //!
 //! Offsets follow IOR's *segmented* layout: in shared mode rank `r`,
 //! segment `s` covers `(s*ranks + r) * block_size`. Phase times are the
@@ -26,14 +32,14 @@
 #![forbid(unsafe_code)]
 
 pub mod daos_env;
+pub mod ladder;
 pub mod mdtest;
-pub mod pfs_run;
 pub mod runner;
 
 pub use daos_env::DaosTestbed;
-pub use mdtest::{mdtest, mdtest_pfs, MdBackend, MdtestReport};
-pub use pfs_run::run_pfs;
-pub use runner::run;
+pub use ladder::{ByteFile, Collective, MetaOps, PfsClient};
+pub use mdtest::{mdtest, mdtest_ranks, MdBackend, MdtestReport};
+pub use runner::{pfs_files, run, run_files};
 
 use daos_placement::ObjectClass;
 use daos_sim::time::SimDuration;
@@ -48,8 +54,8 @@ pub enum Api {
     Dfs,
     /// MPI-IO over the DFuse mount; `collective` uses `write_at_all`.
     Mpiio { collective: bool },
-    /// HDF5: `sec2` VFD (DFuse) in file-per-process mode, `mpio` VFD with
-    /// collective transfers for the shared file — IOR/HDF5 convention.
+    /// HDF5 over DFuse: `sec2` VFD in file-per-process mode, `mpio` VFD
+    /// with independent transfers (IOR's default) for the shared file.
     Hdf5,
     /// The native DAOS array API.
     DaosArray,
@@ -94,11 +100,14 @@ pub struct IorParams {
     /// `-z`: issue transfers in a random (deterministic, seeded) order
     /// instead of sequentially.
     pub random_offsets: bool,
-    /// `-C`: in file-per-process read phases, rank r reads the file written
-    /// by rank (r+1) mod N — IOR's cache-defeating reorder.
+    /// `-C`: in the read phase rank r reads (and verifies) the block rank
+    /// (r+1) mod N wrote to the shared file — IOR's cache-defeating
+    /// reorder. An error with `-F`: a rank's handle is its own file.
     pub reorder_read: bool,
-    /// `-D`-style stonewall: stop a phase once this much simulated time has
-    /// elapsed; bandwidth reflects the bytes actually moved.
+    /// `-D`-style stonewall: a rank starts no transfer once this much
+    /// simulated time of the phase has elapsed; bandwidth reflects the
+    /// bytes actually moved. Each rank reads the clock on its own, so, as
+    /// in IOR, collective transfers hang if the deadline splits the ranks.
     pub stonewall: Option<SimDuration>,
 }
 

@@ -4,19 +4,21 @@
 
 use std::rc::Rc;
 
-use daos_placement::ObjectClass;
+use daos_core::DaosError;
 use daos_sim::executor::join_all;
 use daos_sim::time::SimDuration;
 use daos_sim::Sim;
 
 use crate::daos_env::DaosTestbed;
+use crate::ladder::MetaOps;
 
-/// Which layer the metadata ops go through.
+/// Which DAOS layer [`mdtest`] sends the metadata ops through (the PFS
+/// rung has no testbed: hand [`mdtest_ranks`] its clients directly).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MdBackend {
-    /// Native `libdfs` calls.
+    /// The `libdfs` rung: [`MetaOps`] for `Rc<Dfs>`.
     Dfs,
-    /// POSIX through DFuse.
+    /// The POSIX-through-DFuse rung: [`MetaOps`] for `Rc<DfuseMount>`.
     Dfuse,
 }
 
@@ -53,148 +55,77 @@ impl MdtestReport {
     }
 }
 
-/// Run mdtest on a DAOS testbed: each rank creates, stats, then unlinks
-/// `files_per_rank` zero-byte files in its own directory.
+/// One storm over every rank's files: `op` on each of rank `r`'s
+/// `/md.{r}/f.*`, all ranks concurrently; returns the makespan.
+async fn phase<M, Op>(
+    sim: &Sim,
+    clients: &[M],
+    files: u32,
+    op: Op,
+) -> Result<SimDuration, DaosError>
+where
+    M: MetaOps + Clone + 'static,
+    Op: AsyncFn(&M, &Sim, &str) -> Result<(), DaosError> + Copy + 'static,
+{
+    let t0 = sim.now();
+    let futs: Vec<_> = (0..)
+        .zip(clients)
+        .map(|(r, md): (u32, _)| {
+            let (sim, md) = (sim.clone(), md.clone());
+            async move {
+                for i in 0..files {
+                    op(&md, &sim, &format!("/md.{r}/f.{i:06}")).await?;
+                }
+                Ok::<(), DaosError>(())
+            }
+        })
+        .collect();
+    for r in join_all(sim, futs).await {
+        r?;
+    }
+    Ok(sim.now() - t0)
+}
+
+/// The mdtest driver of every rung: `clients[r]` is rank `r`'s namespace
+/// client. Each rank creates, stats, then unlinks `files_per_rank`
+/// zero-byte files in its own directory.
+pub async fn mdtest_ranks<M: MetaOps + Clone + 'static>(
+    sim: &Sim,
+    files_per_rank: u32,
+    clients: Vec<M>,
+) -> Result<MdtestReport, DaosError> {
+    // setup: per-rank directories
+    for (r, md) in clients.iter().enumerate() {
+        md.mkdir(sim, &format!("/md.{r}")).await?;
+    }
+    let n = files_per_rank;
+    Ok(MdtestReport {
+        ranks: clients.len() as u32,
+        files_per_rank,
+        create_time: phase(sim, &clients, n, async |m: &M, s, p| m.create(s, p).await).await?,
+        stat_time: phase(sim, &clients, n, async |m: &M, s, p| m.stat(s, p).await).await?,
+        unlink_time: phase(sim, &clients, n, async |m: &M, s, p| m.unlink(s, p).await).await?,
+    })
+}
+
+/// Run mdtest on a DAOS testbed, `ppn` ranks to a client node, every rank
+/// through its node's mount of the layer `backend` names.
 pub async fn mdtest(
     sim: &Sim,
     env: &Rc<DaosTestbed>,
     backend: MdBackend,
     ppn: u32,
     files_per_rank: u32,
-) -> Result<MdtestReport, daos_core::DaosError> {
-    let ranks = env.client_nodes() * ppn;
-
-    // setup: per-rank directories
-    for r in 0..ranks {
-        let node = env.node_of_rank(r, ppn) as usize;
-        match backend {
-            MdBackend::Dfs => env.dfs[node].mkdir(sim, &format!("/md.{r}")).await?,
-            MdBackend::Dfuse => env.dfuse[node].mkdir(sim, &format!("/md.{r}")).await?,
+) -> Result<MdtestReport, DaosError> {
+    let per_rank = (0..env.client_nodes() * ppn).map(|r| env.node_of_rank(r, ppn) as usize);
+    match backend {
+        MdBackend::Dfs => {
+            let clients = per_rank.map(|n| Rc::clone(&env.dfs[n])).collect();
+            mdtest_ranks(sim, files_per_rank, clients).await
+        }
+        MdBackend::Dfuse => {
+            let clients = per_rank.map(|n| Rc::clone(&env.dfuse[n])).collect();
+            mdtest_ranks(sim, files_per_rank, clients).await
         }
     }
-
-    async fn phase(
-        sim: &Sim,
-        env: &Rc<DaosTestbed>,
-        backend: MdBackend,
-        ppn: u32,
-        ranks: u32,
-        files: u32,
-        op: u8,
-    ) -> Result<SimDuration, daos_core::DaosError> {
-        let t0 = sim.now();
-        let futs: Vec<_> = (0..ranks)
-            .map(|r| {
-                let env = Rc::clone(env);
-                let sim = sim.clone();
-                async move {
-                    let node = env.node_of_rank(r, ppn) as usize;
-                    for i in 0..files {
-                        let path = format!("/md.{r}/f.{i:06}");
-                        match (backend, op) {
-                            (MdBackend::Dfs, 0) => {
-                                env.dfs[node]
-                                    .create(&sim, &path, ObjectClass::S1, 1 << 20)
-                                    .await?;
-                            }
-                            (MdBackend::Dfs, 1) => {
-                                env.dfs[node].stat(&sim, &path).await?;
-                            }
-                            (MdBackend::Dfs, _) => {
-                                env.dfs[node].unlink(&sim, &path).await?;
-                            }
-                            (MdBackend::Dfuse, 0) => {
-                                env.dfuse[node]
-                                    .open(&sim, &path, daos_dfuse::OpenFlags::create())
-                                    .await?;
-                            }
-                            (MdBackend::Dfuse, 1) => {
-                                env.dfuse[node].stat(&sim, &path).await?;
-                            }
-                            (MdBackend::Dfuse, _) => {
-                                env.dfuse[node].unlink(&sim, &path).await?;
-                            }
-                        }
-                    }
-                    Ok::<(), daos_core::DaosError>(())
-                }
-            })
-            .collect();
-        for r in join_all(sim, futs).await {
-            r?;
-        }
-        Ok(sim.now() - t0)
-    }
-
-    let create_time = phase(sim, env, backend, ppn, ranks, files_per_rank, 0).await?;
-    let stat_time = phase(sim, env, backend, ppn, ranks, files_per_rank, 1).await?;
-    let unlink_time = phase(sim, env, backend, ppn, ranks, files_per_rank, 2).await?;
-
-    Ok(MdtestReport {
-        ranks,
-        files_per_rank,
-        create_time,
-        stat_time,
-        unlink_time,
-    })
-}
-
-/// mdtest on the PFS baseline (every op is an MDS round trip).
-pub async fn mdtest_pfs(
-    sim: &Sim,
-    fs: &Rc<daos_pfs::Pfs>,
-    ppn: u32,
-    files_per_rank: u32,
-) -> Result<MdtestReport, String> {
-    let ranks = fs.config().client_nodes * ppn;
-
-    async fn phase(
-        sim: &Sim,
-        fs: &Rc<daos_pfs::Pfs>,
-        ppn: u32,
-        ranks: u32,
-        files: u32,
-        op: u8,
-    ) -> Result<SimDuration, String> {
-        let t0 = sim.now();
-        let futs: Vec<_> = (0..ranks)
-            .map(|r| {
-                let fs = Rc::clone(fs);
-                let sim = sim.clone();
-                async move {
-                    for i in 0..files {
-                        let path = format!("/md.{r}/f.{i:06}");
-                        match op {
-                            0 => {
-                                fs.open(&sim, r / ppn, r as u64, &path, true).await?;
-                            }
-                            1 => {
-                                fs.stat(&sim, r / ppn, &path).await?;
-                            }
-                            _ => {
-                                fs.unlink(&sim, r / ppn, &path).await?;
-                            }
-                        }
-                    }
-                    Ok::<(), String>(())
-                }
-            })
-            .collect();
-        for r in join_all(sim, futs).await {
-            r?;
-        }
-        Ok(sim.now() - t0)
-    }
-
-    let create_time = phase(sim, fs, ppn, ranks, files_per_rank, 0).await?;
-    let stat_time = phase(sim, fs, ppn, ranks, files_per_rank, 1).await?;
-    let unlink_time = phase(sim, fs, ppn, ranks, files_per_rank, 2).await?;
-
-    Ok(MdtestReport {
-        ranks,
-        files_per_rank,
-        create_time,
-        stat_time,
-        unlink_time,
-    })
 }

@@ -1,75 +1,24 @@
-//! The benchmark engine: builds one I/O context per rank for the selected
-//! API, then drives barrier-bracketed write and read phases.
+//! The benchmark engine: [`run`] opens one file per rank on the rung
+//! `params.api` names, then hands them to [`run_files`], the one driver of
+//! the barrier-bracketed write and read phases for every rung.
 
+use std::future::Future;
 use std::rc::Rc;
 
 use daos_core::DaosError;
-use daos_dfuse::OpenFlags;
-use daos_hdf5::{Dataset, H5Config, H5File, H5Vfd, Layout};
+use daos_dfuse::{DfuseMount, OpenFlags, PosixFile};
+use daos_hdf5::{H5Config, H5File, H5Vfd, Layout};
 use daos_mpiio::{Hints, MpiFile, RankFile};
+use daos_pfs::{Pfs, PfsFile};
 use daos_placement::ObjectId;
 use daos_sim::executor::join_all;
+use daos_sim::time::{SimDuration, SimTime};
 use daos_sim::Sim;
 use daos_vos::Payload;
 
 use crate::daos_env::DaosTestbed;
+use crate::ladder::{ByteFile, Collective, PfsClient};
 use crate::{data_seed, Api, IorParams, IorReport};
-
-/// Per-rank I/O context.
-enum RankIo {
-    Posix(daos_dfuse::PosixFile),
-    Dfs(daos_dfs::DfsFile),
-    Mpiio { file: Rc<MpiFile>, collective: bool },
-    Hdf5 { file: Rc<H5File>, ds: Rc<Dataset> },
-    Daos(daos_core::ArrayHandle),
-}
-
-impl RankIo {
-    async fn write(&self, sim: &Sim, off: u64, data: Payload) -> Result<(), DaosError> {
-        match self {
-            RankIo::Posix(f) => f.pwrite(sim, off, data).await,
-            RankIo::Dfs(f) => f.write(sim, off, data).await,
-            RankIo::Mpiio { file, collective } => {
-                if *collective {
-                    file.write_at_all(sim, off, data).await
-                } else {
-                    file.write_at(sim, off, data).await
-                }
-            }
-            RankIo::Hdf5 { ds, .. } => ds.write(sim, off, data).await,
-            RankIo::Daos(a) => a.write(sim, off, data).await,
-        }
-    }
-
-    async fn read(
-        &self,
-        sim: &Sim,
-        off: u64,
-        len: u64,
-    ) -> Result<Vec<daos_vos::tree::ReadSeg>, DaosError> {
-        match self {
-            RankIo::Posix(f) => f.pread(sim, off, len).await,
-            RankIo::Dfs(f) => f.read(sim, off, len).await,
-            RankIo::Mpiio { file, collective } => {
-                if *collective {
-                    file.read_at_all(sim, off, len).await
-                } else {
-                    file.read_at(sim, off, len).await
-                }
-            }
-            RankIo::Hdf5 { ds, .. } => ds.read(sim, off, len).await,
-            RankIo::Daos(a) => a.read(sim, off, len).await,
-        }
-    }
-
-    /// End-of-write-phase metadata work (HDF5 flushes its cache).
-    async fn flush(&self, sim: &Sim) -> Result<(), DaosError> {
-        if let RankIo::Hdf5 { file, .. } = self {
-            file.flush(sim).await?;
-        }
-        Ok(())
-    }
-}
 
 fn file_path(params: &IorParams, rank: u32) -> String {
     if params.file_per_process {
@@ -79,152 +28,18 @@ fn file_path(params: &IorParams, rank: u32) -> String {
     }
 }
 
-/// Build the rank's I/O context (setup phase, untimed like IOR's
-/// `open` outside `-O` timing).
-async fn build_rank_io(
-    sim: &Sim,
-    env: &Rc<DaosTestbed>,
-    world: &Rc<daos_mpi::MpiWorld>,
-    params: &IorParams,
-    rank: u32,
-) -> Result<RankIo, DaosError> {
-    let node = env.node_of_rank(rank, params.ppn) as usize;
-    let path = file_path(params, rank);
-    let ranks = world.size() as u64;
-    match params.api {
-        Api::Posix { il } => {
-            let mount = if il {
-                &env.dfuse_il[node]
-            } else {
-                &env.dfuse[node]
-            };
-            let f = mount
-                .open(
-                    sim,
-                    &path,
-                    OpenFlags {
-                        create: true,
-                        class: Some(params.oclass),
-                        chunk_size: Some(params.chunk_size),
-                    },
-                )
-                .await?;
-            Ok(RankIo::Posix(f))
-        }
-        Api::Dfs => {
-            let f = env.dfs[node]
-                .create(sim, &path, params.oclass, params.chunk_size)
-                .await?;
-            Ok(RankIo::Dfs(f))
-        }
-        Api::Mpiio { collective } => {
-            let f = env.dfuse[node]
-                .open(
-                    sim,
-                    &path,
-                    OpenFlags {
-                        create: true,
-                        class: Some(params.oclass),
-                        chunk_size: Some(params.chunk_size),
-                    },
-                )
-                .await?;
-            let hints = Hints::default();
-            let mf = if params.file_per_process {
-                MpiFile::new_independent(world.rank(rank as usize), RankFile::Posix(f), hints)
-            } else {
-                MpiFile::open(sim, world.rank(rank as usize), RankFile::Posix(f), hints).await
-            };
-            Ok(RankIo::Mpiio {
-                file: Rc::new(mf),
-                collective: collective && !params.file_per_process,
-            })
-        }
-        Api::Hdf5 => {
-            let f = env.dfuse[node]
-                .open(
-                    sim,
-                    &path,
-                    OpenFlags {
-                        create: true,
-                        class: Some(params.oclass),
-                        chunk_size: Some(params.chunk_size),
-                    },
-                )
-                .await?;
-            let h5cfg = H5Config::default();
-            if params.file_per_process {
-                // sec2 VFD, independent
-                let h5 = H5File::create(sim, H5Vfd::Sec2(Box::new(f)), h5cfg).await?;
-                let ds = h5
-                    .create_dataset(
-                        sim,
-                        "data",
-                        params.block_size * params.segments as u64,
-                        Layout::Contiguous,
-                    )
-                    .await?;
-                Ok(RankIo::Hdf5 {
-                    file: h5,
-                    ds: Rc::new(ds),
-                })
-            } else {
-                // mpio VFD with independent transfers (IOR's default; pass
-                // `collective` via MPI-IO hints to study two-phase I/O)
-                let hints = Hints::default();
-                let mf = Rc::new(
-                    MpiFile::open(sim, world.rank(rank as usize), RankFile::Posix(f), hints).await,
-                );
-                let h5 = H5File::create(
-                    sim,
-                    H5Vfd::Mpio {
-                        file: mf,
-                        collective: false,
-                    },
-                    h5cfg,
-                )
-                .await?;
-                let ds = h5
-                    .create_dataset(
-                        sim,
-                        "data",
-                        params.block_size * params.segments as u64 * ranks,
-                        Layout::Contiguous,
-                    )
-                    .await?;
-                Ok(RankIo::Hdf5 {
-                    file: h5,
-                    ds: Rc::new(ds),
-                })
-            }
-        }
-        Api::DaosArray => {
-            let oid = if params.file_per_process {
-                ObjectId::new(0xBEEF, 100 + rank as u64)
-            } else {
-                ObjectId::new(0xBEEF, 7)
-            };
-            let arr = env.containers[node]
-                .object(oid, params.oclass)
-                .array(params.chunk_size);
-            Ok(RankIo::Daos(arr))
-        }
-    }
-}
-
 /// Drive one rank through a phase; returns the bytes actually moved
 /// (less than the full plan only when a stonewall deadline fires).
-async fn rank_io_phase(
+async fn rank_io_phase<F: ByteFile>(
     sim: Sim,
-    io: Rc<RankIo>,
+    file: Rc<F>,
     params: IorParams,
     ranks: u64,
     rank: u64,
     is_write: bool,
-    deadline: Option<daos_sim::time::SimTime>,
+    deadline: Option<SimTime>,
 ) -> Result<u64, DaosError> {
-    // -C: read the data written by the next rank (fpp read contexts are
-    // already that rank's file; here we flip the *data seed / offsets*)
+    // -C: read back the block the next rank wrote to the shared file
     let data_rank = if !is_write && params.reorder_read {
         (rank + 1) % ranks
     } else {
@@ -255,9 +70,9 @@ async fn rank_io_phase(
         let off = params.offset(ranks, data_rank, s, k);
         if is_write {
             let data = Payload::pattern(data_seed(data_rank, s, k), params.transfer_size);
-            io.write(&sim, off, data).await?;
+            file.write(&sim, off, data).await?;
         } else {
-            let segs = io.read(&sim, off, params.transfer_size).await?;
+            let segs = file.read(&sim, off, params.transfer_size).await?;
             if params.verify {
                 let want = Payload::pattern(data_seed(data_rank, s, k), params.transfer_size)
                     .materialize();
@@ -272,130 +87,235 @@ async fn rank_io_phase(
         moved += params.transfer_size;
     }
     if is_write {
-        io.flush(&sim).await?;
+        file.flush(&sim).await?;
     }
     Ok(moved)
 }
 
-/// Run one IOR configuration against a DAOS testbed.
+/// One barrier-to-barrier phase over all ranks: (bytes moved, makespan).
+async fn io_phase<F: ByteFile + 'static>(
+    sim: &Sim,
+    files: &[Rc<F>],
+    params: IorParams,
+    is_write: bool,
+) -> Result<(u64, SimDuration), DaosError> {
+    let t0 = sim.now();
+    let deadline = params.stonewall.map(|d| t0 + d);
+    let ranks = files.len() as u64;
+    let futs: Vec<_> = (0..ranks)
+        .zip(files)
+        .map(|(r, f)| {
+            rank_io_phase(
+                sim.clone(),
+                Rc::clone(f),
+                params,
+                ranks,
+                r,
+                is_write,
+                deadline,
+            )
+        })
+        .collect();
+    let mut moved = 0u64;
+    for r in join_all(sim, futs).await {
+        moved += r?;
+    }
+    Ok((moved, sim.now() - t0))
+}
+
+/// The rank driver of every rung: `files[r]` is rank `r`'s open file
+/// (`params.ppn` ranks to each of `client_nodes` nodes; `params.api` is not
+/// read). Write phase, then read phase, each timed barrier to barrier.
+pub async fn run_files<F: ByteFile + 'static>(
+    sim: &Sim,
+    client_nodes: u32,
+    params: IorParams,
+    files: Vec<F>,
+) -> Result<IorReport, DaosError> {
+    if params.verify && !F::STORES_BYTES {
+        return Err(DaosError::Other(
+            "verify: this rung models timing only and stores no bytes".into(),
+        ));
+    }
+    if params.reorder_read && params.file_per_process {
+        // a rank's handle is bound to its own file: there is no
+        // neighbour's block to read through it
+        return Err(DaosError::Other("-C needs the shared file".into()));
+    }
+    let files: Vec<Rc<F>> = files.into_iter().map(Rc::new).collect();
+    let mut report = IorReport {
+        ranks: files.len() as u32,
+        client_nodes,
+        total_bytes: params.total_bytes(client_nodes),
+        bytes_written: 0,
+        bytes_read: 0,
+        write_time: SimDuration::ZERO,
+        read_time: SimDuration::ZERO,
+    };
+    if params.do_write {
+        (report.bytes_written, report.write_time) = io_phase(sim, &files, params, true).await?;
+    }
+    if params.do_read {
+        (report.bytes_read, report.read_time) = io_phase(sim, &files, params, false).await?;
+    }
+    Ok(report)
+}
+
+/// Every rank opens its file concurrently (collective opens included).
+async fn open_all<F: 'static, Fut>(
+    sim: &Sim,
+    ranks: u32,
+    open: impl Fn(u32) -> Fut,
+) -> Result<Vec<F>, DaosError>
+where
+    Fut: Future<Output = Result<F, DaosError>> + 'static,
+{
+    let opened = join_all(sim, (0..ranks).map(open).collect()).await;
+    opened.into_iter().collect()
+}
+
+/// Open (creating it if absent) rank `rank`'s file through a DFuse mount.
+async fn posix_open(
+    sim: &Sim,
+    mount: &Rc<DfuseMount>,
+    params: &IorParams,
+    rank: u32,
+) -> Result<PosixFile, DaosError> {
+    let flags = OpenFlags {
+        create: true,
+        class: Some(params.oclass),
+        chunk_size: Some(params.chunk_size),
+    };
+    mount.open(sim, &file_path(params, rank), flags).await
+}
+
+/// Run one IOR configuration against a DAOS testbed. Setup (creating and
+/// opening the files) is untimed, like IOR's `open` outside `-O` timing.
 pub async fn run(
     sim: &Sim,
     env: &Rc<DaosTestbed>,
     params: IorParams,
 ) -> Result<IorReport, DaosError> {
-    let client_nodes = env.client_nodes();
-    let ranks = client_nodes * params.ppn;
+    let nodes = env.client_nodes();
+    let ranks = nodes * params.ppn;
     let world = env.mpi_world(params.ppn);
-
-    // ---- setup (untimed): create files, build contexts --------------
-    // wave A: rank 0 creates the shared file's dirent so wave B opens race-free
-    if !params.file_per_process {
-        match params.api {
-            Api::Posix { .. } | Api::Mpiio { .. } | Api::Hdf5 => {
-                env.dfuse[0]
-                    .open(
-                        sim,
-                        &file_path(&params, 0),
-                        OpenFlags {
-                            create: true,
-                            class: Some(params.oclass),
-                            chunk_size: Some(params.chunk_size),
-                        },
-                    )
-                    .await?;
-            }
-            Api::Dfs => {
-                env.dfs[0]
-                    .create(
-                        sim,
-                        &file_path(&params, 0),
-                        params.oclass,
-                        params.chunk_size,
-                    )
-                    .await?;
-            }
-            Api::DaosArray => {}
+    let node_of = |r: u32| env.node_of_rank(r, params.ppn) as usize;
+    let shared = !params.file_per_process;
+    // rank r's DFuse file, ready to move into an open future
+    let posix = |mounts: &[Rc<DfuseMount>], r: u32| {
+        let (sim, mount) = (sim.clone(), Rc::clone(&mounts[node_of(r)]));
+        async move { posix_open(&sim, &mount, &params, r).await }
+    };
+    // rank 0 alone creates a shared file's dirent, before every rank opens
+    // it concurrently, so the opens are race-free
+    let create_shared_posix = async || {
+        if shared {
+            posix(&env.dfuse, 0).await?;
         }
-    }
-    // wave B: every rank builds its context (collective opens included)
-    let ios: Vec<Rc<RankIo>> = {
-        let futs: Vec<_> = (0..ranks)
-            .map(|r| {
-                let env = Rc::clone(env);
-                let world = Rc::clone(&world);
-                let sim2 = sim.clone();
-                async move { build_rank_io(&sim2, &env, &world, &params, r).await }
-            })
-            .collect();
-        let mut out = Vec::with_capacity(ranks as usize);
-        for r in join_all(sim, futs).await {
-            out.push(Rc::new(r?));
-        }
-        out
+        Ok::<(), DaosError>(())
     };
 
-    // ---- write phase -------------------------------------------------
-    let total_bytes = params.total_bytes(client_nodes);
-    let mut write_time = daos_sim::time::SimDuration::ZERO;
-    let mut bytes_written = 0u64;
-    if params.do_write {
-        let t0 = sim.now();
-        let deadline = params.stonewall.map(|d| t0 + d);
-        let futs: Vec<_> = ios
-            .iter()
-            .enumerate()
-            .map(|(r, io)| {
-                rank_io_phase(
-                    sim.clone(),
-                    Rc::clone(io),
-                    params,
-                    ranks as u64,
-                    r as u64,
-                    true,
-                    deadline,
-                )
-            })
-            .collect();
-        for r in join_all(sim, futs).await {
-            bytes_written += r?;
+    match params.api {
+        Api::Posix { il } => {
+            let mounts = if il { &env.dfuse_il } else { &env.dfuse };
+            create_shared_posix().await?;
+            let files = open_all(sim, ranks, |r| posix(mounts, r)).await?;
+            run_files(sim, nodes, params, files).await
         }
-        write_time = sim.now() - t0;
-    }
-
-    // ---- read phase ----------------------------------------------------
-    let mut read_time = daos_sim::time::SimDuration::ZERO;
-    let mut bytes_read = 0u64;
-    if params.do_read {
-        let t0 = sim.now();
-        let deadline = params.stonewall.map(|d| t0 + d);
-        let futs: Vec<_> = ios
-            .iter()
-            .enumerate()
-            .map(|(r, io)| {
-                rank_io_phase(
-                    sim.clone(),
-                    Rc::clone(io),
-                    params,
-                    ranks as u64,
-                    r as u64,
-                    false,
-                    deadline,
-                )
-            })
-            .collect();
-        for r in join_all(sim, futs).await {
-            bytes_read += r?;
+        Api::Dfs => {
+            let open = |r: u32| {
+                let (sim, fs) = (sim.clone(), Rc::clone(&env.dfs[node_of(r)]));
+                async move {
+                    let path = file_path(&params, r);
+                    fs.create(&sim, &path, params.oclass, params.chunk_size)
+                        .await
+                }
+            };
+            if shared {
+                open(0).await?;
+            }
+            let files = open_all(sim, ranks, open).await?;
+            run_files(sim, nodes, params, files).await
         }
-        read_time = sim.now() - t0;
+        Api::Mpiio { collective } => {
+            let open = |r: u32| {
+                let (sim, rank, file) = (sim.clone(), world.rank(r as usize), posix(&env.dfuse, r));
+                async move {
+                    let (file, hints) = (RankFile::Posix(file.await?), Hints::default());
+                    Ok(if shared {
+                        MpiFile::open(&sim, rank, file, hints).await
+                    } else {
+                        MpiFile::new_independent(rank, file, hints)
+                    })
+                }
+            };
+            create_shared_posix().await?;
+            let files = open_all(sim, ranks, open).await?;
+            if collective && shared {
+                let files = files.into_iter().map(Collective).collect();
+                run_files(sim, nodes, params, files).await
+            } else {
+                run_files(sim, nodes, params, files).await
+            }
+        }
+        Api::Hdf5 => {
+            let open = |r: u32| {
+                let (sim, rank, file) = (sim.clone(), world.rank(r as usize), posix(&env.dfuse, r));
+                async move {
+                    let file = file.await?;
+                    let block = params.block_size * params.segments as u64;
+                    // file per process: `sec2` VFD, one dataset per file;
+                    // shared: `mpio` VFD with independent transfers (IOR's
+                    // default), one dataset holding every rank's blocks
+                    let (vfd, size) = if shared {
+                        let file = RankFile::Posix(file);
+                        let file = MpiFile::open(&sim, rank, file, Hints::default()).await;
+                        let vfd = H5Vfd::Mpio {
+                            file: Rc::new(file),
+                            collective: false,
+                        };
+                        (vfd, block * ranks as u64)
+                    } else {
+                        (H5Vfd::Sec2(Box::new(file)), block)
+                    };
+                    let h5 = H5File::create(&sim, vfd, H5Config::default()).await?;
+                    let ds = h5
+                        .create_dataset(&sim, "data", size, Layout::Contiguous)
+                        .await?;
+                    Ok((h5, ds))
+                }
+            };
+            create_shared_posix().await?;
+            let files = open_all(sim, ranks, open).await?;
+            run_files(sim, nodes, params, files).await
+        }
+        Api::DaosArray => {
+            let files = (0..ranks).map(|r| {
+                let oid = if shared {
+                    ObjectId::new(0xBEEF, 7)
+                } else {
+                    ObjectId::new(0xBEEF, 100 + r as u64)
+                };
+                env.containers[node_of(r)]
+                    .object(oid, params.oclass)
+                    .array(params.chunk_size)
+            });
+            run_files(sim, nodes, params, files.collect()).await
+        }
     }
+}
 
-    Ok(IorReport {
-        ranks,
-        client_nodes,
-        total_bytes,
-        bytes_written,
-        bytes_read,
-        write_time,
-        read_time,
-    })
+/// Open one file per rank on the PFS for [`run_files`]: rank `r` on client
+/// node `r / ppn`, its rank the lock-owner identity. One MDS round trip
+/// each, in rank order.
+pub async fn pfs_files(
+    sim: &Sim,
+    fs: &Rc<Pfs>,
+    params: &IorParams,
+) -> Result<Vec<PfsFile>, DaosError> {
+    let mut files = Vec::new();
+    for (r, client) in (0..).zip(PfsClient::per_rank(fs, params.ppn)) {
+        files.push(client.open(sim, &file_path(params, r)).await?);
+    }
+    Ok(files)
 }

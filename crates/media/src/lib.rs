@@ -8,7 +8,6 @@
 //!   VOS index maintenance in persistent memory.
 //! * [`Nvme`] — a block SSD: 4 KiB granularity, bounded queue depth,
 //!   microsecond-scale latency.
-//! * [`Dram`] — volatile memory for page caches and staging buffers.
 //!
 //! All devices expose the same [`Device`] surface: `read`, `write` and
 //! `meta_op`, each charging time on internal [`Pipe`]s. The numbers are
@@ -23,7 +22,7 @@
 use std::rc::Rc;
 
 use daos_sim::time::{SimDuration, SimTime};
-use daos_sim::units::{Bandwidth, Gibps, KIB};
+use daos_sim::units::{Bandwidth, KIB};
 use daos_sim::{Pipe, Semaphore, SharedPipe, Sim};
 
 /// Which class of hardware a device models (used in reports).
@@ -33,8 +32,6 @@ pub enum MediaKind {
     Scm,
     /// NVMe SSD.
     Nvme,
-    /// Volatile DRAM.
-    Dram,
 }
 
 /// Cumulative traffic counters for one device.
@@ -233,50 +230,6 @@ impl Device for Nvme {
     }
     fn kind(&self) -> MediaKind {
         MediaKind::Nvme
-    }
-}
-
-// ------------------------------------------------------------------- DRAM
-
-/// Volatile memory (page cache / staging buffers).
-pub struct Dram {
-    pipe: SharedPipe,
-}
-
-impl Dram {
-    /// A DRAM channel set with the given copy bandwidth.
-    pub fn new(name: &str, bw: Bandwidth) -> Rc<Self> {
-        Rc::new(Dram {
-            pipe: Pipe::new(name, bw, SimDuration::from_ns(90)),
-        })
-    }
-    /// Typical dual-socket copy bandwidth.
-    pub fn default_node(name: &str) -> Rc<Self> {
-        Self::new(name, Gibps(80.0).bandwidth())
-    }
-}
-
-impl Device for Dram {
-    async fn read(&self, sim: &Sim, bytes: u64) {
-        self.pipe.transfer(sim, bytes).await;
-    }
-    async fn write(&self, sim: &Sim, bytes: u64) {
-        self.pipe.transfer(sim, bytes).await;
-    }
-    async fn meta_op(&self, sim: &Sim, n: u64) {
-        self.pipe.occupy(sim, SimDuration::from_ns(200 * n)).await;
-    }
-    fn stats(&self) -> DeviceStats {
-        DeviceStats {
-            bytes_read: 0,
-            bytes_written: self.pipe.bytes_total(),
-            read_ops: 0,
-            write_ops: self.pipe.ops_total(),
-            meta_ops: 0,
-        }
-    }
-    fn kind(&self) -> MediaKind {
-        MediaKind::Dram
     }
 }
 

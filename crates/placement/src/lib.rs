@@ -208,16 +208,6 @@ impl ObjectClass {
         groups * self.group_width()
     }
 
-    /// How many of the shards in each group carry distinct data (for
-    /// bandwidth accounting): 1 for sharded and replication, k for EC.
-    pub fn data_shards_per_group(&self) -> u32 {
-        match self {
-            ObjectClass::Sharded(_) | ObjectClass::ShardedMax => 1,
-            ObjectClass::Replicated { .. } => 1,
-            ObjectClass::ErasureCoded { data, .. } => *data as u32,
-        }
-    }
-
     /// Write amplification factor of the protection scheme (bytes written to
     /// media per byte of application data).
     pub fn write_amplification(&self) -> f64 {

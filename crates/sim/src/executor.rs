@@ -564,10 +564,6 @@ impl Sim {
     pub fn rand_u64(&self) -> u64 {
         self.inner.rng.borrow_mut().next_u64()
     }
-    /// Uniform random float in `[0, 1)`.
-    pub fn rand_f64(&self) -> f64 {
-        self.inner.rng.borrow_mut().gen::<f64>()
-    }
     /// Uniform random integer in `[0, n)`.
     pub fn rand_below(&self, n: u64) -> u64 {
         assert!(n > 0);

@@ -42,6 +42,6 @@ pub use executor::{JoinHandle, Sim};
 pub use fault::{select2, timeout, Either, FaultAction, FaultInjector, FaultPlan};
 pub use join::join_inline;
 pub use pipe::{Pipe, SharedPipe};
-pub use stats::{Histogram, OnlineStats, PercentileSketch};
+pub use stats::PercentileSketch;
 pub use sync::{oneshot, Mailbox, Semaphore, SemaphorePermit};
 pub use time::{SimDuration, SimTime};

@@ -1,184 +1,8 @@
 //! Lightweight measurement accumulators used by benchmark harnesses.
 
-/// Welford online mean/variance plus min/max.
-#[derive(Clone, Debug, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Add one sample.
-    pub fn add(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Sample count.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-    /// Arithmetic mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-    /// Population variance (0 when fewer than 2 samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-    /// Smallest sample (NaN-free; +inf when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-    /// Largest sample (-inf when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-    /// Coefficient of variation (stddev / mean), 0 when mean is 0.
-    pub fn cv(&self) -> f64 {
-        if self.mean() == 0.0 {
-            0.0
-        } else {
-            self.stddev() / self.mean()
-        }
-    }
-    /// Merge another accumulator into this one.
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = (self.n + other.n) as f64;
-        let d = other.mean - self.mean;
-        let mean = self.mean + d * other.n as f64 / n;
-        let m2 = self.m2 + other.m2 + d * d * self.n as f64 * other.n as f64 / n;
-        self.n += other.n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// Power-of-two bucketed histogram of `u64` values (latencies in ns, sizes
-/// in bytes). Bucket `i` holds values in `[2^i, 2^(i+1))`; bucket 0 holds
-/// `{0, 1}`.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    buckets: [u64; 64],
-    count: u64,
-    sum: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// Empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            buckets: [0; 64],
-            count: 0,
-            sum: 0,
-        }
-    }
-
-    /// Record one value.
-    pub fn add(&mut self, v: u64) {
-        let idx = (64 - v.leading_zeros()).saturating_sub(1) as usize;
-        self.buckets[idx.min(63)] += 1;
-        self.count += 1;
-        self.sum += v;
-    }
-
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-    /// Sum of recorded values.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-    /// Mean of recorded values.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Approximate quantile: upper bound of the bucket containing the
-    /// q-quantile sample (q in 0..=1).
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((self.count as f64) * q.clamp(0.0, 1.0)).ceil() as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target.max(1) {
-                return if i >= 63 {
-                    u64::MAX
-                } else {
-                    (1u64 << (i + 1)) - 1
-                };
-            }
-        }
-        u64::MAX
-    }
-
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for i in 0..64 {
-            self.buckets[i] += other.buckets[i];
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-    }
-}
-
 /// Log-linear quantile sketch for latency distributions: each power-of-two
 /// range is split into 16 linear sub-buckets, so any reported quantile is
-/// within ~6.25% of the true sample — tight enough for p999 SLO tables,
-/// unlike [`Histogram`] whose pure power-of-two buckets can be off by ~2×.
+/// within ~6.25% of the true sample — tight enough for p999 SLO tables.
 /// Values below 16 are exact. Deterministic and mergeable (bucket-wise
 /// addition), so per-task sketches can be combined without ordering
 /// effects. Fixed 976-counter footprint (~8 KiB).
@@ -298,73 +122,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn online_stats_basic() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.add(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn online_stats_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = OnlineStats::new();
-        for &x in &xs {
-            all.add(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..37] {
-            a.add(x);
-        }
-        for &x in &xs[37..] {
-            b.add(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_buckets_and_quantiles() {
-        let mut h = Histogram::new();
-        for v in 1..=1000u64 {
-            h.add(v);
-        }
-        assert_eq!(h.count(), 1000);
-        assert_eq!(h.sum(), 500_500);
-        let p50 = h.quantile(0.5);
-        // median 500 falls in bucket [256,512) -> upper bound 511
-        assert_eq!(p50, 511);
-        let p100 = h.quantile(1.0);
-        assert_eq!(p100, 1023);
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.add(10);
-        b.add(1000);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.sum(), 1010);
-    }
-
-    #[test]
     fn empty_stats_are_sane() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.stddev(), 0.0);
-        let h = Histogram::new();
-        assert_eq!(h.quantile(0.5), 0);
-        assert_eq!(h.mean(), 0.0);
         let p = PercentileSketch::new();
         assert_eq!(p.quantile(0.999), 0);
         assert_eq!(p.mean(), 0.0);

@@ -226,15 +226,6 @@ impl VosTarget {
         self.containers.borrow_mut().entry(cid).or_default();
     }
 
-    /// Whether the container holds any objects.
-    pub fn container_is_empty(&self, cid: ContId) -> bool {
-        self.containers
-            .borrow()
-            .get(&cid)
-            .map(|c| c.objects.is_empty())
-            .unwrap_or(true)
-    }
-
     /// Write `data` into an array akey at `offset` with epoch `epoch`.
     ///
     /// Returns the number of index ops charged (for tests/ablation), or

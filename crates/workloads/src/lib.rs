@@ -27,9 +27,9 @@
 
 use std::rc::Rc;
 
-use daos_core::DaosError;
-use daos_dfs::Dfs;
-use daos_dfuse::{DfuseMount, OpenFlags};
+use daos_core::{ArrayHandle, Cluster, ClusterConfig, ContainerHandle, DaosClient, DaosError};
+use daos_dfs::{Dfs, DfsConfig};
+use daos_dfuse::{DfuseConfig, DfuseMount, OpenFlags};
 use daos_placement::{ObjectClass, ObjectId};
 use daos_sim::executor::join_all;
 use daos_sim::time::{SimDuration, SimTime};
@@ -61,8 +61,6 @@ impl Access {
 /// Outcome of one workload run.
 #[derive(Clone, Debug)]
 pub struct WorkloadReport {
-    pub name: &'static str,
-    pub access: Access,
     pub bytes_written: u64,
     pub bytes_read: u64,
     pub makespan: SimDuration,
@@ -91,12 +89,43 @@ impl WorkloadReport {
 /// A per-rank binding to the storage system under one access mode.
 #[derive(Clone)]
 pub enum RankAccess {
-    Native(daos_core::ContainerHandle),
+    Native(ContainerHandle),
     Dfs(Rc<Dfs>),
     Posix(Rc<DfuseMount>),
 }
 
+/// The native rung's array for `tag`: the object id derives from the tag,
+/// the name is not stored.
+fn native(cont: &ContainerHandle, tag: u64, class: ObjectClass) -> ArrayHandle {
+    let oid = ObjectId::new(0xA9D, daos_placement::splitmix64(tag));
+    cont.object(oid, class).array(1 << 20)
+}
+
 impl RankAccess {
+    /// Build a `cfg` cluster and bind every client node to it through
+    /// `which` (container 5, default DFS and DFuse configurations).
+    pub async fn per_node(
+        sim: &Sim,
+        cfg: ClusterConfig,
+        which: Access,
+    ) -> Result<Vec<RankAccess>, DaosError> {
+        let cluster = Cluster::build(sim, cfg);
+        let mut out = Vec::new();
+        for i in 0..cfg.client_nodes {
+            let pool = DaosClient::new(Rc::clone(&cluster), i).connect(sim).await?;
+            if which == Access::Native {
+                out.push(RankAccess::Native(pool.open_or_create(sim, 5).await?));
+                continue;
+            }
+            let fs = Dfs::mount(sim, &pool, 5, DfsConfig::default(), i as u64).await?;
+            out.push(match which {
+                Access::Dfs => RankAccess::Dfs(fs),
+                _ => RankAccess::Posix(DfuseMount::new(fs, DfuseConfig::default())),
+            });
+        }
+        Ok(out)
+    }
+
     /// Write a whole named object/file of `len` bytes.
     pub async fn put(
         &self,
@@ -108,29 +137,17 @@ impl RankAccess {
     ) -> Result<(), DaosError> {
         let data = Payload::pattern(tag, len);
         match self {
-            RankAccess::Native(cont) => {
-                let oid = ObjectId::new(0xA9D, daos_placement::splitmix64(tag));
-                cont.object(oid, class)
-                    .array(1 << 20)
-                    .write(sim, 0, data)
-                    .await
-            }
+            RankAccess::Native(cont) => native(cont, tag, class).write(sim, 0, data).await,
             RankAccess::Dfs(fs) => {
                 let f = fs.create(sim, name, class, 1 << 20).await?;
                 f.write(sim, 0, data).await
             }
             RankAccess::Posix(m) => {
-                let f = m
-                    .open(
-                        sim,
-                        name,
-                        OpenFlags {
-                            create: true,
-                            class: Some(class),
-                            chunk_size: Some(1 << 20),
-                        },
-                    )
-                    .await?;
+                let flags = OpenFlags {
+                    chunk_size: Some(1 << 20),
+                    ..OpenFlags::create_with(class)
+                };
+                let f = m.open(sim, name, flags).await?;
                 f.pwrite(sim, 0, data).await
             }
         }
@@ -146,13 +163,7 @@ impl RankAccess {
         class: ObjectClass,
     ) -> Result<u64, DaosError> {
         let segs = match self {
-            RankAccess::Native(cont) => {
-                let oid = ObjectId::new(0xA9D, daos_placement::splitmix64(tag));
-                cont.object(oid, class)
-                    .array(1 << 20)
-                    .read(sim, 0, len)
-                    .await?
-            }
+            RankAccess::Native(cont) => native(cont, tag, class).read(sim, 0, len).await?,
             RankAccess::Dfs(fs) => {
                 let f = fs.open(sim, name).await?;
                 f.read(sim, 0, len).await?
@@ -178,10 +189,7 @@ impl RankAccess {
         class: ObjectClass,
     ) -> Result<bool, DaosError> {
         match self {
-            RankAccess::Native(cont) => {
-                let oid = ObjectId::new(0xA9D, daos_placement::splitmix64(tag));
-                Ok(cont.object(oid, class).array(1 << 20).size(sim).await? > 0)
-            }
+            RankAccess::Native(cont) => Ok(native(cont, tag, class).size(sim).await? > 0),
             RankAccess::Dfs(fs) => Ok(fs.lookup(sim, name).await?.is_some()),
             RankAccess::Posix(m) => Ok(m.stat(sim, name).await.is_ok()),
         }
@@ -296,8 +304,6 @@ pub mod nwp {
             io_time += since(sim, io0);
         }
         Ok(WorkloadReport {
-            name: "nwp",
-            access: Access::Native, // caller overwrites
             bytes_written: written,
             bytes_read: read,
             makespan: since(sim, t0),
@@ -372,8 +378,6 @@ pub mod checkpoint {
         }
         let io_total = io_time + since(sim, io0);
         Ok(WorkloadReport {
-            name: "checkpoint",
-            access: Access::Native,
             bytes_written: written,
             bytes_read: read,
             makespan: since(sim, t0),
@@ -446,8 +450,6 @@ pub mod producer_consumer {
         }
         let makespan = since(sim, t0);
         Ok(WorkloadReport {
-            name: "producer_consumer",
-            access: Access::Native,
             bytes_written: written,
             bytes_read: read,
             makespan,
@@ -459,40 +461,10 @@ pub mod producer_consumer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use daos_core::{Cluster, ClusterConfig, DaosClient};
-    use daos_dfs::DfsConfig;
-    use daos_dfuse::DfuseConfig;
 
     async fn accesses(sim: &Sim, which: Access) -> Vec<RankAccess> {
-        let cluster = Cluster::build(sim, ClusterConfig::tiny(2));
-        let mut out = Vec::new();
-        for i in 0..2 {
-            let client = DaosClient::new(Rc::clone(&cluster), i);
-            let pool = client.connect(sim).await.unwrap();
-            match which {
-                Access::Native => {
-                    out.push(RankAccess::Native(
-                        pool.open_or_create(sim, 5).await.unwrap(),
-                    ));
-                }
-                Access::Dfs => {
-                    let fs = Dfs::mount(sim, &pool, 5, DfsConfig::default(), i as u64)
-                        .await
-                        .unwrap();
-                    out.push(RankAccess::Dfs(fs));
-                }
-                Access::Posix => {
-                    let fs = Dfs::mount(sim, &pool, 5, DfsConfig::default(), i as u64)
-                        .await
-                        .unwrap();
-                    out.push(RankAccess::Posix(DfuseMount::new(
-                        fs,
-                        DfuseConfig::default(),
-                    )));
-                }
-            }
-        }
-        out
+        let cfg = ClusterConfig::tiny(2);
+        RankAccess::per_node(sim, cfg, which).await.unwrap()
     }
 
     fn small() -> WorkloadParams {

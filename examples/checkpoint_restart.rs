@@ -27,7 +27,7 @@ const NODES: u32 = 4;
 const PPN: u32 = 16;
 const PER_RANK: u64 = 32 * MIB;
 
-fn main() {
+pub fn main() {
     let mut sim = Sim::new(0xC4E);
     sim.block_on(|sim| async move {
         let cluster = Cluster::build(&sim, ClusterConfig::nextgenio(NODES));

@@ -16,7 +16,7 @@ use daos_sim::units::{fmt_bytes, MIB};
 use daos_sim::Sim;
 use daos_vos::Payload;
 
-fn main() {
+pub fn main() {
     let mut sim = Sim::new(7);
     sim.block_on(|sim| async move {
         // 1. a DAOS system: 2 servers x 1 engine, 4 targets each,

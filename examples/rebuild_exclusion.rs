@@ -21,7 +21,7 @@ fn layouts(map: &PoolMap, class: ObjectClass) -> Vec<daos_placement::Layout> {
         .collect()
 }
 
-fn main() {
+pub fn main() {
     for class in [ObjectClass::S1, ObjectClass::S4, ObjectClass::RP_3G1] {
         println!("== class {class} ==");
         let mut map = PoolMap::new(16, 8);

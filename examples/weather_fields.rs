@@ -35,7 +35,7 @@ fn field_key(step: u64, field: u64) -> String {
     format!("step={step},param={},level={}", field % 16, field / 16)
 }
 
-fn main() {
+pub fn main() {
     let mut sim = Sim::new(0xECF);
     sim.block_on(|sim| async move {
         let cluster = Cluster::build(&sim, ClusterConfig::nextgenio(4));

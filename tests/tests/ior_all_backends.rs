@@ -1,14 +1,24 @@
 //! End-to-end IOR runs through every access API on a small cluster, with
 //! full data verification — the whole stack (client → fabric → engine →
-//! VOS → media, plus DFS/DFuse/MPI-IO/HDF5 on top) in one test file.
+//! VOS → media, plus DFS/DFuse/MPI-IO/HDF5 on top) in one test file —
+//! and the same driver over the PFS baseline.
 
-use daos_core::ClusterConfig;
+use std::rc::Rc;
+
+use daos_core::{ClusterConfig, DaosError};
 use daos_dfs::DfsConfig;
 use daos_dfuse::DfuseConfig;
-use daos_ior::{run, Api, DaosTestbed, IorParams};
+use daos_ior::{
+    mdtest, mdtest_ranks, pfs_files, run, run_files, Api, DaosTestbed, IorParams, IorReport,
+    MdBackend, PfsClient,
+};
+use daos_pfs::{Pfs, PfsConfig};
 use daos_placement::ObjectClass;
 use daos_sim::units::{KIB, MIB};
 use daos_sim::Sim;
+
+/// Client nodes of every testbed here.
+const NODES: u32 = 2;
 
 fn small_params(api: Api, fpp: bool) -> IorParams {
     IorParams {
@@ -29,21 +39,186 @@ fn small_params(api: Api, fpp: bool) -> IorParams {
     }
 }
 
-fn run_one(api: Api, fpp: bool) -> daos_ior::IorReport {
+/// A rung of the interface ladder: a DAOS API, or POSIX on the PFS.
+#[derive(Clone, Copy, Debug)]
+enum Rung {
+    Daos(Api),
+    Pfs,
+}
+
+const RUNGS: [Rung; 8] = [
+    Rung::Daos(Api::DaosArray),
+    Rung::Daos(Api::Dfs),
+    Rung::Daos(Api::Posix { il: false }),
+    Rung::Daos(Api::Posix { il: true }),
+    Rung::Daos(Api::Mpiio { collective: false }),
+    Rung::Daos(Api::Mpiio { collective: true }),
+    Rung::Daos(Api::Hdf5),
+    Rung::Pfs,
+];
+
+async fn tiny_testbed(sim: &Sim) -> Rc<DaosTestbed> {
+    let cluster = ClusterConfig::tiny(NODES);
+    DaosTestbed::setup(sim, cluster, DfsConfig::default(), DfuseConfig::default())
+        .await
+        .expect("testbed")
+}
+
+fn tiny_pfs() -> Rc<Pfs> {
+    Pfs::build(PfsConfig {
+        client_nodes: NODES,
+        stripe_count: 2,
+        ..Default::default()
+    })
+}
+
+/// One IOR run on `rung` in a fresh sim (`p.api` is overwritten).
+fn run_rung(rung: Rung, p: IorParams) -> Result<IorReport, DaosError> {
     let mut sim = Sim::new(0x10D);
     sim.block_on(move |sim| async move {
-        let env = DaosTestbed::setup(
-            &sim,
-            ClusterConfig::tiny(2),
-            DfsConfig::default(),
-            DfuseConfig::default(),
-        )
-        .await
-        .expect("testbed");
-        run(&sim, &env, small_params(api, fpp))
-            .await
-            .expect("ior run")
+        match rung {
+            Rung::Daos(api) => {
+                let env = tiny_testbed(&sim).await;
+                run(&sim, &env, IorParams { api, ..p }).await
+            }
+            Rung::Pfs => {
+                let files = pfs_files(&sim, &tiny_pfs(), &p).await?;
+                run_files(&sim, NODES, p, files).await
+            }
+        }
     })
+}
+
+fn run_one(api: Api, fpp: bool) -> IorReport {
+    run_rung(Rung::Daos(api), small_params(api, fpp)).expect("ior run")
+}
+
+/// Every rung × {sequential, `-z`, `-C`} × {file per process, shared}: the
+/// one driver moves exactly the planned bytes, and what it reads back is
+/// what it wrote (verified on every rung that stores bytes).
+#[test]
+fn every_rung_moves_exactly_the_plan_in_every_order() {
+    // (random_offsets, reorder_read, file_per_process)
+    let orders = [
+        (false, false, true),
+        (false, false, false),
+        (true, false, true),
+        (true, false, false),
+        (false, true, false),
+    ];
+    for rung in RUNGS {
+        for (random_offsets, reorder_read, fpp) in orders {
+            let p = IorParams {
+                verify: matches!(rung, Rung::Daos(_)),
+                random_offsets,
+                reorder_read,
+                ..small_params(Api::Dfs, fpp)
+            };
+            let what = format!("{rung:?} -z={random_offsets} -C={reorder_read} fpp={fpp}");
+            let r = run_rung(rung, p).unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(r.ranks, 4, "{what}");
+            assert_eq!(r.total_bytes, 4 * 2 * MIB, "{what}");
+            assert_eq!(r.bytes_written, r.total_bytes, "{what}");
+            assert_eq!(r.bytes_read, r.total_bytes, "{what}");
+            assert!(r.write_gib_s() > 0.0 && r.read_gib_s() > 0.0, "{what}");
+        }
+    }
+}
+
+/// A stonewalled phase runs up to its deadline and no further than the
+/// transfers in flight when it fires (each rank looks at the clock before
+/// every transfer), and reports the bytes it actually moved.
+#[test]
+fn every_rung_stops_at_the_stonewall() {
+    for rung in RUNGS {
+        for fpp in [true, false] {
+            let mut p = small_params(Api::Dfs, fpp);
+            p.verify = false; // a cut-short write phase leaves holes
+            p.block_size = 4 * MIB;
+            let full = run_rung(rung, p).unwrap();
+            let wall = full.write_time.min(full.read_time) / 4;
+            p.stonewall = Some(wall);
+            let what = format!("{rung:?} fpp={fpp}");
+            let r = run_rung(rung, p).unwrap_or_else(|e| panic!("{what}: {e}"));
+            for (moved, took, uncut) in [
+                (r.bytes_written, r.write_time, full.write_time),
+                (r.bytes_read, r.read_time, full.read_time),
+            ] {
+                assert!(0 < moved && moved < r.total_bytes, "{what}: moved {moved}");
+                assert_eq!(moved % p.transfer_size, 0, "{what}");
+                assert!(
+                    wall <= took && took < uncut,
+                    "{what}: {wall} {took} {uncut}"
+                );
+            }
+            assert!(r.write_gib_s() > 0.0 && r.write_gib_s() < 60.0, "{what}");
+        }
+    }
+}
+
+/// What the driver cannot do on a rung is an error, never a silent skip.
+#[test]
+fn unsupported_combinations_are_typed_errors() {
+    // the PFS model stores no bytes: there is nothing to verify
+    let p = small_params(Api::Dfs, true);
+    match run_rung(Rung::Pfs, p) {
+        Err(DaosError::Other(why)) => assert!(why.contains("stores no bytes"), "{why}"),
+        other => panic!("verify on the PFS must fail: {other:?}"),
+    }
+    // -C reads a neighbour's block through the rank's own handle: with a
+    // file per process there is none
+    for rung in [Rung::Daos(Api::Dfs), Rung::Pfs] {
+        let mut p = small_params(Api::Dfs, true);
+        p.verify = false;
+        p.reorder_read = true;
+        match run_rung(rung, p) {
+            Err(DaosError::Other(why)) => assert!(why.contains("-C"), "{why}"),
+            other => panic!("{rung:?}: -C -F must fail: {other:?}"),
+        }
+    }
+}
+
+/// mdtest through `libdfs`, DFuse and the PFS: three storms of
+/// `ranks × files` ops each, and nothing left behind.
+#[test]
+fn mdtest_leaves_an_empty_namespace_on_every_rung() {
+    const PPN: u32 = 2;
+    const FILES: u32 = 5;
+    let ranks = NODES * PPN;
+    let check = |what: &str, r: daos_ior::MdtestReport| {
+        assert_eq!(3 * r.ranks * r.files_per_rank, 3 * ranks * FILES, "{what}");
+        let rates = [r.creates_per_s(), r.stats_per_s(), r.unlinks_per_s()];
+        assert!(rates.iter().all(|&x| x > 0.0), "{what}: {rates:?}");
+    };
+    for backend in [MdBackend::Dfs, MdBackend::Dfuse] {
+        let mut sim = Sim::new(0x3D);
+        let r = sim.block_on(move |sim| async move {
+            let env = tiny_testbed(&sim).await;
+            let r = mdtest(&sim, &env, backend, PPN, FILES).await.unwrap();
+            for rank in 0..ranks {
+                let dir = format!("/md.{rank}");
+                let left = env.dfs[(rank / PPN) as usize].readdir(&sim, &dir).await;
+                assert_eq!(left.unwrap(), Vec::<String>::new(), "{backend:?} {dir}");
+            }
+            r
+        });
+        check(&format!("{backend:?}"), r);
+    }
+    let mut sim = Sim::new(0x3D);
+    let r = sim.block_on(|sim| async move {
+        let fs = tiny_pfs();
+        let r = mdtest_ranks(&sim, FILES, PfsClient::per_rank(&fs, PPN))
+            .await
+            .unwrap();
+        for rank in 0..ranks {
+            for i in 0..FILES {
+                let path = format!("/md.{rank}/f.{i:06}");
+                assert!(fs.stat(&sim, 0, &path).await.is_err(), "{path} survived");
+            }
+        }
+        r
+    });
+    check("pfs", r);
 }
 
 #[test]
@@ -126,21 +301,10 @@ fn dfuse_overhead_is_modest_for_aligned_io() {
 #[test]
 fn object_class_changes_layout_but_not_contents() {
     for class in [ObjectClass::S1, ObjectClass::SX] {
-        let mut sim = Sim::new(0x0C1A55);
-        sim.block_on(move |sim| async move {
-            let env = DaosTestbed::setup(
-                &sim,
-                ClusterConfig::tiny(1),
-                DfsConfig::default(),
-                DfuseConfig::default(),
-            )
-            .await
-            .unwrap();
-            let mut p = small_params(Api::Dfs, false);
-            p.oclass = class;
-            p.ppn = 4;
-            let r = run(&sim, &env, p).await.unwrap();
-            assert!(r.read_gib_s() > 0.0);
-        });
+        let mut p = small_params(Api::Dfs, false);
+        p.oclass = class;
+        p.ppn = 4;
+        let r = run_rung(Rung::Daos(Api::Dfs), p).unwrap();
+        assert!(r.read_gib_s() > 0.0);
     }
 }
