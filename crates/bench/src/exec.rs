@@ -127,7 +127,7 @@ impl<'a, T: Send> Slate<'a, T> {
         // others drain the tail). Claim order affects only wall time —
         // results are read back by index below.
         let next = AtomicUsize::new(0);
-        let worker = |_: usize| loop {
+        let worker = || loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= n_jobs {
                 break;
@@ -148,14 +148,14 @@ impl<'a, T: Send> Slate<'a, T> {
 
         if threads <= 1 {
             // serial fast path: same per-job harness, calling thread only
-            worker(0);
+            worker();
         } else {
-            crossbeam::scope(|scope| {
-                for t in 0..threads {
-                    scope.spawn(move |_| worker(t));
+            // a worker catches its job's unwind, so the scope never panics
+            std::thread::scope(|scope| {
+                for _ in 0..threads {
+                    scope.spawn(worker);
                 }
-            })
-            .expect("slate workers never propagate panics");
+            });
         }
 
         // ---- ordered reduction ---------------------------------------

@@ -12,7 +12,7 @@
 //! Adding a figure is one table entry (plus, if gated, one committed
 //! baseline): see DESIGN.md, "Adding a figure".
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -120,8 +120,7 @@ fn no_checks(_: &BenchReport) -> Vec<Verdict> {
 
 /// Every figure this crate can produce, in the paper's order: the eight
 /// PR-gated reports, the nightly scale tier, `mdtest_bench` (gated since
-/// the table made that one field), the ungated ablations, and the
-/// calibration probe.
+/// the table made that one field) and the ungated ablations.
 pub const FIGURES: &[Figure] = &[
     Figure {
         name: "fig1_fpp",
@@ -346,8 +345,10 @@ impl SlateRun {
 /// into their figure's report in submission order, so the reports (and
 /// everything derived from them: JSON, drift tables, verdicts) are
 /// byte-identical regardless of thread count or schedule. Panics — with
-/// the offending job's label — if any job panics, or if a figure does
-/// not declare the scale asked of it.
+/// the offending job's label — if any job panics, if a figure does not
+/// declare the scale asked of it, or if two of a figure's records name the
+/// same `(series, scale, metric)`: metric names are free-form strings at
+/// the record site, and the replay would silently keep the later value.
 pub fn run_figures(wanted: &[(&'static Figure, Scale)], threads: usize) -> SlateRun {
     let mut slate: Slate<'_, Fragment> = Slate::new();
     let mut spans = Vec::new();
@@ -379,7 +380,17 @@ pub fn run_figures(wanted: &[(&'static Figure, Scale)], threads: usize) -> Slate
             let mut report = BenchReport::new(figure.name, figure.seed);
             report.config_hash = config_hash;
             let mut cell_verdicts = Vec::new();
+            let mut recorded_by = BTreeMap::new();
             for job in jobs.by_ref().take(n_cells) {
+                for (series, scale, metric, _) in &job.value.records {
+                    let key = (series.clone(), *scale, metric.clone());
+                    if let Some(first) = recorded_by.insert(key, job.label.clone()) {
+                        panic!(
+                            "{first} and {} both record ({series}, {scale}, {metric})",
+                            job.label
+                        );
+                    }
+                }
                 job.value.replay_into(&mut report);
                 cell_verdicts.extend(job.value.verdicts);
                 timings.push((job.label, job.wall_secs));
@@ -582,6 +593,29 @@ pub fn table_problems(baseline_dir: &Path) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Two cells that record the same `(series, scale, metric)`.
+    static COLLIDING: Figure = Figure {
+        name: "unit",
+        seed: 0,
+        about: "",
+        gate: Gate::None,
+        chart: false,
+        plan: |_| {
+            let cell = |label| Cell::new(label, |out| out.record("s", 1, "m", 1.0));
+            Some(Plan {
+                config_hash: 0,
+                cells: vec![cell("a"), cell("b")],
+            })
+        },
+        checks: no_checks,
+    };
+
+    #[test]
+    #[should_panic(expected = "unit/a and unit/b both record (s, 1, m)")]
+    fn two_cells_recording_one_metric_are_refused() {
+        run_figures(&[(&COLLIDING, Scale::Full)], 1);
+    }
 
     #[test]
     fn only_full_scale_runs_write_into_results() {

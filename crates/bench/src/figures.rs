@@ -19,11 +19,9 @@ use daos_ior::{
 };
 use daos_pfs::{Pfs, PfsConfig};
 use daos_placement::{ObjectClass, ObjectId};
-use daos_sim::executor::join_all;
 use daos_sim::time::SimDuration;
-use daos_sim::units::{gib_per_sec, MIB};
+use daos_sim::units::MIB;
 use daos_sim::Sim;
-use daos_vos::Payload;
 use daos_workloads::{checkpoint, nwp, producer_consumer, Access, RankAccess, WorkloadParams};
 
 use crate::figure::{Cell, Plan, Scale};
@@ -31,7 +29,6 @@ use crate::invariants::series_scales;
 use crate::report::{config_hash, BenchReport, Fragment, Verdict, READ_GIB_S, WRITE_GIB_S};
 use crate::{
     on_testbed, on_testbed_with, paper_cluster, paper_params, run_point_in, run_point_with,
-    ExperimentPoint,
 };
 
 /// The paper figures' full scale axis.
@@ -111,18 +108,13 @@ impl IorSweep<'_> {
         for &client_nodes in self.nodes.iter().rev() {
             for &api in self.apis {
                 for &oclass in self.classes {
-                    let point = ExperimentPoint {
-                        api,
-                        oclass,
-                        client_nodes,
-                    };
                     cells.push(Cell::new(
                         format!("{}-{oclass}/{client_nodes}n", api.name()),
                         move |out| {
                             let mut params = paper_params(api, oclass, fpp, ppn);
                             params.block_size = block;
-                            let m = run_point_with(point, params, seed, repeats);
-                            record_bw(out, &m.series(), client_nodes, &m.report);
+                            let m = run_point_with(client_nodes, params, seed, repeats);
+                            record_bw(out, &m.series, client_nodes, &m.report);
                         },
                     ));
                 }
@@ -319,19 +311,14 @@ pub fn scale_plan(scale: Scale) -> Option<Plan> {
             (true, ObjectClass::SX),
             (false, ObjectClass::SX),
         ] {
-            let point = ExperimentPoint {
-                api: Api::Dfs,
-                oclass,
-                client_nodes: n,
-            };
             let suffix = if fpp { "fpp" } else { "shared" };
             cells.push(Cell::new(
                 format!("DFS-{oclass}-{suffix}/{n}n"),
                 move |out| {
                     let mut p = paper_params(Api::Dfs, oclass, fpp, PPN);
                     p.block_size = SCALE_BLOCK;
-                    let m = run_point_in(scale_cluster(n), point, p, SCALE_SEED, 1);
-                    record_bw(out, &format!("{}-{suffix}", m.series()), n, &m.report);
+                    let m = run_point_in(scale_cluster(n), p, SCALE_SEED, 1);
+                    record_bw(out, &format!("{}-{suffix}", m.series), n, &m.report);
                 },
             ));
         }
@@ -594,59 +581,34 @@ const RP_3GX: ObjectClass = ObjectClass::Replicated {
 
 /// Degraded read: write through stable handles, exclude targets, read the
 /// *same* handles (layout cached pre-failure, like an application holding
-/// open files through a failure). Returns (healthy, degraded) GiB/s.
-fn degraded_point(class: ObjectClass, exclude: &'static [u32]) -> (f64, f64) {
+/// open files through a failure). Records the healthy and the degraded
+/// read bandwidth under `series`.
+fn degraded_point(out: &mut Fragment, series: &str, class: ObjectClass, exclude: &'static [u32]) {
     let cluster = paper_cluster(PROTECTION_NODES);
-    on_testbed(PROTECTION_SEED + 1, cluster, move |sim, env| async move {
-        let ranks = PROTECTION_NODES * PPN;
-        let per_rank = 16 * MIB;
-        let arrays: Vec<_> = (0..ranks)
+    let (h, d) = on_testbed(PROTECTION_SEED + 1, cluster, move |sim, env| async move {
+        let arrays: Vec<_> = (0..PROTECTION_NODES * PPN)
             .map(|r| {
                 env.containers[(r / PPN) as usize]
                     .object(ObjectId::new(0xDE6, r as u64), class)
                     .array(MIB)
             })
             .collect();
-        // healthy write + read
-        let futs: Vec<_> = arrays
-            .iter()
-            .enumerate()
-            .map(|(r, a)| {
-                let a = a.clone();
-                let sim = sim.clone();
-                async move {
-                    for k in 0..per_rank / MIB {
-                        a.write(&sim, k * MIB, Payload::pattern(r as u64, MIB))
-                            .await
-                            .expect("write");
-                    }
-                }
-            })
-            .collect();
-        join_all(&sim, futs).await;
-        let read_all = |arrays: Vec<daos_core::ArrayHandle>, sim: Sim| async move {
-            let t0 = sim.now();
-            let futs: Vec<_> = arrays
-                .into_iter()
-                .map(|a| {
-                    let sim = sim.clone();
-                    async move {
-                        for k in 0..per_rank / MIB {
-                            a.read(&sim, k * MIB, MIB).await.expect("read");
-                        }
-                    }
-                })
-                .collect();
-            join_all(&sim, futs).await;
-            gib_per_sec(ranks as u64 * per_rank, (sim.now() - t0).as_secs_f64())
-        };
-        let healthy = read_all(arrays.clone(), sim.clone()).await;
+        let mut p = paper_params(Api::DaosArray, class, true, PPN);
+        p.block_size = 16 * MIB;
+        let healthy = run_files(&sim, PROTECTION_NODES, p, arrays.clone())
+            .await
+            .expect("healthy write + read");
         for &t in exclude {
             env.cluster.exclude_target(t);
         }
-        let degraded = read_all(arrays, sim.clone()).await;
-        (healthy, degraded)
-    })
+        p.do_write = false;
+        let degraded = run_files(&sim, PROTECTION_NODES, p, arrays)
+            .await
+            .expect("degraded read");
+        (healthy.read_gib_s(), degraded.read_gib_s())
+    });
+    out.record(series, PROTECTION_NODES, "healthy_read_gib_s", h);
+    out.record(series, PROTECTION_NODES, "degraded_read_gib_s", d);
 }
 
 /// What replication and erasure coding cost relative to the unprotected
@@ -678,9 +640,7 @@ pub fn protection_plan(scale: Scale) -> Option<Plan> {
     for class in [ObjectClass::RP_2GX, ObjectClass::EC_2P1GX] {
         let series = format!("{class}/degraded");
         cells.push(Cell::new(series.clone(), move |out| {
-            let (h, d) = degraded_point(class, &[0]);
-            out.record(&series, PROTECTION_NODES, "healthy_read_gib_s", h);
-            out.record(&series, PROTECTION_NODES, "degraded_read_gib_s", d);
+            degraded_point(out, &series, class, &[0]);
         }));
     }
     Some(Plan {

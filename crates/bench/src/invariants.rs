@@ -542,9 +542,9 @@ pub fn r9_victim_isolation(qos: &BenchReport) -> Verdict {
 
 /// R10 — shaping never trades fairness away: the Jain index over the
 /// two tenants' *entitlement* shares (achieved fraction of what each
-/// tenant's QoS policy says it is due — see
-/// [`crate::qos::QosCell::noisy_ent_share`]) is at least as high shaped
-/// as unshaped at every load (with the quantile-sketch slack
+/// tenant's QoS policy says it is due — see where
+/// [`crate::qos::qos_point`] records `noisy_ent_share`) is at least as
+/// high shaped as unshaped at every load (with the quantile-sketch slack
 /// `SKETCH_SLACK` reused as a general measurement slack).
 pub fn r10_fairness_non_regression(qos: &BenchReport) -> Verdict {
     const ID: &str = "R10";

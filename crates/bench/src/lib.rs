@@ -23,8 +23,8 @@
 //! * [`report`] — the schema-versioned [`report::BenchReport`] written as
 //!   `BENCH_<name>.json`;
 //! * [`baseline`] — tolerance-band comparison against committed baselines;
-//! * [`ExperimentPoint`] / [`run_point_with`] — one (api, object class,
-//!   client-node count) IOR cell on the paper testbed.
+//! * [`run_point_with`] — one (api, object class, client-node count) IOR
+//!   cell on the paper testbed, as a [`Measurement`].
 
 // No `unsafe` may enter the workspace outside the audited kernel
 // crate (`daos-sim`, which carries `deny`): see simlint rule D05.
@@ -52,26 +52,16 @@ pub mod traffic;
 
 pub use figure::FIGURES;
 
-/// One cell of a figure: a full IOR run at one scale.
-#[derive(Clone, Copy, Debug)]
-pub struct ExperimentPoint {
-    pub api: Api,
-    pub oclass: ObjectClass,
-    pub client_nodes: u32,
-}
-
-/// A measured cell.
+/// One measured cell of an IOR sweep.
 #[derive(Clone, Debug)]
 pub struct Measurement {
-    pub point: ExperimentPoint,
+    /// Series label as it appears in the paper's legend, e.g. `DFS-S2`.
+    pub series: String,
     pub report: IorReport,
 }
 
-impl Measurement {
-    /// Series label as it would appear in the paper's legend.
-    pub fn series(&self) -> String {
-        format!("{}-{}", self.point.api.name(), self.point.oclass)
-    }
+fn legend(api: Api, oclass: ObjectClass) -> String {
+    format!("{}-{oclass}", api.name())
 }
 
 /// The paper's testbed parameters for one sweep point.
@@ -115,26 +105,20 @@ pub fn on_testbed_with<T: 'static, Fut: Future<Output = T> + 'static>(
     })
 }
 
-/// Execute one point in a fresh simulation on the paper testbed
-/// (deterministic per point); phase times are averaged over `repeats`
-/// placements (distinct seeds -> distinct placements, like IOR's `-i`
-/// iterations in the paper's runs). The figure cells pass
-/// [`paper_params`]; the determinism regression test keeps the exact
-/// same machinery (salted testbed, per-repeat seed derivation) at a
+/// Execute one point — `params` on `client_nodes` nodes — in a fresh
+/// simulation on the paper testbed (deterministic per point); phase times
+/// are averaged over `repeats` placements (distinct seeds -> distinct
+/// placements, like IOR's `-i` iterations in the paper's runs). The figure
+/// cells pass [`paper_params`]; the determinism regression test keeps the
+/// exact same machinery (salted testbed, per-repeat seed derivation) at a
 /// smaller I/O volume.
 pub fn run_point_with(
-    point: ExperimentPoint,
+    client_nodes: u32,
     params: IorParams,
     seed: u64,
     repeats: u64,
 ) -> Measurement {
-    run_point_in(
-        paper_cluster(point.client_nodes),
-        point,
-        params,
-        seed,
-        repeats,
-    )
+    run_point_in(paper_cluster(client_nodes), params, seed, repeats)
 }
 
 /// [`run_point_with`] on an explicit testbed: the paper-figure cells use
@@ -142,14 +126,13 @@ pub fn run_point_with(
 /// server side alongside the client axis.
 pub fn run_point_in(
     cluster: ClusterConfig,
-    point: ExperimentPoint,
     params: IorParams,
     seed: u64,
     repeats: u64,
 ) -> Measurement {
     let mut acc: Option<IorReport> = None;
     for it in 0..repeats {
-        let sim_seed = seed ^ ((point.client_nodes as u64) << 32) ^ (it << 56);
+        let sim_seed = seed ^ ((cluster.client_nodes as u64) << 32) ^ (it << 56);
         let report = on_testbed_with(
             sim_seed,
             cluster,
@@ -169,40 +152,20 @@ pub fn run_point_in(
     let mut report = acc.unwrap();
     report.write_time = report.write_time / repeats;
     report.read_time = report.read_time / repeats;
-    Measurement { point, report }
+    Measurement {
+        series: legend(params.api, params.oclass),
+        report,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use daos_sim::time::SimDuration;
-
-    fn meas(api: Api, class: ObjectClass, nodes: u32, wr: f64, rd: f64) -> Measurement {
-        let gib = (1u64 << 30) as f64;
-        Measurement {
-            point: ExperimentPoint {
-                api,
-                oclass: class,
-                client_nodes: nodes,
-            },
-            report: IorReport {
-                ranks: nodes * 16,
-                client_nodes: nodes,
-                total_bytes: 1 << 30,
-                bytes_written: 1 << 30,
-                bytes_read: 1 << 30,
-                write_time: SimDuration::from_secs_f64(1.0 / wr * (1u64 << 30) as f64 / gib),
-                read_time: SimDuration::from_secs_f64(1.0 / rd * (1u64 << 30) as f64 / gib),
-            },
-        }
-    }
 
     #[test]
     fn series_labels_match_paper_legend() {
-        let m = meas(Api::Dfs, ObjectClass::S2, 4, 10.0, 20.0);
-        assert_eq!(m.series(), "DFS-S2");
-        let m = meas(Api::Hdf5, ObjectClass::SX, 4, 1.0, 1.0);
-        assert_eq!(m.series(), "HDF5-SX");
+        assert_eq!(legend(Api::Dfs, ObjectClass::S2), "DFS-S2");
+        assert_eq!(legend(Api::Hdf5, ObjectClass::SX), "HDF5-SX");
     }
 
     #[test]

@@ -37,7 +37,9 @@ use daos_vos::Payload;
 
 use crate::figure::{Cell, Plan, Scale};
 use crate::report::{config_hash, fnv1a, Fragment};
-use crate::traffic::{nominal_bytes_per_sec, Arrivals, Counters, OpenLoop};
+use crate::traffic::{
+    admission_totals, drain, nominal_bytes_per_sec, Arrivals, Counters, OpenLoop,
+};
 
 /// Root seed for the QoS sweep; each point salts it with its series name
 /// and load so points are independent but reproducible.
@@ -212,51 +214,6 @@ pub fn qos_policy_classes(per_engine_write_bps: f64) -> QosParams {
         )
 }
 
-/// Everything one `(series, load)` point measures.
-#[derive(Clone, Debug, PartialEq)]
-pub struct QosCell {
-    /// `shaped` or `unshaped`.
-    pub series: String,
-    /// Noisy tenant's offered load, percent of nominal capacity.
-    pub load_pct: u32,
-    pub victim_p50_us: f64,
-    pub victim_p99_us: f64,
-    pub noisy_p99_us: f64,
-    pub victim_goodput_mib_s: f64,
-    pub noisy_goodput_mib_s: f64,
-    /// Completed bytes / offered bytes, per tenant.
-    pub victim_sat: f64,
-    pub noisy_sat: f64,
-    /// Noisy tenant's completed bytes / *entitled* bytes, where the
-    /// entitlement is its demand clipped by its QoS bandwidth ceiling
-    /// (= raw demand when unshaped). Raw demand-satisfaction rewards
-    /// "equal misery": a tenant-blind FIFO starves everyone evenly and
-    /// scores as fair. Entitlement shares ask the right question — did
-    /// each tenant get what the policy says it is due?
-    pub noisy_ent_share: f64,
-    /// Jain fairness index over the two tenants' entitlement shares
-    /// (the victim is never capped, so its share is `victim_sat`).
-    pub jain: f64,
-    pub victim_arrivals: u64,
-    pub victim_completed: u64,
-    pub victim_failed: u64,
-    pub noisy_arrivals: u64,
-    pub noisy_completed: u64,
-    pub noisy_failed: u64,
-    /// Server-side admission sheds (queue-cap + byte-cap), all engines.
-    pub engine_sheds: u64,
-    /// Background tenant's charged bytes across all engines (0 when the
-    /// shaper is off — nothing accounts them).
-    pub bg_bytes: u64,
-    /// Background budget over the cell's whole virtual runtime (0 when
-    /// the shaper is off).
-    pub bg_budget_bytes: u64,
-    /// Victim's cumulative shaper wait across all engines, ms.
-    pub victim_throttle_ms: f64,
-    /// Noisy tenant's cumulative shaper wait across all engines, ms.
-    pub noisy_throttle_ms: f64,
-}
-
 /// Jain's fairness index over per-tenant shares: `(Σx)² / (n·Σx²)`,
 /// 1.0 when all shares are equal, → 1/n as one share dominates.
 pub fn jain_index(shares: &[f64]) -> f64 {
@@ -274,14 +231,17 @@ pub fn jain_index(shares: &[f64]) -> f64 {
 /// Both series run the *same* seed, cluster, pools and arrival
 /// processes; the shaped series additionally installs the per-tenant
 /// QoS classes (and pool-reservation weight boosts) on every engine
-/// before the measurement window opens.
-pub fn qos_point(shaped: bool, load_pct: u32, params: QosSweepParams) -> QosCell {
+/// before the measurement window opens. Records the cell (the load axis
+/// is the scale) with its accounting checks; the qualitative R9–R11 claims
+/// are evaluated over the whole report in
+/// [`crate::invariants::evaluate_qos`].
+pub fn qos_point(out: &mut Fragment, shaped: bool, load_pct: u32, params: QosSweepParams) {
     let series = if shaped { "shaped" } else { "unshaped" };
     let seed = QOS_SEED ^ fnv1a(series.as_bytes()).rotate_left(17) ^ ((load_pct as u64) << 1);
+    let cfg = qos_cluster(&params);
     let mut sim = Sim::new(seed);
     let (victim, noisy, engine_sheds, bg_bytes, bg_budget_bytes, v_stat, n_stat) =
         sim.block_on(move |sim| async move {
-            let cfg = qos_cluster(&params);
             let nominal_bps = nominal_bytes_per_sec(&cfg);
             let noisy_bps = nominal_bps * load_pct as f64 / 100.0;
             let victim_bps = nominal_bps * params.victim_load_pct as f64 / 100.0;
@@ -389,20 +349,9 @@ pub fn qos_point(shaped: bool, load_pct: u32, params: QosSweepParams) -> QosCell
                 let p = process(arrays, n as u64 + 64, params.noisy_req, noisy_gap_ns, false);
                 gens.push(p.spawn(&sim, &noisy));
             }
-            for g in gens {
-                g.await;
-            }
-            // drain: arrivals have stopped; let in-flight requests
-            // finish (bounded by max_attempts × deadline + backoff)
-            while victim.inflight.get() + noisy.inflight.get() > 0 {
-                sim.sleep_us(200).await;
-            }
+            drain(&sim, gens, &[&victim, &noisy]).await;
 
-            let mut sheds = 0u64;
-            for e in cluster.engines() {
-                let s = e.admission_stats();
-                sheds += s.shed_queue + s.shed_bytes;
-            }
+            let (sheds, _) = admission_totals(&cluster);
             let bg = cluster.tenant_stats(BG_TENANT);
             // Budget over the *whole* virtual runtime (window + drain):
             // the scrubber keeps charging while stragglers drain, and
@@ -424,15 +373,24 @@ pub fn qos_point(shaped: bool, load_pct: u32, params: QosSweepParams) -> QosCell
     let mib = MIB as f64;
     let v_lat = victim.latency.borrow();
     let n_lat = noisy.latency.borrow();
-    let v_offered = victim.arrivals.get().max(1) * params.victim_req;
-    let n_offered = noisy.arrivals.get().max(1) * params.noisy_req;
+    let (v_arrivals, v_completed, v_failed) = (
+        victim.arrivals.get(),
+        victim.completed.get(),
+        victim.failed.get(),
+    );
+    let (n_arrivals, n_completed, n_failed) = (
+        noisy.arrivals.get(),
+        noisy.completed.get(),
+        noisy.failed.get(),
+    );
+    let v_offered = v_arrivals.max(1) * params.victim_req;
+    let n_offered = n_arrivals.max(1) * params.noisy_req;
     let victim_sat = victim.good_bytes.get() as f64 / v_offered as f64;
     let noisy_sat = noisy.good_bytes.get() as f64 / n_offered as f64;
     // Entitlement: the shaped noisy tenant is *due* only its capped
     // rate; the unshaped one (and the victim, never capped) is due its
     // whole demand.
     let n_entitled = if shaped {
-        let cfg = qos_cluster(&params);
         let aggregate_cap =
             cfg.engine.bulk_write_bw.0 * NOISY_BW_FRACTION * cfg.engine_count() as f64;
         n_offered.min((aggregate_cap * window_secs) as u64)
@@ -440,93 +398,70 @@ pub fn qos_point(shaped: bool, load_pct: u32, params: QosSweepParams) -> QosCell
         n_offered
     };
     let noisy_ent_share = noisy.good_bytes.get() as f64 / n_entitled.max(1) as f64;
-    QosCell {
-        series: series.to_string(),
-        load_pct,
-        victim_p50_us: v_lat.quantile(0.50) as f64 / 1e3,
-        victim_p99_us: v_lat.quantile(0.99) as f64 / 1e3,
-        noisy_p99_us: n_lat.quantile(0.99) as f64 / 1e3,
-        victim_goodput_mib_s: victim.good_bytes.get() as f64 / mib / window_secs,
-        noisy_goodput_mib_s: noisy.good_bytes.get() as f64 / mib / window_secs,
-        victim_sat,
-        noisy_sat,
-        noisy_ent_share,
-        jain: jain_index(&[victim_sat, noisy_ent_share]),
-        victim_arrivals: victim.arrivals.get(),
-        victim_completed: victim.completed.get(),
-        victim_failed: victim.failed.get(),
-        noisy_arrivals: noisy.arrivals.get(),
-        noisy_completed: noisy.completed.get(),
-        noisy_failed: noisy.failed.get(),
-        engine_sheds,
-        bg_bytes,
-        bg_budget_bytes,
-        victim_throttle_ms: v_stat.throttle_ns as f64 / 1e6,
-        noisy_throttle_ms: n_stat.throttle_ns as f64 / 1e6,
-    }
-}
 
-/// Record one cell; the load axis is the scale.
-pub fn record_qos_cell(report: &mut Fragment, c: &QosCell) {
-    let s = &c.series;
-    report.record(s, c.load_pct, "victim_p50_us", c.victim_p50_us);
-    report.record(s, c.load_pct, "victim_p99_us", c.victim_p99_us);
-    report.record(s, c.load_pct, "noisy_p99_us", c.noisy_p99_us);
-    report.record(
-        s,
-        c.load_pct,
+    let mut rec = |metric: &str, v: f64| out.record(series, load_pct, metric, v);
+    rec("victim_p50_us", v_lat.quantile(0.50) as f64 / 1e3);
+    rec("victim_p99_us", v_lat.quantile(0.99) as f64 / 1e3);
+    rec("noisy_p99_us", n_lat.quantile(0.99) as f64 / 1e3);
+    rec(
         "victim_goodput_mib_s",
-        c.victim_goodput_mib_s,
+        victim.good_bytes.get() as f64 / mib / window_secs,
     );
-    report.record(s, c.load_pct, "noisy_goodput_mib_s", c.noisy_goodput_mib_s);
-    report.record(s, c.load_pct, "victim_sat", c.victim_sat);
-    report.record(s, c.load_pct, "noisy_sat", c.noisy_sat);
-    report.record(s, c.load_pct, "noisy_ent_share", c.noisy_ent_share);
-    report.record(s, c.load_pct, "jain", c.jain);
-    report.record(s, c.load_pct, "victim_arrivals", c.victim_arrivals as f64);
-    report.record(s, c.load_pct, "victim_completed", c.victim_completed as f64);
-    report.record(s, c.load_pct, "victim_failed", c.victim_failed as f64);
-    report.record(s, c.load_pct, "noisy_arrivals", c.noisy_arrivals as f64);
-    report.record(s, c.load_pct, "noisy_completed", c.noisy_completed as f64);
-    report.record(s, c.load_pct, "noisy_failed", c.noisy_failed as f64);
-    report.record(s, c.load_pct, "engine_sheds", c.engine_sheds as f64);
-    report.record(s, c.load_pct, "bg_bytes", c.bg_bytes as f64);
-    report.record(s, c.load_pct, "bg_budget_bytes", c.bg_budget_bytes as f64);
-    report.record(s, c.load_pct, "victim_throttle_ms", c.victim_throttle_ms);
-    report.record(s, c.load_pct, "noisy_throttle_ms", c.noisy_throttle_ms);
-}
+    rec(
+        "noisy_goodput_mib_s",
+        noisy.good_bytes.get() as f64 / mib / window_secs,
+    );
+    // completed bytes / offered bytes, per tenant
+    rec("victim_sat", victim_sat);
+    rec("noisy_sat", noisy_sat);
+    // Noisy tenant's completed bytes / *entitled* bytes, where the
+    // entitlement is its demand clipped by its QoS bandwidth ceiling
+    // (= raw demand when unshaped). Raw demand-satisfaction rewards
+    // "equal misery": a tenant-blind FIFO starves everyone evenly and
+    // scores as fair. Entitlement shares ask the right question — did
+    // each tenant get what the policy says it is due?
+    rec("noisy_ent_share", noisy_ent_share);
+    // Jain fairness index over the two tenants' entitlement shares (the
+    // victim is never capped, so its share is `victim_sat`)
+    rec("jain", jain_index(&[victim_sat, noisy_ent_share]));
+    rec("victim_arrivals", v_arrivals as f64);
+    rec("victim_completed", v_completed as f64);
+    rec("victim_failed", v_failed as f64);
+    rec("noisy_arrivals", n_arrivals as f64);
+    rec("noisy_completed", n_completed as f64);
+    rec("noisy_failed", n_failed as f64);
+    rec("engine_sheds", engine_sheds as f64);
+    // background tenant's charged bytes across all engines, against its
+    // budget over the cell's whole virtual runtime (both 0 when the
+    // shaper is off — nothing accounts them)
+    rec("bg_bytes", bg_bytes as f64);
+    rec("bg_budget_bytes", bg_budget_bytes as f64);
+    // each tenant's cumulative shaper wait across all engines, ms
+    rec("victim_throttle_ms", v_stat.throttle_ns as f64 / 1e6);
+    rec("noisy_throttle_ms", n_stat.throttle_ns as f64 / 1e6);
 
-/// Per-cell sanity checks (the qualitative R9–R11 claims are evaluated
-/// over the whole report in [`crate::invariants::evaluate_qos`]).
-pub fn check_qos_cell(rep: &mut Fragment, c: &QosCell) {
-    rep.check(
-        format!(
-            "{}@{}%: victim completed some reads ({}/{})",
-            c.series, c.load_pct, c.victim_completed, c.victim_arrivals
-        ),
-        c.victim_completed > 0,
+    out.check(
+        format!("{series}@{load_pct}%: victim completed some reads ({v_completed}/{v_arrivals})"),
+        v_completed > 0,
     );
-    rep.check(
+    out.check(
         format!(
-            "{}@{}%: victim accounting closes ({} + {} = {})",
-            c.series, c.load_pct, c.victim_completed, c.victim_failed, c.victim_arrivals
+            "{series}@{load_pct}%: victim accounting closes ({v_completed} + {v_failed} = {v_arrivals})"
         ),
-        c.victim_completed + c.victim_failed == c.victim_arrivals,
+        v_completed + v_failed == v_arrivals,
     );
-    rep.check(
+    out.check(
         format!(
-            "{}@{}%: noisy accounting closes ({} + {} = {})",
-            c.series, c.load_pct, c.noisy_completed, c.noisy_failed, c.noisy_arrivals
+            "{series}@{load_pct}%: noisy accounting closes ({n_completed} + {n_failed} = {n_arrivals})"
         ),
-        c.noisy_completed + c.noisy_failed == c.noisy_arrivals,
+        n_completed + n_failed == n_arrivals,
     );
-    if c.series == "shaped" {
-        rep.check(
+    if shaped {
+        out.check(
             format!(
-                "{}@{}%: background tenant accounted under the shaper ({} bytes)",
-                c.series, c.load_pct, c.bg_bytes
+                "{series}@{load_pct}%: background tenant accounted under the shaper ({bg_bytes} bytes)"
             ),
-            c.bg_bytes > 0,
+            bg_bytes > 0,
         );
     }
 }
@@ -545,9 +480,7 @@ pub fn qos_plan(scale: Scale) -> Option<Plan> {
         for &load in params.loads.iter().rev() {
             let series = if shaped { "shaped" } else { "unshaped" };
             cells.push(Cell::new(format!("{series}/{load}"), move |out| {
-                let c = qos_point(shaped, load, params);
-                record_qos_cell(out, &c);
-                check_qos_cell(out, &c);
+                qos_point(out, shaped, load, params)
             }));
         }
     }

@@ -9,12 +9,11 @@
 use std::rc::Rc;
 
 use daos_core::{Cluster, ClusterConfig, DaosClient, RetryPolicy};
-use daos_ior::{run, Api, IorParams};
+use daos_ior::{run, run_files, Api, IorParams};
 use daos_placement::{ObjectClass, ObjectId};
-use daos_sim::executor::join_all;
 use daos_sim::fault::FaultAction;
 use daos_sim::time::SimDuration;
-use daos_sim::units::{gib_per_sec, KIB, MIB};
+use daos_sim::units::{KIB, MIB};
 use daos_sim::Sim;
 use daos_vos::Payload;
 
@@ -34,26 +33,14 @@ pub const FAULT_SEED: u64 = 0xFA17;
 /// set (engines 0..3 on the paper testbed).
 pub const FAULT_VICTIM: usize = 5;
 
-/// Bandwidths along the failure timeline, GiB/s.
-pub struct FaultTimeline {
-    pub class: ObjectClass,
-    pub client_nodes: u32,
-    pub write: f64,
-    pub healthy: f64,
-    pub during: f64,
-    pub rebuilt: f64,
-    pub reintegrated: f64,
-    pub map_version: u32,
-    pub chunks_repaired: u64,
-}
-
-/// Run the engine-failure timeline for one object class: healthy write +
-/// read, crash, degraded reads, rebuild, reintegration.
-pub fn fault_timeline(class: ObjectClass, nodes: u32, ppn: u32, per_rank: u64) -> FaultTimeline {
+/// Run the engine-failure timeline for one object class — healthy write +
+/// read, crash, degraded reads, rebuild, reintegration — and record its
+/// row (series = object class) with the shape checks every fault-sweep run
+/// must satisfy, at any scale.
+pub fn fault_timeline(out: &mut Fragment, class: ObjectClass, nodes: u32, ppn: u32, per_rank: u64) {
     let mut sim = Sim::new(FAULT_SEED);
-    sim.block_on(move |sim| async move {
+    let (write, read, map_version, chunks_repaired) = sim.block_on(move |sim| async move {
         let cluster = Cluster::build(&sim, paper_cluster(nodes));
-        let ranks = nodes * ppn;
         let clients: Vec<_> = (0..nodes)
             .map(|n| {
                 DaosClient::new(Rc::clone(&cluster), n).with_retry(RetryPolicy {
@@ -76,57 +63,31 @@ pub fn fault_timeline(class: ObjectClass, nodes: u32, ppn: u32, per_rank: u64) -
             let p = c.connect(&sim).await.expect("connect");
             conts.push(p.open_container(&sim, 1).await.expect("open"));
         }
-        let arrays: Vec<_> = (0..ranks)
+        let arrays: Vec<_> = (0..nodes * ppn)
             .map(|r| {
                 conts[(r / ppn) as usize]
                     .object(ObjectId::new(0xFA, r as u64), class)
                     .array(MIB)
             })
             .collect();
+        let mut io = IorParams::paper_default(Api::DaosArray, class, true, ppn);
+        io.block_size = per_rank;
 
-        // healthy write
-        let t0 = sim.now();
-        let futs: Vec<_> = arrays
-            .iter()
-            .enumerate()
-            .map(|(r, a)| {
-                let a = a.clone();
-                let sim = sim.clone();
-                async move {
-                    for k in 0..per_rank / MIB {
-                        a.write(&sim, k * MIB, Payload::pattern(r as u64, MIB))
-                            .await
-                            .expect("write");
-                    }
-                }
-            })
-            .collect();
-        join_all(&sim, futs).await;
-        let write = gib_per_sec(ranks as u64 * per_rank, (sim.now() - t0).as_secs_f64());
-
-        let read_all = |sim: Sim, arrays: Vec<daos_core::ArrayHandle>| async move {
-            let t0 = sim.now();
-            let futs: Vec<_> = arrays
-                .into_iter()
-                .map(|a| {
-                    let sim = sim.clone();
-                    async move {
-                        for k in 0..per_rank / MIB {
-                            a.read(&sim, k * MIB, MIB).await.expect("read");
-                        }
-                    }
-                })
-                .collect();
-            join_all(&sim, futs).await;
-            gib_per_sec(ranks as u64 * per_rank, (sim.now() - t0).as_secs_f64())
+        io.do_read = false;
+        let write = run_files(&sim, nodes, io, arrays.clone())
+            .await
+            .expect("write");
+        (io.do_write, io.do_read) = (false, true);
+        let read_all = async || {
+            let r = run_files(&sim, nodes, io, arrays.clone()).await;
+            r.expect("read").read_gib_s()
         };
-
-        let healthy = read_all(sim.clone(), arrays.clone()).await;
+        let healthy = read_all().await;
 
         // the engine dies; reads immediately after ride timeouts, replica
         // failover / EC reconstruction, then the heartbeat exclusion
         cluster.apply_fault(&sim, FaultAction::Crash { node: FAULT_VICTIM });
-        let during = read_all(sim.clone(), arrays.clone()).await;
+        let during = read_all().await;
 
         // wait for the exclusion to commit and the rebuild to drain
         while cluster.pool_map().version() == 1 {
@@ -134,7 +95,7 @@ pub fn fault_timeline(class: ObjectClass, nodes: u32, ppn: u32, per_rank: u64) -
             sim.sleep_ms(5).await;
         }
         cluster.quiesce_rebuild(&sim).await;
-        let rebuilt = read_all(sim.clone(), arrays.clone()).await;
+        let rebuilt = read_all().await;
 
         // bring the engine back and reintegrate its targets
         cluster.apply_fault(&sim, FaultAction::Restart { node: FAULT_VICTIM });
@@ -147,66 +108,42 @@ pub fn fault_timeline(class: ObjectClass, nodes: u32, ppn: u32, per_rank: u64) -
             .expect("reintegrate");
         clients[0].refresh_pool_map(&sim).await;
         cluster.quiesce_rebuild(&sim).await;
-        let reintegrated = read_all(sim.clone(), arrays).await;
+        let reintegrated = read_all().await;
         let map_version = cluster.pool_map().version();
-
-        FaultTimeline {
-            class,
-            client_nodes: nodes,
-            write,
-            healthy,
-            during,
-            rebuilt,
-            reintegrated,
+        (
+            write.write_gib_s(),
+            [healthy, during, rebuilt, reintegrated],
             map_version,
-            chunks_repaired: cluster.rebuild_stats().chunks_repaired,
-        }
-    })
-}
+            cluster.rebuild_stats().chunks_repaired,
+        )
+    });
+    let [healthy, during, rebuilt, reintegrated] = read;
 
-/// Record one fault timeline (series = object class).
-pub fn record_fault_timeline(report: &mut Fragment, t: &FaultTimeline) {
-    let s = t.class.to_string();
-    let n = t.client_nodes;
-    report.record(&s, n, WRITE_GIB_S, t.write);
-    report.record(&s, n, "read_healthy", t.healthy);
-    report.record(&s, n, "read_during_failure", t.during);
-    report.record(&s, n, "read_after_rebuild", t.rebuilt);
-    report.record(&s, n, "read_after_reintegration", t.reintegrated);
-    report.record(&s, n, "map_version", t.map_version as f64);
-    report.record(&s, n, "chunks_repaired", t.chunks_repaired as f64);
-}
+    // bandwidths along the timeline, GiB/s
+    let s = class.to_string();
+    out.record(&s, nodes, WRITE_GIB_S, write);
+    out.record(&s, nodes, "read_healthy", healthy);
+    out.record(&s, nodes, "read_during_failure", during);
+    out.record(&s, nodes, "read_after_rebuild", rebuilt);
+    out.record(&s, nodes, "read_after_reintegration", reintegrated);
+    out.record(&s, nodes, "map_version", map_version as f64);
+    out.record(&s, nodes, "chunks_repaired", chunks_repaired as f64);
 
-/// The timeline shape checks every fault-sweep run must satisfy, at any
-/// scale.
-pub fn check_fault_timeline(rep: &mut Fragment, t: &FaultTimeline) {
-    rep.check(
-        format!(
-            "{}: failure detected, exclusion committed, data repaired",
-            t.class
-        ),
-        t.map_version >= 2 && t.chunks_repaired > 0,
+    out.check(
+        format!("{class}: failure detected, exclusion committed, data repaired"),
+        map_version >= 2 && chunks_repaired > 0,
     );
-    rep.check(
-        format!(
-            "{}: reads survive the failure window (degraded vs healthy)",
-            t.class
-        ),
-        t.during > 0.0 && t.during < t.healthy,
+    out.check(
+        format!("{class}: reads survive the failure window (degraded vs healthy)"),
+        during > 0.0 && during < healthy,
     );
-    rep.check(
-        format!(
-            "{}: post-rebuild bandwidth recovers to >60% of healthy",
-            t.class
-        ),
-        t.rebuilt > 0.6 * t.healthy,
+    out.check(
+        format!("{class}: post-rebuild bandwidth recovers to >60% of healthy"),
+        rebuilt > 0.6 * healthy,
     );
-    rep.check(
-        format!(
-            "{}: reintegration restores >60% of healthy bandwidth",
-            t.class
-        ),
-        t.reintegrated > 0.6 * t.healthy,
+    out.check(
+        format!("{class}: reintegration restores >60% of healthy bandwidth"),
+        reintegrated > 0.6 * healthy,
     );
 }
 
@@ -228,9 +165,7 @@ pub fn fault_plan(scale: Scale) -> Option<Plan> {
         .iter()
         .map(|&class| {
             Cell::new(class.to_string(), move |out| {
-                let t = fault_timeline(class, nodes, ppn, per_rank);
-                record_fault_timeline(out, &t);
-                check_fault_timeline(out, &t);
+                fault_timeline(out, class, nodes, ppn, per_rank)
             })
         })
         .collect();
@@ -304,28 +239,14 @@ pub fn check_csum_overhead(report: &BenchReport) -> Vec<Verdict> {
     out
 }
 
-/// One rot-injection timeline measurement.
-pub struct RotTimeline {
-    pub class: ObjectClass,
-    pub mode: &'static str,
-    pub rot_extents: u64,
-    pub detect_ms: f64,
-    pub reported: u64,
-    pub repairs_ok: u64,
-    /// Every byte read back equal to what was written.
-    pub equal: bool,
-    /// The rotted target verifies clean after repairs (scrub mode only:
-    /// client-triggered repair only heals the copies reads chose).
-    pub clean: bool,
-}
-
 /// Write 2 MiB at full redundancy, rot every extent on the busiest
 /// target, then detect either through a client read (`scrub = false`) or
 /// by leaving the cluster idle so only the background scrubber can find
-/// it (`scrub = true`).
-pub fn rot_timeline(class: ObjectClass, scrub: bool, seed: u64) -> RotTimeline {
+/// it (`scrub = true`). Records the row (series = `<class>/<mode>`,
+/// scale-less) with the integrity checks every rot timeline must satisfy.
+pub fn rot_timeline(out: &mut Fragment, class: ObjectClass, scrub: bool, seed: u64) {
     let mut sim = Sim::new(seed);
-    sim.block_on(move |sim| async move {
+    let (rot_extents, detect_ms, st, equal, clean) = sim.block_on(move |sim| async move {
         let mut cfg = ClusterConfig::tiny(1);
         cfg.server_nodes = 4;
         cfg.targets_per_engine = 2;
@@ -410,52 +331,43 @@ pub fn rot_timeline(class: ObjectClass, scrub: bool, seed: u64) -> RotTimeline {
             equal = got == data.materialize().to_vec();
         }
 
-        let st = cluster.corruption_stats();
-        RotTimeline {
-            class,
-            mode: if scrub { "scrubber" } else { "client-read" },
+        (
             rot_extents,
             detect_ms,
-            reported: st.reported,
-            repairs_ok: st.repairs_ok,
+            cluster.corruption_stats(),
             equal,
             clean,
-        }
-    })
-}
+        )
+    });
 
-/// Record one rot timeline (series = `<class>/<mode>`, scale-less).
-pub fn record_rot_timeline(report: &mut Fragment, t: &RotTimeline) {
-    let s = format!("{}/{}", t.class, t.mode);
-    report.record(&s, 0, "rot_extents", t.rot_extents as f64);
-    report.record(&s, 0, "detect_ms", t.detect_ms);
-    report.record(&s, 0, "reported", t.reported as f64);
-    report.record(&s, 0, "repairs_ok", t.repairs_ok as f64);
-    report.record(&s, 0, "bytes_equal", t.equal as u64 as f64);
-    report.record(&s, 0, "media_clean", t.clean as u64 as f64);
-}
+    let mode = if scrub { "scrubber" } else { "client-read" };
+    let s = format!("{class}/{mode}");
+    out.record(&s, 0, "rot_extents", rot_extents as f64);
+    out.record(&s, 0, "detect_ms", detect_ms);
+    out.record(&s, 0, "reported", st.reported as f64);
+    out.record(&s, 0, "repairs_ok", st.repairs_ok as f64);
+    // every byte read back equal to what was written
+    out.record(&s, 0, "bytes_equal", equal as u64 as f64);
+    // the rotted target verifies clean after repairs (scrub mode only:
+    // client-triggered repair only heals the copies reads chose)
+    out.record(&s, 0, "media_clean", clean as u64 as f64);
 
-/// The integrity checks every rot timeline must satisfy.
-pub fn check_rot_timeline(rep: &mut Fragment, t: &RotTimeline) {
-    rep.check(
-        format!("{} {}: rot injected and detected", t.class, t.mode),
-        t.rot_extents > 0 && t.reported > 0 && t.detect_ms.is_finite(),
+    out.check(
+        format!("{class} {mode}: rot injected and detected"),
+        rot_extents > 0 && st.reported > 0 && detect_ms.is_finite(),
     );
-    rep.check(
-        format!("{} {}: targeted repairs landed", t.class, t.mode),
-        t.repairs_ok > 0,
+    out.check(
+        format!("{class} {mode}: targeted repairs landed"),
+        st.repairs_ok > 0,
     );
-    rep.check(
-        format!("{} {}: all bytes read back identical", t.class, t.mode),
-        t.equal,
+    out.check(
+        format!("{class} {mode}: all bytes read back identical"),
+        equal,
     );
-    if t.mode == "scrubber" {
-        rep.check(
-            format!(
-                "{} {}: rotted target scrubs clean after repair",
-                t.class, t.mode
-            ),
-            t.clean,
+    if scrub {
+        out.check(
+            format!("{class} {mode}: rotted target scrubs clean after repair"),
+            clean,
         );
     }
 }
@@ -492,9 +404,7 @@ pub fn scrub_plan(scale: Scale) -> Option<Plan> {
         for scrub in [false, true] {
             let mode = if scrub { "scrubber" } else { "client-read" };
             cells.push(Cell::new(format!("rot-{class}-{mode}"), move |out| {
-                let t = rot_timeline(class, scrub, SCRUB_SEED ^ scrub as u64);
-                record_rot_timeline(out, &t);
-                check_rot_timeline(out, &t);
+                rot_timeline(out, class, scrub, SCRUB_SEED ^ scrub as u64)
             }));
         }
     }

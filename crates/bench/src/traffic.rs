@@ -224,32 +224,6 @@ pub fn traffic_policy(admission: bool) -> RetryPolicy {
     }
 }
 
-/// Everything one `(series, load)` point measures.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TrafficCell {
-    pub series: String,
-    pub load_pct: u32,
-    /// Offered load (arrival rate × request size), GiB/s.
-    pub offered_gib_s: f64,
-    /// Successfully completed bytes over the open-loop window, GiB/s.
-    pub goodput_gib_s: f64,
-    pub p50_us: f64,
-    pub p99_us: f64,
-    pub p999_us: f64,
-    /// Engine-side sheds / (sheds + admitted) over the data plane.
-    pub shed_rate: f64,
-    pub arrivals: u64,
-    pub completed: u64,
-    pub failed: u64,
-    /// Server-side admission sheds (queue-cap + byte-cap), all engines.
-    pub engine_sheds: u64,
-    /// Client-side breaker fast-fails (no wire traffic), all nodes.
-    pub breaker_fastfail: u64,
-    pub retries_spent: u64,
-    pub retries_denied: u64,
-    pub logical_clients: u64,
-}
-
 /// Shared accounting for one arrival stream (a traffic point, or one
 /// tenant of a QoS point), written by request tasks.
 #[derive(Default)]
@@ -345,15 +319,41 @@ impl OpenLoop {
     }
 }
 
-/// Run one `(mode, load)` point in a fresh deterministic simulation.
-pub fn traffic_point(mode: TrafficMode, load_pct: u32, params: TrafficParams) -> TrafficCell {
+/// Arrivals stop when every generator has returned; then let the streams'
+/// in-flight requests finish (bounded by max_attempts × deadline +
+/// backoff) before any counter is read.
+pub(crate) async fn drain(sim: &Sim, gens: Vec<JoinHandle<()>>, streams: &[&Counters]) {
+    for g in gens {
+        g.await;
+    }
+    while streams.iter().any(|c| c.inflight.get() > 0) {
+        sim.sleep_us(200).await;
+    }
+}
+
+/// Server-side admission over all engines' data planes: `(sheds,
+/// admitted)`, a shed being a queue-cap or a byte-cap refusal.
+pub(crate) fn admission_totals(cluster: &Cluster) -> (u64, u64) {
+    cluster
+        .engines()
+        .iter()
+        .fold((0, 0), |(sheds, admitted), e| {
+            let s = e.admission_stats();
+            (sheds + s.shed_queue + s.shed_bytes, admitted + s.admitted)
+        })
+}
+
+/// Run one `(mode, load)` point in a fresh deterministic simulation and
+/// record it (the load axis is the scale) with its accounting checks; the
+/// qualitative R6–R8 claims are evaluated over the whole report in
+/// [`crate::invariants::evaluate_traffic`].
+pub fn traffic_point(out: &mut Fragment, mode: TrafficMode, load_pct: u32, params: TrafficParams) {
     let series = mode.series();
     let seed = TRAFFIC_SEED ^ fnv1a(series.as_bytes()).rotate_left(17) ^ ((load_pct as u64) << 1);
+    let cfg = traffic_cluster(&params, mode.admission);
+    let offered_bps = nominal_bytes_per_sec(&cfg) * load_pct as f64 / 100.0;
     let mut sim = Sim::new(seed);
-    let series_out = series.clone();
-    let (counters, engine_sheds, admitted, damp) = sim.block_on(move |sim| async move {
-        let cfg = traffic_cluster(&params, mode.admission);
-        let offered_bps = nominal_bytes_per_sec(&cfg) * load_pct as f64 / 100.0;
+    let (counters, (engine_sheds, admitted), damp) = sim.block_on(move |sim| async move {
         let per_node_bps = offered_bps / params.client_nodes as f64;
         let mean_gap_ns = params.req_size as f64 * 1e9 / per_node_bps;
 
@@ -400,21 +400,8 @@ pub fn traffic_point(mode: TrafficMode, load_pct: u32, params: TrafficParams) ->
             };
             gens.push(process.spawn(&sim, &counters));
         }
-        for g in gens {
-            g.await;
-        }
-        // drain: arrivals have stopped; let in-flight requests finish
-        // (bounded by max_attempts × deadline + backoff)
-        while counters.inflight.get() > 0 {
-            sim.sleep_us(200).await;
-        }
+        drain(&sim, gens, &[&counters]).await;
 
-        let (mut sheds, mut admitted) = (0u64, 0u64);
-        for e in cluster.engines() {
-            let s = e.admission_stats();
-            sheds += s.shed_queue + s.shed_bytes;
-            admitted += s.admitted;
-        }
         let mut damp = daos_core::DampStats::default();
         for cl in &clients {
             let d = cl.damp_stats();
@@ -423,76 +410,57 @@ pub fn traffic_point(mode: TrafficMode, load_pct: u32, params: TrafficParams) ->
             damp.breaker_fastfail += d.breaker_fastfail;
             damp.sheds_seen += d.sheds_seen;
         }
-        (counters, sheds, admitted, damp)
+        (counters, admission_totals(&cluster), damp)
     });
 
-    let cfg = traffic_cluster(&params, mode.admission);
-    let offered_bps = nominal_bytes_per_sec(&cfg) * load_pct as f64 / 100.0;
-    let window_secs = params.duration.as_secs_f64();
     let lat = counters.latency.borrow();
-    TrafficCell {
-        series: series_out,
-        load_pct,
-        offered_gib_s: Gibps::from_bytes_per_sec(offered_bps).0,
-        goodput_gib_s: gib_per_sec(counters.good_bytes.get(), window_secs),
-        p50_us: lat.quantile(0.50) as f64 / 1e3,
-        p99_us: lat.quantile(0.99) as f64 / 1e3,
-        p999_us: lat.quantile(0.999) as f64 / 1e3,
-        shed_rate: engine_sheds as f64 / (engine_sheds + admitted).max(1) as f64,
-        arrivals: counters.arrivals.get(),
-        completed: counters.completed.get(),
-        failed: counters.failed.get(),
-        engine_sheds,
-        breaker_fastfail: damp.breaker_fastfail,
-        retries_spent: damp.retries_spent,
-        retries_denied: damp.retries_denied,
-        logical_clients: params.logical_clients,
-    }
-}
-
-/// Record one cell; the load axis is the scale.
-pub fn record_traffic_cell(report: &mut Fragment, c: &TrafficCell) {
-    let s = &c.series;
-    report.record(s, c.load_pct, "offered_gib_s", c.offered_gib_s);
-    report.record(s, c.load_pct, "goodput_gib_s", c.goodput_gib_s);
-    report.record(s, c.load_pct, "p50_us", c.p50_us);
-    report.record(s, c.load_pct, "p99_us", c.p99_us);
-    report.record(s, c.load_pct, "p999_us", c.p999_us);
-    report.record(s, c.load_pct, "shed_rate", c.shed_rate);
-    report.record(s, c.load_pct, "arrivals", c.arrivals as f64);
-    report.record(s, c.load_pct, "completed", c.completed as f64);
-    report.record(s, c.load_pct, "failed", c.failed as f64);
-    report.record(s, c.load_pct, "engine_sheds", c.engine_sheds as f64);
-    report.record(s, c.load_pct, "breaker_fastfail", c.breaker_fastfail as f64);
-    report.record(s, c.load_pct, "retries_spent", c.retries_spent as f64);
-    report.record(s, c.load_pct, "retries_denied", c.retries_denied as f64);
-    report.record(s, c.load_pct, "logical_clients", c.logical_clients as f64);
-}
-
-/// Per-cell sanity checks (the qualitative R6–R8 claims are evaluated
-/// over the whole report in [`crate::invariants::evaluate_traffic`]).
-pub fn check_traffic_cell(rep: &mut Fragment, c: &TrafficCell) {
-    rep.check(
-        format!(
-            "{}@{}%: some requests completed ({}/{})",
-            c.series, c.load_pct, c.completed, c.arrivals
-        ),
-        c.completed > 0,
+    let arrivals = counters.arrivals.get();
+    let completed = counters.completed.get();
+    let failed = counters.failed.get();
+    let mut rec = |metric: &str, v: f64| out.record(&series, load_pct, metric, v);
+    // offered load (arrival rate × request size), GiB/s
+    rec("offered_gib_s", Gibps::from_bytes_per_sec(offered_bps).0);
+    // successfully completed bytes over the open-loop window, GiB/s
+    let window_secs = params.duration.as_secs_f64();
+    rec(
+        "goodput_gib_s",
+        gib_per_sec(counters.good_bytes.get(), window_secs),
     );
-    rep.check(
-        format!(
-            "{}@{}%: accounting closes (completed {} + failed {} = arrivals {})",
-            c.series, c.load_pct, c.completed, c.failed, c.arrivals
-        ),
-        c.completed + c.failed == c.arrivals,
+    rec("p50_us", lat.quantile(0.50) as f64 / 1e3);
+    rec("p99_us", lat.quantile(0.99) as f64 / 1e3);
+    rec("p999_us", lat.quantile(0.999) as f64 / 1e3);
+    // engine-side sheds / (sheds + admitted) over the data plane
+    rec(
+        "shed_rate",
+        engine_sheds as f64 / (engine_sheds + admitted).max(1) as f64,
     );
-    if !c.series.ends_with("/noac") {
-        rep.check(
+    rec("arrivals", arrivals as f64);
+    rec("completed", completed as f64);
+    rec("failed", failed as f64);
+    rec("engine_sheds", engine_sheds as f64);
+    // client-side breaker fast-fails (no wire traffic), all nodes
+    rec("breaker_fastfail", damp.breaker_fastfail as f64);
+    rec("retries_spent", damp.retries_spent as f64);
+    rec("retries_denied", damp.retries_denied as f64);
+    rec("logical_clients", params.logical_clients as f64);
+
+    out.check(
+        format!("{series}@{load_pct}%: some requests completed ({completed}/{arrivals})"),
+        completed > 0,
+    );
+    out.check(
+        format!(
+            "{series}@{load_pct}%: accounting closes (completed {completed} + failed {failed} = arrivals {arrivals})"
+        ),
+        completed + failed == arrivals,
+    );
+    if mode.admission {
+        out.check(
             format!(
-                "{}@{}%: retries metered under shedding (sheds {}, spent {}, denied {})",
-                c.series, c.load_pct, c.engine_sheds, c.retries_spent, c.retries_denied
+                "{series}@{load_pct}%: retries metered under shedding (sheds {engine_sheds}, spent {}, denied {})",
+                damp.retries_spent, damp.retries_denied
             ),
-            c.engine_sheds == 0 || c.retries_spent + c.breaker_fastfail > 0,
+            engine_sheds == 0 || damp.retries_spent + damp.breaker_fastfail > 0,
         );
     }
 }
@@ -511,11 +479,7 @@ pub fn traffic_plan(scale: Scale) -> Option<Plan> {
         for &load in params.loads.iter().rev() {
             cells.push(figure::Cell::new(
                 format!("{}/{load}", mode.series()),
-                move |out| {
-                    let c = traffic_point(mode, load, params);
-                    record_traffic_cell(out, &c);
-                    check_traffic_cell(out, &c);
-                },
+                move |out| traffic_point(out, mode, load, params),
             ));
         }
     }

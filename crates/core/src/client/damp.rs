@@ -11,9 +11,17 @@ use daos_sim::Sim;
 
 use crate::proto::{DaosError, Response};
 
-/// Client-side fault-handling policy: every data/control RPC gets a
-/// deadline and failed attempts retry with exponential backoff + jitter,
-/// refreshing the pool map between tries.
+/// Client-side fault-handling policy: an RPC sent under it gets a deadline
+/// and failed attempts retry with exponential backoff + jitter, refreshing
+/// the pool map between tries. Under it: array `write` / `read` / `punch`
+/// pieces (the retry loop in this file) and the control plane
+/// (`DaosClient::control`). **Not** under it — they go through the plain
+/// `DaosClient::call`, with no deadline, retry, breaker or re-route, so
+/// they fail on the first [`DaosError::Busy`] and hang on a partition:
+/// `KvHandle::{put, get}` (every DFS dirent and superblock),
+/// `ObjectHandle::per_engine` (punch / list / size / snapshot) and
+/// `ArrayHandle::read_at_epoch`. ROADMAP item 2 lists the hole and why
+/// closing it waits on timer cancellation.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
     /// Per-attempt RPC deadline. Closed-loop benchmarks rarely trip it,

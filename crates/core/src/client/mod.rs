@@ -21,7 +21,7 @@ use daos_sim::{join_inline, Sim};
 use daos_vos::Epoch;
 
 use crate::cluster::Cluster;
-use crate::proto::{DaosError, Request, Response};
+use crate::proto::{DaosError, Request, Response, Rpc};
 use crate::ContId;
 
 pub use array::ArrayHandle;
@@ -57,9 +57,8 @@ impl DaosClient {
     }
 
     /// Same client billing its RPCs to `tenant`'s QoS class (handles
-    /// opened from it inherit the tenant). Requests go out wrapped in a
-    /// [`Request::Tagged`] envelope; tenant 0 stays untagged — byte-
-    /// identical wire traffic to a pre-QoS client.
+    /// opened from it inherit the tenant): every RPC carries the tenant in
+    /// its header ([`Rpc`]).
     pub fn with_tenant(mut self, tenant: u8) -> Self {
         self.tenant = tenant;
         self
@@ -68,15 +67,6 @@ impl DaosClient {
     /// The QoS tenant this client bills to.
     pub fn tenant(&self) -> u8 {
         self.tenant
-    }
-
-    /// Wrap an outgoing request in this client's tenant envelope.
-    fn tag(&self, req: Request) -> Request {
-        if self.tenant == 0 {
-            req
-        } else {
-            req.tagged(self.tenant)
-        }
     }
 
     /// Same client with a different retry policy (handles opened from it
@@ -116,12 +106,15 @@ impl DaosClient {
         engine_idx: u32,
         req: Request,
     ) -> Result<Response, DaosError> {
-        let req = self.tag(req);
         let bulk = req.bulk_in();
+        let rpc = Rpc {
+            tenant: self.tenant,
+            req,
+        };
         self.cluster
             .engine(engine_idx)
             .endpoint()
-            .call(sim, self.node, req, bulk)
+            .call(sim, self.node, rpc, bulk)
             .await
             .map_err(|_| DaosError::Transport)
     }
@@ -134,12 +127,15 @@ impl DaosClient {
         engine_idx: u32,
         req: Request,
     ) -> Result<Response, DaosError> {
-        let req = self.tag(req);
         let bulk = req.bulk_in();
+        let rpc = Rpc {
+            tenant: self.tenant,
+            req,
+        };
         self.cluster
             .engine(engine_idx)
             .endpoint()
-            .call_deadline(sim, self.node, req, bulk, self.damp.policy.rpc_timeout)
+            .call_deadline(sim, self.node, rpc, bulk, self.damp.policy.rpc_timeout)
             .await
             .map_err(DaosError::from)
     }

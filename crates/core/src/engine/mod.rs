@@ -46,7 +46,7 @@ use background::Background;
 use exec::StreamWindow;
 use shaper::{QosShaper, RPC_OVERHEAD_BYTES};
 
-use crate::proto::{DaosError, Request, Response};
+use crate::proto::{DaosError, Request, Response, Rpc};
 use crate::qos::QosParams;
 use crate::rebuild::CorruptionReport;
 
@@ -166,7 +166,7 @@ pub struct Engine {
     node: NodeId,
     cfg: EngineConfig,
     targets: Vec<Rc<VosTarget>>,
-    endpoint: Rc<Endpoint<Request, Response>>,
+    endpoint: Rc<Endpoint<Rpc, Response>>,
     control: ControlQueue,
     has_replica: Cell<bool>,
     /// Whether the engine process is up. A crashed engine stops answering
@@ -257,7 +257,7 @@ impl Engine {
         self.node
     }
     /// The engine's RPC endpoint (clients resolve targets to this).
-    pub fn endpoint(&self) -> &Rc<Endpoint<Request, Response>> {
+    pub fn endpoint(&self) -> &Rc<Endpoint<Rpc, Response>> {
         &self.endpoint
     }
     /// Access a local VOS target (stats, tests).
@@ -388,14 +388,11 @@ impl Engine {
     /// reply, a crash in that interval swallows the response: the
     /// caller's RPC hangs until its deadline, exactly like a real process
     /// death mid-service.
-    async fn handle(&self, sim: &Sim, inc: Incoming<Request, Response>) {
+    async fn handle(&self, sim: &Sim, inc: Incoming<Rpc, Response>) {
         // split so the request can be *moved* into execution (no clone of
-        // bulk-carrying bodies) while the reply slot stays usable
-        let (req, responder) = inc.split();
-        // Strip the QoS envelope first: every path below — including the
-        // heartbeat fast path — sees the inner request, and the tenant
-        // routes the op through its service class (untagged ≡ tenant 0).
-        let (tenant, req) = req.untag();
+        // bulk-carrying bodies) while the reply slot stays usable; the
+        // header's tenant routes the op through its service class
+        let (Rpc { tenant, req }, responder) = inc.split();
         let rsp = if let Some(t) = req.target() {
             self.serve_data(sim, t, tenant, &req, true).await
         } else if let Some((targets, oid)) = req.targets() {

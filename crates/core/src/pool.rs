@@ -19,7 +19,7 @@ use daos_sim::time::SimDuration;
 use daos_sim::Sim;
 
 use crate::engine::ControlQueue;
-use crate::proto::{DaosError, Request, Response};
+use crate::proto::{DaosError, Request, Response, Rpc};
 use crate::rebuild::{CorruptionHook, CorruptionReport};
 use crate::ContId;
 
@@ -175,8 +175,7 @@ impl PoolState {
         for t in &self.excluded {
             v.extend_from_slice(&(*t as u64).to_le_bytes());
         }
-        // tenant-pool section, appended after the legacy layout so old
-        // (shorter) snapshots still parse — with no pools
+        // tenant-pool section
         v.extend_from_slice(&(self.pools.len() as u64).to_le_bytes());
         for (id, meta) in &self.pools {
             v.extend_from_slice(&id.to_le_bytes());
@@ -195,7 +194,8 @@ impl PoolState {
             return PoolState::default();
         }
         // INVARIANT: slices are exactly 8 bytes by construction, so try_into
-        // to [u8; 8] cannot fail (length is checked before each region).
+        // to [u8; 8] cannot fail; a non-empty snapshot is one whole
+        // `to_bytes` output (none outlives the process that wrote it).
         let rd = |i: usize| u64::from_le_bytes(data[i..i + 8].try_into().unwrap());
         let connections = rd(0);
         let map_version = rd(8) as u32;
@@ -206,27 +206,18 @@ impl PoolState {
         let excluded = (0..n_excl)
             .map(|i| rd(e_base + 8 + i * 8) as TargetId)
             .collect();
-        // tenant pools: absent in pre-QoS snapshots (parse as none)
         let mut pools = BTreeMap::new();
         let mut at = e_base + 8 + n_excl * 8;
-        if data.len() >= at + 8 {
-            let n_pools = rd(at) as usize;
-            at += 8;
-            for _ in 0..n_pools {
-                if data.len() < at + 24 {
-                    break;
-                }
-                let id = rd(at);
-                let tenant = rd(at + 8) as u8;
-                let n_res = rd(at + 16) as usize;
-                at += 24;
-                if data.len() < at + n_res * 8 {
-                    break;
-                }
-                let reserved = (0..n_res).map(|i| rd(at + i * 8) as TargetId).collect();
-                at += n_res * 8;
-                pools.insert(id, PoolMeta { tenant, reserved });
-            }
+        let n_pools = rd(at) as usize;
+        at += 8;
+        for _ in 0..n_pools {
+            let id = rd(at);
+            let tenant = rd(at + 8) as u8;
+            let n_res = rd(at + 16) as usize;
+            at += 24;
+            let reserved = (0..n_res).map(|i| rd(at + i * 8) as TargetId).collect();
+            at += n_res * 8;
+            pools.insert(id, PoolMeta { tenant, reserved });
         }
         PoolState {
             containers,
@@ -453,7 +444,7 @@ pub fn spawn_pool_service(
     sim: &Sim,
     fabric: &Rc<Fabric>,
     members: Vec<(u64, NodeId, ControlQueue)>,
-    engine_eps: Vec<(u32, Rc<Endpoint<Request, Response>>)>,
+    engine_eps: Vec<(u32, Rc<Endpoint<Rpc, Response>>)>,
     engines: u32,
     targets_per_engine: u32,
     tick: SimDuration,
@@ -564,7 +555,11 @@ pub fn spawn_pool_service(
                                 version,
                                 excluded: local,
                             };
-                            let ok = ep.call_deadline(&s, from, req, 0, hb.timeout).await.is_ok();
+                            let ping = Rpc { tenant: 0, req };
+                            let ok = ep
+                                .call_deadline(&s, from, ping, 0, hb.timeout)
+                                .await
+                                .is_ok();
                             (idx, ok)
                         }
                     })
@@ -655,7 +650,7 @@ mod tests {
     }
 
     #[test]
-    fn tenant_pools_are_idempotent_and_legacy_snapshots_parse() {
+    fn tenant_pools_are_idempotent() {
         let mut st = PoolState::default();
         let create = |res: Vec<TargetId>| PoolOp::CreatePool {
             pool: 5,
@@ -672,13 +667,5 @@ mod tests {
         );
         // pool declarations do not bump the data-placement map version
         assert_eq!(st.map_version, 1);
-
-        // a pre-QoS snapshot (no pools section) parses with empty pools
-        let mut legacy = PoolState::default();
-        legacy.apply(&PoolOp::ContCreate(4), 4, 8);
-        let mut bytes = legacy.to_bytes();
-        bytes.truncate(bytes.len() - 8); // strip the empty pools section
-        let back = PoolState::from_bytes(&bytes);
-        assert_eq!(back, legacy);
     }
 }

@@ -228,16 +228,6 @@ pub enum Request {
         version: u32,
         excluded: Vec<u32>,
     },
-    // ------------------------------------------------------ QoS envelope
-    /// Tenant-tagged envelope: the QoS header every multi-tenant sender
-    /// wraps around its inner request. Engines unwrap it on arrival and
-    /// shape the inner op under the tenant's service class; an untagged
-    /// request is equivalent to `Tagged { tenant: 0, .. }`. The envelope
-    /// adds no bulk of its own — [`Request::bulk_in`] recurses.
-    Tagged {
-        tenant: u8,
-        inner: Box<Request>,
-    },
     // ---------------------------------------------------- control plane
     PoolConnect,
     /// Read the current pool map (version + excluded targets) from the
@@ -335,7 +325,6 @@ impl Request {
         match self {
             Request::UpdateArray { data, .. } => data.len(),
             Request::UpdateSingle { value, .. } => value.len(),
-            Request::Tagged { inner, .. } => inner.bulk_in(),
             _ => 0,
         }
     }
@@ -370,31 +359,18 @@ impl Request {
     pub fn payload_bytes(&self) -> u64 {
         match self {
             Request::FetchArray { len, .. } => *len,
-            Request::Tagged { inner, .. } => inner.payload_bytes(),
             other => other.bulk_in(),
         }
     }
+}
 
-    /// Wrap this request in a tenant envelope (idempotent: re-tagging a
-    /// tagged request replaces the tenant rather than nesting).
-    pub fn tagged(self, tenant: u8) -> Request {
-        match self {
-            Request::Tagged { inner, .. } => Request::Tagged { tenant, inner },
-            other => Request::Tagged {
-                tenant,
-                inner: Box::new(other),
-            },
-        }
-    }
-
-    /// Strip the tenant envelope: the QoS tenant (0 when untagged) and
-    /// the inner request.
-    pub fn untag(self) -> (u8, Request) {
-        match self {
-            Request::Tagged { tenant, inner } => (tenant, *inner),
-            other => (0, other),
-        }
-    }
+/// What an engine's endpoint carries: a request under its RPC header. The
+/// header is a fixed size on the wire, so the tenant costs no bytes.
+#[derive(Clone, Debug)]
+pub struct Rpc {
+    /// QoS tenant the engine bills the request to (0 = the default class).
+    pub tenant: u8,
+    pub req: Request,
 }
 
 /// Engine responses.
@@ -523,16 +499,12 @@ pub fn wire_csum_segs(segs: &[ReadSeg]) -> u64 {
 mod tests {
     use super::*;
 
-    /// A 4 KiB write of chunk 0 to target 0.
-    fn update_4k() -> Request {
-        let data = Payload::pattern(1, 4096);
-        let csum = wire_csum(&data);
-        Request::update_chunk(0, 1, ObjectId::new(0, 1), 0, 0, data, csum)
-    }
-
     #[test]
     fn bulk_accounting() {
-        let w = update_4k();
+        // a 4 KiB write of chunk 0 to target 0
+        let data = Payload::pattern(1, 4096);
+        let csum = wire_csum(&data);
+        let w = Request::update_chunk(0, 1, ObjectId::new(0, 1), 0, 0, data, csum);
         assert_eq!(w.bulk_in(), 4096);
         assert_eq!((w.target(), w.payload_bytes()), (Some(0), 4096));
         let f = Request::fetch_chunk(3, 1, ObjectId::new(0, 1), 9, 0, 512, Epoch::MAX);
@@ -599,25 +571,6 @@ mod tests {
         // mirroring the eager control lane heartbeats ride on
         assert_eq!(Response::Err(busy.clone()).bulk_out(), 0);
         assert!(format!("{busy}").contains("queue depth 7"));
-    }
-
-    #[test]
-    fn tenant_envelope_is_transparent() {
-        let w = update_4k();
-        // the envelope adds no bulk: byte accounting recurses
-        let t = w.clone().tagged(7);
-        assert_eq!(t.bulk_in(), w.bulk_in());
-        // untagging recovers the tenant and the inner op
-        let (tenant, inner) = t.untag();
-        assert_eq!(tenant, 7);
-        assert_eq!(inner.bulk_in(), 4096);
-        // an untagged request is tenant 0
-        let (tenant, _) = w.clone().untag();
-        assert_eq!(tenant, 0);
-        // re-tagging replaces, never nests
-        let (tenant, inner) = w.tagged(3).tagged(9).untag();
-        assert_eq!(tenant, 9);
-        assert!(!matches!(inner, Request::Tagged { .. }));
     }
 
     #[test]

@@ -24,7 +24,7 @@ use daos_vos::{Epoch, Payload};
 
 use crate::client::{group_of_chunk, xor_into};
 use crate::cluster::Cluster;
-use crate::proto::{chunk_of_dkey, wire_csum, Request, Response};
+use crate::proto::{chunk_of_dkey, wire_csum, Request, Response, Rpc};
 use crate::ContId;
 
 /// Per-RPC deadline inside a rebuild pass; a source that stays dark this
@@ -88,7 +88,7 @@ fn map_with(cluster: &Cluster, excluded: &BTreeSet<TargetId>) -> PoolMap {
 }
 
 /// One engine-to-engine RPC, issued from `from_engine`'s node. Every
-/// rebuild/repair RPC crosses this one chokepoint, so tagging here puts
+/// rebuild/repair RPC crosses this one chokepoint, so billing here puts
 /// the whole repair path under the background tenant's QoS budget at the
 /// destination engine ([`crate::qos::BG_TENANT`]).
 async fn engine_rpc(
@@ -100,12 +100,15 @@ async fn engine_rpc(
 ) -> Option<Response> {
     let tpe = cluster.cfg.targets_per_engine;
     let from = cluster.engine(from_engine).node();
-    let req = req.tagged(crate::qos::BG_TENANT);
     let bulk = req.bulk_in();
+    let rpc = Rpc {
+        tenant: crate::qos::BG_TENANT,
+        req,
+    };
     cluster
         .engine(to_target / tpe)
         .endpoint()
-        .call_deadline(sim, from, req, bulk, REPAIR_RPC_DEADLINE)
+        .call_deadline(sim, from, rpc, bulk, REPAIR_RPC_DEADLINE)
         .await
         .ok()
 }

@@ -3,7 +3,7 @@
 //! Enough of MPI for IOR and a ROMIO-style MPI-IO implementation: ranks
 //! pinned to fabric nodes, matched point-to-point messaging (eager
 //! protocol), and tree-based collectives (barrier, bcast, gather,
-//! allgather, allreduce) whose cost is real fabric traffic.
+//! allgather) whose cost is real fabric traffic.
 //!
 //! Collectives are SPMD: every rank of the communicator must call the same
 //! collective in the same order (tags are derived from a per-rank
@@ -261,27 +261,6 @@ impl MpiRank {
         }
         out
     }
-
-    /// Allreduce on a `u64` with max / min / sum.
-    pub async fn allreduce_u64(&self, sim: &Sim, mine: u64, op: ReduceOp) -> u64 {
-        let all = self.allgather(sim, mine.to_le_bytes().to_vec()).await;
-        let vals = all
-            .iter()
-            .map(|b| u64::from_le_bytes(b[..8].try_into().unwrap()));
-        match op {
-            ReduceOp::Max => vals.max().unwrap(),
-            ReduceOp::Min => vals.min().unwrap(),
-            ReduceOp::Sum => vals.sum(),
-        }
-    }
-}
-
-/// Reduction operator for [`MpiRank::allreduce_u64`].
-#[derive(Clone, Copy, Debug)]
-pub enum ReduceOp {
-    Max,
-    Min,
-    Sum,
 }
 
 fn encode_pairs(pairs: &[(usize, Vec<u8>)]) -> Vec<u8> {
@@ -393,33 +372,18 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_ops() {
-        let maxes = spmd(5, |sim, rank| async move {
-            rank.allreduce_u64(&sim, rank.rank() as u64 * 10, ReduceOp::Max)
-                .await
-        });
-        assert!(maxes.iter().all(|&m| m == 40));
-        let sums = spmd(5, |sim, rank| async move {
-            rank.allreduce_u64(&sim, rank.rank() as u64, ReduceOp::Sum)
-                .await
-        });
-        assert!(sums.iter().all(|&s| s == 10));
-    }
-
-    #[test]
     fn collectives_compose_in_sequence() {
         let out = spmd(4, |sim, rank| async move {
+            let sum = |all: Vec<Vec<u8>>| all.iter().map(|b| b[0]).sum::<u8>();
             rank.barrier(&sim).await;
-            let v = rank
-                .allreduce_u64(&sim, rank.rank() as u64 + 1, ReduceOp::Sum)
-                .await;
+            let v = sum(rank.allgather(&sim, vec![rank.rank() as u8 + 1]).await);
             rank.barrier(&sim).await;
-            let w = rank.allreduce_u64(&sim, v, ReduceOp::Max).await;
+            let w = sum(rank.allgather(&sim, vec![v]).await);
             (v, w)
         });
         for (v, w) in out {
             assert_eq!(v, 10);
-            assert_eq!(w, 10);
+            assert_eq!(w, 40);
         }
     }
 

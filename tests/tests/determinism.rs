@@ -12,8 +12,8 @@
 
 use daos_bench::figures::REDUCED_REPEATS;
 use daos_bench::report::{config_hash, BenchReport, Fragment};
-use daos_bench::timelines::{record_rot_timeline, rot_timeline};
-use daos_bench::{paper_cluster, paper_params, run_point_with, ExperimentPoint};
+use daos_bench::timelines::rot_timeline;
+use daos_bench::{paper_cluster, paper_params, run_point_with};
 use daos_ior::Api;
 use daos_placement::ObjectClass;
 
@@ -21,32 +21,27 @@ use daos_placement::ObjectClass;
 /// at a CI-friendly volume: same testbed, seed salting and repeat
 /// averaging as `regress`, smaller per-rank block.
 fn figure_cell_json() -> String {
-    let point = ExperimentPoint {
-        api: Api::Dfs,
-        oclass: ObjectClass::S2,
-        client_nodes: 1,
-    };
-    let mut params = paper_params(point.api, point.oclass, true, 16);
+    let mut params = paper_params(Api::Dfs, ObjectClass::S2, true, 16);
     params.block_size = 4 << 20;
-    let m = run_point_with(point, params, 0xF161, REDUCED_REPEATS);
+    let m = run_point_with(1, params, 0xF161, REDUCED_REPEATS);
     let mut report = BenchReport::new("determinism_cell", 0xF161);
     report.config_hash = config_hash(&paper_cluster(1));
-    report.record(&m.series(), 1, "write_gib_s", m.report.write_gib_s());
-    report.record(&m.series(), 1, "read_gib_s", m.report.read_gib_s());
+    report.record(&m.series, 1, "write_gib_s", m.report.write_gib_s());
+    report.record(&m.series, 1, "read_gib_s", m.report.read_gib_s());
     report.to_json()
 }
 
 /// The `regress` scrub-mode rot cell: bit-rot injected on the busiest
 /// target, detected by the background scrubber, healed by targeted
 /// repair — the PR 2 paths the chaos determinism proptest never drives.
-fn scrub_repair_json() -> (String, u64) {
-    let mut report = BenchReport::new("determinism_rot", 0x5C2B ^ 1);
-    let t = rot_timeline(ObjectClass::RP_2GX, true, 0x5C2B ^ 1);
-    let repairs = t.repairs_ok;
+/// Returns the report and the repairs that landed.
+fn scrub_repair_json() -> (String, f64) {
     let mut cell = Fragment::new();
-    record_rot_timeline(&mut cell, &t);
+    rot_timeline(&mut cell, ObjectClass::RP_2GX, true, 0x5C2B ^ 1);
+    let mut report = BenchReport::new("determinism_rot", 0x5C2B ^ 1);
     cell.replay_into(&mut report);
-    (report.to_json(), repairs)
+    let repairs = report.get("RP_2GX/scrubber", 0, "repairs_ok");
+    (report.to_json(), repairs.expect("the rot row"))
 }
 
 #[test]
@@ -65,7 +60,7 @@ fn scrub_repair_reports_are_byte_identical() {
     let (a, repairs_a) = scrub_repair_json();
     let (b, repairs_b) = scrub_repair_json();
     assert!(
-        repairs_a > 0,
+        repairs_a > 0.0,
         "cell must actually exercise targeted repair:\n{a}"
     );
     assert_eq!(repairs_a, repairs_b);

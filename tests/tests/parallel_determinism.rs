@@ -8,46 +8,50 @@
 //! of its own (simlint D04) — all threading happens inside `daos-bench`'s
 //! sanctioned executor.
 
+use daos_bench::exec::Slate;
 use daos_bench::figure::{run_figures, Figure, Scale};
-use daos_bench::timelines::{rot_timeline, RotTimeline};
+use daos_bench::qos::{qos_point, QosSweepParams};
+use daos_bench::report::{BenchReport, Fragment};
+use daos_bench::timelines::rot_timeline;
+use daos_bench::traffic::{traffic_modes, traffic_point, TrafficParams};
 use daos_bench::FIGURES;
 use daos_placement::ObjectClass;
 
-/// Every observable field of a rot timeline, as one comparable string.
-fn rot_key(t: &RotTimeline) -> String {
-    format!(
-        "{:?}/{}/{}/{:.6}/{}/{}/{}/{}",
-        t.class, t.mode, t.rot_extents, t.detect_ms, t.reported, t.repairs_ok, t.equal, t.clean
-    )
+/// Everything a cell recorded and concluded, as comparable bytes: its
+/// fragment replayed into a report of its own and rendered with `to_json`
+/// (which, unlike `==` on the values, equates a NaN metric — an undetected
+/// rot's `detect_ms` — with itself), then its verdicts.
+fn cell_bytes(out: &Fragment) -> String {
+    let mut report = BenchReport::new("cell", 0);
+    out.replay_into(&mut report);
+    format!("{}{:?}", report.to_json(), out.verdicts)
 }
 
-/// Every observable field of a QoS cell, as one comparable string.
-fn qos_key(c: &daos_bench::qos::QosCell) -> String {
-    format!(
-        "{}/{}/{:.6}/{:.6}/{:.6}/{:.6}/{:.6}/{:.6}/{:.6}/{:.6}/{:.6}/{}/{}/{}/{}/{}/{}/{}/{}/{}/{:.6}/{:.6}",
-        c.series,
-        c.load_pct,
-        c.victim_p50_us,
-        c.victim_p99_us,
-        c.noisy_p99_us,
-        c.victim_goodput_mib_s,
-        c.noisy_goodput_mib_s,
-        c.victim_sat,
-        c.noisy_sat,
-        c.noisy_ent_share,
-        c.jain,
-        c.victim_arrivals,
-        c.victim_completed,
-        c.victim_failed,
-        c.noisy_arrivals,
-        c.noisy_completed,
-        c.noisy_failed,
-        c.engine_sheds,
-        c.bg_bytes,
-        c.bg_budget_bytes,
-        c.victim_throttle_ms,
-        c.noisy_throttle_ms,
-    )
+/// A cell is a pure function of its parameters: run directly, and twice
+/// more as the jobs of a two-thread slate, it records the same fragment —
+/// jobs get their own seeded sims, so where they run cannot matter.
+/// Returns the direct run's fragment.
+fn assert_pure(what: &str, cell: impl Fn(&mut Fragment) + Sync) -> Fragment {
+    let run = || {
+        let mut out = Fragment::new();
+        cell(&mut out);
+        out
+    };
+    let direct = run();
+    assert!(!direct.records.is_empty(), "{what} recorded nothing");
+    let mut slate = Slate::new();
+    for copy in 0..2 {
+        slate.push(format!("{what}#{copy}"), run);
+    }
+    for job in slate.run(2).expect("cell job") {
+        assert_eq!(
+            cell_bytes(&direct),
+            cell_bytes(&job.value),
+            "{} diverged from the direct run",
+            job.label
+        );
+    }
+    direct
 }
 
 /// Every figure that declares a smoke scale, as one slate: each report
@@ -94,41 +98,33 @@ fn every_smoke_figure_is_byte_identical_across_thread_counts() {
     }
 }
 
-/// A rot timeline produced inside a slate job equals the directly-run
-/// one: jobs get their own seeded sims, so where they run cannot matter.
 #[test]
 fn rot_timeline_matches_direct_run() {
-    let direct = rot_timeline(ObjectClass::RP_2GX, true, 0x5C2B ^ 1);
-
-    let mut slate = daos_bench::exec::Slate::new();
-    slate.push("rot/RP_2GX/scrub", || {
-        rot_timeline(ObjectClass::RP_2GX, true, 0x5C2B ^ 1)
+    assert_pure("rot/RP_2GX/scrub", |out| {
+        rot_timeline(out, ObjectClass::RP_2GX, true, 0x5C2B ^ 1)
     });
-    let out = slate.run(4).expect("rot job");
-    assert_eq!(out.len(), 1);
-    assert_eq!(rot_key(&direct), rot_key(&out[0].value));
 }
 
-/// A noisy-neighbor QoS cell is a pure function of its `(series, load)`
-/// point: two direct runs agree on every observable field, and so does
-/// the same cell produced inside a multi-threaded slate job.
 #[test]
 fn qos_cell_is_deterministic_directly_and_under_the_slate() {
-    use daos_bench::qos::{qos_point, QosSweepParams};
     let params = QosSweepParams::smoke();
-    let load = params.loads[0];
+    assert_pure("qos/shaped/smoke", |out| {
+        qos_point(out, true, params.loads[0], params)
+    });
+}
 
-    let a = qos_point(true, load, params);
-    let b = qos_point(true, load, params);
-    assert_eq!(qos_key(&a), qos_key(&b), "two runs of one cell diverged");
-
-    let mut slate = daos_bench::exec::Slate::new();
-    slate.push("qos/shaped/smoke", move || qos_point(true, load, params));
-    let out = slate.run(4).expect("qos job");
-    assert_eq!(out.len(), 1);
-    assert_eq!(
-        qos_key(&a),
-        qos_key(&out[0].value),
-        "slate-run cell diverged from the direct run"
-    );
+/// Every traffic series at every smoke load — latency quantiles, goodput,
+/// every shed and damping counter: what the committed
+/// `BENCH_traffic_sweep.json` baseline and the R6–R8 gate rest on — and
+/// each cell's own accounting checks hold.
+#[test]
+fn traffic_cells_are_deterministic_directly_and_under_the_slate() {
+    let params = TrafficParams::smoke();
+    for mode in traffic_modes() {
+        for &load in params.loads {
+            let what = format!("traffic/{}/{load}", mode.series());
+            let out = assert_pure(&what, |out| traffic_point(out, mode, load, params));
+            assert!(out.verdicts.iter().all(|v| v.pass), "{:?}", out.verdicts);
+        }
+    }
 }
