@@ -20,8 +20,11 @@ use crate::proto::{DaosError, Response};
 /// they fail on the first [`DaosError::Busy`] and hang on a partition:
 /// `KvHandle::{put, get}` (every DFS dirent and superblock),
 /// `ObjectHandle::per_engine` (punch / list / size / snapshot) and
-/// `ArrayHandle::read_at_epoch`. ROADMAP item 2 lists the hole and why
-/// closing it waits on timer cancellation.
+/// `ArrayHandle::read_at_epoch`. ROADMAP item 2 lists the hole. What it
+/// waited on is done: a deadline that is beaten is cancelled when its
+/// `Sleep` drops and leaves nothing in the timer store, so putting one on
+/// every metadata RPC is free; what is left is routing the three through
+/// the retry loop, with the oracle as the test.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
     /// Per-attempt RPC deadline. Closed-loop benchmarks rarely trip it,

@@ -99,7 +99,8 @@ impl DaosClient {
 
     /// Issue one RPC to engine `engine_idx` (no deadline: fails fast on a
     /// dead link, hangs on a partition — resilient paths use
-    /// [`DaosClient::call_deadline`]).
+    /// [`DaosClient::call_deadline`], whose deadline costs nothing once
+    /// the reply has beaten it: the timer is cancelled with its `Sleep`).
     pub async fn call(
         &self,
         sim: &Sim,

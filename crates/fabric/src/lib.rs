@@ -698,6 +698,35 @@ mod tests {
         assert_eq!(healed, Ok(8));
     }
 
+    /// The deadline of a call that was answered is not an event: the run
+    /// is over when the reply lands, not when the deadline would have hit.
+    #[test]
+    fn answered_deadline_call_leaves_the_clock_at_the_answer() {
+        let mut sim = Sim::new(1);
+        let f = fab(2);
+        let ep: Rc<Endpoint<u32, u32>> = Endpoint::bind(Rc::clone(&f), 1);
+        let server = Rc::clone(&ep);
+        sim.spawn_detached(async move {
+            while let Some(inc) = server.serve().await {
+                let v = inc.req + 1;
+                inc.respond(v, 0);
+            }
+        });
+        let s = sim.clone();
+        let answered = sim.spawn(async move {
+            let rsp = ep
+                .call_deadline(&s, 0, 7, 0, SimDuration::from_secs(1))
+                .await;
+            ep.close();
+            (rsp, s.now())
+        });
+        assert_eq!(sim.run_until_quiescent(), 0);
+        let (rsp, at) = sim.block_on(|_| answered);
+        assert_eq!(rsp, Ok(8));
+        assert!(at < SimTime::from_us(100), "answered at {at}");
+        assert_eq!(sim.now(), at, "nothing happened after the answer");
+    }
+
     #[test]
     fn dark_node_rejects_and_restores() {
         let mut sim = Sim::new(1);

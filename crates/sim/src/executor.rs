@@ -16,6 +16,23 @@
 //! rebalance over every pending timer; selection is still strictly by
 //! `(deadline, seq)` — the wheel orders *identically* to one global heap.
 //!
+//! A queued entry is a `Copy` `(deadline, seq, slot)`; the [`Waker`] it
+//! will fire sits in a slab with a free list, at `slot`, stamped with the
+//! entry's `seq`. Cancelling is O(1): [`Sleep`] keeps the `(seq, slot)`
+//! key its registration returned and its `Drop` takes the waker out of the
+//! slab and frees the slot if the stamp still matches — so a timer that
+//! already fired, or a slot that has since been let to a later timer, is
+//! left alone. The queued entry stays where it is and is *dead*: its slot
+//! is empty or carries another stamp. Pop discards dead entries as it
+//! meets them without touching the clock or the ring's window, so a dead
+//! deadline never becomes an event: `now` only ever moves to a timer
+//! somebody is still waiting for. Dead entries in the ring go as time
+//! passes them; dead entries in the overflow heap (an RPC's 1 s deadline
+//! dropped microseconds later) are counted and swept out as soon as they
+//! outnumber the live ones, so the heap's length follows the timers *in
+//! flight*, not the timers ever registered. `Sleep` registers its timer
+//! once, on its first `Pending` poll.
+//!
 //! Task storage is a slab arena with dense `u32` ids and a free list.
 //! Wakers do not allocate: each is a [`RawWaker`] whose data word encodes
 //! `(executor registry slot, task id)` and is never dereferenced — waking
@@ -127,28 +144,40 @@ fn register_executor(inner: &Rc<Inner>) -> u32 {
 
 // -------------------------------------------------------------- timer wheel
 
-/// A registered timer, ordered by `(at, seq)` so ties break by
-/// registration order and the run is deterministic.
+/// A queued timer, ordered by `(at, seq)` so ties break by registration
+/// order and the run is deterministic (`seq` is unique, so the derived
+/// order never reaches `slot`). The waker is in `TimerWheel::wakers[slot]`.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct TimerEnt {
     at: u64,
     seq: u64,
-    waker: Waker,
+    slot: u32,
 }
 
-impl PartialEq for TimerEnt {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
+/// What [`Sim::register_timer`] returns and [`Sim::cancel_timer`] takes:
+/// the waker's slab slot, and the `seq` that proves the slot is still let
+/// to this timer.
+#[derive(Clone, Copy)]
+pub(crate) struct TimerKey {
+    seq: u64,
+    slot: u32,
 }
-impl Eq for TimerEnt {}
-impl PartialOrd for TimerEnt {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+
+/// One slab slot: the waker of the timer registered as `seq`, until it
+/// fires or is cancelled (`None` after either, and the slot is free).
+struct WakerSlot {
+    seq: u64,
+    waker: Option<Waker>,
+    /// Whether the queued entry sits in `overflow` (it may move to the
+    /// ring on a re-anchor): says which store a cancel leaves a dead
+    /// entry in.
+    in_overflow: bool,
 }
-impl Ord for TimerEnt {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+
+impl WakerSlot {
+    /// Whether the timer registered as `seq` is still waiting here.
+    fn holds(&self, seq: u64) -> bool {
+        self.seq == seq && self.waker.is_some()
     }
 }
 
@@ -161,22 +190,30 @@ const WHEEL_WORDS: usize = WHEEL_SLOTS / 64;
 const SLOT_NS: u64 = 1024;
 /// Virtual time covered by the ring from its anchor.
 const WHEEL_SPAN: u64 = WHEEL_SLOTS as u64 * SLOT_NS;
+/// The overflow heap is swept when fewer than one in this many of its
+/// entries is live.
+const OVERFLOW_LIVE_SHARE: usize = 2;
 
 /// Calendar-queue timer store: a ring of [`WHEEL_SLOTS`] slots of
 /// [`SLOT_NS`] ns each covering `[start, start + WHEEL_SPAN)`, plus a
-/// binary-heap overflow for deadlines beyond the span.
+/// binary-heap overflow for deadlines beyond the span, plus the slab of
+/// wakers the entries of both point into.
 ///
 /// Invariants:
 /// * every ring entry's `at` lies in `[start, start + WHEEL_SPAN)`, in the
 ///   slot at circular distance `(at - start) / SLOT_NS` from `cursor`;
 /// * `start <= now` whenever the ring is non-empty (`start` only advances
-///   to the window of a slot being popped, and pushes re-anchor an empty
-///   ring at `now`);
+///   to the window of a *live* entry being popped — the clock is about to
+///   move there — and pushes re-anchor an empty ring at `now`);
 /// * overflow entries had `at >= start + WHEEL_SPAN` when pushed. The
 ///   window may advance past that later, so [`TimerWheel::pop_min`]
 ///   compares the ring minimum against the overflow minimum by
 ///   `(at, seq)` — selection is therefore *identical* to a single global
-///   heap regardless of which store an entry sits in.
+///   heap regardless of which store an entry sits in;
+/// * an entry is live iff `wakers[slot]` holds a waker stamped with its
+///   `seq`. A live entry owns its slot; a dead one owns nothing, and is
+///   dropped by whichever of pop, re-anchor or sweep meets it first;
+/// * `overflow_dead` counts the dead entries in `overflow`, exactly.
 struct TimerWheel {
     /// One min-heap per ring slot: a burst of same-instant registrations
     /// (a barrier, a 128-wide fan-out) shares a slot, and each of its pops
@@ -189,10 +226,15 @@ struct TimerWheel {
     /// Virtual time of the cursor slot's window start (multiple of
     /// [`SLOT_NS`]).
     start: u64,
-    /// Entries in the ring (excluding overflow).
+    /// Entries in the ring (excluding overflow), dead ones included.
     ring_len: usize,
-    /// Far-future entries.
+    /// Far-future entries, dead ones included.
     overflow: BinaryHeap<Reverse<TimerEnt>>,
+    /// Dead entries in `overflow`.
+    overflow_dead: usize,
+    /// Waker slab: one slot per live timer, reused through `free`.
+    wakers: Vec<WakerSlot>,
+    free: Vec<u32>,
 }
 
 impl TimerWheel {
@@ -204,22 +246,52 @@ impl TimerWheel {
             start: 0,
             ring_len: 0,
             overflow: BinaryHeap::new(),
+            overflow_dead: 0,
+            wakers: Vec::new(),
+            free: Vec::new(),
         }
+    }
+
+    /// Queued entries, dead ones included.
+    fn len(&self) -> usize {
+        self.ring_len + self.overflow.len()
     }
 
     /// Insert a timer. `now` re-anchors an empty ring so near-future
     /// deadlines keep landing in the ring after long jumps through
     /// heap-only stretches.
-    fn push(&mut self, now: u64, ent: TimerEnt) {
+    fn push(&mut self, now: u64, at: u64, seq: u64, waker: Waker) -> TimerKey {
         if self.ring_len == 0 {
             self.cursor = 0;
             self.start = now & !(SLOT_NS - 1);
         }
-        if ent.at >= self.start + WHEEL_SPAN {
+        let in_overflow = at >= self.start + WHEEL_SPAN;
+        let tenant = WakerSlot {
+            seq,
+            waker: Some(waker),
+            in_overflow,
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                debug_assert!(self.wakers[slot as usize].waker.is_none());
+                self.wakers[slot as usize] = tenant;
+                slot
+            }
+            None => {
+                // INVARIANT: more than u32::MAX timers pending at once exceeds
+                // any simulated cluster by orders of magnitude; treat as OOM.
+                let slot = u32::try_from(self.wakers.len()).expect("timer slab overflow");
+                self.wakers.push(tenant);
+                slot
+            }
+        };
+        let ent = TimerEnt { at, seq, slot };
+        if in_overflow {
             self.overflow.push(Reverse(ent));
         } else {
             self.ring_insert(ent);
         }
+        TimerKey { seq, slot }
     }
 
     fn ring_insert(&mut self, ent: TimerEnt) {
@@ -229,6 +301,39 @@ impl TimerWheel {
         self.slots[idx].push(Reverse(ent));
         self.occupied[idx / 64] |= 1 << (idx % 64);
         self.ring_len += 1;
+    }
+
+    /// Take the waker of the timer `(seq, slot)` and free its slot; `None`
+    /// if that timer has fired or been cancelled already (the slot is
+    /// empty, let to a later `seq`, or gone with a [`TimerWheel::clear`]).
+    fn take_waker(&mut self, seq: u64, slot: u32) -> Option<Waker> {
+        let tenant = self.wakers.get_mut(slot as usize)?;
+        if !tenant.holds(seq) {
+            return None;
+        }
+        self.free.push(slot);
+        tenant.waker.take()
+    }
+
+    /// Cancel a registered timer: its waker is dropped and its slot freed
+    /// now, and its queued entry is dead from here on. A no-op for a key
+    /// whose timer already fired.
+    fn cancel(&mut self, key: TimerKey) {
+        if self.take_waker(key.seq, key.slot).is_none() {
+            return;
+        }
+        if self.wakers[key.slot as usize].in_overflow {
+            self.overflow_dead += 1;
+            // sweep once the dead outnumber the live: each sweep is paid
+            // for by the cancels since the last one, and `overflow` never
+            // holds more than twice the far-future timers in flight
+            if self.overflow_dead * OVERFLOW_LIVE_SHARE > self.overflow.len() {
+                let wakers = &self.wakers;
+                self.overflow
+                    .retain(|Reverse(e)| wakers[e.slot as usize].holds(e.seq));
+                self.overflow_dead = 0;
+            }
+        }
     }
 
     /// The occupied slot nearest the cursor (circularly), as
@@ -263,55 +368,67 @@ impl TimerWheel {
         unreachable!("ring_len > 0 but no occupancy bit set")
     }
 
-    /// Remove and return the globally earliest `(at, seq)` timer.
-    fn pop_min(&mut self) -> Option<TimerEnt> {
-        let ring = self.first_occupied();
-        let use_ring = match (&ring, self.overflow.peek()) {
-            (&Some((idx, _)), Some(Reverse(h))) => {
+    /// Remove the globally earliest `(at, seq)` *live* timer and return
+    /// its deadline and waker. Dead entries ordered before it are dropped
+    /// on the way and move nothing: the window only advances to an entry
+    /// this returns, so `start <= now` still holds for the caller, which
+    /// sets the clock to what it is handed.
+    fn pop_min(&mut self) -> Option<(u64, Waker)> {
+        loop {
+            let head = self.overflow.peek().map(|&Reverse(h)| h);
+            let ring = self.first_occupied().map(|(idx, d)| {
                 // INVARIANT: first_occupied only returns slots whose occupancy
                 // bit is set, and the bit is cleared when the slot drains.
-                let Reverse(m) = self.slots[idx].peek().expect("occupied slot is non-empty");
-                m < h
-            }
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => return None,
-        };
-        if use_ring {
-            // INVARIANT: use_ring is only true in match arms where `ring` is Some.
-            let (idx, d) = ring.expect("ring path requires an occupied slot");
-            // advance the window to the popped slot
-            self.start += d as u64 * SLOT_NS;
-            self.cursor = idx;
-            let slot = &mut self.slots[idx];
-            // INVARIANT: same occupancy-bit claim as above — the popped slot
-            // index came from a set bit in `occupied`.
-            let Reverse(ent) = slot.pop().expect("occupied slot is non-empty");
-            if slot.is_empty() {
-                self.occupied[idx / 64] &= !(1 << (idx % 64));
-            }
-            self.ring_len -= 1;
-            Some(ent)
-        } else {
-            // INVARIANT: the !use_ring arms all peeked Some from `overflow`,
-            // and nothing pops it between the peek and here.
-            let Reverse(ent) = self.overflow.pop().expect("overflow path peeked an entry");
-            if self.ring_len == 0 {
-                // the ring is drained and time jumped to a far deadline:
-                // re-anchor there and pull newly-near overflow entries in,
-                // restoring O(1) pops for the next stretch
-                self.cursor = 0;
-                self.start = ent.at & !(SLOT_NS - 1);
-                while let Some(Reverse(h)) = self.overflow.peek() {
-                    if h.at >= self.start + WHEEL_SPAN {
-                        break;
-                    }
-                    // INVARIANT: the loop condition just peeked Some.
-                    let Reverse(h) = self.overflow.pop().expect("peeked entry pops");
-                    self.ring_insert(h);
+                let &Reverse(m) = self.slots[idx].peek().expect("occupied slot is non-empty");
+                (m, idx, d)
+            });
+            let ring = ring.filter(|&(m, ..)| head.is_none_or(|h| m < h));
+            if let Some((ent, idx, d)) = ring {
+                let slot = &mut self.slots[idx];
+                slot.pop();
+                if slot.is_empty() {
+                    self.occupied[idx / 64] &= !(1 << (idx % 64));
                 }
+                self.ring_len -= 1;
+                if let Some(waker) = self.take_waker(ent.seq, ent.slot) {
+                    // advance the window to the popped slot
+                    self.start += d as u64 * SLOT_NS;
+                    self.cursor = idx;
+                    return Some((ent.at, waker));
+                }
+            } else {
+                let ent = head?;
+                self.overflow.pop();
+                let Some(waker) = self.take_waker(ent.seq, ent.slot) else {
+                    self.overflow_dead -= 1;
+                    continue;
+                };
+                if self.ring_len == 0 {
+                    self.reanchor(ent.at);
+                }
+                return Some((ent.at, waker));
             }
-            Some(ent)
+        }
+    }
+
+    /// The ring is drained and time is jumping to the far deadline `at`:
+    /// re-anchor there and pull newly-near live overflow entries in,
+    /// restoring O(1) pops for the next stretch.
+    fn reanchor(&mut self, at: u64) {
+        self.cursor = 0;
+        self.start = at & !(SLOT_NS - 1);
+        while let Some(&Reverse(h)) = self.overflow.peek() {
+            if h.at >= self.start + WHEEL_SPAN {
+                break;
+            }
+            self.overflow.pop();
+            let tenant = &mut self.wakers[h.slot as usize];
+            if tenant.holds(h.seq) {
+                tenant.in_overflow = false;
+                self.ring_insert(h);
+            } else {
+                self.overflow_dead -= 1;
+            }
         }
     }
 
@@ -324,6 +441,9 @@ impl TimerWheel {
             self.ring_len = 0;
         }
         self.overflow.clear();
+        self.overflow_dead = 0;
+        self.wakers.clear();
+        self.free.clear();
     }
 }
 
@@ -423,6 +543,41 @@ pub struct JoinHandle<T> {
     state: Rc<RefCell<JoinState<T>>>,
 }
 
+/// The task [`Sim::spawn`] runs: `fut`, then its output into the result
+/// slot and a wake for whoever awaits the handle. A struct, not an `async`
+/// block: a block that captures `fut` and then awaits it reserves room for
+/// it twice, doubling every joined task's box.
+struct Joined<F: Future> {
+    fut: F,
+    state: Rc<RefCell<JoinState<F::Output>>>,
+}
+
+impl<F: Future> Future for Joined<F> {
+    type Output = ();
+
+    #[allow(unsafe_code)]
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        // SAFETY: `fut` is structurally pinned — it is only ever reached
+        // through this re-pin, never moved out of or replaced in `self`,
+        // and `Joined` has no `Drop` or `Unpin` impl that could move it;
+        // `state` is an `Rc`, which nothing pins.
+        let (fut, state) = unsafe {
+            let this = self.get_unchecked_mut();
+            (Pin::new_unchecked(&mut this.fut), &this.state)
+        };
+        let Poll::Ready(out) = fut.poll(cx) else {
+            return Poll::Pending;
+        };
+        let mut st = state.borrow_mut();
+        st.result = Some(out);
+        st.finished = true;
+        if let Some(w) = st.waker.take() {
+            w.wake();
+        }
+        Poll::Ready(())
+    }
+}
+
 impl<T> Future for JoinHandle<T> {
     type Output = T;
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
@@ -477,6 +632,13 @@ impl Sim {
         self.inner.live_tasks.get()
     }
 
+    /// Number of timer entries currently queued, cancelled ones that have
+    /// not been discarded yet included: what the timer store holds, not
+    /// how many sleepers are waiting.
+    pub fn pending_timers(&self) -> usize {
+        self.inner.timers.borrow().len()
+    }
+
     /// Spawn a task whose completion the caller awaits through the
     /// returned handle; it runs concurrently (in virtual time) with its
     /// parent.
@@ -486,17 +648,10 @@ impl Sim {
             waker: None,
             finished: false,
         }));
-        let st2 = Rc::clone(&state);
-        let wrapped = async move {
-            let out = fut.await;
-            let mut st = st2.borrow_mut();
-            st.result = Some(out);
-            st.finished = true;
-            if let Some(w) = st.waker.take() {
-                w.wake();
-            }
-        };
-        self.spawn_detached(wrapped);
+        self.spawn_detached(Joined {
+            fut,
+            state: Rc::clone(&state),
+        });
         JoinHandle { state }
     }
 
@@ -514,18 +669,30 @@ impl Sim {
         self.inner.ready.borrow_mut().push_back(id);
     }
 
-    /// Register `waker` to fire at absolute time `at`.
-    pub(crate) fn register_timer(&self, at: SimTime, waker: Waker) {
+    /// Register `waker` to fire at absolute time `at`; the key cancels it.
+    pub(crate) fn register_timer(&self, at: SimTime, waker: Waker) -> TimerKey {
         let seq = self.inner.timer_seq.get();
         self.inner.timer_seq.set(seq + 1);
-        self.inner.timers.borrow_mut().push(
-            self.inner.now.get(),
-            TimerEnt {
-                at: at.0,
-                seq,
-                waker,
-            },
-        );
+        let now = self.inner.now.get();
+        self.inner.timers.borrow_mut().push(now, at.0, seq, waker)
+    }
+
+    /// Cancel a registered timer; a no-op once it has fired.
+    pub(crate) fn cancel_timer(&self, key: TimerKey) {
+        self.inner.timers.borrow_mut().cancel(key);
+    }
+
+    /// Pops the next live timer, moves the clock to it and wakes its
+    /// sleeper; `false` if no timer is pending.
+    fn fire_next_timer(&self) -> bool {
+        let next = self.inner.timers.borrow_mut().pop_min();
+        let Some((at, waker)) = next else {
+            return false;
+        };
+        debug_assert!(at >= self.inner.now.get(), "time went backwards");
+        self.inner.now.set(at);
+        waker.wake();
+        true
     }
 
     /// Sleep for `dur` of simulated time.
@@ -538,7 +705,7 @@ impl Sim {
         Sleep {
             sim: self.clone(),
             deadline: at,
-            registered: false,
+            timer: None,
         }
     }
 
@@ -614,14 +781,8 @@ impl Sim {
     pub fn run_until_quiescent(&self) -> usize {
         loop {
             self.drain_ready();
-            let ent = self.inner.timers.borrow_mut().pop_min();
-            match ent {
-                Some(ent) => {
-                    debug_assert!(ent.at >= self.inner.now.get(), "time went backwards");
-                    self.inner.now.set(ent.at);
-                    ent.waker.wake();
-                }
-                None => break,
+            if !self.fire_next_timer() {
+                break;
             }
         }
         self.inner.live_tasks.get()
@@ -646,22 +807,16 @@ impl Sim {
             if handle.state.borrow().finished {
                 break;
             }
-            let ent = self.inner.timers.borrow_mut().pop_min();
-            match ent {
-                Some(ent) => {
-                    debug_assert!(ent.at >= self.inner.now.get(), "time went backwards");
-                    self.inner.now.set(ent.at);
-                    ent.waker.wake();
-                }
+            if !self.fire_next_timer() {
                 // INVARIANT: quiescence with the root unfinished is a deadlock
                 // in the simulated system; aborting loudly is the contract
                 // block_on documents.
-                None => panic!(
+                panic!(
                     "simulation deadlock: root task blocked with no pending events \
                      ({} tasks alive at {})",
                     self.inner.live_tasks.get(),
                     self.now()
-                ),
+                );
             }
         }
         // Tear down survivors so Rc cycles through captured Sim handles break.
@@ -690,11 +845,16 @@ impl Sim {
     }
 }
 
-/// Future returned by [`Sim::sleep`] / [`Sim::sleep_until`].
+/// Future returned by [`Sim::sleep`] / [`Sim::sleep_until`]. It registers
+/// its timer once, on its first `Pending` poll, and cancels it when
+/// dropped: a sleep that lost a [`crate::timeout`] / [`crate::select2`]
+/// race, or that a sibling's wake at the same instant found `Ready`,
+/// leaves nothing that could fire.
 pub struct Sleep {
     sim: Sim,
     deadline: SimTime,
-    registered: bool,
+    /// The registered timer, once there is one.
+    timer: Option<TimerKey>,
 }
 
 impl Future for Sleep {
@@ -703,12 +863,19 @@ impl Future for Sleep {
         if self.sim.now() >= self.deadline {
             return Poll::Ready(());
         }
-        if !self.registered {
-            self.registered = true;
-            let deadline = self.deadline;
-            self.sim.register_timer(deadline, cx.waker().clone());
+        if self.timer.is_none() {
+            let key = self.sim.register_timer(self.deadline, cx.waker().clone());
+            self.timer = Some(key);
         }
         Poll::Pending
+    }
+}
+
+impl Drop for Sleep {
+    fn drop(&mut self) {
+        if let Some(key) = self.timer {
+            self.sim.cancel_timer(key);
+        }
     }
 }
 
@@ -1088,6 +1255,236 @@ mod tests {
         })
         .collect();
         assert_eq!(got, want);
+    }
+
+    // ---- timer cancellation -------------------------------------------
+
+    /// A bare wheel with the clock and sequence counter `Sim` keeps
+    /// beside it: registers no-op wakers and moves `now` to what it pops.
+    struct Rig {
+        wheel: TimerWheel,
+        now: u64,
+        seq: u64,
+    }
+
+    impl Rig {
+        fn new() -> Self {
+            Rig {
+                wheel: TimerWheel::new(),
+                now: 0,
+                seq: 0,
+            }
+        }
+
+        fn push(&mut self, at: u64) -> TimerKey {
+            self.seq += 1;
+            let waker = Waker::noop().clone();
+            self.wheel.push(self.now, at, self.seq, waker)
+        }
+
+        /// Pop the next live timer and return its deadline.
+        fn pop(&mut self) -> Option<u64> {
+            let (at, _waker) = self.wheel.pop_min()?;
+            assert!(self.wheel.ring_len == 0 || self.wheel.start <= at);
+            self.now = at;
+            Some(at)
+        }
+
+        /// Slab slots let to a waiting timer.
+        fn slots_let(&self) -> usize {
+            self.wheel.wakers.len() - self.wheel.free.len()
+        }
+    }
+
+    #[test]
+    fn cancel_in_the_ring_is_skipped_without_moving_the_window() {
+        let mut rig = Rig::new();
+        let a = rig.push(5_000);
+        rig.push(9_000);
+        rig.wheel.cancel(a);
+        assert_eq!(rig.slots_let(), 1, "the slot is free at once");
+        assert_eq!(rig.wheel.len(), 2, "the ring entry is discarded lazily");
+        assert_eq!(rig.pop(), Some(9_000));
+        assert_eq!(rig.pop(), None);
+        assert_eq!((rig.wheel.len(), rig.slots_let()), (0, 0));
+
+        // only dead entries left: pop reports none and leaves the window
+        // behind the clock, so the next near push still files in the ring
+        let b = rig.push(rig.now + 3 * SLOT_NS);
+        rig.wheel.cancel(b);
+        let start = rig.wheel.start;
+        assert_eq!(rig.pop(), None);
+        assert_eq!((rig.wheel.len(), rig.wheel.start), (0, start));
+        rig.push(rig.now + 1);
+        assert_eq!(rig.wheel.ring_len, 1);
+        assert_eq!(rig.pop(), Some(9_001));
+    }
+
+    #[test]
+    fn cancel_in_overflow_is_counted_and_skipped() {
+        let mut rig = Rig::new();
+        let a = rig.push(2 * WHEEL_SPAN);
+        rig.push(3 * WHEEL_SPAN);
+        rig.push(4 * WHEEL_SPAN);
+        rig.wheel.cancel(a);
+        assert_eq!((rig.wheel.overflow.len(), rig.wheel.overflow_dead), (3, 1));
+        assert_eq!(rig.pop(), Some(3 * WHEEL_SPAN), "the clock skips 2 spans");
+        assert_eq!((rig.wheel.len(), rig.wheel.overflow_dead), (1, 0));
+        assert_eq!(rig.pop(), Some(4 * WHEEL_SPAN));
+        assert_eq!(rig.slots_let(), 0);
+    }
+
+    #[test]
+    fn cancel_after_the_timer_fired_is_a_noop() {
+        let mut rig = Rig::new();
+        let near = rig.push(1_000);
+        let far = rig.push(2 * WHEEL_SPAN);
+        assert_eq!(rig.pop(), Some(1_000));
+        assert_eq!(rig.pop(), Some(2 * WHEEL_SPAN));
+        for key in [near, far, near] {
+            rig.wheel.cancel(key);
+        }
+        assert_eq!(rig.wheel.free.len(), 2, "no slot is freed twice");
+        assert_eq!(rig.wheel.overflow_dead, 0);
+    }
+
+    #[test]
+    fn stale_key_does_not_cancel_the_slots_next_tenant() {
+        let mut rig = Rig::new();
+        let old = rig.push(1_000);
+        assert_eq!(rig.pop(), Some(1_000));
+        let new = rig.push(2_000);
+        assert_eq!(old.slot, new.slot, "the slot was reused");
+        rig.wheel.cancel(old);
+        assert_eq!(rig.slots_let(), 1);
+        assert_eq!(rig.pop(), Some(2_000), "the new tenant still fires");
+
+        // the same through a cancel: the dead entry of the slot's first
+        // tenant must neither fire nor take the second tenant's waker
+        let first = rig.push(10_000);
+        rig.wheel.cancel(first);
+        let second = rig.push(20_000);
+        assert_eq!(first.slot, second.slot);
+        rig.wheel.cancel(first);
+        assert_eq!(rig.pop(), Some(20_000));
+        assert_eq!(rig.pop(), None);
+    }
+
+    #[test]
+    fn entry_that_migrated_to_the_ring_cancels_as_a_ring_entry() {
+        let mut rig = Rig::new();
+        rig.push(1_000);
+        rig.push(WHEEL_SPAN + 5_000);
+        let moved = rig.push(WHEEL_SPAN + 6_000);
+        let dead = rig.push(WHEEL_SPAN + 7_000);
+        for k in 3..6 {
+            rig.push(k * WHEEL_SPAN);
+        }
+        rig.wheel.cancel(dead);
+        assert_eq!((rig.wheel.overflow.len(), rig.wheel.overflow_dead), (6, 1));
+        assert_eq!(rig.pop(), Some(1_000));
+        // the ring is empty: this pop re-anchors and pulls `moved` in,
+        // and drops `dead` instead of carrying it over
+        assert_eq!(rig.pop(), Some(WHEEL_SPAN + 5_000));
+        assert_eq!((rig.wheel.ring_len, rig.wheel.overflow.len()), (1, 3));
+        assert_eq!(rig.wheel.overflow_dead, 0);
+        rig.wheel.cancel(moved);
+        assert_eq!(rig.wheel.overflow_dead, 0, "it is not in overflow any more");
+        assert_eq!(rig.pop(), Some(3 * WHEEL_SPAN));
+        assert_eq!(rig.wheel.len(), 2);
+    }
+
+    /// Far deadlines with ties, two in three of them dropped early: the
+    /// overflow heap is swept on the way and what is left still fires in
+    /// `(deadline, registration)` order.
+    #[test]
+    fn overflow_sweep_preserves_order() {
+        let mut sim = Sim::new(1);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let l2 = Rc::clone(&log);
+        sim.block_on(move |sim| async move {
+            let far = SimDuration::from_ns(2 * WHEEL_SPAN);
+            let mut handles = Vec::new();
+            for i in 0..12u64 {
+                let (s, l) = (sim.clone(), Rc::clone(&l2));
+                handles.push(sim.spawn(async move {
+                    if i % 3 == 0 {
+                        let ns = 2 * WHEEL_SPAN + [0, 7, 0, 3][i as usize / 3];
+                        s.sleep_ns(ns).await;
+                        l.borrow_mut().push((ns, i));
+                    } else {
+                        crate::timeout(&s, far, s.sleep_us(1 + i)).await;
+                    }
+                }));
+            }
+            sim.sleep_us(100).await;
+            // 12 far entries, 8 cancelled: the 7th cancel swept 7 out
+            assert_eq!(sim.pending_timers(), 5);
+            assert_eq!(sim.inner.timers.borrow().overflow_dead, 1);
+            for h in handles {
+                h.await;
+            }
+        });
+        let got = log.borrow().clone();
+        let mut want = got.clone();
+        want.sort();
+        assert_eq!(got, want);
+        assert_eq!(got.len(), 4);
+    }
+
+    /// Two sleeps of one task end at the same instant: the first timer
+    /// wakes the task, the poll finds both `Ready`, and the second timer
+    /// must not fire into whatever the task does next.
+    #[test]
+    fn sleep_completed_by_a_siblings_wake_leaves_no_entry() {
+        let sim = Sim::new(1);
+        let polls = Rc::new(Cell::new(0));
+        let (s, p) = (sim.clone(), Rc::clone(&polls));
+        sim.spawn_detached(async move {
+            let at = SimTime::from_us(5);
+            crate::join_inline(vec![s.sleep_until(at), s.sleep_until(at)]).await;
+            std::future::poll_fn(|_| {
+                p.set(p.get() + 1);
+                Poll::<()>::Pending
+            })
+            .await;
+        });
+        assert_eq!(sim.run_until_quiescent(), 1);
+        assert_eq!(polls.get(), 1, "nothing woke the task again");
+        assert_eq!(sim.pending_timers(), 0);
+        assert_eq!(sim.now(), SimTime::from_us(5));
+    }
+
+    /// Regression: the deadline of a `timeout` that was beaten is not an
+    /// event. Quiescence is when the last thing happened, not a second
+    /// later when the dead deadline would have fired.
+    #[test]
+    fn dead_deadline_does_not_move_the_clock() {
+        let sim = Sim::new(1);
+        let s = sim.clone();
+        let h = sim.spawn(async move {
+            crate::timeout(&s, SimDuration::from_secs(1), s.sleep_us(20)).await
+        });
+        assert_eq!(sim.run_until_quiescent(), 0);
+        assert_eq!(sim.now(), SimTime::from_us(20));
+        assert_eq!(sim.pending_timers(), 0);
+        assert_eq!(h.state.borrow_mut().result.take(), Some(Some(())));
+
+        // and the same under block_on, with time running past the deadline
+        let mut sim = Sim::new(1);
+        let woken = sim.block_on(|sim| async move {
+            crate::timeout(&sim, SimDuration::from_ms(1), sim.sleep_us(20)).await;
+            let polls = Rc::new(Cell::new(0));
+            let p = Rc::clone(&polls);
+            let mut nap = sim.sleep_ms(2);
+            std::future::poll_fn(move |cx| {
+                p.set(p.get() + 1);
+                Pin::new(&mut nap).poll(cx)
+            })
+            .await;
+            polls.get()
+        });
+        assert_eq!(woken, 2, "polled to register and to finish, not at 1 ms");
     }
 
     /// Task ids are reused from the free list, and stale wakes aimed at a

@@ -23,10 +23,10 @@
 //! assert_eq!(out, SimTime::from_us(5));
 //! ```
 
-// The kernel is the one sanctioned entry point for future `unsafe`
-// (every other workspace crate carries `forbid`): relaxing this to a
-// local `allow` requires a per-block `// SAFETY:` comment, which the
-// `simlint` D05 gate enforces. Today the whole workspace is unsafe-free.
+// The kernel is the one sanctioned entry point for `unsafe` (every other
+// workspace crate carries `forbid`): relaxing this to a local `allow`
+// requires a per-block `// SAFETY:` comment, which the `simlint` D05 gate
+// enforces. DESIGN.md lists the sites.
 #![deny(unsafe_code)]
 
 pub mod executor;

@@ -6,6 +6,12 @@
 //! min-heap popped one timer at a time, with each woken task re-arming
 //! its next timer (taking the next sequence number) before the following
 //! pop.
+//!
+//! Some sleeps are raced by a `timeout` that is shorter, longer or exactly
+//! as long: such a step registers two timers and the one that loses is
+//! dropped — cancelled. The reference removes the loser's `(at, seq)` from
+//! its heap; the executor must produce the same events as if the cancelled
+//! timer had never been queued, wherever in the wheel it was.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -14,50 +20,66 @@ use std::rc::Rc;
 
 use proptest::prelude::*;
 
-use daos_sim::Sim;
+use daos_sim::{timeout, Sim, SimDuration};
 
 /// `(fire time, task index, step index)` — the observable event record.
 type Event = (u64, usize, usize);
 
+/// One step of a task: sleep `.0` ns, under a `timeout` of `.1` ns if
+/// there is one. The step ends at whichever comes first.
+type Step = (u64, Option<u64>);
+
 /// The old executor's schedule, replayed in plain code: timers are
 /// ordered by `(deadline, seq)`, seq is assigned at registration, and a
-/// popped task re-registers its next sleep immediately (before the next
-/// pop), exactly as `drain_ready` ran between timer pops.
-fn reference_order(workload: &[Vec<u64>]) -> Vec<Event> {
+/// popped task re-registers its next step immediately (before the next
+/// pop), exactly as `drain_ready` ran between timer pops. A raced step
+/// registers the sleep, then the deadline; the first of the two to pop
+/// ends the step and takes the other out of the heap.
+fn reference_order(workload: &[Vec<Step>]) -> Vec<Event> {
     let mut heap: BinaryHeap<Reverse<(u64, u64, usize, usize)>> = BinaryHeap::new();
     let mut seq = 0u64;
-    for (t, delays) in workload.iter().enumerate() {
-        if let Some(&d) = delays.first() {
-            heap.push(Reverse((d, seq, t, 0)));
+    let mut arm = |heap: &mut BinaryHeap<_>, now: u64, t: usize, step: usize| {
+        let Some(&(d, limit)) = workload[t].get(step) else {
+            return;
+        };
+        for after in [Some(d), limit].into_iter().flatten() {
+            heap.push(Reverse((now + after, seq, t, step)));
             seq += 1;
         }
+    };
+    for t in 0..workload.len() {
+        arm(&mut heap, 0, t, 0);
     }
     let mut events = Vec::new();
     while let Some(Reverse((at, _, t, step))) = heap.pop() {
         events.push((at, t, step));
-        if let Some(&d) = workload[t].get(step + 1) {
-            heap.push(Reverse((at + d, seq, t, step + 1)));
-            seq += 1;
-        }
+        heap.retain(|&Reverse((_, _, t2, step2))| (t2, step2) != (t, step));
+        arm(&mut heap, at, t, step + 1);
     }
     events
 }
 
 /// Run the same workload on the real executor, recording events as each
-/// sleep completes.
-fn executor_order(workload: &[Vec<u64>]) -> Vec<Event> {
+/// step completes.
+fn executor_order(workload: &[Vec<Step>]) -> Vec<Event> {
     let mut sim = Sim::new(0xE0ED);
     let log: Rc<RefCell<Vec<Event>>> = Rc::new(RefCell::new(Vec::new()));
     let l2 = Rc::clone(&log);
     let workload = workload.to_vec();
     sim.block_on(move |sim| async move {
         let mut handles = Vec::new();
-        for (t, delays) in workload.into_iter().enumerate() {
+        for (t, steps) in workload.into_iter().enumerate() {
             let s = sim.clone();
             let l = Rc::clone(&l2);
             handles.push(sim.spawn(async move {
-                for (step, d) in delays.into_iter().enumerate() {
-                    s.sleep_ns(d).await;
+                for (step, (d, limit)) in steps.into_iter().enumerate() {
+                    match limit {
+                        Some(limit) => {
+                            let won = timeout(&s, SimDuration::from_ns(limit), s.sleep_ns(d)).await;
+                            assert_eq!(won.is_some(), d <= limit);
+                        }
+                        None => s.sleep_ns(d).await,
+                    }
                     l.borrow_mut().push((s.now().as_ns(), t, step));
                 }
             }));
@@ -82,15 +104,29 @@ fn delay() -> impl Strategy<Value = u64> {
     ]
 }
 
+/// A step: two in five are raced by a `timeout` drawn from the same
+/// distribution, so either side may win and ties happen.
+fn step() -> impl Strategy<Value = Step> {
+    let limit = prop_oneof![
+        Just(None),
+        Just(None),
+        Just(None),
+        delay().prop_map(Some),
+        delay().prop_map(Some),
+    ];
+    (delay(), limit)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Any mix of sleepers fires in exactly the old heap executor's
-    /// `(deadline, seq)` order, ties and far-future overflow included.
+    /// `(deadline, seq)` order, ties, far-future overflow and cancelled
+    /// timers included.
     #[test]
     fn wheel_schedule_matches_heap_reference(
         workload in prop::collection::vec(
-            prop::collection::vec(delay(), 0..12),
+            prop::collection::vec(step(), 0..12),
             1..16,
         ),
     ) {
