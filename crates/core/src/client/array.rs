@@ -163,11 +163,11 @@ impl ArrayHandle {
         &self,
         sim: &Sim,
         chunk: u64,
-        writes: impl Iterator<Item = (u32, u64, Payload)>,
+        writes: impl ExactSizeIterator<Item = (u32, u64, Payload)>,
     ) -> Result<(), DaosError> {
         let futs =
             writes.map(|(shard, offset, data)| self.update_shard(sim, shard, chunk, offset, data));
-        join_inline(futs.collect()).await.into_iter().collect()
+        join_inline(futs).await.into_iter().collect()
     }
 
     /// One fetch attempt against one shard, no retry — the failover
@@ -417,8 +417,11 @@ impl ArrayHandle {
                 let n_cells = piece.len() / cell;
                 let shard_of = |c: u64| group.start + c as u32;
                 // write the data cells
-                let cells = (0..n_cells)
-                    .map(|i| (shard_of(first_cell + i), 0, piece.slice(i * cell, cell)));
+                let first = shard_of(first_cell);
+                let cells = (first..shard_of(first_cell + n_cells)).map(|shard| {
+                    let i = u64::from(shard - first);
+                    (shard, 0, piece.slice(i * cell, cell))
+                });
                 self.update_shards(sim, chunk, cells).await?;
                 // parity = XOR over the stripe; read-modify-write any cells
                 // this piece did not cover
@@ -435,7 +438,8 @@ impl ArrayHandle {
                         xor_into(&mut parity, &flatten(&segs, 0, cell));
                     }
                 }
-                let parities = (k..k + p).map(|j| (shard_of(j), 0, Payload::bytes(parity.clone())));
+                let parities = (shard_of(k)..shard_of(k + p))
+                    .map(|shard| (shard, 0, Payload::bytes(parity.clone())));
                 self.update_shards(sim, chunk, parities).await
             }
         }
@@ -502,7 +506,7 @@ impl ArrayHandle {
         let futs = pieces.into_iter().map(|(chunk, in_chunk, src_off, len)| {
             self.write_piece(sim, chunk, in_chunk, data.slice(src_off, len))
         });
-        join_inline(futs.collect()).await.into_iter().collect()
+        join_inline(futs).await.into_iter().collect()
     }
 
     /// Read `[offset, offset+len)` as of a container snapshot epoch.
@@ -548,7 +552,7 @@ impl ArrayHandle {
             .into_iter()
             .map(|(chunk, in_chunk, _src_off, plen)| piece(chunk, in_chunk, plen));
         let mut segs = Vec::new();
-        for r in join_inline(futs.collect()).await {
+        for r in join_inline(futs).await {
             segs.extend(r?);
         }
         segs.sort_by_key(|s| s.offset);

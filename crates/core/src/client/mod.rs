@@ -167,10 +167,9 @@ impl DaosClient {
     async fn call_each(
         &self,
         sim: &Sim,
-        reqs: impl Iterator<Item = (u32, Request)>,
+        reqs: impl ExactSizeIterator<Item = (u32, Request)>,
     ) -> Vec<Result<Response, DaosError>> {
-        let calls = reqs.map(|(engine, req)| self.call(sim, engine, req));
-        join_inline(calls.collect()).await
+        join_inline(reqs.map(|(engine, req)| self.call(sim, engine, req))).await
     }
 
     /// Control-plane RPC: retries across pool-service replicas following

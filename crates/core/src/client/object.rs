@@ -96,7 +96,7 @@ impl ObjectHandle {
         }
     }
 
-    fn shard_of_dkey(&self, dkey: &Key) -> u32 {
+    fn shard_of_dkey(&self, dkey: &[u8]) -> u32 {
         let mut h = 0xcbf29ce484222325u64;
         for &b in dkey {
             h = (h ^ b as u64).wrapping_mul(0x100000001b3);
@@ -116,7 +116,13 @@ impl ObjectHandle {
     ) -> Vec<Result<Response, DaosError>> {
         let mut routed: Vec<(u32, u32)> = shards.map(|s| self.route(s)).collect();
         routed.sort_by_key(|&(engine, _)| engine);
-        let reqs = routed.chunk_by(|a, b| a.0 == b.0).map(|on_engine| {
+        let same_engine = |a: &(u32, u32), b: &(u32, u32)| a.0 == b.0;
+        // counted first, so the fan-out is sized exactly
+        let engines = routed.chunk_by(same_engine).count();
+        let mut groups = routed.chunk_by(same_engine);
+        let reqs = (0..engines).map(|_| {
+            // INVARIANT: `engines` counted exactly these groups.
+            let on_engine = groups.next().expect("one group per engine");
             let targets = on_engine.iter().map(|&(_, target)| target).collect();
             (on_engine[0].0, build(targets))
         });

@@ -32,9 +32,10 @@ use std::rc::Rc;
 use daos_fabric::{Endpoint, Fabric, Incoming, NodeId};
 use daos_media::MediaSet;
 use daos_placement::ObjectId;
+use daos_sim::sync::OneshotSender;
 use daos_sim::time::SimDuration;
 use daos_sim::units::Bandwidth;
-use daos_sim::{join_inline, Pipe, SharedPipe, Sim};
+use daos_sim::{join_inline, Pipe, ReplySlots, SharedPipe, Sim};
 use daos_vos::target::VosConfig;
 use daos_vos::VosTarget;
 
@@ -158,7 +159,7 @@ impl Default for EngineConfig {
 
 /// Control-plane requests the engine forwards to a co-located pool-service
 /// replica (if any): `(request, reply)` pairs.
-pub type ControlQueue = daos_sim::Mailbox<(Request, daos_sim::sync::OneshotSender<Response>)>;
+pub type ControlQueue = daos_sim::Mailbox<(Request, OneshotSender<Response>)>;
 
 /// A DAOS engine bound to one fabric node.
 pub struct Engine {
@@ -168,6 +169,8 @@ pub struct Engine {
     targets: Vec<Rc<VosTarget>>,
     endpoint: Rc<Endpoint<Rpc, Response>>,
     control: ControlQueue,
+    /// One slot per control request awaiting the replica's answer.
+    control_replies: ReplySlots<Response>,
     has_replica: Cell<bool>,
     /// Whether the engine process is up. A crashed engine stops answering
     /// (its endpoint goes offline and in-flight requests are dropped
@@ -213,6 +216,7 @@ impl Engine {
                 .collect(),
             endpoint: Endpoint::bind(fabric, node),
             control: daos_sim::Mailbox::new(),
+            control_replies: ReplySlots::new(),
             has_replica: Cell::new(false),
             alive: Cell::new(true),
             map_version: Cell::new(0),
@@ -430,7 +434,7 @@ impl Engine {
         if !self.has_replica.get() {
             return Response::Err(DaosError::NotLeader { hint: None });
         }
-        let (tx, rx) = daos_sim::oneshot();
+        let (tx, rx) = self.control_replies.channel();
         self.control.send((req, tx));
         match rx.await {
             Ok(r) => r,
@@ -471,9 +475,9 @@ impl Engine {
         let lead = oid.map_or(0, |o| o.mix() % targets.len().max(1) as u64);
         let visits = targets
             .iter()
-            .zip(0u64..)
-            .map(|(&t, i)| self.serve_data(sim, t, tenant, req, i == lead));
-        let replies = join_inline(visits.collect()).await;
+            .enumerate()
+            .map(|(i, &t)| self.serve_data(sim, t, tenant, req, i as u64 == lead));
+        let replies = join_inline(visits).await;
         replies
             .into_iter()
             .reduce(Response::merge)

@@ -11,7 +11,8 @@ use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
-use daos_sim::Sim;
+use daos_sim::sync::OneshotSender;
+use daos_sim::{ReplySlots, Sim};
 
 use crate::qos::{Drr, QosParams, TokenBucket, BG_TENANT};
 
@@ -57,7 +58,7 @@ struct XsGate {
     drr: RefCell<Drr>,
     /// Per-tenant FIFO of wakers, parallel to the DRR queues (enqueue
     /// pushes both in the same order, so fronts stay aligned).
-    waiters: RefCell<BTreeMap<u8, VecDeque<daos_sim::sync::OneshotSender<()>>>>,
+    waiters: RefCell<BTreeMap<u8, VecDeque<OneshotSender<()>>>>,
     /// The DRR's current selection, parked while its tenant's token
     /// buckets are short.
     head: Cell<Option<(u8, u64)>>,
@@ -75,6 +76,8 @@ pub(crate) struct QosShaper {
     /// Per-tenant token buckets, lazily created from the tenant's class.
     buckets: RefCell<BTreeMap<u8, TenantBuckets>>,
     gates: Vec<Rc<XsGate>>,
+    /// One slot per request waiting at a gate for its grant.
+    grants: ReplySlots<()>,
     stats: RefCell<BTreeMap<u8, TenantStats>>,
 }
 
@@ -118,6 +121,7 @@ impl QosShaper {
             params,
             buckets: RefCell::new(BTreeMap::new()),
             gates,
+            grants: ReplySlots::new(),
             stats: RefCell::new(BTreeMap::new()),
         })
     }
@@ -241,7 +245,7 @@ impl QosShaper {
         cost: u64,
     ) -> GateGuard {
         let start = sim.now().as_ns();
-        let (tx, rx) = daos_sim::oneshot();
+        let (tx, rx) = self.grants.channel();
         {
             let gate = &self.gates[xs];
             gate.drr.borrow_mut().enqueue(tenant, cost);

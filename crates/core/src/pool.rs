@@ -15,8 +15,9 @@ use daos_fabric::{Endpoint, Fabric, NodeId};
 use daos_placement::TargetId;
 use daos_raft::{Apply, Config as RaftConfig, Message, Raft, Role};
 use daos_sim::executor::join_all;
+use daos_sim::sync::OneshotSender;
 use daos_sim::time::SimDuration;
-use daos_sim::Sim;
+use daos_sim::{ReplySlots, Sim};
 
 use crate::engine::ControlQueue;
 use crate::proto::{DaosError, Request, Response, Rpc};
@@ -237,7 +238,10 @@ pub struct PoolReplica {
     raft_id: u64,
     raft: RefCell<Raft<PoolOp>>,
     state: RefCell<PoolState>,
-    pending: RefCell<BTreeMap<u64, daos_sim::sync::OneshotSender<Response>>>,
+    pending: RefCell<BTreeMap<u64, OneshotSender<Response>>>,
+    /// Reply slots for the ops the replica proposes on its own (the
+    /// failure detector's exclusions), whose answers nobody awaits.
+    own_replies: ReplySlots<Response>,
     raft_ep: Rc<Endpoint<RaftWire, ()>>,
     /// raft id -> endpoint of that replica (filled once all are built).
     peers: RefCell<BTreeMap<u64, Rc<Endpoint<RaftWire, ()>>>>,
@@ -323,12 +327,7 @@ impl PoolReplica {
         }
     }
 
-    fn handle_control(
-        self: &Rc<Self>,
-        sim: &Sim,
-        req: Request,
-        reply: daos_sim::sync::OneshotSender<Response>,
-    ) {
+    fn handle_control(self: &Rc<Self>, sim: &Sim, req: Request, reply: OneshotSender<Response>) {
         let op = match req {
             Request::PoolConnect => PoolOp::Connect,
             Request::ContCreate { cont } => PoolOp::ContCreate(cont),
@@ -459,6 +458,7 @@ pub fn spawn_pool_service(
                 raft: RefCell::new(Raft::new(RaftConfig::new(*id, ids.clone()), 0xDA05)),
                 state: RefCell::new(PoolState::default()),
                 pending: RefCell::new(BTreeMap::new()),
+                own_replies: ReplySlots::new(),
                 raft_ep: Endpoint::bind(Rc::clone(fabric), *node),
                 peers: RefCell::new(BTreeMap::new()),
                 node: *node,
@@ -577,7 +577,7 @@ pub fn spawn_pool_service(
                         .filter(|t| !excluded.contains(t))
                         .collect();
                     if *m >= hb.suspect && !dark.is_empty() && proposed.insert(idx) {
-                        let (tx, _rx) = daos_sim::oneshot();
+                        let (tx, _rx) = r.own_replies.channel();
                         r.handle_control(&s, Request::PoolExclude { targets: dark }, tx);
                     }
                 }

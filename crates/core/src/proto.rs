@@ -135,7 +135,7 @@ pub fn array_akey() -> Key {
 /// Array chunk `chunk`'s dkey: the index big-endian, so dkeys sort in
 /// chunk order.
 pub fn chunk_dkey(chunk: u64) -> Key {
-    chunk.to_be_bytes().to_vec()
+    key(chunk.to_be_bytes())
 }
 
 /// The chunk index an array dkey encodes (`None`: not an array dkey).
@@ -531,6 +531,14 @@ mod tests {
             csum: None,
         };
         assert_eq!(r.bulk_out(), 100);
+    }
+
+    /// Keys are values the size of a `Vec<u8>`, so the request every
+    /// future of a call chain carries does not grow past two cache lines.
+    #[test]
+    fn a_request_stays_two_cache_lines() {
+        assert_eq!(size_of::<Key>(), size_of::<Vec<u8>>());
+        assert!(size_of::<Request>() <= 128, "{}", size_of::<Request>());
     }
 
     #[test]

@@ -13,7 +13,7 @@ use daos_placement::{ObjectClass, ObjectId};
 use daos_sim::executor::join_all;
 use daos_sim::units::KIB;
 use daos_sim::Sim;
-use daos_vos::Payload;
+use daos_vos::{key, Payload};
 
 fn testbed(queue_cap: Option<u32>, inflight_cap: Option<u64>) -> ClusterConfig {
     let mut cfg = ClusterConfig::tiny(1);
@@ -31,8 +31,8 @@ fn raw_update(target: u32, len: u64) -> Request {
         target,
         cont: 1,
         oid: ObjectId::new(3, 3),
-        dkey: 0u64.to_be_bytes().to_vec(),
-        akey: vec![0],
+        dkey: key(0u64.to_be_bytes()),
+        akey: key([0]),
         offset: 0,
         data,
         csum,
@@ -147,8 +147,8 @@ fn inflight_cap_boundary_is_exact_and_ignores_headers() {
                     target: 0,
                     cont: 1,
                     oid: ObjectId::new(3, 3),
-                    dkey: 0u64.to_be_bytes().to_vec(),
-                    akey: vec![0],
+                    dkey: key(0u64.to_be_bytes()),
+                    akey: key([0]),
                     offset: 0,
                     len: 64 * KIB,
                     epoch: u64::MAX,

@@ -7,7 +7,7 @@ use daos_core::{Cluster, ClusterConfig, DaosClient, DaosError};
 use daos_placement::{ObjectClass, ObjectId};
 use daos_sim::units::MIB;
 use daos_sim::Sim;
-use daos_vos::Payload;
+use daos_vos::{key, Payload};
 
 fn tiny() -> (Sim, ClusterConfig) {
     (Sim::new(0xDA05), ClusterConfig::tiny(1))
@@ -95,7 +95,7 @@ fn kv_put_get_round_trip() {
         let v = kv.get(&sim, "alpha").await.unwrap().unwrap();
         assert_eq!(&v.materialize()[..], &[9, 9]);
         let keys = kv.list(&sim).await.unwrap();
-        assert_eq!(keys, vec![b"alpha".to_vec(), b"beta".to_vec()]);
+        assert_eq!(keys, vec![key("alpha"), key("beta")]);
     });
 }
 

@@ -15,7 +15,7 @@ use daos_placement::ObjectId;
 use daos_sim::executor::join_all;
 use daos_sim::units::{KIB, MIB};
 use daos_sim::Sim;
-use daos_vos::Payload;
+use daos_vos::{key, Payload};
 
 /// A raw array write of `len` pattern bytes to engine-local `target`.
 fn raw_update(target: u32, len: u64) -> Request {
@@ -25,8 +25,8 @@ fn raw_update(target: u32, len: u64) -> Request {
         target,
         cont: 1,
         oid: ObjectId::new(3, 3),
-        dkey: 0u64.to_be_bytes().to_vec(),
-        akey: vec![0],
+        dkey: key(0u64.to_be_bytes()),
+        akey: key([0]),
         offset: 0,
         data,
         csum,
@@ -39,8 +39,8 @@ fn raw_fetch(target: u32, len: u64) -> Request {
         target,
         cont: 1,
         oid: ObjectId::new(3, 3),
-        dkey: 0u64.to_be_bytes().to_vec(),
-        akey: vec![0],
+        dkey: key(0u64.to_be_bytes()),
+        akey: key([0]),
         offset: 0,
         len,
         epoch: u64::MAX,

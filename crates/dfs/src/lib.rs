@@ -19,6 +19,7 @@
 #![forbid(unsafe_code)]
 
 use std::cell::Cell;
+use std::io::Write;
 use std::rc::Rc;
 
 use daos_core::{ContainerHandle, DaosError, PoolHandle};
@@ -65,9 +66,11 @@ impl DirEntry {
         v.extend_from_slice(&self.oid.hi.to_le_bytes());
         v.extend_from_slice(&self.oid.lo.to_le_bytes());
         v.extend_from_slice(&self.chunk_size.to_le_bytes());
-        let name = self.class.name();
-        v.push(name.len() as u8);
-        v.extend_from_slice(name.as_bytes());
+        // the class name, after its length byte
+        v.push(0);
+        // INVARIANT: formatting into a `Vec` cannot fail.
+        write!(v, "{}", self.class).expect("write to a Vec");
+        v[25] = (v.len() - 26) as u8;
         if let Some(t) = &self.link_target {
             v.extend_from_slice(&(t.len() as u16).to_le_bytes());
             v.extend_from_slice(t.as_bytes());
@@ -117,6 +120,12 @@ impl DirEntry {
             link_target,
         })
     }
+}
+
+/// A stored dirent; one that does not decode is damage.
+fn decode(v: &Payload) -> Result<DirEntry, DaosError> {
+    DirEntry::from_bytes(&v.materialize())
+        .ok_or_else(|| DaosError::CorruptMetadata("corrupt dirent".into()))
 }
 
 /// Mount-time configuration.
@@ -275,8 +284,7 @@ impl Dfs {
             let Some(v) = kv.get(sim, comp).await? else {
                 return Err(DaosError::Other(format!("no such directory: {comp}")));
             };
-            let ent = DirEntry::from_bytes(&v.materialize())
-                .ok_or_else(|| DaosError::CorruptMetadata("corrupt dirent".into()))?;
+            let ent = decode(&v)?;
             if ent.kind != EntryKind::Dir {
                 return Err(DaosError::Other(format!("not a directory: {comp}")));
             }
@@ -301,9 +309,7 @@ impl Dfs {
         match v.filter(|v| !v.is_empty()) {
             None => Ok(None),
             // a present-but-undecodable entry is damage, not absence
-            Some(v) => DirEntry::from_bytes(&v.materialize())
-                .map(Some)
-                .ok_or_else(|| DaosError::CorruptMetadata("corrupt dirent".into())),
+            Some(v) => decode(&v).map(Some),
         }
     }
 
@@ -386,8 +392,7 @@ impl Dfs {
         // open-or-create semantics: IOR reuses files across phases, and
         // shared-file mode has every rank "creating" the same file
         if let Some(v) = kv.get(sim, name).await?.filter(|v| !v.is_empty()) {
-            let ent = DirEntry::from_bytes(&v.materialize())
-                .ok_or_else(|| DaosError::CorruptMetadata("corrupt dirent".into()))?;
+            let ent = decode(&v)?;
             if ent.kind == EntryKind::File {
                 return Ok(self.file_from(ent));
             }
@@ -475,8 +480,7 @@ impl Dfs {
         let Some(v) = kv.get(sim, name).await?.filter(|v| !v.is_empty()) else {
             return Err(DaosError::Other(format!("no such file: {path}")));
         };
-        let ent = DirEntry::from_bytes(&v.materialize())
-            .ok_or_else(|| DaosError::CorruptMetadata("corrupt dirent".into()))?;
+        let ent = decode(&v)?;
         if ent.kind == EntryKind::Dir && !self.entries(sim, ent.oid).await?.is_empty() {
             return Err(DaosError::Other(format!("directory not empty: {path}")));
         }
@@ -485,7 +489,11 @@ impl Dfs {
         Ok(())
     }
 
-    /// Rename a file or directory within the namespace.
+    /// Rename a file or directory within the namespace, as `rename(2)`
+    /// does: an entry renamed onto itself stays; an existing target is
+    /// replaced only by an entry of its own kind, and a directory only
+    /// while it is empty (a refusal changes nothing); the replaced entry's
+    /// object is punched once the move is done.
     pub async fn rename(&self, sim: &Sim, from: &str, to: &str) -> Result<(), DaosError> {
         let (fp, fname) = self.resolve_parent(sim, from).await?;
         let fkv = self.dir_kv(fp);
@@ -493,14 +501,84 @@ impl Dfs {
             return Err(DaosError::Other(format!("no such path: {from}")));
         };
         let (tp, tname) = self.resolve_parent(sim, to).await?;
-        self.dir_kv(tp).put(sim, tname, v).await?;
-        fkv.put(sim, fname, Payload::bytes(Vec::new())).await
+        if (fp, fname) == (tp, tname) {
+            return Ok(());
+        }
+        let tkv = self.dir_kv(tp);
+        let replaced = match tkv.get(sim, tname).await?.filter(|v| !v.is_empty()) {
+            None => None,
+            Some(old) => {
+                let (moving, old) = (decode(&v)?, decode(&old)?);
+                let refusal = match (moving.kind == EntryKind::Dir, old.kind == EntryKind::Dir) {
+                    (true, false) => Some("not a directory"),
+                    (false, true) => Some("is a directory"),
+                    (true, true) if !self.entries(sim, old.oid).await?.is_empty() => {
+                        Some("directory not empty")
+                    }
+                    _ => None,
+                };
+                if let Some(why) = refusal {
+                    return Err(DaosError::Other(format!("{why}: {to}")));
+                }
+                Some(old)
+            }
+        };
+        tkv.put(sim, tname, v).await?;
+        fkv.put(sim, fname, Payload::bytes(Vec::new())).await?;
+        if let Some(old) = replaced {
+            self.cont.object(old.oid, old.class).punch(sim).await?;
+        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The class name inside a dirent decodes however it is spelt: the
+    /// canonical name, lower case, mixed case, or padded with blanks.
+    #[test]
+    fn dirent_class_names_decode_in_any_case_and_padding() {
+        let classes = [
+            ObjectClass::S1,
+            ObjectClass::Sharded(512),
+            ObjectClass::SX,
+            ObjectClass::RP_3G1,
+            ObjectClass::RP_2GX,
+            ObjectClass::EC_2P1GX,
+            ObjectClass::ErasureCoded {
+                data: 16,
+                parity: 2,
+                groups: Some(7),
+            },
+        ];
+        for class in classes {
+            let e = DirEntry {
+                kind: EntryKind::File,
+                oid: ObjectId::new(7, 9),
+                chunk_size: 4096,
+                class,
+                link_target: None,
+            };
+            let bytes = e.to_bytes();
+            assert_eq!(DirEntry::from_bytes(&bytes).as_ref(), Some(&e));
+            let name = class.to_string();
+            assert_eq!(&bytes[26..], name.as_bytes());
+            let (head, tail) = name.split_at(name.len() / 2);
+            let mixed = format!("{}{tail}", head.to_ascii_lowercase());
+            for spelt in [name.to_ascii_lowercase(), format!("  {name}\t"), mixed] {
+                let mut respelt = bytes[..25].to_vec();
+                respelt.push(spelt.len() as u8);
+                respelt.extend_from_slice(spelt.as_bytes());
+                assert_eq!(
+                    DirEntry::from_bytes(&respelt).as_ref(),
+                    Some(&e),
+                    "{spelt:?}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn dirent_round_trip() {

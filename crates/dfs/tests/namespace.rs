@@ -109,6 +109,123 @@ fn rename_moves_entries_across_directories() {
     });
 }
 
+/// Renaming an entry onto itself is a no-op: the entry, its object and
+/// its data all stay.
+#[test]
+fn rename_onto_itself_keeps_the_entry() {
+    let mut sim = Sim::new(0xD5A);
+    sim.block_on(|sim| async move {
+        let fs = fs(&sim).await;
+        fs.mkdir(&sim, "/d").await.unwrap();
+        let f = fs.create(&sim, "/d/f", ObjectClass::S1, MIB).await.unwrap();
+        f.write(&sim, 0, Payload::pattern(5, KIB)).await.unwrap();
+        fs.rename(&sim, "/d/f", "/d/f").await.unwrap();
+        fs.rename(&sim, "/d", "/d/").await.unwrap();
+        assert_eq!(fs.readdir(&sim, "/d").await.unwrap(), ["f"]);
+        let g = fs.open(&sim, "/d/f").await.unwrap();
+        assert_eq!(g.oid(), f.oid());
+        assert_eq!(
+            g.read_bytes(&sim, 0, KIB).await.unwrap(),
+            Payload::pattern(5, KIB).materialize().to_vec()
+        );
+    });
+}
+
+/// Renaming a file onto another replaces it, as `rename(2)` does: the
+/// replaced file's object is punched, not orphaned.
+#[test]
+fn rename_onto_a_file_punches_the_file_it_replaces() {
+    let mut sim = Sim::new(0xD5B);
+    sim.block_on(|sim| async move {
+        let fs = fs(&sim).await;
+        let moved = fs.create(&sim, "/a", ObjectClass::S1, MIB).await.unwrap();
+        moved
+            .write(&sim, 0, Payload::pattern(1, KIB))
+            .await
+            .unwrap();
+        let replaced = fs.create(&sim, "/b", ObjectClass::S2, MIB).await.unwrap();
+        replaced
+            .write(&sim, 0, Payload::pattern(2, KIB))
+            .await
+            .unwrap();
+        fs.rename(&sim, "/a", "/b").await.unwrap();
+        assert_eq!(fs.readdir(&sim, "/").await.unwrap(), ["b"]);
+        assert_eq!(fs.open(&sim, "/b").await.unwrap().oid(), moved.oid());
+        assert_eq!(
+            replaced.size(&sim).await.unwrap(),
+            0,
+            "the old /b is punched"
+        );
+        let gone = replaced.read_bytes(&sim, 0, KIB).await.unwrap();
+        assert!(gone.iter().all(|&b| b == 0));
+    });
+}
+
+/// A directory may replace only an empty directory, and a file only a
+/// file: a refused rename changes nothing. Replacing an empty directory
+/// punches it.
+#[test]
+fn rename_onto_a_directory_needs_it_empty_and_of_the_same_kind() {
+    let mut sim = Sim::new(0xD5C);
+    sim.block_on(|sim| async move {
+        let fs = fs(&sim).await;
+        fs.mkdir(&sim, "/src").await.unwrap();
+        fs.create(&sim, "/src/inner", ObjectClass::S1, MIB)
+            .await
+            .unwrap();
+        fs.mkdir(&sim, "/full").await.unwrap();
+        let child = fs
+            .create(&sim, "/full/kept", ObjectClass::S1, MIB)
+            .await
+            .unwrap();
+        child
+            .write(&sim, 0, Payload::pattern(3, KIB))
+            .await
+            .unwrap();
+        // empty, with the tombstone of an unlinked child to show its punch
+        fs.mkdir(&sim, "/empty").await.unwrap();
+        fs.create(&sim, "/empty/gone", ObjectClass::S1, MIB)
+            .await
+            .unwrap();
+        fs.unlink(&sim, "/empty/gone").await.unwrap();
+        fs.create(&sim, "/file", ObjectClass::S1, MIB)
+            .await
+            .unwrap();
+
+        for (from, to, why) in [
+            ("/src", "/full", "not empty"),
+            ("/src", "/file", "not a directory"),
+            ("/file", "/empty", "is a directory"),
+        ] {
+            let refused = fs.rename(&sim, from, to).await;
+            assert!(
+                matches!(&refused, Err(daos_core::DaosError::Other(m)) if m.contains(why)),
+                "{from} -> {to}: {refused:?}"
+            );
+        }
+        assert_eq!(
+            fs.readdir(&sim, "/").await.unwrap(),
+            ["empty", "file", "full", "src"]
+        );
+        assert_eq!(fs.readdir(&sim, "/full").await.unwrap(), ["kept"]);
+        assert_eq!(fs.stat(&sim, "/full/kept").await.unwrap().size, KIB);
+
+        let empty = fs.lookup(&sim, "/empty").await.unwrap().unwrap();
+        let old = fs.container().object(empty.oid, empty.class);
+        assert_eq!(old.list_dkeys(&sim).await.unwrap().len(), 1, "a tombstone");
+        fs.rename(&sim, "/src", "/empty").await.unwrap();
+        assert_eq!(fs.readdir(&sim, "/empty").await.unwrap(), ["inner"]);
+        assert_eq!(
+            fs.readdir(&sim, "/").await.unwrap(),
+            ["empty", "file", "full"]
+        );
+        assert!(
+            old.list_dkeys(&sim).await.unwrap().is_empty(),
+            "the old /empty is punched"
+        );
+    });
+}
+
 #[test]
 fn unlink_removes_and_frees() {
     let mut sim = Sim::new(0xD54);

@@ -34,9 +34,10 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
+use daos_sim::sync::OneshotSender;
 use daos_sim::time::{SimDuration, SimTime};
 use daos_sim::units::{Bandwidth, Bytes};
-use daos_sim::{Pipe, SharedPipe, Sim};
+use daos_sim::{Pipe, ReplySlots, SharedPipe, Sim};
 
 /// Index of a node on the fabric.
 pub type NodeId = usize;
@@ -333,7 +334,7 @@ pub struct Incoming<Req, Rsp> {
     pub req: Req,
     /// Payload size the caller attached (already charged on the wire).
     pub bulk_in: u64,
-    reply: daos_sim::sync::OneshotSender<(Rsp, u64)>,
+    reply: OneshotSender<(Rsp, u64)>,
 }
 
 impl<Req, Rsp> Incoming<Req, Rsp> {
@@ -364,7 +365,7 @@ pub struct Responder<Rsp> {
     pub from: NodeId,
     /// Payload size the caller attached (already charged on the wire).
     pub bulk_in: u64,
-    reply: daos_sim::sync::OneshotSender<(Rsp, u64)>,
+    reply: OneshotSender<(Rsp, u64)>,
 }
 
 impl<Rsp> Responder<Rsp> {
@@ -383,6 +384,9 @@ pub struct Endpoint<Req, Rsp> {
     fabric: Rc<Fabric>,
     node: NodeId,
     inbox: daos_sim::Mailbox<Incoming<Req, Rsp>>,
+    /// One reply slot per call awaiting its response: a call frees its
+    /// slot when it returns or is dropped, whatever the server does.
+    replies: ReplySlots<(Rsp, u64)>,
     /// Fixed request header size on the wire.
     header: u64,
     calls: RefCell<u64>,
@@ -398,6 +402,7 @@ impl<Req: 'static, Rsp: 'static> Endpoint<Req, Rsp> {
             fabric,
             node,
             inbox: daos_sim::Mailbox::new(),
+            replies: ReplySlots::new(),
             header: 256,
             calls: RefCell::new(0),
             online: Cell::new(true),
@@ -417,6 +422,11 @@ impl<Req: 'static, Rsp: 'static> Endpoint<Req, Rsp> {
     /// Number of calls served so far.
     pub fn call_count(&self) -> u64 {
         *self.calls.borrow()
+    }
+
+    /// Reply slots held right now: the calls awaiting a response.
+    pub fn replies_held(&self) -> usize {
+        self.replies.held()
     }
 
     /// Receive the next incoming RPC (server side). `None` once closed.
@@ -465,7 +475,7 @@ impl<Req: 'static, Rsp: 'static> Endpoint<Req, Rsp> {
             return Err(daos_sim::sync::Closed);
         }
         self.wire(sim, from_node, self.node, bulk_in).await;
-        let (tx, rx) = daos_sim::oneshot();
+        let (tx, rx) = self.replies.channel();
         self.inbox.send(Incoming {
             from: from_node,
             req,
@@ -500,7 +510,7 @@ impl<Req: 'static, Rsp: 'static> Endpoint<Req, Rsp> {
         }
         let attempt = async {
             self.wire(sim, from_node, self.node, bulk_in).await;
-            let (tx, rx) = daos_sim::oneshot();
+            let (tx, rx) = self.replies.channel();
             self.inbox.send(Incoming {
                 from: from_node,
                 req,

@@ -127,37 +127,40 @@ impl ObjectClass {
         groups: None,
     };
 
-    /// Parse the DAOS-style class name (`"S2"`, `"SX"`, `"RP_2GX"`, `"EC_2P1GX"`).
+    /// Parse the DAOS-style class name (`"S2"`, `"SX"`, `"RP_2GX"`,
+    /// `"EC_2P1GX"`), ignoring ASCII case and surrounding whitespace.
+    /// Allocates nothing: every dirent a DFS lookup decodes parses one.
     pub fn parse(s: &str) -> Option<ObjectClass> {
-        let s = s.trim().to_ascii_uppercase();
-        if s == "SX" {
+        /// `s` without the prefix `p`, in any case.
+        fn strip<'s>(s: &'s str, p: &str) -> Option<&'s str> {
+            let head = s.get(..p.len())?;
+            head.eq_ignore_ascii_case(p).then(|| &s[p.len()..])
+        }
+        let s = s.trim();
+        let groups = |g: &str| match g.eq_ignore_ascii_case("X") {
+            true => Some(None),
+            false => g.parse().ok().map(Some),
+        };
+        if s.eq_ignore_ascii_case("SX") {
             return Some(ObjectClass::ShardedMax);
         }
-        if let Some(n) = s.strip_prefix('S').and_then(|r| r.parse::<u16>().ok()) {
+        if let Some(n) = strip(s, "S").and_then(|r| r.parse::<u16>().ok()) {
             return Some(ObjectClass::Sharded(n.max(1)));
         }
-        if let Some(rest) = s.strip_prefix("RP_") {
-            let (r, g) = rest.split_once('G')?;
-            let replicas = r.parse::<u16>().ok()?;
-            let groups = if g == "X" {
-                None
-            } else {
-                Some(g.parse().ok()?)
-            };
-            return Some(ObjectClass::Replicated { replicas, groups });
+        if let Some(rest) = strip(s, "RP_") {
+            let (r, g) = rest.split_once(['G', 'g'])?;
+            return Some(ObjectClass::Replicated {
+                replicas: r.parse().ok()?,
+                groups: groups(g)?,
+            });
         }
-        if let Some(rest) = s.strip_prefix("EC_") {
-            let (kp, g) = rest.split_once('G')?;
-            let (k, p) = kp.split_once('P')?;
-            let groups = if g == "X" {
-                None
-            } else {
-                Some(g.parse().ok()?)
-            };
+        if let Some(rest) = strip(s, "EC_") {
+            let (kp, g) = rest.split_once(['G', 'g'])?;
+            let (k, p) = kp.split_once(['P', 'p'])?;
             return Some(ObjectClass::ErasureCoded {
                 data: k.parse().ok()?,
                 parity: p.parse().ok()?,
-                groups,
+                groups: groups(g)?,
             });
         }
         None
@@ -165,22 +168,7 @@ impl ObjectClass {
 
     /// Canonical class name.
     pub fn name(&self) -> String {
-        match self {
-            ObjectClass::Sharded(n) => format!("S{n}"),
-            ObjectClass::ShardedMax => "SX".to_string(),
-            ObjectClass::Replicated { replicas, groups } => match groups {
-                Some(g) => format!("RP_{replicas}G{g}"),
-                None => format!("RP_{replicas}GX"),
-            },
-            ObjectClass::ErasureCoded {
-                data,
-                parity,
-                groups,
-            } => match groups {
-                Some(g) => format!("EC_{data}P{parity}G{g}"),
-                None => format!("EC_{data}P{parity}GX"),
-            },
-        }
+        self.to_string()
     }
 
     /// Number of cells (targets touched) per stripe group.
@@ -221,9 +209,25 @@ impl ObjectClass {
     }
 }
 
+/// The canonical class name, written straight to the formatter.
 impl std::fmt::Display for ObjectClass {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.name())
+        match self {
+            ObjectClass::Sharded(n) => write!(f, "S{n}"),
+            ObjectClass::ShardedMax => write!(f, "SX"),
+            ObjectClass::Replicated { replicas, groups } => match groups {
+                Some(g) => write!(f, "RP_{replicas}G{g}"),
+                None => write!(f, "RP_{replicas}GX"),
+            },
+            ObjectClass::ErasureCoded {
+                data,
+                parity,
+                groups,
+            } => match groups {
+                Some(g) => write!(f, "EC_{data}P{parity}G{g}"),
+                None => write!(f, "EC_{data}P{parity}GX"),
+            },
+        }
     }
 }
 
@@ -602,15 +606,51 @@ mod tests {
         PoolMap::new(16, 8)
     }
 
+    /// Every class this crate can name, a few of each shape.
+    fn every_class() -> Vec<ObjectClass> {
+        let groups = [None, Some(1), Some(4), Some(12)];
+        let sharded = [1, 2, 4, 8, 300].map(ObjectClass::Sharded);
+        let replicated = [2, 3, 4]
+            .into_iter()
+            .flat_map(|replicas| groups.map(|groups| ObjectClass::Replicated { replicas, groups }));
+        let coded = [(2, 1), (4, 2), (8, 2), (16, 3)]
+            .into_iter()
+            .flat_map(|(data, parity)| {
+                groups.map(|groups| ObjectClass::ErasureCoded {
+                    data,
+                    parity,
+                    groups,
+                })
+            });
+        let mut all = vec![ObjectClass::SX];
+        all.extend(sharded.into_iter().chain(replicated).chain(coded));
+        all
+    }
+
+    /// Every class survives its name, in any ASCII case and with blanks
+    /// around it; what is not a class name parses to nothing.
     #[test]
     fn class_parsing_round_trips() {
+        for c in every_class() {
+            let name = c.name();
+            assert_eq!(c.to_string(), name);
+            let lower = name.to_ascii_lowercase();
+            let (head, tail) = name.split_at(name.len() / 2);
+            let mixed = format!("{}{tail}", head.to_ascii_lowercase());
+            for spelling in [name.clone(), lower, mixed, format!(" \t{name}  ")] {
+                assert_eq!(ObjectClass::parse(&spelling), Some(c), "{spelling:?}");
+            }
+        }
         for name in [
             "S1", "S2", "S4", "S8", "SX", "RP_2GX", "RP_3G1", "EC_2P1GX", "EC_4P2G4",
         ] {
-            let c = ObjectClass::parse(name).unwrap();
-            assert_eq!(c.name(), name);
+            assert_eq!(ObjectClass::parse(name).unwrap().name(), name);
         }
-        assert_eq!(ObjectClass::parse("garbage"), None);
+        for junk in [
+            "garbage", "", "S", "SY", "RP_2", "RP_GX", "rp_2gy", "EC_2P1", "EC_2GX", "é",
+        ] {
+            assert_eq!(ObjectClass::parse(junk), None, "{junk:?}");
+        }
     }
 
     #[test]

@@ -14,15 +14,21 @@ use std::task::{Context, Poll};
 
 /// Future returned by [`join_inline`].
 pub struct JoinInline<F: Future> {
-    /// The children, pinned in one allocation for the join's lifetime.
-    futs: Pin<Box<[F]>>,
-    /// `outs[i]` is `Some` once `futs[i]` has completed; a completed
-    /// child is never polled again.
-    outs: Vec<Option<F::Output>>,
+    /// One slot per child, pinned in one allocation for the join's
+    /// lifetime: the child until it completes, then its output.
+    slots: Pin<Box<[Slot<F>]>>,
 }
 
-/// Await every future in `futs` concurrently *inside the calling task*,
-/// collecting outputs in submission order.
+/// A child of a join, then what it returned.
+enum Slot<F: Future> {
+    Running(F),
+    Done(F::Output),
+    /// The output went to the join's caller.
+    Taken,
+}
+
+/// Await every future `futs` yields concurrently *inside the calling
+/// task*, collecting outputs in submission order.
 ///
 /// Nothing is spawned: the children share the caller's waker, and every
 /// wake of the caller polls the unfinished children in index order, so
@@ -32,15 +38,25 @@ pub struct JoinInline<F: Future> {
 /// children all complete on that first poll (an empty one, or one child
 /// that never waits) completes without yielding. Dropping the join drops
 /// the unfinished children, releasing whatever they hold.
-pub fn join_inline<F: Future>(futs: Vec<F>) -> JoinInline<F> {
+///
+/// A join allocates twice, each at its exact size: the slots, built
+/// straight from `futs`, and the output vector.
+pub fn join_inline<I>(futs: I) -> JoinInline<I::Item>
+where
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator,
+    I::Item: Future,
+{
+    let futs = futs.into_iter();
+    let mut slots = Vec::with_capacity(futs.len());
+    slots.extend(futs.map(Slot::Running));
     JoinInline {
-        outs: futs.iter().map(|_| None).collect(),
-        futs: Box::into_pin(futs.into_boxed_slice()),
+        slots: Box::into_pin(slots.into_boxed_slice()),
     }
 }
 
-// The children are pinned by their box, not by the join, and the outputs
-// are plain values nothing pins: moving the join moves neither.
+// The children are pinned by their box, not by the join: moving the join
+// moves none of them.
 impl<F: Future> Unpin for JoinInline<F> {}
 
 impl<F: Future> Future for JoinInline<F> {
@@ -48,26 +64,32 @@ impl<F: Future> Future for JoinInline<F> {
 
     #[allow(unsafe_code)]
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        // SAFETY: this `&mut [F]` is used for nothing but re-pinning its
-        // elements where they stand (below): none is moved out of, swapped
-        // within or replaced in the box, which drops them in place.
-        let futs = unsafe { this.futs.as_mut().get_unchecked_mut() };
+        // SAFETY: these `&mut Slot<F>` never move a running child: one is
+        // re-pinned where it stands (below), and a slot is only ever
+        // overwritten in place, as `Pin::set` does — the child dropped
+        // where it stands — or has a finished child's unpinned output moved
+        // out of it.
+        let slots = unsafe { self.get_mut().slots.as_mut().get_unchecked_mut() };
         let mut pending = false;
-        for (fut, out) in futs.iter_mut().zip(&mut this.outs) {
-            if out.is_none() {
-                // SAFETY: `fut` is an element of the pinned box, which
-                // never moves it (see above).
-                match unsafe { Pin::new_unchecked(fut) }.poll(cx) {
-                    Poll::Ready(v) => *out = Some(v),
-                    Poll::Pending => pending = true,
-                }
+        for slot in slots.iter_mut() {
+            let Slot::Running(fut) = slot else { continue };
+            // SAFETY: `fut` is inside the pinned box, which never moves it
+            // (see above).
+            match unsafe { Pin::new_unchecked(fut) }.poll(cx) {
+                Poll::Ready(v) => *slot = Slot::Done(v),
+                Poll::Pending => pending = true,
             }
         }
         if pending {
             return Poll::Pending;
         }
-        Poll::Ready(this.outs.drain(..).flatten().collect())
+        let take = |slot: &mut Slot<F>| match std::mem::replace(slot, Slot::Taken) {
+            Slot::Done(v) => v,
+            // INVARIANT: nothing is pending, so every slot is done, and a
+            // join is not polled again once it has returned its outputs.
+            _ => panic!("join polled after completion"),
+        };
+        Poll::Ready(slots.iter_mut().map(take).collect())
     }
 }
 
@@ -91,14 +113,14 @@ mod tests {
         let mut sim = Sim::new(7);
         let vals = sim.block_on(|sim| async move {
             // later indices sleep *less*, finishing first
-            let futs = (0..10u64).map(|i| {
+            let futs = (0..10u32).map(|i| {
                 let s = sim.clone();
                 async move {
-                    s.sleep_us(10 - i).await;
+                    s.sleep_us(10 - u64::from(i)).await;
                     i
                 }
             });
-            join_inline(futs.collect()).await
+            join_inline(futs).await
         });
         assert_eq!(vals, (0..10).collect::<Vec<_>>());
     }
@@ -109,7 +131,7 @@ mod tests {
         sim.block_on(|sim| async move {
             let spawned = sim.spawned_total();
             let futs = (0..3).map(|_| sim.sleep_us(10));
-            join_inline(futs.collect()).await;
+            join_inline(futs).await;
             assert_eq!(sim.now(), SimTime::from_us(10), "three sleeps, not 30 us");
             assert_eq!(sim.spawned_total(), spawned, "no task was spawned");
         });
@@ -147,7 +169,7 @@ mod tests {
                     s.sleep_us(10).await;
                 }
             });
-            let mut join = join_inline(futs.collect());
+            let mut join = join_inline(futs);
             assert!(poll_once(&mut join).is_pending());
             assert_eq!((sem.available(), sem.queue_len()), (0, 1));
             drop(join);
@@ -169,15 +191,15 @@ mod tests {
         sim.block_on(|sim| async move {
             // child i first sleeps (3 - i) us, so the timers for the common
             // second deadline are registered in *reverse* index order
-            let futs = (0..4u64).map(|i| {
+            let futs = (0..4u32).map(|i| {
                 let (s, l) = (sim.clone(), Rc::clone(&l));
                 async move {
-                    s.sleep_us(3 - i).await;
+                    s.sleep_us(3 - u64::from(i)).await;
                     s.sleep_until(SimTime::from_us(5)).await;
                     l.borrow_mut().push(i);
                 }
             });
-            join_inline(futs.collect()).await;
+            join_inline(futs).await;
         });
         assert_eq!(*log.borrow(), vec![0, 1, 2, 3]);
     }

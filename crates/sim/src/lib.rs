@@ -3,7 +3,7 @@
 //! A single-threaded async executor driven by a *virtual* clock. Simulated
 //! components are written as ordinary `async` functions that await timers
 //! (`Sim::sleep`), resources ([`Pipe`], [`Semaphore`]) and messages
-//! ([`oneshot`], [`Mailbox`]); the executor advances virtual time from one
+//! ([`ReplySlots`], [`Mailbox`]); the executor advances virtual time from one
 //! scheduled event to the next, so a simulation of hours of I/O runs in
 //! milliseconds of host time and is *bit-for-bit deterministic* for a given
 //! seed.
@@ -43,5 +43,5 @@ pub use fault::{select2, timeout, Either, FaultAction, FaultInjector, FaultPlan}
 pub use join::join_inline;
 pub use pipe::{Pipe, SharedPipe};
 pub use stats::PercentileSketch;
-pub use sync::{oneshot, Mailbox, Semaphore, SemaphorePermit};
+pub use sync::{Mailbox, ReplySlots, Semaphore, SemaphorePermit};
 pub use time::{SimDuration, SimTime};

@@ -24,7 +24,29 @@ impl std::error::Error for Closed {}
 
 // ---------------------------------------------------------------- oneshot
 
-struct OneshotShared<T> {
+/// A slab of oneshot reply slots, owned by whatever issues the replies
+/// (an RPC endpoint, a shaper's grant gate). Each [`ReplySlots::channel`]
+/// lets one slot until its receiver is dropped, so the slab holds as many
+/// slots as there are replies awaited — not one heap block per channel.
+///
+/// A slot is stamped with a generation that moves on every time it is
+/// freed, and a sender carries the stamp it was issued with: a reply sent
+/// after its receiver gave up (a call dropped at its deadline) finds a
+/// newer stamp, or none, and is discarded, never delivered to the slot's
+/// next tenant.
+pub struct ReplySlots<T> {
+    slab: Rc<RefCell<Slab<T>>>,
+}
+
+struct Slab<T> {
+    slots: Vec<Slot<T>>,
+    /// Slots no receiver holds, reused last-freed first.
+    free: Vec<u32>,
+}
+
+struct Slot<T> {
+    /// Bumped each time the slot is freed.
+    gen: u32,
     value: Option<T>,
     waker: Option<Waker>,
     sender_alive: bool,
@@ -32,36 +54,97 @@ struct OneshotShared<T> {
 
 /// Sending half of a oneshot channel (RPC reply slot).
 pub struct OneshotSender<T> {
-    shared: Rc<RefCell<OneshotShared<T>>>,
+    slab: Rc<RefCell<Slab<T>>>,
+    slot: u32,
+    gen: u32,
 }
 
 /// Receiving half of a oneshot channel; a `Future` yielding the value.
+/// Holds its slot until dropped.
 pub struct OneshotReceiver<T> {
-    shared: Rc<RefCell<OneshotShared<T>>>,
+    slab: Rc<RefCell<Slab<T>>>,
+    slot: u32,
 }
 
-/// Create a oneshot channel. The receiver future resolves when the sender
-/// sends, or to `Err(Closed)` if the sender is dropped first.
-pub fn oneshot<T>() -> (OneshotSender<T>, OneshotReceiver<T>) {
-    let shared = Rc::new(RefCell::new(OneshotShared {
-        value: None,
-        waker: None,
-        sender_alive: true,
-    }));
-    (
-        OneshotSender {
-            shared: Rc::clone(&shared),
-        },
-        OneshotReceiver { shared },
-    )
+impl<T> ReplySlots<T> {
+    /// An empty slab.
+    pub fn new() -> Self {
+        ReplySlots {
+            slab: Rc::new(RefCell::new(Slab {
+                slots: Vec::new(),
+                free: Vec::new(),
+            })),
+        }
+    }
+
+    /// Create a oneshot channel in a free slot. The receiver future
+    /// resolves when the sender sends, or to `Err(Closed)` if the sender
+    /// is dropped first.
+    pub fn channel(&self) -> (OneshotSender<T>, OneshotReceiver<T>) {
+        let mut slab = self.slab.borrow_mut();
+        let slot = match slab.free.pop() {
+            Some(slot) => {
+                slab.slots[slot as usize].sender_alive = true;
+                slot
+            }
+            None => {
+                // INVARIANT: more than u32::MAX replies awaited at once
+                // exceeds any simulated cluster by orders of magnitude.
+                let slot = u32::try_from(slab.slots.len()).expect("reply slab overflow");
+                slab.slots.push(Slot {
+                    gen: 0,
+                    value: None,
+                    waker: None,
+                    sender_alive: true,
+                });
+                slot
+            }
+        };
+        let gen = slab.slots[slot as usize].gen;
+        drop(slab);
+        (
+            OneshotSender {
+                slab: Rc::clone(&self.slab),
+                slot,
+                gen,
+            },
+            OneshotReceiver {
+                slab: Rc::clone(&self.slab),
+                slot,
+            },
+        )
+    }
+
+    /// Slots let to a receiver that has not been dropped: the replies
+    /// awaited right now.
+    pub fn held(&self) -> usize {
+        let slab = self.slab.borrow();
+        slab.slots.len() - slab.free.len()
+    }
+}
+
+impl<T> Default for ReplySlots<T> {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl<T> OneshotSender<T> {
-    /// Deliver the value, waking the receiver. Consumes the sender.
+    /// Deliver the value, waking the receiver — or drop it, if the
+    /// receiver is gone. Consumes the sender.
     pub fn send(self, value: T) {
-        let mut sh = self.shared.borrow_mut();
-        sh.value = Some(value);
-        if let Some(w) = sh.waker.take() {
+        let mut slab = self.slab.borrow_mut();
+        let slot = &mut slab.slots[self.slot as usize];
+        if slot.gen != self.gen {
+            // the receiver gave up and the slot was freed: the value is
+            // dropped once the slab is released, in case it holds a
+            // sender of its own
+            drop(slab);
+            drop(value);
+            return;
+        }
+        slot.value = Some(value);
+        if let Some(w) = slot.waker.take() {
             w.wake();
         }
     }
@@ -69,10 +152,13 @@ impl<T> OneshotSender<T> {
 
 impl<T> Drop for OneshotSender<T> {
     fn drop(&mut self) {
-        let mut sh = self.shared.borrow_mut();
-        sh.sender_alive = false;
-        if let Some(w) = sh.waker.take() {
-            w.wake();
+        let mut slab = self.slab.borrow_mut();
+        let slot = &mut slab.slots[self.slot as usize];
+        if slot.gen == self.gen {
+            slot.sender_alive = false;
+            if let Some(w) = slot.waker.take() {
+                w.wake();
+            }
         }
     }
 }
@@ -80,15 +166,29 @@ impl<T> Drop for OneshotSender<T> {
 impl<T> Future for OneshotReceiver<T> {
     type Output = Result<T, Closed>;
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut sh = self.shared.borrow_mut();
-        if let Some(v) = sh.value.take() {
+        let mut slab = self.slab.borrow_mut();
+        let slot = &mut slab.slots[self.slot as usize];
+        if let Some(v) = slot.value.take() {
             return Poll::Ready(Ok(v));
         }
-        if !sh.sender_alive {
+        if !slot.sender_alive {
             return Poll::Ready(Err(Closed));
         }
-        sh.waker = Some(cx.waker().clone());
+        slot.waker = Some(cx.waker().clone());
         Poll::Pending
+    }
+}
+
+impl<T> Drop for OneshotReceiver<T> {
+    fn drop(&mut self) {
+        let mut slab = self.slab.borrow_mut();
+        let slot = &mut slab.slots[self.slot as usize];
+        slot.gen = slot.gen.wrapping_add(1);
+        let left = (slot.value.take(), slot.waker.take());
+        slab.free.push(self.slot);
+        // an undelivered value or a waker is dropped with the slab released
+        drop(slab);
+        drop(left);
     }
 }
 
@@ -384,7 +484,8 @@ mod tests {
     fn oneshot_delivers() {
         let mut sim = Sim::new(1);
         let v = sim.block_on(|sim| async move {
-            let (tx, rx) = oneshot::<u32>();
+            let slots = ReplySlots::new();
+            let (tx, rx) = slots.channel();
             sim.spawn_detached({
                 let s = sim.clone();
                 async move {
@@ -392,6 +493,7 @@ mod tests {
                     tx.send(42);
                 }
             });
+            assert_eq!(slots.held(), 1);
             rx.await.unwrap()
         });
         assert_eq!(v, 42);
@@ -401,11 +503,63 @@ mod tests {
     fn oneshot_sender_drop_closes() {
         let mut sim = Sim::new(1);
         let r = sim.block_on(|_sim| async move {
-            let (tx, rx) = oneshot::<u32>();
+            let (tx, rx) = ReplySlots::<u32>::new().channel();
             drop(tx);
             rx.await
         });
         assert_eq!(r, Err(Closed));
+    }
+
+    /// A slot is held exactly while its receiver lives, whichever half
+    /// goes first and whether or not a value was sent.
+    #[test]
+    fn a_slot_is_held_while_its_receiver_lives() {
+        let slots = ReplySlots::<String>::new();
+        let (tx, rx) = slots.channel();
+        tx.send("unread".into());
+        assert_eq!(slots.held(), 1, "a delivered value waits in its slot");
+        drop(rx);
+        assert_eq!(slots.held(), 0);
+        let (tx, rx) = slots.channel();
+        drop(rx);
+        assert_eq!(slots.held(), 0, "the sender does not hold the slot");
+        tx.send("late".into());
+        let pairs: Vec<_> = (0..3).map(|_| slots.channel()).collect();
+        assert_eq!(slots.held(), 3);
+        drop(pairs);
+        assert_eq!(slots.held(), 0);
+        assert_eq!(
+            slots.slab.borrow().slots.len(),
+            3,
+            "slots are reused, not added"
+        );
+    }
+
+    /// A sender whose receiver gave up cannot reach the slot's next
+    /// tenant: its value is dropped, and so is its close.
+    #[test]
+    fn a_late_reply_to_a_recycled_slot_is_discarded() {
+        let slots = ReplySlots::<u32>::new();
+        let (late, abandoned) = slots.channel();
+        drop(abandoned);
+        let (silent, abandoned) = slots.channel();
+        drop(abandoned);
+        let (tx, mut rx) = slots.channel();
+        assert_eq!(
+            (late.slot, silent.slot),
+            (tx.slot, tx.slot),
+            "one slot, thrice let"
+        );
+        let mut poll = || Pin::new(&mut rx).poll(&mut Context::from_waker(Waker::noop()));
+        late.send(7);
+        drop(silent);
+        assert_eq!(
+            poll(),
+            Poll::Pending,
+            "neither the value nor the close arrived"
+        );
+        tx.send(8);
+        assert_eq!(poll(), Poll::Ready(Ok(8)));
     }
 
     #[test]

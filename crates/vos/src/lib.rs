@@ -19,9 +19,11 @@
 // crate (`daos-sim`, which carries `deny`): see simlint rule D05.
 #![forbid(unsafe_code)]
 
+mod key;
 pub mod target;
 pub mod tree;
 
+pub use key::Key;
 pub use target::{ScrubFinding, ScrubReport, VosConfig, VosCounters, VosError, VosTarget};
 pub use tree::{CsumViolation, Extent, ExtentTree, ReadSeg};
 
@@ -31,12 +33,9 @@ use std::cell::Cell;
 /// An update epoch (DAOS uses HLC timestamps; monotonic u64 here).
 pub type Epoch = u64;
 
-/// A dkey or akey: arbitrary bytes, ordered.
-pub type Key = Vec<u8>;
-
 /// Helper: a key from anything byte-like.
 pub fn key(k: impl AsRef<[u8]>) -> Key {
-    k.as_ref().to_vec()
+    Key::new(k.as_ref())
 }
 
 /// Value payload: literal bytes, or a deterministic pattern standing in for

@@ -236,8 +236,8 @@ impl VosTarget {
         sim: &Sim,
         cid: ContId,
         oid: ObjKey,
-        dkey: &Key,
-        akey: &Key,
+        dkey: &[u8],
+        akey: &[u8],
         offset: u64,
         epoch: Epoch,
         data: Payload,
@@ -255,7 +255,7 @@ impl VosTarget {
             });
             let hot_dkey = match (&obj.last_dkey, obj.dkeys.contains_key(dkey)) {
                 (_, true) => None, // existing dkey: no insert
-                (Some(last), false) => Some(last < dkey),
+                (Some(last), false) => Some(&**last < dkey),
                 (None, false) => Some(true), // first dkey: append path
             };
             match hot_dkey {
@@ -269,15 +269,15 @@ impl VosTarget {
                 Some(false) => c.cold_dkey_inserts += 1,
                 None => {}
             }
-            // clone keys only on first touch: the steady state (same dkey
-            // as last op, existing akey) allocates nothing
-            if obj.last_dkey.as_ref() != Some(dkey) {
-                obj.last_dkey = Some(dkey.clone());
+            // a key is copied only on first touch, and a short one (every
+            // chunk dkey) is copied without an allocation
+            if obj.last_dkey.as_deref() != Some(dkey) {
+                obj.last_dkey = Some(Key::new(dkey));
             }
             let dk = match hot_dkey {
                 // INVARIANT: hot_dkey is None exactly when contains_key was true.
                 None => obj.dkeys.get_mut(dkey).expect("existing dkey"),
-                Some(_) => obj.dkeys.entry(dkey.clone()).or_default(),
+                Some(_) => obj.dkeys.entry(Key::new(dkey)).or_default(),
             };
             let ak = if dk.akeys.contains_key(akey) {
                 // INVARIANT: guarded by contains_key on the same map.
@@ -285,7 +285,7 @@ impl VosTarget {
             } else {
                 ops += self.cfg.akey_ops;
                 dk.akeys
-                    .entry(akey.clone())
+                    .entry(Key::new(akey))
                     .or_insert_with(|| AkeyStore::Array {
                         tree: ExtentTree::new(),
                         last_end: 0,
@@ -324,8 +324,8 @@ impl VosTarget {
         sim: &Sim,
         cid: ContId,
         oid: ObjKey,
-        dkey: &Key,
-        akey: &Key,
+        dkey: &[u8],
+        akey: &[u8],
         offset: u64,
         len: u64,
         epoch: Epoch,
@@ -388,8 +388,8 @@ impl VosTarget {
         sim: &Sim,
         cid: ContId,
         oid: ObjKey,
-        dkey: &Key,
-        akey: &Key,
+        dkey: &[u8],
+        akey: &[u8],
         epoch: Epoch,
         value: Payload,
     ) -> Result<(), VosError> {
@@ -409,7 +409,7 @@ impl VosTarget {
                 ops += self.cfg.dkey_cold_ops;
             }
             let dk = if new_dkey {
-                obj.dkeys.entry(dkey.clone()).or_default()
+                obj.dkeys.entry(Key::new(dkey)).or_default()
             } else {
                 // INVARIANT: !new_dkey means contains_key was true just above.
                 obj.dkeys.get_mut(dkey).expect("existing dkey")
@@ -420,7 +420,7 @@ impl VosTarget {
             } else {
                 ops += self.cfg.akey_ops;
                 dk.akeys
-                    .entry(akey.clone())
+                    .entry(Key::new(akey))
                     .or_insert_with(|| AkeyStore::Single(SingleValue::new()))
             };
             match ak {
@@ -445,8 +445,8 @@ impl VosTarget {
         sim: &Sim,
         cid: ContId,
         oid: ObjKey,
-        dkey: &Key,
-        akey: &Key,
+        dkey: &[u8],
+        akey: &[u8],
         epoch: Epoch,
     ) -> Result<Option<Payload>, VosError> {
         let val = {
@@ -485,8 +485,8 @@ impl VosTarget {
         sim: &Sim,
         cid: ContId,
         oid: ObjKey,
-        dkey: &Key,
-        akey: &Key,
+        dkey: &[u8],
+        akey: &[u8],
         offset: u64,
         len: u64,
         epoch: Epoch,
@@ -548,7 +548,7 @@ impl VosTarget {
         sim: &Sim,
         cid: ContId,
         oid: ObjKey,
-        akey: &Key,
+        akey: &[u8],
         epoch: Epoch,
     ) -> Option<(Key, u64)> {
         let out = {

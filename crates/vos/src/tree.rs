@@ -96,31 +96,89 @@ struct Seg {
     src: Option<(usize, u64)>, // (index into vis, offset within extent)
 }
 
-/// One overlay pass over a query range ([`ExtentTree::overlay`]): the
-/// coalesced segments in offset order plus the visible extents they came
-/// from. The bytes ([`Overlay::segs`]) and the checksum verdict
-/// ([`Overlay::verify`]) are both read off it without painting again.
+/// One overlay pass over a query range `[offset, qend)`
+/// ([`ExtentTree::overlay`]). The bytes ([`Overlay::segs`]) and the
+/// checksum verdict ([`Overlay::verify`]) are both read off it without
+/// painting again.
 pub struct Overlay<'a> {
-    segs: Vec<Seg>,
-    vis: Vec<&'a Extent>,
+    offset: u64,
+    qend: u64,
+    shape: Shape<'a>,
 }
 
-impl Overlay<'_> {
+/// What an overlay found. A query that one extent answers — every 4 KiB
+/// read of data written once — needs no scratch to say so.
+enum Shape<'a> {
+    /// No extent contributes a byte: the range is one hole.
+    Hole,
+    /// One extent covers `[start, end)` of the range, holes either side.
+    One {
+        extent: &'a Extent,
+        start: u64,
+        end: u64,
+    },
+    /// Two or more candidates, painted: the coalesced segments in offset
+    /// order, whose `src` indices refer to `vis`.
+    Painted {
+        segs: Vec<Seg>,
+        vis: Vec<&'a Extent>,
+    },
+}
+
+impl<'a> Overlay<'a> {
+    /// Paint the candidate extents `vis` over `[offset, qend)`.
+    fn painted(mut vis: Vec<&'a Extent>, offset: u64, qend: u64) -> Self {
+        // overlay order: older first, same epoch by minor; the keys are
+        // unique, so the sorted order — all painting depends on — is that
+        // of a full scan too
+        vis.sort_by_key(|e| (e.epoch, e.minor));
+        let segs = ExtentTree::paint(&vis, offset, qend);
+        Overlay {
+            offset,
+            qend,
+            shape: Shape::Painted { segs, vis },
+        }
+    }
+
     /// The query range as maximal contiguous segments in order. Holes
     /// appear as `data: None`.
     pub fn segs(&self) -> Vec<ReadSeg> {
-        let seg = |s: &Seg| {
-            let data = s.src.and_then(|(i, off)| {
-                let stored = self.vis[i].data.as_ref();
-                stored.map(|p| p.slice(off, s.end - s.start))
-            });
-            ReadSeg {
-                offset: s.start,
-                len: s.end - s.start,
-                data,
-            }
+        let hole = |offset, end: u64| ReadSeg {
+            offset,
+            len: end - offset,
+            data: None,
         };
-        self.segs.iter().map(seg).collect()
+        match &self.shape {
+            Shape::Hole if self.offset == self.qend => Vec::new(),
+            Shape::Hole => vec![hole(self.offset, self.qend)],
+            &Shape::One { extent, start, end } => {
+                let data = extent.data.as_ref();
+                let laid = [
+                    hole(self.offset, start),
+                    ReadSeg {
+                        offset: start,
+                        len: end - start,
+                        data: data.map(|p| p.slice(start - extent.offset, end - start)),
+                    },
+                    hole(end, self.qend),
+                ];
+                laid.into_iter().filter(|s| s.len > 0).collect()
+            }
+            Shape::Painted { segs, vis } => {
+                let seg = |s: &Seg| {
+                    let data = s.src.and_then(|(i, off)| {
+                        let stored = vis[i].data.as_ref();
+                        stored.map(|p| p.slice(off, s.end - s.start))
+                    });
+                    ReadSeg {
+                        offset: s.start,
+                        len: s.end - s.start,
+                        data,
+                    }
+                };
+                segs.iter().map(seg).collect()
+            }
+        }
     }
 
     /// Verify the checksum of every stored extent that contributes at least
@@ -129,21 +187,32 @@ impl Overlay<'_> {
     /// extent, not the visible slice). Returns the total number of payload
     /// bytes hashed, or the first violation found.
     pub fn verify(&self) -> Result<u64, CsumViolation> {
-        let mut seen = vec![false; self.vis.len()];
-        let mut bytes = 0u64;
-        for (i, _) in self.segs.iter().filter_map(|s| s.src) {
-            if !std::mem::replace(&mut seen[i], true) {
-                let e = self.vis[i];
-                if !e.csum_ok() {
-                    return Err(CsumViolation {
-                        offset: e.offset,
-                        len: e.len,
-                    });
+        let judge = |e: &Extent| match e.csum_ok() {
+            true => Ok(e.len),
+            false => Err(CsumViolation {
+                offset: e.offset,
+                len: e.len,
+            }),
+        };
+        match &self.shape {
+            Shape::Hole => Ok(0),
+            Shape::One { extent, .. } => judge(extent),
+            Shape::Painted { segs, vis } => {
+                let contributors = || segs.iter().filter_map(|s| s.src).map(|(i, _)| i);
+                let mut rest = contributors();
+                match rest.next() {
+                    None => Ok(0),
+                    // one extent under every segment: nothing to dedupe
+                    Some(i) if rest.all(|j| j == i) => judge(vis[i]),
+                    Some(_) => {
+                        let mut seen = vec![false; vis.len()];
+                        contributors()
+                            .filter(|&i| !std::mem::replace(&mut seen[i], true))
+                            .try_fold(0, |bytes, i| Ok(bytes + judge(vis[i])?))
+                    }
                 }
-                bytes += e.len;
             }
         }
-        Ok(bytes)
     }
 }
 
@@ -321,47 +390,38 @@ impl ExtentTree {
         let qend = offset + len;
         // candidates come from the interval index, then the epoch/end
         // filters: the candidate *set* is identical to a full scan
-        let mut vis: Vec<&Extent> = self.with_index(|ix| {
+        self.with_index(|ix| {
             let (starts, prefix_max_end) = ix.bounds.split_at(ix.by_start.len());
             let hi = starts.partition_point(|&start| start < qend);
             let lo = prefix_max_end[..hi].partition_point(|&m| m <= offset);
-            ix.by_start[lo..hi]
+            let mut candidates = ix.by_start[lo..hi]
                 .iter()
                 .map(|&id| &self.extents[id as usize])
-                .filter(|e| e.epoch <= epoch && e.end() > offset)
-                .collect()
-        });
-        let hole = |start, end| Seg {
-            start,
-            end,
-            src: None,
-        };
-        let clip = |e: &Extent| (e.offset.max(offset), e.end().min(qend));
-        // nothing or one extent to overlay: the answer is the extent
-        // clipped to the query between at most two holes. An extent that
-        // clips to nothing (a zero-length one inside the range) is left to
-        // the paint path, which drops it and rejoins the hole around it.
-        let segs = match vis[..] {
-            [] if len > 0 => vec![hole(offset, qend)],
-            [e] if clip(e).0 < clip(e).1 => {
-                let (start, end) = clip(e);
-                let src = Some((0, start - e.offset));
-                let laid = [
-                    hole(offset, start),
-                    Seg { start, end, src },
-                    hole(end, qend),
-                ];
-                laid.into_iter().filter(|s| s.start < s.end).collect()
+                .filter(|e| e.epoch <= epoch && e.end() > offset);
+            let shape = match (candidates.next(), candidates.next()) {
+                (Some(a), Some(b)) => {
+                    let vis = [a, b].into_iter().chain(candidates).collect();
+                    return Overlay::painted(vis, offset, qend);
+                }
+                // one extent: the answer is the extent clipped to the
+                // query between at most two holes — unless it clips to
+                // nothing (a zero-length one inside the range), which
+                // leaves the range one hole, as painting would
+                (Some(extent), None) => {
+                    let (start, end) = (extent.offset.max(offset), extent.end().min(qend));
+                    match start < end {
+                        true => Shape::One { extent, start, end },
+                        false => Shape::Hole,
+                    }
+                }
+                (None, _) => Shape::Hole,
+            };
+            Overlay {
+                offset,
+                qend,
+                shape,
             }
-            _ => {
-                // overlay order: older first, same epoch by minor; the
-                // keys are unique, so the sorted order — all painting
-                // depends on — is that of a full scan too
-                vis.sort_by_key(|e| (e.epoch, e.minor));
-                Self::paint(&vis, offset, qend)
-            }
-        };
-        Overlay { segs, vis }
+        })
     }
 
     /// The paint algorithm: lay `vis` (in overlay order) over `[offset, qend)`
@@ -694,25 +754,62 @@ mod tests {
         assert_eq!(t.read(0, 100, 1).len(), 1);
     }
 
-    /// With at most one visible extent `overlay` answers without painting;
-    /// the answer is the painted one for a data extent and for a punch, at
-    /// every query that starts or ends before, on, inside and beyond it.
+    /// With at most one candidate extent `overlay` answers without
+    /// painting; the answer — segments and verdict — is the painted one for
+    /// a data extent, a rotten one, a punch and a zero-length one, at every
+    /// query that starts or ends before, on, inside and beyond it.
     #[test]
     fn single_extent_shortcut_equals_the_paint_path() {
         let mut data = ExtentTree::new();
         data.insert(10, 2, payload(7, 10));
+        let mut rotten = data.clone();
+        rotten.inject_rot(1, 1_000_000);
         let mut punch = ExtentTree::new();
         punch.punch(10, 10, 2);
-        for t in [data, punch] {
+        let mut zero = ExtentTree::new();
+        zero.insert(10, 2, payload(7, 0));
+        for t in [data, rotten, punch, zero] {
             for (offset, len, epoch) in (0..25)
                 .flat_map(|o| (0..25).map(move |l| (o, l)))
                 .flat_map(|(o, l)| [1, 2].map(|e| (o, l, e)))
             {
+                let qend = offset + len;
                 let got = t.overlay(offset, len, epoch);
-                let want = ExtentTree::paint(&got.vis, offset, offset + len);
-                assert_eq!(got.segs, want, "[{offset}, +{len}) at epoch {epoch}");
+                assert!(!matches!(got.shape, Shape::Painted { .. }));
+                let scan = t.extents.iter();
+                let vis = scan.filter(|e| e.epoch <= epoch && e.offset < qend && e.end() > offset);
+                let want = Overlay::painted(vis.collect(), offset, qend);
+                let at = format!("[{offset}, +{len}) at epoch {epoch}");
+                assert_eq!(got.segs(), want.segs(), "{at}");
+                assert_eq!(got.verify(), want.verify(), "{at}");
             }
         }
+    }
+
+    /// A painted overlay under which one extent shows is judged once, the
+    /// same as that extent alone; two that show are judged in segment
+    /// order, each over its full length.
+    #[test]
+    fn painted_verify_judges_each_contributor_once() {
+        let mut t = ExtentTree::new();
+        t.insert(0, 1, payload(1, 100));
+        t.insert(20, 1, payload(2, 10));
+        t.insert(0, 2, payload(3, 100));
+        assert_eq!(t.verify_range(0, 100, 2), Ok(100), "the newest covers all");
+        assert_eq!(t.verify_range(0, 100, 1), Ok(110), "split old, then new");
+        t.inject_rot(5, 1_000_000);
+        let first = CsumViolation {
+            offset: 0,
+            len: 100,
+        };
+        assert_eq!(t.verify_range(0, 100, 1), Err(first));
+        assert_eq!(
+            t.verify_range(25, 10, 1),
+            Err(CsumViolation {
+                offset: 20,
+                len: 10
+            })
+        );
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! epochs in any order, rot injected part-way — one [`ExtentTree::overlay`]
 //! yields the segments of `read` and the verdict of `verify_range`, and
 //! both equal a byte-by-byte model that knows nothing of painting or of
-//! the shortcut `overlay` takes when it sees at most one extent. Queries
+//! the shortcut `overlay` takes when it sees at most one extent — and that
+//! shortcut answers every query as painting the same record does. Queries
 //! start and end on every extent edge, one byte either side, and beyond
 //! the span.
 
@@ -81,8 +82,85 @@ fn model(
     (segs, verdict)
 }
 
+/// The payload of record kind `kind`: 0 punches, 1 writes literal bytes,
+/// 2-3 write a pattern.
+fn payload(kind: u8, seed: u64, len: u64) -> Option<Payload> {
+    match kind {
+        0 => None,
+        1 => Some(Payload::bytes(Payload::pattern(seed, len).materialize())),
+        _ => Some(Payload::pattern(seed, len)),
+    }
+}
+
+/// Every query edge for records `recs`: each record's ends, one byte
+/// either side, the arena's start and past every end.
+fn edges(recs: &[Rec]) -> Vec<u64> {
+    let mut edges: Vec<u64> = recs
+        .iter()
+        .flat_map(|r| [r.offset, r.offset + r.len])
+        .flat_map(|e| [e.saturating_sub(1), e, e + 1])
+        .chain([0, BEYOND])
+        .collect();
+    edges.sort_unstable();
+    edges.dedup();
+    edges
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The shortcut for a query with at most one candidate extent, against
+    /// painting: `alone` holds one record, `twin` holds the same record
+    /// over an older one inside its range (written first in the same
+    /// epoch, so it shows nowhere), which every query touching both must
+    /// paint. Both trees read and verify alike, and as the byte model says,
+    /// for data, literal, punched, zero-length and rotten records.
+    #[test]
+    fn the_one_extent_shortcut_answers_as_painting_does(
+        // (offset, len, payload seed, kind) of the record that shows
+        rec in (0u64..ARENA - 40, 0u64..40, any::<u64>(), 0u8..4),
+        // where in it the shadowed record starts, its length, its kind
+        under in (any::<u64>(), any::<u64>(), 0u8..4),
+        rot in any::<bool>(),
+    ) {
+        let ((offset, len, seed, kind), (under_at, under_len, under_kind)) = (rec, under);
+        let under_off = offset + under_at % (len + 1);
+        let under_len = under_len % (offset + len - under_off + 1);
+        let (mut alone, mut twin) = (ExtentTree::new(), ExtentTree::new());
+        let under = payload(under_kind, !seed, under_len);
+        match under {
+            Some(p) => twin.insert(under_off, 2, p),
+            None => twin.punch(under_off, under_len, 2),
+        }
+        let data = payload(kind, seed, len);
+        for t in [&mut alone, &mut twin] {
+            match &data {
+                Some(p) => t.insert(offset, 2, p.clone()),
+                None => t.punch(offset, len, 2),
+            }
+            if rot {
+                t.inject_rot(seed, 1_000_000);
+            }
+        }
+        let rotten = rot && data.as_ref().is_some_and(|p| {
+            csum64(CSUM_SEED, &p.corrupted()) != csum64(CSUM_SEED, p)
+        });
+        let data = data.map(|p| if rot { p.corrupted() } else { p });
+        let recs = [Rec { offset, len, epoch: 2, data, rotten }];
+        let edges = edges(&recs);
+        for epoch in 0..=3 {
+            let owners = owners(&recs, epoch);
+            for (i, &start) in edges.iter().enumerate() {
+                for &end in &edges[i..] {
+                    let (a, t) = (alone.overlay(start, end - start, epoch), twin.overlay(start, end - start, epoch));
+                    let shortcut = (a.segs(), a.verify());
+                    prop_assert_eq!(&shortcut, &(t.segs(), t.verify()), "[{}, {}) at epoch {}", start, end, epoch);
+                    let want = model(&recs, &owners[start as usize..end as usize], start);
+                    prop_assert_eq!(&shortcut, &want, "[{}, {}) at epoch {}", start, end, epoch);
+                }
+            }
+        }
+    }
 
     #[test]
     fn one_overlay_pass_equals_read_plus_verify_and_the_byte_model(
@@ -107,11 +185,7 @@ proptest! {
                     *p = rot;
                 }
             }
-            let data = match kind {
-                0 => None,
-                1 => Some(Payload::bytes(Payload::pattern(seed, len).materialize())),
-                _ => Some(Payload::pattern(seed, len)),
-            };
+            let data = payload(kind, seed, len);
             match &data {
                 Some(p) => tree.insert(offset, epoch, p.clone()),
                 None => tree.punch(offset, len, epoch),
@@ -119,14 +193,7 @@ proptest! {
             recs.push(Rec { offset, len, epoch, data, rotten: false });
         }
 
-        let mut edges: Vec<u64> = recs
-            .iter()
-            .flat_map(|r| [r.offset, r.offset + r.len])
-            .flat_map(|e| [e.saturating_sub(1), e, e + 1])
-            .chain([0, BEYOND])
-            .collect();
-        edges.sort_unstable();
-        edges.dedup();
+        let edges = edges(&recs);
         for epoch in 0..=EPOCHS {
             let owners = owners(&recs, epoch);
             for (i, &start) in edges.iter().enumerate() {

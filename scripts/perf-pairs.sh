@@ -3,7 +3,8 @@
 # parent commit on `benchmark/`: the evidence a PR that claims (or denies)
 # a host-cost change puts in EXPERIMENTS.md and results/perf_history.jsonl.
 #
-#   scripts/perf-pairs.sh <parent-rev> [--pairs N] [--dir DIR] [workload…]
+#   scripts/perf-pairs.sh <parent-rev> [--pairs N] [--dir DIR] [--check]
+#                         [--claim METRIC:WORKLOAD]… [workload…]
 #
 # Two clean source trees are laid out under DIR (default
 # target/perf-pairs): `parent` is `git archive <parent-rev>`, `change` is
@@ -21,12 +22,19 @@
 # supplies the exact per-layer proxies the history line carries.
 #
 # Output, per workload × end-to-end metric: both medians, their relative
-# difference, the distance between the parent's quartiles, and the pairs
-# the change won and lost (ties count for neither). A gain may be claimed
-# where the change won at least nine tenths of the pairs and the medians
-# differ by more than that quartile distance; a metric whose exact values
-# differ at all (`sim_ops_kps`, `ops_ok_frac`) is a behaviour change.
-# Then the results/perf_history.jsonl line for the change.
+# difference, the distance between the parent's quartiles, the pairs the
+# change won and lost (ties count for neither), and a verdict: `DIFFERS`
+# for an exact metric (`sim_ops_kps`, `ops_ok_frac`) that is not equal in
+# every pair — a behaviour change; `WORSE` for a change median worse than
+# the parent's by more than the metric's BENCHMARK.json bound;
+# `unresolved` where the parent's own quartile distance is wider than that
+# bound. Then the results/perf_history.jsonl line for the change.
+#
+# --check exits 1 on any `DIFFERS` or `WORSE`. Each --claim METRIC:WORKLOAD
+# prints whether a gain there is met: the change won at least nine tenths
+# of the pairs and the medians differ by more than the parent's quartile
+# distance, in the better direction; the script exits 1 if a claim is not
+# met.
 set -euo pipefail
 root="$(git rev-parse --show-toplevel)"
 cd "$root"
@@ -36,11 +44,13 @@ usage() {
   exit 2
 }
 
-parent="" pairs=10 dir="$root/target/perf-pairs" workloads=()
+parent="" pairs=10 dir="$root/target/perf-pairs" workloads=() check=0 claims=()
 while [ $# -gt 0 ]; do
   case "$1" in
     --pairs) pairs="${2:?--pairs needs a count}"; shift 2 ;;
     --dir) dir="${2:?--dir needs a path}"; shift 2 ;;
+    --check) check=1; shift ;;
+    --claim) claims+=("${2:?--claim needs METRIC:WORKLOAD}"); shift 2 ;;
     -h | --help) usage ;;
     -*) echo "unknown option $1" >&2; usage ;;
     *) if [ -z "$parent" ]; then parent="$1"; else workloads+=("$1"); fi; shift ;;
@@ -86,12 +96,16 @@ for w in "${workloads[@]}"; do
   run change "$w" 1 1 > "$dir/out/traced.$w.json"
 done
 
-python3 - "$dir/out" "$pairs" "${parent_sha:0:7}" "${workloads[@]}" << 'EOF'
+claim_list="$(IFS=,; echo "${claims[*]}")"
+python3 - "$dir/out" "$pairs" "${parent_sha:0:7}" "$check" "$claim_list" "${workloads[@]}" << 'EOF'
 import datetime, json, re, statistics, sys
 
-out, pairs, parent, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4:]
+out, pairs, parent = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+check, claims, workloads = sys.argv[4] == "1", sys.argv[5], sys.argv[6:]
+claims = [c.split(":", 1) for c in claims.split(",") if c]
 metrics = json.load(open("BENCHMARK.json"))["end_to_end"]
 PROXIES = ["fabric.rpcs_per_op", "sim.tasks_per_op"]
+EXACT = {"sim_ops_kps", "ops_ok_frac"}
 
 
 def load(path):
@@ -108,9 +122,9 @@ def quartile_distance(xs):
     return q[2] - q[0]
 
 
-history = {}
+history, rows, failed = {}, {}, []  # failed: what fails --check or a claim
 print(f"{'workload':<18} {'metric':<19} {'parent':>12} {'change':>12} {'delta':>8} "
-      f"{'parent q3-q1':>13} {'won':>4} {'lost':>5}")
+      f"{'parent q3-q1':>13} {'won':>4} {'lost':>5}  verdict")
 for w in workloads:
     runs = {side: [load(f"{out}/{side}.{w}.{i}.json") for i in range(1, pairs + 1)]
             for side in ("parent", "change")}
@@ -119,15 +133,37 @@ for w in workloads:
         name, sign = m["name"], 1 if m["better"] == "higher" else -1
         p = [r[name] for r in runs["parent"]]
         c = [r[name] for r in runs["change"]]
-        mp, mc = statistics.median(p), statistics.median(c)
+        mp, mc, qd = statistics.median(p), statistics.median(c), quartile_distance(p)
         won = sum(sign * (b - a) > 0 for a, b in zip(p, c))
         lost = sum(sign * (b - a) < 0 for a, b in zip(p, c))
+        worse = sign * (mp - mc) / mp if mp else 0.0
+        if name in EXACT:
+            verdict = "DIFFERS" if p != c else "exact"
+        elif worse > m["bound"]:
+            verdict = "WORSE"
+        elif mp and qd / mp > m["bound"]:
+            verdict = "unresolved"
+        else:
+            verdict = ""
+        if check and verdict in ("DIFFERS", "WORSE"):
+            failed.append(f"{w} {name}: {verdict}")
+        rows[(name, w)] = (sign * (mc - mp), qd, won)
         delta = f"{(mc - mp) / mp:+8.1%}" if mp else f"{'':>8}"
         print(f"{w:<18} {name:<19} {mp:>12.6g} {mc:>12.6g} {delta} "
-              f"{quartile_distance(p):>13.3g} {won:>4} {lost:>5}")
+              f"{qd:>13.3g} {won:>4} {lost:>5}  {verdict}")
         history[w][name] = float(f"{mc:.6g}")
     traced = load(f"{out}/traced.{w}.json")
     history[w].update({k: float(f"{traced[k]:.6g}") for k in PROXIES if k in traced})
+
+for metric, w in claims:
+    if (metric, w) not in rows:
+        sys.exit(f"claim {metric}:{w}: no such workload × end-to-end metric")
+    gain, qd, won = rows[(metric, w)]
+    met = won * 10 >= pairs * 9 and gain > qd
+    print(f"claim {metric} on {w}: {'met' if met else 'NOT MET'} "
+          f"(won {won}/{pairs}, median gain {gain:.6g} vs parent q3-q1 {qd:.3g})")
+    if not met:
+        failed.append(f"claim {metric}:{w} not met")
 
 try:
     issue = re.match(r"# ISSUE (\d+)", open("ISSUE.md").readline())
@@ -143,4 +179,7 @@ print(json.dumps({
                 "workload (seed 1; exact)",
     "workloads": history,
 }))
+if failed:
+    print("\n".join(["", "FAILED:"] + failed))
+    sys.exit(1)
 EOF
