@@ -572,21 +572,20 @@ pub fn check_mdtest(report: &BenchReport) -> Vec<Verdict> {
 /// `PROTECTION_SEED + 1`).
 pub const PROTECTION_SEED: u64 = 0x930;
 
-const PROTECTION_NODES: u32 = 8;
-
 const RP_3GX: ObjectClass = ObjectClass::Replicated {
     replicas: 3,
     groups: None,
 };
 
-/// Degraded read: write through stable handles, exclude targets, read the
-/// *same* handles (layout cached pre-failure, like an application holding
-/// open files through a failure). Records the healthy and the degraded
-/// read bandwidth under `series`.
-fn degraded_point(out: &mut Fragment, series: &str, class: ObjectClass, exclude: &'static [u32]) {
-    let cluster = paper_cluster(PROTECTION_NODES);
+/// Degraded read: write through stable handles, exclude target 0, read
+/// the *same* handles (layout cached pre-failure, like an application
+/// holding open files through a failure). Records the healthy and the
+/// degraded read bandwidth under `series`, `nodes` clients writing `block`
+/// bytes per rank.
+fn degraded_point(out: &mut Fragment, series: &str, class: ObjectClass, nodes: u32, block: u64) {
+    let cluster = paper_cluster(nodes);
     let (h, d) = on_testbed(PROTECTION_SEED + 1, cluster, move |sim, env| async move {
-        let arrays: Vec<_> = (0..PROTECTION_NODES * PPN)
+        let arrays: Vec<_> = (0..nodes * PPN)
             .map(|r| {
                 env.containers[(r / PPN) as usize]
                     .object(ObjectId::new(0xDE6, r as u64), class)
@@ -594,30 +593,30 @@ fn degraded_point(out: &mut Fragment, series: &str, class: ObjectClass, exclude:
             })
             .collect();
         let mut p = paper_params(Api::DaosArray, class, true, PPN);
-        p.block_size = 16 * MIB;
-        let healthy = run_files(&sim, PROTECTION_NODES, p, arrays.clone())
+        p.block_size = block;
+        let healthy = run_files(&sim, nodes, p, arrays.clone())
             .await
             .expect("healthy write + read");
-        for &t in exclude {
-            env.cluster.exclude_target(t);
-        }
+        env.cluster.exclude_target(0);
         p.do_write = false;
-        let degraded = run_files(&sim, PROTECTION_NODES, p, arrays)
+        let degraded = run_files(&sim, nodes, p, arrays)
             .await
             .expect("degraded read");
         (healthy.read_gib_s(), degraded.read_gib_s())
     });
-    out.record(series, PROTECTION_NODES, "healthy_read_gib_s", h);
-    out.record(series, PROTECTION_NODES, "degraded_read_gib_s", d);
+    out.record(series, nodes, "healthy_read_gib_s", h);
+    out.record(series, nodes, "degraded_read_gib_s", d);
 }
 
 /// What replication and erasure coding cost relative to the unprotected
-/// classes (8 nodes, DFS, fpp, 16 MiB per rank), plus degraded reads with
-/// one target excluded mid-run.
+/// classes (DFS, fpp; 8 nodes and 16 MiB per rank at full scale), plus
+/// degraded reads with one target excluded mid-run.
 pub fn protection_plan(scale: Scale) -> Option<Plan> {
-    if scale != Scale::Full {
-        return None;
-    }
+    let (nodes, block) = match scale {
+        Scale::Full => (8, 16 * MIB),
+        Scale::Reduced => (2, 4 * MIB),
+        Scale::Smoke => (1, MIB),
+    };
     let mut cells = Vec::new();
     for class in [
         ObjectClass::S2,
@@ -628,19 +627,19 @@ pub fn protection_plan(scale: Scale) -> Option<Plan> {
         ObjectClass::EC_4P2GX,
     ] {
         cells.push(Cell::new(class.to_string(), move |out| {
-            let cluster = paper_cluster(PROTECTION_NODES);
+            let cluster = paper_cluster(nodes);
             let r = on_testbed(PROTECTION_SEED, cluster, move |sim, env| async move {
                 let mut p = paper_params(Api::Dfs, class, true, PPN);
-                p.block_size = 16 * MIB;
+                p.block_size = block;
                 run(&sim, &env, p).await.expect("run")
             });
-            record_bw(out, &class.to_string(), PROTECTION_NODES, &r);
+            record_bw(out, &class.to_string(), nodes, &r);
         }));
     }
     for class in [ObjectClass::RP_2GX, ObjectClass::EC_2P1GX] {
         let series = format!("{class}/degraded");
         cells.push(Cell::new(series.clone(), move |out| {
-            degraded_point(out, &series, class, &[0]);
+            degraded_point(out, &series, class, nodes, block);
         }));
     }
     Some(Plan {
@@ -650,7 +649,8 @@ pub fn protection_plan(scale: Scale) -> Option<Plan> {
 }
 
 pub fn check_protection(report: &BenchReport) -> Vec<Verdict> {
-    let n = PROTECTION_NODES;
+    // the one scale the report holds; 0 when empty, which fails every check
+    let n = series_scales(report, "SX").first().copied().unwrap_or(0);
     let w_of = |c: ObjectClass| {
         report
             .get(&c.to_string(), n, WRITE_GIB_S)

@@ -24,8 +24,8 @@ fn table_and_baselines_agree() {
     assert_eq!(table_problems(&baselines()), Vec::<String>::new());
 }
 
-/// The complete figure set: 9 PR-gated (the parent's eight + `mdtest_bench`),
-/// 1 nightly, 5 ungated, and the calibration probe — nothing else.
+/// The complete figure set: 10 PR-gated (the first eight, `mdtest_bench`
+/// and `protection_sweep`), 1 nightly and 4 ungated — nothing else.
 #[test]
 fn table_holds_exactly_the_known_figures() {
     let names = |gate: Gate| -> Vec<&str> {
@@ -46,14 +46,14 @@ fn table_holds_exactly_the_known_figures() {
             "scrub_sweep",
             "traffic_sweep",
             "qos_sweep",
-            "mdtest_bench"
+            "mdtest_bench",
+            "protection_sweep"
         ]
     );
     assert_eq!(names(Gate::Nightly), ["scale"]);
     assert_eq!(
         names(Gate::None),
         [
-            "protection_sweep",
             "daos_api",
             "app_workloads",
             "dfuse_ablation",
@@ -119,6 +119,35 @@ fn mdtest_checks_fail_when_dfs_and_pfs_are_swapped() {
     // and an empty report cannot pass vacuously
     let empty = BenchReport::new("mdtest_bench", figure.seed);
     assert!((figure.checks)(&empty).iter().all(|v| !v.pass));
+}
+
+/// Planted negatives for the newly gated `protection_sweep`: replication
+/// as cheap as `SX`, `S2` as dear as `RP_3`, and degraded reads at a
+/// third of healthy each fail their check.
+#[test]
+fn protection_checks_fail_when_redundancy_is_free_or_broken() {
+    let figure = find("protection_sweep").unwrap();
+    let mut report = BenchReport::load(&baselines(), "protection_sweep").unwrap();
+    let verdicts = (figure.checks)(&report);
+    assert!(verdicts.len() == 3 && verdicts.iter().all(|v| v.pass));
+
+    let mut swap = |a: &str, b: &str| {
+        let sa = report.series.remove(a).unwrap();
+        let sb = report.series.insert(b.to_string(), sa).unwrap();
+        report.series.insert(a.to_string(), sb);
+    };
+    swap("SX", "RP_2GX");
+    swap("S2", "RP_3GX");
+    for series in ["RP_2GX/degraded", "EC_2P1GX/degraded"] {
+        for row in report.series.get_mut(series).unwrap().values_mut() {
+            row.insert(
+                "degraded_read_gib_s".into(),
+                row["healthy_read_gib_s"] / 3.0,
+            );
+        }
+    }
+    let verdicts = (figure.checks)(&report);
+    assert!(verdicts.iter().all(|v| !v.pass), "{verdicts:?}");
 }
 
 /// Every figure with report-level checks fails them on an empty report:

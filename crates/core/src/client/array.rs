@@ -1,7 +1,6 @@
 //! `daos_array`: a byte array chunked over an object's shards, written and
 //! read through the object's protection class.
 
-use std::future::Future;
 use std::ops::Range;
 
 use daos_placement::{splitmix64, ObjectClass, ObjectId};
@@ -113,30 +112,10 @@ impl ArrayHandle {
             && self.obj.moved.borrow().contains(&shard)
     }
 
-    /// Drive `attempt(round)` through the client's one retry loop; between
-    /// rounds the loop refreshes the pool map and re-places this object,
-    /// so a retry lands on a moved shard's new home.
-    fn retry<'a, T, A>(
-        &'a self,
-        sim: &'a Sim,
-        exhausted: DaosError,
-        attempt: impl FnMut(u32) -> A + 'a,
-    ) -> impl Future<Output = Result<T, DaosError>> + 'a
-    where
-        A: Future<Output = Attempt<T>> + 'a,
-        T: 'a,
-    {
-        let refresh = move || self.obj.refresh(sim);
-        let damp = &self.obj.cont.client.damp;
-        damp.retry_rounds(sim, exhausted, attempt, refresh)
-    }
-
-    /// Raw single-shard update of chunk data at a chunk-relative offset.
-    ///
-    /// Retryable faults (timeout, stale map, transport) trigger a pool-map
-    /// refresh and re-route: the shard index is stable but the target
-    /// behind it moves with the layout, so after an exclusion the retry
-    /// lands on the shard's new home.
+    /// Single-shard update of chunk data at a chunk-relative offset.
+    /// Retryable faults (timeout, stale map, transport) refresh the pool
+    /// map and re-route, so after an exclusion the retry lands on the
+    /// shard's new home.
     async fn update_shard(
         &self,
         sim: &Sim,
@@ -145,16 +124,12 @@ impl ArrayHandle {
         offset: u64,
         data: Payload,
     ) -> Result<(), DaosError> {
-        let (obj, data) = (&self.obj, &data);
-        let csum = wire_csum(data);
-        let attempt = move |_round| async move {
-            let (engine, target) = obj.route(shard);
+        let (obj, csum) = (&self.obj, wire_csum(&data));
+        let update = |target| {
             let (cont, data) = (obj.cont.cont, data.clone());
-            let req = Request::update_chunk(target, cont, obj.oid, chunk, offset, data, csum);
-            let rsp = obj.cont.client.call_gated(sim, engine, req).await;
-            rsp.and_then(Response::ok).into()
+            Request::update_chunk(target, cont, obj.oid, chunk, offset, data, csum)
         };
-        self.retry(sim, DaosError::Timeout, attempt).await
+        obj.shard_op(sim, shard, update, Response::ok).await
     }
 
     /// Write each `(shard, offset, data)` piece of `chunk` concurrently,
@@ -170,28 +145,21 @@ impl ArrayHandle {
         join_inline(futs).await.into_iter().collect()
     }
 
-    /// One fetch attempt against one shard, no retry — the failover
-    /// building block for degraded reads. `want` and the returned segments
-    /// are shard-relative.
+    /// One fetch attempt against one shard as of `epoch`, no retry — the
+    /// failover building block for degraded reads. `want` and the returned
+    /// segments are shard-relative.
     async fn fetch_shard_once(
         &self,
         sim: &Sim,
         shard: u32,
         chunk: u64,
         want: Range<u64>,
+        epoch: Epoch,
     ) -> Result<Vec<ReadSeg>, DaosError> {
         let obj = &self.obj;
         let (engine, target) = obj.route(shard);
         let (offset, len) = (want.start, want.end - want.start);
-        let req = Request::fetch_chunk(
-            target,
-            obj.cont.cont,
-            obj.oid,
-            chunk,
-            offset,
-            len,
-            EPOCH_LATEST,
-        );
+        let req = Request::fetch_chunk(target, obj.cont.cont, obj.oid, chunk, offset, len, epoch);
         let rsp = obj.cont.client.call_gated(sim, engine, req).await?;
         rsp.fetched()
     }
@@ -215,9 +183,9 @@ impl ArrayHandle {
     }
 
     /// One round of reading `want` (shard-relative) of cell `cell` of
-    /// `chunk`, whose redundancy group starts at shard `group` — fixed by
-    /// the caller before the first round, so retries after a re-place keep
-    /// asking the same shards. The first of the class's
+    /// `chunk` as of `epoch`, whose redundancy group starts at shard
+    /// `group` — fixed by the caller before the first round, so retries
+    /// after a re-place keep asking the same shards. The first of the class's
     /// [`read_candidates`] to answer clean serves it. A `protected` read
     /// skips shards the pool map or a running rebuild rules out, fails
     /// over past rotten and unresponsive ones, and when nobody answers
@@ -237,6 +205,7 @@ impl ArrayHandle {
         round: u32,
         want: Range<u64>,
         protected: bool,
+        epoch: Epoch,
     ) -> Attempt<Vec<ReadSeg>> {
         let class = self.obj.class;
         // why no candidate served the cell; `None`: none was fit to ask
@@ -245,7 +214,10 @@ impl ArrayHandle {
             if protected && self.shard_unreadable(shard) {
                 continue;
             }
-            match self.fetch_shard_once(sim, shard, chunk, want.clone()).await {
+            match self
+                .fetch_shard_once(sim, shard, chunk, want.clone(), epoch)
+                .await
+            {
                 Ok(segs) => return Attempt::Done(segs),
                 Err(DaosError::CsumMismatch) => {
                     self.report_rot(sim, chunk, shard);
@@ -261,7 +233,7 @@ impl ArrayHandle {
             }
             (_, ObjectClass::ErasureCoded { data, parity, .. }) if protected => {
                 let (k, p) = (data as u64, parity as u64);
-                self.reconstruct(sim, group, chunk, cell, k, p, want)
+                self.reconstruct(sim, group, chunk, cell, k, p, want, epoch)
                     .await
                     .into()
             }
@@ -270,51 +242,11 @@ impl ArrayHandle {
         }
     }
 
-    /// One round of reading one piece of one chunk: each cell the piece
-    /// touches (the whole chunk is one cell unless the class is EC) is
-    /// served by [`ArrayHandle::read_cell`]; segments come back
-    /// chunk-relative.
-    async fn read_piece_once(
-        &self,
-        sim: &Sim,
-        group: u32,
-        chunk: u64,
-        in_chunk: u64,
-        len: u64,
-        round: u32,
-    ) -> Attempt<Vec<ReadSeg>> {
-        let protected = !matches!(
-            self.obj.class,
-            ObjectClass::Sharded(_) | ObjectClass::ShardedMax
-        );
-        let cell = self.cell_size();
-        let end = in_chunk + len;
-        let mut out = Vec::new();
-        for c in in_chunk / cell..=(end - 1) / cell {
-            let base = c * cell;
-            let want = base.max(in_chunk) - base..(base + cell).min(end) - base;
-            let segs = match self
-                .read_cell(sim, group, chunk, c, round, want, protected)
-                .await
-            {
-                Attempt::Done(segs) => segs.into_iter().map(|s| s.rebased(0, base)),
-                other => return other,
-            };
-            if out.is_empty() {
-                // the usual one-cell piece keeps the reply's allocation
-                out = segs.collect();
-            } else {
-                out.extend(segs);
-            }
-        }
-        Attempt::Done(out)
-    }
-
     /// Rebuild `want` of data cell `c` of an EC stripe whose own shard
-    /// cannot serve it: XOR of the other data cells plus one live parity.
-    /// A reconstruction *source* failing is returned as the retryable
-    /// error it produced (the caller refreshes and retries); a stripe with
-    /// no live parity left is [`DaosError::NoSurvivingReplicas`].
+    /// cannot serve it, as of `epoch`: XOR of the other data cells plus one
+    /// live parity. A reconstruction *source* failing is returned as the
+    /// retryable error it produced (the caller refreshes and retries); a
+    /// stripe with no live parity left is [`DaosError::NoSurvivingReplicas`].
     #[allow(clippy::too_many_arguments)]
     async fn reconstruct(
         &self,
@@ -325,8 +257,10 @@ impl ArrayHandle {
         k: u64,
         p: u64,
         want: Range<u64>,
+        epoch: Epoch,
     ) -> Result<Vec<ReadSeg>, DaosError> {
         let cell = self.cell_size();
+        let whole_cell = |shard| self.fetch_shard_once(sim, shard, chunk, 0..cell, epoch);
         let mut acc = vec![0u8; cell as usize];
         for other in (0..k).filter(|&o| o != c) {
             let oshard = group + other as u32;
@@ -338,7 +272,7 @@ impl ArrayHandle {
                 // the source is itself mid-refill; retry once it lands
                 return Err(DaosError::Timeout);
             }
-            let segs = match self.fetch_shard_once(sim, oshard, chunk, 0..cell).await {
+            let segs = match whole_cell(oshard).await {
                 Ok(s) => s,
                 Err(DaosError::CsumMismatch) => {
                     // a reconstruction source is itself rotten: report
@@ -357,7 +291,7 @@ impl ArrayHandle {
             if self.shard_unreadable(pshard) {
                 continue;
             }
-            match self.fetch_shard_once(sim, pshard, chunk, 0..cell).await {
+            match whole_cell(pshard).await {
                 Ok(segs) => {
                     xor_into(&mut acc, &flatten(&segs, 0, cell));
                     let bytes = acc[want.start as usize..want.end as usize].to_vec();
@@ -431,10 +365,11 @@ impl ArrayHandle {
                         let covered = piece.slice((c - first_cell) * cell, cell);
                         xor_into(&mut parity, &covered.materialize());
                     } else {
+                        let (start, latest) = (group.start, EPOCH_LATEST);
                         let read = |round| {
-                            self.read_cell(sim, group.start, chunk, c, round, 0..cell, false)
+                            self.read_cell(sim, start, chunk, c, round, 0..cell, false, latest)
                         };
-                        let segs = self.retry(sim, DaosError::Timeout, read).await?;
+                        let segs = self.obj.retry(sim, DaosError::Timeout, read).await?;
                         xor_into(&mut parity, &flatten(&segs, 0, cell));
                     }
                 }
@@ -445,29 +380,53 @@ impl ArrayHandle {
         }
     }
 
-    /// Read one piece of one chunk through the protection class; returns
-    /// chunk-relative segments. Survives excluded *and silently dead*
-    /// targets where the class has redundancy: replicated reads fail over
-    /// to surviving replicas, EC reads reconstruct lost cells from the
-    /// stripe, and a full pass over the group that finds nobody alive
-    /// surfaces as [`DaosError::NoSurvivingReplicas`]. Transient faults
-    /// (every live shard timing out) back off, refresh the pool map and
-    /// retry under the client's attempt budget.
+    /// Read one piece of one chunk as of `epoch` through the protection
+    /// class; returns chunk-relative segments. Each round reads every cell
+    /// the piece touches (the whole chunk is one cell unless the class is
+    /// EC) through [`ArrayHandle::read_cell`]. Survives excluded *and
+    /// silently dead* targets where the class has redundancy: replicated
+    /// reads fail over to surviving replicas, EC reads reconstruct lost
+    /// cells from the stripe, and a full pass over the group that finds
+    /// nobody alive surfaces as [`DaosError::NoSurvivingReplicas`].
+    /// Transient faults (every live shard timing out) back off, refresh the
+    /// pool map and retry under the client's attempt budget.
     async fn read_piece(
         &self,
         sim: &Sim,
         chunk: u64,
         in_chunk: u64,
         len: u64,
+        epoch: Epoch,
     ) -> Result<Vec<ReadSeg>, DaosError> {
-        // replicas that never answered in any round are as good as gone
-        let exhausted = match self.obj.class {
-            ObjectClass::Replicated { .. } => DaosError::NoSurvivingReplicas,
-            _ => DaosError::Timeout,
+        let (protected, exhausted) = match self.obj.class {
+            ObjectClass::Sharded(_) | ObjectClass::ShardedMax => (false, DaosError::Timeout),
+            // replicas that never answered in any round are as good as gone
+            ObjectClass::Replicated { .. } => (true, DaosError::NoSurvivingReplicas),
+            ObjectClass::ErasureCoded { .. } => (true, DaosError::Timeout),
         };
-        let group = self.group_of(chunk).start;
-        let round = |round| self.read_piece_once(sim, group, chunk, in_chunk, len, round);
-        self.retry(sim, exhausted, round).await
+        let (group, cell, end) = (self.group_of(chunk).start, self.cell_size(), in_chunk + len);
+        let round = move |round| async move {
+            let mut out = Vec::new();
+            for c in in_chunk / cell..=(end - 1) / cell {
+                let base = c * cell;
+                let want = base.max(in_chunk) - base..(base + cell).min(end) - base;
+                let segs = match self
+                    .read_cell(sim, group, chunk, c, round, want, protected, epoch)
+                    .await
+                {
+                    Attempt::Done(segs) => segs.into_iter().map(|s| s.rebased(0, base)),
+                    other => return other,
+                };
+                if out.is_empty() {
+                    // the usual one-cell piece keeps the reply's allocation
+                    out = segs.collect();
+                } else {
+                    out.extend(segs);
+                }
+            }
+            Attempt::Done(out)
+        };
+        self.obj.retry(sim, exhausted, round).await
     }
 
     /// Split `[offset, offset+len)` into per-chunk pieces:
@@ -509,10 +468,13 @@ impl ArrayHandle {
         join_inline(futs).await.into_iter().collect()
     }
 
-    /// Read `[offset, offset+len)` as of a container snapshot epoch.
+    /// Read `len` bytes at `offset` as of container snapshot `epoch`
+    /// ([`ContainerHandle::snapshot`]): writes after the snapshot are
+    /// invisible, unwritten ranges come back as holes, and segments are
+    /// returned in array-offset order. Chunks are read concurrently inside
+    /// the caller's task, each through its class's failover.
     ///
-    /// Only supported for unprotected classes (snapshots of replicated/EC
-    /// data read the primary). Writes after the snapshot are invisible.
+    /// [`ContainerHandle::snapshot`]: super::ContainerHandle::snapshot
     pub async fn read_at_epoch(
         &self,
         sim: &Sim,
@@ -520,26 +482,9 @@ impl ArrayHandle {
         len: u64,
         epoch: Epoch,
     ) -> Result<Vec<ReadSeg>, DaosError> {
-        let obj = &self.obj;
-        let mut segs = Vec::new();
-        for (chunk, in_chunk, _src, plen) in self.pieces(offset, len) {
-            let (engine, target) = obj.route(self.group_of(chunk).start);
-            let req =
-                Request::fetch_chunk(target, obj.cont.cont, obj.oid, chunk, in_chunk, plen, epoch);
-            let piece = obj.cont.client.call(sim, engine, req).await?.fetched()?;
-            let base = chunk * self.chunk_size;
-            segs.extend(piece.into_iter().map(|s| s.rebased(0, base)));
-        }
-        segs.sort_by_key(|s| s.offset);
-        Ok(segs)
-    }
-
-    /// Read `len` bytes at `offset` (latest); unwritten ranges come back as
-    /// holes. Segments are returned in array-offset order.
-    pub async fn read(&self, sim: &Sim, offset: u64, len: u64) -> Result<Vec<ReadSeg>, DaosError> {
         // one piece, rebased from chunk-relative to array offsets
         let piece = |chunk, in_chunk, plen| async move {
-            let segs = self.read_piece(sim, chunk, in_chunk, plen).await?;
+            let segs = self.read_piece(sim, chunk, in_chunk, plen, epoch).await?;
             let base = chunk * self.chunk_size;
             let segs = segs.into_iter().map(|s| s.rebased(0, base));
             Ok::<_, DaosError>(segs.collect::<Vec<_>>())
@@ -559,6 +504,11 @@ impl ArrayHandle {
         Ok(segs)
     }
 
+    /// Read `len` bytes at `offset`, latest.
+    pub async fn read(&self, sim: &Sim, offset: u64, len: u64) -> Result<Vec<ReadSeg>, DaosError> {
+        self.read_at_epoch(sim, offset, len, EPOCH_LATEST).await
+    }
+
     /// Punch (logically zero) `[offset, offset+len)`; all shards of each
     /// affected chunk are punched so every replica stays consistent.
     pub async fn punch(&self, sim: &Sim, offset: u64, len: u64) -> Result<(), DaosError> {
@@ -573,15 +523,17 @@ impl ArrayHandle {
                 offset: in_chunk,
                 len: plen,
             };
-            let replies = self.obj.per_engine(sim, self.group_of(chunk), punch).await;
-            replies.into_iter().try_for_each(|r| r?.ok())?;
+            let group = self.group_of(chunk);
+            let punched = self.obj.per_engine(sim, group, punch, Response::Ok);
+            punched.await?.ok()?;
         }
         Ok(())
     }
 
     /// The array's size in bytes (highest written offset + 1), queried
     /// from every shard like `daos_array_get_size`: one RPC per engine
-    /// holding any of them, answered with that engine's highest chunk.
+    /// holding any of them, answered with that engine's highest chunk,
+    /// the highest of which wins.
     pub async fn size(&self, sim: &Sim) -> Result<u64, DaosError> {
         let (cont, oid) = (self.obj.cont.cont, self.obj.oid);
         let max_chunk = |targets| Request::ArrayMaxChunk {
@@ -590,23 +542,16 @@ impl ArrayHandle {
             oid,
             akey: array_akey(),
         };
-        let mut size = 0u64;
-        for r in self
-            .obj
-            .per_engine(sim, 0..self.obj.width(), max_chunk)
-            .await
-        {
-            match r? {
-                Response::MaxChunk(Some((dk, inner))) => {
-                    let chunk = chunk_of_dkey(&dk)
-                        .ok_or_else(|| DaosError::Other("malformed chunk dkey".into()))?;
-                    size = size.max(chunk * self.chunk_size + inner);
-                }
-                Response::MaxChunk(None) => {}
-                other => return Err(other.into_err()),
+        let (all, none) = (0..self.obj.width(), Response::MaxChunk(None));
+        match self.obj.per_engine(sim, all, max_chunk, none).await? {
+            Response::MaxChunk(Some((dk, inner))) => {
+                let chunk = chunk_of_dkey(&dk)
+                    .ok_or_else(|| DaosError::Other("malformed chunk dkey".into()))?;
+                Ok(chunk * self.chunk_size + inner)
             }
+            Response::MaxChunk(None) => Ok(0),
+            other => Err(other.into_err()),
         }
-        Ok(size)
     }
 
     /// Read exactly `len` bytes into one buffer, holes as zeroes — for

@@ -13,18 +13,9 @@ use crate::proto::{DaosError, Response};
 
 /// Client-side fault-handling policy: an RPC sent under it gets a deadline
 /// and failed attempts retry with exponential backoff + jitter, refreshing
-/// the pool map between tries. Under it: array `write` / `read` / `punch`
-/// pieces (the retry loop in this file) and the control plane
-/// (`DaosClient::control`). **Not** under it — they go through the plain
-/// `DaosClient::call`, with no deadline, retry, breaker or re-route, so
-/// they fail on the first [`DaosError::Busy`] and hang on a partition:
-/// `KvHandle::{put, get}` (every DFS dirent and superblock),
-/// `ObjectHandle::per_engine` (punch / list / size / snapshot) and
-/// `ArrayHandle::read_at_epoch`. ROADMAP item 2 lists the hole. What it
-/// waited on is done: a deadline that is beaten is cancelled when its
-/// `Sleep` drops and leaves nothing in the timer store, so putting one on
-/// every metadata RPC is free; what is left is routing the three through
-/// the retry loop, with the oracle as the test.
+/// the pool map between tries. Every data-plane RPC (array, KV and
+/// object-wide ops alike) runs under it through the retry loop in this
+/// file, and the control plane (`DaosClient::control`) under its own.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
     /// Per-attempt RPC deadline. Closed-loop benchmarks rarely trip it,
@@ -337,7 +328,7 @@ impl DampState {
     ) -> Result<T, DaosError>
     where
         A: Future<Output = Attempt<T>>,
-        R: Future<Output = ()>,
+        R: Future,
     {
         let mut last = exhausted;
         for round in 0..self.policy.max_attempts {

@@ -13,6 +13,8 @@ mod array;
 mod damp;
 mod object;
 
+use std::cell::Cell;
+use std::future::Future;
 use std::rc::Rc;
 
 use daos_fabric::NodeId;
@@ -26,7 +28,7 @@ use crate::ContId;
 
 pub use array::ArrayHandle;
 pub(crate) use array::{group_of_chunk, xor_into};
-use damp::{Admit, DampState};
+use damp::{Admit, Attempt, DampState};
 pub use damp::{DampStats, RetryPolicy};
 pub use object::{KvHandle, ObjectHandle};
 
@@ -97,31 +99,11 @@ impl DaosClient {
         self.node
     }
 
-    /// Issue one RPC to engine `engine_idx` (no deadline: fails fast on a
-    /// dead link, hangs on a partition — resilient paths use
-    /// [`DaosClient::call_deadline`], whose deadline costs nothing once
-    /// the reply has beaten it: the timer is cancelled with its `Sleep`).
-    pub async fn call(
-        &self,
-        sim: &Sim,
-        engine_idx: u32,
-        req: Request,
-    ) -> Result<Response, DaosError> {
-        let bulk = req.bulk_in();
-        let rpc = Rpc {
-            tenant: self.tenant,
-            req,
-        };
-        self.cluster
-            .engine(engine_idx)
-            .endpoint()
-            .call(sim, self.node, rpc, bulk)
-            .await
-            .map_err(|_| DaosError::Transport)
-    }
-
     /// Issue one RPC with the policy's per-attempt deadline; faults come
-    /// back as typed retryable errors.
+    /// back as typed retryable errors. The one raw single attempt: every
+    /// other way out of the client wraps it (the data plane's gated call,
+    /// [`DaosClient::control`]). A deadline the reply beats costs nothing:
+    /// its timer is cancelled with its `Sleep`.
     pub async fn call_deadline(
         &self,
         sim: &Sim,
@@ -162,14 +144,64 @@ impl DaosClient {
         r
     }
 
-    /// One plain [`DaosClient::call`] per `(engine, request)`, all in
-    /// flight at once inside the caller's own task; replies in order.
-    async fn call_each(
+    /// An object-wide op through the data-plane retry loop. Each round
+    /// routes the units still unanswered (`route` gives a unit's `(engine,
+    /// local target)`, or `None` to drop it), sends each engine one gated
+    /// RPC listing its targets in unit order — all in flight at once inside
+    /// the caller's task — and folds every answer into one reply
+    /// ([`Response::merge`]). The units of an engine that gave a retryable
+    /// error wait for the next round, regrouped by whatever `refresh`
+    /// moved; answers already in are kept, and any other error fails the
+    /// op. The answers fold into `empty`, which is also the reply of an op
+    /// left with no unit.
+    async fn collective<R: Future>(
         &self,
         sim: &Sim,
-        reqs: impl ExactSizeIterator<Item = (u32, Request)>,
-    ) -> Vec<Result<Response, DaosError>> {
-        join_inline(reqs.map(|(engine, req)| self.call(sim, engine, req))).await
+        units: impl ExactSizeIterator<Item = u32> + Clone,
+        route: impl Fn(u32) -> Option<(u32, u32)>,
+        build: impl Fn(Vec<u32>) -> Request,
+        refresh: impl Fn() -> R,
+        empty: Response,
+    ) -> Result<Response, DaosError> {
+        let (unanswered, merged) = (&Cell::new(Vec::new()), &Cell::new(empty));
+        let (units, route, build) = (&units, &route, &build);
+        let round = move |round| async move {
+            let placed = |unit| route(unit).map(|(engine, target)| (engine, target, unit));
+            // sized up front: a `filter_map` collect would grow it step by step
+            let mut routed = Vec::with_capacity(units.len());
+            match round {
+                0 => routed.extend(units.clone().filter_map(placed)),
+                _ => routed.extend(unanswered.take().into_iter().filter_map(placed)),
+            }
+            routed.sort_by_key(|&(engine, ..)| engine);
+            let same_engine = |a: &(u32, u32, u32), b: &(u32, u32, u32)| a.0 == b.0;
+            // counted first, so the fan-out is sized exactly
+            let engines = routed.chunk_by(same_engine).count();
+            let mut groups = routed.chunk_by(same_engine);
+            let calls = (0..engines).map(|_| {
+                // INVARIANT: `engines` counted exactly these groups.
+                let on_engine = groups.next().expect("one group per engine");
+                let targets = on_engine.iter().map(|&(_, target, _)| target).collect();
+                self.call_gated(sim, on_engine[0].0, build(targets))
+            });
+            let replies = join_inline(calls).await;
+            let (mut left, mut again) = (Vec::new(), None);
+            for (on_engine, reply) in routed.chunk_by(same_engine).zip(replies) {
+                match reply {
+                    Ok(Response::Err(e)) | Err(e) if e.is_retryable() => {
+                        left.extend(on_engine.iter().map(|&(.., unit)| unit));
+                        again = Some(e);
+                    }
+                    Ok(Response::Err(e)) | Err(e) => return Attempt::Fail(e),
+                    Ok(answer) => merged.set(merged.replace(Response::Ok).merge(answer)),
+                }
+            }
+            unanswered.set(left);
+            again.map_or(Attempt::Done(()), Attempt::Retry)
+        };
+        let damp = &self.damp;
+        let rounds = damp.retry_rounds(sim, DaosError::Timeout, round, refresh);
+        rounds.await.map(|()| merged.replace(Response::Ok))
     }
 
     /// Control-plane RPC: retries across pool-service replicas following
@@ -331,23 +363,24 @@ impl ContainerHandle {
     }
 
     /// Capture a container snapshot: an epoch at or above every update
-    /// completed so far (queried from every target, one RPC per engine,
-    /// like `daos_cont_create_snap`). Reads at this epoch see exactly the
-    /// data present now, regardless of later overwrites.
+    /// completed so far (queried from every live target, one RPC per
+    /// engine, like `daos_cont_create_snap`). Reads at this epoch see
+    /// exactly the data present now, regardless of later overwrites.
     pub async fn snapshot(&self, sim: &Sim) -> Result<Epoch, DaosError> {
-        let cfg = &self.client.cluster.cfg;
-        let query = (0..cfg.engine_count()).map(|engine| {
-            let targets = (0..cfg.targets_per_engine).collect();
-            (engine, Request::QueryEpoch { targets })
-        });
-        let mut max = 0;
-        for r in self.client.call_each(sim, query).await {
-            match r? {
-                Response::Epoch(e) => max = max.max(e),
-                other => return Err(other.into_err()),
-            }
+        let client = &self.client;
+        let tpe = client.cluster.cfg.targets_per_engine;
+        let live = |t| (!client.cluster.pool_map().is_excluded(t)).then_some((t / tpe, t % tpe));
+        let query = |targets| Request::QueryEpoch { targets };
+        let refresh = || client.refresh_pool_map(sim);
+        let (all, zero) = (
+            0..client.cluster.cfg.engine_count() * tpe,
+            Response::Epoch(0),
+        );
+        let epochs = client.collective(sim, all, live, query, refresh, zero);
+        match epochs.await? {
+            Response::Epoch(e) => Ok(e),
+            other => Err(other.into_err()),
         }
-        Ok(max)
     }
 
     /// Open an object with a class; computes the layout client-side.

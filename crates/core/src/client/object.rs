@@ -3,6 +3,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
+use std::future::Future;
 use std::ops::Range;
 use std::rc::Rc;
 
@@ -10,6 +11,7 @@ use daos_placement::{place, splitmix64, Layout, ObjectClass, ObjectId};
 use daos_sim::Sim;
 use daos_vos::{key, Key, Payload};
 
+use super::damp::Attempt;
 use super::{ArrayHandle, ContainerHandle, EPOCH_LATEST};
 use crate::proto::{wire_csum, DaosError, Request, Response};
 
@@ -104,29 +106,61 @@ impl ObjectHandle {
         (splitmix64(h) % self.width() as u64) as u32
     }
 
-    /// One plain RPC per engine behind `shards`, concurrently; `build`
-    /// gets that engine's local targets in shard order, and replies come
-    /// back in engine order. An object on one target is the one-engine,
-    /// one-target case.
+    /// Drive `attempt(round)` through the client's one retry loop; between
+    /// rounds the loop refreshes the pool map and re-places this object,
+    /// so a retry lands on a moved shard's new home.
+    pub(super) fn retry<'a, T, A>(
+        &'a self,
+        sim: &'a Sim,
+        exhausted: DaosError,
+        attempt: impl FnMut(u32) -> A + 'a,
+    ) -> impl Future<Output = Result<T, DaosError>> + 'a
+    where
+        A: Future<Output = Attempt<T>> + 'a,
+        T: 'a,
+    {
+        let refresh = move || self.refresh(sim);
+        let damp = &self.cont.client.damp;
+        damp.retry_rounds(sim, exhausted, attempt, refresh)
+    }
+
+    /// A single-shard op through the retry loop: each round re-routes
+    /// `shard` (the shard index is stable, the target behind it moves
+    /// with the layout) and sends the request `build` makes for that
+    /// target, gated; `decode` turns the reply into the op's result.
+    pub(super) async fn shard_op<T>(
+        &self,
+        sim: &Sim,
+        shard: u32,
+        build: impl Fn(u32) -> Request,
+        decode: impl Fn(Response) -> Result<T, DaosError>,
+    ) -> Result<T, DaosError> {
+        let (client, build, decode) = (&self.cont.client, &build, &decode);
+        let attempt = move |_round| async move {
+            let (engine, target) = self.route(shard);
+            let rsp = client.call_gated(sim, engine, build(target)).await;
+            rsp.and_then(decode).into()
+        };
+        self.retry(sim, DaosError::Timeout, attempt).await
+    }
+
+    /// One gated RPC per engine behind `shards`, concurrently, through
+    /// the retry loop ([`DaosClient::collective`]); `build` gets that
+    /// engine's local targets in shard order, and the replies come back
+    /// merged. An object on one target is the one-engine, one-target case.
+    ///
+    /// [`DaosClient::collective`]: super::DaosClient::collective
     pub(super) async fn per_engine(
         &self,
         sim: &Sim,
         shards: Range<u32>,
         build: impl Fn(Vec<u32>) -> Request,
-    ) -> Vec<Result<Response, DaosError>> {
-        let mut routed: Vec<(u32, u32)> = shards.map(|s| self.route(s)).collect();
-        routed.sort_by_key(|&(engine, _)| engine);
-        let same_engine = |a: &(u32, u32), b: &(u32, u32)| a.0 == b.0;
-        // counted first, so the fan-out is sized exactly
-        let engines = routed.chunk_by(same_engine).count();
-        let mut groups = routed.chunk_by(same_engine);
-        let reqs = (0..engines).map(|_| {
-            // INVARIANT: `engines` counted exactly these groups.
-            let on_engine = groups.next().expect("one group per engine");
-            let targets = on_engine.iter().map(|&(_, target)| target).collect();
-            (on_engine[0].0, build(targets))
-        });
-        self.cont.client.call_each(sim, reqs).await
+        empty: Response,
+    ) -> Result<Response, DaosError> {
+        let (route, refresh) = (|shard| Some(self.route(shard)), || self.refresh(sim));
+        let client = &self.cont.client;
+        let op = client.collective(sim, shards, route, build, refresh, empty);
+        op.await
     }
 
     /// Punch the object on every shard (unlink): one RPC per engine
@@ -134,24 +168,23 @@ impl ObjectHandle {
     pub async fn punch(&self, sim: &Sim) -> Result<(), DaosError> {
         let (cont, oid) = (self.cont.cont, self.oid);
         let punch = |targets| Request::PunchObject { targets, cont, oid };
-        let replies = self.per_engine(sim, 0..self.width(), punch).await;
-        replies.into_iter().try_for_each(|r| r?.ok())
+        let all = 0..self.width();
+        self.per_engine(sim, all, punch, Response::Ok).await?.ok()
     }
 
     /// Enumerate dkeys across all shards, merged and sorted.
     pub async fn list_dkeys(&self, sim: &Sim) -> Result<Vec<Key>, DaosError> {
         let (cont, oid) = (self.cont.cont, self.oid);
         let list = |targets| Request::ListDkeys { targets, cont, oid };
-        let mut keys = Vec::new();
-        for r in self.per_engine(sim, 0..self.width(), list).await {
-            match r? {
-                Response::Dkeys(mut ks) => keys.append(&mut ks),
-                other => return Err(other.into_err()),
+        let none = Response::Dkeys(Vec::new());
+        match self.per_engine(sim, 0..self.width(), list, none).await? {
+            Response::Dkeys(mut keys) => {
+                keys.sort();
+                keys.dedup();
+                Ok(keys)
             }
+            other => Err(other.into_err()),
         }
-        keys.sort();
-        keys.dedup();
-        Ok(keys)
     }
 
     /// Key-value view of this object (`daos_kv`).
@@ -187,56 +220,38 @@ impl KvHandle {
         k: impl AsRef<[u8]>,
         value: Payload,
     ) -> Result<(), DaosError> {
-        let dkey = key(k);
-        let shard = self.obj.shard_of_dkey(&dkey);
-        let (engine, target) = self.obj.route(shard);
+        let (obj, dkey) = (&self.obj, key(k));
         let csum = wire_csum(&value);
-        self.obj
-            .cont
-            .client
-            .call(
-                sim,
-                engine,
-                Request::UpdateSingle {
-                    target,
-                    cont: self.obj.cont.cont,
-                    oid: self.obj.oid,
-                    dkey,
-                    akey: key("v"),
-                    value,
-                    csum,
-                },
-            )
-            .await?
-            .ok()
+        let update = |target| Request::UpdateSingle {
+            target,
+            cont: obj.cont.cont,
+            oid: obj.oid,
+            dkey: dkey.clone(),
+            akey: key("v"),
+            value: value.clone(),
+            csum,
+        };
+        let shard = obj.shard_of_dkey(&dkey);
+        obj.shard_op(sim, shard, update, Response::ok).await
     }
 
     /// Fetch the value under `k` (latest).
     pub async fn get(&self, sim: &Sim, k: impl AsRef<[u8]>) -> Result<Option<Payload>, DaosError> {
-        let dkey = key(k);
-        let shard = self.obj.shard_of_dkey(&dkey);
-        let (engine, target) = self.obj.route(shard);
-        let rsp = self
-            .obj
-            .cont
-            .client
-            .call(
-                sim,
-                engine,
-                Request::FetchSingle {
-                    target,
-                    cont: self.obj.cont.cont,
-                    oid: self.obj.oid,
-                    dkey,
-                    akey: key("v"),
-                    epoch: EPOCH_LATEST,
-                },
-            )
-            .await?;
-        match rsp {
+        let (obj, dkey) = (&self.obj, key(k));
+        let fetch = |target| Request::FetchSingle {
+            target,
+            cont: obj.cont.cont,
+            oid: obj.oid,
+            dkey: dkey.clone(),
+            akey: key("v"),
+            epoch: EPOCH_LATEST,
+        };
+        let single = |rsp: Response| match rsp {
             Response::Single(v) => Ok(v),
             other => Err(other.into_err()),
-        }
+        };
+        let shard = obj.shard_of_dkey(&dkey);
+        obj.shard_op(sim, shard, fetch, single).await
     }
 
     /// List keys.

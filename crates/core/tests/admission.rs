@@ -63,10 +63,10 @@ fn queue_cap_zero_sheds_all_data_plane_but_control_plane_survives() {
         // data plane: header-only and bulk requests are both shed, and
         // the Busy reply itself carries no bulk payload
         let q = client
-            .call(&sim, 1, Request::QueryEpoch { targets: vec![0] })
+            .call_deadline(&sim, 1, Request::QueryEpoch { targets: vec![0] })
             .await;
         assert!(is_busy(&q), "header-only data op must be shed: {q:?}");
-        let w = client.call(&sim, 1, raw_update(0, 64 * KIB)).await;
+        let w = client.call_deadline(&sim, 1, raw_update(0, 64 * KIB)).await;
         assert!(is_busy(&w), "bulk data op must be shed: {w:?}");
         if let Ok(rsp) = &w {
             assert_eq!(rsp.bulk_out(), 0, "Busy reply must be header-only");
@@ -110,10 +110,12 @@ fn inflight_cap_boundary_is_exact_and_ignores_headers() {
         pool.create_container(&sim, 1).await.unwrap();
 
         // exactly at the cap: admitted (sequential, so in-flight is 0)
-        let at = client.call(&sim, 1, raw_update(0, 64 * KIB)).await;
+        let at = client.call_deadline(&sim, 1, raw_update(0, 64 * KIB)).await;
         assert!(!is_busy(&at), "write at exactly the cap must pass: {at:?}");
         // one byte over: shed
-        let over = client.call(&sim, 1, raw_update(1, 64 * KIB + 1)).await;
+        let over = client
+            .call_deadline(&sim, 1, raw_update(1, 64 * KIB + 1))
+            .await;
         assert!(is_busy(&over), "cap+1 bytes must be shed: {over:?}");
         let stats = cluster.engine(1).admission_stats();
         assert_eq!(stats.admitted, 1);
@@ -133,14 +135,14 @@ fn inflight_cap_boundary_is_exact_and_ignores_headers() {
         let zc = DaosClient::new(Rc::clone(&zero), 0);
         zc.connect(&sim).await.unwrap();
         let q = zc
-            .call(&sim, 1, Request::QueryEpoch { targets: vec![0] })
+            .call_deadline(&sim, 1, Request::QueryEpoch { targets: vec![0] })
             .await;
         assert!(
             !is_busy(&q),
             "header-only op must pass at byte-cap 0: {q:?}"
         );
         let f = zc
-            .call(
+            .call_deadline(
                 &sim,
                 1,
                 Request::FetchArray {
@@ -173,7 +175,7 @@ fn stale_map_outranks_busy_on_excluded_targets() {
 
         // fake a newer map that excludes engine 1's local target 0
         let p = client
-            .call(
+            .call_deadline(
                 &sim,
                 1,
                 Request::Ping {
@@ -187,12 +189,12 @@ fn stale_map_outranks_busy_on_excluded_targets() {
             "ping must be answered: {p:?}"
         );
 
-        let ex = client.call(&sim, 1, raw_update(0, KIB)).await;
+        let ex = client.call_deadline(&sim, 1, raw_update(0, KIB)).await;
         assert!(
             matches!(ex, Ok(Response::Err(DaosError::StaleMap { version: 2 }))),
             "excluded target must answer StaleMap even at queue cap 0: {ex:?}"
         );
-        let other = client.call(&sim, 1, raw_update(1, KIB)).await;
+        let other = client.call_deadline(&sim, 1, raw_update(1, KIB)).await;
         assert!(
             is_busy(&other),
             "non-excluded target still sheds: {other:?}"
@@ -217,10 +219,10 @@ fn shaper_sits_behind_admission_gates_and_sheds_are_unbilled() {
         client.connect(&sim).await.unwrap();
 
         let q = client
-            .call(&sim, 1, Request::QueryEpoch { targets: vec![0] })
+            .call_deadline(&sim, 1, Request::QueryEpoch { targets: vec![0] })
             .await;
         assert!(is_busy(&q), "header-only data op must be shed: {q:?}");
-        let w = client.call(&sim, 1, raw_update(0, 64 * KIB)).await;
+        let w = client.call_deadline(&sim, 1, raw_update(0, 64 * KIB)).await;
         assert!(is_busy(&w), "bulk data op must be shed: {w:?}");
 
         let stats = cluster.engine(1).admission_stats();
@@ -248,7 +250,9 @@ fn queue_cap_one_serial_traffic_never_sheds_and_burst_counters_conserve() {
 
         // sequential awaited requests: depth is always 0 at arrival
         for i in 0..4 {
-            let r = client.call(&sim, 1, raw_update(0, (i + 1) * KIB)).await;
+            let r = client
+                .call_deadline(&sim, 1, raw_update(0, (i + 1) * KIB))
+                .await;
             assert!(!is_busy(&r), "serial op {i} must be admitted: {r:?}");
         }
         let stats = cluster.engine(1).admission_stats();
@@ -261,7 +265,7 @@ fn queue_cap_one_serial_traffic_never_sheds_and_burst_counters_conserve() {
             .map(|_| {
                 let c = DaosClient::new(Rc::clone(&cluster), 0);
                 let s = sim.clone();
-                async move { is_busy(&c.call(&s, 1, raw_update(0, 64 * KIB)).await) }
+                async move { is_busy(&c.call_deadline(&s, 1, raw_update(0, 64 * KIB)).await) }
             })
             .collect();
         let shed_replies = join_all(&sim, futs).await.iter().filter(|&&b| b).count() as u64;
@@ -306,7 +310,7 @@ fn crash_mid_service_releases_budget_grant_and_xstream() {
             .map(|_| {
                 let c = DaosClient::new(Rc::clone(&cluster), 0).with_tenant(7);
                 let s = sim.clone();
-                sim.spawn(async move { c.call(&s, 1, raw_update(0, LEN)).await })
+                sim.spawn(async move { c.call_deadline(&s, 1, raw_update(0, LEN)).await })
             })
             .collect();
         while engine.admission_stats().admitted < BURST {
@@ -343,7 +347,9 @@ fn crash_mid_service_releases_budget_grant_and_xstream() {
         // a full-budget write to the same xstream: it passes the bytes
         // gate only if the budget drained, is granted only if the last
         // gate grant was released, and is served only if the permit was
-        let next = client.call(&sim, 1, raw_update(0, BURST * LEN)).await;
+        let next = client
+            .call_deadline(&sim, 1, raw_update(0, BURST * LEN))
+            .await;
         assert!(
             matches!(next, Ok(Response::Written { .. })),
             "the restarted engine must serve the next write: {next:?}"

@@ -144,7 +144,7 @@ fn size_finds_the_last_chunk_wherever_it_lives() {
                             oid: OID,
                             akey: array_akey(),
                         };
-                        match client.call(&sim, engine, probe).await {
+                        match client.call_deadline(&sim, engine, probe).await {
                             Ok(Response::MaxChunk(Some((dkey, _))))
                                 if chunk_of_dkey(&dkey) == Some(chunk) =>
                             {
@@ -202,8 +202,12 @@ fn one_refusing_target_answers_for_the_whole_op() {
             version: 2,
             excluded: vec![2],
         };
-        client.call(&sim, 1, gossip).await.unwrap();
-        let (rsp, _, adm) = cost(&cluster, client.call(&sim, 1, punch_all(&cfg, OID))).await;
+        client.call_deadline(&sim, 1, gossip).await.unwrap();
+        let (rsp, _, adm) = cost(
+            &cluster,
+            client.call_deadline(&sim, 1, punch_all(&cfg, OID)),
+        )
+        .await;
         assert!(
             matches!(rsp, Ok(Response::Err(DaosError::StaleMap { version: 2 }))),
             "{rsp:?}"
@@ -216,7 +220,11 @@ fn one_refusing_target_answers_for_the_whole_op() {
         let cluster = Cluster::build(&sim, shut);
         let client = DaosClient::new(Rc::clone(&cluster), 0);
         client.connect(&sim).await.unwrap();
-        let (rsp, _, adm) = cost(&cluster, client.call(&sim, 1, punch_all(&cfg, OID))).await;
+        let (rsp, _, adm) = cost(
+            &cluster,
+            client.call_deadline(&sim, 1, punch_all(&cfg, OID)),
+        )
+        .await;
         assert!(
             matches!(rsp, Ok(Response::Err(DaosError::Busy { queued: 0 }))),
             "{rsp:?}"
@@ -235,12 +243,16 @@ fn one_refusing_target_answers_for_the_whole_op() {
             let (client, sim) = (client.clone(), sim.clone());
             let hold = Request::QueryEpoch { targets: vec![2] };
             sim.clone()
-                .spawn(async move { client.call(&sim, 1, hold).await })
+                .spawn(async move { client.call_deadline(&sim, 1, hold).await })
         };
         while admitted(&cluster) == 0 {
             sim.sleep_us(1).await;
         }
-        let (rsp, _, adm) = cost(&cluster, client.call(&sim, 1, punch_all(&cfg, OID))).await;
+        let (rsp, _, adm) = cost(
+            &cluster,
+            client.call_deadline(&sim, 1, punch_all(&cfg, OID)),
+        )
+        .await;
         assert!(
             matches!(rsp, Ok(Response::Err(DaosError::Busy { queued: 1 }))),
             "{rsp:?}"
@@ -248,6 +260,57 @@ fn one_refusing_target_answers_for_the_whole_op() {
         let stats = cluster.engine(1).admission_stats();
         assert_eq!((adm, stats.shed_queue), (3, 1), "only target 2 refused");
         assert!(matches!(busy.await, Ok(Response::Epoch(_))));
+    });
+}
+
+/// Run `op` while engine 1's target 2 is held busy, so that under a
+/// `queue_cap` of one the op's visit there is shed once: it must take one
+/// RPC to engine 0 and two to engine 1.
+async fn with_one_shed<T>(sim: &Sim, cluster: &Rc<Cluster>, op: impl Future<Output = T>) -> T {
+    let client = DaosClient::new(Rc::clone(cluster), 0);
+    let before = admitted(cluster);
+    let held = sim.spawn({
+        let (client, sim) = (client.clone(), sim.clone());
+        let hold = Request::QueryEpoch { targets: vec![2] };
+        async move { client.call_deadline(&sim, 1, hold).await }
+    });
+    while admitted(cluster) == before {
+        sim.sleep_us(1).await;
+    }
+    let shed = cluster.engine(1).admission_stats().shed_queue;
+    let (out, rpcs, _) = cost(cluster, op).await;
+    assert_eq!(cluster.engine(1).admission_stats().shed_queue, shed + 1);
+    assert!(matches!(held.await, Ok(Response::Epoch(_))));
+    assert_eq!(rpcs, [1, 2], "the retry round asks engine 1 alone");
+    out
+}
+
+/// Object-wide ops ride the client's retry loop: with one engine shedding
+/// a visit, the op still completes, and its second round goes to that
+/// engine alone — the other engine's answer is kept, not asked for again.
+#[test]
+fn a_retry_round_asks_only_the_engine_that_shed() {
+    let mut sim = Sim::new(0xC07);
+    sim.block_on(|sim| async move {
+        let mut cfg = quiet(ClusterConfig::tiny(1));
+        cfg.engine.queue_cap = Some(1);
+        cfg.engine.rpc_cpu = SimDuration::from_ms(1);
+        let cluster = Cluster::build(&sim, cfg);
+        let cont = container(&sim, &cluster, 0).await;
+        let wide = cont.object(OID, ObjectClass::SX);
+        let arr = wide.array(CHUNK);
+        let len = 2 * wide.layout().width() as u64 * CHUNK;
+        arr.write(&sim, 0, Payload::pattern(1, len)).await.unwrap();
+
+        let size = with_one_shed(&sim, &cluster, arr.size(&sim)).await;
+        assert_eq!(size.unwrap(), len);
+        let keys = with_one_shed(&sim, &cluster, wide.list_dkeys(&sim)).await;
+        assert_eq!(keys.unwrap().len() as u64, len / CHUNK);
+        let epoch = with_one_shed(&sim, &cluster, cont.snapshot(&sim)).await;
+        assert!(epoch.unwrap() > 0);
+        let punched = with_one_shed(&sim, &cluster, wide.punch(&sim)).await;
+        punched.unwrap();
+        assert_eq!(arr.size(&sim).await.unwrap(), 0);
     });
 }
 
@@ -329,7 +392,7 @@ fn crash_mid_collective_leaves_every_xstream_idle() {
             let (client, sim) = (client.clone(), sim.clone());
             async move {
                 let t0 = sim.now();
-                let rsp = client.call(&sim, 1, punch_all(&cfg, OID)).await;
+                let rsp = client.call_deadline(&sim, 1, punch_all(&cfg, OID)).await;
                 (rsp, sim.now() - t0)
             }
         };

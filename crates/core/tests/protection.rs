@@ -242,7 +242,9 @@ fn multi_chunk_write_finishes_every_piece_and_reports_the_first_error_in_chunk_o
             csum: wire_csum(&value),
             value,
         };
-        let planted = client.call(&sim, t / cfg.targets_per_engine, plant).await;
+        let planted = client
+            .call_deadline(&sim, t / cfg.targets_per_engine, plant)
+            .await;
         planted.unwrap().ok().unwrap();
 
         let before = cluster.total_bytes_written();

@@ -74,7 +74,7 @@ fn drr_never_starves_an_outweighed_tenant() {
                 let c = DaosClient::new(Rc::clone(&cluster), 0).with_tenant(tenant);
                 let s = sim.clone();
                 futs.push(async move {
-                    let r = c.call(&s, 1, raw_update(0, 64 * KIB)).await;
+                    let r = c.call_deadline(&s, 1, raw_update(0, 64 * KIB)).await;
                     matches!(r, Ok(Response::Written { .. }))
                 });
             }
@@ -118,20 +118,26 @@ fn sparse_fetch_refund_balances_byte_accounting() {
 
         // zero-payload probe: the shaper's per-op header overhead
         let q = client
-            .call(&sim, 1, Request::QueryEpoch { targets: vec![0] })
+            .call_deadline(&sim, 1, Request::QueryEpoch { targets: vec![0] })
             .await;
         assert!(matches!(q, Ok(Response::Epoch { .. })), "probe: {q:?}");
         let overhead = cluster.engine(1).tenant_stats(1).bytes;
         assert!(overhead > 0, "header-only ops must still be accounted");
 
         // write 64 KiB; charge is payload + overhead, nothing refunded
-        client.call(&sim, 1, raw_update(0, 64 * KIB)).await.unwrap();
+        client
+            .call_deadline(&sim, 1, raw_update(0, 64 * KIB))
+            .await
+            .unwrap();
         let after_write = cluster.engine(1).tenant_stats(1);
         assert_eq!(after_write.bytes, overhead + 64 * KIB + overhead);
         assert_eq!(after_write.refunded, 0);
 
         // dense fetch (fully resident): charge sticks, still no refund
-        let dense = client.call(&sim, 1, raw_fetch(0, 64 * KIB)).await.unwrap();
+        let dense = client
+            .call_deadline(&sim, 1, raw_fetch(0, 64 * KIB))
+            .await
+            .unwrap();
         assert_eq!(dense.bulk_out(), 64 * KIB);
         let after_dense = cluster.engine(1).tenant_stats(1);
         assert_eq!(after_dense.bytes, after_write.bytes + 64 * KIB + overhead);
@@ -140,7 +146,10 @@ fn sparse_fetch_refund_balances_byte_accounting() {
         // sparse fetch of 256 KiB with 64 KiB resident: the 192 KiB
         // reserved-but-unserved tail comes back as a refund, so the net
         // charge equals the dense fetch's
-        let sparse = client.call(&sim, 1, raw_fetch(0, 256 * KIB)).await.unwrap();
+        let sparse = client
+            .call_deadline(&sim, 1, raw_fetch(0, 256 * KIB))
+            .await
+            .unwrap();
         assert_eq!(sparse.bulk_out(), 64 * KIB);
         let after_sparse = cluster.engine(1).tenant_stats(1);
         assert_eq!(after_sparse.refunded, 192 * KIB);
@@ -181,7 +190,7 @@ fn token_bucket_paces_aggregate_throughput() {
         let chunk = 256 * KIB;
         let t0 = sim.now();
         for _ in 0..OPS {
-            let r = client.call(&sim, 1, raw_update(0, chunk)).await;
+            let r = client.call_deadline(&sim, 1, raw_update(0, chunk)).await;
             assert!(matches!(r, Ok(Response::Written { .. })), "{r:?}");
         }
         let elapsed = (sim.now() - t0).as_ns();
@@ -228,7 +237,7 @@ fn control_plane_is_accounted_but_never_shaped() {
 
             // data plane for an unconfigured tenant still flows (default
             // class: weight 1, uncapped)
-            let w = client.call(&sim, 1, raw_update(0, KIB)).await;
+            let w = client.call_deadline(&sim, 1, raw_update(0, KIB)).await;
             assert!(matches!(w, Ok(Response::Written { .. })), "{w:?}");
             (elapsed, cluster.tenant_stats(BG_TENANT).ops)
         })
@@ -256,12 +265,18 @@ fn clear_qos_freezes_counters_and_unshapes_traffic() {
         let client = DaosClient::new(Rc::clone(&cluster), 0).with_tenant(1);
         let pool = client.connect(&sim).await.unwrap();
         pool.create_container(&sim, 1).await.unwrap();
-        client.call(&sim, 1, raw_update(0, KIB)).await.unwrap();
+        client
+            .call_deadline(&sim, 1, raw_update(0, KIB))
+            .await
+            .unwrap();
         let shaped = cluster.engine(1).tenant_stats(1);
         assert_eq!(shaped.ops, 1);
 
         cluster.clear_qos();
-        client.call(&sim, 1, raw_update(0, KIB)).await.unwrap();
+        client
+            .call_deadline(&sim, 1, raw_update(0, KIB))
+            .await
+            .unwrap();
         let after = cluster.engine(1).tenant_stats(1);
         assert_eq!(after, Default::default(), "counters reset with the shaper");
     });

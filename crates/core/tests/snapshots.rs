@@ -5,6 +5,7 @@ use std::rc::Rc;
 
 use daos_core::{Cluster, ClusterConfig, DaosClient, DaosError};
 use daos_placement::{ObjectClass, ObjectId};
+use daos_sim::fault::FaultAction;
 use daos_sim::time::SimDuration;
 use daos_sim::units::MIB;
 use daos_sim::Sim;
@@ -35,6 +36,92 @@ fn snapshot_isolates_from_later_overwrites() {
         let segs = arr.read_at_epoch(&sim, 0, 2 * MIB, snap).await.unwrap();
         let got = daos_mpiio::assemble(&segs, 0, 2 * MIB).materialize();
         assert_eq!(got.to_vec(), v1.materialize().to_vec());
+    });
+}
+
+/// Four engines of four targets: room for a 2+1 stripe or a replica pair
+/// on distinct engines.
+fn four_engines() -> ClusterConfig {
+    ClusterConfig {
+        server_nodes: 4,
+        ..ClusterConfig::tiny(1)
+    }
+}
+
+/// A snapshot read of an EC object serves every data cell from the shard
+/// that holds it: a 1 MiB chunk is two 512 KiB cells on two shards, and
+/// the second must not come back as a hole.
+#[test]
+fn snapshot_reads_every_cell_of_an_ec_chunk() {
+    let mut sim = Sim::new(0x5AD);
+    sim.block_on(|sim| async move {
+        let cluster = Cluster::build(&sim, four_engines());
+        let client = DaosClient::new(Rc::clone(&cluster), 0);
+        let pool = client.connect(&sim).await.unwrap();
+        let cont = pool.create_container(&sim, 1).await.unwrap();
+        let class = ObjectClass::ErasureCoded {
+            data: 2,
+            parity: 1,
+            groups: Some(1),
+        };
+        let arr = cont.object(ObjectId::new(5, 5), class).array(MIB);
+        let (v1, v2) = (Payload::pattern(1, MIB), Payload::pattern(2, MIB));
+        arr.write(&sim, 0, v1.clone()).await.unwrap();
+        let snap = cont.snapshot(&sim).await.unwrap();
+        arr.write(&sim, 0, v2.clone()).await.unwrap();
+
+        let segs = arr.read_at_epoch(&sim, 0, MIB, snap).await.unwrap();
+        let got = daos_mpiio::assemble(&segs, 0, MIB).materialize();
+        assert!(got[..] == v1.materialize()[..], "the snapshot reads v1");
+        let latest = arr.read_bytes(&sim, 0, MIB).await.unwrap();
+        assert!(
+            latest[..] == v2.materialize()[..],
+            "the latest read sees v2"
+        );
+    });
+}
+
+/// A snapshot read of a replicated object fails over like a latest read:
+/// with the first replica's engine crashed and excluded, the second
+/// replica serves the snapshot's bytes.
+#[test]
+fn snapshot_read_fails_over_to_the_second_replica() {
+    let mut sim = Sim::new(0x5AE);
+    sim.block_on(|sim| async move {
+        let cfg = four_engines();
+        let cluster = Cluster::build(&sim, cfg);
+        let client = DaosClient::new(Rc::clone(&cluster), 0);
+        let pool = client.connect(&sim).await.unwrap();
+        let cont = pool.create_container(&sim, 1).await.unwrap();
+        let tpe = cfg.targets_per_engine;
+        // an object whose first replica is not on the pool service's engine
+        let (obj, first) = (6..)
+            .map(|lo| cont.object(ObjectId::new(6, lo), ObjectClass::RP_2GX))
+            .map(|obj| {
+                let first = obj.layout().target_of(0);
+                (obj, first)
+            })
+            .find(|&(_, first)| first / tpe != 0)
+            .unwrap();
+        let arr = obj.array(MIB);
+        let (v1, v2) = (Payload::pattern(3, MIB), Payload::pattern(4, MIB));
+        arr.write(&sim, 0, v1.clone()).await.unwrap();
+        let snap = cont.snapshot(&sim).await.unwrap();
+        arr.write(&sim, 0, v2).await.unwrap();
+
+        let engine = first / tpe;
+        cluster.apply_fault(
+            &sim,
+            FaultAction::Crash {
+                node: engine as usize,
+            },
+        );
+        for t in engine * tpe..(engine + 1) * tpe {
+            cluster.exclude_target(t);
+        }
+        let segs = arr.read_at_epoch(&sim, 0, MIB, snap).await.unwrap();
+        let got = daos_mpiio::assemble(&segs, 0, MIB).materialize();
+        assert!(got[..] == v1.materialize()[..], "the second replica's v1");
     });
 }
 
@@ -204,6 +291,8 @@ fn snapshot_read_torn_in_flight_is_a_corrupt_frame() {
         // every frame the serving engine sends from now on is torn
         let engine = arr.object().layout().target_of(0) / cluster.cfg.targets_per_engine;
         cluster.engine(engine).set_corrupt_inflight(1_000_000);
+        // a torn frame is retryable: it surfaces once the policy's rounds
+        // have all been torn too
         let got = arr.read_at_epoch(&sim, 0, MIB, snap).await;
         assert_eq!(got, Err(DaosError::CorruptFrame));
     });

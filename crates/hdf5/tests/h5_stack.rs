@@ -169,8 +169,14 @@ fn two_datasets_do_not_overlap() {
         let pb = Payload::pattern(200, MIB);
         a.write(&sim, 0, pa.clone()).await.unwrap();
         b.write(&sim, 0, pb.clone()).await.unwrap();
-        assert_eq!(a.read_bytes(&sim, 0, MIB).await.unwrap(), pa.materialize());
-        assert_eq!(b.read_bytes(&sim, 0, MIB).await.unwrap(), pb.materialize());
+        assert_eq!(
+            a.read_bytes(&sim, 0, MIB).await.unwrap(),
+            pa.materialize()[..]
+        );
+        assert_eq!(
+            b.read_bytes(&sim, 0, MIB).await.unwrap(),
+            pb.materialize()[..]
+        );
         assert!(b.data_offset() >= a.data_offset() + MIB);
         // reopen via open_dataset reads the header and sees the same extents
         let a2 = h5.open_dataset(&sim, "a").await.unwrap();

@@ -27,8 +27,9 @@ pub use key::Key;
 pub use target::{ScrubFinding, ScrubReport, VosConfig, VosCounters, VosError, VosTarget};
 pub use tree::{CsumViolation, Extent, ExtentTree, ReadSeg};
 
-use bytes::Bytes;
 use std::cell::Cell;
+use std::ops::Range;
+use std::rc::Rc;
 
 /// An update epoch (DAOS uses HLC timestamps; monotonic u64 here).
 pub type Epoch = u64;
@@ -40,19 +41,22 @@ pub fn key(k: impl AsRef<[u8]>) -> Key {
 
 /// Value payload: literal bytes, or a deterministic pattern standing in for
 /// `len` bytes of synthetic benchmark data (no allocation).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Eq)]
 pub enum Payload {
-    /// Actual data.
-    Bytes(Bytes),
+    /// Actual data: `range` of a shared buffer, so a slice or a clone
+    /// shares the bytes instead of copying them.
+    Bytes(Rc<[u8]>, Range<usize>),
     /// `len` synthetic bytes of the stream for `seed`, from stream
     /// position `skew` on.
     Pattern { seed: u64, skew: u64, len: u64 },
 }
 
 impl Payload {
-    /// A payload from literal bytes.
-    pub fn bytes(data: impl Into<Bytes>) -> Self {
-        Payload::Bytes(data.into())
+    /// A payload from literal bytes (a `Vec<u8>`, a slice, or another
+    /// payload's [`Payload::materialize`]).
+    pub fn bytes(data: impl Into<Rc<[u8]>>) -> Self {
+        let buf: Rc<[u8]> = data.into();
+        Payload::Bytes(Rc::clone(&buf), 0..buf.len())
     }
 
     /// A synthetic payload of `len` bytes.
@@ -63,7 +67,7 @@ impl Payload {
     /// Length in bytes.
     pub fn len(&self) -> u64 {
         match self {
-            Payload::Bytes(b) => b.len() as u64,
+            Payload::Bytes(_, range) => range.len() as u64,
             Payload::Pattern { len, .. } => *len,
         }
     }
@@ -86,7 +90,10 @@ impl Payload {
             "slice out of range"
         );
         match self {
-            Payload::Bytes(b) => Payload::Bytes(b.slice(off as usize..(off + len) as usize)),
+            Payload::Bytes(buf, range) => {
+                let start = range.start + off as usize;
+                Payload::Bytes(Rc::clone(buf), start..start + len as usize)
+            }
             Payload::Pattern { seed, skew, .. } => Payload::Pattern {
                 seed: *seed,
                 skew: *skew + off,
@@ -98,15 +105,17 @@ impl Payload {
     /// The byte at stream position `i`.
     pub fn byte_at(&self, i: u64) -> u8 {
         match self {
-            Payload::Bytes(b) => b[i as usize],
+            Payload::Bytes(buf, range) => buf[range.start + i as usize],
             Payload::Pattern { seed, skew, .. } => pattern_byte(*seed, *skew + i),
         }
     }
 
-    /// Materialise to owned bytes (tests / verification — O(len) memory).
-    pub fn materialize(&self) -> Bytes {
+    /// Materialise to bytes (tests / verification — O(len) memory). A
+    /// literal that spans its whole buffer hands out that buffer.
+    pub fn materialize(&self) -> Rc<[u8]> {
         match self {
-            Payload::Bytes(b) => b.clone(),
+            Payload::Bytes(buf, range) if range.len() == buf.len() => Rc::clone(buf),
+            Payload::Bytes(buf, range) => buf[range.clone()].into(),
             Payload::Pattern { seed, skew, len } => {
                 let len = *len as usize;
                 let mut v = Vec::with_capacity(len + 8);
@@ -115,8 +124,17 @@ impl Payload {
                     v.extend_from_slice(&gen.next_word().to_le_bytes());
                 }
                 v.truncate(len);
-                Bytes::from(v)
+                v.into()
             }
+        }
+    }
+
+    /// What a payload compares by: a literal's bytes, a pattern's
+    /// `(seed, skew, len)`.
+    fn identity(&self) -> Result<&[u8], (u64, u64, u64)> {
+        match self {
+            Payload::Bytes(buf, range) => Ok(&buf[range.clone()]),
+            &Payload::Pattern { seed, skew, len } => Err((seed, skew, len)),
         }
     }
 
@@ -126,14 +144,14 @@ impl Payload {
     /// the original no longer matches.
     pub fn corrupted(&self) -> Payload {
         match self {
-            Payload::Bytes(b) => {
-                if b.is_empty() {
+            Payload::Bytes(buf, range) => {
+                if range.is_empty() {
                     return self.clone();
                 }
-                let mut v = b.to_vec();
+                let mut v = buf[range.clone()].to_vec();
                 let mid = v.len() / 2;
                 v[mid] ^= 0x80;
-                Payload::Bytes(Bytes::from(v))
+                Payload::bytes(v)
             }
             Payload::Pattern { seed, skew, len } => Payload::Pattern {
                 seed: seed ^ 0xB17_2077_DEAD_BEEF,
@@ -141,6 +159,14 @@ impl Payload {
                 len: *len,
             },
         }
+    }
+}
+
+/// Payloads are equal when they are the same kind with the same bytes: a
+/// literal is compared by its bytes, wherever they sit in their buffer.
+impl PartialEq for Payload {
+    fn eq(&self, other: &Payload) -> bool {
+        self.identity() == other.identity()
     }
 }
 
@@ -193,10 +219,10 @@ const G: u64 = 0x9E37_79B9_7F4A_7C15;
 /// compares; [`csum_stats`] counts which way each call went.
 pub fn csum64(csum_seed: u64, p: &Payload) -> u64 {
     let (h, tail) = match p {
-        Payload::Bytes(b) => {
-            count_walk(b.len() as u64);
-            count(|s| s.literal_bytes += b.len() as u64);
-            fold_bytes(b)
+        Payload::Bytes(buf, range) => {
+            count_walk(range.len() as u64);
+            count(|s| s.literal_bytes += range.len() as u64);
+            fold_bytes(&buf[range.clone()])
         }
         &Payload::Pattern { seed, skew, len } if skew.is_multiple_of(8) => {
             count(|s| s.closed_form_calls += 1);
@@ -425,6 +451,34 @@ mod tests {
         let p = Payload::bytes(vec![1u8, 2, 3, 4, 5]);
         assert_eq!(&p.slice(1, 3).materialize()[..], &[2, 3, 4]);
         assert_eq!(p.byte_at(4), 5);
+    }
+
+    /// A slice of a literal, and a slice of that, share the one buffer and
+    /// index from their own start; a whole literal materialises as that
+    /// buffer, and literals compare by their bytes alone.
+    #[test]
+    fn slice_shares_and_indexes() {
+        let p = Payload::bytes(vec![1u8, 2, 3, 4, 5]);
+        let s = p.slice(1, 3);
+        assert_eq!((s.len(), s.byte_at(0)), (3, 2));
+        let ss = s.slice(1, 2);
+        assert_eq!(&ss.materialize()[..], &[3, 4]);
+        let (Payload::Bytes(whole, _), Payload::Bytes(inner, _)) = (&p, &ss) else {
+            unreachable!("slices of a literal are literals")
+        };
+        assert!(Rc::ptr_eq(whole, inner), "a slice copies nothing");
+        assert!(Rc::ptr_eq(whole, &p.materialize()));
+        assert_eq!(ss, Payload::bytes(vec![3, 4]));
+        assert_ne!(ss, Payload::pattern(0, 2));
+    }
+
+    /// A slice of a literal is bounded by its own range, not by the shared
+    /// buffer behind it: `2..6` lies inside the 8-byte buffer but past the
+    /// end of the 4-byte slice.
+    #[test]
+    #[should_panic(expected = "slice out of range")]
+    fn slice_oob_panics() {
+        Payload::bytes(vec![0u8; 8]).slice(0, 4).slice(2, 4);
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub fn main() {
         let back = f.pread_bytes(&sim, MIB, 1024).await.unwrap();
         assert_eq!(
             back,
-            Payload::pattern(1, 4 * MIB).slice(MIB, 1024).materialize()
+            Payload::pattern(1, 4 * MIB).slice(MIB, 1024).materialize()[..]
         );
         println!(
             "[{}] read-back verified; stat: {:?}",

@@ -65,7 +65,7 @@ fn every_smoke_figure_is_byte_identical_across_thread_counts() {
         .map(|f| (f, Scale::Smoke))
         .collect();
     assert!(
-        wanted.len() >= 9,
+        wanted.len() >= 10,
         "every PR-gated figure declares a smoke scale"
     );
     let observe = |threads: usize| {

@@ -145,8 +145,8 @@ proptest! {
         let l2 = (s1.len() - b2).min(c + 1);
         let s2 = s1.slice(b2, l2);
         prop_assert_eq!(
-            s2.materialize(),
-            p.materialize().slice((a + b2) as usize..(a + b2 + l2) as usize)
+            &s2.materialize()[..],
+            &p.materialize()[(a + b2) as usize..(a + b2 + l2) as usize]
         );
     }
 
