@@ -119,9 +119,10 @@ fn no_checks(_: &BenchReport) -> Vec<Verdict> {
 }
 
 /// Every figure this crate can produce, in the paper's order: the eight
-/// PR-gated reports, the nightly scale tier, `mdtest_bench` and
-/// `protection_sweep` (each gated since by flipping this one field) and
-/// the ungated ablations.
+/// PR-gated reports, the nightly scale tier, `mdtest_bench`,
+/// `protection_sweep`, `daos_api` and `oclass_sweep` (each gated since by
+/// flipping this one field) and the two ungated ablations,
+/// `app_workloads` and `dfuse_ablation`, which declare no reduced scale.
 pub const FIGURES: &[Figure] = &[
     Figure {
         name: "fig1_fpp",
@@ -226,7 +227,7 @@ pub const FIGURES: &[Figure] = &[
         name: "daos_api",
         seed: figures::DAOS_API_SEED,
         about: "native DAOS array API vs DFS vs POSIX (+ interception library)",
-        gate: Gate::None,
+        gate: Gate::Pr,
         chart: false,
         plan: figures::daos_api_plan,
         checks: figures::check_daos_api,
@@ -253,7 +254,7 @@ pub const FIGURES: &[Figure] = &[
         name: "oclass_sweep",
         seed: figures::OCLASS_SEED,
         about: "DFS over S1/S2/S4/S8/SX, file-per-process",
-        gate: Gate::None,
+        gate: Gate::Pr,
         chart: false,
         plan: figures::oclass_plan,
         checks: figures::check_oclass,

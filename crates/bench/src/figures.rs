@@ -168,20 +168,20 @@ pub const DAOS_API_SEED: u64 = 0xDA05A;
 
 /// A file-per-process grid at 1, 4 and 16 nodes, [`FULL_REPEATS`]
 /// placements per cell; the reduced scale is the same grid at one
-/// placement.
+/// placement, and the smoke scale the figures' miniature.
 fn wide_grid_plan(apis: &[Api], classes: &[ObjectClass], seed: u64, scale: Scale) -> Option<Plan> {
-    let repeats = match scale {
-        Scale::Full => FULL_REPEATS,
-        Scale::Reduced => REDUCED_REPEATS,
-        Scale::Smoke => return None,
+    let (nodes, repeats, ppn, block): (&[u32], u64, u32, u64) = match scale {
+        Scale::Full => (&[1, 4, 16], FULL_REPEATS, PPN, PAPER_BLOCK),
+        Scale::Reduced => (&[1, 4, 16], REDUCED_REPEATS, PPN, PAPER_BLOCK),
+        Scale::Smoke => (&[1, 2], 1, 4, MIB),
     };
     let sweep = IorSweep {
         apis,
         classes,
-        nodes: &[1, 4, 16],
+        nodes,
         fpp: true,
-        ppn: PPN,
-        block: PAPER_BLOCK,
+        ppn,
+        block,
         seed,
         repeats,
     };

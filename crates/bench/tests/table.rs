@@ -4,7 +4,7 @@
 use std::path::{Path, PathBuf};
 
 use daos_bench::figure::{find, table_problems, Gate, Scale};
-use daos_bench::report::BenchReport;
+use daos_bench::report::{BenchReport, READ_GIB_S, WRITE_GIB_S};
 use daos_bench::FIGURES;
 
 fn repo_root() -> PathBuf {
@@ -24,8 +24,9 @@ fn table_and_baselines_agree() {
     assert_eq!(table_problems(&baselines()), Vec::<String>::new());
 }
 
-/// The complete figure set: 10 PR-gated (the first eight, `mdtest_bench`
-/// and `protection_sweep`), 1 nightly and 4 ungated — nothing else.
+/// The complete figure set: 12 PR-gated (the first eight, `mdtest_bench`,
+/// `protection_sweep`, `daos_api` and `oclass_sweep`), 1 nightly and 2
+/// ungated — nothing else.
 #[test]
 fn table_holds_exactly_the_known_figures() {
     let names = |gate: Gate| -> Vec<&str> {
@@ -47,19 +48,13 @@ fn table_holds_exactly_the_known_figures() {
             "traffic_sweep",
             "qos_sweep",
             "mdtest_bench",
-            "protection_sweep"
-        ]
-    );
-    assert_eq!(names(Gate::Nightly), ["scale"]);
-    assert_eq!(
-        names(Gate::None),
-        [
+            "protection_sweep",
             "daos_api",
-            "app_workloads",
-            "dfuse_ablation",
             "oclass_sweep"
         ]
     );
+    assert_eq!(names(Gate::Nightly), ["scale"]);
+    assert_eq!(names(Gate::None), ["app_workloads", "dfuse_ablation"]);
     // a PR-gated figure is also in the debug-build determinism test
     for f in FIGURES.iter().filter(|f| f.gate == Gate::Pr) {
         assert!(
@@ -84,14 +79,14 @@ fn audit_catches_a_missing_and_a_stray_baseline() {
     assert!(table_problems(&dir).is_empty());
 
     std::fs::remove_file(dir.join("BENCH_io500.json")).unwrap();
-    // `oclass_sweep` is in the table but ungated: a baseline for it is stray
-    BenchReport::new("oclass_sweep", find("oclass_sweep").unwrap().seed)
+    // `app_workloads` is in the table but ungated: a baseline for it is stray
+    BenchReport::new("app_workloads", find("app_workloads").unwrap().seed)
         .write_to(&dir)
         .unwrap();
     let problems = table_problems(&dir);
     assert_eq!(problems.len(), 2, "{problems:?}");
     assert!(problems[0].starts_with("io500: gated but has no baseline"));
-    assert!(problems[1].starts_with("BENCH_oclass_sweep.json: baseline without"));
+    assert!(problems[1].starts_with("BENCH_app_workloads.json: baseline without"));
 
     // a baseline minted under another seed is a different experiment
     let mut wrong = BenchReport::load(&baselines(), "io500").unwrap();
@@ -148,6 +143,37 @@ fn protection_checks_fail_when_redundancy_is_free_or_broken() {
     }
     let verdicts = (figure.checks)(&report);
     assert!(verdicts.iter().all(|v| !v.pass), "{verdicts:?}");
+}
+
+/// Planted negatives for the newly gated `oclass_sweep` and `daos_api`:
+/// each check fails once the series it reads is moved out of shape.
+#[test]
+fn wide_grid_checks_fail_when_a_series_moves() {
+    let cases = [
+        // S1 twice as fast as S4 at 16 nodes: sharding does not interpolate
+        ("oclass_sweep", "DFS-S1", WRITE_GIB_S, 2.0, 0),
+        // 100x writes leave the sane envelope
+        ("oclass_sweep", "DFS-S8", WRITE_GIB_S, 100.0, 1),
+        // the native API at half of DFS
+        ("daos_api", "DAOS-SX", WRITE_GIB_S, 0.5, 0),
+        // the interception library recovers nothing
+        ("daos_api", "POSIX+IL-SX", READ_GIB_S, 0.5, 1),
+        // POSIX at half of the native API
+        ("daos_api", "POSIX-SX", WRITE_GIB_S, 0.5, 2),
+    ];
+    for (name, series, metric, factor, check) in cases {
+        let figure = find(name).unwrap();
+        let mut report = BenchReport::load(&baselines(), name).unwrap();
+        assert!((figure.checks)(&report).iter().all(|v| v.pass), "{name}");
+        for row in report.series.get_mut(series).unwrap().values_mut() {
+            *row.get_mut(metric).unwrap() *= factor;
+        }
+        let verdicts = (figure.checks)(&report);
+        assert!(
+            !verdicts[check].pass,
+            "{name} {series} x{factor}: {verdicts:?}"
+        );
+    }
 }
 
 /// Every figure with report-level checks fails them on an empty report:

@@ -36,6 +36,7 @@ pub mod pipe;
 pub mod stats;
 pub mod sync;
 pub mod time;
+mod timers;
 pub mod units;
 
 pub use executor::{JoinHandle, Sim};

@@ -1,17 +1,16 @@
-//! Property test for the timer-wheel executor: for *any* random workload
-//! of sleeping tasks, the order in which events fire must be exactly the
-//! order the previous `BinaryHeap`-based executor produced — global
-//! `(deadline, registration sequence)` order. The reference below *is*
-//! that old scheduler, reduced to its scheduling decision: one global
-//! min-heap popped one timer at a time, with each woken task re-arming
-//! its next timer (taking the next sequence number) before the following
-//! pop.
+//! Property test for the executor's schedule: for *any* random workload of
+//! sleeping tasks, events must fire in global `(deadline, registration
+//! sequence)` order. The reference below is that schedule reduced to its
+//! scheduling decision, in plain code: one global min-heap popped one
+//! timer at a time, with each woken task re-arming its next timer (taking
+//! the next sequence number) before the following pop. It stays the
+//! reference whatever the executor's own timer store is.
 //!
 //! Some sleeps are raced by a `timeout` that is shorter, longer or exactly
 //! as long: such a step registers two timers and the one that loses is
 //! dropped — cancelled. The reference removes the loser's `(at, seq)` from
 //! its heap; the executor must produce the same events as if the cancelled
-//! timer had never been queued, wherever in the wheel it was.
+//! timer had never been queued.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -29,7 +28,7 @@ type Event = (u64, usize, usize);
 /// there is one. The step ends at whichever comes first.
 type Step = (u64, Option<u64>);
 
-/// The old executor's schedule, replayed in plain code: timers are
+/// The reference schedule, replayed in plain code: timers are
 /// ordered by `(deadline, seq)`, seq is assigned at registration, and a
 /// popped task re-registers its next step immediately (before the next
 /// pop), exactly as `drain_ready` ran between timer pops. A raced step
@@ -91,9 +90,9 @@ fn executor_order(workload: &[Vec<Step>]) -> Vec<Event> {
     Rc::try_unwrap(log).expect("all tasks done").into_inner()
 }
 
-/// Per-step delay: mostly short (deep inside the wheel's span), sometimes
-/// slot-scale, sometimes far beyond the span (forcing overflow-heap
-/// traffic and window re-anchoring). Ties are likely: short delays repeat.
+/// Per-step delay: mostly a few microseconds, sometimes about one
+/// microsecond exactly, sometimes milliseconds out. Ties are likely: short
+/// delays repeat.
 fn delay() -> impl Strategy<Value = u64> {
     prop_oneof![
         1u64..5_000,
@@ -120,9 +119,9 @@ fn step() -> impl Strategy<Value = Step> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Any mix of sleepers fires in exactly the old heap executor's
-    /// `(deadline, seq)` order, ties, far-future overflow and cancelled
-    /// timers included.
+    /// Any mix of sleepers fires in exactly the reference heap's
+    /// `(deadline, seq)` order, ties, far deadlines and cancelled timers
+    /// included.
     #[test]
     fn wheel_schedule_matches_heap_reference(
         workload in prop::collection::vec(

@@ -8,13 +8,13 @@
 //! follows the RPCs in flight.
 //!
 //! Two numbers are read. `held` is `pending_timers()` as found: the live
-//! entries plus the cancelled far ones the wheel has not swept yet. The
-//! wheel sweeps when those outnumber the live far entries, so `held` is
-//! bounded — at most twice `live` — but where between the two it stands
-//! depends on how long ago the last sweep was. `live` is the same reading
-//! once a sweep has been forced, and is exact: the cluster's own periodic
-//! timers (raft ticks, the parked failure detector, aggregation, scrub),
-//! one each, and nothing else.
+//! entries plus the cancelled ones the store has not swept yet. The store
+//! is one heap, swept whenever its cancelled entries outnumber its live
+//! ones, so `held` is bounded — at most twice `live` — but where between
+//! the two it stands depends on how long ago the last sweep was. `live` is
+//! the same reading once a sweep has been forced, and is exact: the
+//! cluster's own periodic timers (raft ticks, the parked failure detector,
+//! aggregation, scrub), one each, and nothing else.
 
 use std::future::{poll_fn, Future};
 use std::pin::Pin;
@@ -46,12 +46,13 @@ struct Census {
     live: usize,
 }
 
-/// Let the clock run past the wheel's near window, which drops the
-/// cancelled entries inside it (an engine's visits to its targets sleep to
-/// one instant side by side: the first wake finishes them all). Read the
-/// store, then cancel far timers one at a time until one of the cancels
-/// must have tipped the wheel into a sweep (one more than it holds is
-/// enough): the lowest reading on the way is the live entries.
+/// Let the clock run 5 ms, so that the last op's work is over and the
+/// cancelled entries due by then have been popped (an engine's visits to
+/// its targets sleep to one instant side by side: the first wake finishes
+/// them all). Read the store, then cancel far timers one at a time until
+/// one of the cancels must have tipped the store into a sweep (one more
+/// than it holds is enough): the lowest reading on the way is the live
+/// entries.
 async fn census(sim: &Sim) -> Census {
     sim.sleep_ms(5).await;
     let held = sim.pending_timers();
