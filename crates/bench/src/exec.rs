@@ -136,7 +136,11 @@ impl<'a, T: Send> Slate<'a, T> {
                 CellState::Pending(job) => job,
                 _ => unreachable!("cursor hands each index to exactly one worker"),
             };
-            // simlint: allow(D02) per-job wall-time provenance; reported out-of-band, never merged into compared report fields
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "D02: per-job wall-time provenance; reported out-of-band, never \
+                          merged into compared report fields"
+            )]
             let t0 = std::time::Instant::now();
             let outcome = catch_unwind(AssertUnwindSafe(job));
             let wall = t0.elapsed().as_secs_f64();
@@ -151,6 +155,11 @@ impl<'a, T: Send> Slate<'a, T> {
             worker();
         } else {
             // a worker catches its job's unwind, so the scope never panics
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "D04: the bench harness is the one host-parallelism zone; each \
+                          job runs its own single-threaded Sim"
+            )]
             std::thread::scope(|scope| {
                 for _ in 0..threads {
                     scope.spawn(worker);

@@ -119,10 +119,9 @@ fn no_checks(_: &BenchReport) -> Vec<Verdict> {
 }
 
 /// Every figure this crate can produce, in the paper's order: the eight
-/// PR-gated reports, the nightly scale tier, `mdtest_bench`,
-/// `protection_sweep`, `daos_api` and `oclass_sweep` (each gated since by
-/// flipping this one field) and the two ungated ablations,
-/// `app_workloads` and `dfuse_ablation`, which declare no reduced scale.
+/// PR-gated reports, the nightly scale tier, then `mdtest_bench`,
+/// `protection_sweep`, `daos_api`, `app_workloads`, `dfuse_ablation` and
+/// `oclass_sweep`, each gated since by flipping this one field.
 pub const FIGURES: &[Figure] = &[
     Figure {
         name: "fig1_fpp",
@@ -236,7 +235,7 @@ pub const FIGURES: &[Figure] = &[
         name: "app_workloads",
         seed: figures::APP_SEED,
         about: "NWP / checkpoint / producer-consumer through native, DFS and POSIX",
-        gate: Gate::None,
+        gate: Gate::Pr,
         chart: false,
         plan: figures::app_workloads_plan,
         checks: figures::check_app_workloads,
@@ -245,7 +244,7 @@ pub const FIGURES: &[Figure] = &[
         name: "dfuse_ablation",
         seed: figures::DFUSE_ABLATION_SEED,
         about: "DFuse cost decomposition: crossings, request splitting, daemon threads, IL",
-        gate: Gate::None,
+        gate: Gate::Pr,
         chart: false,
         plan: figures::dfuse_ablation_plan,
         checks: figures::check_dfuse_ablation,
@@ -367,7 +366,11 @@ pub fn run_figures(wanted: &[(&'static Figure, Scale)], threads: usize) -> Slate
         }
     }
 
-    // simlint: allow(D02) whole-slate wall-time provenance; reported out-of-band, never compared against baselines
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D02: whole-slate wall-time provenance; reported out-of-band, never \
+                  compared against baselines"
+    )]
     let t0 = std::time::Instant::now();
     let mut jobs = slate
         .run(threads)

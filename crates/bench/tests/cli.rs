@@ -99,7 +99,7 @@ fn list_passes_and_bad_usage_is_rejected() {
         &["no_such_figure"][..],
         &["fig1_fpp", "read"],
         &["fig1_fpp", "--update"],
-        &["app_workloads", "--reduced"],
+        &["scale", "--reduced"],
         &["regress", "--reduced"],
         &["regress", "--update", "--compare-only"],
         &["list", "--verbose"],

@@ -24,9 +24,9 @@ fn table_and_baselines_agree() {
     assert_eq!(table_problems(&baselines()), Vec::<String>::new());
 }
 
-/// The complete figure set: 12 PR-gated (the first eight, `mdtest_bench`,
-/// `protection_sweep`, `daos_api` and `oclass_sweep`), 1 nightly and 2
-/// ungated — nothing else.
+/// The complete figure set: 14 PR-gated (the first eight, `mdtest_bench`,
+/// `protection_sweep`, `daos_api`, `app_workloads`, `dfuse_ablation` and
+/// `oclass_sweep`) and 1 nightly — nothing else, and nothing ungated.
 #[test]
 fn table_holds_exactly_the_known_figures() {
     let names = |gate: Gate| -> Vec<&str> {
@@ -50,11 +50,13 @@ fn table_holds_exactly_the_known_figures() {
             "mdtest_bench",
             "protection_sweep",
             "daos_api",
+            "app_workloads",
+            "dfuse_ablation",
             "oclass_sweep"
         ]
     );
     assert_eq!(names(Gate::Nightly), ["scale"]);
-    assert_eq!(names(Gate::None), ["app_workloads", "dfuse_ablation"]);
+    assert_eq!(names(Gate::None), Vec::<&str>::new());
     // a PR-gated figure is also in the debug-build determinism test
     for f in FIGURES.iter().filter(|f| f.gate == Gate::Pr) {
         assert!(
@@ -79,14 +81,14 @@ fn audit_catches_a_missing_and_a_stray_baseline() {
     assert!(table_problems(&dir).is_empty());
 
     std::fs::remove_file(dir.join("BENCH_io500.json")).unwrap();
-    // `app_workloads` is in the table but ungated: a baseline for it is stray
-    BenchReport::new("app_workloads", find("app_workloads").unwrap().seed)
+    // a baseline for a figure the table does not hold is stray
+    BenchReport::new("no_such_figure", 0)
         .write_to(&dir)
         .unwrap();
     let problems = table_problems(&dir);
     assert_eq!(problems.len(), 2, "{problems:?}");
     assert!(problems[0].starts_with("io500: gated but has no baseline"));
-    assert!(problems[1].starts_with("BENCH_app_workloads.json: baseline without"));
+    assert!(problems[1].starts_with("BENCH_no_such_figure.json: baseline without"));
 
     // a baseline minted under another seed is a different experiment
     let mut wrong = BenchReport::load(&baselines(), "io500").unwrap();
@@ -160,6 +162,50 @@ fn wide_grid_checks_fail_when_a_series_moves() {
         ("daos_api", "POSIX+IL-SX", READ_GIB_S, 0.5, 1),
         // POSIX at half of the native API
         ("daos_api", "POSIX-SX", WRITE_GIB_S, 0.5, 2),
+    ];
+    for (name, series, metric, factor, check) in cases {
+        let figure = find(name).unwrap();
+        let mut report = BenchReport::load(&baselines(), name).unwrap();
+        assert!((figure.checks)(&report).iter().all(|v| v.pass), "{name}");
+        for row in report.series.get_mut(series).unwrap().values_mut() {
+            *row.get_mut(metric).unwrap() *= factor;
+        }
+        let verdicts = (figure.checks)(&report);
+        assert!(
+            !verdicts[check].pass,
+            "{name} {series} x{factor}: {verdicts:?}"
+        );
+    }
+}
+
+/// Planted negatives for the newly gated `dfuse_ablation` and
+/// `app_workloads`: each check fails once the series it reads is moved out
+/// of shape.
+#[test]
+fn ablation_checks_fail_when_a_series_moves() {
+    let cases = [
+        // 128 KiB requests split for free
+        ("dfuse_ablation", "small requests", WRITE_GIB_S, 1.25, 0),
+        // one daemon thread keeps up with sixteen
+        (
+            "dfuse_ablation",
+            "single daemon thread",
+            WRITE_GIB_S,
+            4.0,
+            1,
+        ),
+        // the interception library at half of native DFS
+        (
+            "dfuse_ablation",
+            "interception library",
+            WRITE_GIB_S,
+            0.5,
+            2,
+        ),
+        // POSIX at half of the native API
+        ("app_workloads", "nwp/posix", "io_gib_s", 0.5, 0),
+        // a producer-consumer pipeline that moves nothing
+        ("app_workloads", "producer_consumer/dfs", "io_gib_s", 0.0, 1),
     ];
     for (name, series, metric, factor, check) in cases {
         let figure = find(name).unwrap();

@@ -195,7 +195,10 @@ impl ArrayHandle {
     /// parity read-modify-write of an EC write) asks its one shard whatever
     /// the map says, and a rotten copy there is final. Rot is reported
     /// either way.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one cell's coordinates; a struct would exist for this call alone"
+    )]
     async fn read_cell(
         &self,
         sim: &Sim,
@@ -247,7 +250,10 @@ impl ArrayHandle {
     /// live parity. A reconstruction *source* failing is returned as the
     /// retryable error it produced (the caller refreshes and retries); a
     /// stripe with no live parity left is [`DaosError::NoSurvivingReplicas`].
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one stripe's coordinates and geometry; a struct would exist for this call alone"
+    )]
     async fn reconstruct(
         &self,
         sim: &Sim,

@@ -167,7 +167,7 @@ pub(super) enum Admit {
     FastFail,
 }
 
-/// What one round of a data-plane operation tells [`DampState::retry_rounds`].
+/// What one round of an operation tells [`DampState::retry_rounds`].
 pub(super) enum Attempt<T> {
     Done(T),
     /// Failed for good: the error surfaces now.
@@ -299,26 +299,15 @@ impl DampState {
         sim.sleep(SimDuration::from_ns(jittered)).await;
     }
 
-    /// Gate one retry after retryable error `err`: spend a budget token
-    /// (when budgeting is on) and wait out the error-appropriate backoff.
-    /// `false` means the budget is dry — surface the error, add no
-    /// retry traffic.
-    pub(super) async fn retry_gate(&self, sim: &Sim, attempt: u32, err: &DaosError) -> bool {
-        if !self.try_spend_retry() {
-            return false;
-        }
-        self.backoff_for(sim, attempt, err).await;
-        true
-    }
-
-    /// The data-plane retry loop: run `attempt(round)` until it is done,
-    /// fails for good, or the policy's rounds or the retry budget run out
-    /// — then the last retryable error surfaces (`exhausted` if no round
-    /// ever ran). Between rounds, in this order: one budget token, the
-    /// backoff the error earned, then `refresh` (pool map + re-place) —
-    /// unless the error was a shed, which is a load signal, not a
-    /// placement signal: skipping the control-plane refresh keeps damped
-    /// retries from stampeding the pool service.
+    /// The client's one retry loop (data plane and control plane): run
+    /// `attempt(round)` until it is done, fails for good, or the policy's
+    /// rounds or the retry budget run out — then the last retryable error
+    /// surfaces (`exhausted` if no round ever ran). Between rounds, in
+    /// this order: one budget token, the backoff the error earned, then
+    /// `refresh` (pool map + re-place) — unless the error was a shed,
+    /// which is a load signal, not a placement signal: skipping the
+    /// control-plane refresh keeps damped retries from stampeding the
+    /// pool service.
     pub(super) async fn retry_rounds<T, A, R>(
         &self,
         sim: &Sim,
@@ -337,9 +326,11 @@ impl DampState {
                 Attempt::Fail(e) => return Err(e),
                 Attempt::Retry(e) => last = e,
             }
-            if !self.retry_gate(sim, round, &last).await {
+            // a dry budget surfaces the error and adds no retry traffic
+            if !self.try_spend_retry() {
                 return Err(last);
             }
+            self.backoff_for(sim, round, &last).await;
             if !matches!(last, DaosError::Busy { .. }) {
                 refresh().await;
             }

@@ -179,7 +179,10 @@ impl DaosClient {
             let engines = routed.chunk_by(same_engine).count();
             let mut groups = routed.chunk_by(same_engine);
             let calls = (0..engines).map(|_| {
-                // INVARIANT: `engines` counted exactly these groups.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "INVARIANT: `engines` counted exactly these groups"
+                )]
                 let on_engine = groups.next().expect("one group per engine");
                 let targets = on_engine.iter().map(|&(_, target, _)| target).collect();
                 self.call_gated(sim, on_engine[0].0, build(targets))
@@ -205,36 +208,37 @@ impl DaosClient {
     }
 
     /// Control-plane RPC: retries across pool-service replicas following
-    /// `NotLeader` hints, with the same bounded backoff policy as data
-    /// RPCs. The service may still return a semantic error such as
-    /// `ContainerExists`; a dead or partitioned service surfaces as a
-    /// typed `Timeout`/`Transport` after the attempt budget.
+    /// `NotLeader` hints, in the data plane's retry loop (budget and
+    /// backoff; no breaker, and nothing to refresh). The service may still
+    /// return a semantic error such as `ContainerExists`; a dead or
+    /// partitioned service surfaces as a typed `Timeout`/`Transport` after
+    /// the attempt budget.
     pub async fn control(&self, sim: &Sim, req: Request) -> Result<Response, DaosError> {
         let svc = self.cluster.replicas().len().max(1) as u32;
-        let mut engine = 0u32;
-        let mut last = DaosError::Timeout;
-        for attempt in 0..self.damp.policy.max_attempts {
-            match self.call_deadline(sim, engine, req.clone()).await {
+        let (engine, req) = (&Cell::new(0u32), &req);
+        let attempt = move |_| async move {
+            let at = engine.get();
+            match self.call_deadline(sim, at, req.clone()).await {
                 Ok(Response::Err(DaosError::NotLeader { hint })) => {
-                    engine = match hint {
+                    engine.set(match hint {
                         // raft ids are engine index + 1
                         Some(id) if id >= 1 && id <= svc as u64 => (id - 1) as u32,
-                        _ => (engine + 1) % svc,
-                    };
-                    last = DaosError::NotLeader { hint };
+                        _ => (at + 1) % svc,
+                    });
+                    Attempt::Retry(DaosError::NotLeader { hint })
                 }
-                Ok(other) => return Ok(other),
+                Ok(answer) => Attempt::Done(answer),
                 Err(e) if e.is_retryable() => {
-                    engine = (engine + 1) % svc;
-                    last = e;
+                    engine.set((at + 1) % svc);
+                    Attempt::Retry(e)
                 }
-                Err(e) => return Err(e),
+                Err(e) => Attempt::Fail(e),
             }
-            if !self.damp.retry_gate(sim, attempt, &last).await {
-                return Err(last);
-            }
-        }
-        Err(last)
+        };
+        let ready = || std::future::ready(());
+        self.damp
+            .retry_rounds(sim, DaosError::Timeout, attempt, ready)
+            .await
     }
 
     /// Refresh the shared pool-map cache from the pool service; returns

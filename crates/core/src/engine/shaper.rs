@@ -224,7 +224,7 @@ impl QosShaper {
             .borrow_mut()
             .get_mut(&tenant)
             .and_then(|q| q.pop_front());
-        // INVARIANT: every DRR item was enqueued together with a waiter
+        // every DRR item was enqueued together with a waiter
         // for the same tenant, in the same order.
         if let Some(tx) = tx {
             tx.send(());

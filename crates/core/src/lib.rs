@@ -21,8 +21,18 @@
 //! is simulated.
 
 // No `unsafe` may enter the workspace outside the audited kernel
-// crate (`daos-sim`, which carries `deny`): see simlint rule D05.
+// crate (`daos-sim`, which denies `clippy::undocumented_unsafe_blocks`).
 #![forbid(unsafe_code)]
+// P01: nothing on a simulated path panics. A site that cannot fail says
+// why in `#[expect(clippy::…, reason = "INVARIANT: …")]`; tests may panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod client;
 pub mod cluster;

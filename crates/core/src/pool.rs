@@ -194,9 +194,12 @@ impl PoolState {
         if data.len() < 32 {
             return PoolState::default();
         }
-        // INVARIANT: slices are exactly 8 bytes by construction, so try_into
-        // to [u8; 8] cannot fail; a non-empty snapshot is one whole
-        // `to_bytes` output (none outlives the process that wrote it).
+        #[expect(
+            clippy::unwrap_used,
+            reason = "INVARIANT: slices are exactly 8 bytes by construction, so try_into \
+                      to [u8; 8] cannot fail; a non-empty snapshot is one whole \
+                      `to_bytes` output (none outlives the process that wrote it)"
+        )]
         let rd = |i: usize| u64::from_le_bytes(data[i..i + 8].try_into().unwrap());
         let connections = rd(0);
         let map_version = rd(8) as u32;
@@ -251,7 +254,10 @@ pub struct PoolReplica {
     /// Invoked (with the post-apply state) when an exclusion or
     /// reintegration commits on the current leader — the hook the testbed
     /// uses to kick off rebuild.
-    #[allow(clippy::type_complexity)]
+    #[allow(
+        clippy::type_complexity,
+        reason = "a one-off hook slot; an alias would be used once"
+    )]
     on_map_change: RefCell<Option<Box<dyn Fn(&Sim, &PoolOp, &PoolState)>>>,
     /// Invoked when a client reports a checksum-failed chunk copy — the
     /// hook the testbed uses to kick off a targeted repair.
@@ -438,7 +444,10 @@ impl Default for HeartbeatConfig {
 /// version and proposing exclusion after `hb.suspect` consecutive misses.
 ///
 /// Returns the replicas (index-aligned with `members`).
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the testbed builder's one call site passes the service's wiring as-is"
+)]
 pub fn spawn_pool_service(
     sim: &Sim,
     fabric: &Rc<Fabric>,

@@ -172,7 +172,7 @@ impl TokenBucket {
         }
         let short = need - self.fill;
         let rate = u128::from(self.rate);
-        // INVARIANT: rate ≥ 1 here, so the division is defined; the
+        // rate ≥ 1 here, so the division is defined; the
         // ceiling keeps the wake time never early.
         let ns = short.div_ceil(rate);
         u64::try_from(ns).unwrap_or(u64::MAX)
@@ -278,7 +278,7 @@ impl Drr {
     pub fn select(&mut self) -> Option<(u8, u64)> {
         loop {
             let tenant = *self.order.front()?;
-            // INVARIANT: `order` only ever holds tenants inserted into
+            // `order` only ever holds tenants inserted into
             // `queues` by enqueue/set_weight, and queues are never removed.
             let q = self.queues.get_mut(&tenant)?;
             let head = match q.items.front() {

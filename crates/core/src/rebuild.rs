@@ -148,7 +148,10 @@ async fn write_to(
 
 /// Repair one chunk of one moved shard; returns bytes written, or `None`
 /// if the chunk could not be repaired.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one chunk's repair coordinates; a struct would exist for this call alone"
+)]
 async fn repair_chunk(
     sim: &Sim,
     cluster: &Cluster,

@@ -5,6 +5,8 @@ use std::rc::Rc;
 
 use daos_core::{Cluster, ClusterConfig, DaosClient, DaosError};
 use daos_placement::{ObjectClass, ObjectId};
+use daos_raft::Role;
+use daos_sim::time::SimDuration;
 use daos_sim::units::MIB;
 use daos_sim::Sim;
 use daos_vos::{key, Payload};
@@ -259,4 +261,52 @@ fn io_takes_simulated_time_and_is_deterministic() {
     // 16 MiB over a ~11.6 GiB/s link ≈ 1.35ms minimum
     assert!(a > 1_000_000, "16 MiB cannot be instantaneous: {a}ns");
     assert!(a < 100_000_000, "suspiciously slow: {a}ns");
+}
+
+/// A control RPC that reaches a follower follows the follower's
+/// `NotLeader` hint straight to the leader: one RPC to the follower, one
+/// to the leader. The leader is not engine 1, so trying the next engine
+/// instead of the hint would cost a third.
+#[test]
+fn control_follows_the_leader_hint() {
+    let mut sim = Sim::new(0xDA05);
+    let mut cfg = ClusterConfig {
+        server_nodes: 5,
+        svc_replicas: 5,
+        ..ClusterConfig::tiny(1)
+    };
+    // failure detector parked: every RPC an engine counts is the client's
+    cfg.heartbeat.interval = SimDuration::from_secs(3600);
+    sim.block_on(move |sim| async move {
+        let cluster = Cluster::build(&sim, cfg);
+        // engines 0 and 1 are cut off while the other three elect a
+        // leader, then rejoin as its followers
+        let nodes: Vec<_> = cluster.engines().iter().map(|e| e.node()).collect();
+        for &a in &nodes[..2] {
+            for &b in &nodes[2..] {
+                cluster.fabric.partition_between(a, b);
+            }
+        }
+        sim.sleep_ms(200).await;
+        cluster.fabric.heal_all();
+        sim.sleep_ms(200).await;
+        let replicas = cluster.replicas();
+        let leader = replicas.iter().position(|r| r.role() == Role::Leader);
+        let leader = leader.expect("a leader") as u64;
+        assert!(leader >= 2, "leader on engine {leader}");
+        assert_eq!(
+            replicas[0].leader_hint(),
+            Some(leader + 1),
+            "raft id = engine + 1"
+        );
+
+        let calls = || -> u64 {
+            let engines = cluster.engines().iter();
+            engines.map(|e| e.endpoint().call_count()).sum()
+        };
+        let before = calls();
+        let client = DaosClient::new(Rc::clone(&cluster), 0);
+        client.connect(&sim).await.expect("connect");
+        assert_eq!(calls() - before, 2, "follower, then the hinted leader");
+    });
 }

@@ -15,8 +15,18 @@
 //! DFuse daemon sit on.
 
 // No `unsafe` may enter the workspace outside the audited kernel
-// crate (`daos-sim`, which carries `deny`): see simlint rule D05.
+// crate (`daos-sim`, which denies `clippy::undocumented_unsafe_blocks`).
 #![forbid(unsafe_code)]
+// P01: nothing on a simulated path panics. A site that cannot fail says
+// why in `#[expect(clippy::…, reason = "INVARIANT: …")]`; tests may panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use std::cell::Cell;
 use std::io::Write;
@@ -68,7 +78,10 @@ impl DirEntry {
         v.extend_from_slice(&self.chunk_size.to_le_bytes());
         // the class name, after its length byte
         v.push(0);
-        // INVARIANT: formatting into a `Vec` cannot fail.
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: formatting into a `Vec` cannot fail"
+        )]
         write!(v, "{}", self.class).expect("write to a Vec");
         v[25] = (v.len() - 26) as u8;
         if let Some(t) = &self.link_target {
@@ -89,8 +102,11 @@ impl DirEntry {
             3 => EntryKind::Symlink,
             _ => return None,
         };
-        // INVARIANT: the 8-byte slice always converts to [u8; 8]; the length
-        // guard above ensures the fixed header region is present.
+        #[expect(
+            clippy::unwrap_used,
+            reason = "INVARIANT: the 8-byte slice always converts to [u8; 8]; the length \
+                      guard above ensures the fixed header region is present"
+        )]
         let rd = |i: usize| u64::from_le_bytes(b[i..i + 8].try_into().ok().unwrap());
         let oid = ObjectId::new(rd(1), rd(9));
         let chunk_size = rd(17);

@@ -21,7 +21,7 @@
 //! every POSIX I/O reaches DAOS.
 
 // No `unsafe` may enter the workspace outside the audited kernel
-// crate (`daos-sim`, which carries `deny`): see simlint rule D05.
+// crate (`daos-sim`, which denies `clippy::undocumented_unsafe_blocks`).
 #![forbid(unsafe_code)]
 
 use std::cell::Cell;

@@ -22,7 +22,7 @@
 //! `write_at_all`/`read_at_all`, which is what HDF5 does for shared files).
 
 // No `unsafe` may enter the workspace outside the audited kernel
-// crate (`daos-sim`, which carries `deny`): see simlint rule D05.
+// crate (`daos-sim`, which denies `clippy::undocumented_unsafe_blocks`).
 #![forbid(unsafe_code)]
 
 use std::cell::{Cell, RefCell};

@@ -19,8 +19,10 @@ use daos_sim::Sim;
 use daos_vos::{Payload, ReadSeg};
 
 /// One rank's open file on some rung of the ladder.
-// futures here are `!Send` by design: the simulator is single-threaded
-#[allow(async_fn_in_trait)]
+#[allow(
+    async_fn_in_trait,
+    reason = "`!Send` futures: the simulator is single-threaded"
+)]
 pub trait ByteFile {
     /// Whether reads hand back the bytes written (`verify` needs them).
     const STORES_BYTES: bool = true;
@@ -119,8 +121,10 @@ impl ByteFile for PfsFile {
 }
 
 /// One rank's namespace client: mdtest's four calls.
-// futures here are `!Send` by design: the simulator is single-threaded
-#[allow(async_fn_in_trait)]
+#[allow(
+    async_fn_in_trait,
+    reason = "`!Send` futures: the simulator is single-threaded"
+)]
 pub trait MetaOps {
     async fn mkdir(&self, sim: &Sim, path: &str) -> Result<(), DaosError>;
     /// Create a zero-byte file.

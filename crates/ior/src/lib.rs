@@ -28,7 +28,7 @@
 //! rates), covering the paper's metadata-performance motivation (§I).
 
 // No `unsafe` may enter the workspace outside the audited kernel
-// crate (`daos-sim`, which carries `deny`): see simlint rule D05.
+// crate (`daos-sim`, which denies `clippy::undocumented_unsafe_blocks`).
 #![forbid(unsafe_code)]
 
 pub mod daos_env;

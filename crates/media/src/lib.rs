@@ -16,8 +16,18 @@
 //! structure (write ≪ read on SCM, per-extent costs, queue depths).
 
 // No `unsafe` may enter the workspace outside the audited kernel
-// crate (`daos-sim`, which carries `deny`): see simlint rule D05.
+// crate (`daos-sim`, which denies `clippy::undocumented_unsafe_blocks`).
 #![forbid(unsafe_code)]
+// P01: nothing on a simulated path panics. A site that cannot fail says
+// why in `#[expect(clippy::…, reason = "INVARIANT: …")]`; tests may panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use std::rc::Rc;
 
@@ -47,13 +57,22 @@ pub struct DeviceStats {
 /// Common device interface used by VOS and the PFS baseline.
 pub trait Device {
     /// Read `bytes`, waiting for queueing + transfer + latency.
-    #[allow(async_fn_in_trait)]
+    #[allow(
+        async_fn_in_trait,
+        reason = "`!Send` futures: the simulator is single-threaded"
+    )]
     async fn read(&self, sim: &Sim, bytes: u64);
     /// Write `bytes` durably.
-    #[allow(async_fn_in_trait)]
+    #[allow(
+        async_fn_in_trait,
+        reason = "`!Send` futures: the simulator is single-threaded"
+    )]
     async fn write(&self, sim: &Sim, bytes: u64);
     /// Perform `n` small metadata/index updates (tree nodes, headers).
-    #[allow(async_fn_in_trait)]
+    #[allow(
+        async_fn_in_trait,
+        reason = "`!Send` futures: the simulator is single-threaded"
+    )]
     async fn meta_op(&self, sim: &Sim, n: u64);
     /// Traffic counters so far.
     fn stats(&self) -> DeviceStats;

@@ -11,7 +11,7 @@
 //! simulator rather than corrupting state — just like real MPI).
 
 // No `unsafe` may enter the workspace outside the audited kernel
-// crate (`daos-sim`, which carries `deny`): see simlint rule D05.
+// crate (`daos-sim`, which denies `clippy::undocumented_unsafe_blocks`).
 #![forbid(unsafe_code)]
 
 use std::cell::{Cell, RefCell};

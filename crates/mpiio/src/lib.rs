@@ -15,7 +15,7 @@
 //! ranks' accesses actually interleave, matching `romio_cb_write=automatic`.
 
 // No `unsafe` may enter the workspace outside the audited kernel
-// crate (`daos-sim`, which carries `deny`): see simlint rule D05.
+// crate (`daos-sim`, which denies `clippy::undocumented_unsafe_blocks`).
 #![forbid(unsafe_code)]
 
 use daos_core::DaosError;

@@ -20,7 +20,7 @@
 //!   which are mutually compatible.
 
 // No `unsafe` may enter the workspace outside the audited kernel
-// crate (`daos-sim`, which carries `deny`): see simlint rule D05.
+// crate (`daos-sim`, which denies `clippy::undocumented_unsafe_blocks`).
 #![forbid(unsafe_code)]
 
 use std::cell::{Cell, RefCell};
@@ -263,7 +263,10 @@ impl Pfs {
     }
 
     /// Acquire an extent lock on `(fid, ost)`; returns after any revokes.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "an LDLM enqueue request's fields, as the protocol names them"
+    )]
     async fn ldlm_enqueue(
         &self,
         sim: &Sim,

@@ -19,8 +19,18 @@
 //! targets (perfect balance, maximal fan-out).
 
 // No `unsafe` may enter the workspace outside the audited kernel
-// crate (`daos-sim`, which carries `deny`): see simlint rule D05.
+// crate (`daos-sim`, which denies `clippy::undocumented_unsafe_blocks`).
 #![forbid(unsafe_code)]
+// P01: nothing on a simulated path panics. A site that cannot fail says
+// why in `#[expect(clippy::…, reason = "INVARIANT: …")]`; tests may panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use std::collections::BTreeSet;
 
@@ -560,12 +570,15 @@ fn place_protected(oid: ObjectId, class: ObjectClass, map: &PoolMap) -> Layout {
             };
             let base = next() % tpe as u64;
             let slot = |off: u64| engine * tpe + ((base + off) % tpe as u64) as u32;
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: the candidate loop above skipped engines with \
+                          zero active targets, so at least one slot is not excluded"
+            )]
             let pick = (0..tpe as u64)
                 .map(slot)
                 .find(|t| !map.is_excluded(*t) && !group_targets.contains(t))
                 .or_else(|| (0..tpe as u64).map(slot).find(|t| !map.is_excluded(*t)))
-                // INVARIANT: the candidate loop above skipped engines with
-                // zero active targets, so at least one slot is not excluded.
                 .expect("live engine must have an active target");
             group_targets[c as usize] = pick;
         }

@@ -75,8 +75,11 @@ impl<C: Clone> Cluster<C> {
     }
 
     fn harvest(&mut self, id: NodeId) {
-        // INVARIANT: both callers in `step` harvest a node they have just
-        // ticked or stepped, so `id` is a key of `self.nodes`.
+        #[expect(
+            clippy::unwrap_used,
+            reason = "INVARIANT: both callers in `step` harvest a node they have just \
+                      ticked or stepped, so `id` is a key of `self.nodes`"
+        )]
         let node = self.nodes.get_mut(&id).unwrap();
         if node.role() == Role::Leader {
             self.leaders_by_term
@@ -102,8 +105,11 @@ impl<C: Clone> Cluster<C> {
         self.round += 1;
         let ids: Vec<NodeId> = self.nodes.keys().copied().collect();
         for id in &ids {
-            // INVARIANT: `ids` was read from `self.nodes` just above and
-            // nothing in this loop removes a node.
+            #[expect(
+                clippy::unwrap_used,
+                reason = "INVARIANT: `ids` was read from `self.nodes` just above and \
+                          nothing in this loop removes a node"
+            )]
             let out = self.nodes.get_mut(id).unwrap().tick();
             self.enqueue(*id, out);
             self.harvest(*id);
@@ -148,6 +154,11 @@ impl<C: Clone> Cluster<C> {
     }
 
     /// Run until some node is leader (panics after `max` rounds).
+    #[expect(
+        clippy::panic,
+        reason = "documented harness assertion: callers want the run to fail here, \
+                  not an Option to unwrap"
+    )]
     pub fn run_until_leader(&mut self, max: u64) -> NodeId {
         for _ in 0..max {
             self.step();
@@ -155,7 +166,6 @@ impl<C: Clone> Cluster<C> {
                 return l;
             }
         }
-        // simlint: allow(P01) documented harness assertion: callers want the run to fail here, not an Option to unwrap
         panic!("no leader elected after {max} rounds");
     }
 

@@ -54,33 +54,41 @@ static SIM_WAKER_VTABLE: RawWakerVTable =
 // The four vtable entries must be `unsafe fn` by signature; none of them
 // ever treats `data` as a pointer.
 
-#[allow(unsafe_code)]
-// SAFETY: `data` is an integer in disguise; copying it into a new RawWaker
-// with the same vtable is trivially sound.
+#[allow(
+    unsafe_code,
+    reason = "SAFETY: `data` is an integer in disguise; copying it into a new \
+              RawWaker with the same vtable is trivially sound"
+)]
 unsafe fn waker_clone(data: *const ()) -> RawWaker {
     RawWaker::new(data, &SIM_WAKER_VTABLE)
 }
 
-#[allow(unsafe_code)]
-// SAFETY: decodes the integer data word; never dereferences it.
+#[allow(
+    unsafe_code,
+    reason = "SAFETY: decodes the integer data word; never dereferences it"
+)]
 unsafe fn waker_wake(data: *const ()) {
     wake_encoded(data);
 }
 
-#[allow(unsafe_code)]
-// SAFETY: decodes the integer data word; never dereferences it.
+#[allow(
+    unsafe_code,
+    reason = "SAFETY: decodes the integer data word; never dereferences it"
+)]
 unsafe fn waker_wake_by_ref(data: *const ()) {
     wake_encoded(data);
 }
 
-#[allow(unsafe_code)]
-// SAFETY: the data word owns nothing, so dropping a waker is a no-op.
+#[allow(
+    unsafe_code,
+    reason = "SAFETY: the data word owns nothing, so dropping a waker is a no-op"
+)]
 unsafe fn waker_drop(_data: *const ()) {}
 
 /// Build the waker for task `id` of the executor registered at `reg`.
 fn sim_waker(reg: u32, id: u32) -> Waker {
     let data = (((reg as usize) << 32) | id as usize) as *const ();
-    #[allow(unsafe_code)]
+    #[allow(unsafe_code, reason = "the one audited block below")]
     // SAFETY: the vtable above upholds the RawWaker contract for integer
     // data words — no function dereferences, frees or retains `data`.
     unsafe {
@@ -142,8 +150,11 @@ impl TaskArena {
                 id
             }
             None => {
-                // INVARIANT: more than u32::MAX concurrently-live tasks exceeds
-                // any simulated cluster by orders of magnitude; treat as OOM.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "INVARIANT: more than u32::MAX concurrently-live tasks exceeds \
+                              any simulated cluster by orders of magnitude; treat as OOM"
+                )]
                 let id = u32::try_from(self.slots.len()).expect("task arena overflow");
                 self.slots.push(Some(fut));
                 id
@@ -228,7 +239,7 @@ struct Joined<F: Future> {
 impl<F: Future> Future for Joined<F> {
     type Output = ();
 
-    #[allow(unsafe_code)]
+    #[allow(unsafe_code, reason = "the pin projection below")]
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         // SAFETY: `fut` is structurally pinned — it is only ever reached
         // through this re-pin, never moved out of or replaced in `self`,
@@ -465,6 +476,16 @@ impl Sim {
     ///
     /// Panics if the simulation goes quiescent before the root completes —
     /// that is a deadlock in the simulated system.
+    #[expect(
+        clippy::panic,
+        reason = "INVARIANT: quiescence with the root unfinished is a deadlock in the \
+                  simulated system; aborting loudly is the contract block_on documents"
+    )]
+    #[expect(
+        clippy::expect_used,
+        reason = "INVARIANT: the loop above only exits when `finished` is set, and the \
+                  task stores its result before setting `finished`"
+    )]
     pub fn block_on<T: 'static, F, Fut>(&mut self, f: F) -> T
     where
         F: FnOnce(Sim) -> Fut,
@@ -477,9 +498,6 @@ impl Sim {
                 break;
             }
             if !self.fire_next_timer() {
-                // INVARIANT: quiescence with the root unfinished is a deadlock
-                // in the simulated system; aborting loudly is the contract
-                // block_on documents.
                 panic!(
                     "simulation deadlock: root task blocked with no pending events \
                      ({} tasks alive at {})",
@@ -508,8 +526,6 @@ impl Sim {
         self.inner.ready.borrow_mut().clear();
         self.inner.live_tasks.set(0);
         let out = handle.state.borrow_mut().result.take();
-        // INVARIANT: the loop above only exits when `finished` is set, and the
-        // task stores its result before setting `finished`.
         out.expect("root task finished without storing a result")
     }
 }

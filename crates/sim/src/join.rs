@@ -62,7 +62,7 @@ impl<F: Future> Unpin for JoinInline<F> {}
 impl<F: Future> Future for JoinInline<F> {
     type Output = Vec<F::Output>;
 
-    #[allow(unsafe_code)]
+    #[allow(unsafe_code, reason = "the slot projection below")]
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         // SAFETY: these `&mut Slot<F>` never move a running child: one is
         // re-pinned where it stands (below), and a slot is only ever
@@ -83,10 +83,13 @@ impl<F: Future> Future for JoinInline<F> {
         if pending {
             return Poll::Pending;
         }
+        #[expect(
+            clippy::panic,
+            reason = "INVARIANT: nothing is pending, so every slot is done, and a join \
+                      is not polled again once it has returned its outputs"
+        )]
         let take = |slot: &mut Slot<F>| match std::mem::replace(slot, Slot::Taken) {
             Slot::Done(v) => v,
-            // INVARIANT: nothing is pending, so every slot is done, and a
-            // join is not polled again once it has returned its outputs.
             _ => panic!("join polled after completion"),
         };
         Poll::Ready(slots.iter_mut().map(take).collect())

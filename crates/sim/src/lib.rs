@@ -24,10 +24,20 @@
 //! ```
 
 // The kernel is the one sanctioned entry point for `unsafe` (every other
-// workspace crate carries `forbid`): relaxing this to a local `allow`
-// requires a per-block `// SAFETY:` comment, which the `simlint` D05 gate
-// enforces. DESIGN.md lists the sites.
-#![deny(unsafe_code)]
+// workspace crate carries `forbid`): a local `allow` states its reason, and
+// each `unsafe` block needs its own `// SAFETY:` comment (D05). DESIGN.md
+// lists the sites.
+#![deny(unsafe_code, clippy::undocumented_unsafe_blocks)]
+// P01: nothing on a simulated path panics. A site that cannot fail says
+// why in `#[expect(clippy::…, reason = "INVARIANT: …")]`; tests may panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod executor;
 pub mod fault;

@@ -88,8 +88,11 @@ impl<T> ReplySlots<T> {
                 slot
             }
             None => {
-                // INVARIANT: more than u32::MAX replies awaited at once
-                // exceeds any simulated cluster by orders of magnitude.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "INVARIANT: more than u32::MAX replies awaited at once \
+                              exceeds any simulated cluster by orders of magnitude"
+                )]
                 let slot = u32::try_from(slab.slots.len()).expect("reply slab overflow");
                 slab.slots.push(Slot {
                     gen: 0,

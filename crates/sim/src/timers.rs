@@ -97,8 +97,11 @@ impl Timers {
                 slot
             }
             None => {
-                // INVARIANT: more than u32::MAX timers pending at once exceeds
-                // any simulated cluster by orders of magnitude; treat as OOM.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "INVARIANT: more than u32::MAX timers pending at once exceeds \
+                              any simulated cluster by orders of magnitude; treat as OOM"
+                )]
                 let slot = u32::try_from(self.wakers.len()).expect("timer slab overflow");
                 self.wakers.push(tenant);
                 slot

@@ -1,7 +1,8 @@
 //! Byte-size and bandwidth units shared across the stack.
 //!
 //! Besides the raw constants and [`Bandwidth`], this module is the
-//! *blessed conversion boundary* for the simlint U01 unit-safety rule:
+//! *blessed conversion boundary* for the U01 unit-safety rule (the one
+//! determinism-contract rule `simlint` checks rather than clippy):
 //! the [`Bytes`] / [`Nanos`] / [`Gibps`] newtypes carry their unit in
 //! the type, and every cross-unit cast in the workspace is supposed to
 //! route through here. The typed entry points delegate to the exact

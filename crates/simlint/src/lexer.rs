@@ -1,18 +1,16 @@
 //! A minimal hand-rolled Rust lexer — just enough structure to tell
 //! *code* apart from *non-code*.
 //!
-//! The rule engine needs four facts about a source file:
+//! It records four facts about a source file:
 //!
 //! 1. the stream of identifier / `::` tokens that the compiler would see
-//!    as code (so `"HashMap"` in a string literal or `// HashMap` in a
-//!    comment can never trip a rule);
+//!    as code (so `bytes as f64` in a string literal or a comment can
+//!    never trip U01);
 //! 2. the *structural* punctuation — braces, brackets, parens, `.`,
-//!    `;`, `#`, `!` and friends — that the [`crate::structure`] tracker
-//!    uses to recover fn boundaries, block spans and `.await` points;
-//! 3. the comments, with their spans, so pragmas, `SAFETY:` and
-//!    `INVARIANT:` justifications can be located;
-//! 4. which lines carry any code at all, so a standalone pragma comment
-//!    can be attached to "the next code line".
+//!    `;`, `#`, `!` and friends — that U01 splits statements on and the
+//!    [`crate::structure`] scan uses to find test code;
+//! 3. the comments, with the line each starts on;
+//! 4. which lines carry any code at all, and which any comment.
 //!
 //! Everything else (numbers, the remaining punctuation) is consumed and
 //! discarded. The tricky parts are the ones that hide rule keywords
@@ -41,7 +39,7 @@ pub const STRUCT_PUNCT: &[u8] = b"{}()[]#.;=,!&<>";
 
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TokKind {
-    /// An identifier or keyword (`HashMap`, `thread_rng`, `unsafe`, …).
+    /// An identifier or keyword (`bytes`, `as`, `f64`, …).
     Ident(String),
     /// The `::` path separator.
     PathSep,
@@ -158,8 +156,7 @@ pub fn lex(src: &str) -> Lexed {
                 bump!();
             }
             // CRLF sources leave a `\r` before the `\n`; strip it so the
-            // comment *text* (pragmas, SAFETY:/INVARIANT: audits) is
-            // byte-identical to the `\n`-only twin of the file.
+            // comment *text* is byte-identical to the `\n`-only twin.
             let text = src[start..i].strip_suffix('\r').unwrap_or(&src[start..i]);
             out.comments.push(Comment {
                 text: text.to_string(),
@@ -195,8 +192,8 @@ pub fn lex(src: &str) -> Lexed {
                 }
             }
             let end = end.min(b.len());
-            // Normalise interior CRLF so multi-line comment text matching
-            // (e.g. `SAFETY:` heads) is line-ending agnostic.
+            // Normalise interior CRLF so multi-line comment text is
+            // line-ending agnostic.
             let mut text = src[start..end].to_string();
             if text.contains('\r') {
                 text = text.replace("\r\n", "\n");

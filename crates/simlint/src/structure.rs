@@ -1,259 +1,100 @@
-//! Structural tracker: recovers item/block shape from the lexed token
-//! stream — no `syn`, no grammar, just brace discipline.
+//! The test-code scan U01 needs: which tokens belong to a `#[test]` or
+//! `#[cfg(test)]` item — no `syn`, no grammar, just brace discipline.
 //!
-//! [`build`] walks the tokens once and produces a [`Structure`]:
+//! [`test_ranges`] walks the tokens once. An outer attribute that names
+//! `test` (and not `not(test)`) arms the next `{ … }` block as test code; a
+//! `;` before that brace disarms it, for a bodyless item (`fn f();`,
+//! `#[cfg(test)] mod tests;`).
 //!
-//! * every `{ … }` block with its token span, line span and nesting
-//!   depth (closures, match arms, async blocks and items all count —
-//!   the tracker is deliberately agnostic about *why* a brace opened);
-//! * every `fn` item with its name, `async`-ness and body block;
-//! * every `.await` point;
-//! * the token ranges covered by `#[test]` / `#[cfg(test)]` items, so
-//!   rules can exempt test code without path heuristics.
-//!
-//! The tracker is resilient by construction to the things that break
-//! naive brace counters: braces inside string/char literals and
-//! comments never reach the token stream (the lexer ate them), braces
-//! inside attributes are skipped with the attribute, and `>>` in
-//! generics is invisible because the tracker never counts angle
-//! brackets. Malformed input degrades to "unclosed block runs to EOF",
-//! which is safe for a linter.
+//! The scan is resilient by construction to the things that break naive
+//! brace counters: braces inside string/char literals and comments never
+//! reach the token stream (the lexer ate them), braces inside attributes
+//! are skipped with the attribute, and `>>` in generics is invisible
+//! because angle brackets are never counted. An unclosed test block runs
+//! to EOF, which is safe for a linter.
 
-use crate::lexer::{Lexed, TokKind};
+use crate::lexer::{Lexed, TokKind, Token};
 
-/// One `{ … }` block. `close_tok`/`close_line` point at the closing
-/// brace; an unterminated block (EOF) spans to the end of the stream.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Block {
-    /// Token index of the opening `{`.
-    pub open_tok: usize,
-    /// Token index of the closing `}` (or `tokens.len()` if unclosed).
-    pub close_tok: usize,
-    /// 1-based line of the opening `{`.
-    pub open_line: u32,
-    /// 1-based line of the closing `}` (or the last token's line).
-    pub close_line: u32,
-    /// Nesting depth: 0 for module-level blocks.
-    pub depth: u32,
-}
+/// Half-open token ranges `[start, end)` covered by test items.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct TestRanges(pub Vec<(usize, usize)>);
 
-impl Block {
-    /// Does this block's body (exclusive of the braces) contain `tok`?
-    #[inline]
-    pub fn contains(&self, tok: usize) -> bool {
-        self.open_tok < tok && tok < self.close_tok
-    }
-}
-
-/// One `fn` item (free fn, method, trait default — anything introduced
-/// by the `fn` keyword followed by a name).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FnItem {
-    pub name: String,
-    /// `async fn` (directly; async *blocks* inside a sync fn don't count).
-    pub is_async: bool,
-    /// Token index of the `fn` keyword.
-    pub fn_tok: usize,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
-    /// Index into [`Structure::blocks`] of the body, if any (trait
-    /// method declarations have none).
-    pub body: Option<usize>,
-    /// Inside a `#[test]` fn or a `#[cfg(test)]` item.
-    pub in_test: bool,
-}
-
-/// Output of [`build`]: blocks, fns, awaits and test spans.
-#[derive(Debug, Default)]
-pub struct Structure {
-    pub blocks: Vec<Block>,
-    pub fns: Vec<FnItem>,
-    /// Token indices of the `await` identifier in each `.await`.
-    pub awaits: Vec<usize>,
-    /// Half-open token ranges `[start, end)` covered by test items.
-    pub test_ranges: Vec<(usize, usize)>,
-}
-
-impl Structure {
+impl TestRanges {
     /// Is token index `tok` inside a `#[test]`/`#[cfg(test)]` item?
-    pub fn in_test(&self, tok: usize) -> bool {
-        self.test_ranges.iter().any(|&(s, e)| s <= tok && tok < e)
-    }
-
-    /// The innermost fn whose body contains token index `tok`.
-    pub fn enclosing_fn(&self, tok: usize) -> Option<&FnItem> {
-        self.fns
-            .iter()
-            .filter(|f| {
-                f.body
-                    .map(|b| self.blocks[b].contains(tok))
-                    .unwrap_or(false)
-            })
-            .max_by_key(|f| self.blocks[f.body.unwrap_or(0)].open_tok)
+    pub fn contains(&self, tok: usize) -> bool {
+        self.0.iter().any(|&(s, e)| s <= tok && tok < e)
     }
 }
 
-/// Identifiers that may legally sit between a visibility/qualifier run
-/// and the `fn` keyword (`pub(in crate::x) const unsafe extern "C" fn`).
-fn is_fn_qualifier(kind: &TokKind) -> bool {
-    match kind {
-        TokKind::Ident(s) => {
-            matches!(
-                s.as_str(),
-                "pub"
-                    | "const"
-                    | "async"
-                    | "unsafe"
-                    | "extern"
-                    | "crate"
-                    | "super"
-                    | "self"
-                    | "in"
-                    | "default"
-            )
+/// Skip the attribute starting at `toks[i] == '#'`. Returns the index just
+/// past its closing `]`, and whether it is an outer attribute that arms
+/// a test item; `None` if `#` does not open an attribute.
+fn attribute(toks: &[Token], i: usize) -> Option<(usize, bool)> {
+    let mut j = i + 1;
+    let inner = toks.get(j).is_some_and(|t| t.kind.is_punct(b'!'));
+    if inner {
+        j += 1;
+    }
+    if !toks.get(j).is_some_and(|t| t.kind.is_punct(b'[')) {
+        return None;
+    }
+    let (mut depth, mut saw_test, mut saw_not) = (0usize, false, false);
+    while j < toks.len() {
+        match &toks[j].kind {
+            TokKind::Punct(b'[') => depth += 1,
+            TokKind::Punct(b']') => {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            TokKind::Ident(s) if s == "test" => saw_test = true,
+            TokKind::Ident(s) if s == "not" => saw_not = true,
+            _ => {}
         }
-        TokKind::PathSep => true,
-        TokKind::Punct(p) => matches!(p, b'(' | b')'),
+        j += 1;
     }
+    Some((j + 1, !inner && saw_test && !saw_not))
 }
 
-/// Build the structural index for a lexed file.
-pub fn build(lx: &Lexed) -> Structure {
+/// The token ranges of every test block in a lexed file, in the order the
+/// blocks close (an unclosed one last, running to EOF).
+pub fn test_ranges(lx: &Lexed) -> TestRanges {
     let toks = &lx.tokens;
-    let mut st = Structure::default();
-    let mut stack: Vec<usize> = Vec::new();
-    let mut pending_fn: Option<usize> = None;
-    let mut test_armed = false;
-    let mut test_blocks: Vec<usize> = Vec::new();
-    let mut last_line = 1u32;
-
+    let mut out = Vec::new();
+    // open blocks: (token index of `{`, is a test block)
+    let mut stack: Vec<(usize, bool)> = Vec::new();
+    let mut armed = false;
     let mut i = 0usize;
     while i < toks.len() {
-        let t = &toks[i];
-        last_line = t.line;
-        match &t.kind {
-            // ---- attributes: skip `#[…]` / `#![…]` wholesale ------------
+        match &toks[i].kind {
             TokKind::Punct(b'#') => {
-                let mut j = i + 1;
-                let inner = j < toks.len() && toks[j].kind.is_punct(b'!');
-                if inner {
-                    j += 1;
-                }
-                if j < toks.len() && toks[j].kind.is_punct(b'[') {
-                    let mut depth = 0usize;
-                    let mut saw_test = false;
-                    let mut saw_not = false;
-                    while j < toks.len() {
-                        match &toks[j].kind {
-                            TokKind::Punct(b'[') => depth += 1,
-                            TokKind::Punct(b']') => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    break;
-                                }
-                            }
-                            TokKind::Ident(s) if s == "test" => saw_test = true,
-                            TokKind::Ident(s) if s == "not" => saw_not = true,
-                            _ => {}
-                        }
-                        j += 1;
-                    }
-                    // An outer attr mentioning `test` (and not `not(test)`)
-                    // arms the next item's body as a test range.
-                    if !inner && saw_test && !saw_not {
-                        test_armed = true;
-                    }
-                    i = j + 1;
+                if let Some((next, arms)) = attribute(toks, i) {
+                    armed |= arms;
+                    i = next;
                     continue;
                 }
             }
-            // ---- fn items ----------------------------------------------
-            TokKind::Ident(s) if s == "fn" => {
-                // `fn(` with no name is a fn-pointer type, not an item.
-                if let Some(TokKind::Ident(name)) = toks.get(i + 1).map(|t| &t.kind) {
-                    let mut is_async = false;
-                    let mut k = i;
-                    while k > 0 && is_fn_qualifier(&toks[k - 1].kind) {
-                        k -= 1;
-                        if toks[k].kind.is_ident("async") {
-                            is_async = true;
-                        }
-                    }
-                    st.fns.push(FnItem {
-                        name: name.clone(),
-                        is_async,
-                        fn_tok: i,
-                        line: t.line,
-                        body: None,
-                        in_test: false,
-                    });
-                    pending_fn = Some(st.fns.len() - 1);
-                }
-            }
-            // ---- `.await` ----------------------------------------------
-            TokKind::Ident(s) if s == "await" && i > 0 && toks[i - 1].kind.is_punct(b'.') => {
-                st.awaits.push(i);
-            }
-            // ---- blocks ------------------------------------------------
             TokKind::Punct(b'{') => {
-                let bi = st.blocks.len();
-                st.blocks.push(Block {
-                    open_tok: i,
-                    close_tok: toks.len(),
-                    open_line: t.line,
-                    close_line: last_line,
-                    depth: stack.len() as u32,
-                });
-                if let Some(f) = pending_fn.take() {
-                    st.fns[f].body = Some(bi);
-                }
-                if test_armed {
-                    test_blocks.push(bi);
-                    test_armed = false;
-                }
-                stack.push(bi);
+                stack.push((i, armed));
+                armed = false;
             }
             TokKind::Punct(b'}') => {
-                if let Some(bi) = stack.pop() {
-                    st.blocks[bi].close_tok = i;
-                    st.blocks[bi].close_line = t.line;
+                if let Some((open, true)) = stack.pop() {
+                    out.push((open, i + 1));
                 }
             }
-            // A `;` before any `{` ends a bodyless decl (`fn f();`,
-            // `#[cfg(test)] mod tests;`).
-            TokKind::Punct(b';') => {
-                pending_fn = None;
-                test_armed = false;
-            }
+            TokKind::Punct(b';') => armed = false,
             _ => {}
         }
         i += 1;
     }
-    // Unclosed blocks run to EOF; fix their close lines.
-    for &bi in &stack {
-        st.blocks[bi].close_line = last_line;
+    for (open, test) in stack {
+        if test {
+            out.push((open, toks.len()));
+        }
     }
-    st.test_ranges = test_blocks
-        .iter()
-        .map(|&bi| {
-            let b = &st.blocks[bi];
-            (b.open_tok, b.close_tok.saturating_add(1))
-        })
-        .collect();
-    // A fn is test code if its body *is* a test block (`#[test] fn`) or
-    // its `fn` keyword sits inside one (`#[cfg(test)] mod tests { … }`).
-    for fi in 0..st.fns.len() {
-        let body_is_test = st.fns[fi]
-            .body
-            .map(|b| test_blocks.contains(&b))
-            .unwrap_or(false);
-        let in_range = st
-            .test_ranges
-            .iter()
-            .any(|&(s, e)| s <= st.fns[fi].fn_tok && st.fns[fi].fn_tok < e);
-        st.fns[fi].in_test = body_is_test || in_range;
-    }
-    st
+    TestRanges(out)
 }
 
 #[cfg(test)]
@@ -261,44 +102,18 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
 
-    fn build_src(src: &str) -> Structure {
-        build(&lex(src))
-    }
-
-    #[test]
-    fn fn_boundaries_and_bodies() {
-        let st = build_src("fn a() { 1 }\npub async fn b(x: u32) -> u32 { x }\n");
-        assert_eq!(st.fns.len(), 2);
-        assert_eq!(st.fns[0].name, "a");
-        assert!(!st.fns[0].is_async);
-        assert_eq!(st.fns[1].name, "b");
-        assert!(st.fns[1].is_async);
-        let body = st.blocks[st.fns[1].body.unwrap()].clone();
-        assert_eq!(body.open_line, 2);
-        assert_eq!(body.close_line, 2);
-    }
-
-    #[test]
-    fn fn_pointer_types_are_not_items() {
-        let st = build_src("fn a(cb: fn(u32) -> u32) { cb(1); }");
-        assert_eq!(st.fns.len(), 1);
-        assert_eq!(st.fns[0].name, "a");
-    }
-
-    #[test]
-    fn trait_decl_without_body_has_no_block() {
-        let st = build_src("trait T { fn f(&self); fn g(&self) { } }");
-        assert_eq!(st.fns.len(), 2);
-        assert!(st.fns[0].body.is_none());
-        assert!(st.fns[1].body.is_some());
-    }
-
-    #[test]
-    fn awaits_are_located() {
-        let st = build_src("async fn f() { g().await; h.i().await }");
-        assert_eq!(st.awaits.len(), 2);
-        let f = st.enclosing_fn(st.awaits[0]).unwrap();
-        assert_eq!(f.name, "f");
+    /// Whether the `nth` occurrence of identifier `id` is test code.
+    fn in_test(src: &str, id: &str, nth: usize) -> bool {
+        let lx = lex(src);
+        let tok = lx
+            .tokens
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.kind.is_ident(id))
+            .nth(nth)
+            .map(|(i, _)| i)
+            .unwrap_or_else(|| panic!("no occurrence {nth} of {id}"));
+        test_ranges(&lx).contains(tok)
     }
 
     #[test]
@@ -306,43 +121,48 @@ mod tests {
         let src = "fn real() {}\n#[test]\nfn t() { real() }\n\
                    #[cfg(test)]\nmod tests {\n  fn helper() {}\n}\n\
                    #[cfg(not(test))]\nfn prod() {}\n";
-        let st = build_src(src);
-        let by_name = |n: &str| st.fns.iter().find(|f| f.name == n).unwrap();
-        assert!(!by_name("real").in_test);
-        assert!(by_name("t").in_test);
-        assert!(by_name("helper").in_test);
-        assert!(!by_name("prod").in_test);
+        assert!(!in_test(src, "real", 0));
+        assert!(in_test(src, "real", 1));
+        assert!(in_test(src, "helper", 0));
+        assert!(!in_test(src, "prod", 0));
+    }
+
+    #[test]
+    fn trait_decl_without_body_has_no_block() {
+        // a bodyless test item disarms: the next body is production code
+        let src = "trait T {\n  #[cfg(test)]\n  fn f(&self);\n  fn g(&self) { self.h() }\n}\n";
+        assert!(!in_test(src, "h", 0));
+        let src = "#[cfg(test)]\nmod tests;\nfn prod() { body() }\n";
+        assert!(!in_test(src, "body", 0));
     }
 
     #[test]
     fn generics_closures_and_match_guards_do_not_confuse_spans() {
-        let src = "fn f<T: Into<Vec<Vec<u8>>>>(x: T) -> u64 {\n\
+        let src = "#[test]\nfn f<T: Into<Vec<Vec<u8>>>>(x: T) -> u64 {\n\
                      let g = |y: u64| y >> 2;\n\
                      match g(1) { n if n > 0 => { n }, _ => 0 }\n\
-                   }\n";
-        let st = build_src(src);
-        assert_eq!(st.fns.len(), 1);
-        let body = &st.blocks[st.fns[0].body.unwrap()];
-        assert_eq!(body.open_line, 1);
-        assert_eq!(body.close_line, 4);
-        assert_eq!(body.depth, 0);
+                     last\n\
+                   }\nfn after() { prod() }\n";
+        assert!(in_test(src, "g", 0));
+        assert!(in_test(src, "last", 0));
+        assert!(!in_test(src, "prod", 0));
     }
 
     #[test]
     fn braces_in_strings_and_attrs_are_invisible() {
-        let src = "#[doc = \"{ not a block\"]\nfn f() { let s = \"}}}\"; s.len() }";
-        let st = build_src(src);
-        assert_eq!(st.fns.len(), 1);
-        assert_eq!(st.blocks.len(), 1);
-        assert_eq!(st.blocks[0].close_line, 2);
+        let src = "#[test]\n#[doc = \"{ not a block\"]\nfn f() { let s = \"}}}\"; s.len() }\n\
+                   fn after() { prod() }\n";
+        assert!(in_test(src, "len", 0));
+        assert!(!in_test(src, "prod", 0));
     }
 
     #[test]
     fn unclosed_block_runs_to_eof() {
-        let st = build_src("fn f() { let x = 1;");
+        let src = "#[test]\nfn f() { let x = 1;";
+        assert!(in_test(src, "x", 0));
         assert_eq!(
-            st.blocks[0].close_tok,
-            lex("fn f() { let x = 1;").tokens.len()
+            test_ranges(&lex(src)).0.last().map(|r| r.1),
+            Some(lex(src).tokens.len())
         );
     }
 }

@@ -1,171 +1,140 @@
-//! Property tests for the structural tracker: generated snippets carry
-//! their own ground truth (block / await / fn counts known at
-//! construction), and the adversarial material — `>>` in generics,
-//! closures, async blocks, match guards, raw strings and comments with
-//! unbalanced braces — must never skew the tracker away from it. A raw
-//! punct-stream brace counter serves as the independent reference.
+//! Property tests for the test-code scan: generated snippets carry their
+//! own ground truth (each `mark` identifier knows whether it sits in test
+//! code), and the adversarial material — `>>` in generics, closures, match
+//! guards, raw strings and comments with unbalanced braces, `not(test)`,
+//! bodyless test items — must never skew the scan away from it.
 
 use proptest::prelude::*;
+use proptest::strategy::BoxedStrategy;
 
-use simlint::lexer::{lex, TokKind};
-use simlint::structure::build;
+use simlint::lexer::lex;
+use simlint::structure::test_ranges;
 
-/// A generated snippet plus the structural facts it was built to contain.
+/// A generated snippet plus, for each `mark` it contains (in source
+/// order), whether that `mark` is test code.
 #[derive(Clone, Debug)]
 struct Snip {
     src: String,
-    blocks: usize,
-    awaits: usize,
-    fns: usize,
+    marks: Vec<bool>,
 }
 
 impl Snip {
-    fn leaf(src: &str, blocks: usize, awaits: usize, fns: usize) -> Snip {
+    fn leaf(src: &str) -> Snip {
+        // no leaf hides `mark` in a string or a comment
         Snip {
             src: src.to_string(),
-            blocks,
-            awaits,
-            fns,
+            marks: vec![false; src.matches("mark").count()],
+        }
+    }
+
+    /// Wrap in `open … close`; `test` says whether the wrapper is a test item.
+    fn wrap(self, open: String, close: &str, test: bool) -> Snip {
+        Snip {
+            src: format!("{open}{}{close}", self.src),
+            marks: self.marks.into_iter().map(|m| m || test).collect(),
         }
     }
 }
 
 /// Statements with no nested snippet: the decoys. Braces inside raw
 /// strings, plain strings, char literals and comments must not count;
-/// `>>` must not be mistaken for anything structural; `await_timeout`
-/// must not read as `.await`.
+/// `>>` must not be mistaken for anything structural; a bodyless test item
+/// must not arm the block after it.
 fn leaves() -> impl Strategy<Value = Snip> {
     prop_oneof![
+        Just(Snip::leaf("mark;\n")),
         Just(Snip::leaf(
-            "let v: Vec<Vec<u8>> = cvt::<Vec<u8>>(n >> 2);\n",
-            0,
-            0,
-            0
+            "let v: Vec<Vec<u8>> = cvt::<Vec<u8>>(mark >> 2);\n"
         )),
-        Just(Snip::leaf("let s = r#\"{ not a block }}\"#;\n", 0, 0, 0)),
-        Just(Snip::leaf("let s2 = \"}} {\";\n", 0, 0, 0)),
-        Just(Snip::leaf("let c = '{';\n", 0, 0, 0)),
-        Just(Snip::leaf("// { dangling open\n", 0, 0, 0)),
-        Just(Snip::leaf("/* } stray close { */\n", 0, 0, 0)),
-        Just(Snip::leaf("let t = x.await_timeout();\n", 0, 0, 0)),
-        Just(Snip::leaf("fut.await;\n", 0, 1, 0)),
+        Just(Snip::leaf("let s = r#\"{ not a block }}\"#; mark;\n")),
+        Just(Snip::leaf("let s2 = \"}} {\";\n")),
+        Just(Snip::leaf("let c = '{';\n")),
+        Just(Snip::leaf("// { dangling open #[test]\n")),
+        Just(Snip::leaf("/* } stray close { */\n")),
         Just(Snip::leaf(
-            "match v { Some(x) if x > 0 => {} None => {} }\n",
-            3,
-            0,
-            0
+            "#[cfg(test)]\nfn decl();\nfn after() { mark }\n"
+        )),
+        Just(Snip::leaf("#[doc = \"#[test] {\"]\nfn d() { mark }\n")),
+        Just(Snip::leaf(
+            "match v { Some(x) if x > 0 => { mark } None => {} }\n"
         )),
     ]
 }
 
-/// Wrap inner snippets in the constructs whose braces DO count: fn
-/// items, async fns, closures, async blocks, bare blocks, and plain
-/// concatenation. Hand-rolled depth recursion — the offline proptest
-/// stand-in has no `prop_recursive`, but `BoxedStrategy` is cloneable.
-fn snips(depth: u32) -> simlint_boxed::Boxed {
+/// Wrap inner snippets in test items (`#[test] fn`, `#[cfg(test)] mod`)
+/// and in the constructs that are not (plain and `not(test)` fns,
+/// closures, bare blocks), or concatenate two. Hand-rolled depth recursion
+/// — the offline proptest stand-in has no `prop_recursive`, but
+/// `BoxedStrategy` is cloneable.
+fn snips(depth: u32) -> BoxedStrategy<Snip> {
     if depth == 0 {
         return leaves().boxed();
     }
     let inner = snips(depth - 1);
     prop_oneof![
         leaves(),
-        (inner.clone(), 0u32..1000).prop_map(|(s, id)| Snip {
-            src: format!("fn f_{id}() {{ {} }}\n", s.src),
-            blocks: s.blocks + 1,
-            awaits: s.awaits,
-            fns: s.fns + 1,
-        }),
-        (inner.clone(), 0u32..1000).prop_map(|(s, id)| Snip {
-            src: format!("async fn g_{id}() {{ {} h().await; }}\n", s.src),
-            blocks: s.blocks + 1,
-            awaits: s.awaits + 1,
-            fns: s.fns + 1,
-        }),
-        inner.clone().prop_map(|s| Snip {
-            src: format!("let cl = move |q: u64| {{ {} q }};\n", s.src),
-            blocks: s.blocks + 1,
-            awaits: s.awaits,
-            fns: s.fns,
-        }),
-        inner.clone().prop_map(|s| Snip {
-            src: format!("spawn(async move {{ {} fut.await; }});\n", s.src),
-            blocks: s.blocks + 1,
-            awaits: s.awaits + 1,
-            fns: s.fns,
-        }),
-        inner.clone().prop_map(|s| Snip {
-            src: format!("{{ {} }}\n", s.src),
-            blocks: s.blocks + 1,
-            awaits: s.awaits,
-            fns: s.fns,
-        }),
+        (inner.clone(), 0u32..1000).prop_map(|(s, id)| s.wrap(
+            format!("#[test]\nfn t_{id}<T: Into<Vec<Vec<u8>>>>() {{ "),
+            " }\n",
+            true
+        )),
+        (inner.clone(), 0u32..1000).prop_map(|(s, id)| s.wrap(
+            format!("#[cfg(test)]\nmod m_{id} {{ "),
+            " }\n",
+            true
+        )),
+        (inner.clone(), 0u32..1000).prop_map(|(s, id)| s.wrap(
+            format!("fn f_{id}() {{ "),
+            " }\n",
+            false
+        )),
+        (inner.clone(), 0u32..1000).prop_map(|(s, id)| s.wrap(
+            format!("#[cfg(not(test))]\nfn p_{id}() {{ "),
+            " }\n",
+            false
+        )),
+        inner
+            .clone()
+            .prop_map(|s| s.wrap("let cl = move |q: u64| { ".into(), " q };\n", false)),
+        inner
+            .clone()
+            .prop_map(|s| s.wrap("{ ".into(), " }\n", false)),
         (inner.clone(), inner).prop_map(|(a, b)| Snip {
             src: format!("{}{}", a.src, b.src),
-            blocks: a.blocks + b.blocks,
-            awaits: a.awaits + b.awaits,
-            fns: a.fns + b.fns,
+            marks: a.marks.into_iter().chain(b.marks).collect(),
         }),
     ]
     .boxed()
 }
 
-mod simlint_boxed {
-    pub type Boxed = proptest::strategy::BoxedStrategy<super::Snip>;
+/// Whether each `mark` in `src`, in order, is test code by the scan.
+fn scanned(src: &str) -> Vec<bool> {
+    let lx = lex(src);
+    let ranges = test_ranges(&lx);
+    lx.tokens
+        .iter()
+        .enumerate()
+        .filter(|(_, t)| t.kind.is_ident("mark"))
+        .map(|(i, _)| ranges.contains(i))
+        .collect()
 }
 
 proptest! {
     #[test]
     fn tracker_matches_generated_ground_truth(s in snips(4)) {
+        prop_assert_eq!(scanned(&s.src), s.marks, "in:\n{}", s.src);
+        // every generated snippet is balanced: each range opens on `{`
+        // and closes just past `}`
         let lx = lex(&s.src);
-        let st = build(&lx);
-        prop_assert_eq!(st.blocks.len(), s.blocks, "blocks in:\n{}", s.src);
-        prop_assert_eq!(st.awaits.len(), s.awaits, "awaits in:\n{}", s.src);
-        prop_assert_eq!(st.fns.len(), s.fns, "fns in:\n{}", s.src);
-
-        // independent reference: raw brace counting over the punct stream
-        let opens = lx.tokens.iter().filter(|t| t.kind.is_punct(b'{')).count();
-        let closes = lx.tokens.iter().filter(|t| t.kind.is_punct(b'}')).count();
-        prop_assert_eq!(opens, s.blocks);
-        prop_assert_eq!(closes, s.blocks);
-
-        // every generated snippet is balanced: blocks close after they
-        // open and nest by stack discipline
-        for b in &st.blocks {
-            prop_assert!(b.open_tok < b.close_tok);
-            prop_assert!(b.open_line <= b.close_line);
-            prop_assert!(matches!(lx.tokens[b.open_tok].kind, TokKind::Punct(b'{')));
-            prop_assert!(matches!(lx.tokens[b.close_tok].kind, TokKind::Punct(b'}')));
-        }
-        for (i, a) in st.blocks.iter().enumerate() {
-            for b in st.blocks.iter().skip(i + 1) {
-                // spans are nested or disjoint, never interleaved
-                let nested = (a.open_tok < b.open_tok && b.close_tok < a.close_tok)
-                    || (b.open_tok < a.open_tok && a.close_tok < b.close_tok);
-                let disjoint = a.close_tok < b.open_tok || b.close_tok < a.open_tok;
-                prop_assert!(nested || disjoint);
-            }
-        }
-
-        // every fn body is a block whose span starts after the fn keyword
-        for f in &st.fns {
-            if let Some(bi) = f.body {
-                prop_assert!(st.blocks[bi].open_tok > f.fn_tok);
-            }
+        for &(open, end) in &test_ranges(&lx).0 {
+            prop_assert!(lx.tokens[open].kind.is_punct(b'{'));
+            prop_assert!(lx.tokens[end - 1].kind.is_punct(b'}'));
         }
     }
 
     #[test]
     fn crlf_twin_has_identical_structure(s in snips(4)) {
-        let lf = build(&lex(&s.src));
-        let crlf_src = s.src.replace('\n', "\r\n");
-        let crlf = build(&lex(&crlf_src));
-        prop_assert_eq!(lf.blocks.len(), crlf.blocks.len());
-        prop_assert_eq!(lf.awaits.len(), crlf.awaits.len());
-        prop_assert_eq!(lf.fns.len(), crlf.fns.len());
-        // line anchoring must agree too, not just counts
-        let lines = |st: &simlint::structure::Structure| {
-            st.blocks.iter().map(|b| (b.open_line, b.close_line)).collect::<Vec<_>>()
-        };
-        prop_assert_eq!(lines(&lf), lines(&crlf));
+        let crlf = s.src.replace('\n', "\r\n");
+        prop_assert_eq!(test_ranges(&lex(&s.src)), test_ranges(&lex(&crlf)));
     }
 }

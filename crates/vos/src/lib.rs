@@ -16,8 +16,18 @@
 //! through the data path without allocating them.
 
 // No `unsafe` may enter the workspace outside the audited kernel
-// crate (`daos-sim`, which carries `deny`): see simlint rule D05.
+// crate (`daos-sim`, which denies `clippy::undocumented_unsafe_blocks`).
 #![forbid(unsafe_code)]
+// P01: nothing on a simulated path panics. A site that cannot fail says
+// why in `#[expect(clippy::…, reason = "INVARIANT: …")]`; tests may panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 mod key;
 pub mod target;
@@ -82,7 +92,7 @@ impl Payload {
     /// materialisation). Panics when the range does not lie inside the
     /// payload.
     pub fn slice(&self, off: u64, len: u64) -> Payload {
-        // INVARIANT: callers slice inside the payload they hold. A pattern
+        // callers slice inside the payload they hold. A pattern
         // sliced past its end would fabricate bytes, and a checksum that
         // vouches for them, so the check is not a debug-only one.
         assert!(
@@ -317,7 +327,10 @@ fn steps<const N: usize>(h: u64, w: [u64; N]) -> u64 {
 /// as a zero-padded word. For strings `a`, `b` of whole words,
 /// `fold(a‖b) = fold(a)·X^words(b) + fold(b)`.
 fn fold_bytes(bytes: &[u8]) -> (u64, u64) {
-    // INVARIANT: every slice handed to `le` is exactly 8 bytes long.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "INVARIANT: every slice handed to `le` is exactly 8 bytes long"
+    )]
     let le = |w: &[u8]| u64::from_le_bytes(w.try_into().unwrap());
     let mut wide = bytes.chunks_exact(8 * WIDE);
     let h = (&mut wide).fold(0, |h, g| {
@@ -464,7 +477,7 @@ mod tests {
         let ss = s.slice(1, 2);
         assert_eq!(&ss.materialize()[..], &[3, 4]);
         let (Payload::Bytes(whole, _), Payload::Bytes(inner, _)) = (&p, &ss) else {
-            unreachable!("slices of a literal are literals")
+            panic!("slices of a literal are literals")
         };
         assert!(Rc::ptr_eq(whole, inner), "a slice copies nothing");
         assert!(Rc::ptr_eq(whole, &p.materialize()));

@@ -230,7 +230,10 @@ impl VosTarget {
     ///
     /// Returns the number of index ops charged (for tests/ablation), or
     /// [`VosError::AkeyKind`] if the akey holds a single value.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the VOS call shape: container, object, dkey, akey, extent or epoch, payload"
+    )]
     pub async fn update_array(
         &self,
         sim: &Sim,
@@ -275,12 +278,18 @@ impl VosTarget {
                 obj.last_dkey = Some(Key::new(dkey));
             }
             let dk = match hot_dkey {
-                // INVARIANT: hot_dkey is None exactly when contains_key was true.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "INVARIANT: hot_dkey is None exactly when contains_key was true"
+                )]
                 None => obj.dkeys.get_mut(dkey).expect("existing dkey"),
                 Some(_) => obj.dkeys.entry(Key::new(dkey)).or_default(),
             };
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: guarded by contains_key on the same map"
+            )]
             let ak = if dk.akeys.contains_key(akey) {
-                // INVARIANT: guarded by contains_key on the same map.
                 dk.akeys.get_mut(akey).expect("existing akey")
             } else {
                 ops += self.cfg.akey_ops;
@@ -318,7 +327,10 @@ impl VosTarget {
     /// verifying the checksum of every stored extent the read touches
     /// (when `csum_enabled`). A violation still charges the media time the
     /// failed read consumed — the bytes were read before the hash disagreed.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the VOS call shape: container, object, dkey, akey, extent or epoch, payload"
+    )]
     pub async fn fetch_array(
         &self,
         sim: &Sim,
@@ -382,7 +394,10 @@ impl VosTarget {
     }
 
     /// Upsert a single-value akey.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the VOS call shape: container, object, dkey, akey, extent or epoch, payload"
+    )]
     pub async fn update_single(
         &self,
         sim: &Sim,
@@ -408,14 +423,20 @@ impl VosTarget {
             if new_dkey {
                 ops += self.cfg.dkey_cold_ops;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: !new_dkey means contains_key was true just above"
+            )]
             let dk = if new_dkey {
                 obj.dkeys.entry(Key::new(dkey)).or_default()
             } else {
-                // INVARIANT: !new_dkey means contains_key was true just above.
                 obj.dkeys.get_mut(dkey).expect("existing dkey")
             };
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: guarded by contains_key on the same map"
+            )]
             let ak = if dk.akeys.contains_key(akey) {
-                // INVARIANT: guarded by contains_key on the same map.
                 dk.akeys.get_mut(akey).expect("existing akey")
             } else {
                 ops += self.cfg.akey_ops;
@@ -479,7 +500,10 @@ impl VosTarget {
     }
 
     /// Punch (logically zero) a byte range of an array akey at `epoch`.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the VOS call shape: container, object, dkey, akey, extent or epoch, payload"
+    )]
     pub async fn punch_array(
         &self,
         sim: &Sim,

@@ -512,9 +512,15 @@ impl ExtentTree {
             return 0;
         }
         // the visible image over the old extents' full span
-        // INVARIANT: old.len() > 1 was checked above, so min() is Some.
+        #[expect(
+            clippy::unwrap_used,
+            reason = "INVARIANT: old.len() > 1 was checked above, so min() is Some"
+        )]
         let lo = old.iter().map(|e| e.offset).min().unwrap();
-        // INVARIANT: same non-empty check covers max().
+        #[expect(
+            clippy::unwrap_used,
+            reason = "INVARIANT: same non-empty check covers max()"
+        )]
         let hi = old.iter().map(|e| e.end()).max().unwrap();
         let image = self.read(lo, hi - lo, upto);
         let newer: Vec<Extent> = self.extents.drain(..).filter(|e| e.epoch > upto).collect();

@@ -2,5 +2,5 @@
 //! has no library code of its own.
 
 // No `unsafe` may enter the workspace outside the audited kernel
-// crate (`daos-sim`, which carries `deny`): see simlint rule D05.
+// crate (`daos-sim`, which denies `clippy::undocumented_unsafe_blocks`).
 #![forbid(unsafe_code)]

@@ -4,8 +4,8 @@
 //! keyed by submission order, so thread count and OS scheduling must be
 //! invisible in every artifact the gate compares.
 //!
-//! This file deliberately contains no `std::thread` / `crossbeam` usage
-//! of its own (simlint D04) — all threading happens inside `daos-bench`'s
+//! This file deliberately contains no `std::thread` usage of its own
+//! (D04, `clippy.toml`) — all threading happens inside `daos-bench`'s
 //! sanctioned executor.
 
 use daos_bench::exec::Slate;
