@@ -22,20 +22,16 @@
 //! `target/bench/`; `$DAOS_BENCH_OUT` overrides both.
 //!
 //! **`regress`** runs every PR-gated figure at reduced scale as one slate,
-//! diffs each fresh report against its committed baseline in
-//! `results/baselines/` (per-metric tolerance bands, `--tol PCT` widens
-//! the default, `--verbose` prints in-band rows too), evaluates every
-//! figure's checks, and exits nonzero naming the drifted metric or failed
-//! check. The simulator is deterministic and the slate reduces in
-//! submission order, so an unchanged tree reproduces its baselines
-//! exactly *at any thread count*; a PR that moves a figure must either
-//! stay inside the bands or update the baselines *intentionally*.
+//! compares each fresh report byte for byte with its committed baseline
+//! in `results/baselines/`, evaluates every figure's checks, and exits
+//! nonzero naming each differing cell or failed check. The simulator is
+//! deterministic and the slate reduces in submission order, so an
+//! unchanged tree reproduces its baselines exactly *at any thread count*;
+//! a PR that moves a figure updates the baselines *intentionally*.
 //! `--nightly` adds the nightly-gated entries (the 64–512-node scale
 //! sweep, far heavier than the PR gate). `--update` refuses to mint
 //! baselines from a dirty working tree (their provenance must be
-//! reproducible from a commit) unless `--allow-dirty`. `--invert-r9` is a
-//! planted failure: it swaps the QoS report's shaped/unshaped series
-//! before the checks, so CI can assert the gate actually exits 1.
+//! reproducible from a commit) unless `--allow-dirty`.
 //! Fresh reports, `drift.txt`, per-job wall times (`timing.txt`) and the
 //! runner's own report (`BENCH_regress.json`) land in `$DAOS_BENCH_OUT`
 //! (default `target/regress/`) for CI to upload.
@@ -48,7 +44,7 @@
 
 use std::path::{Path, PathBuf};
 
-use daos_bench::baseline::{compare, format_drift_table, violations, TolerancePolicy};
+use daos_bench::baseline::drift;
 use daos_bench::exec;
 use daos_bench::figure::{
     find, out_dir, render, render_verdicts, run_figures, table_problems, Figure, FigureRun, Gate,
@@ -61,7 +57,7 @@ const BASELINE_DIR: &str = "results/baselines";
 
 fn die(msg: &str) -> ! {
     eprintln!("daos-bench: {msg}");
-    eprintln!("usage: daos-bench list | <figure> [--reduced] [--compare-only] | regress [--update [--allow-dirty]] [--compare-only] [--nightly] [--verbose] [--tol PCT] [--invert-r9]   (all: [--threads N])");
+    eprintln!("usage: daos-bench list | <figure> [--reduced] [--compare-only] | regress [--update [--allow-dirty]] [--compare-only] [--nightly]   (all: [--threads N])");
     std::process::exit(2);
 }
 
@@ -72,9 +68,6 @@ struct Opts {
     update: bool,
     allow_dirty: bool,
     nightly: bool,
-    verbose: bool,
-    invert_r9: bool,
-    tol_pct: Option<f64>,
     /// Every flag given, for per-command validation.
     given: Vec<String>,
 }
@@ -91,20 +84,13 @@ fn main() {
     let args = exec::parse_threads_flag(std::env::args().skip(1).collect());
     let mut o = Opts::default();
     let mut positional = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
+    for a in args {
         match a.as_str() {
             "--reduced" => o.reduced = true,
             "--compare-only" => o.compare_only = true,
             "--update" => o.update = true,
             "--allow-dirty" => o.allow_dirty = true,
             "--nightly" => o.nightly = true,
-            "--verbose" => o.verbose = true,
-            "--invert-r9" => o.invert_r9 = true,
-            "--tol" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(pct) => o.tol_pct = Some(pct),
-                None => die("bad --tol (percent)"),
-            },
             flag if flag.starts_with("--") => die(&format!("unknown flag {flag}")),
             _ => {
                 positional.push(a);
@@ -121,15 +107,7 @@ fn main() {
         [cmd] if cmd == "regress" => {
             o.allow_only(
                 "regress",
-                &[
-                    "--compare-only",
-                    "--update",
-                    "--allow-dirty",
-                    "--nightly",
-                    "--verbose",
-                    "--invert-r9",
-                    "--tol",
-                ],
+                &["--compare-only", "--update", "--allow-dirty", "--nightly"],
             );
             regress(&o)
         }
@@ -265,30 +243,14 @@ fn refuse_dirty_tree() {
     }
 }
 
-/// Swap the QoS report's two series so a *correct* sweep reads as an
-/// isolation inversion — the gate must exit nonzero or the check is dead.
-fn invert_qos_series(report: &mut BenchReport) {
-    let shaped = report.series.remove("shaped");
-    let unshaped = report.series.remove("unshaped");
-    if let Some(s) = shaped {
-        report.series.insert("unshaped".to_string(), s);
-    }
-    if let Some(u) = unshaped {
-        report.series.insert("shaped".to_string(), u);
-    }
-}
-
-/// The CI perf gate: every gated figure, run → drift vs baseline → checks.
+/// The CI perf gate: every gated figure, run → compare with its baseline
+/// → checks.
 fn regress(o: &Opts) -> ! {
     if o.update && o.compare_only {
         die("--update needs a live sweep; drop --compare-only");
     }
     if o.update && !o.allow_dirty {
         refuse_dirty_tree();
-    }
-    let mut tol = TolerancePolicy::standard();
-    if let Some(pct) = o.tol_pct {
-        tol.default_rel = pct / 100.0;
     }
     let out = std::env::var("DAOS_BENCH_OUT")
         .map(PathBuf::from)
@@ -297,11 +259,11 @@ fn regress(o: &Opts) -> ! {
     let wanted: Vec<(&'static Figure, Scale)> = FIGURES
         .iter()
         .filter(|f| f.gate == Gate::Pr || (o.nightly && f.gate == Gate::Nightly))
-        .filter_map(|f| Some((f, f.gate.scale()?)))
+        .map(|f| (f, f.gate.scale()))
         .collect();
 
     // ---- the gated figures, one parallel slate ------------------------
-    let mut runs: Vec<FigureRun> = if o.compare_only {
+    let runs: Vec<FigureRun> = if o.compare_only {
         wanted
             .iter()
             .map(|(f, _)| {
@@ -366,34 +328,25 @@ fn regress(o: &Opts) -> ! {
         std::process::exit(0);
     }
 
-    // ---- drift vs committed baselines --------------------------------
+    // ---- every report byte for byte against its baseline -------------
     let mut drift_text = String::new();
-    let mut drift_violations = 0usize;
-    println!(
-        "== drift vs {BASELINE_DIR} (default tolerance ±{:.0}%) ==",
-        tol.default_rel * 100.0
-    );
+    let mut differing = 0usize;
+    println!("== reports vs {BASELINE_DIR}, byte for byte ==");
     for FigureRun { report, .. } in &runs {
-        match BenchReport::load(Path::new(BASELINE_DIR), &report.name) {
-            Ok(base) => {
-                if base.seed != report.seed || base.config_hash != report.config_hash {
-                    println!(
-                        "-- {}: provenance changed (seed {} -> {}, config_hash {:#x} -> {:#x}) — update baselines intentionally --",
-                        report.name, base.seed, report.seed, base.config_hash, report.config_hash
-                    );
-                    drift_violations += 1;
-                }
-                let drifts = compare(report, &base, &tol);
-                drift_violations += violations(&drifts);
-                print!("{}", format_drift_table(&report.name, &drifts, o.verbose));
-                drift_text.push_str(&format_drift_table(&report.name, &drifts, true));
-            }
-            Err(e) => {
-                println!(
-                    "-- {}: no baseline ({e}) — run `daos-bench regress --update` and commit --",
-                    report.name
-                );
-                drift_violations += 1;
+        let path = Path::new(BASELINE_DIR).join(format!("BENCH_{}.json", report.name));
+        let table = match std::fs::read_to_string(&path) {
+            Ok(text) => drift(report, &text),
+            Err(e) => Some(format!(
+                "-- {}: no baseline ({e}) — run `daos-bench regress --update` and commit --\n",
+                report.name
+            )),
+        };
+        match table {
+            None => println!("-- {}: identical --", report.name),
+            Some(table) => {
+                differing += 1;
+                print!("{table}");
+                drift_text.push_str(&table);
             }
         }
     }
@@ -404,13 +357,8 @@ fn regress(o: &Opts) -> ! {
         println!("\n(per-cell shape checks skipped: no live sweep in --compare-only)");
     }
     let mut check_failures = 0usize;
-    for run in &mut runs {
-        if o.invert_r9 && run.figure.name == "qos_sweep" {
-            println!("\n== {} checks [INVERTED SELF-TEST] ==", run.figure.name);
-            invert_qos_series(&mut run.report);
-        } else {
-            println!("\n== {} checks ==", run.figure.name);
-        }
+    for run in &runs {
+        println!("\n== {} checks ==", run.figure.name);
         let verdicts = run.verdicts();
         print!("{}", render_verdicts(&verdicts));
         check_failures += verdicts.iter().filter(|v| !v.pass).count();
@@ -418,15 +366,18 @@ fn regress(o: &Opts) -> ! {
 
     // ---- verdict -----------------------------------------------------
     println!(
-        "\nregress: {drift_violations} drift violation(s), {check_failures} invariant/shape failure(s)"
+        "\nregress: {differing} of {} report(s) differ from their baselines, {check_failures} invariant/shape failure(s)",
+        runs.len()
     );
-    if drift_violations > 0 || check_failures > 0 {
+    if differing > 0 || check_failures > 0 {
         eprintln!(
             "regress: FAILED — see drift table above (artifacts in {})",
             out.display()
         );
         std::process::exit(1);
     }
-    println!("regress: OK — figures match baselines and all invariants hold");
+    println!(
+        "regress: OK — every report is byte-identical to its baseline and all invariants hold"
+    );
     std::process::exit(0);
 }

@@ -3,14 +3,14 @@
 //!
 //! An entry holds everything that is true of a figure exactly once — its
 //! report name and root seed, how it enumerates its cells at each
-//! [`Scale`], its report-level checks, and whether the `regress` gate
-//! holds it to a committed baseline. A standalone `daos-bench <figure>`
+//! [`Scale`], its report-level checks, and which tier of the `regress`
+//! gate holds it to its committed baseline. A standalone `daos-bench <figure>`
 //! run and the gate both go through [`run_figures`] and
 //! [`FigureRun::verdicts`], so a figure cannot be defined one way for
 //! one of them and another way for the other.
 //!
-//! Adding a figure is one table entry (plus, if gated, one committed
-//! baseline): see DESIGN.md, "Adding a figure".
+//! Adding a figure is one table entry plus one committed baseline: see
+//! DESIGN.md, "Adding a figure".
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -20,7 +20,7 @@ use crate::exec::Slate;
 use crate::report::{BenchReport, Fragment, Verdict, READ_GIB_S, WRITE_GIB_S};
 use crate::{figures, invariants, qos, timelines, traffic};
 
-/// How big a run is. Every figure declares `Full`; gated figures also
+/// How big a run is. Every figure declares `Full`; PR-gated figures also
 /// declare `Reduced` (what the PR gate runs and the committed baselines
 /// hold) and `Smoke` (a miniature for debug-build determinism tests).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,24 +42,21 @@ impl Scale {
     }
 }
 
-/// Whether `regress` holds a figure to a committed baseline.
+/// When `regress` holds a figure to its committed baseline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Gate {
     /// On every PR, at reduced scale.
     Pr,
     /// In the scheduled job only (`regress --nightly`), at full scale.
     Nightly,
-    /// Standalone only.
-    None,
 }
 
 impl Gate {
     /// The scale the gate runs — and the committed baseline holds.
-    pub fn scale(self) -> Option<Scale> {
+    pub fn scale(self) -> Scale {
         match self {
-            Gate::Pr => Some(Scale::Reduced),
-            Gate::Nightly => Some(Scale::Full),
-            Gate::None => None,
+            Gate::Pr => Scale::Reduced,
+            Gate::Nightly => Scale::Full,
         }
     }
 
@@ -67,7 +64,6 @@ impl Gate {
         match self {
             Gate::Pr => "pr",
             Gate::Nightly => "nightly",
-            Gate::None => "-",
         }
     }
 }
@@ -561,14 +557,13 @@ pub fn table_problems(baseline_dir: &Path) -> Vec<String> {
                 Some(plan) if plan.cells.is_empty() => {
                     problems.push(format!("{}: no cells at {} scale", f.name, scale.name()))
                 }
-                None if scale == Scale::Full || Some(scale) == f.gate.scale() => problems.push(
-                    format!("{}: must declare the {} scale", f.name, scale.name()),
-                ),
+                None if scale == Scale::Full || scale == f.gate.scale() => problems.push(format!(
+                    "{}: must declare the {} scale",
+                    f.name,
+                    scale.name()
+                )),
                 _ => {}
             }
-        }
-        if f.gate == Gate::None {
-            continue;
         }
         match BenchReport::load(baseline_dir, f.name) {
             Ok(base) if base.seed != f.seed => problems.push(format!(
@@ -586,8 +581,9 @@ pub fn table_problems(baseline_dir: &Path) -> Vec<String> {
         .filter_map(|entry| {
             let file = entry.file_name().into_string().ok()?;
             let name = file.strip_prefix("BENCH_")?.strip_suffix(".json")?;
-            let gated = find(name).is_some_and(|f| f.gate != Gate::None);
-            (!gated).then(|| format!("{file}: baseline without a gated table entry"))
+            find(name)
+                .is_none()
+                .then(|| format!("{file}: baseline without a table entry"))
         })
         .collect();
     stray.sort();
@@ -604,7 +600,7 @@ mod tests {
         name: "unit",
         seed: 0,
         about: "",
-        gate: Gate::None,
+        gate: Gate::Pr,
         chart: false,
         plan: |_| {
             let cell = |label| Cell::new(label, |out| out.record("s", 1, "m", 1.0));

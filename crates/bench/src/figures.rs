@@ -39,7 +39,8 @@ pub const REDUCED_NODES: [u32; 2] = [1, 16];
 pub const FULL_REPEATS: u64 = 5;
 /// Placements per point at reduced scale. One is enough for the CI
 /// gate: the sim is deterministic, so repeats only widen the placement
-/// average, and the tolerance bands absorb that difference.
+/// average, and the reduced baselines are minted at this count and held
+/// to it exactly.
 pub const REDUCED_REPEATS: u64 = 1;
 
 /// Processes per client node in every figure sweep (the paper's layout).

@@ -4,11 +4,11 @@
 //! These are the orderings and crossovers *"DAOS as HPC Storage: Exploring
 //! Interfaces"* reports and `EXPERIMENTS.md` reproduces; the
 //! `regress` gate and a standalone `daos-bench <figure>` run both evaluate
-//! them through the figure's [`crate::FIGURES`] entry, so no PR can
-//! silently invert a figure even if each individual number stays inside
-//! its tolerance band. Each predicate reads the scales present in the
-//! report (smallest, largest, or all of them), so the one definition
-//! checks the full figure grids and the reduced CI sweep alike.
+//! them through the figure's [`crate::FIGURES`] entry, so not even an
+//! intentional baseline update can silently invert a figure. Each
+//! predicate reads the scales present in the report (smallest, largest,
+//! or all of them), so the one definition checks the full figure grids
+//! and the reduced CI sweep alike.
 
 use crate::report::{BenchReport, Verdict, READ_GIB_S, WRITE_GIB_S};
 

@@ -22,7 +22,8 @@
 //!   `BENCH_THREADS`; `1` = serial);
 //! * [`report`] — the schema-versioned [`report::BenchReport`] written as
 //!   `BENCH_<name>.json`;
-//! * [`baseline`] — tolerance-band comparison against committed baselines;
+//! * [`baseline`] — the byte-for-byte comparison with committed baselines
+//!   and the drift table that names each differing cell;
 //! * [`run_point_with`] — one (api, object class, client-node count) IOR
 //!   cell on the paper testbed, as a [`Measurement`].
 

@@ -178,9 +178,11 @@ impl BenchReport {
 }
 
 /// Shortest `f64` representation that round-trips (Rust's `Display`),
-/// with JSON-invalid specials mapped to null-free sentinels.
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
+/// with JSON-invalid specials mapped to null-free sentinels: the token a
+/// cell is written as, and compared by. The sentinel read back writes as
+/// itself, so a stored NaN cell round-trips byte for byte.
+pub(crate) fn fmt_f64(v: f64) -> String {
+    if v.is_finite() && v != NAN_SENTINEL {
         let s = format!("{v}");
         // "1" is a valid JSON number but keep integral floats obviously
         // float-typed for human readers.
@@ -190,11 +192,13 @@ fn fmt_f64(v: f64) -> String {
             format!("{s}.0")
         }
     } else {
-        // NaN/inf are not JSON; encode out-of-band (comparison treats a
-        // huge sentinel as "broken", which is what a NaN bandwidth is).
+        // NaN/inf are not JSON; encode out-of-band as a sentinel no real
+        // metric takes.
         "-1e308".to_string()
     }
 }
+
+const NAN_SENTINEL: f64 = -1e308;
 
 fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);

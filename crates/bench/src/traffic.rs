@@ -35,7 +35,7 @@ use std::rc::Rc;
 use daos_core::{ArrayHandle, Cluster, ClusterConfig, DaosClient, RetryPolicy};
 use daos_placement::{ObjectClass, ObjectId};
 use daos_sim::time::SimDuration;
-use daos_sim::units::{gib_per_sec, Gibps, MIB};
+use daos_sim::units::{gib_per_sec, GIB, MIB};
 use daos_sim::{JoinHandle, PercentileSketch, Sim, SimTime};
 use daos_vos::Payload;
 use rand::Rng;
@@ -419,7 +419,7 @@ pub fn traffic_point(out: &mut Fragment, mode: TrafficMode, load_pct: u32, param
     let failed = counters.failed.get();
     let mut rec = |metric: &str, v: f64| out.record(&series, load_pct, metric, v);
     // offered load (arrival rate × request size), GiB/s
-    rec("offered_gib_s", Gibps::from_bytes_per_sec(offered_bps).0);
+    rec("offered_gib_s", offered_bps / GIB as f64);
     // successfully completed bytes over the open-loop window, GiB/s
     let window_secs = params.duration.as_secs_f64();
     rec(

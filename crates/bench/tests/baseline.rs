@@ -1,14 +1,16 @@
-//! Tests for the regression-harness machinery: JSON round-trip,
-//! tolerance-band comparison, and each R1–R5 invariant predicate against
+//! Tests for the regression-harness machinery: JSON round-trip, the
+//! exact baseline comparison, and each R1–R5 invariant predicate against
 //! hand-built pass/fail fixtures.
 
-use daos_bench::baseline::{compare, format_drift_table, violations, DriftStatus, TolerancePolicy};
+use daos_bench::baseline::{compare, drift};
 use daos_bench::invariants::{
     evaluate_fig1, evaluate_fig2, evaluate_pfs_contrast, r1_s2_reads_best, r2_sx_write_crossover,
     r3_hdf5_dfuse_penalty, r4_shared_interface_parity, r5_pfs_collapse,
     r5b_narrow_shared_file_bottleneck,
 };
-use daos_bench::report::{config_hash, fnv1a, BenchReport, SCHEMA_VERSION};
+use daos_bench::report::{
+    config_hash, fnv1a, BenchReport, READ_GIB_S, SCHEMA_VERSION, WRITE_GIB_S,
+};
 
 // ---------------------------------------------------------------- JSON
 
@@ -62,8 +64,8 @@ fn json_nan_becomes_broken_sentinel() {
     let mut r = BenchReport::new("nan", 1);
     r.record("s", 1, "write_gib_s", f64::NAN);
     let back = BenchReport::from_json(&r.to_json()).expect("round trip");
-    // NaN is not JSON; it lands as a huge negative sentinel that any
-    // tolerance band flags as drift.
+    // NaN is not JSON; it lands as a huge negative sentinel no real
+    // metric takes.
     assert_eq!(back.get("s", 1, "write_gib_s"), Some(-1e308));
 }
 
@@ -114,7 +116,7 @@ fn hashes_are_stable() {
     assert_ne!(h, config_hash(&daos_bench::paper_cluster(8)));
 }
 
-// ------------------------------------------------------------ tolerance
+// ------------------------------------------------------------ exact gate
 
 fn pair(base_v: f64, fresh_v: f64, metric: &str) -> (BenchReport, BenchReport) {
     let mut base = BenchReport::new("t", 1);
@@ -124,86 +126,110 @@ fn pair(base_v: f64, fresh_v: f64, metric: &str) -> (BenchReport, BenchReport) {
     (base, fresh)
 }
 
-#[test]
-fn drift_inside_band_passes() {
-    let (base, fresh) = pair(100.0, 107.0, "write_gib_s"); // +7% < 8%
-    let drifts = compare(&fresh, &base, &TolerancePolicy::standard());
-    assert_eq!(drifts.len(), 1);
-    assert_eq!(drifts[0].status, DriftStatus::Ok);
-    assert!((drifts[0].rel_delta - 0.07).abs() < 1e-12);
-    assert_eq!(violations(&drifts), 0);
-}
-
-#[test]
-fn drift_outside_band_fails() {
-    let (base, fresh) = pair(100.0, 91.0, "write_gib_s"); // -9% > 8%
-    let drifts = compare(&fresh, &base, &TolerancePolicy::standard());
-    assert_eq!(drifts[0].status, DriftStatus::Exceeded);
-    assert_eq!(violations(&drifts), 1);
-}
-
-#[test]
-fn counters_get_zero_tolerance() {
-    let (base, fresh) = pair(12.0, 13.0, "map_version"); // any change fails
-    let drifts = compare(&fresh, &base, &TolerancePolicy::standard());
-    assert_eq!(drifts[0].tol, 0.0);
-    assert_eq!(drifts[0].status, DriftStatus::Exceeded);
-
-    let (base, fresh) = pair(12.0, 12.0, "map_version");
-    let drifts = compare(&fresh, &base, &TolerancePolicy::standard());
-    assert_eq!(
-        drifts[0].status,
-        DriftStatus::Ok,
-        "exact match passes a 0% band"
+/// The one row `drift` renders for a cell that moved, found by the cell.
+fn row_of(fresh: &BenchReport, base: &BenchReport, series: &str, metric: &str) -> String {
+    let table = drift(fresh, &base.to_json()).expect("a differing report has a table");
+    assert!(
+        table.starts_with(&format!("-- {}: differs", fresh.name)),
+        "{table}"
     );
+    let rows: Vec<&str> = table
+        .lines()
+        .filter(|l| l.starts_with(series) && l.contains(metric))
+        .collect();
+    assert_eq!(rows.len(), 1, "{table}");
+    rows[0].to_string()
+}
+
+#[test]
+fn identical_report_has_no_rows() {
+    let (base, fresh) = pair(100.0, 100.0, WRITE_GIB_S);
+    assert!(compare(&fresh, &base).is_empty());
+    assert_eq!(drift(&fresh, &base.to_json()), None);
+
+    // a NaN cell compares as the sentinel it is stored as, and the stored
+    // report writes back the same bytes
+    let (base, fresh) = pair(f64::NAN, f64::NAN, WRITE_GIB_S);
+    let stored = BenchReport::from_json(&base.to_json()).unwrap();
+    assert!(compare(&fresh, &stored).is_empty());
+    assert_eq!(drift(&stored, &base.to_json()), None);
+    assert_eq!(drift(&fresh, &base.to_json()), None);
+}
+
+#[test]
+fn a_cell_moved_by_1e12_relative_is_a_violation() {
+    let moved = 100.0 * (1.0 + 1e-12);
+    let (base, fresh) = pair(100.0, moved, WRITE_GIB_S);
+    let drifts = compare(&fresh, &base);
+    assert_eq!(drifts.len(), 1);
+    assert_eq!(
+        (drifts[0].baseline, drifts[0].fresh),
+        (Some(100.0), Some(moved))
+    );
+    let row = row_of(&fresh, &base, "s", WRITE_GIB_S);
+    assert!(
+        row.contains("100.0 ") && row.contains(&moved.to_string()),
+        "{row}"
+    );
+    assert!(row.ends_with("+1.0e-10"), "{row}");
+}
+
+#[test]
+fn a_counter_moved_by_one_is_a_violation() {
+    let (base, fresh) = pair(12.0, 13.0, "map_version");
+    assert_eq!(compare(&fresh, &base).len(), 1);
+    let row = row_of(&fresh, &base, "s", "map_version");
+    assert!(row.contains("12.0") && row.contains("13.0"), "{row}");
+    assert!(row.ends_with("+8.33"), "{row}");
 }
 
 #[test]
 fn missing_series_fails_both_directions() {
     let mut base = BenchReport::new("t", 1);
     let mut fresh = BenchReport::new("t", 1);
-    base.record("dropped", 1, "write_gib_s", 5.0);
-    base.record("kept", 1, "write_gib_s", 5.0);
-    fresh.record("kept", 1, "write_gib_s", 5.0);
-    fresh.record("added", 1, "write_gib_s", 5.0);
+    base.record("dropped", 1, WRITE_GIB_S, 5.0);
+    base.record("kept", 1, WRITE_GIB_S, 5.0);
+    fresh.record("kept", 1, WRITE_GIB_S, 5.0);
+    fresh.record("added", 1, WRITE_GIB_S, 5.0);
 
-    let drifts = compare(&fresh, &base, &TolerancePolicy::standard());
-    assert_eq!(violations(&drifts), 2);
-    let status_of = |series: &str| {
-        drifts
-            .iter()
-            .find(|d| d.series == series)
-            .map(|d| d.status)
-            .unwrap()
-    };
-    assert_eq!(status_of("dropped"), DriftStatus::MissingInFresh);
-    assert_eq!(status_of("added"), DriftStatus::MissingInBaseline);
-    assert_eq!(status_of("kept"), DriftStatus::Ok);
+    let drifts = compare(&fresh, &base);
+    let series: Vec<&str> = drifts.iter().map(|d| d.series.as_str()).collect();
+    assert_eq!(series, ["added", "dropped"]);
+    assert_eq!((drifts[0].baseline, drifts[0].fresh), (None, Some(5.0)));
+    assert_eq!((drifts[1].baseline, drifts[1].fresh), (Some(5.0), None));
+    assert!(row_of(&fresh, &base, "added", WRITE_GIB_S).ends_with("new"));
+    assert!(row_of(&fresh, &base, "dropped", WRITE_GIB_S).ends_with("missing"));
 }
 
 #[test]
 fn zero_baseline_nonzero_fresh_is_a_violation() {
-    let (base, fresh) = pair(0.0, 0.001, "write_gib_s");
-    let drifts = compare(&fresh, &base, &TolerancePolicy::standard());
-    assert_eq!(drifts[0].status, DriftStatus::Exceeded);
-    assert!(drifts[0].rel_delta.is_infinite());
+    let (base, fresh) = pair(0.0, 0.001, WRITE_GIB_S);
+    assert_eq!(compare(&fresh, &base).len(), 1);
+    assert!(row_of(&fresh, &base, "s", WRITE_GIB_S).ends_with("+inf"));
 }
 
+/// The table names the report, and what moved when no cell did: its
+/// provenance, or the bytes around the cells.
 #[test]
 fn drift_table_names_the_violating_metric() {
-    let (base, fresh) = pair(100.0, 50.0, "read_gib_s");
-    let drifts = compare(&fresh, &base, &TolerancePolicy::standard());
-    let quiet = format_drift_table("fig1_fpp", &drifts, false);
-    assert!(quiet.contains("fig1_fpp"));
-    assert!(quiet.contains("read_gib_s"));
-    assert!(quiet.contains("EXCEEDED"));
-    assert!(quiet.contains("1 violation(s)"));
+    let (base, fresh) = pair(100.0, 50.0, READ_GIB_S);
+    let table = drift(&fresh, &base.to_json()).unwrap();
+    assert!(table.starts_with("-- t: differs from its baseline in 1 cell(s) --"));
+    assert!(row_of(&fresh, &base, "s", READ_GIB_S).ends_with("-50.00"));
 
-    // verbose shows passing rows too
-    let (base, fresh) = pair(100.0, 100.0, "read_gib_s");
-    let drifts = compare(&fresh, &base, &TolerancePolicy::standard());
-    assert!(!format_drift_table("f", &drifts, false).contains("read_gib_s"));
-    assert!(format_drift_table("f", &drifts, true).contains("read_gib_s"));
+    let (base, mut fresh) = pair(100.0, 100.0, READ_GIB_S);
+    fresh.seed = 2;
+    let table = drift(&fresh, &base.to_json()).unwrap();
+    assert!(
+        table.contains("provenance: seed 1 -> 2, config_hash 0x0 -> 0x0"),
+        "{table}"
+    );
+
+    let (base, fresh) = pair(100.0, 100.0, READ_GIB_S);
+    let reindented = base.to_json().replace("  ", "   ");
+    let table = drift(&fresh, &reindented).unwrap();
+    assert!(table.contains("the bytes differ outside them"), "{table}");
+    assert!(drift(&fresh, "{").unwrap().contains("baseline unreadable"));
 }
 
 // ------------------------------------------------------------ invariants

@@ -6,6 +6,8 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
+use daos_bench::report::BenchReport;
+
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
@@ -67,20 +69,27 @@ fn standalone_and_regress_evaluate_the_same_invariants() {
     let _ = std::fs::remove_dir_all(&out);
 }
 
-/// Planted negative: with the QoS series swapped the gate must exit 1 —
-/// and say why.
+/// Planted negative: a fresh QoS report with its shaped and unshaped
+/// series swapped must exit 1, failing R9 and naming the report in the
+/// drift table — the exit-code wiring every check and every drift shares.
 #[test]
 fn inverted_r9_fails_the_gate() {
     let out = out_dir_with_baselines("invert");
-    let gate = daos_bench(&out, &["regress", "--compare-only", "--invert-r9"]);
+    let mut qos = BenchReport::load(&out, "qos_sweep").unwrap();
+    let shaped = qos.series.remove("shaped").unwrap();
+    let unshaped = qos.series.insert("unshaped".to_string(), shaped).unwrap();
+    qos.series.insert("shaped".to_string(), unshaped);
+    qos.write_to(&out).unwrap();
+
+    let gate = daos_bench(&out, &["regress", "--compare-only"]);
     assert_eq!(gate.status.code(), Some(1), "{gate:?}");
-    let stdout = String::from_utf8_lossy(&gate.stdout);
-    assert!(stdout.contains("INVERTED SELF-TEST"));
     assert!(check_lines(&gate, "R9:")[0].starts_with("[FAIL]"));
+    let stdout = String::from_utf8_lossy(&gate.stdout);
     assert!(
-        stdout.contains("0 drift violation(s)"),
-        "drift is judged before the swap"
+        stdout.contains("-- qos_sweep: differs from its baseline in"),
+        "{stdout}"
     );
+    assert!(stdout.contains("1 of 14 report(s) differ"), "{stdout}");
     let _ = std::fs::remove_dir_all(&out);
 }
 
@@ -102,6 +111,8 @@ fn list_passes_and_bad_usage_is_rejected() {
         &["scale", "--reduced"],
         &["regress", "--reduced"],
         &["regress", "--update", "--compare-only"],
+        &["regress", "--tol", "5"],
+        &["regress", "--verbose"],
         &["list", "--verbose"],
         &["io500", "--bogus"],
         &[],

@@ -26,7 +26,7 @@ fn table_and_baselines_agree() {
 
 /// The complete figure set: 14 PR-gated (the first eight, `mdtest_bench`,
 /// `protection_sweep`, `daos_api`, `app_workloads`, `dfuse_ablation` and
-/// `oclass_sweep`) and 1 nightly — nothing else, and nothing ungated.
+/// `oclass_sweep`) and 1 nightly — nothing else.
 #[test]
 fn table_holds_exactly_the_known_figures() {
     let names = |gate: Gate| -> Vec<&str> {
@@ -56,7 +56,6 @@ fn table_holds_exactly_the_known_figures() {
         ]
     );
     assert_eq!(names(Gate::Nightly), ["scale"]);
-    assert_eq!(names(Gate::None), Vec::<&str>::new());
     // a PR-gated figure is also in the debug-build determinism test
     for f in FIGURES.iter().filter(|f| f.gate == Gate::Pr) {
         assert!(
@@ -219,6 +218,60 @@ fn ablation_checks_fail_when_a_series_moves() {
             !verdicts[check].pass,
             "{name} {series} x{factor}: {verdicts:?}"
         );
+    }
+}
+
+/// Planted negatives for R6–R11, R2x and R5x: one mutation of the
+/// committed baseline per predicate, each failing exactly the check it
+/// targets.
+#[test]
+fn every_invariant_fails_on_its_mutated_baseline() {
+    type Mutation = fn(&mut BenchReport);
+    let cases: [(&str, usize, &str, Mutation); 8] = [
+        // SX/ac p99 falls below its 50 % point on the way to the knee
+        ("traffic_sweep", 0, "R6:", |r| {
+            r.record("SX/ac", 100, "p99_us", 1000.0)
+        }),
+        // protected goodput halves past the knee
+        ("traffic_sweep", 1, "R7:", |r| {
+            r.record("SX/ac", 200, "goodput_gib_s", 6.0)
+        }),
+        // the unprotected storm keeps up with its protected twin
+        ("traffic_sweep", 2, "R8:", |r| {
+            r.record("SX/noac", 200, "goodput_gib_s", 12.0)
+        }),
+        // shaping no longer halves the victim's p99
+        ("qos_sweep", 0, "R9:", |r| {
+            let off = r.get("unshaped", 300, "victim_p99_us").unwrap();
+            r.record("shaped", 300, "victim_p99_us", off)
+        }),
+        // shaping costs fairness
+        ("qos_sweep", 1, "R10:", |r| {
+            r.record("shaped", 300, "jain", 0.5)
+        }),
+        // the background tenant overruns its budget
+        ("qos_sweep", 2, "R11:", |r| {
+            let budget = r.get("shaped", 150, "bg_budget_bytes").unwrap();
+            r.record("shaped", 150, "bg_bytes", 2.0 * budget)
+        }),
+        // S2 keeps the fpp-write lead at 512 nodes
+        ("scale", 0, "R2x:", |r| {
+            r.record("DFS-SX-fpp", 512, WRITE_GIB_S, 600.0)
+        }),
+        // shared-file writes lose parity at 512 nodes
+        ("scale", 1, "R5x:", |r| {
+            r.record("DFS-SX-shared", 512, WRITE_GIB_S, 500.0)
+        }),
+    ];
+    for (name, check, id, mutate) in cases {
+        let figure = find(name).unwrap();
+        let mut report = BenchReport::load(&baselines(), name).unwrap();
+        let verdicts = (figure.checks)(&report);
+        assert!(verdicts.iter().all(|v| v.pass), "{name}: {verdicts:?}");
+        mutate(&mut report);
+        let verdicts = (figure.checks)(&report);
+        assert!(verdicts[check].label.starts_with(id), "{verdicts:?}");
+        assert!(!verdicts[check].pass, "{name} {id}: {verdicts:?}");
     }
 }
 

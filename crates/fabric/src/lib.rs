@@ -46,7 +46,7 @@ use std::rc::Rc;
 
 use daos_sim::sync::OneshotSender;
 use daos_sim::time::{SimDuration, SimTime};
-use daos_sim::units::{Bandwidth, Bytes};
+use daos_sim::units::Bandwidth;
 use daos_sim::{Pipe, ReplySlots, SharedPipe, Sim};
 
 /// Index of a node on the fabric.
@@ -284,12 +284,11 @@ impl Fabric {
         }
         let now = sim.now().as_ns();
         let cpu = self.cfg.per_msg_cpu.as_ns();
-        let payload = Bytes(bytes);
         let done = if from == to {
-            now + cpu + self.cfg.loopback_bw.ns_for_bytes(payload).get() + 200
+            now + cpu + self.cfg.loopback_bw.ns_for(bytes) + 200
         } else {
             let wire = self.cfg.wire_latency.as_ns() + self.fault.extra_latency.get();
-            now + cpu + self.cfg.link_bw.ns_for_bytes(payload).get() + wire
+            now + cpu + self.cfg.link_bw.ns_for(bytes) + wire
         };
         let done = SimTime::from_ns(done);
         sim.sleep_until(done).await;

@@ -12,7 +12,7 @@ use std::rc::Rc;
 
 use crate::executor::Sim;
 use crate::time::{SimDuration, SimTime};
-use crate::units::{Bandwidth, Bytes};
+use crate::units::Bandwidth;
 
 /// A FIFO bandwidth resource with fixed per-transfer latency.
 pub struct Pipe {
@@ -56,7 +56,7 @@ impl Pipe {
     pub async fn transfer(&self, sim: &Sim, bytes: u64) -> SimTime {
         let now = sim.now().as_ns();
         let start = now.max(self.next_free.get());
-        let busy = self.bw.ns_for_bytes(Bytes(bytes)).get();
+        let busy = self.bw.ns_for(bytes);
         self.next_free.set(start + busy);
         self.busy_ns.set(self.busy_ns.get() + busy);
         self.bytes_total.set(self.bytes_total.get() + bytes);
@@ -85,7 +85,7 @@ impl Pipe {
     /// pipelined completion time across several pipes and sleep once.
     pub fn reserve_after(&self, earliest: u64, bytes: u64) -> (u64, u64) {
         let start = earliest.max(self.next_free.get());
-        let busy = self.bw.ns_for_bytes(Bytes(bytes)).get();
+        let busy = self.bw.ns_for(bytes);
         self.next_free.set(start + busy);
         self.busy_ns.set(self.busy_ns.get() + busy);
         self.bytes_total.set(self.bytes_total.get() + bytes);
@@ -153,7 +153,7 @@ impl PipeBatch<'_> {
     /// Batched [`Pipe::reserve_after`].
     pub fn reserve_after(&mut self, earliest: u64, bytes: u64) -> (u64, u64) {
         let start = earliest.max(self.next_free);
-        let busy = self.pipe.bw.ns_for_bytes(Bytes(bytes)).get();
+        let busy = self.pipe.bw.ns_for(bytes);
         self.next_free = start + busy;
         self.busy_ns += busy;
         self.bytes += bytes;
