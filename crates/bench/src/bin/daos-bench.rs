@@ -1,12 +1,11 @@
 //! `daos-bench` — run, list and gate the figures of [`daos_bench::FIGURES`].
 //!
 //! ```text
-//! daos-bench list                       # the table, audited against results/baselines/
-//! daos-bench <figure>                   # one figure at full scale
-//! daos-bench <figure> --reduced         # ... at the CI gate's reduced scale
+//! daos-bench list                       # the table, audited against results/
+//! daos-bench <figure>                   # one figure
 //! daos-bench <figure> --compare-only    # re-print + re-check a previous run's report
-//! daos-bench regress                    # the CI perf gate
-//! daos-bench regress --update           # new baselines
+//! daos-bench regress                    # the CI gate
+//! daos-bench regress --update           # rewrite the committed reports
 //! daos-bench regress --compare-only     # re-diff a previous run's reports
 //! daos-bench regress --nightly          # + the nightly-gated figures (scale tier)
 //! ```
@@ -17,27 +16,25 @@
 //! **A figure** runs its cells as one parallel job slate, prints the
 //! report as CSV tables (plus ASCII charts for the paper's Figures 1–2),
 //! evaluates its checks as `[PASS]`/`[FAIL]` lines, writes
-//! `BENCH_<figure>.json` and exits 1 if any check failed. A full-scale
-//! run from the repo root writes into `results/`; reduced runs write to
-//! `target/bench/`; `$DAOS_BENCH_OUT` overrides both.
+//! `BENCH_<figure>.json` to `$DAOS_BENCH_OUT` (default `target/bench/`)
+//! and exits 1 if any check failed.
 //!
-//! **`regress`** runs every PR-gated figure at reduced scale as one slate,
-//! compares each fresh report byte for byte with its committed baseline
-//! in `results/baselines/`, evaluates every figure's checks, and exits
-//! nonzero naming each differing cell or failed check. The simulator is
-//! deterministic and the slate reduces in submission order, so an
-//! unchanged tree reproduces its baselines exactly *at any thread count*;
-//! a PR that moves a figure updates the baselines *intentionally*.
-//! `--nightly` adds the nightly-gated entries (the 64–512-node scale
-//! sweep, far heavier than the PR gate). `--update` refuses to mint
-//! baselines from a dirty working tree (their provenance must be
-//! reproducible from a commit) unless `--allow-dirty`.
-//! Fresh reports, `drift.txt`, per-job wall times (`timing.txt`) and the
-//! runner's own report (`BENCH_regress.json`) land in `$DAOS_BENCH_OUT`
-//! (default `target/regress/`) for CI to upload.
+//! **`regress`** runs every PR-gated figure's full plan as one slate,
+//! compares each fresh report byte for byte with the committed
+//! `results/BENCH_<figure>.json`, evaluates every figure's checks, and
+//! exits nonzero naming each differing cell or failed check. The simulator
+//! is deterministic and the slate reduces in submission order, so an
+//! unchanged tree reproduces its reports exactly *at any thread count*;
+//! a PR that moves a figure rewrites them *intentionally* with `--update`,
+//! the one writer of `results/`. `--nightly` adds the nightly-gated
+//! entries (the 64–512-node scale sweep, far heavier than the PR gate).
+//! `--update` refuses to write from a dirty working tree (the reports'
+//! provenance must be reproducible from a commit) unless `--allow-dirty`.
+//! Fresh reports, `drift.txt` and per-job wall times (`timing.txt`) land
+//! in `$DAOS_BENCH_OUT` (default `target/regress/`) for CI to upload.
 //!
-//! `--threads N` (or `BENCH_THREADS`) pins the slate width everywhere;
-//! the default is the host's available parallelism and `1` is serial.
+//! `--threads N` pins the slate width of any command; the default is the
+//! host's available parallelism and `1` is serial.
 //! `--compare-only` simulates nothing, so the shape checks that ride out
 //! of live cells (timeline and accounting checks) are skipped: it covers
 //! drift and the report-level checks only.
@@ -45,25 +42,25 @@
 use std::path::{Path, PathBuf};
 
 use daos_bench::baseline::drift;
-use daos_bench::exec;
 use daos_bench::figure::{
     find, out_dir, render, render_verdicts, run_figures, table_problems, Figure, FigureRun, Gate,
     Scale,
 };
-use daos_bench::report::BenchReport;
 use daos_bench::FIGURES;
 
-const BASELINE_DIR: &str = "results/baselines";
+/// The committed reports `regress` compares against and `--update` writes.
+const RESULTS_DIR: &str = "results";
 
 fn die(msg: &str) -> ! {
     eprintln!("daos-bench: {msg}");
-    eprintln!("usage: daos-bench list | <figure> [--reduced] [--compare-only] | regress [--update [--allow-dirty]] [--compare-only] [--nightly]   (all: [--threads N])");
+    eprintln!("usage: daos-bench list | <figure> [--compare-only] | regress [--update [--allow-dirty]] [--compare-only] [--nightly]   (all: [--threads N])");
     std::process::exit(2);
 }
 
 #[derive(Default)]
 struct Opts {
-    reduced: bool,
+    /// Slate width (`--threads N`).
+    threads: usize,
     compare_only: bool,
     update: bool,
     allow_dirty: bool,
@@ -81,12 +78,19 @@ impl Opts {
 }
 
 fn main() {
-    let args = exec::parse_threads_flag(std::env::args().skip(1).collect());
-    let mut o = Opts::default();
+    let mut o = Opts {
+        threads: std::thread::available_parallelism().map_or(4, |p| p.get()),
+        ..Opts::default()
+    };
     let mut positional = Vec::new();
-    for a in args {
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
         match a.as_str() {
-            "--reduced" => o.reduced = true,
+            "--threads" => {
+                let n = args.next().and_then(|v| v.parse().ok()).filter(|&n| n > 0);
+                o.threads = n.unwrap_or_else(|| die("--threads needs a positive integer"));
+                continue;
+            }
             "--compare-only" => o.compare_only = true,
             "--update" => o.update = true,
             "--allow-dirty" => o.allow_dirty = true,
@@ -113,7 +117,7 @@ fn main() {
         }
         [name] => match find(name) {
             Some(figure) => {
-                o.allow_only(name, &["--reduced", "--compare-only"]);
+                o.allow_only(name, &["--compare-only"]);
                 standalone(figure, &o)
             }
             None => die(&format!("no figure named {name:?} (see `daos-bench list`)")),
@@ -123,11 +127,11 @@ fn main() {
 }
 
 /// Print the table; exit 1 if it disagrees with itself or with the
-/// committed baselines.
+/// committed reports.
 fn list() -> ! {
     println!(
-        "{:<17} {:<8} {:>8}  {:<20} about",
-        "figure", "gate", "seed", "cells full/red/smoke"
+        "{:<17} {:<8} {:>8}  {:<16} about",
+        "figure", "gate", "seed", "cells full/smoke"
     );
     for f in FIGURES {
         let cells: Vec<String> = Scale::ALL
@@ -135,7 +139,7 @@ fn list() -> ! {
             .map(|&s| (f.plan)(s).map_or("-".to_string(), |p| p.cells.len().to_string()))
             .collect();
         println!(
-            "{:<17} {:<8} {:>#8x}  {:<20} {}",
+            "{:<17} {:<8} {:>#8x}  {:<16} {}",
             f.name,
             f.gate.name(),
             f.seed,
@@ -143,7 +147,7 @@ fn list() -> ! {
             f.about
         );
     }
-    let problems = table_problems(Path::new(BASELINE_DIR));
+    let problems = table_problems(Path::new(RESULTS_DIR));
     for p in &problems {
         eprintln!("daos-bench list: {p}");
     }
@@ -152,19 +156,7 @@ fn list() -> ! {
 
 /// Run (or reload) one figure, print it, evaluate its checks.
 fn standalone(figure: &'static Figure, o: &Opts) -> ! {
-    let scale = if o.reduced {
-        Scale::Reduced
-    } else {
-        Scale::Full
-    };
-    if (figure.plan)(scale).is_none() {
-        die(&format!(
-            "{} declares no {} scale",
-            figure.name,
-            scale.name()
-        ));
-    }
-    let dir = out_dir(scale);
+    let dir = out_dir();
     let run = if o.compare_only {
         let Some(dir) = &dir else {
             die("--compare-only with an empty DAOS_BENCH_OUT has nothing to load")
@@ -174,13 +166,8 @@ fn standalone(figure: &'static Figure, o: &Opts) -> ! {
             std::process::exit(2);
         })
     } else {
-        let threads = exec::threads();
-        eprintln!(
-            "{}: {} scale on {threads} thread(s)...",
-            figure.name,
-            scale.name()
-        );
-        let mut slate = run_figures(&[(figure, scale)], threads);
+        eprintln!("{}: running on {} thread(s)...", figure.name, o.threads);
+        let mut slate = run_figures(&[(figure, Scale::Full)], o.threads);
         eprintln!(
             "{}: {} jobs, serial-equivalent {:.1}s, elapsed {:.1}s",
             figure.name,
@@ -216,9 +203,9 @@ fn standalone(figure: &'static Figure, o: &Opts) -> ! {
     std::process::exit(0);
 }
 
-/// Baselines are provenance: a figure someone can reproduce by checking
-/// out the commit that shipped it. Refuse to mint them from uncommitted
-/// state.
+/// Committed reports are provenance: a figure someone can reproduce by
+/// checking out the commit that shipped it. Refuse to write them from
+/// uncommitted state.
 fn refuse_dirty_tree() {
     match std::process::Command::new("git")
         .args(["status", "--porcelain", "--untracked-files=no"])
@@ -232,7 +219,7 @@ fn refuse_dirty_tree() {
                     "regress: --update refused — the working tree has uncommitted changes:\n{dirty}"
                 );
                 eprintln!(
-                    "regress: commit first so the new baselines are reproducible, or pass --allow-dirty"
+                    "regress: commit first so the new reports are reproducible, or pass --allow-dirty"
                 );
                 std::process::exit(2);
             }
@@ -243,8 +230,8 @@ fn refuse_dirty_tree() {
     }
 }
 
-/// The CI perf gate: every gated figure, run → compare with its baseline
-/// → checks.
+/// The CI gate: every gated figure's full plan, run → compare with its
+/// committed report → checks.
 fn regress(o: &Opts) -> ! {
     if o.update && o.compare_only {
         die("--update needs a live sweep; drop --compare-only");
@@ -259,7 +246,7 @@ fn regress(o: &Opts) -> ! {
     let wanted: Vec<(&'static Figure, Scale)> = FIGURES
         .iter()
         .filter(|f| f.gate == Gate::Pr || (o.nightly && f.gate == Gate::Nightly))
-        .map(|f| (f, f.gate.scale()))
+        .map(|f| (f, Scale::Full))
         .collect();
 
     // ---- the gated figures, one parallel slate ------------------------
@@ -277,12 +264,12 @@ fn regress(o: &Opts) -> ! {
             })
             .collect()
     } else {
-        let threads = exec::threads();
         eprintln!(
-            "regress: running {} figure(s) on {threads} thread(s)...",
-            wanted.len()
+            "regress: running {} figure(s) on {} thread(s)...",
+            wanted.len(),
+            o.threads
         );
-        let slate = run_figures(&wanted, threads);
+        let slate = run_figures(&wanted, o.threads);
         eprintln!(
             "regress: slate done — {} jobs, serial-equivalent {:.1}s, elapsed {:.1}s ({:.2}x on {} thread(s))",
             slate.timings.len(),
@@ -291,21 +278,11 @@ fn regress(o: &Opts) -> ! {
             slate.speedup(),
             slate.threads,
         );
-        // persist fresh reports + runner timing for CI artifacts; the
-        // measured speedup is itself a tracked artifact, so
-        // runner-overhead regressions show up in CI
-        let mut runner = BenchReport::new("regress", 0);
-        runner.record("runner", 0, "threads", slate.threads as f64);
-        runner.record("runner", 0, "jobs", slate.timings.len() as f64);
-        runner.record("runner", 0, "serial_secs", slate.serial_secs());
-        runner.record("runner", 0, "elapsed_secs", slate.elapsed_secs);
-        runner.record("runner", 0, "speedup", slate.speedup());
+        // persist fresh reports + per-job wall times for CI artifacts
         let written = slate
             .figures
             .iter()
-            .map(|r| &r.report)
-            .chain([&runner])
-            .try_for_each(|r| r.write_to(&out).map(drop))
+            .try_for_each(|r| r.report.write_to(&out).map(drop))
             .and_then(|_| std::fs::write(out.join("timing.txt"), slate.timing_table()));
         if let Err(e) = written {
             eprintln!("regress: cannot write artifacts to {}: {e}", out.display());
@@ -316,24 +293,24 @@ fn regress(o: &Opts) -> ! {
 
     if o.update {
         for run in &runs {
-            match run.report.write_to(Path::new(BASELINE_DIR)) {
-                Ok(path) => println!("baseline updated: {}", path.display()),
+            match run.report.write_to(Path::new(RESULTS_DIR)) {
+                Ok(path) => println!("report updated: {}", path.display()),
                 Err(e) => {
-                    eprintln!("regress: cannot write baseline: {e}");
+                    eprintln!("regress: cannot write report: {e}");
                     std::process::exit(2);
                 }
             }
         }
-        println!("\nbaselines regenerated — commit {BASELINE_DIR}/BENCH_*.json");
+        println!("\nreports regenerated — commit {RESULTS_DIR}/BENCH_*.json");
         std::process::exit(0);
     }
 
-    // ---- every report byte for byte against its baseline -------------
+    // ---- every report byte for byte against the committed one ---------
     let mut drift_text = String::new();
     let mut differing = 0usize;
-    println!("== reports vs {BASELINE_DIR}, byte for byte ==");
+    println!("== reports vs {RESULTS_DIR}/, byte for byte ==");
     for FigureRun { report, .. } in &runs {
-        let path = Path::new(BASELINE_DIR).join(format!("BENCH_{}.json", report.name));
+        let path = Path::new(RESULTS_DIR).join(format!("BENCH_{}.json", report.name));
         let table = match std::fs::read_to_string(&path) {
             Ok(text) => drift(report, &text),
             Err(e) => Some(format!(

@@ -16,12 +16,9 @@
 //!   reported out-of-band ([`JobResult::wall_secs`]) under the documented
 //!   D02 waiver and never lands in comparison-bearing report fields.
 //!
-//! Thread count comes from, in order: an explicit argument, the
-//! process-wide override ([`set_threads`], wired to `daos-bench`'s
-//! `--threads`), the `BENCH_THREADS` environment variable, and finally
-//! `std::thread::available_parallelism`. `threads = 1` executes the slate
-//! serially on the calling thread, reproducing the pre-executor behavior
-//! exactly.
+//! [`Slate::run`] takes the thread count as an argument (`daos-bench
+//! --threads`, default `std::thread::available_parallelism`).
+//! `threads = 1` executes the slate serially on the calling thread.
 //!
 //! Panic policy: a panicking job does not poison the slate's scope or
 //! deadlock its siblings — the worker catches the unwind, the remaining
@@ -194,62 +191,6 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-// ---------------------------------------------------------------------
-// Thread-count knob
-// ---------------------------------------------------------------------
-
-/// Process-wide `--threads` override; 0 = unset.
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Pin the slate thread count for this process (`daos-bench --threads`).
-/// `0` clears the override.
-pub fn set_threads(n: usize) {
-    THREAD_OVERRIDE.store(n, Ordering::SeqCst);
-}
-
-/// Resolve the slate thread count: [`set_threads`] override, else the
-/// `BENCH_THREADS` environment variable, else available parallelism.
-pub fn threads() -> usize {
-    match THREAD_OVERRIDE.load(Ordering::SeqCst) {
-        0 => {}
-        n => return n,
-    }
-    if let Some(n) = std::env::var("BENCH_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
-        return n;
-    }
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-}
-
-/// Consume a `--threads N` flag from the argument list, pinning the
-/// process-wide knob; returns the remaining arguments. Exits with a
-/// usage error on a malformed value, like `daos-bench`'s other flags.
-pub fn parse_threads_flag(args: Vec<String>) -> Vec<String> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        if a == "--threads" {
-            let n: usize = it
-                .next()
-                .and_then(|v| v.parse().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or_else(|| {
-                    eprintln!("--threads needs a positive integer");
-                    std::process::exit(2);
-                });
-            set_threads(n);
-        } else {
-            rest.push(a);
-        }
-    }
-    rest
 }
 
 #[cfg(test)]

@@ -20,46 +20,36 @@ use crate::exec::Slate;
 use crate::report::{BenchReport, Fragment, Verdict, READ_GIB_S, WRITE_GIB_S};
 use crate::{figures, invariants, qos, timelines, traffic};
 
-/// How big a run is. Every figure declares `Full`; PR-gated figures also
-/// declare `Reduced` (what the PR gate runs and the committed baselines
-/// hold) and `Smoke` (a miniature for debug-build determinism tests).
+/// How big a run is. Every figure declares `Full` (what `regress` runs
+/// and the committed `results/BENCH_<name>.json` holds); PR-gated figures
+/// also declare `Smoke` (a miniature for debug-build determinism tests).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
     Full,
-    Reduced,
     Smoke,
 }
 
 impl Scale {
-    pub const ALL: [Scale; 3] = [Scale::Full, Scale::Reduced, Scale::Smoke];
+    pub const ALL: [Scale; 2] = [Scale::Full, Scale::Smoke];
 
     pub fn name(self) -> &'static str {
         match self {
             Scale::Full => "full",
-            Scale::Reduced => "reduced",
             Scale::Smoke => "smoke",
         }
     }
 }
 
-/// When `regress` holds a figure to its committed baseline.
+/// When `regress` holds a figure's full plan to its committed report.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Gate {
-    /// On every PR, at reduced scale.
+    /// On every PR.
     Pr,
-    /// In the scheduled job only (`regress --nightly`), at full scale.
+    /// In the scheduled job only (`regress --nightly`).
     Nightly,
 }
 
 impl Gate {
-    /// The scale the gate runs — and the committed baseline holds.
-    pub fn scale(self) -> Scale {
-        match self {
-            Gate::Pr => Scale::Reduced,
-            Gate::Nightly => Scale::Full,
-        }
-    }
-
     pub fn name(self) -> &'static str {
         match self {
             Gate::Pr => "pr",
@@ -413,22 +403,16 @@ pub fn run_figures(wanted: &[(&'static Figure, Scale)], threads: usize) -> Slate
 
 /// Where a standalone run drops (and `--compare-only` looks for) its
 /// `BENCH_<name>.json`: `$DAOS_BENCH_OUT` if set (empty = write nothing),
-/// else `results/` for a **full-scale** run from the repo root — the
-/// committed `results/BENCH_*.json` are full-scale artifacts, so a
-/// reduced run must never land there — else `target/bench/`.
-pub fn out_dir(scale: Scale) -> Option<PathBuf> {
-    resolve_out_dir(
-        std::env::var("DAOS_BENCH_OUT").ok().as_deref(),
-        scale,
-        Path::new("results").is_dir(),
-    )
+/// else `target/bench/`. Only `regress --update` writes the committed
+/// reports in `results/`.
+pub fn out_dir() -> Option<PathBuf> {
+    resolve_out_dir(std::env::var("DAOS_BENCH_OUT").ok().as_deref())
 }
 
-fn resolve_out_dir(env: Option<&str>, scale: Scale, have_results: bool) -> Option<PathBuf> {
+fn resolve_out_dir(env: Option<&str>) -> Option<PathBuf> {
     match env {
         Some("") => None,
         Some(dir) => Some(PathBuf::from(dir)),
-        None if scale == Scale::Full && have_results => Some(PathBuf::from("results")),
         None => Some(PathBuf::from("target/bench")),
     }
 }
@@ -557,7 +541,7 @@ pub fn table_problems(baseline_dir: &Path) -> Vec<String> {
                 Some(plan) if plan.cells.is_empty() => {
                     problems.push(format!("{}: no cells at {} scale", f.name, scale.name()))
                 }
-                None if scale == Scale::Full || scale == f.gate.scale() => problems.push(format!(
+                None if scale == Scale::Full => problems.push(format!(
                     "{}: must declare the {} scale",
                     f.name,
                     scale.name()
@@ -619,22 +603,14 @@ mod tests {
     }
 
     #[test]
-    fn only_full_scale_runs_write_into_results() {
-        let results = Some(PathBuf::from("results"));
-        let scratch = Some(PathBuf::from("target/bench"));
-        assert_eq!(resolve_out_dir(None, Scale::Full, true), results);
-        // the clobbered-artifact bug: a reduced run from the repo root used
-        // to overwrite the committed full-scale results/BENCH_<name>.json
-        assert_eq!(resolve_out_dir(None, Scale::Reduced, true), scratch);
-        assert_eq!(resolve_out_dir(None, Scale::Smoke, true), scratch);
-        assert_eq!(resolve_out_dir(None, Scale::Full, false), scratch);
-        for scale in Scale::ALL {
-            assert_eq!(
-                resolve_out_dir(Some("/tmp/x"), scale, true),
-                Some(PathBuf::from("/tmp/x"))
-            );
-            assert_eq!(resolve_out_dir(Some(""), scale, true), None);
-        }
+    fn standalone_runs_never_write_into_results() {
+        // the committed reports change only through `regress --update`
+        assert_eq!(resolve_out_dir(None), Some(PathBuf::from("target/bench")));
+        assert_eq!(
+            resolve_out_dir(Some("/tmp/x")),
+            Some(PathBuf::from("/tmp/x"))
+        );
+        assert_eq!(resolve_out_dir(Some("")), None);
     }
 
     #[test]

@@ -6,10 +6,8 @@
 //! cell is one seeded, single-threaded sim that records its metrics into
 //! a [`Fragment`] — and each `check_*` function states what must hold of
 //! the finished report. [`crate::FIGURES`] binds the two to the figure's
-//! name, seed and gate. Seeds are fixed per figure, so a reduced sweep's
-//! cells at a given node count are produced by the *same* simulations as
-//! the full figure's cells there (modulo the repeat count used for
-//! averaging).
+//! name, seed and gate. Seeds are fixed per figure, so a smoke run's
+//! cells are seeded exactly like the full figure's.
 
 use daos_core::ClusterConfig;
 use daos_dfuse::DfuseConfig;
@@ -33,15 +31,8 @@ use crate::{
 
 /// The paper figures' full scale axis.
 pub const FULL_NODES: [u32; 5] = [1, 2, 4, 8, 16];
-/// The reduced CI axis: the two scales every R1–R5 invariant reads.
-pub const REDUCED_NODES: [u32; 2] = [1, 16];
 /// Averaged placements per point at full scale (IOR `-i`).
 pub const FULL_REPEATS: u64 = 5;
-/// Placements per point at reduced scale. One is enough for the CI
-/// gate: the sim is deterministic, so repeats only widen the placement
-/// average, and the reduced baselines are minted at this count and held
-/// to it exactly.
-pub const REDUCED_REPEATS: u64 = 1;
 
 /// Processes per client node in every figure sweep (the paper's layout).
 pub const PPN: u32 = 16;
@@ -139,7 +130,6 @@ pub const FIG2_SEED: u64 = 0xF162;
 pub fn paper_figure_plan(fpp: bool, seed: u64, scale: Scale) -> Option<Plan> {
     let (nodes, repeats, ppn, block): (&[u32], u64, u32, u64) = match scale {
         Scale::Full => (&FULL_NODES, FULL_REPEATS, PPN, PAPER_BLOCK),
-        Scale::Reduced => (&REDUCED_NODES, REDUCED_REPEATS, PPN, PAPER_BLOCK),
         Scale::Smoke => (&[1, 2], 1, 4, MIB),
     };
     let sweep = IorSweep {
@@ -168,12 +158,10 @@ pub const OCLASS_SEED: u64 = 0x0C1A;
 pub const DAOS_API_SEED: u64 = 0xDA05A;
 
 /// A file-per-process grid at 1, 4 and 16 nodes, [`FULL_REPEATS`]
-/// placements per cell; the reduced scale is the same grid at one
-/// placement, and the smoke scale the figures' miniature.
+/// placements per cell; the smoke scale is the figures' miniature.
 fn wide_grid_plan(apis: &[Api], classes: &[ObjectClass], seed: u64, scale: Scale) -> Option<Plan> {
     let (nodes, repeats, ppn, block): (&[u32], u64, u32, u64) = match scale {
         Scale::Full => (&[1, 4, 16], FULL_REPEATS, PPN, PAPER_BLOCK),
-        Scale::Reduced => (&[1, 4, 16], REDUCED_REPEATS, PPN, PAPER_BLOCK),
         Scale::Smoke => (&[1, 2], 1, 4, MIB),
     };
     let sweep = IorSweep {
@@ -373,7 +361,6 @@ fn daos_point(nodes: u32, fpp: bool, block: u64, ppn: u32) -> IorReport {
 pub fn pfs_contrast_plan(scale: Scale) -> Option<Plan> {
     let (nodes, block, ppn): (&[u32], u64, u32) = match scale {
         Scale::Full => (&[1, 4, 8, 16], 16 * MIB, PPN),
-        Scale::Reduced => (&REDUCED_NODES, 16 * MIB, PPN),
         Scale::Smoke => (&[1, 2], MIB, 4),
     };
     let mut cells = Vec::new();
@@ -461,7 +448,6 @@ fn io500_cell(out: &mut Fragment, nodes: u32, ppn: u32, block: u64) {
 pub fn io500_plan(scale: Scale) -> Option<Plan> {
     let (nodes, ppn, block) = match scale {
         Scale::Full => (8, PPN, 16 * MIB),
-        Scale::Reduced => (4, 8, 16 * MIB),
         Scale::Smoke => (2, 2, MIB),
     };
     Some(Plan {
@@ -510,7 +496,6 @@ fn record_md(out: &mut Fragment, series: &str, nodes: u32, r: &MdtestReport) {
 pub fn mdtest_plan(scale: Scale) -> Option<Plan> {
     let (nodes, ppn, files) = match scale {
         Scale::Full => (8, 8, 64),
-        Scale::Reduced => (2, 4, 16),
         Scale::Smoke => (1, 2, 4),
     };
     let mut cells = Vec::new();
@@ -615,7 +600,6 @@ fn degraded_point(out: &mut Fragment, series: &str, class: ObjectClass, nodes: u
 pub fn protection_plan(scale: Scale) -> Option<Plan> {
     let (nodes, block) = match scale {
         Scale::Full => (8, 16 * MIB),
-        Scale::Reduced => (2, 4 * MIB),
         Scale::Smoke => (1, MIB),
     };
     let mut cells = Vec::new();

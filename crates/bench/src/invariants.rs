@@ -8,7 +8,7 @@
 //! intentional baseline update can silently invert a figure. Each
 //! predicate reads the scales present in the report (smallest, largest,
 //! or all of them), so the one definition checks the full figure grids
-//! and the reduced CI sweep alike.
+//! and the smoke miniatures alike.
 
 use crate::report::{BenchReport, Verdict, READ_GIB_S, WRITE_GIB_S};
 

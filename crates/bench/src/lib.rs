@@ -18,8 +18,8 @@
 //! * [`exec`] — the deterministic parallel job runner: an ordered
 //!   [`exec::Slate`] of `(label, seeded closure)` jobs fanned across host
 //!   threads with results reduced **in submission order**, so every
-//!   artifact is byte-identical at any thread count (`--threads` /
-//!   `BENCH_THREADS`; `1` = serial);
+//!   artifact is byte-identical at any thread count (`--threads`; `1` =
+//!   serial);
 //! * [`report`] — the schema-versioned [`report::BenchReport`] written as
 //!   `BENCH_<name>.json`;
 //! * [`baseline`] — the byte-for-byte comparison with committed baselines

@@ -92,8 +92,7 @@ pub struct QosSweepParams {
 }
 
 impl QosSweepParams {
-    /// Full scale: the CI gate's window with the whole 4-point load axis
-    /// (so the 150/300 cells are byte-identical to the gate's).
+    /// Full scale: a 150 ms window over the whole 4-point load axis.
     pub fn full() -> Self {
         QosSweepParams {
             victim_nodes: 1,
@@ -105,22 +104,6 @@ impl QosSweepParams {
             arrays_per_node: 2,
             chunks_per_array: 64,
             loads: &[100, 125, 150, 300],
-        }
-    }
-
-    /// The CI gate's reduced scale: same cluster and tenants, shorter
-    /// window and a 2-point load axis.
-    pub fn reduced() -> Self {
-        QosSweepParams {
-            victim_nodes: 1,
-            noisy_nodes: 2,
-            duration: SimDuration::from_ms(150),
-            victim_req: 64 * KIB,
-            noisy_req: MIB,
-            victim_load_pct: 5,
-            arrays_per_node: 2,
-            chunks_per_array: 64,
-            loads: &[150, 300],
         }
     }
 
@@ -472,7 +455,6 @@ pub fn qos_point(out: &mut Fragment, shaped: bool, load_pct: u32, params: QosSwe
 pub fn qos_plan(scale: Scale) -> Option<Plan> {
     let params = match scale {
         Scale::Full => QosSweepParams::full(),
-        Scale::Reduced => QosSweepParams::reduced(),
         Scale::Smoke => QosSweepParams::smoke(),
     };
     let mut cells = Vec::new();
@@ -507,11 +489,7 @@ mod tests {
     fn series_axes_match_across_scales() {
         // R10 compares shaped vs unshaped cell-by-cell: every scale must
         // run both series over the same load axis.
-        for p in [
-            QosSweepParams::full(),
-            QosSweepParams::reduced(),
-            QosSweepParams::smoke(),
-        ] {
+        for p in [QosSweepParams::full(), QosSweepParams::smoke()] {
             assert!(!p.loads.is_empty());
             assert!(p.victim_nodes >= 1 && p.noisy_nodes >= 1);
             assert!(p.victim_load_pct < 50, "victim must stay modest");

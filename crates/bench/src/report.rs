@@ -4,8 +4,8 @@
 //! [`BenchReport`]: a schema-versioned map of *series → scale → metrics*
 //! plus the provenance needed to reproduce it (sim seed, a hash of the
 //! cluster config). Host wall time is deliberately *not* in the report —
-//! it is schedule-dependent, so it lives in `timing.txt` /
-//! `BENCH_regress.json` and a report is byte-identical run to run.
+//! it is schedule-dependent, so it lives in `timing.txt` and a report is
+//! byte-identical run to run.
 //! Reports round-trip through a small
 //! hand-rolled JSON layer — the workspace builds offline against vendored
 //! stand-ins, so there is no serde; the subset implemented here (objects,

@@ -4,7 +4,7 @@
 //!
 //! Each timeline is one seeded sim; its cell records the measured row
 //! and carries the row's shape checks out of the job as verdicts, so a
-//! full standalone run and the reduced `regress` gate check identically.
+//! standalone run and the `regress` gate check identically.
 
 use std::rc::Rc;
 
@@ -148,8 +148,8 @@ pub fn fault_timeline(out: &mut Fragment, class: ObjectClass, nodes: u32, ppn: u
 }
 
 /// `fault_sweep`: one timeline per protected class. Full scale crashes an
-/// engine under a replicated and an erasure-coded class; the reduced and
-/// smoke scales keep the replicated one at a smaller volume.
+/// engine under a replicated and an erasure-coded class; the smoke scale
+/// keeps the replicated one at a smaller volume.
 pub fn fault_plan(scale: Scale) -> Option<Plan> {
     let ec = ObjectClass::ErasureCoded {
         data: 4,
@@ -158,7 +158,6 @@ pub fn fault_plan(scale: Scale) -> Option<Plan> {
     };
     let (classes, nodes, ppn, per_rank): (&[ObjectClass], u32, u32, u64) = match scale {
         Scale::Full => (&[ObjectClass::RP_2GX, ec], 4, 8, 8 * MIB),
-        Scale::Reduced => (&[ObjectClass::RP_2GX], 2, 4, 4 * MIB),
         Scale::Smoke => (&[ObjectClass::RP_2GX], 2, 2, MIB),
     };
     let cells = classes
@@ -374,7 +373,6 @@ pub fn rot_timeline(out: &mut Fragment, class: ObjectClass, scrub: bool, seed: u
 
 /// `scrub_sweep`: four checksum-overhead cells (pattern × csum on/off)
 /// plus a client-read and a scrubber rot timeline per protected class.
-/// The reduced scale is the full one minus the erasure-coded timelines.
 pub fn scrub_plan(scale: Scale) -> Option<Plan> {
     let ec = ObjectClass::ErasureCoded {
         data: 2,
@@ -383,7 +381,6 @@ pub fn scrub_plan(scale: Scale) -> Option<Plan> {
     };
     let (nodes, ppn, block, rot_classes): (u32, u32, u64, &[ObjectClass]) = match scale {
         Scale::Full => (2, 4, 8 * MIB, &[ObjectClass::RP_2GX, ec]),
-        Scale::Reduced => (2, 4, 8 * MIB, &[ObjectClass::RP_2GX]),
         Scale::Smoke => (2, 2, MIB, &[ObjectClass::RP_2GX]),
     };
     let mut cells = Vec::new();

@@ -163,20 +163,6 @@ impl TrafficParams {
         }
     }
 
-    /// The CI gate's reduced scale: same cluster, same series, shorter
-    /// window and a 4-point load axis.
-    pub fn reduced() -> Self {
-        TrafficParams {
-            client_nodes: 4,
-            logical_clients: 1 << 16,
-            duration: SimDuration::from_ms(200),
-            req_size: MIB,
-            arrays_per_node: 4,
-            chunks_per_array: 256,
-            loads: &[50, 100, 150, 200],
-        }
-    }
-
     /// Miniature for the schedule-independence smoke tests.
     pub fn smoke() -> Self {
         TrafficParams {
@@ -471,7 +457,6 @@ pub fn traffic_point(out: &mut Fragment, mode: TrafficMode, load_pct: u32, param
 pub fn traffic_plan(scale: Scale) -> Option<Plan> {
     let params = match scale {
         Scale::Full => TrafficParams::full(),
-        Scale::Reduced => TrafficParams::reduced(),
         Scale::Smoke => TrafficParams::smoke(),
     };
     let mut cells = Vec::new();

@@ -1,7 +1,7 @@
 //! The `daos-bench` binary end to end, through `--compare-only` (no
-//! simulation: the committed reduced-scale baselines stand in for a
-//! previous run's reports), so the real argument parsing, exit codes and
-//! check evaluation are what is tested.
+//! simulation: the committed reports in `results/` stand in for a previous
+//! run's), so the real argument parsing, exit codes and check evaluation
+//! are what is tested.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -12,14 +12,14 @@ fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-/// A scratch output dir seeded with the committed baselines.
+/// A scratch output dir seeded with the committed `results/BENCH_*.json`.
 fn out_dir_with_baselines(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("daos_bench_cli_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    for entry in std::fs::read_dir(repo_root().join("results/baselines")).unwrap() {
-        let entry = entry.unwrap();
-        std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
+    for f in daos_bench::FIGURES {
+        let file = format!("BENCH_{}.json", f.name);
+        std::fs::copy(repo_root().join("results").join(&file), dir.join(file)).unwrap();
     }
     dir
 }
@@ -57,7 +57,7 @@ fn standalone_and_regress_evaluate_the_same_invariants() {
         ("traffic_sweep", &["R6:", "R7:", "R8:"]),
         ("qos_sweep", &["R9:", "R10:", "R11:"]),
     ] {
-        let alone = daos_bench(&out, &[figure, "--reduced", "--compare-only"]);
+        let alone = daos_bench(&out, &[figure, "--compare-only"]);
         assert_eq!(alone.status.code(), Some(0), "{alone:?}");
         for id in ids {
             let a = check_lines(&alone, id);
@@ -93,8 +93,8 @@ fn inverted_r9_fails_the_gate() {
     let _ = std::fs::remove_dir_all(&out);
 }
 
-/// `list` audits the table against `results/baselines/`; usage errors
-/// exit 2 without running anything.
+/// `list` audits the table against `results/`; usage errors exit 2
+/// without running anything.
 #[test]
 fn list_passes_and_bad_usage_is_rejected() {
     let out = out_dir_with_baselines("usage");
@@ -108,8 +108,9 @@ fn list_passes_and_bad_usage_is_rejected() {
         &["no_such_figure"][..],
         &["fig1_fpp", "read"],
         &["fig1_fpp", "--update"],
-        &["scale", "--reduced"],
-        &["regress", "--reduced"],
+        &["io500", "--threads", "0"],
+        &["regress", "--threads", "x"],
+        &["regress", "--threads"],
         &["regress", "--update", "--compare-only"],
         &["regress", "--tol", "5"],
         &["regress", "--verbose"],
@@ -144,5 +145,9 @@ fn results_txt_is_the_printer_run_on_the_committed_json() {
         );
         pinned += 1;
     }
-    assert_eq!(pinned, 13, "every .txt with a JSON twin is pinned");
+    assert_eq!(
+        pinned,
+        daos_bench::FIGURES.len(),
+        "every committed report has its pinned rendering"
+    );
 }

@@ -6,14 +6,12 @@
 //!   byte-addressable, strongly asymmetric read/write bandwidth, 256 B
 //!   access granularity, and a per-extent metadata-update cost that models
 //!   VOS index maintenance in persistent memory.
-//! * [`Nvme`] — a block SSD: 4 KiB granularity, bounded queue depth,
-//!   microsecond-scale latency.
 //!
-//! All devices expose the same [`Device`] surface: `read`, `write` and
+//! A device exposes the [`Device`] surface: `read`, `write` and
 //! `meta_op`, each charging time on internal [`Pipe`]s. The numbers are
-//! calibrated from public gen-1 Optane / datacentre-NVMe measurements (see
-//! `DESIGN.md` §4); what matters for the reproduced figures is the *ratio*
-//! structure (write ≪ read on SCM, per-extent costs, queue depths).
+//! calibrated from public gen-1 Optane measurements (see `DESIGN.md` §4);
+//! what matters for the reproduced figures is the *ratio* structure
+//! (write ≪ read, per-extent costs).
 
 // No `unsafe` may enter the workspace outside the audited kernel
 // crate (`daos-sim`, which denies `clippy::undocumented_unsafe_blocks`).
@@ -32,17 +30,8 @@
 use std::rc::Rc;
 
 use daos_sim::time::{SimDuration, SimTime};
-use daos_sim::units::{Bandwidth, KIB};
-use daos_sim::{Pipe, Semaphore, SharedPipe, Sim};
-
-/// Which class of hardware a device models (used in reports).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MediaKind {
-    /// Storage-class memory (Optane DCPMM interleave set).
-    Scm,
-    /// NVMe SSD.
-    Nvme,
-}
+use daos_sim::units::Bandwidth;
+use daos_sim::{Pipe, SharedPipe, Sim};
 
 /// Cumulative traffic counters for one device.
 #[derive(Clone, Copy, Debug, Default)]
@@ -76,8 +65,6 @@ pub trait Device {
     async fn meta_op(&self, sim: &Sim, n: u64);
     /// Traffic counters so far.
     fn stats(&self) -> DeviceStats;
-    /// What the device models.
-    fn kind(&self) -> MediaKind;
 }
 
 // ------------------------------------------------------------------ DCPMM
@@ -165,148 +152,35 @@ impl Device for Dcpmm {
             meta_ops: 0,
         }
     }
-    fn kind(&self) -> MediaKind {
-        MediaKind::Scm
-    }
-}
-
-// ------------------------------------------------------------------- NVMe
-
-/// Configuration for an NVMe SSD.
-#[derive(Clone, Copy, Debug)]
-pub struct NvmeConfig {
-    pub read_bw: Bandwidth,
-    pub write_bw: Bandwidth,
-    pub read_latency: SimDuration,
-    pub write_latency: SimDuration,
-    /// Block granularity; I/O rounds up to this.
-    pub block: u64,
-    /// Hardware queue depth (concurrent commands).
-    pub queue_depth: usize,
-}
-
-impl Default for NvmeConfig {
-    /// A datacentre TLC NVMe drive.
-    fn default() -> Self {
-        NvmeConfig {
-            read_bw: Bandwidth::gib_per_sec(3.2),
-            write_bw: Bandwidth::gib_per_sec(2.0),
-            read_latency: SimDuration::from_us(85),
-            write_latency: SimDuration::from_us(25),
-            block: 4 * KIB,
-            queue_depth: 128,
-        }
-    }
-}
-
-/// An NVMe SSD with bounded queue depth.
-pub struct Nvme {
-    cfg: NvmeConfig,
-    read_pipe: SharedPipe,
-    write_pipe: SharedPipe,
-    queue: Semaphore,
-}
-
-impl Nvme {
-    /// Build an SSD from `cfg`.
-    pub fn new(name: &str, cfg: NvmeConfig) -> Rc<Self> {
-        Rc::new(Nvme {
-            read_pipe: Pipe::new(format!("{name}.rd"), cfg.read_bw, cfg.read_latency),
-            write_pipe: Pipe::new(format!("{name}.wr"), cfg.write_bw, cfg.write_latency),
-            queue: Semaphore::new(cfg.queue_depth),
-            cfg,
-        })
-    }
-
-    fn round(&self, bytes: u64) -> u64 {
-        bytes.div_ceil(self.cfg.block) * self.cfg.block
-    }
-}
-
-impl Device for Nvme {
-    async fn read(&self, sim: &Sim, bytes: u64) {
-        let _slot = self.queue.acquire().await;
-        self.read_pipe.transfer(sim, self.round(bytes)).await;
-    }
-    async fn write(&self, sim: &Sim, bytes: u64) {
-        let _slot = self.queue.acquire().await;
-        self.write_pipe.transfer(sim, self.round(bytes)).await;
-    }
-    async fn meta_op(&self, sim: &Sim, n: u64) {
-        // block-device metadata (e.g. WAL records) are 4K writes
-        for _ in 0..n {
-            self.write(sim, self.cfg.block).await;
-        }
-    }
-    fn stats(&self) -> DeviceStats {
-        DeviceStats {
-            bytes_read: self.read_pipe.bytes_total(),
-            bytes_written: self.write_pipe.bytes_total(),
-            read_ops: self.read_pipe.ops_total(),
-            write_ops: self.write_pipe.ops_total(),
-            meta_ops: 0,
-        }
-    }
-    fn kind(&self) -> MediaKind {
-        MediaKind::Nvme
-    }
 }
 
 // -------------------------------------------------------------- MediaSet
 
-/// The media behind one VOS target: SCM for metadata and small values,
-/// optionally NVMe for bulk data beyond a size threshold (DAOS's
-/// `vos_media_select` policy).
+/// The media behind one VOS target: one SCM device holding indices and
+/// payloads alike (the NEXTGenIO configuration the paper ran on).
 pub struct MediaSet {
     scm: Rc<Dcpmm>,
-    nvme: Option<Rc<Nvme>>,
-    /// Values >= this many bytes go to NVMe when present.
-    pub nvme_threshold: u64,
 }
 
 impl MediaSet {
     /// SCM-only target (NEXTGenIO configuration, used by the paper).
     pub fn scm_only(scm: Rc<Dcpmm>) -> Rc<Self> {
-        Rc::new(MediaSet {
-            scm,
-            nvme: None,
-            nvme_threshold: u64::MAX,
-        })
+        Rc::new(MediaSet { scm })
     }
 
-    /// SCM + NVMe target with the standard 4 KiB spill threshold.
-    pub fn with_nvme(scm: Rc<Dcpmm>, nvme: Rc<Nvme>) -> Rc<Self> {
-        Rc::new(MediaSet {
-            scm,
-            nvme: Some(nvme),
-            nvme_threshold: 4 * KIB,
-        })
-    }
-
-    /// The SCM device (always present; holds all indices).
+    /// The SCM device (holds all indices).
     pub fn scm(&self) -> &Rc<Dcpmm> {
         &self.scm
     }
 
-    /// True if `bytes` of payload goes to NVMe rather than SCM.
-    pub fn spills(&self, bytes: u64) -> bool {
-        self.nvme.is_some() && bytes >= self.nvme_threshold
-    }
-
-    /// Write a value payload to the right medium.
+    /// Write a value payload.
     pub async fn write_payload(&self, sim: &Sim, bytes: u64) {
-        match &self.nvme {
-            Some(nvme) if bytes >= self.nvme_threshold => nvme.write(sim, bytes).await,
-            _ => self.scm.write(sim, bytes).await,
-        }
+        self.scm.write(sim, bytes).await;
     }
 
-    /// Read a value payload from the right medium.
+    /// Read a value payload.
     pub async fn read_payload(&self, sim: &Sim, bytes: u64) {
-        match &self.nvme {
-            Some(nvme) if bytes >= self.nvme_threshold => nvme.read(sim, bytes).await,
-            _ => self.scm.read(sim, bytes).await,
-        }
+        self.scm.read(sim, bytes).await;
     }
 
     /// Persist `n` index updates (always SCM).
@@ -318,7 +192,6 @@ impl MediaSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use daos_sim::executor::join_all;
     use daos_sim::units::MIB;
 
     #[test]
@@ -344,58 +217,6 @@ mod tests {
             dev.write(&sim, 1).await; // 1 byte costs one 256B line
             assert_eq!(dev.stats().bytes_written, 256);
         });
-    }
-
-    #[test]
-    fn nvme_queue_depth_bounds_concurrency() {
-        let mut sim = Sim::new(1);
-        let t = sim.block_on(|sim| async move {
-            let cfg = NvmeConfig {
-                queue_depth: 2,
-                read_latency: SimDuration::from_us(100),
-                ..Default::default()
-            };
-            let dev = Nvme::new("nv0", cfg);
-            // 4 tiny reads: transfer time ~0, latency 100us each; but the
-            // guard is held across latency, so queue depth 2 gives 2 waves.
-            let futs: Vec<_> = (0..4)
-                .map(|_| {
-                    let d = Rc::clone(&dev);
-                    let s = sim.clone();
-                    async move { d.read(&s, 1).await }
-                })
-                .collect();
-            join_all(&sim, futs).await;
-            sim.now()
-        });
-        // two waves of ~100us
-        assert!(
-            t >= SimTime::from_us(200) && t < SimTime::from_us(220),
-            "{t}"
-        );
-    }
-
-    #[test]
-    fn media_set_routes_by_threshold() {
-        let mut sim = Sim::new(1);
-        sim.block_on(|sim| async move {
-            let scm = Dcpmm::new("pm", DcpmmConfig::default());
-            let nvme = Nvme::new("nv", NvmeConfig::default());
-            let set = MediaSet::with_nvme(Rc::clone(&scm), Rc::clone(&nvme));
-            assert!(!set.spills(KIB));
-            assert!(set.spills(4 * KIB));
-            set.write_payload(&sim, KIB).await;
-            set.write_payload(&sim, MIB).await;
-            assert_eq!(scm.stats().bytes_written, KIB);
-            assert_eq!(nvme.stats().bytes_written, MIB);
-        });
-    }
-
-    #[test]
-    fn scm_only_never_spills() {
-        let scm = Dcpmm::new("pm", DcpmmConfig::default());
-        let set = MediaSet::scm_only(scm);
-        assert!(!set.spills(u64::MAX / 2));
     }
 
     #[test]

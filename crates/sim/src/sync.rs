@@ -338,7 +338,7 @@ struct WaitEnt {
 /// A strict-FIFO counting semaphore.
 ///
 /// Models bounded service concurrency (FUSE daemon threads, engine
-/// xstreams, NVMe queue depth). Waiters are served in arrival order even
+/// xstreams, a device queue depth). Waiters are served in arrival order even
 /// when a later, smaller request could be satisfied first — matching a FIFO
 /// request queue rather than a work-conserving allocator.
 #[derive(Clone)]

@@ -10,20 +10,19 @@
 //! seeds with the `regress` gate, so a nondeterminism bug that would
 //! make CI flaky fails here first, with a readable diff.
 
-use daos_bench::figures::REDUCED_REPEATS;
 use daos_bench::report::{config_hash, BenchReport, Fragment};
 use daos_bench::timelines::rot_timeline;
 use daos_bench::{paper_cluster, paper_params, run_point_with};
 use daos_ior::Api;
 use daos_placement::ObjectClass;
 
-/// The reduced sweep's 1-node Figure-1 cell (DFS-S2, file-per-process),
-/// at a CI-friendly volume: same testbed, seed salting and repeat
-/// averaging as `regress`, smaller per-rank block.
+/// Figure 1's 1-node DFS-S2 file-per-process cell at a CI-friendly
+/// volume: same testbed and seed salting as `regress`, one placement and a
+/// smaller per-rank block.
 fn figure_cell_json() -> String {
     let mut params = paper_params(Api::Dfs, ObjectClass::S2, true, 16);
     params.block_size = 4 << 20;
-    let m = run_point_with(1, params, 0xF161, REDUCED_REPEATS);
+    let m = run_point_with(1, params, 0xF161, 1);
     let mut report = BenchReport::new("determinism_cell", 0xF161);
     report.config_hash = config_hash(&paper_cluster(1));
     report.record(&m.series, 1, "write_gib_s", m.report.write_gib_s());
