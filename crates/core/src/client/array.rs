@@ -97,7 +97,7 @@ impl ArrayHandle {
 
     /// Is the target behind `shard` excluded from the current pool map?
     fn shard_excluded(&self, shard: u32) -> bool {
-        let t = self.obj.layout.borrow().target_of(shard);
+        let t = self.obj.target_of(shard);
         self.obj.cont.client.cluster.pool_map().is_excluded(t)
     }
 
@@ -108,8 +108,7 @@ impl ArrayHandle {
         if self.shard_excluded(shard) {
             return true;
         }
-        self.obj.cont.client.cluster.rebuilds_running() > 0
-            && self.obj.moved.borrow().contains(&shard)
+        self.obj.cont.client.cluster.rebuilds_running() > 0 && self.obj.moved(shard)
     }
 
     /// Single-shard update of chunk data at a chunk-relative offset.
@@ -142,7 +141,7 @@ impl ArrayHandle {
     ) -> Result<(), DaosError> {
         let futs =
             writes.map(|(shard, offset, data)| self.update_shard(sim, shard, chunk, offset, data));
-        join_inline(futs).await.into_iter().collect()
+        join_inline(futs).await.collect()
     }
 
     /// One fetch attempt against one shard as of `epoch`, no retry — the
@@ -168,7 +167,7 @@ impl ArrayHandle {
     /// current target; the pool service schedules a targeted repair. The
     /// read that hit the mismatch does not wait on it.
     fn report_rot(&self, sim: &Sim, chunk: u64, shard: u32) {
-        let target = self.obj.layout.borrow().target_of(shard);
+        let target = self.obj.target_of(shard);
         let client = self.obj.cont.client.clone();
         let req = Request::ReportCorrupt {
             cont: self.obj.cont.cont,
@@ -471,7 +470,7 @@ impl ArrayHandle {
         let futs = pieces.into_iter().map(|(chunk, in_chunk, src_off, len)| {
             self.write_piece(sim, chunk, in_chunk, data.slice(src_off, len))
         });
-        join_inline(futs).await.into_iter().collect()
+        join_inline(futs).await.collect()
     }
 
     /// Read `len` bytes at `offset` as of container snapshot `epoch`

@@ -23,7 +23,7 @@ use daos_sim::{join_inline, Sim};
 use daos_vos::Epoch;
 
 use crate::cluster::Cluster;
-use crate::proto::{DaosError, Request, Response, Rpc};
+use crate::proto::{DaosError, Request, Response, Rpc, TargetRun};
 use crate::ContId;
 
 pub use array::ArrayHandle;
@@ -147,8 +147,9 @@ impl DaosClient {
     /// An object-wide op through the data-plane retry loop. Each round
     /// routes the units still unanswered (`route` gives a unit's `(engine,
     /// local target)`, or `None` to drop it), sends each engine one gated
-    /// RPC listing its targets in unit order — all in flight at once inside
-    /// the caller's task — and folds every answer into one reply
+    /// RPC listing its targets in unit order — its run of one list the
+    /// round shares, all in flight at once inside the caller's task — and
+    /// folds every answer into one reply
     /// ([`Response::merge`]). The units of an engine that gave a retryable
     /// error wait for the next round, regrouped by whatever `refresh`
     /// moved; answers already in are kept, and any other error fails the
@@ -159,7 +160,7 @@ impl DaosClient {
         sim: &Sim,
         units: impl ExactSizeIterator<Item = u32> + Clone,
         route: impl Fn(u32) -> Option<(u32, u32)>,
-        build: impl Fn(Vec<u32>) -> Request,
+        build: impl Fn(TargetRun) -> Request,
         refresh: impl Fn() -> R,
         empty: Response,
     ) -> Result<Response, DaosError> {
@@ -175,17 +176,19 @@ impl DaosClient {
             }
             routed.sort_by_key(|&(engine, ..)| engine);
             let same_engine = |a: &(u32, u32, u32), b: &(u32, u32, u32)| a.0 == b.0;
+            let targets: Rc<[u32]> = routed.iter().map(|&(_, target, _)| target).collect();
             // counted first, so the fan-out is sized exactly
             let engines = routed.chunk_by(same_engine).count();
-            let mut groups = routed.chunk_by(same_engine);
+            let (mut groups, mut at) = (routed.chunk_by(same_engine), 0);
             let calls = (0..engines).map(|_| {
                 #[expect(
                     clippy::expect_used,
                     reason = "INVARIANT: `engines` counted exactly these groups"
                 )]
                 let on_engine = groups.next().expect("one group per engine");
-                let targets = on_engine.iter().map(|&(_, target, _)| target).collect();
-                self.call_gated(sim, on_engine[0].0, build(targets))
+                let run = TargetRun::new(&targets, at..at + on_engine.len());
+                at += on_engine.len();
+                self.call_gated(sim, on_engine[0].0, build(run))
             });
             let replies = join_inline(calls).await;
             let (mut left, mut again) = (Vec::new(), None);

@@ -13,7 +13,7 @@ use daos_vos::{key, Key, Payload};
 
 use super::damp::Attempt;
 use super::{ArrayHandle, ContainerHandle, EPOCH_LATEST};
-use crate::proto::{wire_csum, DaosError, Request, Response};
+use crate::proto::{wire_csum, DaosError, Request, Response, TargetRun};
 
 /// An open object: the unit of placement.
 ///
@@ -27,12 +27,18 @@ pub struct ObjectHandle {
     pub(super) cont: ContainerHandle,
     pub(super) oid: ObjectId,
     pub(super) class: ObjectClass,
-    pub(super) layout: Rc<RefCell<Layout>>,
-    placed_version: Rc<Cell<u32>>,
+    placed: Rc<Placed>,
+}
+
+/// Where an object's shards are, as its handles share it.
+struct Placed {
+    layout: RefCell<Layout>,
+    /// The pool-map version `layout` was computed against.
+    version: Cell<u32>,
     /// Shards whose target changed in the last re-place: their new homes
     /// are empty until the rebuild pass refills them, so reads avoid them
     /// while a rebuild is active (writes go to the new home regardless).
-    pub(super) moved: Rc<RefCell<BTreeSet<u32>>>,
+    moved: RefCell<BTreeSet<u32>>,
 }
 
 impl ObjectHandle {
@@ -48,9 +54,11 @@ impl ObjectHandle {
             cont: cont.clone(),
             oid,
             class,
-            layout: Rc::new(RefCell::new(layout)),
-            placed_version: Rc::new(Cell::new(version)),
-            moved: Rc::new(RefCell::new(BTreeSet::new())),
+            placed: Rc::new(Placed {
+                layout: RefCell::new(layout),
+                version: Cell::new(version),
+                moved: RefCell::new(BTreeSet::new()),
+            }),
         }
     }
 
@@ -64,16 +72,26 @@ impl ObjectHandle {
     }
     /// The object's current layout (a snapshot; refreshes may replace it).
     pub fn layout(&self) -> Layout {
-        self.layout.borrow().clone()
+        self.placed.layout.borrow().clone()
     }
 
     pub(super) fn width(&self) -> u32 {
-        self.layout.borrow().width()
+        self.placed.layout.borrow().width()
+    }
+
+    /// The target currently behind `shard`.
+    pub(super) fn target_of(&self, shard: u32) -> u32 {
+        self.placed.layout.borrow().target_of(shard)
+    }
+
+    /// Whether `shard`'s target changed in the last re-place.
+    pub(super) fn moved(&self, shard: u32) -> bool {
+        self.placed.moved.borrow().contains(&shard)
     }
 
     /// `(engine, local target)` currently behind `shard`.
     pub(super) fn route(&self, shard: u32) -> (u32, u32) {
-        let t = self.layout.borrow().target_of(shard);
+        let t = self.target_of(shard);
         let tpe = self.cont.client.cluster.cfg.targets_per_engine;
         (t / tpe, t % tpe)
     }
@@ -85,16 +103,17 @@ impl ObjectHandle {
         let client = &self.cont.client;
         client.refresh_pool_map(sim).await;
         let map = client.cluster.pool_map();
-        if map.version() != self.placed_version.get() {
+        let placed = &self.placed;
+        if map.version() != placed.version.get() {
             let new_layout = place(self.oid, self.class, &map);
             {
-                let old = self.layout.borrow();
-                *self.moved.borrow_mut() = (0..new_layout.width())
+                let old = placed.layout.borrow();
+                *placed.moved.borrow_mut() = (0..new_layout.width())
                     .filter(|&s| old.target_of(s) != new_layout.target_of(s))
                     .collect();
             }
-            *self.layout.borrow_mut() = new_layout;
-            self.placed_version.set(map.version());
+            *placed.layout.borrow_mut() = new_layout;
+            placed.version.set(map.version());
         }
     }
 
@@ -154,7 +173,7 @@ impl ObjectHandle {
         &self,
         sim: &Sim,
         shards: Range<u32>,
-        build: impl Fn(Vec<u32>) -> Request,
+        build: impl Fn(TargetRun) -> Request,
         empty: Response,
     ) -> Result<Response, DaosError> {
         let (route, refresh) = (|shard| Some(self.route(shard)), || self.refresh(sim));

@@ -478,10 +478,7 @@ impl Engine {
             .enumerate()
             .map(|(i, &t)| self.serve_data(sim, t, tenant, req, i as u64 == lead));
         let replies = join_inline(visits).await;
-        replies
-            .into_iter()
-            .reduce(Response::merge)
-            .unwrap_or(Response::Ok)
+        replies.reduce(Response::merge).unwrap_or(Response::Ok)
     }
 
     /// The data plane, for local target `t` of a request: the one it is

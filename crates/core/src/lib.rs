@@ -49,7 +49,7 @@ pub use client::{
 pub use cluster::{Cluster, ClusterConfig, CorruptionStats};
 pub use engine::{AdmissionStats, Engine, EngineConfig, TenantStats};
 pub use pool::{HeartbeatConfig, PoolOp, PoolState};
-pub use proto::{DaosError, Request, Response};
+pub use proto::{DaosError, Request, Response, TargetRun};
 pub use qos::{QosClass, QosParams, BG_TENANT};
 pub use rebuild::{CorruptionReport, RebuildStats};
 

@@ -1,10 +1,48 @@
 //! Wire protocol between clients and engines.
 
+use std::ops::{Deref, Range};
+use std::rc::Rc;
+
 use daos_placement::ObjectId;
 use daos_vos::tree::ReadSeg;
 use daos_vos::{key, Epoch, Key, Payload};
 
 use crate::ContId;
+
+/// The local targets an object-wide op visits on one engine, in shard
+/// order: one engine's run of a list the whole collective round shares,
+/// so a round builds one list however many engines it reaches.
+#[derive(Clone, Debug)]
+pub struct TargetRun {
+    list: Rc<[u32]>,
+    run: Range<u32>,
+}
+
+impl TargetRun {
+    /// Entries `run` of the shared `list`.
+    pub fn new(list: &Rc<[u32]>, run: Range<usize>) -> Self {
+        debug_assert!(run.start <= run.end && run.end <= list.len());
+        TargetRun {
+            list: Rc::clone(list),
+            run: run.start as u32..run.end as u32,
+        }
+    }
+}
+
+/// A run that is the whole of a list of its own.
+impl From<Vec<u32>> for TargetRun {
+    fn from(targets: Vec<u32>) -> Self {
+        let list: Rc<[u32]> = targets.into();
+        TargetRun::new(&list, 0..list.len())
+    }
+}
+
+impl Deref for TargetRun {
+    type Target = [u32];
+    fn deref(&self) -> &[u32] {
+        &self.list[self.run.start as usize..self.run.end as usize]
+    }
+}
 
 /// Errors surfaced by engines / the pool service.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -192,13 +230,13 @@ pub enum Request {
         epoch: Epoch,
     },
     PunchObject {
-        targets: Vec<u32>,
+        targets: TargetRun,
         cont: ContId,
         oid: ObjectId,
     },
     /// Punch a byte range inside one chunk (truncate support).
     PunchArray {
-        targets: Vec<u32>,
+        targets: TargetRun,
         cont: ContId,
         oid: ObjectId,
         dkey: Key,
@@ -207,20 +245,20 @@ pub enum Request {
         len: u64,
     },
     ListDkeys {
-        targets: Vec<u32>,
+        targets: TargetRun,
         cont: ContId,
         oid: ObjectId,
     },
     /// Highest chunk dkey + size within it, for array-size queries.
     ArrayMaxChunk {
-        targets: Vec<u32>,
+        targets: TargetRun,
         cont: ContId,
         oid: ObjectId,
         akey: Key,
     },
     /// Highest epoch issued by these targets (container snapshots).
     QueryEpoch {
-        targets: Vec<u32>,
+        targets: TargetRun,
     },
     /// Pool-service heartbeat probing engine liveness; gossips the current
     /// pool-map version and the engine's locally-excluded targets.

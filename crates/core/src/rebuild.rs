@@ -292,7 +292,7 @@ pub(crate) async fn run(
         stats.objects_scanned += 1;
         let old_layout = place(oid, class, &old_map);
         let new_layout = place(oid, class, &new_map);
-        if old_layout.shards == new_layout.shards {
+        if old_layout == new_layout {
             continue;
         }
         let gw = class.group_width();
@@ -328,7 +328,8 @@ pub(crate) async fn run(
                 dest_engine,
                 new_layout.target_of(lister),
                 Request::ListDkeys {
-                    targets: vec![new_layout.target_of(lister) % cluster.cfg.targets_per_engine],
+                    targets: vec![new_layout.target_of(lister) % cluster.cfg.targets_per_engine]
+                        .into(),
                     cont,
                     oid,
                 },

@@ -63,7 +63,13 @@ fn queue_cap_zero_sheds_all_data_plane_but_control_plane_survives() {
         // data plane: header-only and bulk requests are both shed, and
         // the Busy reply itself carries no bulk payload
         let q = client
-            .call_deadline(&sim, 1, Request::QueryEpoch { targets: vec![0] })
+            .call_deadline(
+                &sim,
+                1,
+                Request::QueryEpoch {
+                    targets: vec![0].into(),
+                },
+            )
             .await;
         assert!(is_busy(&q), "header-only data op must be shed: {q:?}");
         let w = client.call_deadline(&sim, 1, raw_update(0, 64 * KIB)).await;
@@ -135,7 +141,13 @@ fn inflight_cap_boundary_is_exact_and_ignores_headers() {
         let zc = DaosClient::new(Rc::clone(&zero), 0);
         zc.connect(&sim).await.unwrap();
         let q = zc
-            .call_deadline(&sim, 1, Request::QueryEpoch { targets: vec![0] })
+            .call_deadline(
+                &sim,
+                1,
+                Request::QueryEpoch {
+                    targets: vec![0].into(),
+                },
+            )
             .await;
         assert!(
             !is_busy(&q),
@@ -219,7 +231,13 @@ fn shaper_sits_behind_admission_gates_and_sheds_are_unbilled() {
         client.connect(&sim).await.unwrap();
 
         let q = client
-            .call_deadline(&sim, 1, Request::QueryEpoch { targets: vec![0] })
+            .call_deadline(
+                &sim,
+                1,
+                Request::QueryEpoch {
+                    targets: vec![0].into(),
+                },
+            )
             .await;
         assert!(is_busy(&q), "header-only data op must be shed: {q:?}");
         let w = client.call_deadline(&sim, 1, raw_update(0, 64 * KIB)).await;

@@ -61,7 +61,7 @@ fn all_targets(cfg: &ClusterConfig) -> Vec<u32> {
 
 fn punch_all(cfg: &ClusterConfig, oid: ObjectId) -> Request {
     Request::PunchObject {
-        targets: all_targets(cfg),
+        targets: all_targets(cfg).into(),
         cont: 1,
         oid,
     }
@@ -139,7 +139,7 @@ fn size_finds_the_last_chunk_wherever_it_lives() {
                 for engine in 0..cfg.engine_count() {
                     for target in 0..cfg.targets_per_engine {
                         let probe = Request::ArrayMaxChunk {
-                            targets: vec![target],
+                            targets: vec![target].into(),
                             cont: 1,
                             oid: OID,
                             akey: array_akey(),
@@ -241,7 +241,9 @@ fn one_refusing_target_answers_for_the_whole_op() {
         client.connect(&sim).await.unwrap();
         let busy = {
             let (client, sim) = (client.clone(), sim.clone());
-            let hold = Request::QueryEpoch { targets: vec![2] };
+            let hold = Request::QueryEpoch {
+                targets: vec![2].into(),
+            };
             sim.clone()
                 .spawn(async move { client.call_deadline(&sim, 1, hold).await })
         };
@@ -271,7 +273,9 @@ async fn with_one_shed<T>(sim: &Sim, cluster: &Rc<Cluster>, op: impl Future<Outp
     let before = admitted(cluster);
     let held = sim.spawn({
         let (client, sim) = (client.clone(), sim.clone());
-        let hold = Request::QueryEpoch { targets: vec![2] };
+        let hold = Request::QueryEpoch {
+            targets: vec![2].into(),
+        };
         async move { client.call_deadline(&sim, 1, hold).await }
     });
     while admitted(cluster) == before {

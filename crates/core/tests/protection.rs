@@ -61,7 +61,7 @@ fn replicated_read_survives_target_exclusions() {
         let data = Payload::pattern(12, MIB);
         arr.write(&sim, 0, data.clone()).await.unwrap();
         // kill two of the three replica targets: reads must still succeed
-        let shards = obj.layout().shards.clone();
+        let shards: Vec<_> = obj.layout().targets().collect();
         cluster.exclude_target(shards[0]);
         cluster.exclude_target(shards[1]);
         let got = arr.read_bytes(&sim, 0, MIB).await.unwrap();
@@ -121,7 +121,7 @@ fn erasure_coded_reconstructs_lost_data_cell() {
         arr.write(&sim, 0, data.clone()).await.unwrap();
         // lose the first data shard: XOR reconstruction must produce the
         // exact original bytes
-        let shards = obj.layout().shards.clone();
+        let shards: Vec<_> = obj.layout().targets().collect();
         cluster.exclude_target(shards[0]);
         let got = arr.read_bytes(&sim, 0, 512 * KIB).await.unwrap();
         assert_eq!(
@@ -178,7 +178,7 @@ fn ec_partial_stripe_update_keeps_parity_consistent() {
             .await
             .unwrap();
         // lose the FIRST cell's shard: reconstruction must reflect both writes
-        let shards = obj.layout().shards.clone();
+        let shards: Vec<_> = obj.layout().targets().collect();
         cluster.exclude_target(shards[0]);
         let got = arr.read_bytes(&sim, 0, 256 * KIB).await.unwrap();
         let mut want = Payload::pattern(20, 256 * KIB).materialize().to_vec();

@@ -118,7 +118,13 @@ fn sparse_fetch_refund_balances_byte_accounting() {
 
         // zero-payload probe: the shaper's per-op header overhead
         let q = client
-            .call_deadline(&sim, 1, Request::QueryEpoch { targets: vec![0] })
+            .call_deadline(
+                &sim,
+                1,
+                Request::QueryEpoch {
+                    targets: vec![0].into(),
+                },
+            )
             .await;
         assert!(matches!(q, Ok(Response::Epoch { .. })), "probe: {q:?}");
         let overhead = cluster.engine(1).tenant_stats(1).bytes;

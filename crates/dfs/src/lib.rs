@@ -280,8 +280,13 @@ impl Dfs {
         self.cont.object(oid, self.cfg.dir_class).kv()
     }
 
-    fn split_path(path: &str) -> Vec<&str> {
-        path.split('/').filter(|c| !c.is_empty()).collect()
+    /// Split `path` into its directory components and its last one,
+    /// skipping empty components (`None`: the path names the root).
+    fn split_path(path: &str) -> Option<(impl Iterator<Item = &str>, &str)> {
+        let path = path.trim_end_matches('/');
+        let (dirs, name) = path.rsplit_once('/').unwrap_or(("", path));
+        let dirs = dirs.split('/').filter(|c| !c.is_empty());
+        (!name.is_empty()).then_some((dirs, name))
     }
 
     /// Resolve the parent directory of `path`; returns `(parent_oid, name)`.
@@ -290,8 +295,7 @@ impl Dfs {
         sim: &Sim,
         path: &'p str,
     ) -> Result<(ObjectId, &'p str), DaosError> {
-        let comps = Self::split_path(path);
-        let Some((name, dirs)) = comps.split_last() else {
+        let Some((dirs, name)) = Self::split_path(path) else {
             return Err(DaosError::Other("empty path".into()));
         };
         let mut cur = OID_ROOT;
@@ -311,7 +315,7 @@ impl Dfs {
 
     /// Look up a full path to its entry (root yields a synthetic dir entry).
     pub async fn lookup(&self, sim: &Sim, path: &str) -> Result<Option<DirEntry>, DaosError> {
-        if Self::split_path(path).is_empty() {
+        if Self::split_path(path).is_none() {
             return Ok(Some(DirEntry {
                 kind: EntryKind::Dir,
                 oid: OID_ROOT,
@@ -369,14 +373,14 @@ impl Dfs {
         sim: &Sim,
         path: &str,
     ) -> Result<Option<DirEntry>, DaosError> {
-        let mut cur = path.to_string();
+        // the path followed so far, once it is a link's target
+        let mut link: Option<String> = None;
         for _ in 0..8 {
-            match self.lookup(sim, &cur).await? {
+            let cur = link.as_deref().unwrap_or(path);
+            match self.lookup(sim, cur).await? {
                 Some(ent) if ent.kind == EntryKind::Symlink => {
-                    cur = ent
-                        .link_target
-                        .clone()
-                        .ok_or_else(|| DaosError::Other("dangling symlink".into()))?;
+                    let target = ent.link_target;
+                    link = Some(target.ok_or_else(|| DaosError::Other("dangling symlink".into()))?);
                 }
                 other => return Ok(other),
             }
@@ -630,9 +634,12 @@ mod tests {
 
     #[test]
     fn split_path_handles_slashes() {
-        assert_eq!(Dfs::split_path("/a/b/c"), vec!["a", "b", "c"]);
-        assert_eq!(Dfs::split_path("a//b/"), vec!["a", "b"]);
-        assert!(Dfs::split_path("/").is_empty());
-        assert!(Dfs::split_path("").is_empty());
+        let parts = |p| Dfs::split_path(p).map(|(dirs, name)| (dirs.collect::<Vec<_>>(), name));
+        assert_eq!(parts("/a/b/c"), Some((vec!["a", "b"], "c")));
+        assert_eq!(parts("a//b/"), Some((vec!["a"], "b")));
+        assert_eq!(parts("b"), Some((vec![], "b")));
+        assert_eq!(parts("/"), None);
+        assert_eq!(parts("//"), None);
+        assert_eq!(parts(""), None);
     }
 }

@@ -2,6 +2,7 @@
 //! storms, covering the paper's §I motivation (object stores vs POSIX
 //! metadata scalability).
 
+use std::fmt::Write as _;
 use std::rc::Rc;
 
 use daos_core::DaosError;
@@ -73,8 +74,13 @@ where
         .map(|(r, md): (u32, _)| {
             let (sim, md) = (sim.clone(), md.clone());
             async move {
+                // one buffer for every path of the rank: `/md.{r}/f.{i:06}`
+                let mut path = format!("/md.{r}/f.");
+                let dir = path.len();
                 for i in 0..files {
-                    op(&md, &sim, &format!("/md.{r}/f.{i:06}")).await?;
+                    path.truncate(dir);
+                    let _ = write!(path, "{i:06}");
+                    op(&md, &sim, &path).await?;
                 }
                 Ok::<(), DaosError>(())
             }

@@ -33,6 +33,7 @@
 )]
 
 use std::collections::BTreeSet;
+use std::rc::Rc;
 
 /// A flat target identifier within a pool (dense, `0..target_count`).
 pub type TargetId = u32;
@@ -250,6 +251,10 @@ pub struct PoolMap {
     engines: u32,
     targets_per_engine: u32,
     excluded: BTreeSet<TargetId>,
+    /// The active targets in order: a snapshot rebuilt only when the
+    /// exclusion set changes, shared with every layout that rotates over
+    /// it.
+    active: Rc<[TargetId]>,
     version: u32,
 }
 
@@ -257,12 +262,21 @@ impl PoolMap {
     /// A healthy map with `engines × targets_per_engine` targets.
     pub fn new(engines: u32, targets_per_engine: u32) -> Self {
         assert!(engines > 0 && targets_per_engine > 0);
-        PoolMap {
+        let mut map = PoolMap {
             engines,
             targets_per_engine,
             excluded: BTreeSet::new(),
+            active: Rc::new([]),
             version: 1,
-        }
+        };
+        map.snapshot_active();
+        map
+    }
+
+    /// Rebuild the active-target snapshot from the exclusion set.
+    fn snapshot_active(&mut self) {
+        let n = self.target_count();
+        self.active = (0..n).filter(|t| !self.excluded.contains(t)).collect();
     }
 
     /// Total target slots (including excluded).
@@ -271,7 +285,7 @@ impl PoolMap {
     }
     /// Targets currently active.
     pub fn active_target_count(&self) -> u32 {
-        self.target_count() - self.excluded.len() as u32
+        self.active.len() as u32
     }
     /// Number of engines.
     pub fn engine_count(&self) -> u32 {
@@ -299,6 +313,7 @@ impl PoolMap {
         assert!(target < self.target_count());
         if self.excluded.insert(target) {
             self.version += 1;
+            self.snapshot_active();
         }
     }
 
@@ -306,14 +321,13 @@ impl PoolMap {
     pub fn reintegrate(&mut self, target: TargetId) {
         if self.excluded.remove(&target) {
             self.version += 1;
+            self.snapshot_active();
         }
     }
 
     /// Active target ids in order.
     pub fn active_targets(&self) -> Vec<TargetId> {
-        (0..self.target_count())
-            .filter(|t| !self.excluded.contains(t))
-            .collect()
+        self.active.to_vec()
     }
 
     /// Currently excluded target ids in order.
@@ -339,37 +353,89 @@ impl PoolMap {
         }
         self.excluded = excluded.iter().copied().collect();
         self.version = version;
+        self.snapshot_active();
         true
     }
 }
 
 // ---------------------------------------------------------------- Layout
 
-/// A computed object layout: shard `i` lives on `shards[i]`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// A computed object layout: shard `i` lives on [`Layout::target_of`]`(i)`.
+///
+/// A layout is a function of the shard index, stored as cheaply as its
+/// class allows: a wide sharded class (`SX`) is a rotation over the pool
+/// map's shared active-target snapshot, `S1` / `S2` keep their targets
+/// inline, and only the other sharded classes and the protected ones keep
+/// a table. Two layouts are equal when their classes are and they put
+/// every shard on the same target.
+#[derive(Clone, Debug)]
 pub struct Layout {
     pub class: ObjectClass,
-    pub shards: Vec<TargetId>,
+    shards: Shards,
+}
+
+#[derive(Clone, Debug)]
+enum Shards {
+    /// Shard `i` on `active[(rot + i) % active.len()]`.
+    Rotated {
+        active: Rc<[TargetId]>,
+        rot: u32,
+    },
+    /// One or two targets.
+    Inline {
+        len: u8,
+        targets: [TargetId; 2],
+    },
+    Table(Box<[TargetId]>),
 }
 
 impl Layout {
-    /// Target of shard `i`.
+    /// Target of shard `i` (wrapping past the width).
     pub fn target_of(&self, shard: u32) -> TargetId {
-        self.shards[shard as usize % self.shards.len()]
+        let shard = shard as usize;
+        match &self.shards {
+            Shards::Rotated { active, rot } => {
+                let n = active.len();
+                active[(*rot as usize + shard % n) % n]
+            }
+            Shards::Inline { len, targets } => targets[shard % *len as usize],
+            Shards::Table(t) => t[shard % t.len()],
+        }
     }
     /// Number of shards.
     pub fn width(&self) -> u32 {
-        self.shards.len() as u32
+        match &self.shards {
+            Shards::Rotated { active, .. } => active.len() as u32,
+            Shards::Inline { len, .. } => u32::from(*len),
+            Shards::Table(t) => t.len() as u32,
+        }
+    }
+    /// Every shard's target, in shard order.
+    pub fn targets(&self) -> impl ExactSizeIterator<Item = TargetId> + '_ {
+        (0..self.width()).map(|i| self.target_of(i))
     }
     /// Distinct engines covered (fan-out a client sees), given the map.
     pub fn engine_fanout(&self, map: &PoolMap) -> usize {
-        self.shards
-            .iter()
-            .map(|&t| map.engine_of(t))
-            .collect::<BTreeSet<_>>()
-            .len()
+        let mut seen = vec![0u64; map.engine_count().div_ceil(64) as usize];
+        let mut fanout = 0;
+        for e in self.targets().map(|t| map.engine_of(t) as usize) {
+            let (word, bit) = (e / 64, 1u64 << (e % 64));
+            if seen[word] & bit == 0 {
+                seen[word] |= bit;
+                fanout += 1;
+            }
+        }
+        fanout
     }
 }
+
+impl PartialEq for Layout {
+    fn eq(&self, other: &Layout) -> bool {
+        self.class == other.class && self.targets().eq(other.targets())
+    }
+}
+
+impl Eq for Layout {}
 
 /// The shard count [`place`] will produce for `class` on `map`.
 ///
@@ -408,7 +474,8 @@ pub fn place(oid: ObjectId, class: ObjectClass, map: &PoolMap) -> Layout {
         class,
         ObjectClass::Replicated { .. } | ObjectClass::ErasureCoded { .. }
     ) {
-        return place_protected(oid, class, map);
+        let shards = Shards::Table(protected_table(oid, class, map).into_boxed_slice());
+        return Layout { class, shards };
     }
     let want = class.shard_count(n_active);
     let total = map.target_count() as u64;
@@ -424,39 +491,57 @@ pub fn place(oid: ObjectId, class: ObjectClass, map: &PoolMap) -> Layout {
 
     if want >= n_active {
         // wide classes (SX and friends): every active target, rotated by the
-        // object id so shard 0 still varies per object; wraps if want > n.
-        let active = map.active_targets();
-        let rot = (next() % n_active as u64) as usize;
-        let shards = (0..want as usize)
-            .map(|i| active[(rot + i) % active.len()])
-            .collect();
+        // object id so shard 0 still varies per object (`want` is at most
+        // the active count, so it is exactly that)
+        let rot = (next() % n_active as u64) as u32;
+        let active = Rc::clone(&map.active);
+        let shards = Shards::Rotated { active, rot };
         return Layout { class, shards };
     }
 
     // Rejection sampling over *stable slot ids*: excluding one target only
     // relocates layouts that actually used it (consistent-hashing churn).
-    let mut shards: Vec<TargetId> = Vec::with_capacity(want as usize);
-    let mut attempts = 0u32;
-    while (shards.len() as u32) < want {
-        let cand = (next() % total) as TargetId;
-        attempts += 1;
-        if attempts > 64 * want.max(8) {
-            // pathological exclusion pattern: fill from remaining actives
-            for t in map.active_targets() {
-                if (shards.len() as u32) == want {
-                    break;
+    let mut sample = |shards: &mut [TargetId]| {
+        let mut len = 0;
+        let mut attempts = 0u32;
+        while len < shards.len() {
+            let cand = (next() % total) as TargetId;
+            attempts += 1;
+            if attempts > 64 * want.max(8) {
+                // pathological exclusion pattern: fill from remaining actives
+                for &t in map.active.iter() {
+                    if len == shards.len() {
+                        break;
+                    }
+                    if !shards[..len].contains(&t) {
+                        shards[len] = t;
+                        len += 1;
+                    }
                 }
-                if !shards.contains(&t) {
-                    shards.push(t);
-                }
+                break;
             }
-            break;
+            if map.is_excluded(cand) || shards[..len].contains(&cand) {
+                continue;
+            }
+            shards[len] = cand;
+            len += 1;
         }
-        if map.is_excluded(cand) || shards.contains(&cand) {
-            continue;
+    };
+    let shards = match want {
+        ..=2 => {
+            let mut targets = [0; 2];
+            sample(&mut targets[..want as usize]);
+            Shards::Inline {
+                len: want as u8,
+                targets,
+            }
         }
-        shards.push(cand);
-    }
+        _ => {
+            let mut table = vec![0; want as usize].into_boxed_slice();
+            sample(&mut table);
+            Shards::Table(table)
+        }
+    };
     Layout { class, shards }
 }
 
@@ -471,7 +556,7 @@ pub fn place(oid: ObjectId, class: ObjectClass, map: &PoolMap) -> Layout {
 /// live target therefore never moves — the minimal-churn property that
 /// bounds rebuild volume and guarantees every degraded group keeps its
 /// surviving cells as rebuild donors.
-fn place_protected(oid: ObjectId, class: ObjectClass, map: &PoolMap) -> Layout {
+fn protected_table(oid: ObjectId, class: ObjectClass, map: &PoolMap) -> Vec<TargetId> {
     let width = class.group_width();
     let groups = place_width(class, map) / width;
     let tpe = map.targets_per_engine();
@@ -584,7 +669,7 @@ fn place_protected(oid: ObjectId, class: ObjectClass, map: &PoolMap) -> Layout {
         }
         shards.extend_from_slice(&group_targets);
     }
-    Layout { class, shards }
+    shards
 }
 
 /// Per-target shard-count statistics over a set of layouts: returns
@@ -593,7 +678,7 @@ fn place_protected(oid: ObjectId, class: ObjectClass, map: &PoolMap) -> Layout {
 pub fn load_spread(layouts: &[Layout], map: &PoolMap) -> (f64, f64, u64) {
     let mut counts = vec![0u64; map.target_count() as usize];
     for l in layouts {
-        for &t in &l.shards {
+        for t in l.targets() {
             counts[t as usize] += 1;
         }
     }
@@ -700,7 +785,7 @@ mod tests {
         let map = map16x8();
         for i in 0..100u64 {
             let l = place(ObjectId::new(i, i * 31), ObjectClass::S8, &map);
-            let set: BTreeSet<_> = l.shards.iter().collect();
+            let set: BTreeSet<_> = l.targets().collect();
             assert_eq!(set.len(), 8, "S8 shards must land on distinct targets");
         }
     }
@@ -710,7 +795,7 @@ mod tests {
         let map = map16x8();
         let l = place(ObjectId::new(1, 2), ObjectClass::SX, &map);
         assert_eq!(l.width(), 128);
-        let set: BTreeSet<_> = l.shards.iter().collect();
+        let set: BTreeSet<_> = l.targets().collect();
         assert_eq!(set.len(), 128);
         assert_eq!(l.engine_fanout(&map), 16);
     }
@@ -751,8 +836,8 @@ mod tests {
             .collect();
         let mut moved = 0;
         for (b, a) in before.iter().zip(&after) {
-            assert_ne!(a.shards[0], 5, "excluded target must not be used");
-            if b.shards[0] != a.shards[0] {
+            assert_ne!(a.target_of(0), 5, "excluded target must not be used");
+            if b.target_of(0) != a.target_of(0) {
                 moved += 1;
             }
         }
@@ -810,7 +895,8 @@ mod tests {
             ] {
                 let l = place(oid, class, &map);
                 let w = class.group_width() as usize;
-                for (g, group) in l.shards.chunks(w).enumerate() {
+                let shards: Vec<_> = l.targets().collect();
+                for (g, group) in shards.chunks(w).enumerate() {
                     let engines: BTreeSet<_> = group.iter().map(|&t| map.engine_of(t)).collect();
                     assert_eq!(
                         engines.len(),
@@ -839,7 +925,7 @@ mod tests {
         for (o, b) in oids.iter().zip(&before) {
             let a = place(*o, ObjectClass::RP_2GX, &map);
             assert_eq!(a.width(), b.width(), "group structure must not change");
-            for (i, (&tb, &ta)) in b.shards.iter().zip(&a.shards).enumerate() {
+            for (i, (tb, ta)) in b.targets().zip(a.targets()).enumerate() {
                 cells += 1;
                 assert!(!map.is_excluded(ta), "shard {i} on excluded target {ta}");
                 if tb != ta {
@@ -863,7 +949,7 @@ mod tests {
         for i in 0..200u64 {
             let l = place(ObjectId::new(i, i + 3), ObjectClass::RP_2GX, &map);
             for crashed in 0..4u32 {
-                for group in l.shards.chunks(2) {
+                for group in l.targets().collect::<Vec<_>>().chunks(2) {
                     assert!(
                         group.iter().any(|&t| map.engine_of(t) != crashed),
                         "group {group:?} wiped out by engine {crashed}"
@@ -919,7 +1005,130 @@ mod tests {
         );
         // groups clamp to 1 on a 2-target pool; 3 replicas wrap 2 targets
         assert_eq!(l.width(), 3);
-        let distinct: BTreeSet<_> = l.shards.iter().collect();
+        let distinct: BTreeSet<_> = l.targets().collect();
         assert_eq!(distinct.len(), 2, "both targets used, one reused");
+    }
+
+    /// Today's layouts as tables: the sharded builder as it stood when
+    /// layouts were tables, and the protected one, which still builds one.
+    fn table_of(oid: ObjectId, class: ObjectClass, map: &PoolMap) -> Vec<TargetId> {
+        if matches!(
+            class,
+            ObjectClass::Replicated { .. } | ObjectClass::ErasureCoded { .. }
+        ) {
+            return protected_table(oid, class, map);
+        }
+        let n_active = map.active_target_count();
+        let want = class.shard_count(n_active);
+        let total = map.target_count() as u64;
+        let mut state = oid.mix() | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        if want >= n_active {
+            let active = map.active_targets();
+            let rot = (next() % n_active as u64) as usize;
+            return (0..want as usize)
+                .map(|i| active[(rot + i) % active.len()])
+                .collect();
+        }
+        let mut shards: Vec<TargetId> = Vec::with_capacity(want as usize);
+        let mut attempts = 0u32;
+        while (shards.len() as u32) < want {
+            let cand = (next() % total) as TargetId;
+            attempts += 1;
+            if attempts > 64 * want.max(8) {
+                for t in map.active_targets() {
+                    if (shards.len() as u32) == want {
+                        break;
+                    }
+                    if !shards.contains(&t) {
+                        shards.push(t);
+                    }
+                }
+                break;
+            }
+            if map.is_excluded(cand) || shards.contains(&cand) {
+                continue;
+            }
+            shards.push(cand);
+        }
+        shards
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        /// A layout is its table: every shard's target (and the wrap past
+        /// the width), the width, and equality between layouts all match
+        /// the table today's builder makes, on small to 10^3-engine maps
+        /// with no, one, random and all-but-one targets excluded.
+        #[test]
+        fn layouts_are_the_table(
+            class_pick in 0usize..7,
+            map_pick in 0usize..3,
+            excl_pick in 0usize..4,
+            seed in any::<u64>(),
+            oids in (any::<u64>(), any::<u64>(), 0u64..4),
+        ) {
+            let class = [
+                ObjectClass::S1,
+                ObjectClass::S2,
+                ObjectClass::S4,
+                ObjectClass::Sharded(32),
+                ObjectClass::SX,
+                ObjectClass::RP_2GX,
+                ObjectClass::EC_2P1GX,
+            ][class_pick];
+            let (engines, tpe) = [(2, 2), (16, 8), (512, 8)][map_pick];
+            // a protected class re-draws every cell against the one live
+            // engine when 4095 of 4096 targets are down: seconds per
+            // placement unoptimised, so that one corner runs on 16 x 8
+            let protected = class.group_width() > 1;
+            let (engines, tpe) = match (protected, excl_pick) {
+                (true, 3) => (engines.min(16), tpe),
+                _ => (engines, tpe),
+            };
+            let mut map = PoolMap::new(engines, tpe);
+            let n = map.target_count();
+            let pick = (seed % u64::from(n)) as u32;
+            let excluded: Vec<TargetId> = match excl_pick {
+                0 => vec![],
+                1 => vec![pick],
+                2 => (0..n)
+                    .filter(|&t| t != pick && splitmix64(seed ^ u64::from(t)).is_multiple_of(4))
+                    .collect(),
+                _ => (0..n).filter(|&t| t != pick).collect(),
+            };
+            map.sync(2, &excluded);
+            // a second map with the same exclusions: layouts over it share
+            // no snapshot with those over `map`
+            let mut twin = PoolMap::new(engines, tpe);
+            twin.sync(2, &excluded);
+
+            let (hi, lo, near) = oids;
+            let a = ObjectId::new(hi, lo);
+            let b = ObjectId::new(hi, lo.wrapping_add(near));
+            let (layout, table) = (place(a, class, &map), table_of(a, class, &map));
+            prop_assert_eq!(layout.width() as usize, table.len());
+            prop_assert_eq!(layout.width(), place_width(class, &map));
+            for (i, &t) in table.iter().enumerate() {
+                prop_assert_eq!(layout.target_of(i as u32), t, "{} shard {}", class, i);
+                let wrapped = layout.target_of((i + table.len()) as u32);
+                prop_assert_eq!(wrapped, t, "{} shard {} wrapped", class, i);
+            }
+            prop_assert!(layout.targets().eq(table.iter().copied()));
+            prop_assert_eq!(&layout, &place(a, class, &twin));
+            let table_b = table_of(b, class, &map);
+            prop_assert_eq!(layout == place(b, class, &map), table == table_b);
+            prop_assert_eq!(layout == place(b, class, &twin), table == table_b);
+            let fanout = table.iter().map(|&t| map.engine_of(t)).collect::<BTreeSet<_>>();
+            prop_assert_eq!(layout.engine_fanout(&map), fanout.len());
+        }
     }
 }

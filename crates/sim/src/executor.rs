@@ -15,10 +15,13 @@
 //!
 //! Task storage is a slab arena with dense `u32` ids and a free list.
 //! Wakers do not allocate: each is a [`RawWaker`] whose data word encodes
-//! `(executor registry slot, task id)` and is never dereferenced — waking
-//! looks the executor up in a thread-local registry and pushes the id onto
-//! a plain `RefCell<VecDeque>` ready queue (the executor is single-threaded
-//! by construction, so no mutex is involved).
+//! `(child tag, executor registry slot, task id)` and is never
+//! dereferenced — waking looks the executor up in a thread-local registry
+//! and pushes the id onto a plain `RefCell<VecDeque>` ready queue (the
+//! executor is single-threaded by construction, so no mutex is involved).
+//! A task's own waker has child tag 0; the waker a [`crate::join_inline`]
+//! hands its child `i` also sets bit `min(i, 63)` of the task's wake mask,
+//! which is how the join knows which children a wake was for.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -45,9 +48,10 @@ thread_local! {
 }
 
 /// Vtable for the executor's allocation-free wakers. The data word is a
-/// plain integer — `(registry slot << 32) | task id` — so clone copies it,
-/// drop is a no-op, and wake decodes it and pushes onto the owning
-/// executor's ready queue (a no-op if that simulation is gone).
+/// plain integer — `(child tag << 56) | (registry slot << 32) | task id` —
+/// so clone copies it, drop is a no-op, and wake decodes it and pushes
+/// onto the owning executor's ready queue (a no-op if that simulation is
+/// gone).
 static SIM_WAKER_VTABLE: RawWakerVTable =
     RawWakerVTable::new(waker_clone, waker_wake, waker_wake_by_ref, waker_drop);
 
@@ -85,9 +89,28 @@ unsafe fn waker_wake_by_ref(data: *const ()) {
 )]
 unsafe fn waker_drop(_data: *const ()) {}
 
-/// Build the waker for task `id` of the executor registered at `reg`.
-fn sim_waker(reg: u32, id: u32) -> Waker {
-    let data = (((reg as usize) << 32) | id as usize) as *const ();
+/// Bits of the data word that hold the registry slot, above the task id.
+const REG_BITS: u32 = 24;
+/// Shift of the child tag: 0 for a task's own waker, `bit + 1` for a
+/// join child's.
+const TAG_SHIFT: u32 = 32 + REG_BITS;
+
+/// The data word of task `id` of the executor registered at `reg`, as
+/// seen by child tag `tag`.
+fn waker_word(reg: u32, id: u32, tag: u32) -> usize {
+    debug_assert!(reg < 1 << REG_BITS && tag <= 64);
+    ((tag as usize) << TAG_SHIFT) | ((reg as usize) << 32) | id as usize
+}
+
+/// `(child tag, registry slot, task id)` of a waker data word.
+fn decode(word: usize) -> (u32, u32, u32) {
+    let reg = (word >> 32) & ((1 << REG_BITS) - 1);
+    ((word >> TAG_SHIFT) as u32, reg as u32, word as u32)
+}
+
+/// Build the waker whose data word is `word`.
+fn sim_waker(word: usize) -> Waker {
+    let data = word as *const ();
     #[allow(unsafe_code, reason = "the one audited block below")]
     // SAFETY: the vtable above upholds the RawWaker contract for integer
     // data words — no function dereferences, frees or retains `data`.
@@ -96,20 +119,30 @@ fn sim_waker(reg: u32, id: u32) -> Waker {
     }
 }
 
-/// Deliver a wake encoded in a waker data word: look the executor up in
-/// the thread-local registry and enqueue the task id. Stale wakes — the
-/// simulation is gone, or the task slot is empty — are dropped here or at
-/// poll time, exactly as the previous Arc-based wakers dropped them.
-fn wake_encoded(data: *const ()) {
-    let word = data as usize;
-    let (reg, id) = ((word >> 32) as u32, word as u32);
-    let inner = EXECUTORS.with(|ex| {
+/// The live executor registered at `reg`, if any.
+fn executor_at(reg: u32) -> Option<Rc<Inner>> {
+    EXECUTORS.with(|ex| {
         ex.borrow()
             .get(reg as usize)
             .and_then(|slot| slot.as_ref())
             .and_then(Weak::upgrade)
-    });
-    if let Some(inner) = inner {
+    })
+}
+
+/// Deliver a wake encoded in a waker data word: look the executor up in
+/// the thread-local registry, mark the child bit if the waker is a join
+/// child's, and enqueue the task id. Stale wakes — the simulation is gone,
+/// or the task slot is empty — are dropped here or at poll time, exactly
+/// as the previous Arc-based wakers dropped them; a stale child bit only
+/// makes a join poll a child that returns `Pending`.
+fn wake_encoded(data: *const ()) {
+    let (tag, reg, id) = decode(data as usize);
+    if let Some(inner) = executor_at(reg) {
+        if tag != 0 {
+            if let Some(mark) = inner.tasks.borrow_mut().mark(id) {
+                mark.woken |= 1 << (tag - 1);
+            }
+        }
         inner.ready.borrow_mut().push_back(id);
     }
 }
@@ -134,19 +167,29 @@ fn register_executor(inner: &Rc<Inner>) -> u32 {
 /// Slab-backed task storage: dense `u32` ids, free-list reuse. A slot's
 /// future is `None` while the task is being polled or after it finished;
 /// ids only return to `free` on completion, so a slot is never reused
-/// while its future is out being polled.
+/// while its future is out being polled. Each slot also holds its task's
+/// join wake mask, reset when the slot gets a new task.
 #[derive(Default)]
 struct TaskArena {
-    slots: Vec<Option<TaskFuture>>,
+    slots: Vec<TaskSlot>,
     free: Vec<u32>,
+}
+
+struct TaskSlot {
+    fut: Option<TaskFuture>,
+    mark: WakeMark,
 }
 
 impl TaskArena {
     fn insert(&mut self, fut: TaskFuture) -> u32 {
+        let slot = TaskSlot {
+            fut: Some(fut),
+            mark: WakeMark::default(),
+        };
         match self.free.pop() {
             Some(id) => {
-                debug_assert!(self.slots[id as usize].is_none());
-                self.slots[id as usize] = Some(fut);
+                debug_assert!(self.slots[id as usize].fut.is_none());
+                self.slots[id as usize] = slot;
                 id
             }
             None => {
@@ -156,22 +199,27 @@ impl TaskArena {
                               any simulated cluster by orders of magnitude; treat as OOM"
                 )]
                 let id = u32::try_from(self.slots.len()).expect("task arena overflow");
-                self.slots.push(Some(fut));
+                self.slots.push(slot);
                 id
             }
         }
     }
 
     fn take(&mut self, id: u32) -> Option<TaskFuture> {
-        self.slots.get_mut(id as usize).and_then(Option::take)
+        self.slots.get_mut(id as usize).and_then(|s| s.fut.take())
     }
 
     fn restore(&mut self, id: u32, fut: TaskFuture) {
-        self.slots[id as usize] = Some(fut);
+        self.slots[id as usize].fut = Some(fut);
     }
 
     fn release(&mut self, id: u32) {
         self.free.push(id);
+    }
+
+    /// Task `id`'s wake mask (`None`: no such slot).
+    fn mark(&mut self, id: u32) -> Option<&mut WakeMark> {
+        self.slots.get_mut(id as usize).map(|s| &mut s.mark)
     }
 }
 
@@ -188,6 +236,20 @@ struct Inner {
     seed: u64,
     /// This executor's slot in the thread-local waker registry.
     registry_slot: Cell<u32>,
+    /// The last claim handed to a join ([`Sim::claim_wakes`]).
+    claims: Cell<u32>,
+    /// The earliest deadline of the `Sleep`s that returned `Pending` since
+    /// a join last reset it (see [`Sim::take_sleep_due`]).
+    sleep_due: Cell<u64>,
+}
+
+/// A task's join bookkeeping: which children were woken since its join
+/// last looked (children 63 and up share bit 63), and the claim of the
+/// join that holds the mask (0: none).
+#[derive(Default)]
+struct WakeMark {
+    woken: u64,
+    claim: u32,
 }
 
 impl Drop for Inner {
@@ -288,6 +350,8 @@ impl Sim {
             rng: RefCell::new(ChaCha8Rng::seed_from_u64(seed)),
             seed,
             registry_slot: Cell::new(0),
+            claims: Cell::new(0),
+            sleep_due: Cell::new(u64::MAX),
         });
         inner.registry_slot.set(register_executor(&inner));
         Sim { inner }
@@ -431,7 +495,7 @@ impl Sim {
         let Some(mut fut) = fut else {
             return; // stale wake of a finished task
         };
-        let waker = sim_waker(self.inner.registry_slot.get(), id);
+        let waker = sim_waker(waker_word(self.inner.registry_slot.get(), id, 0));
         let mut cx = Context::from_waker(&waker);
         match fut.as_mut().poll(&mut cx) {
             Poll::Ready(()) => {
@@ -442,6 +506,78 @@ impl Sim {
                 self.inner.tasks.borrow_mut().restore(id, fut);
             }
         }
+    }
+
+    /// The simulation and task id behind `waker`, if it is a task's own
+    /// waker (not a join child's) of a live simulation.
+    pub(crate) fn task_of(waker: &Waker) -> Option<(Sim, u32)> {
+        if !std::ptr::eq(waker.vtable(), &SIM_WAKER_VTABLE) {
+            return None;
+        }
+        let (tag, reg, id) = decode(waker.data() as usize);
+        if tag != 0 {
+            return None;
+        }
+        let inner = executor_at(reg)?;
+        Some((Sim { inner }, id))
+    }
+
+    /// Whether `waker` is task `task`'s own waker in this simulation.
+    pub(crate) fn is_task_waker(&self, waker: &Waker, task: u32) -> bool {
+        std::ptr::eq(waker.vtable(), &SIM_WAKER_VTABLE)
+            && waker.data() as usize == waker_word(self.inner.registry_slot.get(), task, 0)
+    }
+
+    /// The waker of child `child` of a join in task `task`: it wakes the
+    /// task and sets bit `min(child, 63)` of its wake mask.
+    pub(crate) fn child_waker(&self, task: u32, child: usize) -> Waker {
+        let tag = child.min(63) as u32 + 1;
+        sim_waker(waker_word(self.inner.registry_slot.get(), task, tag))
+    }
+
+    /// Let a join track task `task`'s wake mask, cleared: the claim to
+    /// give back, or `None` if another join already holds the mask.
+    pub(crate) fn claim_wakes(&self, task: u32) -> Option<u32> {
+        let mut tasks = self.inner.tasks.borrow_mut();
+        let mark = tasks.mark(task).filter(|m| m.claim == 0)?;
+        let claim = self.inner.claims.get().wrapping_add(1).max(1);
+        self.inner.claims.set(claim);
+        *mark = WakeMark { woken: 0, claim };
+        Some(claim)
+    }
+
+    /// Give task `task`'s wake mask back, if `claim` still holds it (the
+    /// task may have finished and its id gone to another task since).
+    pub(crate) fn release_wakes(&self, task: u32, claim: u32) {
+        let mut tasks = self.inner.tasks.borrow_mut();
+        if let Some(mark) = tasks.mark(task).filter(|m| m.claim == claim) {
+            *mark = WakeMark::default();
+        }
+    }
+
+    /// Whether any of `bits` is set in task `task`'s wake mask, clearing
+    /// them.
+    pub(crate) fn take_woken(&self, task: u32, bits: u64) -> bool {
+        let mut tasks = self.inner.tasks.borrow_mut();
+        let Some(mark) = tasks.mark(task) else {
+            return false;
+        };
+        let hit = mark.woken & bits != 0;
+        mark.woken &= !bits;
+        hit
+    }
+
+    /// Whether any of `bits` is set in task `task`'s wake mask.
+    pub(crate) fn is_woken(&self, task: u32, bits: u64) -> bool {
+        let tasks = self.inner.tasks.borrow();
+        let slot = tasks.slots.get(task as usize);
+        slot.is_some_and(|s| s.mark.woken & bits != 0)
+    }
+
+    /// The earliest deadline, in ns, of every [`Sleep`] that returned
+    /// `Pending` since the last call (`u64::MAX`: none), resetting it.
+    pub(crate) fn take_sleep_due(&self) -> u64 {
+        self.inner.sleep_due.replace(u64::MAX)
     }
 
     fn drain_ready(&self) {
@@ -552,6 +688,9 @@ impl Future for Sleep {
             let key = self.sim.register_timer(self.deadline, cx.waker().clone());
             self.timer = Some(key);
         }
+        // what lets a join skip this sleep's child until it is due
+        let due = &self.sim.inner.sleep_due;
+        due.set(due.get().min(self.deadline.0));
         Poll::Pending
     }
 }
@@ -1072,6 +1211,23 @@ mod tests {
                 w.wake_by_ref();
             }
         }
+    }
+
+    /// A join's claim on a task's wake mask is exclusive, and only that
+    /// claim gives it back: a join that outlived its task cannot release
+    /// the mask of the task that reuses the id.
+    #[test]
+    fn a_wake_mask_is_released_only_by_its_claim() {
+        let sim = Sim::new(1);
+        sim.spawn_detached(std::future::pending());
+        let first = sim.claim_wakes(0).expect("a fresh task's mask is free");
+        assert_eq!(sim.claim_wakes(0), None, "one join holds a mask");
+        sim.release_wakes(0, first.wrapping_add(1));
+        assert_eq!(sim.claim_wakes(0), None, "a stale claim releases nothing");
+        sim.release_wakes(0, first);
+        let second = sim.claim_wakes(0).expect("released");
+        assert_ne!(first, second);
+        assert_eq!(sim.claim_wakes(7), None, "no such task");
     }
 
     /// Two live sims on one thread: wakes route to the right executor via

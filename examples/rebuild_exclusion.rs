@@ -26,7 +26,7 @@ pub fn main() {
         println!("== class {class} ==");
         let mut map = PoolMap::new(16, 8);
         let mut prev = layouts(&map, class);
-        let shards_total: usize = prev.iter().map(|l| l.shards.len()).sum();
+        let shards_total: usize = prev.iter().map(|l| l.width() as usize).sum();
         for step in 1..=4u32 {
             let victim = step * 13 % map.target_count();
             map.exclude(victim);
@@ -34,13 +34,7 @@ pub fn main() {
             let moved: usize = prev
                 .iter()
                 .zip(&cur)
-                .map(|(a, b)| {
-                    a.shards
-                        .iter()
-                        .zip(&b.shards)
-                        .filter(|(x, y)| x != y)
-                        .count()
-                })
+                .map(|(a, b)| a.targets().zip(b.targets()).filter(|(x, y)| x != y).count())
                 .sum();
             let (mean, sd, max) = load_spread(&cur, &map);
             let ideal = shards_total as f64 / map.active_target_count() as f64;
@@ -54,7 +48,7 @@ pub fn main() {
             );
             // nothing may sit on an excluded target
             for l in &cur {
-                for &t in &l.shards {
+                for t in l.targets() {
                     assert!(!map.is_excluded(t), "shard left on dead target {t}");
                 }
             }

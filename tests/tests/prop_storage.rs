@@ -221,7 +221,7 @@ proptest! {
         let b = place(oid, class, &map);
         prop_assert_eq!(&a, &b, "placement must be deterministic");
         prop_assert_eq!(a.width(), place_width(class, &map));
-        for &t in &a.shards {
+        for t in a.targets() {
             prop_assert!(t < map.target_count());
             prop_assert!(!map.is_excluded(t), "shard on excluded target");
         }
@@ -234,7 +234,8 @@ proptest! {
                     .filter(|&e| map.active_targets_on_engine(e) > 0)
                     .count();
                 let w = class.group_width() as usize;
-                for group in a.shards.chunks(w) {
+                let shards: Vec<_> = a.targets().collect();
+                for group in shards.chunks(w) {
                     let engines: std::collections::BTreeSet<_> =
                         group.iter().map(|&t| map.engine_of(t)).collect();
                     prop_assert_eq!(engines.len(), w.min(live), "group {:?}", group);
@@ -243,8 +244,8 @@ proptest! {
             _ => {
                 // sharded classes: distinct targets when there is room
                 if a.width() <= map.active_target_count() {
-                    let set: std::collections::BTreeSet<_> = a.shards.iter().collect();
-                    prop_assert_eq!(set.len(), a.shards.len());
+                    let set: std::collections::BTreeSet<_> = a.targets().collect();
+                    prop_assert_eq!(set.len(), a.width() as usize);
                 }
             }
         }

@@ -50,7 +50,13 @@ fn held(env: &DaosTestbed) -> usize {
 /// never dropped holds its slot for ever.
 async fn forget_a_call(sim: &Sim, env: &DaosTestbed) {
     let client = DaosClient::new(Rc::clone(&env.cluster), 0);
-    let mut call = Box::pin(client.call_deadline(sim, 0, Request::QueryEpoch { targets: vec![0] }));
+    let mut call = Box::pin(client.call_deadline(
+        sim,
+        0,
+        Request::QueryEpoch {
+            targets: vec![0].into(),
+        },
+    ));
     // the request's wire leg first: the slot is taken when it arrives
     for _ in 0..1_000 {
         let pending = poll_fn(|cx| Poll::Ready(call.as_mut().poll(cx).is_pending())).await;
@@ -138,7 +144,9 @@ fn a_crash_leaves_no_reply_slot_behind() {
             .map(|_| {
                 let client = DaosClient::new(Rc::clone(&env.cluster), 0);
                 let s = sim.clone();
-                let req = Request::QueryEpoch { targets: vec![0] };
+                let req = Request::QueryEpoch {
+                    targets: vec![0].into(),
+                };
                 sim.spawn(async move { client.call_deadline(&s, 1, req).await })
             })
             .collect();
