@@ -26,7 +26,8 @@
 //! is deterministic and the slate reduces in submission order, so an
 //! unchanged tree reproduces its reports exactly *at any thread count*;
 //! a PR that moves a figure rewrites them *intentionally* with `--update`,
-//! the one writer of `results/`. `--nightly` adds the nightly-gated
+//! the one writer of `results/`, which also rewrites each
+//! `results/<figure>.txt` with what `daos-bench <figure>` prints. `--nightly` adds the nightly-gated
 //! entries (the 64–512-node scale sweep, far heavier than the PR gate).
 //! `--update` refuses to write from a dirty working tree (the reports'
 //! provenance must be reproducible from a commit) unless `--allow-dirty`.
@@ -34,10 +35,8 @@
 //! in `$DAOS_BENCH_OUT` (default `target/regress/`) for CI to upload.
 //!
 //! `--threads N` pins the slate width of any command; the default is the
-//! host's available parallelism and `1` is serial.
-//! `--compare-only` simulates nothing, so the shape checks that ride out
-//! of live cells (timeline and accounting checks) are skipped: it covers
-//! drift and the report-level checks only.
+//! host's available parallelism and `1` is serial. Every check reads the
+//! report, so `--compare-only` prints what the live run printed.
 
 use std::path::{Path, PathBuf};
 
@@ -154,6 +153,13 @@ fn list() -> ! {
     std::process::exit(if problems.is_empty() { 0 } else { 1 });
 }
 
+/// What `daos-bench <figure>` prints and `results/<figure>.txt` holds: the
+/// report's tables, then its checks.
+fn printout(run: &FigureRun) -> String {
+    let checks = render_verdicts(&run.verdicts());
+    format!("{}\n{checks}", render(run.figure, &run.report))
+}
+
 /// Run (or reload) one figure, print it, evaluate its checks.
 fn standalone(figure: &'static Figure, o: &Opts) -> ! {
     let dir = out_dir();
@@ -178,13 +184,7 @@ fn standalone(figure: &'static Figure, o: &Opts) -> ! {
         slate.figures.remove(0)
     };
 
-    print!("{}", render(figure, &run.report));
-    println!();
-    if o.compare_only {
-        println!("(per-cell shape checks need a live run; report-level checks only)");
-    }
-    let verdicts = run.verdicts();
-    print!("{}", render_verdicts(&verdicts));
+    print!("{}", printout(&run));
 
     if let (false, Some(dir)) = (o.compare_only, &dir) {
         match run.report.write_to(dir) {
@@ -195,7 +195,7 @@ fn standalone(figure: &'static Figure, o: &Opts) -> ! {
             }
         }
     }
-    let failed = verdicts.iter().filter(|v| !v.pass).count();
+    let failed = run.verdicts().iter().filter(|v| !v.pass).count();
     if failed > 0 {
         eprintln!("{failed} check(s) failed");
         std::process::exit(1);
@@ -293,15 +293,22 @@ fn regress(o: &Opts) -> ! {
 
     if o.update {
         for run in &runs {
-            match run.report.write_to(Path::new(RESULTS_DIR)) {
-                Ok(path) => println!("report updated: {}", path.display()),
+            let txt = Path::new(RESULTS_DIR).join(format!("{}.txt", run.figure.name));
+            let written = run
+                .report
+                .write_to(Path::new(RESULTS_DIR))
+                .and_then(|path| std::fs::write(&txt, printout(run)).map(|_| path));
+            match written {
+                Ok(path) => println!("report updated: {} and {}", path.display(), txt.display()),
                 Err(e) => {
                     eprintln!("regress: cannot write report: {e}");
                     std::process::exit(2);
                 }
             }
         }
-        println!("\nreports regenerated — commit {RESULTS_DIR}/BENCH_*.json");
+        println!(
+            "\nreports regenerated — commit {RESULTS_DIR}/BENCH_*.json and {RESULTS_DIR}/*.txt"
+        );
         std::process::exit(0);
     }
 
@@ -330,9 +337,6 @@ fn regress(o: &Opts) -> ! {
     let _ = std::fs::write(out.join("drift.txt"), &drift_text);
 
     // ---- every figure's checks ----------------------------------------
-    if o.compare_only {
-        println!("\n(per-cell shape checks skipped: no live sweep in --compare-only)");
-    }
     let mut check_failures = 0usize;
     for run in &runs {
         println!("\n== {} checks ==", run.figure.name);
@@ -343,7 +347,7 @@ fn regress(o: &Opts) -> ! {
 
     // ---- verdict -----------------------------------------------------
     println!(
-        "\nregress: {differing} of {} report(s) differ from their baselines, {check_failures} invariant/shape failure(s)",
+        "\nregress: {differing} of {} report(s) differ from their baselines, {check_failures} failed check(s)",
         runs.len()
     );
     if differing > 0 || check_failures > 0 {

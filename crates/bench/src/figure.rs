@@ -59,10 +59,13 @@ impl Gate {
 }
 
 /// One independent, seeded, single-threaded job of a figure: runs a sim
-/// and records its metrics (and any shape checks only the live run can
-/// evaluate) into the fragment it is handed.
+/// and records its metrics into the fragment it is handed.
 pub struct Cell {
     pub label: String,
+    /// Content key of a cell other figures may list too: every input its
+    /// run reads. A slate runs each key once and replays the fragment into
+    /// every figure that lists it; `None` keeps the cell figure-local.
+    key: Option<String>,
     run: Box<dyn FnOnce(&mut Fragment) + Send>,
 }
 
@@ -70,7 +73,16 @@ impl Cell {
     pub fn new(label: impl Into<String>, run: impl FnOnce(&mut Fragment) + Send + 'static) -> Cell {
         Cell {
             label: label.into(),
+            key: None,
             run: Box::new(run),
+        }
+    }
+
+    /// This cell, shared by its content `key` with any figure that lists it.
+    pub fn keyed(self, key: String) -> Cell {
+        Cell {
+            key: Some(key),
+            ..self
         }
     }
 }
@@ -100,10 +112,6 @@ pub struct Figure {
     pub checks: fn(&BenchReport) -> Vec<Verdict>,
 }
 
-fn no_checks(_: &BenchReport) -> Vec<Verdict> {
-    Vec::new()
-}
-
 /// Every figure this crate can produce, in the paper's order: the eight
 /// PR-gated reports, the nightly scale tier, then `mdtest_bench`,
 /// `protection_sweep`, `daos_api`, `app_workloads`, `dfuse_ablation` and
@@ -115,7 +123,7 @@ pub const FIGURES: &[Figure] = &[
         about: "Figure 1: IOR file-per-process, interface x object class x nodes",
         gate: Gate::Pr,
         chart: true,
-        plan: |s| figures::paper_figure_plan(true, figures::FIG1_SEED, s),
+        plan: |s| figures::paper_figure_plan(true, s),
         checks: invariants::evaluate_fig1,
     },
     Figure {
@@ -124,7 +132,7 @@ pub const FIGURES: &[Figure] = &[
         about: "Figure 2: IOR single shared file, same grid",
         gate: Gate::Pr,
         chart: true,
-        plan: |s| figures::paper_figure_plan(false, figures::FIG2_SEED, s),
+        plan: |s| figures::paper_figure_plan(false, s),
         checks: invariants::evaluate_fig2,
     },
     Figure {
@@ -152,7 +160,7 @@ pub const FIGURES: &[Figure] = &[
         gate: Gate::Pr,
         chart: false,
         plan: timelines::fault_plan,
-        checks: no_checks,
+        checks: |r| invariants::every_cell(r, timelines::FAULT_CELLS),
     },
     Figure {
         name: "scrub_sweep",
@@ -161,7 +169,7 @@ pub const FIGURES: &[Figure] = &[
         gate: Gate::Pr,
         chart: false,
         plan: timelines::scrub_plan,
-        checks: timelines::check_csum_overhead,
+        checks: |r| invariants::every_cell(r, timelines::SCRUB_CELLS),
     },
     Figure {
         name: "traffic_sweep",
@@ -210,7 +218,7 @@ pub const FIGURES: &[Figure] = &[
     },
     Figure {
         name: "daos_api",
-        seed: figures::DAOS_API_SEED,
+        seed: figures::FIG1_SEED,
         about: "native DAOS array API vs DFS vs POSIX (+ interception library)",
         gate: Gate::Pr,
         chart: false,
@@ -237,7 +245,7 @@ pub const FIGURES: &[Figure] = &[
     },
     Figure {
         name: "oclass_sweep",
-        seed: figures::OCLASS_SEED,
+        seed: figures::FIG1_SEED,
         about: "DFS over S1/S2/S4/S8/SX, file-per-process",
         gate: Gate::Pr,
         chart: false,
@@ -259,9 +267,6 @@ pub fn find(name: &str) -> Option<&'static Figure> {
 pub struct FigureRun {
     pub figure: &'static Figure,
     pub report: BenchReport,
-    /// The cells' own shape checks, in submission order; empty when the
-    /// report was loaded from disk instead of run.
-    pub cell_verdicts: Vec<Verdict>,
 }
 
 impl FigureRun {
@@ -273,16 +278,13 @@ impl FigureRun {
         Ok(FigureRun {
             figure,
             report: BenchReport::load(dir, figure.name)?,
-            cell_verdicts: Vec::new(),
         })
     }
 
-    /// Every check of this figure: the live cells' verdicts, then the
-    /// figure's report-level checks.
+    /// Every check of this figure, read off its report: a live run and a
+    /// reloaded one give the same verdicts.
     pub fn verdicts(&self) -> Vec<Verdict> {
-        let mut all = self.cell_verdicts.clone();
-        all.extend((self.figure.checks)(&self.report));
-        all
+        (self.figure.checks)(&self.report)
     }
 }
 
@@ -328,8 +330,10 @@ impl SlateRun {
 }
 
 /// Run every `(figure, scale)` as one job slate across `threads` host
-/// threads. Each cell is a job with a fixed seed; fragments are replayed
-/// into their figure's report in submission order, so the reports (and
+/// threads. Each cell is a job with a fixed seed, except that a keyed
+/// cell ([`Cell::keyed`]) runs once per distinct key, under the label of
+/// the first figure that lists it; fragments are replayed into every
+/// figure that lists them in submission order, so the reports (and
 /// everything derived from them: JSON, drift tables, verdicts) are
 /// byte-identical regardless of thread count or schedule. Panics — with
 /// the offending job's label — if any job panics, if a figure does not
@@ -338,18 +342,26 @@ impl SlateRun {
 /// the record site, and the replay would silently keep the later value.
 pub fn run_figures(wanted: &[(&'static Figure, Scale)], threads: usize) -> SlateRun {
     let mut slate: Slate<'_, Fragment> = Slate::new();
+    let mut job_of_key = BTreeMap::new();
     let mut spans = Vec::new();
     for &(figure, scale) in wanted {
         let plan = (figure.plan)(scale)
             .unwrap_or_else(|| panic!("{} declares no {} scale", figure.name, scale.name()));
-        spans.push((figure, plan.config_hash, plan.cells.len()));
+        let mut jobs = Vec::new();
         for cell in plan.cells {
-            slate.push(format!("{}/{}", figure.name, cell.label), move || {
-                let mut out = Fragment::new();
-                (cell.run)(&mut out);
-                out
+            // a figure-local cell is keyed by the job it is about to become
+            let key = cell.key.ok_or(slate.len());
+            let job = job_of_key.entry(key).or_insert_with(|| {
+                slate.push(format!("{}/{}", figure.name, cell.label), move || {
+                    let mut out = Fragment::new();
+                    (cell.run)(&mut out);
+                    out
+                });
+                slate.len() - 1
             });
+            jobs.push(*job);
         }
+        spans.push((figure, plan.config_hash, jobs));
     }
 
     #[expect(
@@ -358,24 +370,21 @@ pub fn run_figures(wanted: &[(&'static Figure, Scale)], threads: usize) -> Slate
                   compared against baselines"
     )]
     let t0 = std::time::Instant::now();
-    let mut jobs = slate
+    let results = slate
         .run(threads)
-        .unwrap_or_else(|p| panic!("figure slate {p}"))
-        .into_iter();
+        .unwrap_or_else(|p| panic!("figure slate {p}"));
     let elapsed_secs = t0.elapsed().as_secs_f64();
 
-    let mut timings = Vec::new();
     let figures = spans
         .into_iter()
-        .map(|(figure, config_hash, n_cells)| {
+        .map(|(figure, config_hash, jobs)| {
             let mut report = BenchReport::new(figure.name, figure.seed);
             report.config_hash = config_hash;
-            let mut cell_verdicts = Vec::new();
             let mut recorded_by = BTreeMap::new();
-            for job in jobs.by_ref().take(n_cells) {
+            for job in jobs.into_iter().map(|j| &results[j]) {
                 for (series, scale, metric, _) in &job.value.records {
                     let key = (series.clone(), *scale, metric.clone());
-                    if let Some(first) = recorded_by.insert(key, job.label.clone()) {
+                    if let Some(first) = recorded_by.insert(key, &job.label) {
                         panic!(
                             "{first} and {} both record ({series}, {scale}, {metric})",
                             job.label
@@ -383,19 +392,16 @@ pub fn run_figures(wanted: &[(&'static Figure, Scale)], threads: usize) -> Slate
                     }
                 }
                 job.value.replay_into(&mut report);
-                cell_verdicts.extend(job.value.verdicts);
-                timings.push((job.label, job.wall_secs));
             }
-            FigureRun {
-                figure,
-                report,
-                cell_verdicts,
-            }
+            FigureRun { figure, report }
         })
         .collect();
     SlateRun {
         figures,
-        timings,
+        timings: results
+            .into_iter()
+            .map(|job| (job.label, job.wall_secs))
+            .collect(),
         elapsed_secs,
         threads,
     }
@@ -579,13 +585,18 @@ pub fn table_problems(baseline_dir: &Path) -> Vec<String> {
 mod tests {
     use super::*;
 
-    /// Two cells that record the same `(series, scale, metric)`.
-    static COLLIDING: Figure = Figure {
+    const UNIT: Figure = Figure {
         name: "unit",
         seed: 0,
         about: "",
         gate: Gate::Pr,
         chart: false,
+        plan: |_| None,
+        checks: |_| Vec::new(),
+    };
+
+    /// Two cells that record the same `(series, scale, metric)`.
+    static COLLIDING: Figure = Figure {
         plan: |_| {
             let cell = |label| Cell::new(label, |out| out.record("s", 1, "m", 1.0));
             Some(Plan {
@@ -593,13 +604,49 @@ mod tests {
                 cells: vec![cell("a"), cell("b")],
             })
         },
-        checks: no_checks,
+        ..UNIT
     };
 
     #[test]
     #[should_panic(expected = "unit/a and unit/b both record (s, 1, m)")]
     fn two_cells_recording_one_metric_are_refused() {
         run_figures(&[(&COLLIDING, Scale::Full)], 1);
+    }
+
+    /// A plan that lists the content key `k`, and with `local` a
+    /// figure-local cell too.
+    fn sharing_plan(local: bool) -> Option<Plan> {
+        let mut cells = vec![Cell::new("c", |out| out.record("s", 1, "m", 1.0)).keyed("k".into())];
+        if local {
+            cells.push(Cell::new("own", |out| out.record("t", 1, "m", 2.0)));
+        }
+        Some(Plan {
+            config_hash: 0,
+            cells,
+        })
+    }
+
+    static SHARE_A: Figure = Figure {
+        name: "share_a",
+        plan: |_| sharing_plan(false),
+        ..UNIT
+    };
+    static SHARE_B: Figure = Figure {
+        name: "share_b",
+        plan: |_| sharing_plan(true),
+        ..UNIT
+    };
+
+    #[test]
+    fn a_shared_key_runs_one_job_for_every_figure_that_lists_it() {
+        let run = run_figures(&[(&SHARE_A, Scale::Full), (&SHARE_B, Scale::Full)], 2);
+        let labels: Vec<&str> = run.timings.iter().map(|(l, _)| l.as_str()).collect();
+        assert_eq!(labels, ["share_a/c", "share_b/own"]);
+        let [a, b] = &run.figures[..] else {
+            panic!("two figure runs")
+        };
+        assert_eq!(a.report.cells(), [("s", 1, "m", 1.0)]);
+        assert_eq!(b.report.cells(), [("s", 1, "m", 1.0), ("t", 1, "m", 2.0)]);
     }
 
     #[test]

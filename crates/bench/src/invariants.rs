@@ -1,5 +1,6 @@
 //! The paper's qualitative results (R1–R5), encoded as machine-checked
-//! invariants over [`BenchReport`]s.
+//! invariants over [`BenchReport`]s, and [`every_cell`], the one form of
+//! a claim each cell of a report must satisfy.
 //!
 //! These are the orderings and crossovers *"DAOS as HPC Storage: Exploring
 //! Interfaces"* reports and `EXPERIMENTS.md` reproduces; the
@@ -10,7 +11,7 @@
 //! or all of them), so the one definition checks the full figure grids
 //! and the smoke miniatures alike.
 
-use crate::report::{BenchReport, Verdict, READ_GIB_S, WRITE_GIB_S};
+use crate::report::{BenchReport, Verdict, NAN_SENTINEL, READ_GIB_S, WRITE_GIB_S};
 
 /// One invariant's verdict: stable id (e.g. `R2`), the claim as prose,
 /// and the numbers it was computed from (or what was missing).
@@ -39,6 +40,47 @@ fn need(report: &BenchReport, series: &str, scale: u32, metric: &str) -> Result<
     report
         .get(series, scale, metric)
         .ok_or_else(|| format!("missing {series}/{scale}/{metric} in BENCH_{}", report.name))
+}
+
+/// A claim each cell of a report must satisfy: what it says, which
+/// series it covers, and what must hold of one cell, whose metrics it
+/// reads by name.
+pub type CellClaim = (
+    &'static str,
+    fn(&str) -> bool,
+    fn(&dyn Fn(&str) -> f64) -> bool,
+);
+
+/// One verdict per claim, over every `(series, scale)` cell of a series it
+/// covers: it passes when there is such a cell and each satisfies it. A
+/// metric the cell lacks, or holds as the NaN sentinel, reads as NaN, so
+/// a live report and its reloaded JSON give the same verdicts. The detail
+/// names the failing `series@scale` cells.
+pub fn every_cell(report: &BenchReport, claims: &[CellClaim]) -> Vec<Verdict> {
+    let verdict = |&(claim, covers, holds): &CellClaim| {
+        let (mut cells, mut failing) = (0, Vec::new());
+        for (series, scales) in report.series.iter().filter(|(s, _)| covers(s)) {
+            for (scale, metrics) in scales {
+                cells += 1;
+                let metric = |m: &str| match metrics.get(m) {
+                    Some(&v) if v != NAN_SENTINEL => v,
+                    _ => f64::NAN,
+                };
+                if !holds(&metric) {
+                    failing.push(format!("{series}@{scale}"));
+                }
+            }
+        }
+        let detail = match failing.len() {
+            0 => format!("{cells} cells"),
+            n => format!("fails at {n} of {cells} cells: {}", failing.join(", ")),
+        };
+        Verdict::new(
+            format!("{claim} — {detail}"),
+            cells > 0 && failing.is_empty(),
+        )
+    };
+    claims.iter().map(verdict).collect()
 }
 
 macro_rules! take {
@@ -491,13 +533,34 @@ pub fn r8_noac_collapse(traffic: &BenchReport) -> Verdict {
     verdict(ID, DESC, pass, detail)
 }
 
-/// Evaluate the overload invariants R6–R8 against a traffic report.
+/// What every traffic cell's accounting must show.
+const TRAFFIC_CELLS: &[CellClaim] = &[
+    (
+        "some requests complete in every traffic cell",
+        |_| true,
+        |c| c("completed") > 0.0,
+    ),
+    (
+        "accounting closes in every traffic cell",
+        |_| true,
+        |c| c("completed") + c("failed") == c("arrivals"),
+    ),
+    (
+        "retries are metered under shedding in every admission-ON traffic cell",
+        |s| !s.ends_with("/noac"),
+        |c| c("engine_sheds") == 0.0 || c("retries_spent") + c("breaker_fastfail") > 0.0,
+    ),
+];
+
+/// Evaluate the overload invariants R6–R8 against a traffic report, then
+/// what every cell's accounting must show.
 pub fn evaluate_traffic(traffic: &BenchReport) -> Vec<Verdict> {
-    vec![
+    let r6_r8 = [
         r6_latency_monotone(traffic),
         r7_ac_no_collapse(traffic),
         r8_noac_collapse(traffic),
-    ]
+    ];
+    [r6_r8.to_vec(), every_cell(traffic, TRAFFIC_CELLS)].concat()
 }
 
 /// R9 — noisy-neighbor isolation: at every *overload* point on the QoS
@@ -587,9 +650,7 @@ pub fn r11_background_budget(qos: &BenchReport) -> Verdict {
     for load in loads {
         let used = take!(ID, DESC, need(qos, "shaped", load, "bg_bytes"));
         let budget = take!(ID, DESC, need(qos, "shaped", load, "bg_budget_bytes"));
-        if !(used > 0.0 && used <= budget) {
-            pass = false;
-        }
+        pass &= used <= budget;
         detail.push_str(&format!(
             "{load}%: {:.1} of {:.1} MiB; ",
             used / (1 << 20) as f64,
@@ -599,14 +660,40 @@ pub fn r11_background_budget(qos: &BenchReport) -> Verdict {
     verdict(ID, DESC, pass, detail)
 }
 
+/// What every QoS cell's accounting must show.
+const QOS_CELLS: &[CellClaim] = &[
+    (
+        "the victim completes some reads in every QoS cell",
+        |_| true,
+        |c| c("victim_completed") > 0.0,
+    ),
+    (
+        "victim accounting closes in every QoS cell",
+        |_| true,
+        |c| c("victim_completed") + c("victim_failed") == c("victim_arrivals"),
+    ),
+    (
+        "noisy accounting closes in every QoS cell",
+        |_| true,
+        |c| c("noisy_completed") + c("noisy_failed") == c("noisy_arrivals"),
+    ),
+    (
+        "the background tenant is accounted under the shaper in every shaped cell",
+        |s| s == "shaped",
+        |c| c("bg_bytes") > 0.0,
+    ),
+];
+
 /// Evaluate the multi-tenant QoS invariants R9–R11 against a
-/// `BENCH_qos_sweep.json` report.
+/// `BENCH_qos_sweep.json` report, then what every cell's accounting must
+/// show.
 pub fn evaluate_qos(qos: &BenchReport) -> Vec<Verdict> {
-    vec![
+    let r9_r11 = [
         r9_victim_isolation(qos),
         r10_fairness_non_regression(qos),
         r11_background_budget(qos),
-    ]
+    ];
+    [r9_r11.to_vec(), every_cell(qos, QOS_CELLS)].concat()
 }
 
 /// Figure 1's invariants: R1–R3.

@@ -215,9 +215,8 @@ pub fn jain_index(shares: &[f64]) -> f64 {
 /// processes; the shaped series additionally installs the per-tenant
 /// QoS classes (and pool-reservation weight boosts) on every engine
 /// before the measurement window opens. Records the cell (the load axis
-/// is the scale) with its accounting checks; the qualitative R9–R11 claims
-/// are evaluated over the whole report in
-/// [`crate::invariants::evaluate_qos`].
+/// is the scale); R9–R11 and the accounting every cell must close are
+/// checked over the whole report in [`crate::invariants::evaluate_qos`].
 pub fn qos_point(out: &mut Fragment, shaped: bool, load_pct: u32, params: QosSweepParams) {
     let series = if shaped { "shaped" } else { "unshaped" };
     let seed = QOS_SEED ^ fnv1a(series.as_bytes()).rotate_left(17) ^ ((load_pct as u64) << 1);
@@ -356,18 +355,8 @@ pub fn qos_point(out: &mut Fragment, shaped: bool, load_pct: u32, params: QosSwe
     let mib = MIB as f64;
     let v_lat = victim.latency.borrow();
     let n_lat = noisy.latency.borrow();
-    let (v_arrivals, v_completed, v_failed) = (
-        victim.arrivals.get(),
-        victim.completed.get(),
-        victim.failed.get(),
-    );
-    let (n_arrivals, n_completed, n_failed) = (
-        noisy.arrivals.get(),
-        noisy.completed.get(),
-        noisy.failed.get(),
-    );
-    let v_offered = v_arrivals.max(1) * params.victim_req;
-    let n_offered = n_arrivals.max(1) * params.noisy_req;
+    let v_offered = victim.arrivals.get().max(1) * params.victim_req;
+    let n_offered = noisy.arrivals.get().max(1) * params.noisy_req;
     let victim_sat = victim.good_bytes.get() as f64 / v_offered as f64;
     let noisy_sat = noisy.good_bytes.get() as f64 / n_offered as f64;
     // Entitlement: the shaped noisy tenant is *due* only its capped
@@ -407,12 +396,12 @@ pub fn qos_point(out: &mut Fragment, shaped: bool, load_pct: u32, params: QosSwe
     // Jain fairness index over the two tenants' entitlement shares (the
     // victim is never capped, so its share is `victim_sat`)
     rec("jain", jain_index(&[victim_sat, noisy_ent_share]));
-    rec("victim_arrivals", v_arrivals as f64);
-    rec("victim_completed", v_completed as f64);
-    rec("victim_failed", v_failed as f64);
-    rec("noisy_arrivals", n_arrivals as f64);
-    rec("noisy_completed", n_completed as f64);
-    rec("noisy_failed", n_failed as f64);
+    rec("victim_arrivals", victim.arrivals.get() as f64);
+    rec("victim_completed", victim.completed.get() as f64);
+    rec("victim_failed", victim.failed.get() as f64);
+    rec("noisy_arrivals", noisy.arrivals.get() as f64);
+    rec("noisy_completed", noisy.completed.get() as f64);
+    rec("noisy_failed", noisy.failed.get() as f64);
     rec("engine_sheds", engine_sheds as f64);
     // background tenant's charged bytes across all engines, against its
     // budget over the cell's whole virtual runtime (both 0 when the
@@ -422,36 +411,10 @@ pub fn qos_point(out: &mut Fragment, shaped: bool, load_pct: u32, params: QosSwe
     // each tenant's cumulative shaper wait across all engines, ms
     rec("victim_throttle_ms", v_stat.throttle_ns as f64 / 1e6);
     rec("noisy_throttle_ms", n_stat.throttle_ns as f64 / 1e6);
-
-    out.check(
-        format!("{series}@{load_pct}%: victim completed some reads ({v_completed}/{v_arrivals})"),
-        v_completed > 0,
-    );
-    out.check(
-        format!(
-            "{series}@{load_pct}%: victim accounting closes ({v_completed} + {v_failed} = {v_arrivals})"
-        ),
-        v_completed + v_failed == v_arrivals,
-    );
-    out.check(
-        format!(
-            "{series}@{load_pct}%: noisy accounting closes ({n_completed} + {n_failed} = {n_arrivals})"
-        ),
-        n_completed + n_failed == n_arrivals,
-    );
-    if shaped {
-        out.check(
-            format!(
-                "{series}@{load_pct}%: background tenant accounted under the shaper ({bg_bytes} bytes)"
-            ),
-            bg_bytes > 0,
-        );
-    }
 }
 
 /// `qos_sweep`: shaped and unshaped series × every noisy load, one seeded
-/// sim per point (heaviest loads first), each carrying its own accounting
-/// checks; R9–R11 are evaluated over the finished report.
+/// sim per point (heaviest loads first).
 pub fn qos_plan(scale: Scale) -> Option<Plan> {
     let params = match scale {
         Scale::Full => QosSweepParams::full(),

@@ -198,7 +198,8 @@ pub(crate) fn fmt_f64(v: f64) -> String {
     }
 }
 
-const NAN_SENTINEL: f64 = -1e308;
+/// What a NaN cell is stored as; a check reads it back as missing.
+pub(crate) const NAN_SENTINEL: f64 = -1e308;
 
 fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -487,7 +488,7 @@ impl<'a> Parser<'a> {
 // What one parallel job hands back
 // ---------------------------------------------------------------------
 
-/// One PASS/FAIL line: a paper invariant, a per-cell shape check.
+/// One PASS/FAIL line: a claim checked over a report.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Verdict {
     /// What was checked, with the numbers the verdict was computed from.
@@ -504,7 +505,7 @@ impl Verdict {
     }
 }
 
-/// The ordered batch of records and verdicts one figure cell produces.
+/// The ordered batch of records one figure cell produces.
 /// Fragments are replayed into a [`BenchReport`] **in job submission
 /// order**, so a slate reduced on any thread count serializes to the same
 /// bytes as the serial run. (Cells land in `BTreeMap`s keyed by
@@ -515,8 +516,6 @@ impl Verdict {
 pub struct Fragment {
     /// `(series, scale, metric, value)` in record order.
     pub records: Vec<(String, u32, String, f64)>,
-    /// Shape checks only the live cell can evaluate, in check order.
-    pub verdicts: Vec<Verdict>,
 }
 
 impl Fragment {
@@ -529,11 +528,6 @@ impl Fragment {
     pub fn record(&mut self, series: &str, scale: u32, metric: &str, value: f64) {
         self.records
             .push((series.to_string(), scale, metric.to_string(), value));
-    }
-
-    /// Record one shape-check outcome.
-    pub fn check(&mut self, label: String, pass: bool) {
-        self.verdicts.push(Verdict::new(label, pass));
     }
 
     /// Replay this fragment's records into a report.

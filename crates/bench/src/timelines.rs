@@ -2,9 +2,9 @@
 //! (`fault_sweep`) and the end-to-end integrity story — checksum overhead
 //! plus bit-rot detection and repair (`scrub_sweep`).
 //!
-//! Each timeline is one seeded sim; its cell records the measured row
-//! and carries the row's shape checks out of the job as verdicts, so a
-//! standalone run and the `regress` gate check identically.
+//! Each timeline is one seeded sim whose cell records the measured row;
+//! what every row must show is checked over the finished report
+//! ([`FAULT_CELLS`], [`SCRUB_CELLS`]).
 
 use std::rc::Rc;
 
@@ -18,8 +18,8 @@ use daos_sim::Sim;
 use daos_vos::Payload;
 
 use crate::figure::{Cell, Plan, Scale};
-use crate::invariants::series_scales;
-use crate::report::{BenchReport, Fragment, Verdict, WRITE_GIB_S};
+use crate::invariants::CellClaim;
+use crate::report::{Fragment, WRITE_GIB_S};
 use crate::{on_testbed, paper_cluster};
 
 // ---------------------------------------------------------------------
@@ -35,8 +35,7 @@ pub const FAULT_VICTIM: usize = 5;
 
 /// Run the engine-failure timeline for one object class — healthy write +
 /// read, crash, degraded reads, rebuild, reintegration — and record its
-/// row (series = object class) with the shape checks every fault-sweep run
-/// must satisfy, at any scale.
+/// row (series = object class).
 pub fn fault_timeline(out: &mut Fragment, class: ObjectClass, nodes: u32, ppn: u32, per_rank: u64) {
     let mut sim = Sim::new(FAULT_SEED);
     let (write, read, map_version, chunks_repaired) = sim.block_on(move |sim| async move {
@@ -128,24 +127,32 @@ pub fn fault_timeline(out: &mut Fragment, class: ObjectClass, nodes: u32, ppn: u
     out.record(&s, nodes, "read_after_reintegration", reintegrated);
     out.record(&s, nodes, "map_version", map_version as f64);
     out.record(&s, nodes, "chunks_repaired", chunks_repaired as f64);
-
-    out.check(
-        format!("{class}: failure detected, exclusion committed, data repaired"),
-        map_version >= 2 && chunks_repaired > 0,
-    );
-    out.check(
-        format!("{class}: reads survive the failure window (degraded vs healthy)"),
-        during > 0.0 && during < healthy,
-    );
-    out.check(
-        format!("{class}: post-rebuild bandwidth recovers to >60% of healthy"),
-        rebuilt > 0.6 * healthy,
-    );
-    out.check(
-        format!("{class}: reintegration restores >60% of healthy bandwidth"),
-        reintegrated > 0.6 * healthy,
-    );
 }
+
+/// `fault_sweep`'s checks: what every fault timeline must show, at any
+/// scale.
+pub const FAULT_CELLS: &[CellClaim] = &[
+    (
+        "failure detected, exclusion committed, data repaired in every timeline",
+        |_| true,
+        |c| c("map_version") >= 2.0 && c("chunks_repaired") > 0.0,
+    ),
+    (
+        "reads survive the failure window (degraded vs healthy) in every timeline",
+        |_| true,
+        |c| c("read_during_failure") > 0.0 && c("read_during_failure") < c("read_healthy"),
+    ),
+    (
+        "post-rebuild bandwidth recovers to >60% of healthy in every timeline",
+        |_| true,
+        |c| c("read_after_rebuild") > 0.6 * c("read_healthy"),
+    ),
+    (
+        "reintegration restores >60% of healthy bandwidth in every timeline",
+        |_| true,
+        |c| c("read_after_reintegration") > 0.6 * c("read_healthy"),
+    ),
+];
 
 /// `fault_sweep`: one timeline per protected class. Full scale crashes an
 /// engine under a replicated and an erasure-coded class; the smoke scale
@@ -210,39 +217,52 @@ fn csum_series(fpp: bool) -> &'static str {
     }
 }
 
-/// The checksum engine must cost under 10% of bandwidth on both IOR
-/// patterns and both phases: csum-on / csum-off >= 0.90.
-pub fn check_csum_overhead(report: &BenchReport) -> Vec<Verdict> {
-    let mut out = Vec::new();
-    for series in [csum_series(true), csum_series(false)] {
-        for n in series_scales(report, series) {
-            for phase in ["write", "read"] {
-                let on = report.get(series, n, &format!("{phase}_csum_on"));
-                let off = report.get(series, n, &format!("{phase}_csum_off"));
-                let ratio = match (on, off) {
-                    (Some(on), Some(off)) if off > 0.0 => on / off,
-                    _ => 0.0,
-                };
-                out.push(Verdict::new(
-                    format!(
-                        "{series}: csum-on {phase} bandwidth within 10% of csum-off ({ratio:.3})"
-                    ),
-                    ratio >= 0.90,
-                ));
-            }
-        }
-    }
-    if out.is_empty() {
-        out.push(Verdict::new("checksum-overhead cells present", false));
-    }
-    out
+/// A rot timeline's series: `<class>/client-read` or `<class>/scrubber`.
+fn rot_series(s: &str) -> bool {
+    s.ends_with("/client-read") || s.ends_with("/scrubber")
 }
+
+/// `scrub_sweep`'s checks: the checksum engine costs under 10% of
+/// bandwidth on both IOR patterns and both phases, and every rot timeline
+/// detects and repairs its damage.
+pub const SCRUB_CELLS: &[CellClaim] = &[
+    (
+        "csum-on write bandwidth within 10% of csum-off in every overhead cell",
+        |s| !rot_series(s),
+        |c| c("write_csum_off") > 0.0 && c("write_csum_on") >= 0.9 * c("write_csum_off"),
+    ),
+    (
+        "csum-on read bandwidth within 10% of csum-off in every overhead cell",
+        |s| !rot_series(s),
+        |c| c("read_csum_off") > 0.0 && c("read_csum_on") >= 0.9 * c("read_csum_off"),
+    ),
+    (
+        "rot injected and detected in every rot timeline",
+        rot_series,
+        |c| c("rot_extents") > 0.0 && c("reported") > 0.0 && c("detect_ms").is_finite(),
+    ),
+    (
+        "targeted repairs landed in every rot timeline",
+        rot_series,
+        |c| c("repairs_ok") > 0.0,
+    ),
+    (
+        "all bytes read back identical in every rot timeline",
+        rot_series,
+        |c| c("bytes_equal") == 1.0,
+    ),
+    (
+        "the rotted target scrubs clean after repair in every scrubber timeline",
+        |s| s.ends_with("/scrubber"),
+        |c| c("media_clean") == 1.0,
+    ),
+];
 
 /// Write 2 MiB at full redundancy, rot every extent on the busiest
 /// target, then detect either through a client read (`scrub = false`) or
 /// by leaving the cluster idle so only the background scrubber can find
 /// it (`scrub = true`). Records the row (series = `<class>/<mode>`,
-/// scale-less) with the integrity checks every rot timeline must satisfy.
+/// scale-less).
 pub fn rot_timeline(out: &mut Fragment, class: ObjectClass, scrub: bool, seed: u64) {
     let mut sim = Sim::new(seed);
     let (rot_extents, detect_ms, st, equal, clean) = sim.block_on(move |sim| async move {
@@ -350,25 +370,6 @@ pub fn rot_timeline(out: &mut Fragment, class: ObjectClass, scrub: bool, seed: u
     // the rotted target verifies clean after repairs (scrub mode only:
     // client-triggered repair only heals the copies reads chose)
     out.record(&s, 0, "media_clean", clean as u64 as f64);
-
-    out.check(
-        format!("{class} {mode}: rot injected and detected"),
-        rot_extents > 0 && st.reported > 0 && detect_ms.is_finite(),
-    );
-    out.check(
-        format!("{class} {mode}: targeted repairs landed"),
-        st.repairs_ok > 0,
-    );
-    out.check(
-        format!("{class} {mode}: all bytes read back identical"),
-        equal,
-    );
-    if scrub {
-        out.check(
-            format!("{class} {mode}: rotted target scrubs clean after repair"),
-            clean,
-        );
-    }
 }
 
 /// `scrub_sweep`: four checksum-overhead cells (pattern × csum on/off)

@@ -221,13 +221,22 @@ fn ablation_checks_fail_when_a_series_moves() {
     }
 }
 
-/// Planted negatives for R6–R11, R2x and R5x: one mutation of the
-/// committed full-scale report per predicate, each failing exactly the
-/// check it targets.
+/// Add `by` to one metric of one cell.
+fn bump(r: &mut BenchReport, series: &str, scale: u32, metric: &str, by: f64) {
+    let v = r.get(series, scale, metric).unwrap();
+    r.record(series, scale, metric, v + by);
+}
+
+/// Planted negatives for every claim a mutation of one cell can break:
+/// R6–R11, R2x, R5x, the per-cell claims of the traffic, QoS, fault and
+/// rot reports, and the interception-library check. One mutation of the
+/// committed full-scale report per check, each failing exactly the check
+/// it targets, on the live report and on its reloaded JSON alike (a NaN
+/// is stored as a finite sentinel).
 #[test]
 fn every_invariant_fails_on_its_mutated_baseline() {
     type Mutation = fn(&mut BenchReport);
-    let cases: [(&str, usize, &str, Mutation); 8] = [
+    let cases: [(&str, usize, &str, Mutation); 25] = [
         // SX/ac p99 falls below its 50 % point on the way to the knee
         ("traffic_sweep", 0, "R6:", |r| {
             r.record("SX/ac", 100, "p99_us", 1000.0)
@@ -239,6 +248,21 @@ fn every_invariant_fails_on_its_mutated_baseline() {
         // the unprotected storm keeps up with its protected twin
         ("traffic_sweep", 2, "R8:", |r| {
             r.record("SX/noac", 200, "goodput_gib_s", 12.0)
+        }),
+        // one cell where every request failed, accounted as failed
+        ("traffic_sweep", 3, "some requests complete", |r| {
+            let arrivals = r.get("S1/noac", 200, "arrivals").unwrap();
+            r.record("S1/noac", 200, "completed", 0.0);
+            r.record("S1/noac", 200, "failed", arrivals);
+        }),
+        // one request counted twice
+        ("traffic_sweep", 4, "accounting closes", |r| {
+            bump(r, "SX/ac", 200, "failed", 1.0)
+        }),
+        // sheds that no retry and no breaker ever saw
+        ("traffic_sweep", 5, "retries are metered", |r| {
+            r.record("SX/burst", 200, "retries_spent", 0.0);
+            r.record("SX/burst", 200, "breaker_fastfail", 0.0);
         }),
         // shaping no longer halves the victim's p99
         ("qos_sweep", 0, "R9:", |r| {
@@ -254,6 +278,22 @@ fn every_invariant_fails_on_its_mutated_baseline() {
             let budget = r.get("shaped", 150, "bg_budget_bytes").unwrap();
             r.record("shaped", 150, "bg_bytes", 2.0 * budget)
         }),
+        // the victim's reads all fail in one cell, accounted as failed
+        ("qos_sweep", 3, "the victim completes", |r| {
+            let arrivals = r.get("unshaped", 300, "victim_arrivals").unwrap();
+            r.record("unshaped", 300, "victim_completed", 0.0);
+            r.record("unshaped", 300, "victim_failed", arrivals);
+        }),
+        ("qos_sweep", 4, "victim accounting closes", |r| {
+            bump(r, "shaped", 125, "victim_failed", 1.0)
+        }),
+        ("qos_sweep", 5, "noisy accounting closes", |r| {
+            bump(r, "unshaped", 100, "noisy_completed", -1.0)
+        }),
+        // the shaper charges the scrubber nothing
+        ("qos_sweep", 6, "the background tenant is accounted", |r| {
+            r.record("shaped", 150, "bg_bytes", 0.0)
+        }),
         // S2 keeps the fpp-write lead at 512 nodes (raising S2 leaves the
         // SX shared/fpp ratio that R5x reads untouched)
         ("scale", 0, "R2x:", |r| {
@@ -263,6 +303,45 @@ fn every_invariant_fails_on_its_mutated_baseline() {
         ("scale", 1, "R5x:", |r| {
             r.record("DFS-SX-shared", 512, WRITE_GIB_S, 500.0)
         }),
+        // the crash never leaves the pool map
+        ("fault_sweep", 0, "failure detected", |r| {
+            r.record("RP_2GX", 4, "map_version", 1.0)
+        }),
+        // reads stall while the engine is down
+        ("fault_sweep", 1, "reads survive", |r| {
+            r.record("EC_4P1GX", 4, "read_during_failure", 0.0)
+        }),
+        ("fault_sweep", 2, "post-rebuild bandwidth recovers", |r| {
+            let healthy = r.get("RP_2GX", 4, "read_healthy").unwrap();
+            r.record("RP_2GX", 4, "read_after_rebuild", 0.5 * healthy)
+        }),
+        ("fault_sweep", 3, "reintegration restores", |r| {
+            let healthy = r.get("EC_4P1GX", 4, "read_healthy").unwrap();
+            r.record("EC_4P1GX", 4, "read_after_reintegration", 0.5 * healthy)
+        }),
+        // the rot was never reported in time
+        ("scrub_sweep", 2, "rot injected and detected", |r| {
+            r.record("EC_2P1GX/client-read", 0, "detect_ms", f64::NAN)
+        }),
+        ("scrub_sweep", 3, "targeted repairs landed", |r| {
+            r.record("RP_2GX/scrubber", 0, "repairs_ok", 0.0)
+        }),
+        ("scrub_sweep", 4, "all bytes read back identical", |r| {
+            r.record("RP_2GX/client-read", 0, "bytes_equal", 0.0)
+        }),
+        ("scrub_sweep", 5, "the rotted target scrubs clean", |r| {
+            r.record("EC_2P1GX/scrubber", 0, "media_clean", 0.0)
+        }),
+        // POSIX+IL reads 3 % short of DFS at 4 nodes
+        ("daos_api", 1, "interception library recovers", |r| {
+            let dfs = r.get("DFS-SX", 4, READ_GIB_S).unwrap();
+            r.record("POSIX+IL-SX", 4, READ_GIB_S, 0.97 * dfs)
+        }),
+        // POSIX+IL writes 3 % above DFS at 16 nodes
+        ("daos_api", 1, "interception library recovers", |r| {
+            let dfs = r.get("DFS-SX", 16, WRITE_GIB_S).unwrap();
+            r.record("POSIX+IL-SX", 16, WRITE_GIB_S, 1.03 * dfs)
+        }),
     ];
     for (name, check, id, mutate) in cases {
         let figure = find(name).unwrap();
@@ -270,7 +349,9 @@ fn every_invariant_fails_on_its_mutated_baseline() {
         let verdicts = (figure.checks)(&report);
         assert!(verdicts.iter().all(|v| v.pass), "{name}: {verdicts:?}");
         mutate(&mut report);
+        let reloaded = BenchReport::from_json(&report.to_json()).unwrap();
         let verdicts = (figure.checks)(&report);
+        assert_eq!(verdicts, (figure.checks)(&reloaded), "{name} {id}");
         assert!(verdicts[check].label.starts_with(id), "{verdicts:?}");
         for (i, v) in verdicts.iter().enumerate() {
             assert_eq!(v.pass, i != check, "{name} {id}: {verdicts:?}");
@@ -278,12 +359,13 @@ fn every_invariant_fails_on_its_mutated_baseline() {
     }
 }
 
-/// Every figure with report-level checks fails them on an empty report:
-/// a check that reads nothing must not read as green.
+/// Every figure has checks, and fails each of them on an empty report: a
+/// check that reads nothing must not read as green.
 #[test]
 fn no_figure_passes_its_checks_vacuously() {
     for f in FIGURES {
         let verdicts = (f.checks)(&BenchReport::new(f.name, f.seed));
+        assert!(!verdicts.is_empty(), "{}: no checks", f.name);
         assert!(
             verdicts.iter().all(|v| !v.pass),
             "{}: passes on an empty report: {verdicts:?}",

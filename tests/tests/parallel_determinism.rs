@@ -10,6 +10,7 @@
 
 use daos_bench::exec::Slate;
 use daos_bench::figure::{run_figures, Figure, Scale};
+use daos_bench::invariants::evaluate_traffic;
 use daos_bench::qos::{qos_point, QosSweepParams};
 use daos_bench::report::{BenchReport, Fragment};
 use daos_bench::timelines::rot_timeline;
@@ -17,14 +18,14 @@ use daos_bench::traffic::{traffic_modes, traffic_point, TrafficParams};
 use daos_bench::FIGURES;
 use daos_placement::ObjectClass;
 
-/// Everything a cell recorded and concluded, as comparable bytes: its
-/// fragment replayed into a report of its own and rendered with `to_json`
-/// (which, unlike `==` on the values, equates a NaN metric — an undetected
-/// rot's `detect_ms` — with itself), then its verdicts.
+/// Everything a cell recorded, as comparable bytes: its fragment replayed
+/// into a report of its own and rendered with `to_json` (which, unlike
+/// `==` on the values, equates a NaN metric — an undetected rot's
+/// `detect_ms` — with itself).
 fn cell_bytes(out: &Fragment) -> String {
     let mut report = BenchReport::new("cell", 0);
     out.replay_into(&mut report);
-    format!("{}{:?}", report.to_json(), out.verdicts)
+    report.to_json()
 }
 
 /// A cell is a pure function of its parameters: run directly, and twice
@@ -55,8 +56,10 @@ fn assert_pure(what: &str, cell: impl Fn(&mut Fragment) + Sync) -> Fragment {
 }
 
 /// Every figure that declares a smoke scale, as one slate: each report
-/// byte-identical across thread counts, and so are the cells' verdicts
-/// (their labels carry the timeline rows' numbers) and the job order.
+/// byte-identical across thread counts, and so are its verdicts (their
+/// labels carry the numbers they read) and the job order. Every check
+/// reads the report, so the report reloaded from its JSON — where a NaN
+/// is stored as a finite sentinel — gives the live run's verdicts.
 #[test]
 fn every_smoke_figure_is_byte_identical_across_thread_counts() {
     let wanted: Vec<(&'static Figure, Scale)> = FIGURES
@@ -80,6 +83,15 @@ fn every_smoke_figure_is_byte_identical_across_thread_counts() {
         }
         let reports: Vec<String> = run.figures.iter().map(|r| r.report.to_json()).collect();
         let verdicts: Vec<_> = run.figures.iter().map(|r| r.verdicts()).collect();
+        for (r, live) in run.figures.iter().zip(&verdicts) {
+            let reloaded = BenchReport::from_json(&r.report.to_json()).expect("round trip");
+            assert_eq!(
+                live,
+                &(r.figure.checks)(&reloaded),
+                "{}: a check reads the reloaded report differently",
+                r.figure.name
+            );
+        }
         // timings are schedule-dependent by design, but the labels (the
         // submission order) must not be
         let labels: Vec<String> = run.timings.into_iter().map(|(l, _)| l).collect();
@@ -90,8 +102,8 @@ fn every_smoke_figure_is_byte_identical_across_thread_counts() {
         base.1
             .iter()
             .flatten()
-            .any(|v| v.label.starts_with("shaped@")),
-        "the smoke slate must produce QoS cell verdicts"
+            .any(|v| v.label.starts_with("victim accounting closes")),
+        "the smoke slate must check the QoS cells' accounting"
     );
     for threads in [2usize, 8] {
         assert_eq!(base, observe(threads), "diverged at {threads} threads");
@@ -116,15 +128,22 @@ fn qos_cell_is_deterministic_directly_and_under_the_slate() {
 /// Every traffic series at every smoke load — latency quantiles, goodput,
 /// every shed and damping counter: what the committed
 /// `BENCH_traffic_sweep.json` baseline and the R6–R8 gate rest on — and
-/// each cell's own accounting checks hold.
+/// every cell's accounting closes.
 #[test]
 fn traffic_cells_are_deterministic_directly_and_under_the_slate() {
     let params = TrafficParams::smoke();
+    let mut report = BenchReport::new("traffic_sweep", 0);
     for mode in traffic_modes() {
         for &load in params.loads {
             let what = format!("traffic/{}/{load}", mode.series());
             let out = assert_pure(&what, |out| traffic_point(out, mode, load, params));
-            assert!(out.verdicts.iter().all(|v| v.pass), "{:?}", out.verdicts);
+            out.replay_into(&mut report);
         }
     }
+    let accounting: Vec<_> = evaluate_traffic(&report)
+        .into_iter()
+        .filter(|v| v.label.contains("traffic cell"))
+        .collect();
+    assert_eq!(accounting.len(), 3, "{accounting:?}");
+    assert!(accounting.iter().all(|v| v.pass), "{accounting:?}");
 }
