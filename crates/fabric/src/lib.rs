@@ -428,7 +428,9 @@ impl<Req: 'static, Rsp: 'static> Endpoint<Req, Rsp> {
         self.online.set(online);
     }
 
-    /// Number of calls served so far.
+    /// Number of calls issued to this endpoint so far, by [`Endpoint::call`]
+    /// and [`Endpoint::call_deadline`] alike: the ones that fast-failed as
+    /// undeliverable or offline count too, served or not.
     pub fn call_count(&self) -> u64 {
         *self.calls.borrow()
     }

@@ -14,6 +14,14 @@
 //! to a timer somebody is still waiting for.
 //!
 //! Task storage is a slab arena with dense `u32` ids and a free list.
+//! Each task's future sits in a box of its own type, `Option<F>`, and the
+//! box outlives the task: completion drops the future in place (`None`)
+//! and files the empty box under `TypeId::of::<F>()`, up to
+//! `IDLE_PER_TYPE` (32) of each type, so spawning a task of a type already
+//! seen refills a finished box instead of allocating one. An engine
+//! serving RPCs therefore reuses its handlers' storage, as a DAOS target
+//! reuses its pool of service threads.
+//!
 //! Wakers do not allocate: each is a [`RawWaker`] whose data word encodes
 //! `(child tag, executor registry slot, task id)` and is never
 //! dereferenced — waking looks the executor up in a thread-local registry
@@ -23,8 +31,9 @@
 //! hands its child `i` also sets bit `min(i, 63)` of the task's wake mask,
 //! which is how the join knows which children a wake was for.
 
+use std::any::{Any, TypeId};
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::{Rc, Weak};
@@ -36,7 +45,49 @@ use rand_chacha::ChaCha8Rng;
 use crate::time::{SimDuration, SimTime};
 use crate::timers::{TimerKey, Timers};
 
-type TaskFuture = Pin<Box<dyn Future<Output = ()> + 'static>>;
+/// A task's storage: its future behind [`TaskCell`], in a box that is
+/// refilled with the next task of the same type once this one finishes.
+type TaskBox = Pin<Box<dyn TaskCell>>;
+
+/// Idle boxes kept per task type. Enough for a burst of handlers in
+/// flight at once on an engine; a one-shot burst of hundreds of large
+/// futures (a rank-open phase) keeps no more than this many pinned.
+const IDLE_PER_TYPE: usize = 32;
+
+/// What the arena needs of a task's box. `Option<F>` is the one
+/// implementation: `None` once the task finished, so the box can carry
+/// the next task of type `F`.
+trait TaskCell {
+    /// Poll the future; `Ready` if the box is empty.
+    fn poll_task(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()>;
+    /// Drop the future in place, leaving the box empty.
+    fn clear(self: Pin<&mut Self>);
+    /// Move the future out of `fut`, a `Some` of this box's own type.
+    fn refill(self: Pin<&mut Self>, fut: &mut dyn Any);
+}
+
+impl<F: Future<Output = ()> + 'static> TaskCell for Option<F> {
+    fn poll_task(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        self.as_pin_mut()
+            .map_or(Poll::Ready(()), |fut| fut.poll(cx))
+    }
+
+    fn clear(mut self: Pin<&mut Self>) {
+        self.set(None);
+    }
+
+    fn refill(mut self: Pin<&mut Self>, fut: &mut dyn Any) {
+        debug_assert!(self.is_none(), "refilled a box that holds a task");
+        self.set(fut.downcast_mut::<Self>().and_then(Option::take));
+    }
+}
+
+/// A live task: its box and the type the box is filed under once the
+/// task finishes.
+struct Task {
+    kind: TypeId,
+    cell: TaskBox,
+}
 
 // ------------------------------------------------------------------ wakers
 
@@ -165,30 +216,47 @@ fn register_executor(inner: &Rc<Inner>) -> u32 {
 // --------------------------------------------------------------- task arena
 
 /// Slab-backed task storage: dense `u32` ids, free-list reuse. A slot's
-/// future is `None` while the task is being polled or after it finished;
+/// task is `None` while the task is being polled or after it finished;
 /// ids only return to `free` on completion, so a slot is never reused
-/// while its future is out being polled. Each slot also holds its task's
-/// join wake mask, reset when the slot gets a new task.
+/// while its task is out being polled. Each slot also holds its task's
+/// join wake mask, reset when the slot gets a new task. Finished tasks'
+/// emptied boxes wait in `idle`, by type, for the next spawn of that type.
 #[derive(Default)]
 struct TaskArena {
     slots: Vec<TaskSlot>,
     free: Vec<u32>,
+    idle: BTreeMap<TypeId, Vec<TaskBox>>,
+    /// Boxes allocated over the arena's lifetime.
+    boxes: u64,
 }
 
 struct TaskSlot {
-    fut: Option<TaskFuture>,
+    task: Option<Task>,
     mark: WakeMark,
 }
 
 impl TaskArena {
-    fn insert(&mut self, fut: TaskFuture) -> u32 {
+    /// Store `fut` in an idle box of its type, or a new one if there is
+    /// none, under a free id.
+    fn insert<F: Future<Output = ()> + 'static>(&mut self, fut: F) -> u32 {
+        let kind = TypeId::of::<F>();
+        let cell = match self.idle.get_mut(&kind).and_then(Vec::pop) {
+            Some(mut cell) => {
+                cell.as_mut().refill(&mut Some(fut));
+                cell
+            }
+            None => {
+                self.boxes += 1;
+                Box::pin(Some(fut))
+            }
+        };
         let slot = TaskSlot {
-            fut: Some(fut),
+            task: Some(Task { kind, cell }),
             mark: WakeMark::default(),
         };
         match self.free.pop() {
             Some(id) => {
-                debug_assert!(self.slots[id as usize].fut.is_none());
+                debug_assert!(self.slots[id as usize].task.is_none());
                 self.slots[id as usize] = slot;
                 id
             }
@@ -205,16 +273,25 @@ impl TaskArena {
         }
     }
 
-    fn take(&mut self, id: u32) -> Option<TaskFuture> {
-        self.slots.get_mut(id as usize).and_then(|s| s.fut.take())
+    fn take(&mut self, id: u32) -> Option<Task> {
+        self.slots.get_mut(id as usize).and_then(|s| s.task.take())
     }
 
-    fn restore(&mut self, id: u32, fut: TaskFuture) {
-        self.slots[id as usize].fut = Some(fut);
+    fn restore(&mut self, id: u32, task: Task) {
+        self.slots[id as usize].task = Some(task);
     }
 
     fn release(&mut self, id: u32) {
         self.free.push(id);
+    }
+
+    /// Keep a finished task's emptied box for the next task of its type,
+    /// unless [`IDLE_PER_TYPE`] of them are already waiting.
+    fn file(&mut self, task: Task) {
+        let idle = self.idle.entry(task.kind).or_default();
+        if idle.len() < IDLE_PER_TYPE {
+            idle.push(task.cell);
+        }
     }
 
     /// Task `id`'s wake mask (`None`: no such slot).
@@ -374,6 +451,12 @@ impl Sim {
         self.inner.spawned_total.get()
     }
 
+    /// Number of task boxes allocated over the sim's lifetime: a spawn
+    /// that refills a finished task's box does not count.
+    pub fn task_boxes(&self) -> u64 {
+        self.inner.tasks.borrow().boxes
+    }
+
     /// Number of tasks currently alive (not yet completed).
     pub fn live_tasks(&self) -> usize {
         self.inner.live_tasks.get()
@@ -403,12 +486,13 @@ impl Sim {
     }
 
     /// Spawn a task nobody will join: no [`JoinHandle`], no result slot,
-    /// just the boxed future on the ready queue. It counts in
+    /// just the future, in a finished task's box of its type if one is
+    /// idle, on the ready queue. It counts in
     /// [`Sim::spawned_total`] and [`Sim::live_tasks`] like any task and is
     /// torn down by [`Sim::block_on`] if it is still blocked when the root
     /// finishes. Use [`Sim::spawn`] when the completion is awaited.
     pub fn spawn_detached(&self, fut: impl Future<Output = ()> + 'static) {
-        let id = self.inner.tasks.borrow_mut().insert(Box::pin(fut));
+        let id = self.inner.tasks.borrow_mut().insert(fut);
         self.inner.live_tasks.set(self.inner.live_tasks.get() + 1);
         self.inner
             .spawned_total
@@ -491,19 +575,22 @@ impl Sim {
     }
 
     fn poll_task(&self, id: u32) {
-        let fut = self.inner.tasks.borrow_mut().take(id);
-        let Some(mut fut) = fut else {
+        let task = self.inner.tasks.borrow_mut().take(id);
+        let Some(mut task) = task else {
             return; // stale wake of a finished task
         };
         let waker = sim_waker(waker_word(self.inner.registry_slot.get(), id, 0));
         let mut cx = Context::from_waker(&waker);
-        match fut.as_mut().poll(&mut cx) {
+        match task.cell.as_mut().poll_task(&mut cx) {
             Poll::Ready(()) => {
                 self.inner.tasks.borrow_mut().release(id);
                 self.inner.live_tasks.set(self.inner.live_tasks.get() - 1);
+                // outside the arena borrow: the future's destructor may spawn
+                task.cell.as_mut().clear();
+                self.inner.tasks.borrow_mut().file(task);
             }
             Poll::Pending => {
-                self.inner.tasks.borrow_mut().restore(id, fut);
+                self.inner.tasks.borrow_mut().restore(id, task);
             }
         }
     }
@@ -658,6 +745,8 @@ impl Sim {
             }
             drop(slots);
         }
+        // idle boxes are empty: dropping them runs no task code
+        self.inner.tasks.borrow_mut().idle.clear();
         self.inner.timers.borrow_mut().clear();
         self.inner.ready.borrow_mut().clear();
         self.inner.live_tasks.set(0);
@@ -1228,6 +1317,119 @@ mod tests {
         let second = sim.claim_wakes(0).expect("released");
         assert_ne!(first, second);
         assert_eq!(sim.claim_wakes(7), None, "no such task");
+    }
+
+    // ---- task boxes ---------------------------------------------------
+
+    /// A detached task that records the address of a local it holds
+    /// across an await: one type for every call.
+    fn addr_of_local(sim: &Sim, log: &Rc<RefCell<Vec<usize>>>) -> impl Future<Output = ()> {
+        let (s, log) = (sim.clone(), Rc::clone(log));
+        async move {
+            let local = [0u8; 64];
+            s.sleep_us(1).await;
+            log.borrow_mut().push(std::ptr::addr_of!(local) as usize);
+        }
+    }
+
+    /// A finished task's box carries the next task of its type, and tasks
+    /// of two types spawned alternately each run their own body.
+    #[test]
+    fn a_finished_box_carries_the_next_task_of_its_type() {
+        let mut sim = Sim::new(1);
+        let (addrs, order) = (
+            Rc::new(RefCell::new(Vec::new())),
+            Rc::new(RefCell::new(Vec::new())),
+        );
+        let (a, o) = (Rc::clone(&addrs), Rc::clone(&order));
+        sim.block_on(move |sim| async move {
+            let boxes = sim.task_boxes();
+            for round in 0..4 {
+                if round % 2 == 0 {
+                    sim.spawn_detached(addr_of_local(&sim, &a));
+                } else {
+                    let (nap, o) = (sim.sleep_us(1), Rc::clone(&o));
+                    sim.spawn_detached(async move {
+                        nap.await;
+                        o.borrow_mut().push(round);
+                    });
+                }
+                sim.sleep_us(2).await;
+            }
+            assert_eq!(sim.task_boxes() - boxes, 2, "one box per type");
+        });
+        let addrs = addrs.borrow();
+        assert_eq!(addrs.len(), 2);
+        assert_eq!(
+            addrs[0], addrs[1],
+            "the second task ran in the first one's box"
+        );
+        assert_eq!(*order.borrow(), vec![1, 3]);
+    }
+
+    /// A finished task's future is dropped when it finishes, not when the
+    /// next task of its type takes its box.
+    #[test]
+    fn a_finished_task_drops_its_future_at_once() {
+        /// Logs the instant it is dropped.
+        struct Guard(Sim, Rc<RefCell<Vec<SimTime>>>);
+        impl Drop for Guard {
+            fn drop(&mut self) {
+                self.1.borrow_mut().push(self.0.now());
+            }
+        }
+        /// Sleeps, holding a guard until the future itself is dropped.
+        struct Guarded {
+            nap: Sleep,
+            _guard: Guard,
+        }
+        impl Future for Guarded {
+            type Output = ();
+            fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+                Pin::new(&mut self.nap).poll(cx)
+            }
+        }
+        let mut sim = Sim::new(1);
+        let drops = Rc::new(RefCell::new(Vec::new()));
+        let d = Rc::clone(&drops);
+        sim.block_on(move |sim| async move {
+            let guarded = |sim: &Sim| Guarded {
+                nap: sim.sleep_us(5),
+                _guard: Guard(sim.clone(), Rc::clone(&d)),
+            };
+            sim.spawn_detached(guarded(&sim));
+            sim.sleep_us(15).await;
+            let boxes = sim.task_boxes();
+            sim.spawn_detached(guarded(&sim));
+            assert_eq!(sim.task_boxes(), boxes, "the first task's box");
+            sim.sleep_us(10).await;
+        });
+        let want = [SimTime::from_us(5), SimTime::from_us(20)];
+        assert_eq!(*drops.borrow(), want);
+    }
+
+    /// A burst of tasks of one type leaves at most [`IDLE_PER_TYPE`] of
+    /// their boxes behind.
+    #[test]
+    fn a_burst_keeps_at_most_the_idle_limit() {
+        let mut sim = Sim::new(1);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let l = Rc::clone(&log);
+        sim.block_on(move |sim| async move {
+            for _ in 0..1_000 {
+                sim.spawn_detached(addr_of_local(&sim, &l));
+            }
+            assert_eq!(sim.live_tasks(), 1_001);
+            sim.sleep_us(2).await;
+            let idle = &sim.inner.tasks.borrow().idle;
+            let kept: Vec<usize> = idle.values().map(Vec::len).collect();
+            assert_eq!(kept, vec![IDLE_PER_TYPE]);
+        });
+        assert_eq!(log.borrow().len(), 1_000);
+        assert!(
+            sim.inner.tasks.borrow().idle.is_empty(),
+            "torn down with the arena"
+        );
     }
 
     /// Two live sims on one thread: wakes route to the right executor via

@@ -13,6 +13,8 @@
 //! (per replica, for a replicated write), one engine handler task per RPC
 //! and no task on the client side — a write or read inside one chunk runs
 //! in its caller's task, one spanning several joins its pieces there.
+//! Once the engines have served a few, a handler task costs no allocation:
+//! it runs in the box of one that finished.
 
 use std::rc::Rc;
 
@@ -49,7 +51,7 @@ const SX: [(u64, u64); 3] = [
 /// What one phase of the storm cost in total.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Phase {
-    /// RPCs received by the engines' endpoints.
+    /// RPCs issued to the engines' endpoints.
     rpcs: u64,
     /// Data-plane requests admitted to an xstream.
     admitted: u64,
@@ -182,28 +184,34 @@ const SHAPES: [(&str, bool, u64); 4] = [
     ("read over three chunks", false, 3),
 ];
 
+/// A one-node testbed with the failure detector and the raft chatter
+/// parked: every RPC and every task counted is an op's own.
+async fn quiet_testbed(sim: &Sim) -> Rc<DaosTestbed> {
+    let mut cfg = paper_cluster(1);
+    cfg.heartbeat.interval = SimDuration::from_secs(3600);
+    cfg.svc_replicas = 1;
+    let (dfs, dfuse) = (DfsConfig::default(), DfuseConfig::default());
+    DaosTestbed::setup(sim, cfg, dfs, dfuse)
+        .await
+        .expect("testbed")
+}
+
+/// RPCs issued to the engines of `env` so far.
+fn engine_rpcs(env: &DaosTestbed) -> u64 {
+    let engines = env.cluster.engines().iter();
+    engines.map(|e| e.endpoint().call_count()).sum()
+}
+
 /// `(rpcs, tasks)` of each of [`SHAPES`] on an array of `class`, issued
 /// from the root task with the cluster otherwise silent.
 fn array_census(class: ObjectClass) -> [(u64, u64); 4] {
     let mut sim = Sim::new(0xCE5);
     sim.block_on(move |sim| async move {
-        // park the failure detector and the raft chatter: every RPC and
-        // every task counted is an op's own
-        let mut cfg = paper_cluster(1);
-        cfg.heartbeat.interval = SimDuration::from_secs(3600);
-        cfg.svc_replicas = 1;
-        let (dfs, dfuse) = (DfsConfig::default(), DfuseConfig::default());
-        let env = DaosTestbed::setup(&sim, cfg, dfs, dfuse)
-            .await
-            .expect("testbed");
+        let env = quiet_testbed(&sim).await;
         let arr = env.containers[0]
             .object(ObjectId::new(0xA, 0xCE5), class)
             .array(MIB);
-        let totals = |sim: &Sim| {
-            let engines = env.cluster.engines().iter();
-            let rpcs: u64 = engines.map(|e| e.endpoint().call_count()).sum();
-            (rpcs, sim.spawned_total())
-        };
+        let totals = |sim: &Sim| (engine_rpcs(&env), sim.spawned_total());
         let mut census = [(0, 0); 4];
         for (cost, (_, write, chunks)) in census.iter_mut().zip(SHAPES) {
             // start mid-chunk; a one-chunk op is the 4 KiB transfer of
@@ -269,4 +277,71 @@ fn the_task_per_piece_census_fails_the_check() {
         verdict.as_ref().is_err_and(|e| e.starts_with("read over")),
         "{verdict:?}"
     );
+}
+
+/// Warm-up transfers before the counted ones: enough to leave a finished
+/// handler's box idle on every engine.
+const WARM_UP: u64 = 64;
+/// Counted 4 KiB transfers, one RPC each.
+const TRANSFERS: u64 = 1_000;
+
+/// `(rpcs, tasks, task boxes)` of [`TRANSFERS`] 4 KiB writes and reads,
+/// alternating, on an `S1` array after [`WARM_UP`] of them, issued from
+/// the root task one at a time with the cluster otherwise silent.
+fn recycling_census() -> (u64, u64, u64) {
+    let mut sim = Sim::new(0xCE5);
+    sim.block_on(move |sim| async move {
+        let env = quiet_testbed(&sim).await;
+        let arr = env.containers[0]
+            .object(ObjectId::new(0xB, 0xCE5), ObjectClass::S1)
+            .array(MIB);
+        let totals = |sim: &Sim| (engine_rpcs(&env), sim.spawned_total(), sim.task_boxes());
+        let mut before = totals(&sim);
+        for i in 0..WARM_UP + TRANSFERS {
+            if i == WARM_UP {
+                before = totals(&sim);
+            }
+            let offset = (i / 2 % 256) * 4 * KIB;
+            if i % 2 == 0 {
+                let data = Payload::pattern(i, 4 * KIB);
+                arr.write(&sim, offset, data).await.expect("write");
+            } else {
+                arr.read(&sim, offset, 4 * KIB).await.expect("read");
+            }
+        }
+        let after = totals(&sim);
+        (after.0 - before.0, after.1 - before.1, after.2 - before.2)
+    })
+}
+
+/// Check a recycling census: one RPC and one handler task per transfer,
+/// and no task box allocated for any of them.
+fn check_recycling((rpcs, tasks, boxes): (u64, u64, u64)) -> Result<(), String> {
+    if (rpcs, tasks) != (TRANSFERS, TRANSFERS) {
+        return Err(format!(
+            "{rpcs} RPCs and {tasks} tasks, not {TRANSFERS} and {TRANSFERS}"
+        ));
+    }
+    if boxes != 0 {
+        return Err(format!("{boxes} task boxes allocated after the warm-up"));
+    }
+    Ok(())
+}
+
+#[test]
+fn a_warm_engine_serves_an_rpc_in_a_finished_handlers_box() {
+    let census = recycling_census();
+    check_recycling(census).unwrap_or_else(|e| panic!("{e}: {census:?}"));
+}
+
+/// Planted negative: the census this repo had while every task got a box
+/// of its own — a box per handler — must not pass the check.
+#[test]
+fn a_box_per_handler_fails_the_check() {
+    let verdict = check_recycling((TRANSFERS, TRANSFERS, TRANSFERS));
+    assert!(
+        verdict.as_ref().is_err_and(|e| e.contains("task boxes")),
+        "{verdict:?}"
+    );
+    check_recycling((TRANSFERS, TRANSFERS, 0)).expect("recycled boxes pass");
 }
