@@ -32,7 +32,7 @@ use std::cell::Cell;
 use std::io::Write;
 use std::rc::Rc;
 
-use daos_core::{ContainerHandle, DaosError, PoolHandle};
+use daos_core::{ContainerHandle, DaosError, KvHandle, PoolHandle};
 use daos_placement::{ObjectClass, ObjectId};
 use daos_sim::Sim;
 use daos_vos::tree::ReadSeg;
@@ -276,7 +276,7 @@ impl Dfs {
         )
     }
 
-    fn dir_kv(&self, oid: ObjectId) -> daos_core::KvHandle {
+    fn dir_kv(&self, oid: ObjectId) -> KvHandle {
         self.cont.object(oid, self.cfg.dir_class).kv()
     }
 
@@ -300,8 +300,7 @@ impl Dfs {
         };
         let mut cur = OID_ROOT;
         for comp in dirs {
-            let kv = self.dir_kv(cur);
-            let Some(v) = kv.get(sim, comp).await? else {
+            let Some(v) = dirent(&self.dir_kv(cur), sim, comp).await? else {
                 return Err(DaosError::Other(format!("no such directory: {comp}")));
             };
             let ent = decode(&v)?;
@@ -325,19 +324,16 @@ impl Dfs {
             }));
         }
         let (parent, name) = self.resolve_parent(sim, path).await?;
-        let v = self.dir_kv(parent).get(sim, name).await?;
-        match v.filter(|v| !v.is_empty()) {
-            None => Ok(None),
-            // a present-but-undecodable entry is damage, not absence
-            Some(v) => decode(&v).map(Some),
-        }
+        // a present-but-undecodable entry is damage, not absence
+        let v = dirent(&self.dir_kv(parent), sim, name).await?;
+        v.map(|v| decode(&v)).transpose()
     }
 
     /// Create a directory.
     pub async fn mkdir(&self, sim: &Sim, path: &str) -> Result<(), DaosError> {
         let (parent, name) = self.resolve_parent(sim, path).await?;
         let kv = self.dir_kv(parent);
-        if kv.get(sim, name).await?.filter(|v| !v.is_empty()).is_some() {
+        if dirent(&kv, sim, name).await?.is_some() {
             return Err(DaosError::Other(format!("exists: {path}")));
         }
         let ent = DirEntry {
@@ -354,7 +350,7 @@ impl Dfs {
     pub async fn symlink(&self, sim: &Sim, path: &str, target: &str) -> Result<(), DaosError> {
         let (parent, name) = self.resolve_parent(sim, path).await?;
         let kv = self.dir_kv(parent);
-        if kv.get(sim, name).await?.filter(|v| !v.is_empty()).is_some() {
+        if dirent(&kv, sim, name).await?.is_some() {
             return Err(DaosError::Other(format!("exists: {path}")));
         }
         let ent = DirEntry {
@@ -411,7 +407,7 @@ impl Dfs {
         let kv = self.dir_kv(parent);
         // open-or-create semantics: IOR reuses files across phases, and
         // shared-file mode has every rank "creating" the same file
-        if let Some(v) = kv.get(sim, name).await?.filter(|v| !v.is_empty()) {
+        if let Some(v) = dirent(&kv, sim, name).await? {
             let ent = decode(&v)?;
             if ent.kind == EntryKind::File {
                 return Ok(self.file_from(ent));
@@ -479,13 +475,11 @@ impl Dfs {
     async fn entries(&self, sim: &Sim, dir: ObjectId) -> Result<Vec<String>, DaosError> {
         let kv = self.dir_kv(dir);
         let keys = kv.list(sim).await?;
-        // filter tombstones (unlinked entries)
         let mut names = Vec::with_capacity(keys.len());
         for k in keys {
-            if let Some(v) = kv.get(sim, &k).await? {
-                if !v.is_empty() {
-                    names.push(String::from_utf8_lossy(&k).into_owned());
-                }
+            let name = String::from_utf8_lossy(&k);
+            if dirent(&kv, sim, &name).await?.is_some() {
+                names.push(name.into_owned());
             }
         }
         Ok(names)
@@ -497,14 +491,14 @@ impl Dfs {
     pub async fn unlink(&self, sim: &Sim, path: &str) -> Result<(), DaosError> {
         let (parent, name) = self.resolve_parent(sim, path).await?;
         let kv = self.dir_kv(parent);
-        let Some(v) = kv.get(sim, name).await?.filter(|v| !v.is_empty()) else {
+        let Some(v) = dirent(&kv, sim, name).await? else {
             return Err(DaosError::Other(format!("no such file: {path}")));
         };
         let ent = decode(&v)?;
         if ent.kind == EntryKind::Dir && !self.entries(sim, ent.oid).await?.is_empty() {
             return Err(DaosError::Other(format!("directory not empty: {path}")));
         }
-        kv.put(sim, name, Payload::bytes(Vec::new())).await?;
+        bury(&kv, sim, name).await?;
         self.cont.object(ent.oid, ent.class).punch(sim).await?;
         Ok(())
     }
@@ -517,7 +511,7 @@ impl Dfs {
     pub async fn rename(&self, sim: &Sim, from: &str, to: &str) -> Result<(), DaosError> {
         let (fp, fname) = self.resolve_parent(sim, from).await?;
         let fkv = self.dir_kv(fp);
-        let Some(v) = fkv.get(sim, fname).await?.filter(|v| !v.is_empty()) else {
+        let Some(v) = dirent(&fkv, sim, fname).await? else {
             return Err(DaosError::Other(format!("no such path: {from}")));
         };
         let (tp, tname) = self.resolve_parent(sim, to).await?;
@@ -525,31 +519,42 @@ impl Dfs {
             return Ok(());
         }
         let tkv = self.dir_kv(tp);
-        let replaced = match tkv.get(sim, tname).await?.filter(|v| !v.is_empty()) {
-            None => None,
-            Some(old) => {
-                let (moving, old) = (decode(&v)?, decode(&old)?);
-                let refusal = match (moving.kind == EntryKind::Dir, old.kind == EntryKind::Dir) {
-                    (true, false) => Some("not a directory"),
-                    (false, true) => Some("is a directory"),
-                    (true, true) if !self.entries(sim, old.oid).await?.is_empty() => {
-                        Some("directory not empty")
-                    }
-                    _ => None,
-                };
-                if let Some(why) = refusal {
-                    return Err(DaosError::Other(format!("{why}: {to}")));
+        let old = dirent(&tkv, sim, tname).await?;
+        let replaced = old.map(|old| decode(&old)).transpose()?;
+        if let Some(old) = &replaced {
+            let moving = decode(&v)?;
+            let refusal = match (moving.kind == EntryKind::Dir, old.kind == EntryKind::Dir) {
+                (true, false) => Some("not a directory"),
+                (false, true) => Some("is a directory"),
+                (true, true) if !self.entries(sim, old.oid).await?.is_empty() => {
+                    Some("directory not empty")
                 }
-                Some(old)
+                _ => None,
+            };
+            if let Some(why) = refusal {
+                return Err(DaosError::Other(format!("{why}: {to}")));
             }
-        };
+        }
         tkv.put(sim, tname, v).await?;
-        fkv.put(sim, fname, Payload::bytes(Vec::new())).await?;
+        bury(&fkv, sim, fname).await?;
         if let Some(old) = replaced {
             self.cont.object(old.oid, old.class).punch(sim).await?;
         }
         Ok(())
     }
+}
+
+/// The live dirent `name` of directory `kv`. An empty value is a
+/// tombstone: [`bury`] leaves one where an entry was, and it reads as no
+/// entry.
+async fn dirent(kv: &KvHandle, sim: &Sim, name: &str) -> Result<Option<Payload>, DaosError> {
+    Ok(kv.get(sim, name).await?.filter(|v| !v.is_empty()))
+}
+
+/// Remove dirent `name` of directory `kv`, leaving the tombstone
+/// [`dirent`] skips.
+async fn bury(kv: &KvHandle, sim: &Sim, name: &str) -> Result<(), DaosError> {
+    kv.put(sim, name, Payload::bytes(Vec::new())).await
 }
 
 #[cfg(test)]

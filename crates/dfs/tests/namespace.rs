@@ -412,3 +412,21 @@ fn mangled_dirent_surfaces_as_corrupt_metadata() {
         assert!(fs.open(&sim, "/ok.dat").await.is_ok());
     });
 }
+
+/// A removed directory's tombstone reads as no entry wherever a path
+/// meets it, a middle component included: absent, not a corrupt dirent.
+#[test]
+fn a_path_through_a_removed_directory_is_absent_not_corrupt() {
+    let mut sim = Sim::new(0xD59);
+    sim.block_on(|sim| async move {
+        let fs = fs(&sim).await;
+        fs.mkdir(&sim, "/d").await.unwrap();
+        fs.unlink(&sim, "/d").await.unwrap();
+        let through = fs.lookup(&sim, "/d/f").await;
+        assert!(
+            matches!(&through, Err(daos_core::DaosError::Other(m)) if m.contains("no such directory")),
+            "{through:?}"
+        );
+        assert!(fs.lookup(&sim, "/d").await.unwrap().is_none());
+    });
+}

@@ -17,9 +17,10 @@
 //! * per-call library CPU (`h5_op_cpu`): dataspace/hyperslab checks, the
 //!   global API lock, datatype dispatch.
 //!
-//! Two virtual file drivers: `sec2` (POSIX via DFuse) and `mpio`
-//! (MPI-IO; datasets opened with `collective` transfer use
-//! `write_at_all`/`read_at_all`, which is what HDF5 does for shared files).
+//! Two virtual file drivers: `sec2` (POSIX via DFuse) and `mpio` (MPI-IO
+//! with independent transfers, IOR's default for a shared file). Data and
+//! metadata take the same path; rank 0 alone writes metadata, as in
+//! HDF5's collective-metadata-off default.
 
 // No `unsafe` may enter the workspace outside the audited kernel
 // crate (`daos-sim`, which denies `clippy::undocumented_unsafe_blocks`).
@@ -67,53 +68,27 @@ impl Default for H5Config {
 pub enum H5Vfd {
     /// POSIX (`sec2`) through a DFuse file.
     Sec2(Box<PosixFile>),
-    /// MPI-IO; `collective` selects `H5FD_MPIO_COLLECTIVE` transfers.
-    Mpio { file: Rc<MpiFile>, collective: bool },
+    /// MPI-IO, independent transfers (`H5FD_MPIO_INDEPENDENT`).
+    Mpio(Rc<MpiFile>),
 }
 
 impl H5Vfd {
     async fn write(&self, sim: &Sim, off: u64, data: Payload) -> Result<(), DaosError> {
         match self {
             H5Vfd::Sec2(f) => f.pwrite(sim, off, data).await,
-            H5Vfd::Mpio { file, collective } => {
-                if *collective {
-                    file.write_at_all(sim, off, data).await
-                } else {
-                    file.write_at(sim, off, data).await
-                }
-            }
+            H5Vfd::Mpio(file) => file.write_at(sim, off, data).await,
         }
     }
     async fn read(&self, sim: &Sim, off: u64, len: u64) -> Result<Vec<ReadSeg>, DaosError> {
         match self {
             H5Vfd::Sec2(f) => f.pread(sim, off, len).await,
-            H5Vfd::Mpio { file, collective } => {
-                if *collective {
-                    file.read_at_all(sim, off, len).await
-                } else {
-                    file.read_at(sim, off, len).await
-                }
-            }
-        }
-    }
-    /// Metadata I/O is always independent (rank 0 writes metadata in HDF5's
-    /// collective-metadata-off default).
-    async fn write_meta(&self, sim: &Sim, off: u64, data: Payload) -> Result<(), DaosError> {
-        match self {
-            H5Vfd::Sec2(f) => f.pwrite(sim, off, data).await,
-            H5Vfd::Mpio { file, .. } => file.write_at(sim, off, data).await,
-        }
-    }
-    async fn read_meta(&self, sim: &Sim, off: u64, len: u64) -> Result<Vec<ReadSeg>, DaosError> {
-        match self {
-            H5Vfd::Sec2(f) => f.pread(sim, off, len).await,
-            H5Vfd::Mpio { file, .. } => file.read_at(sim, off, len).await,
+            H5Vfd::Mpio(file) => file.read_at(sim, off, len).await,
         }
     }
     fn is_mpio_rank0(&self) -> bool {
         match self {
             H5Vfd::Sec2(_) => true,
-            H5Vfd::Mpio { file, .. } => file.rank().rank() == 0,
+            H5Vfd::Mpio(file) => file.rank().rank() == 0,
         }
     }
 }
@@ -170,10 +145,10 @@ impl H5File {
         if f.vfd.is_mpio_rank0() {
             // superblock + root group object header
             f.vfd
-                .write_meta(sim, 0, Payload::pattern(0x5B, SUPERBLOCK))
+                .write(sim, 0, Payload::pattern(0x5B, SUPERBLOCK))
                 .await?;
             f.vfd
-                .write_meta(sim, SUPERBLOCK, Payload::pattern(0x60, OBJ_HEADER))
+                .write(sim, SUPERBLOCK, Payload::pattern(0x60, OBJ_HEADER))
                 .await?;
             f.meta_writes.set(f.meta_writes.get() + 2);
         }
@@ -184,8 +159,8 @@ impl H5File {
     /// `H5Fopen`: superblock probe + root header read.
     pub async fn open(sim: &Sim, vfd: H5Vfd, cfg: H5Config) -> Result<Rc<H5File>, DaosError> {
         sim.sleep(cfg.h5_op_cpu).await;
-        vfd.read_meta(sim, 0, SUPERBLOCK).await?;
-        vfd.read_meta(sim, SUPERBLOCK, OBJ_HEADER).await?;
+        vfd.read(sim, 0, SUPERBLOCK).await?;
+        vfd.read(sim, SUPERBLOCK, OBJ_HEADER).await?;
         Ok(Rc::new(H5File {
             vfd,
             cfg,
@@ -214,7 +189,7 @@ impl H5File {
         let off = self.alloc(OBJ_HEADER);
         if self.vfd.is_mpio_rank0() {
             self.vfd
-                .write_meta(sim, off, Payload::pattern(0x6F, OBJ_HEADER))
+                .write(sim, off, Payload::pattern(0x6F, OBJ_HEADER))
                 .await?;
             self.meta_writes.set(self.meta_writes.get() + 1);
         }
@@ -239,7 +214,7 @@ impl H5File {
         };
         if self.vfd.is_mpio_rank0() {
             self.vfd
-                .write_meta(sim, header_off, Payload::pattern(0x0D, OBJ_HEADER))
+                .write(sim, header_off, Payload::pattern(0x0D, OBJ_HEADER))
                 .await?;
             self.meta_writes.set(self.meta_writes.get() + 1);
         }
@@ -276,7 +251,7 @@ impl H5File {
             .cloned()
             .ok_or_else(|| DaosError::Other(format!("no dataset {name}")))?;
         let header_off = info.borrow().header_off;
-        self.vfd.read_meta(sim, header_off, OBJ_HEADER).await?;
+        self.vfd.read(sim, header_off, OBJ_HEADER).await?;
         Ok(Dataset {
             file: Rc::clone(self),
             info,
@@ -301,7 +276,7 @@ impl H5File {
                 };
                 if header_dirty {
                     self.vfd
-                        .write_meta(sim, header_off, Payload::pattern(0x0E, OBJ_HEADER))
+                        .write(sim, header_off, Payload::pattern(0x0E, OBJ_HEADER))
                         .await?;
                     self.meta_writes.set(self.meta_writes.get() + 1);
                     info.borrow_mut().header_dirty = false;
@@ -309,7 +284,7 @@ impl H5File {
                 while info.borrow().dirty_index_nodes > 0 {
                     let off = self.eoa.get(); // index nodes live at eoa-ish
                     self.vfd
-                        .write_meta(sim, off, Payload::pattern(0xB7, BTREE_NODE))
+                        .write(sim, off, Payload::pattern(0xB7, BTREE_NODE))
                         .await?;
                     self.meta_writes.set(self.meta_writes.get() + 1);
                     info.borrow_mut().dirty_index_nodes -= 1;
@@ -317,13 +292,13 @@ impl H5File {
             }
             if self.sb_dirty.get() {
                 self.vfd
-                    .write_meta(sim, 0, Payload::pattern(0x5B, SUPERBLOCK))
+                    .write(sim, 0, Payload::pattern(0x5B, SUPERBLOCK))
                     .await?;
                 self.meta_writes.set(self.meta_writes.get() + 1);
                 self.sb_dirty.set(false);
             }
         }
-        if let H5Vfd::Mpio { file, .. } = &self.vfd {
+        if let H5Vfd::Mpio(file) = &self.vfd {
             file.rank().barrier(sim).await;
         }
         Ok(())
@@ -412,7 +387,7 @@ impl Dataset {
                             // chunk-index lookup costs a small meta read per
                             // btree_fanout chunks (node caching)
                             if ci.is_multiple_of(self.file.cfg.btree_fanout) {
-                                self.file.vfd.read_meta(sim, fo, BTREE_NODE).await?;
+                                self.file.vfd.read(sim, fo, BTREE_NODE).await?;
                             }
                             let segs = self.file.vfd.read(sim, fo + in_chunk, take).await?;
                             out.extend(segs.into_iter().map(|s| s.rebased(fo + in_chunk, cur)));

@@ -270,11 +270,7 @@ pub async fn run(
                     let (vfd, size) = if shared {
                         let file = RankFile::Posix(file);
                         let file = MpiFile::open(&sim, rank, file, Hints::default()).await;
-                        let vfd = H5Vfd::Mpio {
-                            file: Rc::new(file),
-                            collective: false,
-                        };
-                        (vfd, block * ranks as u64)
+                        (H5Vfd::Mpio(Rc::new(file)), block * ranks as u64)
                     } else {
                         (H5Vfd::Sec2(Box::new(file)), block)
                     };

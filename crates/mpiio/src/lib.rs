@@ -1,10 +1,8 @@
 //! # daos-mpiio — a ROMIO-style MPI-IO implementation
 //!
-//! MPI-IO file handles over two ADIO drivers:
-//!
-//! * **UFS** — POSIX through a [`daos_dfuse::DfuseMount`] (how the paper's
-//!   "MPI-IO" series reaches DAOS);
-//! * **DFS** — straight `libdfs` (what ROMIO's native DAOS driver does).
+//! MPI-IO file handles over ROMIO's UFS driver: POSIX through a
+//! [`daos_dfuse::DfuseMount`], which is how the paper's "MPI-IO" series
+//! reaches DAOS.
 //!
 //! Independent `read_at`/`write_at` go straight to the driver. Collective
 //! `read_at_all`/`write_at_all` implement ROMIO's *generalised two-phase*
@@ -19,7 +17,6 @@
 #![forbid(unsafe_code)]
 
 use daos_core::DaosError;
-use daos_dfs::DfsFile;
 use daos_dfuse::PosixFile;
 use daos_mpi::MpiRank;
 use daos_sim::Sim;
@@ -61,21 +58,17 @@ impl Default for Hints {
 pub enum RankFile {
     /// POSIX via DFuse.
     Posix(PosixFile),
-    /// Native DFS.
-    Dfs(DfsFile),
 }
 
 impl RankFile {
     async fn write(&self, sim: &Sim, off: u64, data: Payload) -> Result<(), DaosError> {
         match self {
             RankFile::Posix(f) => f.pwrite(sim, off, data).await,
-            RankFile::Dfs(f) => f.write(sim, off, data).await,
         }
     }
     async fn read(&self, sim: &Sim, off: u64, len: u64) -> Result<Vec<ReadSeg>, DaosError> {
         match self {
             RankFile::Posix(f) => f.pread(sim, off, len).await,
-            RankFile::Dfs(f) => f.read(sim, off, len).await,
         }
     }
 }

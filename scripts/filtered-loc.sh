@@ -8,7 +8,8 @@
 # A file is counted up to its first `#[cfg(test)]` line; blank lines and
 # lines that hold only a `//` comment are skipped (block comments are not
 # recognised: the tree has none outside strings). Files under a `tests/`,
-# `examples/` or `fixtures/` directory are not counted. The vendored
+# `examples/` or `fixtures/` directory are not counted, nor is a module
+# file named `tests.rs` (a `#[cfg(test)] mod tests;` kept beside its code). The vendored
 # stand-ins (`vendor/*/src`) are one more row, `vendor`, under the same
 # rule, printed after the total and not part of it.
 set -euo pipefail
@@ -30,7 +31,7 @@ count() {
 
 # stdin: paths; stdout: "<crate> <path>" for the Rust files that count
 countable() {
-  grep -E '^(crates/[^/]+|vendor/[^/]+/src)/.*\.rs$' | grep -Ev '/(tests|examples|fixtures)/' |
+  grep -E '^(crates/[^/]+|vendor/[^/]+/src)/.*\.rs$' | grep -Ev '/(tests|examples|fixtures)/|/tests\.rs$' |
     awk -F/ '{ print ($1 == "vendor" ? $1 : $2), $0 }'
 }
 

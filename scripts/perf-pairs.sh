@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The interleaved-pairs protocol for comparing the working tree against a
 # parent commit on `benchmark/`: the evidence a PR that claims (or denies)
-# a host-cost change puts in EXPERIMENTS.md and results/perf_history.jsonl.
+# a host-cost change puts in CHANGES.md and results/perf_history.jsonl.
 #
 #   scripts/perf-pairs.sh <parent-rev> [--pairs N] [--dir DIR] [--check]
 #                         [--claim METRIC:WORKLOAD]… [workload…]
