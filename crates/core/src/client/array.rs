@@ -3,27 +3,14 @@
 
 use std::ops::Range;
 
-use daos_placement::{splitmix64, ObjectClass, ObjectId};
+use daos_placement::{ObjectClass, Stripe};
 use daos_sim::{join_inline, Sim};
 use daos_vos::tree::{flatten, ReadSeg};
 use daos_vos::{Epoch, Payload};
 
 use super::damp::Attempt;
 use super::{ObjectHandle, EPOCH_LATEST};
-use crate::proto::{
-    array_akey, chunk_dkey, chunk_of_dkey, wire_csum, DaosError, Request, Response,
-};
-
-/// The redundancy group an array chunk belongs to.
-///
-/// DAOS routes array chunks by dkey hash, not round-robin: the spread is
-/// statistical, which is what makes wide classes blow the engines' stream
-/// windows in file-per-process workloads. Shared with the rebuild pass,
-/// which must agree with the client on chunk → group routing.
-pub(crate) fn group_of_chunk(oid: ObjectId, chunk: u64, group_count: u32) -> u32 {
-    let h = splitmix64(chunk ^ oid.mix().rotate_left(23));
-    daos_placement::jump_consistent_hash(h, group_count)
-}
+use crate::proto::{array_akey, chunk_of_dkey, wire_csum, DaosError, Request, Response};
 
 /// The shards that may serve cell `cell` of `chunk`, in the order a read
 /// tries them, for a redundancy group starting at shard `group`: a sharded
@@ -36,12 +23,12 @@ fn read_candidates(
     group: u32,
     chunk: u64,
     round: u32,
-    cell: u64,
+    cell: u32,
 ) -> impl Iterator<Item = u32> {
     let (first, count, ring) = match class {
         ObjectClass::Sharded(_) | ObjectClass::ShardedMax => (0, 1, 1),
         ObjectClass::Replicated { replicas: r, .. } => (chunk + round as u64, r as u64, r as u64),
-        ObjectClass::ErasureCoded { .. } => (cell, 1, u64::MAX),
+        ObjectClass::ErasureCoded { .. } => (u64::from(cell), 1, u64::MAX),
     };
     (0..count).map(move |i| group + ((first + i) % ring) as u32)
 }
@@ -55,11 +42,12 @@ pub(crate) fn xor_into(acc: &mut [u8], src: &[u8]) {
 
 /// `daos_array`-style byte-array API: the array is chunked at `chunk_size`;
 /// chunk `i` is dkey `i` (big-endian), placed on a shard chosen by dkey
-/// hash (jump consistent hash), as `libdaos` does.
+/// hash (jump consistent hash), as `libdaos` does. Where each chunk's
+/// bytes lie is the object's [`Stripe`].
 #[derive(Clone)]
 pub struct ArrayHandle {
     pub(super) obj: ObjectHandle,
-    pub(super) chunk_size: u64,
+    pub(super) stripe: Stripe,
 }
 
 impl ArrayHandle {
@@ -69,30 +57,12 @@ impl ArrayHandle {
     }
     /// The array's chunk size.
     pub fn chunk_size(&self) -> u64 {
-        self.chunk_size
+        self.stripe.chunk_size
     }
 
-    /// Redundancy-group width (1 for plain sharding, r for RP_r, k+p for EC).
-    fn group_width(&self) -> u32 {
-        self.obj.class.group_width()
-    }
-
-    /// Shard indices of the redundancy group `chunk` belongs to (see
-    /// [`group_of_chunk`]).
+    /// Shard indices of the redundancy group `chunk` belongs to.
     fn group_of(&self, chunk: u64) -> Range<u32> {
-        let w = self.group_width();
-        let groups = (self.obj.width() / w).max(1);
-        let g = group_of_chunk(self.obj.oid, chunk, groups);
-        g * w..(g + 1) * w
-    }
-
-    /// Bytes of a chunk one shard holds: the whole chunk, or one of an EC
-    /// stripe's `k` data cells.
-    fn cell_size(&self) -> u64 {
-        match self.obj.class {
-            ObjectClass::ErasureCoded { data: k, .. } => self.chunk_size / k as u64,
-            _ => self.chunk_size,
-        }
+        self.stripe.group(self.obj.width(), chunk)
     }
 
     /// Is the target behind `shard` excluded from the current pool map?
@@ -203,7 +173,7 @@ impl ArrayHandle {
         sim: &Sim,
         group: u32,
         chunk: u64,
-        cell: u64,
+        cell: u32,
         round: u32,
         want: Range<u64>,
         protected: bool,
@@ -233,11 +203,9 @@ impl ArrayHandle {
             (Some(DaosError::CsumMismatch), _) if !protected => {
                 Attempt::Fail(DaosError::CsumMismatch)
             }
-            (_, ObjectClass::ErasureCoded { data, parity, .. }) if protected => {
-                let (k, p) = (data as u64, parity as u64);
-                self.reconstruct(sim, group, chunk, cell, k, p, want, epoch)
-                    .await
-                    .into()
+            (_, ObjectClass::ErasureCoded { .. }) if protected => {
+                let rebuilt = self.reconstruct(sim, group, chunk, cell, want, epoch);
+                rebuilt.await.into()
             }
             (Some(e), _) => Attempt::Retry(e),
             (None, _) => Attempt::Fail(DaosError::NoSurvivingReplicas),
@@ -245,30 +213,24 @@ impl ArrayHandle {
     }
 
     /// Rebuild `want` of data cell `c` of an EC stripe whose own shard
-    /// cannot serve it, as of `epoch`: XOR of the other data cells plus one
-    /// live parity. A reconstruction *source* failing is returned as the
+    /// cannot serve it, as of `epoch`, the way the stripe re-derives it
+    /// ([`Stripe::rederive`]): XOR of the other data cells plus one live
+    /// parity. A reconstruction *source* failing is returned as the
     /// retryable error it produced (the caller refreshes and retries); a
     /// stripe with no live parity left is [`DaosError::NoSurvivingReplicas`].
-    #[allow(
-        clippy::too_many_arguments,
-        reason = "one stripe's coordinates and geometry; a struct would exist for this call alone"
-    )]
     async fn reconstruct(
         &self,
         sim: &Sim,
         group: u32,
         chunk: u64,
-        c: u64,
-        k: u64,
-        p: u64,
+        c: u32,
         want: Range<u64>,
         epoch: Epoch,
     ) -> Result<Vec<ReadSeg>, DaosError> {
-        let cell = self.cell_size();
+        let (cell, (others, parities)) = (self.stripe.cell_size(), self.stripe.rederive(c));
         let whole_cell = |shard| self.fetch_shard_once(sim, shard, chunk, 0..cell, epoch);
         let mut acc = vec![0u8; cell as usize];
-        for other in (0..k).filter(|&o| o != c) {
-            let oshard = group + other as u32;
+        for oshard in others.map(|o| group + o) {
             if self.shard_excluded(oshard) {
                 // two losses in one group: beyond what XOR parity covers
                 return Err(DaosError::NoSurvivingReplicas);
@@ -292,7 +254,7 @@ impl ArrayHandle {
         // live parities that merely timed out are worth a retry; a stripe
         // with every parity excluded is truly lost
         let mut parity_err = DaosError::NoSurvivingReplicas;
-        for pshard in (k..k + p).map(|j| group + j as u32) {
+        for pshard in parities.map(|j| group + j) {
             if self.shard_unreadable(pshard) {
                 continue;
             }
@@ -337,52 +299,86 @@ impl ArrayHandle {
                 let writes = group.map(|shard| (shard, in_chunk, piece.clone()));
                 self.update_shards(sim, chunk, writes).await
             }
-            ObjectClass::ErasureCoded {
-                data: k, parity: p, ..
-            } => {
-                let (k, p) = (k as u64, p as u64);
-                if !self.chunk_size.is_multiple_of(k) {
-                    return Err(DaosError::Other(
-                        "EC arrays need chunk_size divisible by k".into(),
-                    ));
-                }
-                let cell = self.cell_size();
-                if !in_chunk.is_multiple_of(cell) || !piece.len().is_multiple_of(cell) {
+            ObjectClass::ErasureCoded { data: k, .. } => {
+                let cell = self.stripe.cell_size();
+                let aligned = in_chunk.is_multiple_of(cell) && piece.len().is_multiple_of(cell);
+                if cell * u64::from(k) != self.stripe.chunk_size || !aligned {
                     return Err(DaosError::Other(format!(
-                        "EC arrays require cell-aligned I/O (cell = {cell} bytes)"
+                        "EC arrays need chunk_size divisible by k and cell-aligned I/O \
+                         (cell = {cell} bytes)"
                     )));
                 }
-                let first_cell = in_chunk / cell;
-                let n_cells = piece.len() / cell;
-                let shard_of = |c: u64| group.start + c as u32;
-                // write the data cells
-                let first = shard_of(first_cell);
-                let cells = (first..shard_of(first_cell + n_cells)).map(|shard| {
-                    let i = u64::from(shard - first);
-                    (shard, 0, piece.slice(i * cell, cell))
-                });
+                let covered = in_chunk..in_chunk + piece.len();
+                let data = |c| piece.slice(self.stripe.chunk_offset(c, 0) - in_chunk, cell);
+                let cells = self.stripe.cells(covered.clone());
+                let cells = cells.map(|(c, _)| (group.start + c, 0, data(c)));
                 self.update_shards(sim, chunk, cells).await?;
-                // parity = XOR over the stripe; read-modify-write any cells
-                // this piece did not cover
-                let mut parity = vec![0u8; cell as usize];
-                for c in 0..k {
-                    if c >= first_cell && c < first_cell + n_cells {
-                        let covered = piece.slice((c - first_cell) * cell, cell);
-                        xor_into(&mut parity, &covered.materialize());
-                    } else {
-                        let (start, latest) = (group.start, EPOCH_LATEST);
-                        let read = |round| {
-                            self.read_cell(sim, start, chunk, c, round, 0..cell, false, latest)
-                        };
-                        let segs = self.obj.retry(sim, DaosError::Timeout, read).await?;
-                        xor_into(&mut parity, &flatten(&segs, 0, cell));
-                    }
-                }
-                let parities = (shard_of(k)..shard_of(k + p))
-                    .map(|shard| (shard, 0, Payload::bytes(parity.clone())));
-                self.update_shards(sim, chunk, parities).await
+                let written = |c| {
+                    let start = self.stripe.chunk_offset(c, 0);
+                    covered.contains(&start).then(|| Some(data(c)))
+                };
+                // boxed: every write's future would otherwise carry the
+                // parity read-modify-write's state
+                Box::pin(self.rewrite_parity(sim, group.start, chunk, written)).await
             }
         }
+    }
+
+    /// Rewrite the parity cells of `chunk`'s EC stripe, whose group starts
+    /// at shard `group`, as the XOR of its data cells: `known(c)` is data
+    /// cell `c` when the op at hand set all of it (`Some(None)`: punched
+    /// whole), and every other data cell is read back, holes as zeroes. A
+    /// stripe left without data has its parity punched instead.
+    async fn rewrite_parity(
+        &self,
+        sim: &Sim,
+        group: u32,
+        chunk: u64,
+        known: impl Fn(u32) -> Option<Option<Payload>>,
+    ) -> Result<(), DaosError> {
+        let ObjectClass::ErasureCoded { data, parity, .. } = self.obj.class else {
+            return Ok(());
+        };
+        let (k, p, cell) = (u32::from(data), u32::from(parity), self.stripe.cell_size());
+        let (mut parity, mut any) = (vec![0u8; cell as usize], false);
+        for c in 0..k {
+            let segs = match known(c) {
+                Some(data) => vec![ReadSeg {
+                    offset: 0,
+                    len: cell,
+                    data,
+                }],
+                None => {
+                    let latest = EPOCH_LATEST;
+                    let read =
+                        |round| self.read_cell(sim, group, chunk, c, round, 0..cell, false, latest);
+                    self.obj.retry(sim, DaosError::Timeout, read).await?
+                }
+            };
+            any |= segs.iter().any(|s| s.data.is_some());
+            xor_into(&mut parity, &flatten(&segs, 0, cell));
+        }
+        let parities = group + k..group + k + p;
+        if !any {
+            return self.punch_shards(sim, chunk, parities, 0..cell).await;
+        }
+        let writes = parities.map(|shard| (shard, 0, Payload::bytes(parity.clone())));
+        self.update_shards(sim, chunk, writes).await
+    }
+
+    /// Punch the shard-relative `range` of `chunk` on every shard of
+    /// `shards`: one RPC per engine holding any of them.
+    async fn punch_shards(
+        &self,
+        sim: &Sim,
+        chunk: u64,
+        shards: Range<u32>,
+        range: Range<u64>,
+    ) -> Result<(), DaosError> {
+        let (cont, oid) = (self.obj.cont.cont, self.obj.oid);
+        let punch = |targets| Request::punch_chunk(targets, cont, oid, chunk, range.clone());
+        let punched = self.obj.per_engine(sim, shards, punch, Response::Ok);
+        punched.await?.ok()
     }
 
     /// Read one piece of one chunk as of `epoch` through the protection
@@ -409,12 +405,11 @@ impl ArrayHandle {
             ObjectClass::Replicated { .. } => (true, DaosError::NoSurvivingReplicas),
             ObjectClass::ErasureCoded { .. } => (true, DaosError::Timeout),
         };
-        let (group, cell, end) = (self.group_of(chunk).start, self.cell_size(), in_chunk + len);
+        let (group, stripe) = (self.group_of(chunk).start, &self.stripe);
         let round = move |round| async move {
             let mut out = Vec::new();
-            for c in in_chunk / cell..=(end - 1) / cell {
-                let base = c * cell;
-                let want = base.max(in_chunk) - base..(base + cell).min(end) - base;
+            for (c, want) in stripe.cells(in_chunk..in_chunk + len) {
+                let base = stripe.chunk_offset(c, 0);
                 let segs = match self
                     .read_cell(sim, group, chunk, c, round, want, protected, epoch)
                     .await
@@ -441,9 +436,9 @@ impl ArrayHandle {
         let mut cur = offset;
         let end = offset + len;
         while cur < end {
-            let chunk = cur / self.chunk_size;
-            let in_chunk = cur % self.chunk_size;
-            let take = (self.chunk_size - in_chunk).min(end - cur);
+            let chunk = cur / self.stripe.chunk_size;
+            let in_chunk = cur % self.stripe.chunk_size;
+            let take = (self.stripe.chunk_size - in_chunk).min(end - cur);
             out.push((chunk, in_chunk, cur - offset, take));
             cur += take;
         }
@@ -454,9 +449,9 @@ impl ArrayHandle {
     /// offset_in_chunk)` — `None` when the range is empty or crosses a
     /// chunk boundary.
     fn single_chunk(&self, offset: u64, len: u64) -> Option<(u64, u64)> {
-        let in_chunk = offset % self.chunk_size;
-        (len > 0 && in_chunk + len <= self.chunk_size)
-            .then_some((offset / self.chunk_size, in_chunk))
+        let in_chunk = offset % self.stripe.chunk_size;
+        (len > 0 && in_chunk + len <= self.stripe.chunk_size)
+            .then_some((offset / self.stripe.chunk_size, in_chunk))
     }
 
     /// Write `data` at byte `offset`; chunks are written concurrently
@@ -490,7 +485,7 @@ impl ArrayHandle {
         // one piece, rebased from chunk-relative to array offsets
         let piece = |chunk, in_chunk, plen| async move {
             let segs = self.read_piece(sim, chunk, in_chunk, plen, epoch).await?;
-            let base = chunk * self.chunk_size;
+            let base = chunk * self.stripe.chunk_size;
             let segs = segs.into_iter().map(|s| s.rebased(0, base));
             Ok::<_, DaosError>(segs.collect::<Vec<_>>())
         };
@@ -514,23 +509,29 @@ impl ArrayHandle {
         self.read_at_epoch(sim, offset, len, EPOCH_LATEST).await
     }
 
-    /// Punch (logically zero) `[offset, offset+len)`; all shards of each
-    /// affected chunk are punched so every replica stays consistent.
+    /// Punch (logically zero) `[offset, offset+len)`, any range. A
+    /// sharded or replicated chunk punches the range on every shard of its
+    /// group at once, so every replica stays consistent. An EC chunk
+    /// punches the covered part of each data cell on that cell's shard,
+    /// then rewrites the parity as a write's read-modify-write would,
+    /// punched bytes counting as zeroes.
     pub async fn punch(&self, sim: &Sim, offset: u64, len: u64) -> Result<(), DaosError> {
-        let (cont, oid) = (self.obj.cont.cont, self.obj.oid);
         for (chunk, in_chunk, _src, plen) in self.pieces(offset, len) {
-            let punch = |targets| Request::PunchArray {
-                targets,
-                cont,
-                oid,
-                dkey: chunk_dkey(chunk),
-                akey: array_akey(),
-                offset: in_chunk,
-                len: plen,
+            let (group, range) = (self.group_of(chunk), in_chunk..in_chunk + plen);
+            let ObjectClass::ErasureCoded { .. } = self.obj.class else {
+                self.punch_shards(sim, chunk, group, range).await?;
+                continue;
             };
-            let group = self.group_of(chunk);
-            let punched = self.obj.per_engine(sim, group, punch, Response::Ok);
-            punched.await?.ok()?;
+            let cells = self.stripe.cells(range.clone()).map(|(c, inner)| {
+                let shard = group.start + c;
+                self.punch_shards(sim, chunk, shard..shard + 1, inner)
+            });
+            join_inline(cells).await.collect::<Result<(), _>>()?;
+            let whole = |c| {
+                let cell = self.stripe.chunk_offset(c, 0)..self.stripe.chunk_offset(c + 1, 0);
+                (range.start <= cell.start && cell.end <= range.end).then_some(None)
+            };
+            Box::pin(self.rewrite_parity(sim, group.start, chunk, whole)).await?;
         }
         Ok(())
     }
@@ -538,8 +539,36 @@ impl ArrayHandle {
     /// The array's size in bytes (highest written offset + 1), queried
     /// from every shard like `daos_array_get_size`: one RPC per engine
     /// holding any of them, answered with that engine's highest chunk,
-    /// the highest of which wins.
+    /// the highest of which wins. An EC shard answers in cell offsets and
+    /// a parity holds no array bytes, so an EC array then asks each data
+    /// cell of that chunk where its data ends, through the geometry.
     pub async fn size(&self, sim: &Sim) -> Result<u64, DaosError> {
+        let Some((chunk, inner)) = self.max_chunk(sim, 0..self.obj.width()).await? else {
+            return Ok(0);
+        };
+        let base = chunk * self.stripe.chunk_size;
+        let ObjectClass::ErasureCoded { data: k, .. } = self.obj.class else {
+            return Ok(base + inner);
+        };
+        let group = self.group_of(chunk).start;
+        let cells =
+            (group..group + u32::from(k)).map(|shard| self.max_chunk(sim, shard..shard + 1));
+        let mut end = 0;
+        for (c, highest) in (0..).zip(join_inline(cells).await) {
+            if let Some((_, inner)) = highest?.filter(|&(at, _)| at == chunk) {
+                end = end.max(self.stripe.chunk_offset(c, inner));
+            }
+        }
+        Ok(base + end)
+    }
+
+    /// The highest chunk any of `shards` holds data in and where that data
+    /// ends in it (shard-relative): one RPC per engine holding any of them.
+    async fn max_chunk(
+        &self,
+        sim: &Sim,
+        shards: Range<u32>,
+    ) -> Result<Option<(u64, u64)>, DaosError> {
         let (cont, oid) = (self.obj.cont.cont, self.obj.oid);
         let max_chunk = |targets| Request::ArrayMaxChunk {
             targets,
@@ -547,14 +576,15 @@ impl ArrayHandle {
             oid,
             akey: array_akey(),
         };
-        let (all, none) = (0..self.obj.width(), Response::MaxChunk(None));
-        match self.obj.per_engine(sim, all, max_chunk, none).await? {
-            Response::MaxChunk(Some((dk, inner))) => {
-                let chunk = chunk_of_dkey(&dk)
-                    .ok_or_else(|| DaosError::Other("malformed chunk dkey".into()))?;
-                Ok(chunk * self.chunk_size + inner)
-            }
-            Response::MaxChunk(None) => Ok(0),
+        let highest = self
+            .obj
+            .per_engine(sim, shards, max_chunk, Response::MaxChunk(None));
+        match highest.await? {
+            Response::MaxChunk(Some((dk, inner))) => match chunk_of_dkey(&dk) {
+                Some(chunk) => Ok(Some((chunk, inner))),
+                None => Err(DaosError::Other("malformed chunk dkey".into())),
+            },
+            Response::MaxChunk(None) => Ok(None),
             other => Err(other.into_err()),
         }
     }

@@ -26,8 +26,8 @@ use crate::cluster::Cluster;
 use crate::proto::{DaosError, Request, Response, Rpc, TargetRun};
 use crate::ContId;
 
+pub(crate) use array::xor_into;
 pub use array::ArrayHandle;
-pub(crate) use array::{group_of_chunk, xor_into};
 use damp::{Admit, Attempt, DampState};
 pub use damp::{DampStats, RetryPolicy};
 pub use object::{KvHandle, ObjectHandle};

@@ -7,7 +7,7 @@ use std::future::Future;
 use std::ops::Range;
 use std::rc::Rc;
 
-use daos_placement::{place, splitmix64, Layout, ObjectClass, ObjectId};
+use daos_placement::{place, splitmix64, Layout, ObjectClass, ObjectId, Stripe};
 use daos_sim::Sim;
 use daos_vos::{key, Key, Payload};
 
@@ -49,7 +49,7 @@ impl ObjectHandle {
         let layout = place(oid, class, &map);
         let version = map.version();
         drop(map);
-        cont.client.cluster.register_object(cont.cont, oid, class);
+        cont.client.cluster.register_object(cont.cont, oid);
         ObjectHandle {
             cont: cont.clone(),
             oid,
@@ -214,14 +214,10 @@ impl ObjectHandle {
     /// Byte-array view with the given chunk size (`daos_array`).
     pub fn array(&self, chunk_size: u64) -> ArrayHandle {
         assert!(chunk_size > 0);
-        self.cont
-            .client
-            .cluster
-            .register_array(self.cont.cont, self.oid, self.class, chunk_size);
-        ArrayHandle {
-            obj: self.clone(),
-            chunk_size,
-        }
+        let (cont, stripe) = (&self.cont, Stripe::new(self.oid, self.class, chunk_size));
+        cont.client.cluster.register_array(cont.cont, stripe);
+        let obj = self.clone();
+        ArrayHandle { obj, stripe }
     }
 }
 

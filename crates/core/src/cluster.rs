@@ -12,7 +12,7 @@ use std::rc::Rc;
 
 use daos_fabric::{Fabric, FabricConfig, NodeId};
 use daos_media::{Dcpmm, DcpmmConfig, MediaSet};
-use daos_placement::{ObjectClass, ObjectId, PoolMap, TargetId};
+use daos_placement::{ObjectId, PoolMap, Stripe, TargetId};
 use daos_sim::time::SimDuration;
 use daos_sim::{FaultAction, FaultInjector, FaultPlan, Sim};
 
@@ -21,9 +21,9 @@ use crate::pool::{spawn_pool_service, HeartbeatConfig, PoolOp, PoolReplica, Pool
 use crate::rebuild::{self, CorruptionReport, RebuildStats};
 use crate::ContId;
 
-/// `(cont, oid) → (object class, array chunk size)` for every object
-/// opened through a cluster.
-type ObjectRegistry = BTreeMap<(ContId, ObjectId), (ObjectClass, Option<u64>)>;
+/// `(cont, oid) →` the array geometry, if opened as an array, for every
+/// object opened through a cluster.
+type ObjectRegistry = BTreeMap<(ContId, ObjectId), Option<Stripe>>;
 
 /// Full testbed description.
 #[derive(Clone, Copy, Debug)]
@@ -306,33 +306,25 @@ impl Cluster {
     }
 
     /// Record an opened object so rebuild passes can find it.
-    pub(crate) fn register_object(&self, cont: ContId, oid: ObjectId, class: ObjectClass) {
-        self.objects
-            .borrow_mut()
-            .entry((cont, oid))
-            .or_insert((class, None));
+    pub(crate) fn register_object(&self, cont: ContId, oid: ObjectId) {
+        self.objects.borrow_mut().entry((cont, oid)).or_insert(None);
     }
 
-    /// Record an object's array chunk size (arrays are what rebuild moves).
-    pub(crate) fn register_array(
-        &self,
-        cont: ContId,
-        oid: ObjectId,
-        class: ObjectClass,
-        chunk_size: u64,
-    ) {
-        self.objects
-            .borrow_mut()
-            .insert((cont, oid), (class, Some(chunk_size)));
+    /// Record an object's array geometry (arrays are what rebuild moves).
+    pub(crate) fn register_array(&self, cont: ContId, stripe: Stripe) {
+        let entry = Some(stripe);
+        self.objects.borrow_mut().insert((cont, stripe.oid), entry);
     }
 
-    /// Snapshot of the object registry (rebuild input).
-    pub(crate) fn registered_objects(&self) -> Vec<(ContId, ObjectId, ObjectClass, Option<u64>)> {
-        self.objects
-            .borrow()
-            .iter()
-            .map(|(&(c, o), &(cl, cs))| (c, o, cl, cs))
-            .collect()
+    /// The geometry `oid` was opened as an array with, if it was.
+    pub(crate) fn registered_array(&self, cont: ContId, oid: ObjectId) -> Option<Stripe> {
+        self.objects.borrow().get(&(cont, oid)).copied().flatten()
+    }
+
+    /// Snapshot of the registry's arrays, in key order (rebuild input).
+    pub(crate) fn registered_arrays(&self) -> Vec<(ContId, Stripe)> {
+        let array = |(&(c, _), s): (_, &Option<Stripe>)| Some((c, (*s)?));
+        self.objects.borrow().iter().filter_map(array).collect()
     }
 
     /// Map-change hook fired by the leading pool-service replica when an

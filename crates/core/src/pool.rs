@@ -415,6 +415,14 @@ fn drop_if_empty<T>(v: Vec<T>, f: impl FnOnce(Vec<T>)) {
     }
 }
 
+/// Engine `engine`'s excluded targets as local target indices, in order:
+/// what a `Ping` tells it to reject.
+pub(crate) fn local_excluded(excluded: &BTreeSet<TargetId>, engine: u32, tpe: u32) -> Vec<u32> {
+    let first = engine * tpe;
+    let local = excluded.range(first..first + tpe);
+    local.map(|&t| t - first).collect()
+}
+
 /// Failure-detector tuning.
 #[derive(Clone, Copy, Debug)]
 pub struct HeartbeatConfig {
@@ -554,11 +562,7 @@ pub fn spawn_pool_service(
                         let ep = Rc::clone(ep);
                         let from = r.node;
                         let s = s.clone();
-                        let local: Vec<u32> = excluded
-                            .iter()
-                            .filter(|&&t| t / targets_per_engine == idx)
-                            .map(|&t| t % targets_per_engine)
-                            .collect();
+                        let local = local_excluded(&excluded, idx, targets_per_engine);
                         async move {
                             let req = Request::Ping {
                                 version,

@@ -358,6 +358,25 @@ impl Request {
         }
     }
 
+    /// Punch `range` of array chunk `chunk` on `targets`.
+    pub fn punch_chunk(
+        targets: TargetRun,
+        cont: ContId,
+        oid: ObjectId,
+        chunk: u64,
+        range: Range<u64>,
+    ) -> Request {
+        Request::PunchArray {
+            targets,
+            cont,
+            oid,
+            dkey: chunk_dkey(chunk),
+            akey: array_akey(),
+            offset: range.start,
+            len: range.end - range.start,
+        }
+    }
+
     /// Bytes of bulk payload this request carries on the wire (write data).
     pub fn bulk_in(&self) -> u64 {
         match self {

@@ -5,7 +5,8 @@
 //! from the surviving group members — a copy for replication, an XOR
 //! reconstruction for erasure coding. Reintegration is the same pass run in
 //! reverse: the layout reverts and the returning shards are refilled from
-//! the replicas that served while the target was out.
+//! the group members that served while the target was out. A targeted
+//! repair of one reported-bad copy is the same refill of one chunk.
 //!
 //! The pass is server-pull, as in DAOS: the destination engine's node
 //! issues the fetch and update RPCs, so repair traffic competes with
@@ -13,17 +14,19 @@
 //! `rebuild_inflight` knob.
 
 use std::collections::BTreeSet;
+use std::ops::Range;
 use std::rc::Rc;
 
-use daos_placement::{place, ObjectClass, ObjectId, PoolMap, TargetId};
+use daos_placement::{place, Layout, ObjectId, PoolMap, Stripe, TargetId};
 use daos_sim::executor::join_all;
 use daos_sim::time::SimDuration;
 use daos_sim::{Semaphore, Sim};
 use daos_vos::tree::{flatten, ReadSeg};
 use daos_vos::{Epoch, Payload};
 
-use crate::client::{group_of_chunk, xor_into};
+use crate::client::xor_into;
 use crate::cluster::Cluster;
+use crate::pool::local_excluded;
 use crate::proto::{chunk_of_dkey, wire_csum, Request, Response, Rpc};
 use crate::ContId;
 
@@ -113,121 +116,137 @@ async fn engine_rpc(
         .ok()
 }
 
-/// Fetch `[0, len)` of one chunk cell/replica from `src` target. A donor
-/// read torn in flight must not be written back as truth: like any other
-/// failure it comes back as `None`.
-async fn fetch_from(
-    sim: &Sim,
-    cluster: &Cluster,
-    dest_engine: u32,
-    src: TargetId,
-    (cont, oid, chunk): (ContId, ObjectId, u64),
-    len: u64,
-) -> Option<Vec<ReadSeg>> {
-    let target = src % cluster.cfg.targets_per_engine;
-    let req = Request::fetch_chunk(target, cont, oid, chunk, 0, len, Epoch::MAX);
-    let rsp = engine_rpc(sim, cluster, dest_engine, src, req).await?;
-    rsp.fetched().ok()
-}
-
-/// Write `data` at `offset` of one chunk on `dst` target.
+/// Make `range` of one chunk on `dst` target read as `data`: written, or
+/// punched when `data` is a hole.
 async fn write_to(
     sim: &Sim,
     cluster: &Cluster,
     dst: TargetId,
     (cont, oid, chunk): (ContId, ObjectId, u64),
-    offset: u64,
-    data: Payload,
+    range: Range<u64>,
+    data: Option<Payload>,
 ) -> bool {
     let tpe = cluster.cfg.targets_per_engine;
-    let csum = wire_csum(&data);
-    let req = Request::update_chunk(dst % tpe, cont, oid, chunk, offset, data, csum);
+    let req = match data {
+        Some(data) => {
+            let csum = wire_csum(&data);
+            Request::update_chunk(dst % tpe, cont, oid, chunk, range.start, data, csum)
+        }
+        None => Request::punch_chunk(vec![dst % tpe].into(), cont, oid, chunk, range),
+    };
     let rsp = engine_rpc(sim, cluster, dst / tpe, dst, req).await;
-    matches!(rsp, Some(Response::Written { .. }))
+    rsp.is_some_and(|r| r.ok().is_ok())
 }
 
-/// Repair one chunk of one moved shard; returns bytes written, or `None`
-/// if the chunk could not be repaired.
-#[allow(
-    clippy::too_many_arguments,
-    reason = "one chunk's repair coordinates; a struct would exist for this call alone"
-)]
+/// One protected array's move from its `old` to its `new` layout under
+/// `map`: what the rebuild pass and a targeted repair (whose two layouts
+/// are the same) need to refill a shard.
+struct Move {
+    cont: ContId,
+    stripe: Stripe,
+    old: Layout,
+    new: Layout,
+    map: Rc<PoolMap>,
+}
+
+impl Move {
+    /// Place the array on `old` and on `map`, its new map.
+    fn new(cont: ContId, stripe: Stripe, old: &PoolMap, map: Rc<PoolMap>) -> Move {
+        let (oid, class) = (stripe.oid, stripe.class);
+        let (old, new) = (place(oid, class, old), place(oid, class, &map));
+        Move {
+            cont,
+            stripe,
+            old,
+            new,
+            map,
+        }
+    }
+
+    /// Can member `d` of `shard`'s group refill it: another member that
+    /// stayed put on a live target?
+    fn is_donor(&self, shard: u32, d: u32) -> bool {
+        let t = self.new.target_of(d);
+        d != shard && self.old.target_of(d) == t && !self.map.is_excluded(t)
+    }
+
+    /// `shard`'s redundancy group and its first donor; `None` when no
+    /// member can refill it.
+    fn donors(&self, shard: u32) -> Option<(Range<u32>, u32)> {
+        let group = self.stripe.group_of_shard(shard);
+        let first = group.clone().find(|&d| self.is_donor(shard, d))?;
+        Some((group, first))
+    }
+}
+
+/// Refill `chunk` of `shard` on its new target so it reads as its
+/// donors' image, re-derived as the stripe says ([`Stripe::rederive`]):
+/// every source the XOR needs, then the first donor to serve clean where
+/// one more is needed — a donor can itself hold rot (its engine answers
+/// the fetch with a checksum error) or be torn in flight, and neither may
+/// be written back as truth. One source (a replica) is copied as it
+/// reads, data written and holes punched; several (an EC cell) are XORed
+/// into one whole cell, punched whole when none holds data. Returns bytes
+/// written, or `None` if the chunk could not be repaired.
 async fn repair_chunk(
     sim: &Sim,
     cluster: &Cluster,
-    cont: u64,
-    oid: ObjectId,
-    class: ObjectClass,
-    chunk_size: u64,
+    mv: &Move,
     chunk: u64,
-    moved_shard: u32,
-    group: std::ops::Range<u32>,
-    donors: &[u32],
-    new_targets: &[TargetId],
+    shard: u32,
 ) -> Option<u64> {
-    let at = (cont, oid, chunk);
-    let dst = new_targets[moved_shard as usize];
-    let dest_engine = dst / cluster.cfg.targets_per_engine;
-    match class {
-        ObjectClass::Replicated { .. } => {
-            // copy the whole chunk from the first replica that serves it
-            // clean — a donor can itself hold rot (its engine answers the
-            // fetch with a checksum error, surfacing here as None)
-            for &donor in donors {
-                let src = new_targets[donor as usize];
-                let Some(segs) = fetch_from(sim, cluster, dest_engine, src, at, chunk_size).await
-                else {
-                    continue;
-                };
-                let mut moved = 0;
-                for s in segs {
-                    if let Some(d) = s.data {
-                        moved += d.len();
-                        if !write_to(sim, cluster, dst, at, s.offset, d).await {
-                            return None;
-                        }
-                    }
-                }
-                return Some(moved);
-            }
-            None
-        }
-        ObjectClass::ErasureCoded {
-            data: k, parity, ..
-        } => {
-            let (k, parity) = (k as u32, parity as u32);
-            let cell = chunk_size / k as u64;
-            let c = moved_shard - group.start; // cell index within the group
-                                               // XOR set: every other data cell, plus one parity when the lost
-                                               // cell is itself a data cell (all parity cells are XOR parity)
-            let mut sources: Vec<u32> = (0..k)
-                .filter(|&d| d != c)
-                .map(|d| group.start + d)
-                .collect();
-            if c < k {
-                let p = (k..k + parity)
-                    .map(|j| group.start + j)
-                    .find(|s| donors.contains(s))?;
-                sources.push(p);
-            }
-            let mut acc = vec![0u8; cell as usize];
-            let mut any = false;
-            for src in sources {
-                let src = new_targets[src as usize];
-                let segs = fetch_from(sim, cluster, dest_engine, src, at, cell).await?;
-                any |= segs.iter().any(|s| s.data.is_some());
-                xor_into(&mut acc, &flatten(&segs, 0, cell));
-            }
-            if !any {
-                return Some(0); // chunk exists but this stripe was never written
-            }
-            if !write_to(sim, cluster, dst, at, 0, Payload::bytes(acc)).await {
-                return None;
-            }
-            Some(cell)
-        }
-        _ => None,
+    let tpe = cluster.cfg.targets_per_engine;
+    let (dst, cell) = (mv.new.target_of(shard), mv.stripe.cell_size());
+    let group = mv.stripe.group_of_shard(shard).start;
+    let (all, any) = mv.stripe.rederive(shard - group);
+    let needs_one = any.clone().next().is_some();
+    let mut donors = any.filter(|&c| mv.is_donor(shard, group + c)).peekable();
+    if needs_one && donors.peek().is_none() {
+        return None;
     }
+    let fetch = |c: u32| {
+        let (src, oid) = (mv.new.target_of(group + c), mv.stripe.oid);
+        let req = Request::fetch_chunk(src % tpe, mv.cont, oid, chunk, 0, cell, Epoch::MAX);
+        async move {
+            let rsp = engine_rpc(sim, cluster, dst / tpe, src, req).await?;
+            rsp.fetched().ok()
+        }
+    };
+    let mut sources = Vec::new();
+    for c in all {
+        sources.push(fetch(c).await?);
+    }
+    if needs_one {
+        sources.push(loop {
+            if let Some(segs) = fetch(donors.next()?).await {
+                break segs;
+            }
+        });
+    }
+    let image = match <[_; 1]>::try_from(sources) {
+        Ok([copy]) => copy,
+        Err(sources) => {
+            let mut acc = vec![0u8; cell as usize];
+            for segs in &sources {
+                xor_into(&mut acc, &flatten(segs, 0, cell));
+            }
+            let any_data = sources.iter().flatten().any(|s| s.data.is_some());
+            let data = any_data.then(|| Payload::bytes(acc));
+            vec![ReadSeg {
+                offset: 0,
+                len: cell,
+                data,
+            }]
+        }
+    };
+    let (at, mut moved) = ((mv.cont, mv.stripe.oid, chunk), 0);
+    for s in image {
+        moved += s.data.as_ref().map_or(0, Payload::len);
+        if !write_to(sim, cluster, dst, at, s.offset..s.offset + s.len, s.data).await {
+            return None;
+        }
+    }
+    Some(moved)
 }
 
 /// Push map version `version` to every engine that may host repair
@@ -238,11 +257,7 @@ async fn repair_chunk(
 async fn push_map(sim: &Sim, cluster: &Cluster, version: u32, new_excluded: &BTreeSet<TargetId>) {
     let tpe = cluster.cfg.targets_per_engine;
     for e in 0..cluster.cfg.engine_count() {
-        let local: Vec<u32> = new_excluded
-            .iter()
-            .filter(|&&t| t / tpe == e)
-            .map(|&t| t % tpe)
-            .collect();
+        let local = local_excluded(new_excluded, e, tpe);
         if local.len() as u32 == tpe {
             continue;
         }
@@ -275,183 +290,87 @@ pub(crate) async fn run(
     };
     push_map(sim, cluster, version, new_excluded).await;
     let old_map = map_with(cluster, old_excluded);
-    let new_map = map_with(cluster, new_excluded);
+    let new_map = Rc::new(map_with(cluster, new_excluded));
     let throttle = Semaphore::new(cluster.cfg.rebuild_inflight.max(1) as usize);
+    let tpe = cluster.cfg.targets_per_engine;
 
-    for (cont, oid, class, chunk_size) in cluster.registered_objects() {
-        let protected = matches!(
-            class,
-            ObjectClass::Replicated { .. } | ObjectClass::ErasureCoded { .. }
-        );
-        let Some(chunk_size) = chunk_size else {
-            continue;
-        };
-        if !protected {
+    for (cont, stripe) in cluster.registered_arrays() {
+        if !stripe.class.is_protected() {
             continue; // unprotected shards on a dead target are just lost
         }
         stats.objects_scanned += 1;
-        let old_layout = place(oid, class, &old_map);
-        let new_layout = place(oid, class, &new_map);
-        if old_layout == new_layout {
+        let mv = Rc::new(Move::new(cont, stripe, &old_map, Rc::clone(&new_map)));
+        if mv.old == mv.new {
             continue;
         }
-        let gw = class.group_width();
-        let width = new_layout.width();
-        let group_count = (width / gw).max(1);
-        let moved: Vec<u32> = (0..width)
-            .filter(|&s| old_layout.target_of(s) != new_layout.target_of(s))
-            .collect();
-
-        for &s in &moved {
+        let width = mv.new.width();
+        for s in (0..width).filter(|&s| mv.old.target_of(s) != mv.new.target_of(s)) {
             stats.shards_moved += 1;
-            let g = s / gw;
-            let group = g * gw..(g + 1) * gw;
-            // donors: group members that stayed put on live targets
-            let donors: Vec<u32> = group
-                .clone()
-                .filter(|&d| {
-                    d != s
-                        && old_layout.target_of(d) == new_layout.target_of(d)
-                        && !new_map.is_excluded(new_layout.target_of(d))
-                })
-                .collect();
-            let Some(&lister) = donors.first() else {
+            let Some((group, lister)) = mv.donors(s) else {
                 stats.chunks_skipped += 1;
                 continue;
             };
             // every group member holds a piece of every chunk in the
             // group, so one donor's dkey listing enumerates them all
-            let dest_engine = new_layout.target_of(s) / cluster.cfg.targets_per_engine;
-            let listed = engine_rpc(
-                sim,
-                cluster,
-                dest_engine,
-                new_layout.target_of(lister),
-                Request::ListDkeys {
-                    targets: vec![new_layout.target_of(lister) % cluster.cfg.targets_per_engine]
-                        .into(),
-                    cont,
-                    oid,
-                },
-            )
-            .await;
+            let (dest_engine, src) = (mv.new.target_of(s) / tpe, mv.new.target_of(lister));
+            let list = Request::ListDkeys {
+                targets: vec![src % tpe].into(),
+                cont,
+                oid: stripe.oid,
+            };
+            let listed = engine_rpc(sim, cluster, dest_engine, src, list).await;
             let Some(Response::Dkeys(dkeys)) = listed else {
                 stats.chunks_skipped += 1;
                 continue;
             };
-            let chunks: Vec<u64> = dkeys
-                .iter()
-                .filter_map(|d| chunk_of_dkey(d))
-                .filter(|&c| group_of_chunk(oid, c, group_count) == g)
-                .collect();
-            let new_targets: Vec<TargetId> = (0..width).map(|i| new_layout.target_of(i)).collect();
+            let chunks = dkeys.iter().filter_map(|d| chunk_of_dkey(d));
             let futs: Vec<_> = chunks
-                .into_iter()
+                .filter(|&c| mv.stripe.group(width, c) == group)
                 .map(|chunk| {
-                    let sim2 = sim.clone();
-                    let cluster = Rc::clone(cluster);
-                    let throttle = throttle.clone();
-                    let group = group.clone();
-                    let new_targets = new_targets.clone();
-                    let donors = donors.clone();
+                    let (sim, cluster) = (sim.clone(), Rc::clone(cluster));
+                    let (throttle, mv) = (throttle.clone(), Rc::clone(&mv));
                     async move {
                         let _slot = throttle.acquire().await;
-                        repair_chunk(
-                            &sim2,
-                            &cluster,
-                            cont,
-                            oid,
-                            class,
-                            chunk_size,
-                            chunk,
-                            s,
-                            group,
-                            &donors,
-                            &new_targets,
-                        )
-                        .await
+                        repair_chunk(&sim, &cluster, &mv, chunk, s).await
                     }
                 })
                 .collect();
             for r in join_all(sim, futs).await {
-                match r {
-                    Some(bytes) => {
-                        stats.chunks_repaired += 1;
-                        stats.bytes_moved += bytes;
-                    }
-                    None => stats.chunks_skipped += 1,
-                }
+                stats.chunks_repaired += u64::from(r.is_some());
+                stats.chunks_skipped += u64::from(r.is_none());
+                stats.bytes_moved += r.unwrap_or(0);
             }
         }
     }
     stats
 }
 
-/// Targeted self-healing of one reported-bad chunk copy: re-derive the
-/// chunk from the surviving group members (replica copy or EC
-/// reconstruction) and overwrite the rotten copy at a fresh epoch, so the
-/// damaged extent is shadowed and never served again. Unlike a rebuild
-/// pass this touches exactly one chunk on one target. Returns whether the
-/// repair landed.
+/// Targeted self-healing of one reported-bad chunk copy: a one-chunk
+/// repair of the reported shard whose old and new layouts are both the
+/// current one. The chunk is re-derived from the surviving group members
+/// and overwrites the rotten copy at a fresh epoch, so the damaged extent
+/// is shadowed and never served again. Returns whether the repair landed.
 pub(crate) async fn repair_corruption(
     sim: &Sim,
     cluster: &Rc<Cluster>,
     report: CorruptionReport,
 ) -> bool {
-    let Some((class, chunk_size)) = cluster
-        .registered_objects()
-        .into_iter()
-        .find(|&(c, o, _, _)| c == report.cont && o == report.oid)
-        .map(|(_, _, class, cs)| (class, cs))
-    else {
-        return false; // unknown object: nothing to repair from
+    let stripe = cluster.registered_array(report.cont, report.oid);
+    let Some(stripe) = stripe.filter(|s| s.class.is_protected()) else {
+        return false; // unknown or unprotected: no redundancy to heal from
     };
-    let Some(chunk_size) = chunk_size else {
-        return false;
-    };
-    if !matches!(
-        class,
-        ObjectClass::Replicated { .. } | ObjectClass::ErasureCoded { .. }
-    ) {
-        return false; // unprotected: no redundancy to heal from
-    }
-    let map = cluster.pool_map().clone();
-    let layout = place(report.oid, class, &map);
-    let width = layout.width();
-    let gw = class.group_width();
-    let group_count = (width / gw).max(1);
+    let map = Rc::new(cluster.pool_map().clone());
+    let mv = Move::new(report.cont, stripe, &map, Rc::clone(&map));
     // resolve the chunk's group first, then look for the reported target
     // inside it — placement may park shards of several groups on one
     // target, and only the shard in this chunk's group holds its extent
-    let g = group_of_chunk(report.oid, report.chunk, group_count);
-    let group = g * gw..(g + 1) * gw;
-    let Some(shard) = group
-        .clone()
-        .find(|&s| layout.target_of(s) == report.target)
-    else {
+    let mut group = stripe.group(mv.new.width(), report.chunk);
+    let Some(shard) = group.find(|&s| mv.new.target_of(s) == report.target) else {
         return false; // the layout moved on; a rebuild pass owns it now
     };
-    let donors: Vec<u32> = group
-        .clone()
-        .filter(|&d| d != shard && !map.is_excluded(layout.target_of(d)))
-        .collect();
-    if donors.is_empty() {
+    if mv.donors(shard).is_none() {
         return false;
     }
-    let targets: Vec<TargetId> = (0..width).map(|i| layout.target_of(i)).collect();
-    repair_chunk(
-        sim,
-        cluster,
-        report.cont,
-        report.oid,
-        class,
-        chunk_size,
-        report.chunk,
-        shard,
-        group,
-        &donors,
-        &targets,
-    )
-    .await
-    .is_some()
+    let repaired = repair_chunk(sim, cluster, &mv, report.chunk, shard);
+    repaired.await.is_some()
 }

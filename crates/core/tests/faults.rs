@@ -163,6 +163,59 @@ fn engine_crash_heals_end_to_end_ec() {
     assert_eq!(a, b, "same seed + same fault plan must replay identically");
 }
 
+/// A range punched while an engine is out stays punched once it returns:
+/// the reintegration rebuild makes each returning shard read as its
+/// donors' image, holes included, so the stale bytes the engine kept
+/// never resurface. Returns the non-zero bytes a handle opened after the
+/// reintegration reads — the handle opened before the crash still routes
+/// to the replacement targets and would read zeros either way.
+fn punched_while_out(class: ObjectClass) -> usize {
+    let mut sim = Sim::new(0xC2A54);
+    let cfg = ClusterConfig {
+        targets_per_engine: 2,
+        ..testbed()
+    };
+    sim.block_on(move |sim| async move {
+        let cluster = Cluster::build(&sim, cfg);
+        let client = DaosClient::new(Rc::clone(&cluster), 0).with_retry(tight_retry());
+        let pool = client.connect(&sim).await.unwrap();
+        let cont = pool.create_container(&sim, 1).await.unwrap();
+        let (oid, chunk) = (ObjectId::new(7, 7), 64 * KIB);
+        let arr = cont.object(oid, class).array(chunk);
+        arr.write(&sim, 0, Payload::pattern(42, MIB)).await.unwrap();
+
+        cluster.apply_fault(&sim, FaultAction::Crash { node: 2 });
+        let healthy = cluster.pool_map().version();
+        while cluster.pool_map().version() == healthy {
+            sim.sleep_ms(5).await;
+            client.refresh_pool_map(&sim).await;
+        }
+        cluster.quiesce_rebuild(&sim).await;
+        arr.punch(&sim, 0, MIB).await.unwrap();
+        let degraded = arr.read_bytes(&sim, 0, MIB).await.unwrap();
+        assert!(degraded.iter().all(|&b| b == 0), "{class}: degraded read");
+
+        cluster.apply_fault(&sim, FaultAction::Restart { node: 2 });
+        let back = daos_core::Request::PoolReintegrate {
+            targets: vec![4, 5],
+        };
+        client.control(&sim, back).await.unwrap();
+        client.refresh_pool_map(&sim).await;
+        cluster.quiesce_rebuild(&sim).await;
+        let fresh = cont.object(oid, class).array(chunk);
+        let got = fresh.read_bytes(&sim, 0, MIB).await.unwrap();
+        got.iter().filter(|&&b| b != 0).count()
+    })
+}
+
+#[test]
+fn a_range_punched_while_an_engine_is_out_stays_punched() {
+    for class in [ObjectClass::RP_2GX, ObjectClass::EC_2P1GX] {
+        let back = punched_while_out(class);
+        assert_eq!(back, 0, "{class}: punched bytes back after reintegration");
+    }
+}
+
 /// Outcome snapshot for the rot-mixed chaos scenario.
 #[derive(PartialEq, Debug)]
 struct RotOutcome {

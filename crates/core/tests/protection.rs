@@ -3,6 +3,7 @@
 //! write fan-out, degraded reads over excluded targets, and XOR
 //! reconstruction verified byte-for-byte.
 
+use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use daos_core::proto::{array_akey, chunk_dkey, wire_csum};
@@ -11,6 +12,7 @@ use daos_placement::{ObjectClass, ObjectId};
 use daos_sim::units::{KIB, MIB};
 use daos_sim::Sim;
 use daos_vos::Payload;
+use proptest::prelude::*;
 
 fn testbed() -> (Sim, ClusterConfig) {
     (
@@ -261,4 +263,177 @@ fn multi_chunk_write_finishes_every_piece_and_reports_the_first_error_in_chunk_o
             assert_eq!(got, want.to_vec(), "chunk {c}");
         }
     });
+}
+
+/// The punch, size and class-equivalence testbed: four engines of two
+/// targets, so an `EC_2P1GX` array has two groups of three cells.
+fn two_target_testbed(seed: u64) -> (Sim, ClusterConfig) {
+    let cfg = ClusterConfig {
+        server_nodes: 4,
+        engines_per_node: 1,
+        targets_per_engine: 2,
+        ..ClusterConfig::tiny(1)
+    };
+    (Sim::new(seed), cfg)
+}
+
+/// `S1` and the two protection schemes, which must read back alike.
+const ALIKE: [ObjectClass; 3] = [ObjectClass::S1, ObjectClass::RP_2GX, ObjectClass::EC_2P1GX];
+
+/// 64 KiB chunks: 32 KiB cells under `EC_2P1GX`.
+const CHUNK: u64 = 64 * KIB;
+
+/// One punch into one written chunk, for each class and each of four
+/// ranges: either whole EC cell, and a piece inside each. The range reads
+/// zero and nothing outside it changes; on EC, losing any one target of
+/// the layout reads the same bytes as the healthy stripe.
+#[test]
+fn punch_clears_exactly_its_range_on_every_class() {
+    let ranges = [
+        (0, 32 * KIB),
+        (32 * KIB, 32 * KIB),
+        (16 * KIB, 8 * KIB),
+        (40 * KIB, 8 * KIB),
+    ];
+    for class in ALIKE {
+        for (off, len) in ranges {
+            let (mut sim, cfg) = two_target_testbed(7);
+            sim.block_on(move |sim| async move {
+                let cluster = Cluster::build(&sim, cfg);
+                let client = DaosClient::new(Rc::clone(&cluster), 0);
+                let pool = client.connect(&sim).await.unwrap();
+                let cont = pool.create_container(&sim, 1).await.unwrap();
+                let obj = cont.object(ObjectId::new(9, 9), class);
+                let arr = obj.array(CHUNK);
+                arr.write(&sim, 0, Payload::pattern(3, CHUNK))
+                    .await
+                    .unwrap();
+                arr.punch(&sim, off, len).await.unwrap();
+                let mut want = Payload::pattern(3, CHUNK).materialize().to_vec();
+                want[off as usize..(off + len) as usize].fill(0);
+                let wrong = |got: Vec<u8>| got.iter().zip(&want).filter(|(a, b)| a != b).count();
+                let at = format!("{class} punch [{off}, {})", off + len);
+                let healthy = arr.read_bytes(&sim, 0, CHUNK).await.unwrap();
+                assert_eq!(wrong(healthy), 0, "{at}: bytes that differ");
+                if class != ObjectClass::EC_2P1GX {
+                    return;
+                }
+                let targets: BTreeSet<_> = obj.layout().targets().collect();
+                for t in targets {
+                    cluster.exclude_target(t);
+                    let degraded = arr.read_bytes(&sim, 0, CHUNK).await.unwrap();
+                    cluster.reintegrate_target(t);
+                    assert_eq!(
+                        wrong(degraded),
+                        0,
+                        "{at}, target {t} lost: bytes that differ"
+                    );
+                }
+            });
+        }
+    }
+}
+
+/// `size` counts array bytes, not shard bytes: one whole chunk is 64 KiB
+/// on every class, and punching the tail shrinks it to where the data
+/// ends, mid-cell and down to nothing.
+#[test]
+fn size_counts_array_bytes_on_every_class() {
+    for class in ALIKE {
+        let (mut sim, cfg) = two_target_testbed(7);
+        sim.block_on(move |sim| async move {
+            let cluster = Cluster::build(&sim, cfg);
+            let client = DaosClient::new(Rc::clone(&cluster), 0);
+            let pool = client.connect(&sim).await.unwrap();
+            let cont = pool.create_container(&sim, 1).await.unwrap();
+            let arr = cont.object(ObjectId::new(9, 9), class).array(CHUNK);
+            arr.write(&sim, 0, Payload::pattern(3, CHUNK))
+                .await
+                .unwrap();
+            assert_eq!(arr.size(&sim).await.unwrap(), CHUNK, "{class}");
+            for end in [40 * KIB, 20 * KIB, 0] {
+                arr.punch(&sim, end, CHUNK - end).await.unwrap();
+                assert_eq!(arr.size(&sim).await.unwrap(), end, "{class} cut at {end}");
+            }
+        });
+    }
+}
+
+/// One step of the class-equivalence check, over an 8-cell span.
+#[derive(Clone, Debug)]
+enum Op {
+    /// Write `cells` whole cells from cell `first`.
+    Write {
+        first: u64,
+        cells: u64,
+        seed: u64,
+    },
+    /// Punch `len` bytes at `offset`.
+    Punch {
+        offset: u64,
+        len: u64,
+    },
+    Size,
+}
+
+/// Four chunks of two cells.
+const SPAN: u64 = 4 * CHUNK;
+
+fn op() -> impl Strategy<Value = Op> {
+    let cell = CHUNK / 2;
+    prop_oneof![
+        (0..SPAN / cell, 1..=SPAN / cell, any::<u64>()).prop_map(move |(first, cells, seed)| {
+            let cells = cells.min(SPAN / cell - first);
+            Op::Write { first, cells, seed }
+        }),
+        (0..SPAN, 1..=SPAN).prop_map(|(offset, len)| Op::Punch {
+            offset,
+            len: len.min(SPAN - offset),
+        }),
+        Just(Op::Size),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Protected classes read back like `S1`: one random sequence of
+    /// cell-aligned writes, punches at any offset and size queries runs on
+    /// an `S1`, an `RP_2GX` and an `EC_2P1GX` array, and after every op the
+    /// whole span reads the same bytes and `size` agrees on every class.
+    #[test]
+    fn protected_classes_read_back_like_s1(ops in prop::collection::vec(op(), 1..10)) {
+        let (mut sim, cfg) = two_target_testbed(0x0AC1E);
+        sim.block_on(move |sim| async move {
+            let cluster = Cluster::build(&sim, cfg);
+            let client = DaosClient::new(Rc::clone(&cluster), 0);
+            let pool = client.connect(&sim).await.unwrap();
+            let cont = pool.create_container(&sim, 1).await.unwrap();
+            let arrays: Vec<_> = (0..)
+                .zip(ALIKE)
+                .map(|(i, class)| cont.object(ObjectId::new(10, i), class).array(CHUNK))
+                .collect();
+            for (step, op) in ops.iter().enumerate() {
+                for arr in &arrays {
+                    match *op {
+                        Op::Write { first, cells, seed } => {
+                            let (at, len) = (first * CHUNK / 2, cells * CHUNK / 2);
+                            arr.write(&sim, at, Payload::pattern(seed, len)).await.unwrap();
+                        }
+                        Op::Punch { offset, len } => arr.punch(&sim, offset, len).await.unwrap(),
+                        Op::Size => {}
+                    }
+                }
+                let mut seen = Vec::new();
+                for arr in &arrays {
+                    let bytes = arr.read_bytes(&sim, 0, SPAN).await.unwrap();
+                    seen.push((arr.size(&sim).await.unwrap(), bytes));
+                }
+                for (class, got) in ALIKE.iter().zip(&seen).skip(1) {
+                    assert_eq!(got.0, seen[0].0, "{class} size after step {step}: {op:?}");
+                    assert!(got.1 == seen[0].1, "{class} bytes after step {step}: {op:?}");
+                }
+            }
+        });
+    }
 }

@@ -79,6 +79,39 @@ fn write_grows_size_truncate_shrinks_it() {
     });
 }
 
+/// Truncating an `EC_2P1GX` file mid-cell leaves exactly the new length:
+/// the bytes below it intact and none above it.
+#[test]
+fn truncate_of_an_ec_file_ends_mid_cell() {
+    let mut sim = Sim::new(0xD5E);
+    sim.block_on(|sim| async move {
+        let cfg = ClusterConfig {
+            server_nodes: 4,
+            targets_per_engine: 2,
+            ..ClusterConfig::tiny(1)
+        };
+        let client = DaosClient::new(Cluster::build(&sim, cfg), 0);
+        let pool = client.connect(&sim).await.unwrap();
+        let fs = Dfs::mount(&sim, &pool, 1, DfsConfig::default(), 3)
+            .await
+            .unwrap();
+        let (chunk, len, cut) = (64 * KIB, 256 * KIB, 100 * KIB);
+        let f = fs
+            .create(&sim, "/ec.dat", ObjectClass::EC_2P1GX, chunk)
+            .await
+            .unwrap();
+        f.write(&sim, 0, Payload::pattern(5, len)).await.unwrap();
+        assert_eq!(fs.stat(&sim, "/ec.dat").await.unwrap().size, len);
+        // 100 KiB is 4 KiB into chunk 1's first 32 KiB cell
+        fs.truncate(&sim, "/ec.dat", cut).await.unwrap();
+        assert_eq!(f.size(&sim).await.unwrap(), cut);
+        let got = f.read_bytes(&sim, 0, len).await.unwrap();
+        let want = Payload::pattern(5, len).materialize();
+        assert_eq!(&got[..cut as usize], &want[..cut as usize]);
+        assert!(got[cut as usize..].iter().all(|&b| b == 0));
+    });
+}
+
 #[test]
 fn rename_moves_entries_across_directories() {
     let mut sim = Sim::new(0xD53);

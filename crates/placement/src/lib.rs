@@ -33,6 +33,7 @@
 )]
 
 use std::collections::BTreeSet;
+use std::ops::Range;
 use std::rc::Rc;
 
 /// A flat target identifier within a pool (dense, `0..target_count`).
@@ -180,6 +181,16 @@ impl ObjectClass {
     /// Canonical class name.
     pub fn name(&self) -> String {
         self.to_string()
+    }
+
+    /// Does the class keep redundancy (`RP_n`, `EC_k+p`)? Only these are
+    /// placed fault-domain-aware, keep their width across exclusions, and
+    /// are rebuilt and repaired.
+    pub fn is_protected(&self) -> bool {
+        matches!(
+            self,
+            ObjectClass::Replicated { .. } | ObjectClass::ErasureCoded { .. }
+        )
     }
 
     /// Number of cells (targets touched) per stripe group.
@@ -437,6 +448,108 @@ impl PartialEq for Layout {
 
 impl Eq for Layout {}
 
+// ---------------------------------------------------------------- Stripe
+
+/// The stripe geometry of an array: how chunks of `chunk_size` bytes of
+/// object `oid` lie on the shards of its class. Every array path asks it
+/// — the client's write, read, punch, size and EC reconstruct, the
+/// rebuild pass and the targeted repair — so they agree on what a
+/// protected array holds.
+///
+/// A chunk lives on one redundancy group of `group_width` shards, whose
+/// members are its cells (group-relative shard indices). A sharded chunk
+/// is one cell; a replicated one is the same cell on every replica; an
+/// `EC_k+p` chunk is `k` data cells of `chunk_size / k` bytes, cell `c`
+/// holding chunk bytes `[c · cell, (c + 1) · cell)` at cell-relative
+/// offsets, then `p` XOR parity cells.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Stripe {
+    pub oid: ObjectId,
+    pub class: ObjectClass,
+    pub chunk_size: u64,
+}
+
+impl Stripe {
+    /// The geometry of `oid`'s chunks of `chunk_size` bytes under `class`.
+    pub fn new(oid: ObjectId, class: ObjectClass, chunk_size: u64) -> Stripe {
+        Stripe {
+            oid,
+            class,
+            chunk_size,
+        }
+    }
+
+    /// The shards of the redundancy group `chunk` belongs to, on a layout
+    /// `width` shards wide. DAOS routes array chunks by dkey hash, not
+    /// round-robin: the spread is statistical, which is what makes wide
+    /// classes blow the engines' stream windows in file-per-process
+    /// workloads.
+    pub fn group(&self, width: u32, chunk: u64) -> Range<u32> {
+        let w = self.class.group_width();
+        let h = splitmix64(chunk ^ self.oid.mix().rotate_left(23));
+        let g = jump_consistent_hash(h, (width / w).max(1));
+        g * w..(g + 1) * w
+    }
+
+    /// The redundancy group `shard` is a member of.
+    pub fn group_of_shard(&self, shard: u32) -> Range<u32> {
+        let w = self.class.group_width();
+        shard / w * w..(shard / w + 1) * w
+    }
+
+    /// Bytes of a chunk one cell holds: the whole chunk, or one of an EC
+    /// stripe's `k` data cells.
+    pub fn cell_size(&self) -> u64 {
+        match self.class {
+            ObjectClass::ErasureCoded { data: k, .. } => self.chunk_size / u64::from(k),
+            _ => self.chunk_size,
+        }
+    }
+
+    /// The cells the chunk-relative `range` covers, in order, each with
+    /// the cell-relative range it covers there.
+    pub fn cells(&self, range: Range<u64>) -> impl ExactSizeIterator<Item = (u32, Range<u64>)> {
+        let cell = self.cell_size();
+        let (first, end) = (range.start / cell, range.end.div_ceil(cell));
+        (first as u32..end as u32).map(move |c| {
+            let base = u64::from(c) * cell;
+            let inner = range.start.max(base) - base..range.end.min(base + cell) - base;
+            (c, inner)
+        })
+    }
+
+    /// The chunk offset of byte `offset` of cell `cell`.
+    pub fn chunk_offset(&self, cell: u32, offset: u64) -> u64 {
+        u64::from(cell) * self.cell_size() + offset
+    }
+
+    /// How a group re-derives its cell `lost` from the other cells: the
+    /// XOR of every cell of the first list and, when the second names any,
+    /// of one of those, tried in order. A replica is a copy of any other
+    /// replica; an EC data cell is the XOR of the other data cells and one
+    /// parity; an EC parity cell is the XOR of the data cells. An
+    /// unprotected class re-derives nothing. Which cells are fit to ask is
+    /// each caller's call.
+    pub fn rederive(
+        &self,
+        lost: u32,
+    ) -> (
+        impl Iterator<Item = u32> + Clone,
+        impl Iterator<Item = u32> + Clone,
+    ) {
+        let (all, any) = match self.class {
+            ObjectClass::Replicated { replicas, .. } => (0..0, 0..u32::from(replicas)),
+            ObjectClass::ErasureCoded { data, parity, .. } => {
+                let (k, p) = (u32::from(data), u32::from(parity));
+                (0..k, if lost < k { k..k + p } else { 0..0 })
+            }
+            _ => (0..0, 0..0),
+        };
+        let other = move |c: &u32| *c != lost;
+        (all.filter(other), any.filter(other))
+    }
+}
+
 /// The shard count [`place`] will produce for `class` on `map`.
 ///
 /// Sharded classes scale with the *active* target count; protected classes
@@ -445,13 +558,9 @@ impl Eq for Layout {}
 /// slot — stays stable across exclusions and reintegrations. Without that
 /// stability an exclusion would silently regroup every stripe.
 pub fn place_width(class: ObjectClass, map: &PoolMap) -> u32 {
-    match class {
-        ObjectClass::Sharded(_) | ObjectClass::ShardedMax => {
-            class.shard_count(map.active_target_count())
-        }
-        ObjectClass::Replicated { .. } | ObjectClass::ErasureCoded { .. } => {
-            class.shard_count(map.target_count())
-        }
+    match class.is_protected() {
+        true => class.shard_count(map.target_count()),
+        false => class.shard_count(map.active_target_count()),
     }
 }
 
@@ -470,10 +579,7 @@ pub fn place_width(class: ObjectClass, map: &PoolMap) -> u32 {
 pub fn place(oid: ObjectId, class: ObjectClass, map: &PoolMap) -> Layout {
     let n_active = map.active_target_count();
     assert!(n_active > 0, "no active targets");
-    if matches!(
-        class,
-        ObjectClass::Replicated { .. } | ObjectClass::ErasureCoded { .. }
-    ) {
+    if class.is_protected() {
         let shards = Shards::Table(protected_table(oid, class, map).into_boxed_slice());
         return Layout { class, shards };
     }
@@ -1009,13 +1115,55 @@ mod tests {
         assert_eq!(distinct.len(), 2, "both targets used, one reused");
     }
 
+    /// The stripe geometry of a 64 KiB chunk: a sharded or replicated
+    /// chunk is one cell, an `EC_2P1` chunk two 32 KiB data cells; a range
+    /// maps to cell ranges and back; groups are the dkey-hashed runs of
+    /// `group_width` shards; and each class names the cells that
+    /// re-derive a lost one.
+    #[test]
+    fn stripe_geometry_per_class() {
+        let oid = ObjectId::new(9, 9);
+        let (kib, ec) = (1024, ObjectClass::EC_2P1GX);
+        let stripe = |class| Stripe::new(oid, class, 64 * kib);
+        let cells = |class, r: std::ops::Range<u64>| stripe(class).cells(r).collect::<Vec<_>>();
+        assert_eq!(
+            cells(ObjectClass::S1, 16 * kib..48 * kib),
+            [(0, 16 * kib..48 * kib)]
+        );
+        assert_eq!(cells(ObjectClass::RP_2GX, 0..64 * kib), [(0, 0..64 * kib)]);
+        assert_eq!(
+            cells(ec, 16 * kib..40 * kib),
+            [(0, 16 * kib..32 * kib), (1, 0..8 * kib)]
+        );
+        assert_eq!(cells(ec, 32 * kib..64 * kib), [(1, 0..32 * kib)]);
+        assert_eq!(stripe(ec).cell_size(), 32 * kib);
+        assert_eq!(stripe(ec).chunk_offset(1, 8 * kib), 40 * kib);
+
+        for class in [ObjectClass::S1, ObjectClass::RP_2GX, ec] {
+            let (s, w) = (stripe(class), class.group_width());
+            for chunk in 0..64 {
+                let g = s.group(6 * w, chunk);
+                assert_eq!(g.len() as u32, w);
+                assert!(g.start % w == 0 && g.end <= 6 * w, "{class} chunk {chunk}");
+                assert_eq!(s.group_of_shard(g.end - 1), g);
+            }
+        }
+
+        let lists = |class, lost| {
+            let (all, any) = stripe(class).rederive(lost);
+            (all.collect::<Vec<_>>(), any.collect::<Vec<_>>())
+        };
+        let rp3 = ObjectClass::RP_3G1;
+        assert_eq!(lists(rp3, 1), (vec![], vec![0, 2]));
+        assert_eq!(lists(ObjectClass::EC_4P2GX, 1), (vec![0, 2, 3], vec![4, 5]));
+        assert_eq!(lists(ObjectClass::EC_4P2GX, 4), (vec![0, 1, 2, 3], vec![]));
+        assert_eq!(lists(ObjectClass::SX, 0), (vec![], vec![]));
+    }
+
     /// Today's layouts as tables: the sharded builder as it stood when
     /// layouts were tables, and the protected one, which still builds one.
     fn table_of(oid: ObjectId, class: ObjectClass, map: &PoolMap) -> Vec<TargetId> {
-        if matches!(
-            class,
-            ObjectClass::Replicated { .. } | ObjectClass::ErasureCoded { .. }
-        ) {
+        if class.is_protected() {
             return protected_table(oid, class, map);
         }
         let n_active = map.active_target_count();
