@@ -38,16 +38,19 @@ use daos_vos::Payload;
 /// Cut `[offset, offset+len)` at `max_req`-aligned file offsets, the way
 /// the kernel FUSE layer fragments I/O (page-cache write-back windows).
 pub fn split_aligned(max_req: u64, offset: u64, len: u64) -> Vec<(u64, u64)> {
-    let mut out = Vec::new();
-    let mut cur = offset;
-    let end = offset + len;
-    while cur < end {
-        let boundary = (cur / max_req + 1) * max_req;
-        let take = boundary.min(end) - cur;
-        out.push((cur, take));
-        cur += take;
-    }
-    out
+    pieces(max_req, offset, len).collect()
+}
+
+/// The `(offset, len)` pieces of [`split_aligned`], one at a time.
+fn pieces(max_req: u64, offset: u64, len: u64) -> impl Iterator<Item = (u64, u64)> {
+    let (mut cur, end) = (offset, offset + len);
+    std::iter::from_fn(move || {
+        (cur < end).then(|| {
+            let take = ((cur / max_req + 1) * max_req).min(end) - cur;
+            cur += take;
+            (cur - take, take)
+        })
+    })
 }
 
 /// DFuse tuning knobs.
@@ -178,8 +181,8 @@ impl DfuseMount {
     }
 
     /// Split `[offset, offset+len)` at `max_req`-aligned boundaries.
-    fn split(&self, offset: u64, len: u64) -> Vec<(u64, u64)> {
-        split_aligned(self.cfg.max_req, offset, len)
+    fn split(&self, offset: u64, len: u64) -> impl Iterator<Item = (u64, u64)> {
+        pieces(self.cfg.max_req, offset, len)
     }
 
     /// POSIX `open(2)`.
@@ -293,7 +296,12 @@ impl PosixFile {
             sim.sleep(m.cfg.kernel_crossing).await;
             m.reqs.set(m.reqs.get() + 1);
             let _t = m.daemon.acquire().await;
-            segs.extend(self.file.read(sim, piece_off, piece_len).await?);
+            let piece = self.file.read(sim, piece_off, piece_len).await?;
+            // the first piece's segments, as they came, start the result
+            match segs.is_empty() {
+                true => segs = piece,
+                false => segs.extend(piece),
+            }
         }
         Ok(segs)
     }

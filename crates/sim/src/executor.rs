@@ -20,7 +20,8 @@
 //! `IDLE_PER_TYPE` (32) of each type, so spawning a task of a type already
 //! seen refills a finished box instead of allocating one. An engine
 //! serving RPCs therefore reuses its handlers' storage, as a DAOS target
-//! reuses its pool of service threads.
+//! reuses its pool of service threads. A [`crate::join_inline`]'s slot
+//! block is recycled the same way, by layout (`crate::join`).
 //!
 //! Wakers do not allocate: each is a [`RawWaker`] whose data word encodes
 //! `(child tag, executor registry slot, task id)` and is never
@@ -42,6 +43,7 @@ use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
+use crate::join::JoinBlocks;
 use crate::time::{SimDuration, SimTime};
 use crate::timers::{TimerKey, Timers};
 
@@ -307,6 +309,8 @@ struct Inner {
     timers: RefCell<Timers>,
     ready: RefCell<VecDeque<u32>>,
     tasks: RefCell<TaskArena>,
+    /// Finished joins' slot blocks, for the next join of each layout.
+    join_blocks: RefCell<JoinBlocks>,
     live_tasks: Cell<usize>,
     spawned_total: Cell<u64>,
     rng: RefCell<ChaCha8Rng>,
@@ -422,6 +426,7 @@ impl Sim {
             timers: RefCell::new(Timers::default()),
             ready: RefCell::new(VecDeque::new()),
             tasks: RefCell::new(TaskArena::default()),
+            join_blocks: RefCell::default(),
             live_tasks: Cell::new(0),
             spawned_total: Cell::new(0),
             rng: RefCell::new(ChaCha8Rng::seed_from_u64(seed)),
@@ -455,6 +460,17 @@ impl Sim {
     /// that refills a finished task's box does not count.
     pub fn task_boxes(&self) -> u64 {
         self.inner.tasks.borrow().boxes
+    }
+
+    /// Number of join slot blocks allocated over the sim's lifetime: a
+    /// join that reuses a finished join's block does not count.
+    pub fn join_blocks(&self) -> u64 {
+        self.inner.join_blocks.borrow().allocated()
+    }
+
+    /// The store of finished joins' slot blocks.
+    pub(crate) fn join_store(&self) -> &RefCell<JoinBlocks> {
+        &self.inner.join_blocks
     }
 
     /// Number of tasks currently alive (not yet completed).
@@ -595,18 +611,16 @@ impl Sim {
         }
     }
 
-    /// The simulation and task id behind `waker`, if it is a task's own
-    /// waker (not a join child's) of a live simulation.
-    pub(crate) fn task_of(waker: &Waker) -> Option<(Sim, u32)> {
+    /// The live simulation behind `waker`, if it is one of its wakers,
+    /// and the task id if it is that task's own waker (not a join
+    /// child's).
+    pub(crate) fn of_waker(waker: &Waker) -> Option<(Sim, Option<u32>)> {
         if !std::ptr::eq(waker.vtable(), &SIM_WAKER_VTABLE) {
             return None;
         }
         let (tag, reg, id) = decode(waker.data() as usize);
-        if tag != 0 {
-            return None;
-        }
         let inner = executor_at(reg)?;
-        Some((Sim { inner }, id))
+        Some((Sim { inner }, (tag == 0).then_some(id)))
     }
 
     /// Whether `waker` is task `task`'s own waker in this simulation.
@@ -745,8 +759,10 @@ impl Sim {
             }
             drop(slots);
         }
-        // idle boxes are empty: dropping them runs no task code
+        // idle boxes and spare join blocks are empty: dropping them runs no
+        // task code
         self.inner.tasks.borrow_mut().idle.clear();
+        self.inner.join_blocks.borrow_mut().clear();
         self.inner.timers.borrow_mut().clear();
         self.inner.ready.borrow_mut().clear();
         self.inner.live_tasks.set(0);

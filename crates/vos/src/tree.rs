@@ -140,6 +140,23 @@ impl<'a> Overlay<'a> {
         }
     }
 
+    /// The overlay of at most one candidate extent over `[offset, qend)`:
+    /// the extent clipped to the query between at most two holes — unless
+    /// it clips to nothing (a zero-length one inside the range), which
+    /// leaves the range one hole, as painting would.
+    fn of_one(extent: Option<&'a Extent>, offset: u64, qend: u64) -> Self {
+        let clipped = extent.map(|e| (e, e.offset.max(offset), e.end().min(qend)));
+        let shape = match clipped {
+            Some((extent, start, end)) if start < end => Shape::One { extent, start, end },
+            _ => Shape::Hole,
+        };
+        Overlay {
+            offset,
+            qend,
+            shape,
+        }
+    }
+
     /// The query range as maximal contiguous segments in order. Holes
     /// appear as `data: None`.
     pub fn segs(&self) -> Vec<ReadSeg> {
@@ -388,6 +405,13 @@ impl ExtentTree {
     /// takes both answers from the same [`Overlay`].
     pub fn overlay(&self, offset: u64, len: u64, epoch: Epoch) -> Overlay<'_> {
         let qend = offset + len;
+        let visible = |e: &&Extent| e.epoch <= epoch && e.end() > offset;
+        // a tree of one extent (every chunk written once) answers without
+        // an index: that extent, if it overlaps the range and is visible
+        if self.extents.len() <= 1 {
+            let only = self.extents.first().filter(|e| e.offset < qend);
+            return Overlay::of_one(only.filter(visible), offset, qend);
+        }
         // candidates come from the interval index, then the epoch/end
         // filters: the candidate *set* is identical to a full scan
         self.with_index(|ix| {
@@ -397,29 +421,13 @@ impl ExtentTree {
             let mut candidates = ix.by_start[lo..hi]
                 .iter()
                 .map(|&id| &self.extents[id as usize])
-                .filter(|e| e.epoch <= epoch && e.end() > offset);
-            let shape = match (candidates.next(), candidates.next()) {
+                .filter(visible);
+            match (candidates.next(), candidates.next()) {
                 (Some(a), Some(b)) => {
                     let vis = [a, b].into_iter().chain(candidates).collect();
-                    return Overlay::painted(vis, offset, qend);
+                    Overlay::painted(vis, offset, qend)
                 }
-                // one extent: the answer is the extent clipped to the
-                // query between at most two holes — unless it clips to
-                // nothing (a zero-length one inside the range), which
-                // leaves the range one hole, as painting would
-                (Some(extent), None) => {
-                    let (start, end) = (extent.offset.max(offset), extent.end().min(qend));
-                    match start < end {
-                        true => Shape::One { extent, start, end },
-                        false => Shape::Hole,
-                    }
-                }
-                (None, _) => Shape::Hole,
-            };
-            Overlay {
-                offset,
-                qend,
-                shape,
+                (one, _) => Overlay::of_one(one, offset, qend),
             }
         })
     }
@@ -761,9 +769,10 @@ mod tests {
     }
 
     /// With at most one candidate extent `overlay` answers without
-    /// painting; the answer — segments and verdict — is the painted one for
-    /// a data extent, a rotten one, a punch and a zero-length one, at every
-    /// query that starts or ends before, on, inside and beyond it.
+    /// painting, and a tree of one extent without an index; the answer —
+    /// segments and verdict — is the painted one for a data extent, a
+    /// rotten one, a punch and a zero-length one, at every query that
+    /// starts or ends before, on, inside and beyond it.
     #[test]
     fn single_extent_shortcut_equals_the_paint_path() {
         let mut data = ExtentTree::new();
@@ -789,6 +798,11 @@ mod tests {
                 assert_eq!(got.segs(), want.segs(), "{at}");
                 assert_eq!(got.verify(), want.verify(), "{at}");
             }
+            let ix = t.index.borrow();
+            assert!(
+                ix.by_start.is_empty() && ix.bounds.is_empty(),
+                "no index built"
+            );
         }
     }
 

@@ -14,7 +14,9 @@
 //! and no task on the client side — a write or read inside one chunk runs
 //! in its caller's task, one spanning several joins its pieces there.
 //! Once the engines have served a few, a handler task costs no allocation:
-//! it runs in the box of one that finished.
+//! it runs in the box of one that finished. Nor does a collective's
+//! fan-out, on either side: each join's slots go in the block of one that
+//! finished.
 
 use std::rc::Rc;
 
@@ -344,4 +346,66 @@ fn a_box_per_handler_fails_the_check() {
         "{verdict:?}"
     );
     check_recycling((TRANSFERS, TRANSFERS, 0)).expect("recycled boxes pass");
+}
+
+/// Counted `size` calls, each one `ArrayMaxChunk` collective.
+const SIZES: u64 = 200;
+
+/// `(rpcs, join blocks)` of [`SIZES`] `size` calls on a written `SX`
+/// array after [`WARM_UP`] of them, issued from the root task one at a
+/// time with the cluster otherwise silent. Each is one collective: a
+/// client round that joins one RPC per engine, each served by a handler
+/// that joins its engine's eight targets.
+fn collective_census() -> (u64, u64) {
+    let mut sim = Sim::new(0xCE5);
+    sim.block_on(move |sim| async move {
+        let env = quiet_testbed(&sim).await;
+        let arr = env.containers[0]
+            .object(ObjectId::new(0xC, 0xCE5), ObjectClass::SX)
+            .array(MIB);
+        let data = Payload::pattern(7, 4 * KIB);
+        arr.write(&sim, 40 * MIB, data).await.expect("write");
+        let totals = |sim: &Sim| (engine_rpcs(&env), sim.join_blocks());
+        let mut before = totals(&sim);
+        for i in 0..WARM_UP + SIZES {
+            if i == WARM_UP {
+                before = totals(&sim);
+            }
+            let size = arr.size(&sim).await.expect("size");
+            assert_eq!(size, 40 * MIB + 4 * KIB);
+        }
+        let after = totals(&sim);
+        (after.0 - before.0, after.1 - before.1)
+    })
+}
+
+/// Check a collective census: one RPC per engine per `size`, and no join
+/// block allocated for any of them.
+fn check_collectives((rpcs, blocks): (u64, u64)) -> Result<(), String> {
+    if rpcs != SIZES * ENGINES {
+        return Err(format!("{rpcs} RPCs, not {}", SIZES * ENGINES));
+    }
+    if blocks != 0 {
+        return Err(format!("{blocks} join blocks allocated after the warm-up"));
+    }
+    Ok(())
+}
+
+#[test]
+fn a_warm_engine_serves_a_collective_without_a_new_join_block() {
+    let census = collective_census();
+    check_collectives(census).unwrap_or_else(|e| panic!("{e}: {census:?}"));
+}
+
+/// Planted negative: the census this repo had while every join allocated
+/// its slots — one block for each client round and one for each engine's
+/// visit — must not pass the check.
+#[test]
+fn a_block_per_join_fails_the_check() {
+    let verdict = check_collectives((SIZES * ENGINES, SIZES * (1 + ENGINES)));
+    assert!(
+        verdict.as_ref().is_err_and(|e| e.contains("join blocks")),
+        "{verdict:?}"
+    );
+    check_collectives((SIZES * ENGINES, 0)).expect("reused blocks pass");
 }
