@@ -271,13 +271,6 @@ impl Cluster {
         }
     }
 
-    /// Remove shaping from every engine (back to unshaped service).
-    pub fn clear_qos(&self) {
-        for e in &self.engines {
-            e.clear_qos();
-        }
-    }
-
     /// Sum a tenant's shaper statistics across all engines.
     pub fn tenant_stats(&self, tenant: u8) -> crate::engine::TenantStats {
         let mut total = crate::engine::TenantStats::default();

@@ -359,11 +359,6 @@ impl Engine {
             .replace(Some(QosShaper::new(params, self.targets.len())));
     }
 
-    /// Remove the shaper (back to unshaped service).
-    pub fn clear_qos(&self) {
-        self.qos.replace(None);
-    }
-
     /// The installed shaper, if any: the one way the data path, the
     /// control path and the scrubber reach it.
     fn shaper(&self) -> Option<Rc<QosShaper>> {

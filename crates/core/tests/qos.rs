@@ -259,35 +259,6 @@ fn control_plane_is_accounted_but_never_shaped() {
     assert_eq!(no_qos_ops, 0, "no shaper, no accounting");
 }
 
-/// `clear_qos` detaches the shaper: counters freeze and subsequent
-/// traffic flows unshaped, so a sweep can flip shaping off between
-/// cells without rebuilding the cluster.
-#[test]
-fn clear_qos_freezes_counters_and_unshapes_traffic() {
-    let mut sim = Sim::new(25);
-    sim.block_on(move |sim| async move {
-        let cluster = Cluster::build(&sim, ClusterConfig::tiny(1));
-        cluster.apply_qos(QosParams::default().with_class(1, QosClass::weighted(2)));
-        let client = DaosClient::new(Rc::clone(&cluster), 0).with_tenant(1);
-        let pool = client.connect(&sim).await.unwrap();
-        pool.create_container(&sim, 1).await.unwrap();
-        client
-            .call_deadline(&sim, 1, raw_update(0, KIB))
-            .await
-            .unwrap();
-        let shaped = cluster.engine(1).tenant_stats(1);
-        assert_eq!(shaped.ops, 1);
-
-        cluster.clear_qos();
-        client
-            .call_deadline(&sim, 1, raw_update(0, KIB))
-            .await
-            .unwrap();
-        let after = cluster.engine(1).tenant_stats(1);
-        assert_eq!(after, Default::default(), "counters reset with the shaper");
-    });
-}
-
 mod primitives {
     //! Property tests for the shaper primitives themselves: the DRR
     //! scheduler and the scaled-integer token bucket, driven with

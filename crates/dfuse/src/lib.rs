@@ -173,16 +173,13 @@ impl DfuseMount {
         }
     }
 
-    /// One metadata FUSE request (open/stat/mkdir/...): crossing + daemon.
-    async fn meta_req(&self, sim: &Sim) -> daos_sim::SemaphorePermit {
+    /// One FUSE request, the one rule every call through the kernel
+    /// follows: the kernel crossing, counted, then a daemon thread, held
+    /// while the caller serves the request.
+    async fn request(&self, sim: &Sim) -> daos_sim::SemaphorePermit {
         sim.sleep(self.cfg.kernel_crossing).await;
         self.reqs.set(self.reqs.get() + 1);
         self.daemon.acquire().await
-    }
-
-    /// Split `[offset, offset+len)` at `max_req`-aligned boundaries.
-    fn split(&self, offset: u64, len: u64) -> impl Iterator<Item = (u64, u64)> {
-        pieces(self.cfg.max_req, offset, len)
     }
 
     /// POSIX `open(2)`.
@@ -192,7 +189,7 @@ impl DfuseMount {
         path: &str,
         flags: OpenFlags,
     ) -> Result<PosixFile, DaosError> {
-        let _t = self.meta_req(sim).await;
+        let _t = self.request(sim).await;
         let file = if flags.create {
             let class = flags.class.unwrap_or(self.dfs.config().file_class);
             let chunk = flags.chunk_size.unwrap_or(self.dfs.config().chunk_size);
@@ -208,31 +205,31 @@ impl DfuseMount {
 
     /// POSIX `mkdir(2)`.
     pub async fn mkdir(self: &Rc<Self>, sim: &Sim, path: &str) -> Result<(), DaosError> {
-        let _t = self.meta_req(sim).await;
+        let _t = self.request(sim).await;
         self.dfs.mkdir(sim, path).await
     }
 
     /// POSIX `stat(2)`.
     pub async fn stat(self: &Rc<Self>, sim: &Sim, path: &str) -> Result<Stat, DaosError> {
-        let _t = self.meta_req(sim).await;
+        let _t = self.request(sim).await;
         self.dfs.stat(sim, path).await
     }
 
     /// POSIX `readdir(3)`.
     pub async fn readdir(self: &Rc<Self>, sim: &Sim, path: &str) -> Result<Vec<String>, DaosError> {
-        let _t = self.meta_req(sim).await;
+        let _t = self.request(sim).await;
         self.dfs.readdir(sim, path).await
     }
 
     /// POSIX `unlink(2)`.
     pub async fn unlink(self: &Rc<Self>, sim: &Sim, path: &str) -> Result<(), DaosError> {
-        let _t = self.meta_req(sim).await;
+        let _t = self.request(sim).await;
         self.dfs.unlink(sim, path).await
     }
 
     /// POSIX `rename(2)`.
     pub async fn rename(self: &Rc<Self>, sim: &Sim, from: &str, to: &str) -> Result<(), DaosError> {
-        let _t = self.meta_req(sim).await;
+        let _t = self.request(sim).await;
         self.dfs.rename(sim, from, to).await
     }
 
@@ -243,7 +240,7 @@ impl DfuseMount {
         path: &str,
         target: &str,
     ) -> Result<(), DaosError> {
-        let _t = self.meta_req(sim).await;
+        let _t = self.request(sim).await;
         self.dfs.symlink(sim, path, target).await
     }
 
@@ -254,7 +251,7 @@ impl DfuseMount {
         path: &str,
         size: u64,
     ) -> Result<(), DaosError> {
-        let _t = self.meta_req(sim).await;
+        let _t = self.request(sim).await;
         self.dfs.truncate(sim, path, size).await
     }
 }
@@ -273,10 +270,8 @@ impl PosixFile {
             m.il_ops.set(m.il_ops.get() + 1);
             return self.file.write(sim, offset, data).await;
         }
-        for (piece_off, piece_len) in m.split(offset, data.len()) {
-            sim.sleep(m.cfg.kernel_crossing).await;
-            m.reqs.set(m.reqs.get() + 1);
-            let _t = m.daemon.acquire().await;
+        for (piece_off, piece_len) in pieces(m.cfg.max_req, offset, data.len()) {
+            let _t = m.request(sim).await;
             let piece = data.slice(piece_off - offset, piece_len);
             self.file.write(sim, piece_off, piece).await?;
         }
@@ -292,10 +287,8 @@ impl PosixFile {
             return self.file.read(sim, offset, len).await;
         }
         let mut segs = Vec::new();
-        for (piece_off, piece_len) in m.split(offset, len) {
-            sim.sleep(m.cfg.kernel_crossing).await;
-            m.reqs.set(m.reqs.get() + 1);
-            let _t = m.daemon.acquire().await;
+        for (piece_off, piece_len) in pieces(m.cfg.max_req, offset, len) {
+            let _t = m.request(sim).await;
             let piece = self.file.read(sim, piece_off, piece_len).await?;
             // the first piece's segments, as they came, start the result
             match segs.is_empty() {
@@ -317,9 +310,9 @@ impl PosixFile {
         Ok(flatten(&segs, offset, len))
     }
 
-    /// POSIX `fstat(2)` size query.
+    /// POSIX `fstat(2)` size query: one FUSE getattr request.
     pub async fn size(&self, sim: &Sim) -> Result<u64, DaosError> {
-        sim.sleep(self.mount.cfg.kernel_crossing).await;
+        let _t = self.mount.request(sim).await;
         self.file.size(sim).await
     }
 }

@@ -27,6 +27,7 @@
     clippy::unimplemented
 )]
 
+use std::cell::Cell;
 use std::rc::Rc;
 
 use daos_sim::time::{SimDuration, SimTime};
@@ -39,7 +40,9 @@ pub struct DeviceStats {
     pub bytes_read: u64,
     pub bytes_written: u64,
     pub read_ops: u64,
+    /// Data writes; index updates count in `meta_ops` alone.
     pub write_ops: u64,
+    /// Index updates (the `n` of every `meta_op`).
     pub meta_ops: u64,
 }
 
@@ -109,6 +112,10 @@ pub struct Dcpmm {
     cfg: DcpmmConfig,
     read_pipe: SharedPipe,
     write_pipe: SharedPipe,
+    /// Data writes and index updates share the write pipe; each has its
+    /// own counter.
+    writes: Cell<u64>,
+    meta_ops: Cell<u64>,
 }
 
 impl Dcpmm {
@@ -118,6 +125,8 @@ impl Dcpmm {
             read_pipe: Pipe::new(format!("{name}.rd"), cfg.read_bw, cfg.read_latency),
             write_pipe: Pipe::new(format!("{name}.wr"), cfg.write_bw, cfg.write_latency),
             cfg,
+            writes: Cell::new(0),
+            meta_ops: Cell::new(0),
         })
     }
 
@@ -136,10 +145,12 @@ impl Device for Dcpmm {
         self.read_pipe.transfer(sim, self.round(bytes)).await;
     }
     async fn write(&self, sim: &Sim, bytes: u64) {
+        self.writes.set(self.writes.get() + 1);
         self.write_pipe.transfer(sim, self.round(bytes)).await;
     }
     async fn meta_op(&self, sim: &Sim, n: u64) {
         if n > 0 {
+            self.meta_ops.set(self.meta_ops.get() + n);
             self.write_pipe.occupy(sim, self.cfg.meta_op_cost * n).await;
         }
     }
@@ -148,8 +159,8 @@ impl Device for Dcpmm {
             bytes_read: self.read_pipe.bytes_total(),
             bytes_written: self.write_pipe.bytes_total(),
             read_ops: self.read_pipe.ops_total(),
-            write_ops: self.write_pipe.ops_total(),
-            meta_ops: 0,
+            write_ops: self.writes.get(),
+            meta_ops: self.meta_ops.get(),
         }
     }
 }
@@ -229,5 +240,24 @@ mod tests {
         });
         // 10 x 1us occupancy + 150ns write latency
         assert_eq!(t.as_ns(), 10_000 + 150);
+    }
+
+    #[test]
+    fn index_updates_count_as_meta_ops_not_writes() {
+        let mut sim = Sim::new(1);
+        let s = sim.block_on(|sim| async move {
+            let dev = Dcpmm::new("pm0", DcpmmConfig::default());
+            dev.write(&sim, MIB).await;
+            dev.meta_op(&sim, 3).await;
+            dev.write(&sim, 4096).await;
+            dev.meta_op(&sim, 0).await;
+            dev.meta_op(&sim, 2).await;
+            dev.read(&sim, 4096).await;
+            dev.stats()
+        });
+        assert_eq!(s.write_ops, 2, "data writes only");
+        assert_eq!(s.meta_ops, 5, "one per index update");
+        assert_eq!(s.read_ops, 1);
+        assert_eq!(s.bytes_written, MIB + 4096);
     }
 }

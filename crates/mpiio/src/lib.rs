@@ -6,39 +6,25 @@
 //!
 //! Independent `read_at`/`write_at` go straight to the driver. Collective
 //! `read_at_all`/`write_at_all` implement ROMIO's *generalised two-phase*
-//! protocol: offsets are exchanged with an allgather, and — when collective
-//! buffering is active — data is shuffled to one aggregator per node, which
-//! issues large, `cb_buffer`-aligned I/O over its file domain. With the
-//! default `automatic` setting, collective buffering only engages when the
-//! ranks' accesses actually interleave, matching `romio_cb_write=automatic`.
+//! protocol with its one automatic rule (`romio_cb_write=automatic`):
+//! offsets are exchanged with an allgather, and only when the ranks'
+//! ranges interleave is data shuffled to one aggregator per node, which
+//! does the I/O of its file domain in `cb_buffer` cuts.
 
 // No `unsafe` may enter the workspace outside the audited kernel
 // crate (`daos-sim`, which denies `clippy::undocumented_unsafe_blocks`).
 #![forbid(unsafe_code)]
 
 use daos_core::DaosError;
-use daos_dfuse::PosixFile;
+use daos_dfuse::{split_aligned, PosixFile};
 use daos_mpi::MpiRank;
 use daos_sim::Sim;
 use daos_vos::tree::{flatten, ReadSeg};
 use daos_vos::Payload;
 
-/// Collective-buffering mode (`romio_cb_write` / `romio_cb_read`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CbMode {
-    /// Engage only when accesses interleave (ROMIO default).
-    Auto,
-    /// Always aggregate.
-    Enable,
-    /// Never aggregate.
-    Disable,
-}
-
 /// MPI-IO hints.
 #[derive(Clone, Copy, Debug)]
 pub struct Hints {
-    pub cb_write: CbMode,
-    pub cb_read: CbMode,
     /// Aggregator staging-buffer size (I/O granularity in the CB phase).
     pub cb_buffer: u64,
 }
@@ -46,8 +32,6 @@ pub struct Hints {
 impl Default for Hints {
     fn default() -> Self {
         Hints {
-            cb_write: CbMode::Auto,
-            cb_read: CbMode::Auto,
             cb_buffer: 16 << 20,
         }
     }
@@ -106,25 +90,26 @@ pub fn assemble(segs: &[ReadSeg], off: u64, len: u64) -> Payload {
 }
 
 /// Slice `[off, off+len)` out of a set of segments (absolute offsets kept).
-pub fn slice_segs(segs: &[ReadSeg], off: u64, len: u64) -> Vec<ReadSeg> {
-    let end = off + len;
-    let mut out = Vec::new();
-    for s in segs {
-        let s_start = s.offset.max(off);
-        let s_end = (s.offset + s.len).min(end);
-        if s_start >= s_end {
-            continue;
-        }
-        out.push(ReadSeg {
-            offset: s_start,
-            len: s_end - s_start,
-            data: s
-                .data
-                .as_ref()
-                .map(|d| d.slice(s_start - s.offset, s_end - s_start)),
-        });
-    }
-    out
+fn slice_segs(segs: &[ReadSeg], off: u64, len: u64) -> Vec<ReadSeg> {
+    segs.iter()
+        .filter_map(|s| {
+            let (start, end) = overlap((s.offset, s.len), (off, off + len))?;
+            Some(ReadSeg {
+                offset: start,
+                len: end - start,
+                data: s
+                    .data
+                    .as_ref()
+                    .map(|d| d.slice(start - s.offset, end - start)),
+            })
+        })
+        .collect()
+}
+
+/// The part of `(off, len)` inside `[start, end)`, as `(start, end)`.
+fn overlap((off, len): (u64, u64), (start, end): (u64, u64)) -> Option<(u64, u64)> {
+    let (s, e) = (off.max(start), (off + len).min(end));
+    (s < e).then_some((s, e))
 }
 
 impl MpiFile {
@@ -160,46 +145,10 @@ impl MpiFile {
         self.rank.barrier(sim).await;
     }
 
-    /// One aggregator per node: the lowest rank on each node, in rank order.
-    fn aggregators(&self) -> Vec<usize> {
-        let w = self.rank.world();
-        let mut aggs = Vec::new();
-        let mut seen = std::collections::BTreeSet::new();
-        for r in 0..w.size() {
-            if seen.insert(w.node_of(r)) {
-                aggs.push(r);
-            }
-        }
-        aggs
-    }
-
-    /// File-domain split of `[lo, hi)` across aggregators, aligned to the
-    /// CB buffer so aggregator I/O is large and aligned.
-    fn domains(&self, lo: u64, hi: u64, n_aggs: usize) -> Vec<(u64, u64)> {
-        let total = hi - lo;
-        let per = (total / n_aggs as u64).div_ceil(self.hints.cb_buffer) * self.hints.cb_buffer;
-        let per = per.max(self.hints.cb_buffer);
-        (0..n_aggs)
-            .map(|i| {
-                let s = (lo + i as u64 * per).min(hi);
-                let e = (s + per).min(hi);
-                (s, e)
-            })
-            .collect()
-    }
-
-    fn cb_active(&self, mode: CbMode, ranges: &[(u64, u64)]) -> bool {
-        match mode {
-            CbMode::Enable => true,
-            CbMode::Disable => false,
-            CbMode::Auto => is_interleaved(ranges),
-        }
-    }
-
-    /// Collective write of one contiguous region per rank.
-    pub async fn write_at_all(&self, sim: &Sim, off: u64, data: Payload) -> Result<(), DaosError> {
-        let len = data.len();
-        // phase 0: exchange access ranges
+    /// Phase 0 of a collective: allgather every rank's `(off, len)` and,
+    /// when the ranges interleave, plan the aggregation. `None` means every
+    /// rank does its own I/O.
+    async fn plan(&self, sim: &Sim, off: u64, len: u64) -> Option<Plan> {
         let mut mine = Vec::with_capacity(16);
         mine.extend_from_slice(&off.to_le_bytes());
         mine.extend_from_slice(&len.to_le_bytes());
@@ -213,103 +162,74 @@ impl MpiFile {
                 )
             })
             .collect();
+        if !is_interleaved(&ranges) {
+            return None;
+        }
+        // one aggregator per node, the lowest rank on it, in rank order
+        let w = self.rank.world();
+        let mut nodes = std::collections::BTreeSet::new();
+        let aggs: Vec<usize> = (0..w.size())
+            .filter(|&r| nodes.insert(w.node_of(r)))
+            .collect();
+        // split [lo, hi) into one file domain per aggregator, aligned to
+        // the CB buffer so aggregator I/O is large and aligned
+        let lo = ranges.iter().map(|r| r.0).min().unwrap();
+        let hi = ranges.iter().map(|r| r.0 + r.1).max().unwrap();
+        let cb = self.hints.cb_buffer;
+        let per = ((hi - lo) / aggs.len() as u64).div_ceil(cb) * cb;
+        let per = per.max(cb);
+        let domains = aggs
+            .into_iter()
+            .enumerate()
+            .map(|(i, agg)| {
+                let s = (lo + i as u64 * per).min(hi);
+                (agg, (s, (s + per).min(hi)))
+            })
+            .collect();
+        Some(Plan { ranges, domains })
+    }
 
-        if !self.cb_active(self.hints.cb_write, &ranges) {
+    /// Collective write of one contiguous region per rank.
+    pub async fn write_at_all(&self, sim: &Sim, off: u64, data: Payload) -> Result<(), DaosError> {
+        let len = data.len();
+        let Some(plan) = self.plan(sim, off, len).await else {
             self.file.write(sim, off, data).await?;
             self.rank.barrier(sim).await;
             return Ok(());
-        }
-
-        // phase 1: shuffle data to aggregators
-        let lo = ranges.iter().map(|r| r.0).min().unwrap();
-        let hi = ranges.iter().map(|r| r.0 + r.1).max().unwrap();
-        let aggs = self.aggregators();
-        let doms = self.domains(lo, hi, aggs.len());
-        let tag = 0x77AA;
-        let me = self.rank.rank();
-
-        // send my pieces to owning aggregators
-        for (ai, &(ds, de)) in doms.iter().enumerate() {
-            let s = off.max(ds);
-            let e = (off + len).min(de);
-            if s >= e {
-                continue;
+        };
+        // phase 1: each aggregator gets my part of its domain
+        for &(agg, dom) in &plan.domains {
+            if let Some((s, e)) = overlap((off, len), dom) {
+                let piece = data.slice(s - off, e - s);
+                self.rank
+                    .send_meta(sim, agg, WRITE_TAG, (s, e - s), piece)
+                    .await;
             }
-            let piece = data.slice(s - off, e - s);
-            self.rank
-                .send_meta(sim, aggs[ai], tag, (s, e - s), piece)
-                .await;
         }
-
-        // if I am an aggregator: collect pieces and write my domain
-        if let Some(ai) = aggs.iter().position(|&a| a == me) {
-            let (ds, de) = doms[ai];
+        // phase 2: an aggregator writes the pieces of its domain in offset
+        // order, each cut at its run's `cb_buffer` boundaries (a run is a
+        // chain of pieces that each start where the last ended); pieces are
+        // forwarded, never coalesced
+        if let Some(dom) = plan.domain_of(self.rank.rank()) {
             let mut pieces: Vec<(u64, Payload)> = Vec::new();
-            for (r, &(roff, rlen)) in ranges.iter().enumerate() {
-                let s = roff.max(ds);
-                let e = (roff + rlen).min(de);
-                if s >= e {
-                    continue;
+            for (r, &range) in plan.ranges.iter().enumerate() {
+                if overlap(range, dom).is_some() {
+                    let msg = self.rank.recv_msg(sim, r, WRITE_TAG).await;
+                    pieces.push((msg.meta.0, msg.data));
                 }
-                let msg = self.rank.recv_msg(sim, r, tag).await;
-                pieces.push((msg.meta.0, msg.data));
             }
             pieces.sort_by_key(|(o, _)| *o);
-            // phase 2: issue cb_buffer-sized contiguous writes
-            let mut run_start: Option<u64> = None;
-            let mut run: Vec<(u64, Payload)> = Vec::new();
-            let mut flush = Vec::new();
+            let (mut run_start, mut prev_end) = (0, None);
             for (o, p) in pieces {
-                match run_start {
-                    Some(_)
-                        if run
-                            .last()
-                            .map(|(lo2, lp)| lo2 + lp.len() == o)
-                            .unwrap_or(false) =>
-                    {
-                        run.push((o, p));
-                    }
-                    _ => {
-                        if !run.is_empty() {
-                            flush.push(std::mem::take(&mut run));
-                        }
-                        run_start = Some(o);
-                        run.push((o, p));
-                    }
+                if prev_end != Some(o) {
+                    run_start = o;
+                }
+                prev_end = Some(o + p.len());
+                for (s, l) in split_aligned(self.hints.cb_buffer, o - run_start, p.len()) {
+                    let at = run_start + s;
+                    self.file.write(sim, at, p.slice(at - o, l)).await?;
                 }
             }
-            if !run.is_empty() {
-                flush.push(run);
-            }
-            for run in flush {
-                let start = run[0].0;
-                let total: u64 = run.iter().map(|(_, p)| p.len()).sum();
-                // write in cb_buffer chunks; each chunk may span pieces, so
-                // write piece-wise but batched at cb granularity
-                let mut cur = start;
-                let mut idx = 0usize;
-                let mut inner = 0u64;
-                while cur < start + total {
-                    let chunk = self.hints.cb_buffer.min(start + total - cur);
-                    let mut remaining = chunk;
-                    while remaining > 0 {
-                        let (po, p) = &run[idx];
-                        let avail = p.len() - inner;
-                        let take = avail.min(remaining);
-                        self.file
-                            .write(sim, po + inner, p.slice(inner, take))
-                            .await?;
-                        inner += take;
-                        remaining -= take;
-                        if inner == p.len() {
-                            idx += 1;
-                            inner = 0;
-                        }
-                    }
-                    cur += chunk;
-                }
-            }
-            let _ = de;
         }
         self.rank.barrier(sim).await;
         Ok(())
@@ -322,95 +242,77 @@ impl MpiFile {
         off: u64,
         len: u64,
     ) -> Result<Vec<ReadSeg>, DaosError> {
-        let mut mine = Vec::with_capacity(16);
-        mine.extend_from_slice(&off.to_le_bytes());
-        mine.extend_from_slice(&len.to_le_bytes());
-        let all = self.rank.allgather(sim, mine).await;
-        let ranges: Vec<(u64, u64)> = all
-            .iter()
-            .map(|b| {
-                (
-                    u64::from_le_bytes(b[0..8].try_into().unwrap()),
-                    u64::from_le_bytes(b[8..16].try_into().unwrap()),
-                )
-            })
-            .collect();
-
-        if !self.cb_active(self.hints.cb_read, &ranges) {
+        let Some(plan) = self.plan(sim, off, len).await else {
             let segs = self.file.read(sim, off, len).await?;
             self.rank.barrier(sim).await;
             return Ok(segs);
-        }
-
-        let lo = ranges.iter().map(|r| r.0).min().unwrap();
-        let hi = ranges.iter().map(|r| r.0 + r.1).max().unwrap();
-        let aggs = self.aggregators();
-        let doms = self.domains(lo, hi, aggs.len());
-        let tag = 0x77BB;
-        let me = self.rank.rank();
-
-        // aggregators read their domain and scatter
-        if let Some(ai) = aggs.iter().position(|&a| a == me) {
-            let (ds, de) = doms[ai];
-            if ds < de {
-                // union of the requested ranges clipped to my domain,
-                // merged where contiguous
-                let mut wanted: Vec<(u64, u64)> = ranges
-                    .iter()
-                    .filter_map(|&(roff, rlen)| {
-                        let s = roff.max(ds);
-                        let e = (roff + rlen).min(de);
-                        (s < e).then_some((s, e))
-                    })
-                    .collect();
-                wanted.sort_unstable();
-                let mut merged: Vec<(u64, u64)> = Vec::new();
-                for (s, e) in wanted {
-                    match merged.last_mut() {
-                        Some(last) if last.1 >= s => last.1 = last.1.max(e),
-                        _ => merged.push((s, e)),
-                    }
+        };
+        // phase 1: an aggregator reads the union of the ranges in its
+        // domain, each merged run in `cb_buffer` cuts, and sends every
+        // rank its part
+        if let Some(dom) = plan.domain_of(self.rank.rank()) {
+            let mut wanted: Vec<(u64, u64)> = plan
+                .ranges
+                .iter()
+                .filter_map(|&range| overlap(range, dom))
+                .collect();
+            wanted.sort_unstable();
+            let mut merged: Vec<(u64, u64)> = Vec::new();
+            for (s, e) in wanted {
+                match merged.last_mut() {
+                    Some(last) if last.1 >= s => last.1 = last.1.max(e),
+                    _ => merged.push((s, e)),
                 }
-                // read each merged run in cb_buffer chunks
-                let mut segs: Vec<ReadSeg> = Vec::new();
-                for (s, e) in merged {
-                    let mut cur = s;
-                    while cur < e {
-                        let chunk = self.hints.cb_buffer.min(e - cur);
-                        segs.extend(self.file.read(sim, cur, chunk).await?);
-                        cur += chunk;
-                    }
+            }
+            let mut segs: Vec<ReadSeg> = Vec::new();
+            for (s, e) in merged {
+                for (cut, l) in split_aligned(self.hints.cb_buffer, 0, e - s) {
+                    segs.extend(self.file.read(sim, s + cut, l).await?);
                 }
-                for (r, &(roff, rlen)) in ranges.iter().enumerate() {
-                    let s = roff.max(ds);
-                    let e = (roff + rlen).min(de);
-                    if s >= e {
-                        continue;
-                    }
+            }
+            for (r, &range) in plan.ranges.iter().enumerate() {
+                if let Some((s, e)) = overlap(range, dom) {
                     let piece = assemble(&slice_segs(&segs, s, e - s), s, e - s);
-                    self.rank.send_meta(sim, r, tag, (s, e - s), piece).await;
+                    self.rank
+                        .send_meta(sim, r, READ_TAG, (s, e - s), piece)
+                        .await;
                 }
             }
         }
-
-        // every rank collects its pieces from the owning aggregators
+        // phase 2: every rank collects its parts from the aggregators
         let mut segs: Vec<ReadSeg> = Vec::new();
-        for (ai, &(ds, de)) in doms.iter().enumerate() {
-            let s = off.max(ds);
-            let e = (off + len).min(de);
-            if s >= e {
-                continue;
+        for &(agg, dom) in &plan.domains {
+            if overlap((off, len), dom).is_some() {
+                let msg = self.rank.recv_msg(sim, agg, READ_TAG).await;
+                segs.push(ReadSeg {
+                    offset: msg.meta.0,
+                    len: msg.meta.1,
+                    data: Some(msg.data),
+                });
             }
-            let msg = self.rank.recv_msg(sim, aggs[ai], tag).await;
-            segs.push(ReadSeg {
-                offset: msg.meta.0,
-                len: msg.meta.1,
-                data: Some(msg.data),
-            });
         }
         segs.sort_by_key(|s| s.offset);
         self.rank.barrier(sim).await;
         Ok(segs)
+    }
+}
+
+/// Message tags of the two collectives' data shuffles.
+const WRITE_TAG: u64 = 0x77AA;
+const READ_TAG: u64 = 0x77BB;
+
+/// The two-phase plan of one collective call whose ranges interleave.
+struct Plan {
+    /// Every rank's `(off, len)`, in rank order.
+    ranges: Vec<(u64, u64)>,
+    /// `(aggregator rank, [start, end))`: one file domain per node.
+    domains: Vec<(usize, (u64, u64))>,
+}
+
+impl Plan {
+    /// The file domain `rank` aggregates, if it is an aggregator.
+    fn domain_of(&self, rank: usize) -> Option<(u64, u64)> {
+        self.domains.iter().find(|d| d.0 == rank).map(|d| d.1)
     }
 }
 

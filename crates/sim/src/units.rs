@@ -27,10 +27,6 @@ impl Bandwidth {
         Bandwidth(b)
     }
     #[inline]
-    pub fn mib_per_sec(m: f64) -> Self {
-        Self::bytes_per_sec(m * MIB as f64)
-    }
-    #[inline]
     pub fn gib_per_sec(g: f64) -> Self {
         Self::bytes_per_sec(g * GIB as f64)
     }
