@@ -191,17 +191,20 @@ impl H5File {
     /// superblock); collective on `mpio`.
     pub async fn flush(&self, sim: &Sim) -> Result<(), DaosError> {
         sim.sleep(self.cfg.h5_op_cpu).await;
-        let infos: Vec<_> = self.datasets.borrow().values().cloned().collect();
-        for info in infos {
-            if info.header_dirty.get() {
-                self.meta_write(sim, info.header_off, 0x0E, OBJ_HEADER)
-                    .await?;
-                info.header_dirty.set(false);
+        // the scan is rank 0's alone: no other rank has metadata to write
+        if self.vfd.is_mpio_rank0() {
+            let infos: Vec<_> = self.datasets.borrow().values().cloned().collect();
+            for info in infos {
+                if info.header_dirty.get() {
+                    self.meta_write(sim, info.header_off, 0x0E, OBJ_HEADER)
+                        .await?;
+                    info.header_dirty.set(false);
+                }
             }
-        }
-        if self.sb_dirty.get() {
-            self.meta_write(sim, 0, 0x5B, SUPERBLOCK).await?;
-            self.sb_dirty.set(false);
+            if self.sb_dirty.get() {
+                self.meta_write(sim, 0, 0x5B, SUPERBLOCK).await?;
+                self.sb_dirty.set(false);
+            }
         }
         if let H5Vfd::Mpio(file) = &self.vfd {
             file.rank().barrier(sim).await;
