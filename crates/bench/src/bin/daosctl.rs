@@ -11,7 +11,7 @@
 //! ```
 //!
 //! Sizes accept `k`/`m`/`g` suffixes (KiB/MiB/GiB); `--reorder` (IOR's
-//! `-C`) needs `--shared`. Everything runs in simulation; output includes
+//! `-C`) and `--api mpiio-coll` need `--shared`. Everything runs in simulation; output includes
 //! both bandwidth and the simulated duration.
 
 use std::rc::Rc;

@@ -12,6 +12,7 @@
 mod array;
 mod damp;
 mod object;
+mod spares;
 
 use std::cell::Cell;
 use std::future::Future;
@@ -31,6 +32,7 @@ pub use array::ArrayHandle;
 use damp::{Admit, Attempt, DampState};
 pub use damp::{DampStats, RetryPolicy};
 pub use object::{KvHandle, ObjectHandle};
+use spares::Spares;
 
 /// Read "latest" epoch sentinel.
 pub const EPOCH_LATEST: Epoch = Epoch::MAX;
@@ -41,6 +43,9 @@ pub struct DaosClient {
     cluster: Rc<Cluster>,
     node: NodeId,
     damp: Rc<DampState>,
+    /// Placements and collective-round buffers kept for reuse, shared by
+    /// every clone and handle of this client.
+    spares: Rc<Spares>,
     /// QoS tenant every RPC from this client is billed to (0 = the
     /// default class; see [`DaosClient::with_tenant`]).
     tenant: u8,
@@ -54,6 +59,7 @@ impl DaosClient {
             cluster,
             node,
             damp: Rc::new(DampState::new(RetryPolicy::default())),
+            spares: Rc::new(Spares::new()),
             tenant: 0,
         }
     }
@@ -154,7 +160,10 @@ impl DaosClient {
     /// error wait for the next round, regrouped by whatever `refresh`
     /// moved; answers already in are kept, and any other error fails the
     /// op. The answers fold into `empty`, which is also the reply of an op
-    /// left with no unit.
+    /// left with no unit. A round's routing buffer and target list come
+    /// from the client's spares and go back when the round ends; a list a
+    /// timed-out request still holds is never rewritten
+    /// ([`spares::SpareList::fill`]).
     async fn collective<R: Future>(
         &self,
         sim: &Sim,
@@ -165,18 +174,19 @@ impl DaosClient {
         empty: Response,
     ) -> Result<Response, DaosError> {
         let (unanswered, merged) = (&Cell::new(Vec::new()), &Cell::new(empty));
-        let (units, route, build) = (&units, &route, &build);
+        let (units, route, build, spares) = (&units, &route, &build, &*self.spares);
         let round = move |round| async move {
             let placed = |unit| route(unit).map(|(engine, target)| (engine, target, unit));
-            // sized up front: a `filter_map` collect would grow it step by step
-            let mut routed = Vec::with_capacity(units.len());
+            let mut routed = spares.routed.take().unwrap_or_default();
+            // sized up front: a `filter_map` extend would grow it step by step
+            routed.reserve(units.len());
             match round {
                 0 => routed.extend(units.clone().filter_map(placed)),
                 _ => routed.extend(unanswered.take().into_iter().filter_map(placed)),
             }
             routed.sort_by_key(|&(engine, ..)| engine);
             let same_engine = |a: &(u32, u32, u32), b: &(u32, u32, u32)| a.0 == b.0;
-            let targets: Rc<[u32]> = routed.iter().map(|&(_, target, _)| target).collect();
+            let targets = spares.targets.fill(routed.iter().map(|&(_, t, _)| t));
             // counted first, so the fan-out is sized exactly
             let engines = routed.chunk_by(same_engine).count();
             let (mut groups, mut at) = (routed.chunk_by(same_engine), 0);
@@ -191,19 +201,25 @@ impl DaosClient {
                 self.call_gated(sim, on_engine[0].0, build(run))
             });
             let replies = join_inline(calls).await;
-            let (mut left, mut again) = (Vec::new(), None);
+            let (mut left, mut verdict) = (Vec::new(), Attempt::Done(()));
             for (on_engine, reply) in routed.chunk_by(same_engine).zip(replies) {
                 match reply {
                     Ok(Response::Err(e)) | Err(e) if e.is_retryable() => {
                         left.extend(on_engine.iter().map(|&(.., unit)| unit));
-                        again = Some(e);
+                        verdict = Attempt::Retry(e);
                     }
-                    Ok(Response::Err(e)) | Err(e) => return Attempt::Fail(e),
+                    Ok(Response::Err(e)) | Err(e) => {
+                        verdict = Attempt::Fail(e);
+                        break;
+                    }
                     Ok(answer) => merged.set(merged.replace(Response::Ok).merge(answer)),
                 }
             }
             unanswered.set(left);
-            again.map_or(Attempt::Done(()), Attempt::Retry)
+            routed.clear();
+            spares.routed.keep(routed);
+            spares.targets.keep(targets);
+            verdict
         };
         let damp = &self.damp;
         let rounds = damp.retry_rounds(sim, DaosError::Timeout, round, refresh);
@@ -395,3 +411,6 @@ impl ContainerHandle {
         ObjectHandle::open(self, oid, class)
     }
 }
+
+#[cfg(test)]
+mod tests;

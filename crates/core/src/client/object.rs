@@ -21,7 +21,8 @@ use crate::proto::{wire_csum, DaosError, Request, Response, TargetRun};
 /// fault forces a pool-map refresh — but only then: a handle opened before
 /// an exclusion keeps its stale layout while the engines still answer,
 /// reading degraded through its protection class like a real client whose
-/// map update hasn't arrived.
+/// map update hasn't arrived. When the last handle holding a placement
+/// drops, the placement goes to the client's spares for the next open.
 #[derive(Clone)]
 pub struct ObjectHandle {
     pub(super) cont: ContainerHandle,
@@ -31,7 +32,7 @@ pub struct ObjectHandle {
 }
 
 /// Where an object's shards are, as its handles share it.
-struct Placed {
+pub(super) struct Placed {
     layout: RefCell<Layout>,
     /// The pool-map version `layout` was computed against.
     version: Cell<u32>,
@@ -43,22 +44,32 @@ struct Placed {
 
 impl ObjectHandle {
     /// Place `oid` against the current pool map and register it for
-    /// rebuild.
+    /// rebuild. A spare placement from the client is overwritten as a new
+    /// one would be built, so a recycled handle is a fresh one.
     pub(super) fn open(cont: &ContainerHandle, oid: ObjectId, class: ObjectClass) -> Self {
         let map = cont.client.cluster.pool_map();
         let layout = place(oid, class, &map);
         let version = map.version();
         drop(map);
         cont.client.cluster.register_object(cont.cont, oid);
-        ObjectHandle {
-            cont: cont.clone(),
-            oid,
-            class,
-            placed: Rc::new(Placed {
+        let placed = match cont.client.spares.placed.take() {
+            Some(placed) => {
+                *placed.layout.borrow_mut() = layout;
+                placed.version.set(version);
+                placed.moved.borrow_mut().clear();
+                placed
+            }
+            None => Rc::new(Placed {
                 layout: RefCell::new(layout),
                 version: Cell::new(version),
                 moved: RefCell::new(BTreeSet::new()),
             }),
+        };
+        ObjectHandle {
+            cont: cont.clone(),
+            oid,
+            class,
+            placed,
         }
     }
 
@@ -221,6 +232,15 @@ impl ObjectHandle {
     }
 }
 
+impl Drop for ObjectHandle {
+    fn drop(&mut self) {
+        if Rc::strong_count(&self.placed) == 1 {
+            let spares = &self.cont.client.spares;
+            spares.placed.keep(Rc::clone(&self.placed));
+        }
+    }
+}
+
 /// `daos_kv`-style flat key/value API.
 #[derive(Clone)]
 pub struct KvHandle {
@@ -274,3 +294,6 @@ impl KvHandle {
         self.obj.list_dkeys(sim).await
     }
 }
+
+#[cfg(test)]
+mod tests;

@@ -124,8 +124,9 @@ async fn io_phase<F: ByteFile + 'static>(
 }
 
 /// The rank driver of every rung: `files[r]` is rank `r`'s open file
-/// (`params.ppn` ranks to each of `client_nodes` nodes; `params.api` is not
-/// read). Write phase, then read phase, each timed barrier to barrier.
+/// (`params.ppn` ranks to each of `client_nodes` nodes; `params.api` is
+/// read only to refuse collective MPI-IO without the shared file). Write
+/// phase, then read phase, each timed barrier to barrier.
 pub async fn run_files<F: ByteFile + 'static>(
     sim: &Sim,
     client_nodes: u32,
@@ -141,6 +142,13 @@ pub async fn run_files<F: ByteFile + 'static>(
         // a rank's handle is bound to its own file: there is no
         // neighbour's block to read through it
         return Err(DaosError::Other("-C needs the shared file".into()));
+    }
+    if params.api == (Api::Mpiio { collective: true }) && params.file_per_process {
+        // a collective call spans the ranks of one file: with a file per
+        // process every transfer would be independent
+        return Err(DaosError::Other(
+            "collective MPI-IO needs the shared file".into(),
+        ));
     }
     let files: Vec<Rc<F>> = files.into_iter().map(Rc::new).collect();
     let mut report = IorReport {
@@ -251,7 +259,7 @@ pub async fn run(
             };
             create_shared_posix().await?;
             let files = open_all(sim, ranks, open).await?;
-            if collective && shared {
+            if collective {
                 let files = files.into_iter().map(Collective).collect();
                 run_files(sim, nodes, params, files).await
             } else {

@@ -89,6 +89,21 @@ fn run_rung(rung: Rung, p: IorParams) -> Result<IorReport, DaosError> {
     })
 }
 
+/// Collective MPI-IO spans the ranks of one file, so with a file per
+/// process the driver must refuse it, never run independent transfers
+/// under the collective rung's name. Returns whether `rung` × `fpp` is
+/// that case, after checking the refusal.
+fn collective_fpp_refused(rung: Rung, r: &Result<IorReport, DaosError>, fpp: bool) -> bool {
+    if !(matches!(rung, Rung::Daos(Api::Mpiio { collective: true })) && fpp) {
+        return false;
+    }
+    match r {
+        Err(DaosError::Other(why)) => assert!(why.contains("collective MPI-IO"), "{why}"),
+        other => panic!("collective MPI-IO with a file per process must fail: {other:?}"),
+    }
+    true
+}
+
 fn run_one(api: Api, fpp: bool) -> IorReport {
     run_rung(Rung::Daos(api), small_params(api, fpp)).expect("ior run")
 }
@@ -115,7 +130,11 @@ fn every_rung_moves_exactly_the_plan_in_every_order() {
                 ..small_params(Api::Dfs, fpp)
             };
             let what = format!("{rung:?} -z={random_offsets} -C={reorder_read} fpp={fpp}");
-            let r = run_rung(rung, p).unwrap_or_else(|e| panic!("{what}: {e}"));
+            let r = run_rung(rung, p);
+            if collective_fpp_refused(rung, &r, fpp) {
+                continue;
+            }
+            let r = r.unwrap_or_else(|e| panic!("{what}: {e}"));
             assert_eq!(r.ranks, 4, "{what}");
             assert_eq!(r.total_bytes, 4 * 2 * MIB, "{what}");
             assert_eq!(r.bytes_written, r.total_bytes, "{what}");
@@ -135,7 +154,11 @@ fn every_rung_stops_at_the_stonewall() {
             let mut p = small_params(Api::Dfs, fpp);
             p.verify = false; // a cut-short write phase leaves holes
             p.block_size = 4 * MIB;
-            let full = run_rung(rung, p).unwrap();
+            let full = run_rung(rung, p);
+            if collective_fpp_refused(rung, &full, fpp) {
+                continue;
+            }
+            let full = full.unwrap();
             let wall = full.write_time.min(full.read_time) / 4;
             p.stonewall = Some(wall);
             let what = format!("{rung:?} fpp={fpp}");
@@ -176,6 +199,10 @@ fn unsupported_combinations_are_typed_errors() {
             other => panic!("{rung:?}: -C -F must fail: {other:?}"),
         }
     }
+    // a collective call spans the ranks of one file
+    let rung = Rung::Daos(Api::Mpiio { collective: true });
+    let r = run_rung(rung, small_params(Api::Dfs, true));
+    assert!(collective_fpp_refused(rung, &r, true));
 }
 
 /// mdtest through `libdfs`, DFuse and the PFS: three storms of
