@@ -18,7 +18,7 @@ use std::path::{Path, PathBuf};
 
 use crate::exec::Slate;
 use crate::report::{BenchReport, Fragment, Verdict, READ_GIB_S, WRITE_GIB_S};
-use crate::{figures, invariants, qos, timelines, traffic};
+use crate::{apps, figures, invariants, qos, timelines, traffic};
 
 /// How big a run is. Every figure declares `Full` (what `regress` runs
 /// and the committed `results/BENCH_<name>.json` holds); PR-gated figures
@@ -227,12 +227,12 @@ pub const FIGURES: &[Figure] = &[
     },
     Figure {
         name: "app_workloads",
-        seed: figures::APP_SEED,
+        seed: apps::APP_SEED,
         about: "NWP / checkpoint / producer-consumer through native, DFS and POSIX",
         gate: Gate::Pr,
         chart: false,
-        plan: figures::app_workloads_plan,
-        checks: figures::check_app_workloads,
+        plan: apps::app_workloads_plan,
+        checks: apps::check_app_workloads,
     },
     Figure {
         name: "dfuse_ablation",

@@ -21,7 +21,6 @@ use daos_placement::{ObjectClass, ObjectId};
 use daos_sim::time::SimDuration;
 use daos_sim::units::MIB;
 use daos_sim::Sim;
-use daos_workloads::{checkpoint, nwp, producer_consumer, Access, RankAccess, WorkloadParams};
 
 use crate::figure::{Cell, Plan, Scale};
 use crate::invariants::series_scales;
@@ -745,87 +744,6 @@ pub fn check_dfuse_ablation(report: &BenchReport) -> Vec<Verdict> {
         Verdict::new(
             "the interception library matches native DFS",
             (w_of("interception library") - dfs_w).abs() / dfs_w < 0.05,
-        ),
-    ]
-}
-
-// ---------------------------------------------------------------------
-// Application workloads
-// ---------------------------------------------------------------------
-
-/// `app_workloads`' root seed (each cell's sim is `seed ^ access`).
-pub const APP_SEED: u64 = 0xA99;
-
-const APP_NODES: u32 = 4;
-const APP_KINDS: [&str; 3] = ["nwp", "checkpoint", "producer_consumer"];
-
-/// NWP field output, checkpoint/restart and a producer-consumer pipeline,
-/// each through the native API, `libdfs` and POSIX/DFuse, on 4 nodes.
-/// Every scale runs the whole plan: it takes milliseconds.
-pub fn app_workloads_plan(_: Scale) -> Option<Plan> {
-    let mut cells = Vec::new();
-    for kind in APP_KINDS {
-        for which in [Access::Native, Access::Dfs, Access::Posix] {
-            let series = format!("{kind}/{}", which.name());
-            cells.push(Cell::new(series.clone(), move |out| {
-                let mut sim = Sim::new(APP_SEED ^ which as u64);
-                let r = sim.block_on(move |sim| async move {
-                    let acc = RankAccess::per_node(&sim, paper_cluster(APP_NODES), which)
-                        .await
-                        .expect("mount");
-                    let mut p = WorkloadParams {
-                        writers: 32,
-                        readers: 16,
-                        steps: 3,
-                        object_bytes: 2 << 20,
-                        objects_per_step: 128,
-                        compute: SimDuration::from_ms(25),
-                        class: ObjectClass::S2,
-                    };
-                    let r = match kind {
-                        "nwp" => nwp::run(&sim, acc, p).await,
-                        "checkpoint" => checkpoint::run(&sim, acc, p).await,
-                        _ => {
-                            // the coupled pipeline polls; keep its tile count moderate
-                            p.objects_per_step = 48;
-                            p.steps = 2;
-                            producer_consumer::run(&sim, acc, p).await
-                        }
-                    };
-                    r.expect("workload")
-                });
-                out.record(&series, APP_NODES, "io_gib_s", r.io_gib_s());
-                out.record(&series, APP_NODES, "effective_gib_s", r.effective_gib_s());
-                let makespan_ms = r.makespan.as_us_f64() / 1000.0;
-                out.record(&series, APP_NODES, "makespan_ms", makespan_ms);
-            }));
-        }
-    }
-    Some(Plan {
-        config_hash: 0,
-        cells,
-    })
-}
-
-pub fn check_app_workloads(report: &BenchReport) -> Vec<Verdict> {
-    let by = |kind: &str, acc: Access| {
-        report
-            .get(&format!("{kind}/{}", acc.name()), APP_NODES, "io_gib_s")
-            .unwrap_or(f64::NAN)
-    };
-    vec![
-        // the paper's conclusion, restated for varied patterns: file APIs stay
-        // close to the native object API even off the bulk-I/O happy path
-        Verdict::new(
-            "file interfaces within 35% of native across all three app workloads",
-            APP_KINDS.iter().all(|w| {
-                by(w, Access::Dfs) > 0.65 * by(w, Access::Native)
-                    && by(w, Access::Posix) > 0.65 * by(w, Access::Native)
-            }),
-        ),
-        Verdict::new(
-            "pipeline overlap beats phase separation (producer_consumer vs nwp)",
-            by("producer_consumer", Access::Dfs) > 0.0 && by("nwp", Access::Dfs) > 0.0,
         ),
     ]
 }

@@ -11,8 +11,8 @@
 //!   checks, gate), the runner that turns entries into reports and
 //!   verdicts ([`figure::run_figures`]), the one table/chart printer and
 //!   the table audit behind `daos-bench list`;
-//! * [`figures`], [`timelines`], [`traffic`], [`qos`] — the figures'
-//!   cells: what each seeded sim runs and records at each scale;
+//! * [`figures`], [`apps`], [`timelines`], [`traffic`], [`qos`] — the
+//!   figures' cells: what each seeded sim runs and records at each scale;
 //! * [`invariants`] — the paper's R1–R5 qualitative results (and the
 //!   R6–R11 / R2x / R5x extensions) as machine-checked predicates;
 //! * [`exec`] — the deterministic parallel job runner: an ordered
@@ -41,6 +41,7 @@ use daos_ior::{run, Api, DaosTestbed, IorParams, IorReport};
 use daos_placement::ObjectClass;
 use daos_sim::Sim;
 
+pub mod apps;
 pub mod baseline;
 pub mod exec;
 pub mod figure;

@@ -38,7 +38,8 @@ use daos_vos::Payload;
 use crate::figure::{Cell, Plan, Scale};
 use crate::report::{config_hash, fnv1a, Fragment};
 use crate::traffic::{
-    admission_totals, drain, nominal_bytes_per_sec, Arrivals, Counters, OpenLoop,
+    admission_totals, drain, nominal_bytes_per_sec, open_loop_testbed, traffic_policy, Arrivals,
+    Counters, OpenLoop,
 };
 
 /// Root seed for the QoS sweep; each point salts it with its series name
@@ -50,13 +51,6 @@ pub const VICTIM_TENANT: u8 = 1;
 
 /// The saturating tenant (MiB SX writes).
 pub const NOISY_TENANT: u8 = 2;
-
-/// Per-xstream admission queue depth (both series — admission control is
-/// always on; the sweep contrasts *shaping*, not admission).
-pub const QOS_QUEUE_CAP: u32 = 12;
-
-/// Engine-wide in-flight payload budget (both series).
-pub const QOS_INFLIGHT_CAP: u64 = 32 * MIB;
 
 /// Noisy tenant's bandwidth ceiling under shaping, as a fraction of one
 /// engine's nominal bulk-write path: caps the aggressor at 60% so the
@@ -128,37 +122,25 @@ impl QosSweepParams {
     }
 }
 
-/// The QoS testbed: 4 single-engine servers (as in the traffic sweep,
-/// so the fabric never becomes an accidental shaper upstream of the one
-/// under test), admission control always on, checksums + scrubbers on so
-/// the background tenant has real work, and a single pool-service
-/// replica so tenant-pool metadata is immediately readable.
+/// The QoS testbed: the traffic sweep's 4 single-engine servers with its
+/// admission caps on in both series (the sweep contrasts *shaping*, not
+/// admission), checksums + scrubbers on so the background tenant has real
+/// work, and a single pool-service replica so tenant-pool metadata is
+/// immediately readable.
 pub fn qos_cluster(params: &QosSweepParams) -> ClusterConfig {
-    let mut cfg = ClusterConfig::nextgenio(params.client_nodes());
-    cfg.server_nodes = 4;
-    cfg.engines_per_node = 1;
+    let mut cfg = open_loop_testbed(params.client_nodes(), true);
     cfg.svc_replicas = 1;
-    cfg.engine.queue_cap = Some(QOS_QUEUE_CAP);
-    cfg.engine.inflight_cap = Some(QOS_INFLIGHT_CAP);
     cfg.engine.vos.csum_enabled = true;
     cfg.engine.scrub_interval = Some(SimDuration::from_ms(5));
     cfg.engine.scrub_chunks = 16;
     cfg
 }
 
-/// Client retry policy — identical across series so the shaped/unshaped
-/// contrast isolates the shaper, not client patience.
+/// Client retry policy: the traffic sweep's admission-ON client, identical
+/// across series so the shaped/unshaped contrast isolates the shaper, not
+/// client patience.
 pub fn qos_policy() -> RetryPolicy {
-    RetryPolicy {
-        rpc_timeout: SimDuration::from_ms(25),
-        base_backoff: SimDuration::from_us(500),
-        max_backoff: SimDuration::from_ms(8),
-        max_attempts: 4,
-        shed_backoff: SimDuration::from_ms(2),
-        retry_budget: 64,
-        breaker_failures: 20,
-        breaker_open: SimDuration::from_ms(5),
-    }
+    traffic_policy(true)
 }
 
 /// The shaped series' tenant classes: victim weighted 8× over the noisy

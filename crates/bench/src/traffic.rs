@@ -183,7 +183,13 @@ impl TrafficParams {
 /// 200% offered load — the fabric must not become a second, accidental
 /// admission controller upstream of the one under test.
 pub fn traffic_cluster(params: &TrafficParams, admission: bool) -> ClusterConfig {
-    let mut cfg = ClusterConfig::nextgenio(params.client_nodes);
+    open_loop_testbed(params.client_nodes, admission)
+}
+
+/// [`traffic_cluster`] for `client_nodes` clients: the QoS sweep's testbed
+/// starts from it too.
+pub(crate) fn open_loop_testbed(client_nodes: u32, admission: bool) -> ClusterConfig {
+    let mut cfg = ClusterConfig::nextgenio(client_nodes);
     cfg.server_nodes = 4;
     cfg.engines_per_node = 1;
     if admission {

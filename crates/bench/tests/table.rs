@@ -205,6 +205,8 @@ fn ablation_checks_fail_when_a_series_moves() {
         ("app_workloads", "nwp/posix", "io_gib_s", 0.5, 0),
         // a producer-consumer pipeline that moves nothing
         ("app_workloads", "producer_consumer/dfs", "io_gib_s", 0.0, 1),
+        // a pipeline slower than phase-separated NWP on one rung
+        ("app_workloads", "producer_consumer/dfs", "io_gib_s", 0.8, 1),
     ];
     for (name, series, metric, factor, check) in cases {
         let figure = find(name).unwrap();

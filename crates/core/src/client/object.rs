@@ -43,15 +43,14 @@ pub(super) struct Placed {
 }
 
 impl ObjectHandle {
-    /// Place `oid` against the current pool map and register it for
-    /// rebuild. A spare placement from the client is overwritten as a new
-    /// one would be built, so a recycled handle is a fresh one.
+    /// Place `oid` against the current pool map. A spare placement from
+    /// the client is overwritten as a new one would be built, so a
+    /// recycled handle is a fresh one.
     pub(super) fn open(cont: &ContainerHandle, oid: ObjectId, class: ObjectClass) -> Self {
         let map = cont.client.cluster.pool_map();
         let layout = place(oid, class, &map);
         let version = map.version();
         drop(map);
-        cont.client.cluster.register_object(cont.cont, oid);
         let placed = match cont.client.spares.placed.take() {
             Some(placed) => {
                 *placed.layout.borrow_mut() = layout;

@@ -21,9 +21,10 @@ use crate::pool::{spawn_pool_service, HeartbeatConfig, PoolOp, PoolReplica, Pool
 use crate::rebuild::{self, CorruptionReport, RebuildStats};
 use crate::ContId;
 
-/// `(cont, oid) →` the array geometry, if opened as an array, for every
-/// object opened through a cluster.
-type ObjectRegistry = BTreeMap<(ContId, ObjectId), Option<Stripe>>;
+/// `(cont, oid) →` the array geometry, for every array of a protected
+/// class opened through a cluster: the only objects rebuild and repair
+/// can heal.
+type ObjectRegistry = BTreeMap<(ContId, ObjectId), Stripe>;
 
 /// Full testbed description.
 #[derive(Clone, Copy, Debug)]
@@ -127,9 +128,9 @@ pub struct Cluster {
     engines: Vec<Rc<Engine>>,
     replicas: Vec<Rc<PoolReplica>>,
     pool_map: RefCell<PoolMap>,
-    /// Objects opened through this cluster — what a rebuild pass walks.
-    /// Real DAOS enumerates object IDs from the VOS trees; the registry
-    /// stands in for that scan.
+    /// Protected arrays opened through this cluster — what a rebuild pass
+    /// walks. Real DAOS enumerates object IDs from the VOS trees; the
+    /// registry stands in for that scan.
     objects: RefCell<ObjectRegistry>,
     rebuilds_running: Cell<u32>,
     rebuild_stats: RefCell<RebuildStats>,
@@ -298,26 +299,23 @@ impl Cluster {
         self.pool_map.borrow_mut().sync(version, excluded)
     }
 
-    /// Record an opened object so rebuild passes can find it.
-    pub(crate) fn register_object(&self, cont: ContId, oid: ObjectId) {
-        self.objects.borrow_mut().entry((cont, oid)).or_insert(None);
-    }
-
-    /// Record an object's array geometry (arrays are what rebuild moves).
+    /// Record an array's geometry for rebuild passes if its class is
+    /// protected: an unprotected array has no redundancy to rebuild from.
     pub(crate) fn register_array(&self, cont: ContId, stripe: Stripe) {
-        let entry = Some(stripe);
-        self.objects.borrow_mut().insert((cont, stripe.oid), entry);
+        if stripe.class.is_protected() {
+            self.objects.borrow_mut().insert((cont, stripe.oid), stripe);
+        }
     }
 
-    /// The geometry `oid` was opened as an array with, if it was.
+    /// The protected geometry `oid` was last opened as an array with.
     pub(crate) fn registered_array(&self, cont: ContId, oid: ObjectId) -> Option<Stripe> {
-        self.objects.borrow().get(&(cont, oid)).copied().flatten()
+        self.objects.borrow().get(&(cont, oid)).copied()
     }
 
-    /// Snapshot of the registry's arrays, in key order (rebuild input).
+    /// Snapshot of the registry, in key order (rebuild input).
     pub(crate) fn registered_arrays(&self) -> Vec<(ContId, Stripe)> {
-        let array = |(&(c, _), s): (_, &Option<Stripe>)| Some((c, (*s)?));
-        self.objects.borrow().iter().filter_map(array).collect()
+        let objects = self.objects.borrow();
+        objects.iter().map(|(&(c, _), &s)| (c, s)).collect()
     }
 
     /// Map-change hook fired by the leading pool-service replica when an
@@ -530,5 +528,40 @@ impl Cluster {
             .iter()
             .flat_map(|e| (0..e.target_count()).map(move |t| e.target(t).counters().bytes_read))
             .sum()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use daos_placement::ObjectClass;
+
+    use super::*;
+    use crate::DaosClient;
+
+    /// An open registers for rebuild only what rebuild reads: an array of
+    /// a protected class, once however often it is opened.
+    #[test]
+    fn only_protected_arrays_are_registered_for_rebuild() {
+        let mut sim = Sim::new(0x5A3);
+        sim.block_on(|sim| async move {
+            let cluster = Cluster::build(&sim, ClusterConfig::tiny(1));
+            let pool = DaosClient::new(Rc::clone(&cluster), 0).connect(&sim).await;
+            let cont = pool.unwrap().open_or_create(&sim, 1).await.unwrap();
+            let registered = || cluster.objects.borrow().len();
+            let open = |lo, class| cont.object(ObjectId::new(0x5B, lo), class);
+            open(0, ObjectClass::S1).array(4096);
+            open(1, ObjectClass::SX).array(4096);
+            open(2, ObjectClass::S1).kv();
+            open(3, ObjectClass::SX).kv();
+            open(4, ObjectClass::RP_2GX).kv();
+            assert_eq!(registered(), 0);
+
+            open(5, ObjectClass::RP_2GX).array(4096);
+            assert_eq!(registered(), 1);
+            open(5, ObjectClass::RP_2GX).array(4096);
+            assert_eq!(registered(), 1, "a reopen registered twice");
+            let oid = ObjectId::new(0x5B, 5);
+            assert_eq!(cluster.registered_array(1, oid).map(|s| s.oid), Some(oid));
+        });
     }
 }

@@ -294,10 +294,9 @@ pub(crate) async fn run(
     let throttle = Semaphore::new(cluster.cfg.rebuild_inflight.max(1) as usize);
     let tpe = cluster.cfg.targets_per_engine;
 
+    // only protected arrays are registered: unprotected shards on a dead
+    // target are just lost
     for (cont, stripe) in cluster.registered_arrays() {
-        if !stripe.class.is_protected() {
-            continue; // unprotected shards on a dead target are just lost
-        }
         stats.objects_scanned += 1;
         let mv = Rc::new(Move::new(cont, stripe, &old_map, Rc::clone(&new_map)));
         if mv.old == mv.new {
@@ -355,8 +354,7 @@ pub(crate) async fn repair_corruption(
     cluster: &Rc<Cluster>,
     report: CorruptionReport,
 ) -> bool {
-    let stripe = cluster.registered_array(report.cont, report.oid);
-    let Some(stripe) = stripe.filter(|s| s.class.is_protected()) else {
+    let Some(stripe) = cluster.registered_array(report.cont, report.oid) else {
         return false; // unknown or unprotected: no redundancy to heal from
     };
     let map = Rc::new(cluster.pool_map().clone());

@@ -65,30 +65,41 @@ pub struct DirEntry {
 }
 
 impl DirEntry {
-    /// Serialise (directory value format).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(64);
-        v.push(match self.kind {
+    /// Serialise (directory value format) into one allocation: the header
+    /// is written on the stack, then copied out with the link target.
+    pub fn to_bytes(&self) -> Rc<[u8]> {
+        // the fixed fields, the class name after its length byte, and a
+        // link's target length
+        const NAME: usize = u8::MAX as usize;
+        let mut head = [0u8; 26 + NAME + 2];
+        head[0] = match self.kind {
             EntryKind::Dir => 1,
             EntryKind::File => 2,
             EntryKind::Symlink => 3,
-        });
-        v.extend_from_slice(&self.oid.hi.to_le_bytes());
-        v.extend_from_slice(&self.oid.lo.to_le_bytes());
-        v.extend_from_slice(&self.chunk_size.to_le_bytes());
-        // the class name, after its length byte
-        v.push(0);
+        };
+        head[1..9].copy_from_slice(&self.oid.hi.to_le_bytes());
+        head[9..17].copy_from_slice(&self.oid.lo.to_le_bytes());
+        head[17..25].copy_from_slice(&self.chunk_size.to_le_bytes());
+        let mut name = &mut head[26..26 + NAME];
         #[expect(
             clippy::expect_used,
-            reason = "INVARIANT: formatting into a `Vec` cannot fail"
+            reason = "INVARIANT: a class name is a few dozen bytes at most"
         )]
-        write!(v, "{}", self.class).expect("write to a Vec");
-        v[25] = (v.len() - 26) as u8;
-        if let Some(t) = &self.link_target {
-            v.extend_from_slice(&(t.len() as u16).to_le_bytes());
-            v.extend_from_slice(t.as_bytes());
+        write!(name, "{}", self.class).expect("class name fits its length byte");
+        let n = NAME - name.len();
+        head[25] = n as u8;
+        let mut len = 26 + n;
+        let target = self.link_target.as_deref().unwrap_or_default();
+        if self.link_target.is_some() {
+            head[len..len + 2].copy_from_slice(&(target.len() as u16).to_le_bytes());
+            len += 2;
         }
-        v
+        // a chain of slices has an exact length: `Rc` allocates it once
+        head[..len]
+            .iter()
+            .chain(target.as_bytes())
+            .copied()
+            .collect()
     }
 
     /// Deserialise; `None` on corruption.
@@ -173,6 +184,8 @@ pub struct Dfs {
     /// concurrent clients never collide; real DFS reserves oid ranges).
     next_oid: Cell<u64>,
     oid_salt: u64,
+    /// The empty value every tombstone of this mount shares.
+    tombstone: Payload,
 }
 
 /// An open file.
@@ -243,6 +256,7 @@ impl Dfs {
             cfg,
             next_oid: Cell::new(1),
             oid_salt: client_tag,
+            tombstone: Payload::bytes(Vec::new()),
         });
         // read-or-write the superblock (magic + defaults)
         let sb = dfs.cont.object(OID_SUPERBLOCK, ObjectClass::S1).kv();
@@ -498,7 +512,7 @@ impl Dfs {
         if ent.kind == EntryKind::Dir && !self.entries(sim, ent.oid).await?.is_empty() {
             return Err(DaosError::Other(format!("directory not empty: {path}")));
         }
-        bury(&kv, sim, name).await?;
+        self.bury(&kv, sim, name).await?;
         self.cont.object(ent.oid, ent.class).punch(sim).await?;
         Ok(())
     }
@@ -536,25 +550,25 @@ impl Dfs {
             }
         }
         tkv.put(sim, tname, v).await?;
-        bury(&fkv, sim, fname).await?;
+        self.bury(&fkv, sim, fname).await?;
         if let Some(old) = replaced {
             self.cont.object(old.oid, old.class).punch(sim).await?;
         }
         Ok(())
     }
+
+    /// Remove dirent `name` of directory `kv`, leaving the tombstone
+    /// [`dirent`] skips.
+    async fn bury(&self, kv: &KvHandle, sim: &Sim, name: &str) -> Result<(), DaosError> {
+        kv.put(sim, name, self.tombstone.clone()).await
+    }
 }
 
 /// The live dirent `name` of directory `kv`. An empty value is a
-/// tombstone: [`bury`] leaves one where an entry was, and it reads as no
-/// entry.
+/// tombstone: [`Dfs::bury`] leaves one where an entry was, and it reads as
+/// no entry.
 async fn dirent(kv: &KvHandle, sim: &Sim, name: &str) -> Result<Option<Payload>, DaosError> {
     Ok(kv.get(sim, name).await?.filter(|v| !v.is_empty()))
-}
-
-/// Remove dirent `name` of directory `kv`, leaving the tombstone
-/// [`dirent`] skips.
-async fn bury(kv: &KvHandle, sim: &Sim, name: &str) -> Result<(), DaosError> {
-    kv.put(sim, name, Payload::bytes(Vec::new())).await
 }
 
 #[cfg(test)]
