@@ -156,11 +156,7 @@ impl RankAccess {
                 f.pread(sim, 0, len).await?
             }
         };
-        Ok(segs
-            .iter()
-            .filter(|s| s.data.is_some())
-            .map(|s| s.len)
-            .sum())
+        Ok(segs.data_bytes())
     }
 
     /// Does the named object/file exist (polling primitive)?

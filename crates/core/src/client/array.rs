@@ -5,7 +5,7 @@ use std::ops::Range;
 
 use daos_placement::{ObjectClass, Stripe};
 use daos_sim::{join_inline, Sim};
-use daos_vos::tree::{flatten, ReadSeg};
+use daos_vos::tree::{flatten, ReadSeg, Segs};
 use daos_vos::{Epoch, Payload};
 
 use super::damp::Attempt;
@@ -124,7 +124,7 @@ impl ArrayHandle {
         chunk: u64,
         want: Range<u64>,
         epoch: Epoch,
-    ) -> Result<Vec<ReadSeg>, DaosError> {
+    ) -> Result<Segs, DaosError> {
         let obj = &self.obj;
         let (engine, target) = obj.route(shard);
         let (offset, len) = (want.start, want.end - want.start);
@@ -178,7 +178,7 @@ impl ArrayHandle {
         want: Range<u64>,
         protected: bool,
         epoch: Epoch,
-    ) -> Attempt<Vec<ReadSeg>> {
+    ) -> Attempt<Segs> {
         let class = self.obj.class;
         // why no candidate served the cell; `None`: none was fit to ask
         let mut miss = None;
@@ -226,7 +226,7 @@ impl ArrayHandle {
         c: u32,
         want: Range<u64>,
         epoch: Epoch,
-    ) -> Result<Vec<ReadSeg>, DaosError> {
+    ) -> Result<Segs, DaosError> {
         let (cell, (others, parities)) = (self.stripe.cell_size(), self.stripe.rederive(c));
         let whole_cell = |shard| self.fetch_shard_once(sim, shard, chunk, 0..cell, epoch);
         let mut acc = vec![0u8; cell as usize];
@@ -262,11 +262,11 @@ impl ArrayHandle {
                 Ok(segs) => {
                     xor_into(&mut acc, &flatten(&segs, 0, cell));
                     let bytes = acc[want.start as usize..want.end as usize].to_vec();
-                    return Ok(vec![ReadSeg {
+                    return Ok(Segs::One(ReadSeg {
                         offset: want.start,
                         len: want.end - want.start,
                         data: Some(Payload::bytes(bytes)),
-                    }]);
+                    }));
                 }
                 Err(DaosError::CsumMismatch) => {
                     // rotten parity: report it and try the next one
@@ -343,11 +343,11 @@ impl ArrayHandle {
         let (mut parity, mut any) = (vec![0u8; cell as usize], false);
         for c in 0..k {
             let segs = match known(c) {
-                Some(data) => vec![ReadSeg {
+                Some(data) => Segs::One(ReadSeg {
                     offset: 0,
                     len: cell,
                     data,
-                }],
+                }),
                 None => {
                     let latest = EPOCH_LATEST;
                     let read =
@@ -398,7 +398,7 @@ impl ArrayHandle {
         in_chunk: u64,
         len: u64,
         epoch: Epoch,
-    ) -> Result<Vec<ReadSeg>, DaosError> {
+    ) -> Result<Segs, DaosError> {
         let (protected, exhausted) = match self.obj.class {
             ObjectClass::Sharded(_) | ObjectClass::ShardedMax => (false, DaosError::Timeout),
             // replicas that never answered in any round are as good as gone
@@ -407,22 +407,18 @@ impl ArrayHandle {
         };
         let (group, stripe) = (self.group_of(chunk).start, &self.stripe);
         let round = move |round| async move {
-            let mut out = Vec::new();
+            let mut out = Segs::default();
             for (c, want) in stripe.cells(in_chunk..in_chunk + len) {
-                let base = stripe.chunk_offset(c, 0);
-                let segs = match self
+                let mut segs = match self
                     .read_cell(sim, group, chunk, c, round, want, protected, epoch)
                     .await
                 {
-                    Attempt::Done(segs) => segs.into_iter().map(|s| s.rebased(0, base)),
+                    Attempt::Done(segs) => segs,
                     other => return other,
                 };
-                if out.is_empty() {
-                    // the usual one-cell piece keeps the reply's allocation
-                    out = segs.collect();
-                } else {
-                    out.extend(segs);
-                }
+                segs.rebase(0, stripe.chunk_offset(c, 0));
+                // the usual one-cell piece is the reply as it came
+                out.append(segs);
             }
             Attempt::Done(out)
         };
@@ -481,13 +477,12 @@ impl ArrayHandle {
         offset: u64,
         len: u64,
         epoch: Epoch,
-    ) -> Result<Vec<ReadSeg>, DaosError> {
+    ) -> Result<Segs, DaosError> {
         // one piece, rebased from chunk-relative to array offsets
         let piece = |chunk, in_chunk, plen| async move {
-            let segs = self.read_piece(sim, chunk, in_chunk, plen, epoch).await?;
-            let base = chunk * self.stripe.chunk_size;
-            let segs = segs.into_iter().map(|s| s.rebased(0, base));
-            Ok::<_, DaosError>(segs.collect::<Vec<_>>())
+            let mut segs = self.read_piece(sim, chunk, in_chunk, plen, epoch).await?;
+            segs.rebase(0, chunk * self.stripe.chunk_size);
+            Ok::<_, DaosError>(segs)
         };
         if let Some((chunk, in_chunk)) = self.single_chunk(offset, len) {
             return piece(chunk, in_chunk, len).await;
@@ -496,16 +491,16 @@ impl ArrayHandle {
         let futs = pieces
             .into_iter()
             .map(|(chunk, in_chunk, _src_off, plen)| piece(chunk, in_chunk, plen));
-        let mut segs = Vec::new();
+        let mut segs = Segs::default();
         for r in join_inline(futs).await {
-            segs.extend(r?);
+            segs.append(r?);
         }
         segs.sort_by_key(|s| s.offset);
         Ok(segs)
     }
 
     /// Read `len` bytes at `offset`, latest.
-    pub async fn read(&self, sim: &Sim, offset: u64, len: u64) -> Result<Vec<ReadSeg>, DaosError> {
+    pub async fn read(&self, sim: &Sim, offset: u64, len: u64) -> Result<Segs, DaosError> {
         self.read_at_epoch(sim, offset, len, EPOCH_LATEST).await
     }
 

@@ -157,14 +157,10 @@ impl Engine {
                 if miss {
                     sim.sleep(cfg.read_miss_latency).await;
                 }
-                let segs = target
+                let mut segs = target
                     .fetch_array(sim, cont, oid_key(oid), dkey, akey, offset, len, epoch)
                     .await?;
-                let data: u64 = segs
-                    .iter()
-                    .filter(|s| s.data.is_some())
-                    .map(|s| s.len)
-                    .sum();
+                let data = segs.data_bytes();
                 let amp = if miss { cfg.read_miss_amp } else { 1.0 };
                 self.bulk_read
                     .transfer(sim, (data as f64 * amp) as u64)
@@ -172,16 +168,11 @@ impl Engine {
                 // checksum the response before it leaves, then maybe tear
                 // it in flight — the client's verify catches the tear
                 let csum = cfg.vos.csum_enabled.then(|| wire_csum_segs(&segs));
-                let segs = if self.frame_torn(sim) {
-                    segs.into_iter()
-                        .map(|mut s| {
-                            s.data = s.data.map(|d| d.corrupted());
-                            s
-                        })
-                        .collect()
-                } else {
-                    segs
-                };
+                if self.frame_torn(sim) {
+                    for s in segs.iter_mut() {
+                        s.data = s.data.take().map(|d| d.corrupted());
+                    }
+                }
                 Response::Fetched { segs, csum }
             }
             Request::UpdateSingle {

@@ -4,7 +4,7 @@ use std::ops::{Deref, Range};
 use std::rc::Rc;
 
 use daos_placement::ObjectId;
-use daos_vos::tree::ReadSeg;
+use daos_vos::tree::{ReadSeg, Segs};
 use daos_vos::{key, Epoch, Key, Payload};
 
 use crate::ContId;
@@ -439,7 +439,7 @@ pub enum Response {
         epoch: Epoch,
     },
     Fetched {
-        segs: Vec<ReadSeg>,
+        segs: Segs,
         /// End-to-end checksum over the returned data segments (when the
         /// serving engine has checksums enabled). The client re-hashes the
         /// received bytes; a disagreement is a torn response frame.
@@ -471,11 +471,7 @@ impl Response {
     /// Bytes of bulk payload this response carries (read data).
     pub fn bulk_out(&self) -> u64 {
         match self {
-            Response::Fetched { segs, .. } => segs
-                .iter()
-                .filter_map(|s| s.data.as_ref())
-                .map(|d| d.len())
-                .sum(),
+            Response::Fetched { segs, .. } => segs.data_bytes(),
             Response::Single(Some(p)) => p.len(),
             Response::Dkeys(keys) => keys.iter().map(|k| k.len() as u64 + 8).sum(),
             _ => 0,
@@ -521,7 +517,7 @@ impl Response {
 
     /// Decode a fetch reply, re-hashing the received segments against the
     /// reply checksum: a disagreement is a frame torn in flight.
-    pub fn fetched(self) -> Result<Vec<ReadSeg>, DaosError> {
+    pub fn fetched(self) -> Result<Segs, DaosError> {
         match self {
             Response::Fetched { segs, csum } => match csum {
                 Some(c) if wire_csum_segs(&segs) != c => Err(DaosError::CorruptFrame),
@@ -573,7 +569,7 @@ mod tests {
         assert_eq!(chunk_of_dkey(&chunk_dkey(9)), Some(9));
         assert_eq!(chunk_of_dkey(b"dirent"), None);
         let r = Response::Fetched {
-            segs: vec![
+            segs: Segs::Many(vec![
                 ReadSeg {
                     offset: 0,
                     len: 100,
@@ -584,7 +580,7 @@ mod tests {
                     len: 50,
                     data: None,
                 },
-            ],
+            ]),
             csum: None,
         };
         assert_eq!(r.bulk_out(), 100);

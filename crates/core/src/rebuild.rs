@@ -21,7 +21,7 @@ use daos_placement::{place, Layout, ObjectId, PoolMap, Stripe, TargetId};
 use daos_sim::executor::join_all;
 use daos_sim::time::SimDuration;
 use daos_sim::{Semaphore, Sim};
-use daos_vos::tree::{flatten, ReadSeg};
+use daos_vos::tree::{flatten, ReadSeg, Segs};
 use daos_vos::{Epoch, Payload};
 
 use crate::client::xor_into;
@@ -232,11 +232,11 @@ async fn repair_chunk(
             }
             let any_data = sources.iter().flatten().any(|s| s.data.is_some());
             let data = any_data.then(|| Payload::bytes(acc));
-            vec![ReadSeg {
+            Segs::One(ReadSeg {
                 offset: 0,
                 len: cell,
                 data,
-            }]
+            })
         }
     };
     let (at, mut moved) = ((mv.cont, mv.stripe.oid, chunk), 0);

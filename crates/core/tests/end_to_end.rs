@@ -9,7 +9,7 @@ use daos_raft::Role;
 use daos_sim::time::SimDuration;
 use daos_sim::units::MIB;
 use daos_sim::Sim;
-use daos_vos::{key, Payload};
+use daos_vos::{key, Payload, Segs};
 
 fn tiny() -> (Sim, ClusterConfig) {
     (Sim::new(0xDA05), ClusterConfig::tiny(1))
@@ -147,7 +147,7 @@ fn zero_length_array_io_sends_nothing() {
         for offset in [0, 12345, MIB, 3 * MIB - 1] {
             let empty = Payload::pattern(1, 0);
             assert_eq!(arr.write(&sim, offset, empty).await, Ok(()));
-            assert_eq!(arr.read(&sim, offset, 0).await, Ok(vec![]));
+            assert_eq!(arr.read(&sim, offset, 0).await, Ok(Segs::default()));
         }
         assert_eq!(cost(&sim), before);
     });

@@ -35,7 +35,7 @@ use std::rc::Rc;
 use daos_core::{ContainerHandle, DaosError, KvHandle, PoolHandle};
 use daos_placement::{ObjectClass, ObjectId};
 use daos_sim::Sim;
-use daos_vos::tree::ReadSeg;
+use daos_vos::tree::Segs;
 use daos_vos::Payload;
 
 /// Default chunk size (DFS default: 1 MiB).
@@ -215,7 +215,7 @@ impl DfsFile {
     }
 
     /// Read up to `len` bytes at `offset` (holes = zeroes, as segments).
-    pub async fn read(&self, sim: &Sim, offset: u64, len: u64) -> Result<Vec<ReadSeg>, DaosError> {
+    pub async fn read(&self, sim: &Sim, offset: u64, len: u64) -> Result<Segs, DaosError> {
         self.array.read(sim, offset, len).await
     }
 

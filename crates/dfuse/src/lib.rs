@@ -32,7 +32,7 @@ use daos_dfs::{Dfs, DfsFile, Stat};
 use daos_placement::ObjectClass;
 use daos_sim::time::SimDuration;
 use daos_sim::{Semaphore, Sim};
-use daos_vos::tree::{flatten, ReadSeg};
+use daos_vos::tree::{flatten, Segs};
 use daos_vos::Payload;
 
 /// Cut `[offset, offset+len)` at `max_req`-aligned file offsets, the way
@@ -279,22 +279,18 @@ impl PosixFile {
     }
 
     /// POSIX `pread(2)`; same splitting rules as writes.
-    pub async fn pread(&self, sim: &Sim, offset: u64, len: u64) -> Result<Vec<ReadSeg>, DaosError> {
+    pub async fn pread(&self, sim: &Sim, offset: u64, len: u64) -> Result<Segs, DaosError> {
         let m = &self.mount;
         m.rd_bytes.set(m.rd_bytes.get() + len);
         if m.cfg.interception {
             m.il_ops.set(m.il_ops.get() + 1);
             return self.file.read(sim, offset, len).await;
         }
-        let mut segs = Vec::new();
+        let mut segs = Segs::default();
         for (piece_off, piece_len) in pieces(m.cfg.max_req, offset, len) {
             let _t = m.request(sim).await;
-            let piece = self.file.read(sim, piece_off, piece_len).await?;
             // the first piece's segments, as they came, start the result
-            match segs.is_empty() {
-                true => segs = piece,
-                false => segs.extend(piece),
-            }
+            segs.append(self.file.read(sim, piece_off, piece_len).await?);
         }
         Ok(segs)
     }

@@ -35,7 +35,7 @@ use daos_dfuse::PosixFile;
 use daos_mpiio::MpiFile;
 use daos_sim::time::SimDuration;
 use daos_sim::Sim;
-use daos_vos::tree::{flatten, ReadSeg};
+use daos_vos::tree::{flatten, Segs};
 use daos_vos::Payload;
 
 /// Superblock size (format v0).
@@ -74,7 +74,7 @@ impl H5Vfd {
             H5Vfd::Mpio(file) => file.write_at(sim, off, data).await,
         }
     }
-    async fn read(&self, sim: &Sim, off: u64, len: u64) -> Result<Vec<ReadSeg>, DaosError> {
+    async fn read(&self, sim: &Sim, off: u64, len: u64) -> Result<Segs, DaosError> {
         match self {
             H5Vfd::Sec2(f) => f.pread(sim, off, len).await,
             H5Vfd::Mpio(file) => file.read_at(sim, off, len).await,
@@ -232,11 +232,12 @@ impl Dataset {
 
     /// `H5Dread` of a contiguous hyperslab; returns segments rebased to
     /// dataset offsets.
-    pub async fn read(&self, sim: &Sim, off: u64, len: u64) -> Result<Vec<ReadSeg>, DaosError> {
+    pub async fn read(&self, sim: &Sim, off: u64, len: u64) -> Result<Segs, DaosError> {
         sim.sleep(self.file.cfg.h5_op_cpu).await;
         let base = self.info.data_off;
-        let segs = self.file.vfd.read(sim, base + off, len).await?;
-        Ok(segs.into_iter().map(|s| s.rebased(base, 0)).collect())
+        let mut segs = self.file.vfd.read(sim, base + off, len).await?;
+        segs.rebase(base, 0);
+        Ok(segs)
     }
 
     /// Materialising read (test helper).

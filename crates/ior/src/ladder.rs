@@ -16,7 +16,7 @@ use daos_mpiio::MpiFile;
 use daos_pfs::{Pfs, PfsFile};
 use daos_placement::ObjectClass;
 use daos_sim::Sim;
-use daos_vos::{Payload, ReadSeg};
+use daos_vos::{Payload, Segs};
 
 /// One rank's open file on some rung of the ladder.
 #[allow(
@@ -29,7 +29,7 @@ pub trait ByteFile {
 
     async fn write(&self, sim: &Sim, off: u64, data: Payload) -> Result<(), DaosError>;
 
-    async fn read(&self, sim: &Sim, off: u64, len: u64) -> Result<Vec<ReadSeg>, DaosError>;
+    async fn read(&self, sim: &Sim, off: u64, len: u64) -> Result<Segs, DaosError>;
 
     /// End-of-write-phase work; only HDF5 has any (its metadata cache).
     async fn flush(&self, _sim: &Sim) -> Result<(), DaosError> {
@@ -42,7 +42,7 @@ impl ByteFile for ArrayHandle {
     async fn write(&self, sim: &Sim, off: u64, data: Payload) -> Result<(), DaosError> {
         ArrayHandle::write(self, sim, off, data).await
     }
-    async fn read(&self, sim: &Sim, off: u64, len: u64) -> Result<Vec<ReadSeg>, DaosError> {
+    async fn read(&self, sim: &Sim, off: u64, len: u64) -> Result<Segs, DaosError> {
         ArrayHandle::read(self, sim, off, len).await
     }
 }
@@ -52,7 +52,7 @@ impl ByteFile for DfsFile {
     async fn write(&self, sim: &Sim, off: u64, data: Payload) -> Result<(), DaosError> {
         DfsFile::write(self, sim, off, data).await
     }
-    async fn read(&self, sim: &Sim, off: u64, len: u64) -> Result<Vec<ReadSeg>, DaosError> {
+    async fn read(&self, sim: &Sim, off: u64, len: u64) -> Result<Segs, DaosError> {
         DfsFile::read(self, sim, off, len).await
     }
 }
@@ -62,7 +62,7 @@ impl ByteFile for PosixFile {
     async fn write(&self, sim: &Sim, off: u64, data: Payload) -> Result<(), DaosError> {
         self.pwrite(sim, off, data).await
     }
-    async fn read(&self, sim: &Sim, off: u64, len: u64) -> Result<Vec<ReadSeg>, DaosError> {
+    async fn read(&self, sim: &Sim, off: u64, len: u64) -> Result<Segs, DaosError> {
         self.pread(sim, off, len).await
     }
 }
@@ -72,7 +72,7 @@ impl ByteFile for MpiFile {
     async fn write(&self, sim: &Sim, off: u64, data: Payload) -> Result<(), DaosError> {
         self.write_at(sim, off, data).await
     }
-    async fn read(&self, sim: &Sim, off: u64, len: u64) -> Result<Vec<ReadSeg>, DaosError> {
+    async fn read(&self, sim: &Sim, off: u64, len: u64) -> Result<Segs, DaosError> {
         self.read_at(sim, off, len).await
     }
 }
@@ -85,7 +85,7 @@ impl ByteFile for Collective {
     async fn write(&self, sim: &Sim, off: u64, data: Payload) -> Result<(), DaosError> {
         self.0.write_at_all(sim, off, data).await
     }
-    async fn read(&self, sim: &Sim, off: u64, len: u64) -> Result<Vec<ReadSeg>, DaosError> {
+    async fn read(&self, sim: &Sim, off: u64, len: u64) -> Result<Segs, DaosError> {
         self.0.read_at_all(sim, off, len).await
     }
 }
@@ -95,7 +95,7 @@ impl ByteFile for (Rc<H5File>, Dataset) {
     async fn write(&self, sim: &Sim, off: u64, data: Payload) -> Result<(), DaosError> {
         self.1.write(sim, off, data).await
     }
-    async fn read(&self, sim: &Sim, off: u64, len: u64) -> Result<Vec<ReadSeg>, DaosError> {
+    async fn read(&self, sim: &Sim, off: u64, len: u64) -> Result<Segs, DaosError> {
         self.1.read(sim, off, len).await
     }
     async fn flush(&self, sim: &Sim) -> Result<(), DaosError> {
@@ -112,11 +112,11 @@ impl ByteFile for PfsFile {
             .await
             .map_err(DaosError::Other)
     }
-    async fn read(&self, sim: &Sim, off: u64, len: u64) -> Result<Vec<ReadSeg>, DaosError> {
+    async fn read(&self, sim: &Sim, off: u64, len: u64) -> Result<Segs, DaosError> {
         PfsFile::read(self, sim, off, len)
             .await
             .map_err(DaosError::Other)?;
-        Ok(Vec::new())
+        Ok(Segs::default())
     }
 }
 

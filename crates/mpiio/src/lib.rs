@@ -19,7 +19,7 @@ use daos_core::DaosError;
 use daos_dfuse::{split_aligned, PosixFile};
 use daos_mpi::MpiRank;
 use daos_sim::Sim;
-use daos_vos::tree::{flatten, ReadSeg};
+use daos_vos::tree::{flatten, ReadSeg, Segs};
 use daos_vos::Payload;
 
 /// MPI-IO hints.
@@ -50,7 +50,7 @@ impl RankFile {
             RankFile::Posix(f) => f.pwrite(sim, off, data).await,
         }
     }
-    async fn read(&self, sim: &Sim, off: u64, len: u64) -> Result<Vec<ReadSeg>, DaosError> {
+    async fn read(&self, sim: &Sim, off: u64, len: u64) -> Result<Segs, DaosError> {
         match self {
             RankFile::Posix(f) => f.pread(sim, off, len).await,
         }
@@ -136,7 +136,7 @@ impl MpiFile {
     }
 
     /// Independent read.
-    pub async fn read_at(&self, sim: &Sim, off: u64, len: u64) -> Result<Vec<ReadSeg>, DaosError> {
+    pub async fn read_at(&self, sim: &Sim, off: u64, len: u64) -> Result<Segs, DaosError> {
         self.file.read(sim, off, len).await
     }
 
@@ -236,12 +236,7 @@ impl MpiFile {
     }
 
     /// Collective read of one contiguous region per rank.
-    pub async fn read_at_all(
-        &self,
-        sim: &Sim,
-        off: u64,
-        len: u64,
-    ) -> Result<Vec<ReadSeg>, DaosError> {
+    pub async fn read_at_all(&self, sim: &Sim, off: u64, len: u64) -> Result<Segs, DaosError> {
         let Some(plan) = self.plan(sim, off, len).await else {
             let segs = self.file.read(sim, off, len).await?;
             self.rank.barrier(sim).await;
@@ -293,7 +288,7 @@ impl MpiFile {
         }
         segs.sort_by_key(|s| s.offset);
         self.rank.barrier(sim).await;
-        Ok(segs)
+        Ok(Segs::Many(segs))
     }
 }
 

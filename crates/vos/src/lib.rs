@@ -35,7 +35,7 @@ pub mod tree;
 
 pub use key::Key;
 pub use target::{ScrubFinding, ScrubReport, VosConfig, VosCounters, VosError, VosTarget};
-pub use tree::{CsumViolation, Extent, ExtentTree, ReadSeg};
+pub use tree::{CsumViolation, Extent, ExtentTree, ReadSeg, Segs};
 
 use std::cell::Cell;
 use std::ops::Range;

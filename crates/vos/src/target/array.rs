@@ -4,7 +4,7 @@ use daos_media::Device;
 use daos_sim::Sim;
 
 use super::{akey_at, object_at, AkeyStore, ContId, ObjKey, Shape, VosError, VosTarget};
-use crate::tree::ReadSeg;
+use crate::tree::{ReadSeg, Segs};
 use crate::{Epoch, Key, Payload};
 
 impl VosTarget {
@@ -57,32 +57,30 @@ impl VosTarget {
         offset: u64,
         len: u64,
         epoch: Epoch,
-    ) -> Result<Vec<ReadSeg>, VosError> {
+    ) -> Result<Segs, VosError> {
         let (segs, violation) = {
             let conts = self.containers.borrow();
             let ak = akey_at(&conts, (cid, oid, dkey, akey), epoch);
             match ak.map(AkeyStore::array).transpose()? {
                 Some(tree) => {
-                    // one pass: the bytes and the verdict on them
-                    let overlay = tree.overlay(offset, len, epoch);
+                    // one pass, in the target's scratch: the bytes and the
+                    // verdict on them
+                    let mut scratch = self.scratch.borrow_mut();
+                    let mut overlay = tree.overlay(offset, len, epoch, &mut scratch);
                     let verdict = self.cfg.csum_enabled.then(|| overlay.verify());
                     (overlay.segs(), verdict.and_then(Result::err))
                 }
-                None => (
-                    vec![ReadSeg {
+                None => {
+                    let hole = ReadSeg {
                         offset,
                         len,
                         data: None,
-                    }],
-                    None,
-                ),
+                    };
+                    (Segs::One(hole), None)
+                }
             }
         };
-        let data_bytes: u64 = segs
-            .iter()
-            .filter(|s| s.data.is_some())
-            .map(|s| s.len)
-            .sum();
+        let data_bytes = segs.data_bytes();
         if violation.is_some() {
             self.counters.borrow_mut().csum_mismatches += 1;
         }

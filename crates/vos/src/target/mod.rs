@@ -31,7 +31,7 @@ use std::rc::Rc;
 use daos_media::{Device, MediaSet};
 use daos_sim::Sim;
 
-use crate::tree::{CsumViolation, ExtentTree, SingleValue};
+use crate::tree::{CsumViolation, ExtentTree, Scratch, SingleValue};
 use crate::{Epoch, Key};
 
 /// Container id (DAOS uses UUIDs; dense u64 here).
@@ -282,6 +282,9 @@ pub struct VosTarget {
     /// Scrubber position: the last `(cont, obj, dkey, akey)` verified.
     /// `None` = start of namespace.
     scrub_cursor: RefCell<Option<(ContId, ObjKey, Key, Key)>>,
+    /// Lent to each fetch's overlay to paint in, so a warm target paints
+    /// without allocating.
+    scratch: RefCell<Scratch>,
 }
 
 impl VosTarget {
@@ -294,6 +297,7 @@ impl VosTarget {
             epoch: Cell::new(0),
             counters: RefCell::new(VosCounters::default()),
             scrub_cursor: RefCell::new(None),
+            scratch: RefCell::new(Scratch::default()),
         })
     }
 

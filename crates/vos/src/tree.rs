@@ -6,6 +6,9 @@
 //! extent with epoch `<= e'`, or hidden by a punch.
 
 use std::cell::RefCell;
+use std::iter::Chain;
+use std::ops::{Deref, DerefMut};
+use std::{option, vec};
 
 use crate::{csum64, Epoch, Payload, CSUM_SEED};
 
@@ -58,15 +61,133 @@ pub struct ReadSeg {
     pub data: Option<Payload>,
 }
 
-impl ReadSeg {
-    /// The same segment in another address space: the byte at `from` in
-    /// this segment's space sits at `to` in the new one (shard-relative →
-    /// chunk-relative → array → dataset offsets).
-    pub fn rebased(self, from: u64, to: u64) -> ReadSeg {
-        ReadSeg {
-            offset: self.offset - from + to,
-            ..self
+/// A read result: the query range as maximal contiguous segments in offset
+/// order, holes as `data: None`. An answer of one segment — every read of
+/// data written once in one piece — is held inline, so it travels from the
+/// tree to the caller without an allocation (the simulator's one-iov
+/// `d_sg_list_t`); only an answer of two or more segments has a `Vec`.
+/// Segment for segment, it is the slice it dereferences to: equality
+/// compares those.
+#[derive(Clone, Debug)]
+pub enum Segs {
+    One(ReadSeg),
+    Many(Vec<ReadSeg>),
+}
+
+impl Segs {
+    /// Bytes of the segments that carry data, holes excluded: what a fetch
+    /// reads off the media and sends back in bulk.
+    pub fn data_bytes(&self) -> u64 {
+        self.iter()
+            .filter(|s| s.data.is_some())
+            .map(|s| s.len)
+            .sum()
+    }
+
+    /// Move every segment to another address space, in place: the byte at
+    /// `from` in the old space sits at `to` in the new one (shard-relative
+    /// → chunk-relative → array → dataset offsets).
+    pub fn rebase(&mut self, from: u64, to: u64) {
+        for s in self.iter_mut() {
+            s.offset = s.offset - from + to;
         }
+    }
+
+    /// Append `more`'s segments. An empty result takes `more` as it is,
+    /// its allocation included.
+    pub fn append(&mut self, more: Segs) {
+        match self.is_empty() {
+            true => *self = more,
+            false => self.extend(more),
+        }
+    }
+}
+
+impl Default for Segs {
+    /// No segment: the answer over an empty range.
+    fn default() -> Self {
+        Segs::Many(Vec::new())
+    }
+}
+
+impl Deref for Segs {
+    type Target = [ReadSeg];
+
+    fn deref(&self) -> &[ReadSeg] {
+        match self {
+            Segs::One(seg) => std::slice::from_ref(seg),
+            Segs::Many(segs) => segs,
+        }
+    }
+}
+
+impl DerefMut for Segs {
+    fn deref_mut(&mut self) -> &mut [ReadSeg] {
+        match self {
+            Segs::One(seg) => std::slice::from_mut(seg),
+            Segs::Many(segs) => segs,
+        }
+    }
+}
+
+impl PartialEq for Segs {
+    fn eq(&self, other: &Segs) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Segs {}
+
+impl FromIterator<ReadSeg> for Segs {
+    /// One segment stays inline; two or more go to a `Vec`.
+    fn from_iter<I: IntoIterator<Item = ReadSeg>>(iter: I) -> Self {
+        let mut iter = iter.into_iter();
+        let Some(first) = iter.next() else {
+            return Segs::default();
+        };
+        match iter.next() {
+            None => Segs::One(first),
+            Some(second) => Segs::Many([first, second].into_iter().chain(iter).collect()),
+        }
+    }
+}
+
+impl Extend<ReadSeg> for Segs {
+    /// Segments appended to one inline segment promote it to a `Vec`.
+    fn extend<I: IntoIterator<Item = ReadSeg>>(&mut self, iter: I) {
+        let mut iter = iter.into_iter().peekable();
+        if iter.peek().is_none() {
+            return;
+        }
+        *self = match std::mem::take(self) {
+            Segs::One(first) => Segs::Many(std::iter::once(first).chain(iter).collect()),
+            Segs::Many(mut segs) => {
+                segs.extend(iter);
+                Segs::Many(segs)
+            }
+        };
+    }
+}
+
+impl IntoIterator for Segs {
+    type Item = ReadSeg;
+    type IntoIter = Chain<option::IntoIter<ReadSeg>, vec::IntoIter<ReadSeg>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        let (one, many) = match self {
+            Segs::One(seg) => (Some(seg), Vec::new()),
+            Segs::Many(segs) => (None, segs),
+        };
+        one.into_iter().chain(many)
+    }
+}
+
+impl<'a> IntoIterator for &'a Segs {
+    type Item = &'a ReadSeg;
+    type IntoIter = std::slice::Iter<'a, ReadSeg>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
     }
 }
 
@@ -87,13 +208,91 @@ pub fn flatten(segs: &[ReadSeg], base: u64, len: u64) -> Vec<u8> {
     out
 }
 
-/// Intermediate paint segment: `src` points into the visible-extent list of
-/// the overlay it came from (`None` = hole).
-#[derive(Clone, Debug, PartialEq)]
+/// Intermediate paint segment: `src` points into the candidate list of
+/// the scratch it was painted in (`None` = hole).
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Seg {
     start: u64,
     end: u64,
     src: Option<(usize, u64)>, // (index into vis, offset within extent)
+}
+
+/// Working storage of a painted overlay, owned by its caller so that a
+/// warm one paints without allocating: the candidates as extent ids, in
+/// overlay order once painted; the painted segments and the paint loop's
+/// second buffer; and the candidates [`Overlay::verify`] has judged.
+/// Ids, not references, so the storage outlives the borrow of any one
+/// tree: a [`crate::VosTarget`] lends one to every fetch.
+#[derive(Debug, Default)]
+pub struct Scratch {
+    vis: Vec<u32>,
+    segs: Vec<Seg>,
+    spare: Vec<Seg>,
+    judged: Vec<bool>,
+}
+
+impl Scratch {
+    /// The paint algorithm: lay the candidates `vis` (in overlay order) of
+    /// `extents` over `[offset, qend)` one at a time, newer over older, and
+    /// coalesce what is left into maximal segments; `src` indices refer to
+    /// `vis`. Each pass keeps `segs` in offset order, so nothing is sorted.
+    fn paint(&mut self, extents: &[Extent], offset: u64, qend: u64) {
+        let Scratch {
+            vis, segs, spare, ..
+        } = self;
+        segs.clear();
+        segs.push(Seg {
+            start: offset,
+            end: qend,
+            src: None,
+        });
+        for (i, &id) in vis.iter().enumerate() {
+            let e = &extents[id as usize];
+            let (es, ee) = (e.offset.max(offset), e.end().min(qend));
+            spare.clear();
+            for s in segs.drain(..) {
+                if s.end <= es || s.start >= ee {
+                    spare.push(s);
+                    continue;
+                }
+                if s.start < es {
+                    spare.push(Seg { end: es, ..s });
+                }
+                spare.push(Seg {
+                    start: s.start.max(es),
+                    end: s.end.min(ee),
+                    src: Some((i, s.start.max(es) - e.offset)),
+                });
+                if s.end > ee {
+                    let adj = s.src.map(|(idx, off)| (idx, off + (ee - s.start)));
+                    spare.push(Seg {
+                        start: ee,
+                        end: s.end,
+                        src: adj,
+                    });
+                }
+            }
+            std::mem::swap(segs, spare);
+        }
+
+        // coalesce fragments the paint loop split: adjacent pieces of the
+        // same extent (continuous source offset) and adjacent holes
+        segs.retain(|s| s.end > s.start);
+        segs.dedup_by(|s, prev| {
+            let contiguous = prev.end == s.start
+                && match (prev.src, s.src) {
+                    (None, None) => true,
+                    (Some((pi, po)), Some((si, so))) => {
+                        pi == si && po + (prev.end - prev.start) == so
+                    }
+                    _ => false,
+                };
+            if contiguous {
+                prev.end = s.end;
+            }
+            contiguous
+        });
+    }
 }
 
 /// One overlay pass over a query range `[offset, qend)`
@@ -117,26 +316,31 @@ enum Shape<'a> {
         start: u64,
         end: u64,
     },
-    /// Two or more candidates, painted: the coalesced segments in offset
-    /// order, whose `src` indices refer to `vis`.
+    /// Two or more candidates of `extents`, painted into `scratch`: its
+    /// coalesced segments in offset order, whose `src` indices refer to
+    /// its candidate ids.
     Painted {
-        segs: Vec<Seg>,
-        vis: Vec<&'a Extent>,
+        extents: &'a [Extent],
+        scratch: &'a mut Scratch,
     },
 }
 
 impl<'a> Overlay<'a> {
-    /// Paint the candidate extents `vis` over `[offset, qend)`.
-    fn painted(mut vis: Vec<&'a Extent>, offset: u64, qend: u64) -> Self {
+    /// Paint the candidates in `scratch` (ids into `extents`) over
+    /// `[offset, qend)`.
+    fn painted(extents: &'a [Extent], scratch: &'a mut Scratch, offset: u64, qend: u64) -> Self {
         // overlay order: older first, same epoch by minor; the keys are
         // unique, so the sorted order — all painting depends on — is that
-        // of a full scan too
-        vis.sort_by_key(|e| (e.epoch, e.minor));
-        let segs = ExtentTree::paint(&vis, offset, qend);
+        // of a full scan too, and no sort need be stable
+        scratch.vis.sort_unstable_by_key(|&id| {
+            let e = &extents[id as usize];
+            (e.epoch, e.minor)
+        });
+        scratch.paint(extents, offset, qend);
         Overlay {
             offset,
             qend,
-            shape: Shape::Painted { segs, vis },
+            shape: Shape::Painted { extents, scratch },
         }
     }
 
@@ -158,16 +362,16 @@ impl<'a> Overlay<'a> {
     }
 
     /// The query range as maximal contiguous segments in order. Holes
-    /// appear as `data: None`.
-    pub fn segs(&self) -> Vec<ReadSeg> {
+    /// appear as `data: None`. One segment is returned inline.
+    pub fn segs(&self) -> Segs {
         let hole = |offset, end: u64| ReadSeg {
             offset,
             len: end - offset,
             data: None,
         };
         match &self.shape {
-            Shape::Hole if self.offset == self.qend => Vec::new(),
-            Shape::Hole => vec![hole(self.offset, self.qend)],
+            Shape::Hole if self.offset == self.qend => Segs::default(),
+            Shape::Hole => Segs::One(hole(self.offset, self.qend)),
             &Shape::One { extent, start, end } => {
                 let data = extent.data.as_ref();
                 let laid = [
@@ -181,10 +385,10 @@ impl<'a> Overlay<'a> {
                 ];
                 laid.into_iter().filter(|s| s.len > 0).collect()
             }
-            Shape::Painted { segs, vis } => {
+            Shape::Painted { extents, scratch } => {
                 let seg = |s: &Seg| {
                     let data = s.src.and_then(|(i, off)| {
-                        let stored = vis[i].data.as_ref();
+                        let stored = extents[scratch.vis[i] as usize].data.as_ref();
                         stored.map(|p| p.slice(off, s.end - s.start))
                     });
                     ReadSeg {
@@ -193,7 +397,7 @@ impl<'a> Overlay<'a> {
                         data,
                     }
                 };
-                segs.iter().map(seg).collect()
+                scratch.segs.iter().map(seg).collect()
             }
         }
     }
@@ -203,7 +407,7 @@ impl<'a> Overlay<'a> {
     /// hashed over its *full* stored payload (the checksum covers the whole
     /// extent, not the visible slice). Returns the total number of payload
     /// bytes hashed, or the first violation found.
-    pub fn verify(&self) -> Result<u64, CsumViolation> {
+    pub fn verify(&mut self) -> Result<u64, CsumViolation> {
         let judge = |e: &Extent| match e.csum_ok() {
             true => Ok(e.len),
             false => Err(CsumViolation {
@@ -211,21 +415,26 @@ impl<'a> Overlay<'a> {
                 len: e.len,
             }),
         };
-        match &self.shape {
+        match &mut self.shape {
             Shape::Hole => Ok(0),
             Shape::One { extent, .. } => judge(extent),
-            Shape::Painted { segs, vis } => {
+            Shape::Painted { extents, scratch } => {
+                let Scratch {
+                    vis, segs, judged, ..
+                } = &mut **scratch;
+                let extent = |i: usize| &extents[vis[i] as usize];
                 let contributors = || segs.iter().filter_map(|s| s.src).map(|(i, _)| i);
                 let mut rest = contributors();
                 match rest.next() {
                     None => Ok(0),
                     // one extent under every segment: nothing to dedupe
-                    Some(i) if rest.all(|j| j == i) => judge(vis[i]),
+                    Some(i) if rest.all(|j| j == i) => judge(extent(i)),
                     Some(_) => {
-                        let mut seen = vec![false; vis.len()];
+                        judged.clear();
+                        judged.resize(vis.len(), false);
                         contributors()
-                            .filter(|&i| !std::mem::replace(&mut seen[i], true))
-                            .try_fold(0, |bytes, i| Ok(bytes + judge(vis[i])?))
+                            .filter(|&i| !std::mem::replace(&mut judged[i], true))
+                            .try_fold(0, |bytes, i| Ok(bytes + judge(extent(i))?))
                     }
                 }
             }
@@ -244,7 +453,8 @@ pub struct ExtentTree {
     extents: Vec<Extent>,
     next_minor: u64,
     /// Interval index over `extents`, rebuilt lazily after mutations so
-    /// write bursts don't pay per-insert maintenance.
+    /// write bursts don't pay per-insert maintenance, and only on the
+    /// second query after them: the first scans.
     index: RefCell<ExtentIndex>,
 }
 
@@ -262,7 +472,21 @@ pub struct ExtentTree {
 struct ExtentIndex {
     by_start: Vec<u32>,
     bounds: Vec<u64>,
-    dirty: bool,
+    stale: Stale,
+}
+
+/// How far the index trails the extents it indexes.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+enum Stale {
+    /// Up to date (the empty index of an empty tree included).
+    #[default]
+    No,
+    /// Written since it was built, and not queried since: the next query
+    /// scans the extents instead of building it.
+    Written,
+    /// Written since it was built, and scanned once since: the next query
+    /// builds it.
+    Scanned,
 }
 
 impl ExtentTree {
@@ -284,7 +508,7 @@ impl ExtentTree {
             data: Some(data),
             csum,
         });
-        self.index.borrow_mut().dirty = true;
+        self.index.borrow_mut().stale = Stale::Written;
     }
 
     /// Punch (logically zero) `[offset, offset+len)` at `epoch`.
@@ -299,7 +523,7 @@ impl ExtentTree {
             data: None,
             csum: 0,
         });
-        self.index.borrow_mut().dirty = true;
+        self.index.borrow_mut().stale = Stale::Written;
     }
 
     /// Number of stored extents (index size; drives media index cost).
@@ -341,16 +565,19 @@ impl ExtentTree {
     }
 
     /// Read `[offset, offset+len)` as of `epoch`, returning maximal
-    /// contiguous segments in order. Holes appear as `data: None`.
-    pub fn read(&self, offset: u64, len: u64, epoch: Epoch) -> Vec<ReadSeg> {
-        self.overlay(offset, len, epoch).segs()
+    /// contiguous segments in order. Holes appear as `data: None`. A
+    /// painted read paints in scratch of its own.
+    pub fn read(&self, offset: u64, len: u64, epoch: Epoch) -> Segs {
+        self.overlay(offset, len, epoch, &mut Scratch::default())
+            .segs()
     }
 
     /// Verify the checksum of every stored extent that contributes at least
     /// one visible byte to `[offset, offset+len)` at `epoch`
     /// ([`Overlay::verify`]).
     pub fn verify_range(&self, offset: u64, len: u64, epoch: Epoch) -> Result<u64, CsumViolation> {
-        self.overlay(offset, len, epoch).verify()
+        self.overlay(offset, len, epoch, &mut Scratch::default())
+            .verify()
     }
 
     /// Fault injection: deterministically corrupt stored data extents,
@@ -375,13 +602,13 @@ impl ExtentTree {
 
     /// Run `f` against an up-to-date interval index, rebuilding it first
     /// if mutations invalidated it. Rebuild is `O(n log n)` but amortized:
-    /// a burst of inserts marks the index dirty once and the next query
-    /// pays a single rebuild (and appends arrive nearly sorted, which
-    /// `sort_unstable` handles in near-linear time).
+    /// a burst of inserts marks the index stale once and the second query
+    /// after it pays a single rebuild (and appends arrive nearly sorted,
+    /// which `sort_unstable` handles in near-linear time).
     fn with_index<R>(&self, f: impl FnOnce(&ExtentIndex) -> R) -> R {
         let mut ix = self.index.borrow_mut();
         let ix = &mut *ix;
-        if ix.dirty || ix.by_start.len() != self.extents.len() {
+        if ix.stale != Stale::No || ix.by_start.len() != self.extents.len() {
             ix.by_start.clear();
             ix.by_start.extend(0..self.extents.len() as u32);
             ix.by_start
@@ -394,7 +621,7 @@ impl ExtentTree {
                 m = m.max(e.end());
                 m
             }));
-            ix.dirty = false;
+            ix.stale = Stale::No;
         }
         f(ix)
     }
@@ -402,99 +629,67 @@ impl ExtentTree {
     /// Overlay the extents visible at `epoch` over `[offset, offset+len)`
     /// in `(epoch, minor)` order — the one pass behind [`read`](Self::read),
     /// [`verify_range`](Self::verify_range) and a verified fetch, which
-    /// takes both answers from the same [`Overlay`].
-    pub fn overlay(&self, offset: u64, len: u64, epoch: Epoch) -> Overlay<'_> {
+    /// takes both answers from the same [`Overlay`]. Two or more
+    /// candidates are painted in `scratch`; fewer need none.
+    pub fn overlay<'a>(
+        &'a self,
+        offset: u64,
+        len: u64,
+        epoch: Epoch,
+        scratch: &'a mut Scratch,
+    ) -> Overlay<'a> {
         let qend = offset + len;
-        let visible = |e: &&Extent| e.epoch <= epoch && e.end() > offset;
-        // a tree of one extent (every chunk written once) answers without
-        // an index: that extent, if it overlaps the range and is visible
-        if self.extents.len() <= 1 {
-            let only = self.extents.first().filter(|e| e.offset < qend);
-            return Overlay::of_one(only.filter(visible), offset, qend);
+        let visible = |&id: &u32| {
+            let e = &self.extents[id as usize];
+            e.epoch <= epoch && e.offset < qend && e.end() > offset
+        };
+        // the first query after a write scans the extents and builds no
+        // index — a tree read once after it was written (every chunk of
+        // a file written, then read back) never needs one — and so does
+        // every query of a tree of at most one extent
+        let scan = {
+            let mut ix = self.index.borrow_mut();
+            let first = ix.stale == Stale::Written;
+            if first {
+                ix.stale = Stale::Scanned;
+            }
+            first || self.extents.len() <= 1
+        };
+        if scan {
+            let ids = (0..self.extents.len() as u32).filter(visible);
+            return self.overlay_of(ids, offset, qend, scratch);
         }
-        // candidates come from the interval index, then the epoch/end
-        // filters: the candidate *set* is identical to a full scan
+        // later ones take candidates from the interval index, then the
+        // epoch/end filters: the candidate *set* is that of a full scan
         self.with_index(|ix| {
             let (starts, prefix_max_end) = ix.bounds.split_at(ix.by_start.len());
             let hi = starts.partition_point(|&start| start < qend);
             let lo = prefix_max_end[..hi].partition_point(|&m| m <= offset);
-            let mut candidates = ix.by_start[lo..hi]
-                .iter()
-                .map(|&id| &self.extents[id as usize])
-                .filter(visible);
-            match (candidates.next(), candidates.next()) {
-                (Some(a), Some(b)) => {
-                    let vis = [a, b].into_iter().chain(candidates).collect();
-                    Overlay::painted(vis, offset, qend)
-                }
-                (one, _) => Overlay::of_one(one, offset, qend),
-            }
+            let ids = ix.by_start[lo..hi].iter().copied().filter(visible);
+            self.overlay_of(ids, offset, qend, scratch)
         })
     }
 
-    /// The paint algorithm: lay `vis` (in overlay order) over `[offset, qend)`
-    /// one extent at a time, newer over older, and coalesce what is left into
-    /// maximal segments; `src` indices refer to `vis`.
-    fn paint(vis: &[&Extent], offset: u64, qend: u64) -> Vec<Seg> {
-        let mut segs = vec![Seg {
-            start: offset,
-            end: qend,
-            src: None,
-        }];
-        for (i, e) in vis.iter().enumerate() {
-            let (es, ee) = (e.offset.max(offset), e.end().min(qend));
-            let mut out = Vec::with_capacity(segs.len() + 2);
-            for s in segs.drain(..) {
-                if s.end <= es || s.start >= ee {
-                    out.push(s);
-                    continue;
-                }
-                if s.start < es {
-                    out.push(Seg {
-                        start: s.start,
-                        end: es,
-                        src: s.src,
-                    });
-                }
-                out.push(Seg {
-                    start: s.start.max(es),
-                    end: s.end.min(ee),
-                    src: Some((i, s.start.max(es) - e.offset)),
-                });
-                if s.end > ee {
-                    let adj = s.src.map(|(idx, off)| (idx, off + (ee - s.start)));
-                    out.push(Seg {
-                        start: ee,
-                        end: s.end,
-                        src: adj,
-                    });
-                }
+    /// The overlay of candidate extents `ids` over `[offset, qend)`:
+    /// painted in `scratch` when there are two or more.
+    fn overlay_of<'a>(
+        &'a self,
+        mut ids: impl Iterator<Item = u32>,
+        offset: u64,
+        qend: u64,
+        scratch: &'a mut Scratch,
+    ) -> Overlay<'a> {
+        let Some(first) = ids.next() else {
+            return Overlay::of_one(None, offset, qend);
+        };
+        match ids.next() {
+            None => Overlay::of_one(Some(&self.extents[first as usize]), offset, qend),
+            Some(second) => {
+                scratch.vis.clear();
+                scratch.vis.extend([first, second].into_iter().chain(ids));
+                Overlay::painted(&self.extents, scratch, offset, qend)
             }
-            segs = out;
-            segs.sort_by_key(|s| s.start);
         }
-
-        // coalesce fragments the paint loop split: adjacent pieces of the
-        // same extent (continuous source offset) and adjacent holes
-        let mut merged: Vec<Seg> = Vec::with_capacity(segs.len());
-        for s in segs.into_iter().filter(|s| s.end > s.start) {
-            if let Some(prev) = merged.last_mut() {
-                let contiguous = prev.end == s.start
-                    && match (&prev.src, &s.src) {
-                        (None, None) => true,
-                        (Some((pi, po)), Some((si, so))) => {
-                            pi == si && po + (prev.end - prev.start) == *so
-                        }
-                        _ => false,
-                    };
-                if contiguous {
-                    prev.end = s.end;
-                    continue;
-                }
-            }
-            merged.push(s);
-        }
-        merged
     }
 
     /// Flatten history at or below `upto`: replace all extents with epoch
@@ -551,7 +746,7 @@ impl ExtentTree {
             }
         }
         self.extents.extend(newer);
-        self.index.borrow_mut().dirty = true;
+        self.index.borrow_mut().stale = Stale::Written;
         reclaimed.saturating_sub(added)
     }
 }
@@ -640,9 +835,15 @@ mod tests {
     }
 
     fn tree_read_bytes(t: &ExtentTree, off: u64, len: u64, epoch: Epoch) -> Vec<Option<u8>> {
+        bytes_of(&t.read(off, len, epoch), off, len)
+    }
+
+    /// The window `[off, off + len)` of a read result, byte by byte
+    /// (`None`: a hole).
+    fn bytes_of(segs: &[ReadSeg], off: u64, len: u64) -> Vec<Option<u8>> {
         let mut out = vec![None; len as usize];
-        for seg in t.read(off, len, epoch) {
-            if let Some(d) = seg.data {
+        for seg in segs {
+            if let Some(d) = &seg.data {
                 let m = d.materialize();
                 for i in 0..seg.len {
                     out[(seg.offset - off + i) as usize] = Some(m[i as usize]);
@@ -650,6 +851,11 @@ mod tests {
             }
         }
         out
+    }
+
+    /// How far a tree's index trails its extents.
+    fn stale(t: &ExtentTree) -> Stale {
+        t.index.borrow().stale
     }
 
     #[test]
@@ -669,7 +875,63 @@ mod tests {
         assert_eq!(got[..10], a[10..], "first segment clipped at the base");
         assert_eq!(got[10..20], [0u8; 10], "holes read as zeroes");
         assert_eq!(got[20..], b[..20], "last segment clipped at the end");
-        assert_eq!(seg(5, 3, None).rebased(4, 100).offset, 101);
+    }
+
+    /// One segment is held inline, in the room of one `ReadSeg`; a second
+    /// promotes the result to a `Vec`, in order; and rebasing in place
+    /// moves every segment as mapping each to a new one did.
+    #[test]
+    fn segs_hold_one_inline_and_promote_in_order() {
+        let seg = |offset, len, seed: Option<u64>| ReadSeg {
+            offset,
+            len,
+            data: seed.map(|s| payload(s, len)),
+        };
+        let (a, b, c) = (seg(40, 10, Some(1)), seg(50, 5, None), seg(55, 7, Some(2)));
+        assert_eq!(size_of::<Segs>(), size_of::<ReadSeg>());
+
+        let none: Segs = std::iter::empty().collect();
+        assert!(none.is_empty() && matches!(&none, Segs::Many(v) if v.capacity() == 0));
+        let one: Segs = [a.clone()].into_iter().collect();
+        assert!(matches!(&one, Segs::One(s) if *s == a), "{one:?}");
+        let two: Segs = [a.clone(), b.clone()].into_iter().collect();
+        assert!(matches!(two, Segs::Many(_)) && two[..] == [a.clone(), b.clone()]);
+
+        let mut grown = one.clone();
+        grown.extend(std::iter::empty());
+        assert!(
+            matches!(grown, Segs::One(_)),
+            "nothing to add keeps it inline"
+        );
+        grown.extend([b.clone(), c.clone()]);
+        assert!(matches!(grown, Segs::Many(_)));
+        assert_eq!(grown[..], [a.clone(), b.clone(), c.clone()], "order kept");
+        assert_eq!(grown.data_bytes(), 17);
+        let mut appended = Segs::default();
+        appended.append(two.clone());
+        appended.append(Segs::One(c.clone()));
+        assert_eq!(appended, grown);
+        assert_eq!(appended, Segs::Many(vec![a.clone(), b.clone(), c.clone()]));
+        assert_eq!(
+            appended.clone().into_iter().collect::<Vec<_>>(),
+            appended[..]
+        );
+
+        for segs in [Segs::default(), one, grown] {
+            let (from, to) = (4, 100);
+            let old: Vec<ReadSeg> = segs
+                .iter()
+                .cloned()
+                .map(|s| ReadSeg {
+                    offset: s.offset - from + to,
+                    ..s
+                })
+                .collect();
+            let mut moved = segs.clone();
+            moved.rebase(from, to);
+            assert_eq!(moved[..], old[..]);
+            assert_eq!(moved.len(), segs.len());
+        }
     }
 
     #[test]
@@ -760,7 +1022,7 @@ mod tests {
                 len: 100,
                 data: None,
             };
-            assert_eq!(t.read(0, 100, 1), vec![hole]);
+            assert_eq!(t.read(0, 100, 1), Segs::One(hole));
             assert_eq!(t.verify_range(0, 100, 1), Ok(0));
         }
         let mut t = ExtentTree::new();
@@ -772,7 +1034,9 @@ mod tests {
     /// painting, and a tree of one extent without an index; the answer —
     /// segments and verdict — is the painted one for a data extent, a
     /// rotten one, a punch and a zero-length one, at every query that
-    /// starts or ends before, on, inside and beyond it.
+    /// starts or ends before, on, inside and beyond it. A tree with a
+    /// second extent out of the queries' reach answers the same, from a
+    /// scan on its first query after the writes and from its index later.
     #[test]
     fn single_extent_shortcut_equals_the_paint_path() {
         let mut data = ExtentTree::new();
@@ -783,26 +1047,42 @@ mod tests {
         punch.punch(10, 10, 2);
         let mut zero = ExtentTree::new();
         zero.insert(10, 2, payload(7, 0));
+        let mut scratch = Scratch::default();
         for t in [data, rotten, punch, zero] {
+            let mut unqueried = t.clone();
+            unqueried.insert(1000, 1, payload(8, 10));
+            let far = unqueried.clone();
+            far.read(0, 0, 0);
             for (offset, len, epoch) in (0..25)
                 .flat_map(|o| (0..25).map(move |l| (o, l)))
                 .flat_map(|(o, l)| [1, 2].map(|e| (o, l, e)))
             {
                 let qend = offset + len;
-                let got = t.overlay(offset, len, epoch);
-                assert!(!matches!(got.shape, Shape::Painted { .. }));
-                let scan = t.extents.iter();
-                let vis = scan.filter(|e| e.epoch <= epoch && e.offset < qend && e.end() > offset);
-                let want = Overlay::painted(vis.collect(), offset, qend);
+                let scan = t.extents.iter().enumerate();
+                let vis =
+                    scan.filter(|(_, e)| e.epoch <= epoch && e.offset < qend && e.end() > offset);
+                let mut paint = Scratch::default();
+                paint.vis.extend(vis.map(|(id, _)| id as u32));
+                let mut want = Overlay::painted(&t.extents, &mut paint, offset, qend);
+                let want = (want.segs(), want.verify());
                 let at = format!("[{offset}, +{len}) at epoch {epoch}");
-                assert_eq!(got.segs(), want.segs(), "{at}");
-                assert_eq!(got.verify(), want.verify(), "{at}");
+                // a fresh copy's first query scans, the tree's own later
+                // ones use its index
+                let first = unqueried.clone();
+                assert_eq!(stale(&first), Stale::Written, "{at}");
+                for (tree, how) in [(&t, "one extent"), (&first, "scanned"), (&far, "indexed")] {
+                    let mut got = tree.overlay(offset, len, epoch, &mut scratch);
+                    assert!(!matches!(got.shape, Shape::Painted { .. }), "{how} {at}");
+                    assert_eq!((got.segs(), got.verify()), want, "{how} {at}");
+                }
+                assert_eq!(stale(&first), Stale::Scanned, "{at}");
             }
             let ix = t.index.borrow();
             assert!(
                 ix.by_start.is_empty() && ix.bounds.is_empty(),
                 "no index built"
             );
+            assert_eq!(stale(&far), Stale::No, "the later queries built one");
         }
     }
 
@@ -832,6 +1112,11 @@ mod tests {
         );
     }
 
+    /// Random overlapping writes against the byte model: each tree's
+    /// first query after its writes scans and a later one uses the index,
+    /// and one scratch serves queries of two trees interleaved — every
+    /// answer byte for byte the model's, and its verdict the one of
+    /// `verify_range`.
     #[test]
     fn differential_random_overlay() {
         // hand-rolled xorshift for reproducibility
@@ -842,19 +1127,45 @@ mod tests {
             s ^= s << 17;
             s
         };
-        let mut t = ExtentTree::new();
-        let mut writes: Vec<(u64, Epoch, Vec<u8>)> = Vec::new();
-        for ep in 1..=40u64 {
-            let off = rnd() % 200;
-            let len = 1 + rnd() % 60;
-            let p = Payload::pattern(ep, len);
-            writes.push((off, ep, p.materialize().to_vec()));
-            t.insert(off, ep, p);
+        let mut trees = Vec::new();
+        for _ in 0..2 {
+            let mut t = ExtentTree::new();
+            let mut writes: Vec<(u64, Epoch, Vec<u8>)> = Vec::new();
+            for ep in 1..=40u64 {
+                let off = rnd() % 200;
+                let len = 1 + rnd() % 60;
+                let p = Payload::pattern(ep ^ rnd(), len);
+                writes.push((off, ep, p.materialize().to_vec()));
+                t.insert(off, ep, p);
+            }
+            // a copy never queried, whose first query is still to come
+            trees.push((t.clone(), t, writes));
         }
+        for (_, t, _) in &trees {
+            t.read(0, 260, 0);
+            assert_eq!(stale(t), Stale::Scanned, "the first query scans");
+        }
+        let mut scratch = Scratch::default();
         for q in [0u64, 10, 20, 40] {
-            let img = tree_read_bytes(&t, 0, 260, q);
-            let want = model_read(&writes, 0, 260, q);
-            assert_eq!(img, want, "mismatch at epoch {q}");
+            for (i, (unqueried, t, writes)) in trees.iter().enumerate() {
+                let at = format!("tree {i} at epoch {q}");
+                let fresh = unqueried.clone();
+                let want = model_read(writes, 0, 260, q);
+                for (tree, how) in [(&fresh, "scanned"), (t, "indexed")] {
+                    let mut o = tree.overlay(0, 260, q, &mut scratch);
+                    assert_eq!(bytes_of(&o.segs(), 0, 260), want, "{how} {at}");
+                    assert_eq!(o.verify(), t.verify_range(0, 260, q), "{how} {at}");
+                }
+                assert_eq!(stale(&fresh), Stale::Scanned, "{at}");
+                assert_eq!(stale(t), Stale::No, "{at}");
+                // a window inside, painted in the scratch the other tree
+                // just used
+                let (off, len) = (rnd() % 200, 1 + rnd() % 60);
+                let got = t.overlay(off, len, q, &mut scratch).segs();
+                let want = model_read(writes, off, len, q);
+                assert_eq!(bytes_of(&got, off, len), want, "[{off}, +{len}) {at}");
+                assert_eq!(got, t.read(off, len, q), "[{off}, +{len}) {at}");
+            }
         }
     }
 

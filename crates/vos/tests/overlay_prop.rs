@@ -8,7 +8,7 @@
 //! start and end on every extent edge, one byte either side, and beyond
 //! the span.
 
-use daos_vos::tree::{CsumViolation, ExtentTree, ReadSeg};
+use daos_vos::tree::{CsumViolation, ExtentTree, ReadSeg, Scratch, Segs};
 use daos_vos::{csum64, Epoch, Payload, CSUM_SEED};
 use proptest::prelude::*;
 
@@ -47,8 +47,8 @@ fn model(
     recs: &[Rec],
     owners: &[Option<usize>],
     offset: u64,
-) -> (Vec<ReadSeg>, Result<u64, CsumViolation>) {
-    let mut segs = Vec::new();
+) -> (Segs, Result<u64, CsumViolation>) {
+    let mut segs = Segs::default();
     let mut verdict = Ok(0);
     let mut judged = vec![false; recs.len()];
     let mut at = 0;
@@ -60,11 +60,11 @@ fn model(
         let start = offset + at as u64;
         let stored = owners[at].map(|i| &recs[i]);
         let data = stored.and_then(|r| Some(r.data.as_ref()?.slice(start - r.offset, run as u64)));
-        segs.push(ReadSeg {
+        segs.extend([ReadSeg {
             offset: start,
             len: run as u64,
             data,
-        });
+        }]);
         if let (Some(i), Ok(bytes)) = (owners[at], verdict) {
             if !std::mem::replace(&mut judged[i], true) {
                 let r = &recs[i];
@@ -148,11 +148,13 @@ proptest! {
         let data = data.map(|p| if rot { p.corrupted() } else { p });
         let recs = [Rec { offset, len, epoch: 2, data, rotten }];
         let edges = edges(&recs);
+        let (mut alone_scratch, mut twin_scratch) = (Scratch::default(), Scratch::default());
         for epoch in 0..=3 {
             let owners = owners(&recs, epoch);
             for (i, &start) in edges.iter().enumerate() {
                 for &end in &edges[i..] {
-                    let (a, t) = (alone.overlay(start, end - start, epoch), twin.overlay(start, end - start, epoch));
+                    let mut a = alone.overlay(start, end - start, epoch, &mut alone_scratch);
+                    let mut t = twin.overlay(start, end - start, epoch, &mut twin_scratch);
                     let shortcut = (a.segs(), a.verify());
                     prop_assert_eq!(&shortcut, &(t.segs(), t.verify()), "[{}, {}) at epoch {}", start, end, epoch);
                     let want = model(&recs, &owners[start as usize..end as usize], start);
@@ -194,12 +196,13 @@ proptest! {
         }
 
         let edges = edges(&recs);
+        let mut scratch = Scratch::default();
         for epoch in 0..=EPOCHS {
             let owners = owners(&recs, epoch);
             for (i, &start) in edges.iter().enumerate() {
                 for &end in &edges[i..] {
                     let len = end - start;
-                    let overlay = tree.overlay(start, len, epoch);
+                    let mut overlay = tree.overlay(start, len, epoch, &mut scratch);
                     let one_pass = (overlay.segs(), overlay.verify());
                     let two_pass = (tree.read(start, len, epoch), tree.verify_range(start, len, epoch));
                     prop_assert_eq!(&one_pass, &two_pass);
