@@ -458,21 +458,30 @@ pub struct ExtentTree {
     index: RefCell<ExtentIndex>,
 }
 
-/// Dense-id interval index: extent ids (indices into `extents`) sorted by
-/// `(offset, id)`, and `bounds`, two arrays of that length end to end:
-/// `starts[i]`, the offset of extent `by_start[i]`, then
-/// `prefix_max_end[i]` = max `end()` over `by_start[0..=i]`. A range query
+/// Dense-id interval index: three arrays of the tree's extent count end
+/// to end in `words`: `ids`, extent ids (indices into `extents`) sorted by
+/// `(offset, id)`; `starts[i]`, the offset of extent `ids[i]`; and
+/// `prefix_max_end[i]` = max `end()` over `ids[0..=i]`. A range query
 /// `[offset, qend)` then reduces to two binary searches over contiguous
 /// arrays, no extent dereferenced: ids at positions `< lo` all end at or
 /// before `offset` (prefix max is non-decreasing), ids at positions `>= hi`
-/// all start at or beyond `qend` — only `by_start[lo..hi]` need be tested.
-/// (One vector for both arrays keeps the tree, and with it every akey slot
-/// of a dkey's map, the size it was with one array.)
+/// all start at or beyond `qend` — only `ids[lo..hi]` need be tested.
+/// (One vector for the three arrays keeps the tree, and with it every akey
+/// slot of a dkey's map, the size of one `Vec` header, and makes a build
+/// one allocation at most.)
 #[derive(Clone, Debug, Default)]
 struct ExtentIndex {
-    by_start: Vec<u32>,
-    bounds: Vec<u64>,
+    words: Vec<u64>,
     stale: Stale,
+}
+
+impl ExtentIndex {
+    /// `(ids, starts, prefix_max_end)`.
+    fn arrays(&self) -> (&[u64], &[u64], &[u64]) {
+        let (ids, rest) = self.words.split_at(self.words.len() / 3);
+        let (starts, prefix_max_end) = rest.split_at(ids.len());
+        (ids, starts, prefix_max_end)
+    }
 }
 
 /// How far the index trails the extents it indexes.
@@ -607,23 +616,29 @@ impl ExtentTree {
     /// which `sort_unstable` handles in near-linear time).
     fn with_index<R>(&self, f: impl FnOnce(&ExtentIndex) -> R) -> R {
         let mut ix = self.index.borrow_mut();
-        let ix = &mut *ix;
-        if ix.stale != Stale::No || ix.by_start.len() != self.extents.len() {
-            ix.by_start.clear();
-            ix.by_start.extend(0..self.extents.len() as u32);
-            ix.by_start
-                .sort_unstable_by_key(|&id| (self.extents[id as usize].offset, id));
-            let sorted = || ix.by_start.iter().map(|&id| &self.extents[id as usize]);
-            ix.bounds.clear();
-            ix.bounds.extend(sorted().map(|e| e.offset));
+        let n = self.extents.len();
+        if ix.stale != Stale::No || ix.words.len() != 3 * n {
+            let words = &mut ix.words;
+            words.clear();
+            // all three arrays at once, so no extend regrows it
+            words.reserve(3 * n);
+            words.extend(0..n as u64);
+            words.sort_unstable_by_key(|&id| (self.extents[id as usize].offset, id));
+            // two copies of the sorted ids, overwritten with their bounds
+            words.extend_from_within(..n);
+            words.extend_from_within(..n);
+            let (ids, rest) = words.split_at_mut(n);
+            let (starts, prefix_max_end) = rest.split_at_mut(n);
             let mut m = 0u64;
-            ix.bounds.extend(sorted().map(|e| {
+            for ((&id, start), max_end) in ids.iter().zip(starts).zip(prefix_max_end) {
+                let e = &self.extents[id as usize];
+                *start = e.offset;
                 m = m.max(e.end());
-                m
-            }));
+                *max_end = m;
+            }
             ix.stale = Stale::No;
         }
-        f(ix)
+        f(&ix)
     }
 
     /// Overlay the extents visible at `epoch` over `[offset, offset+len)`
@@ -644,9 +659,9 @@ impl ExtentTree {
             e.epoch <= epoch && e.offset < qend && e.end() > offset
         };
         // the first query after a write scans the extents and builds no
-        // index — a tree read once after it was written (every chunk of
-        // a file written, then read back) never needs one — and so does
-        // every query of a tree of at most one extent
+        // index, so a tree whose only query between writes is one pass (a
+        // scrub's verify, an aggregation read) never builds one; a tree
+        // of at most one extent always scans
         let scan = {
             let mut ix = self.index.borrow_mut();
             let first = ix.stale == Stale::Written;
@@ -662,10 +677,10 @@ impl ExtentTree {
         // later ones take candidates from the interval index, then the
         // epoch/end filters: the candidate *set* is that of a full scan
         self.with_index(|ix| {
-            let (starts, prefix_max_end) = ix.bounds.split_at(ix.by_start.len());
+            let (ids, starts, prefix_max_end) = ix.arrays();
             let hi = starts.partition_point(|&start| start < qend);
             let lo = prefix_max_end[..hi].partition_point(|&m| m <= offset);
-            let ids = ix.by_start[lo..hi].iter().copied().filter(visible);
+            let ids = ids[lo..hi].iter().map(|&id| id as u32).filter(visible);
             self.overlay_of(ids, offset, qend, scratch)
         })
     }
@@ -1077,11 +1092,7 @@ mod tests {
                 }
                 assert_eq!(stale(&first), Stale::Scanned, "{at}");
             }
-            let ix = t.index.borrow();
-            assert!(
-                ix.by_start.is_empty() && ix.bounds.is_empty(),
-                "no index built"
-            );
+            assert!(t.index.borrow().words.is_empty(), "no index built");
             assert_eq!(stale(&far), Stale::No, "the later queries built one");
         }
     }
