@@ -30,10 +30,12 @@
 )]
 
 mod key;
+mod one_or_many;
 pub mod target;
 pub mod tree;
 
 pub use key::Key;
+pub use one_or_many::OneOrMany;
 pub use target::{ScrubFinding, ScrubReport, VosConfig, VosCounters, VosError, VosTarget};
 pub use tree::{CsumViolation, Extent, ExtentTree, ReadSeg, Segs};
 

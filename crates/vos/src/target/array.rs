@@ -110,7 +110,7 @@ impl VosTarget {
                 .get_mut(&cid)
                 .and_then(|c| c.objects.get_mut(&oid))
                 .and_then(|o| o.dkeys.get_mut(dkey))
-                .and_then(|d| d.akeys.get_mut(akey))
+                .and_then(|d| d.akey_mut(akey))
             {
                 match ak {
                     AkeyStore::Array { tree, .. } => tree.punch(offset, len, epoch),
@@ -135,9 +135,10 @@ impl VosTarget {
     ) -> Option<(Key, u64)> {
         let out = {
             let conts = self.containers.borrow();
+            let mut scratch = self.scratch.borrow_mut();
             object_at(&conts, cid, oid, epoch).and_then(|o| {
                 o.dkeys.iter().rev().find_map(|(dk, d)| {
-                    let sz = d.akeys.get(akey)?.array().ok()?.size_at(epoch);
+                    let sz = d.akey(akey)?.array().ok()?.size_at(epoch, &mut scratch);
                     (sz > 0).then(|| (dk.clone(), sz))
                 })
             })

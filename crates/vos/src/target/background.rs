@@ -13,9 +13,10 @@ impl VosTarget {
     /// in sim time — the paper's runs do not overlap aggregation windows.)
     pub fn aggregate(&self, cid: ContId, epoch: Epoch) -> usize {
         let mut conts = self.containers.borrow_mut();
+        let mut scratch = self.scratch.borrow_mut();
         walk(conts.range_mut(cid..=cid))
             .map(|(_, _, ak)| match ak {
-                AkeyStore::Array { tree, .. } => tree.aggregate(epoch),
+                AkeyStore::Array { tree, .. } => tree.aggregate(epoch, &mut scratch),
                 AkeyStore::Single(sv) => {
                     sv.aggregate(epoch);
                     0
@@ -43,7 +44,11 @@ impl VosTarget {
                 .filter(|(_, visible, ak)| *visible && ak.array().is_ok())
                 .map(|((cid, oid, dkey, akey), ..)| (cid, oid, dkey.clone(), akey.clone()))
                 .filter(|coord| cursor.as_ref().is_none_or(|c| coord > c));
-            let mut items = Vec::with_capacity(budget);
+            // in the batch buffer the last step left, so a warm scrubber
+            // allocates nothing
+            let mut items = std::mem::take(&mut *self.scrub_batch.borrow_mut());
+            items.clear();
+            items.reserve(budget);
             items.extend(todo.by_ref().take(budget));
             // the pass is done when no work remains past this batch
             (items, todo.next().is_none())
@@ -54,10 +59,12 @@ impl VosTarget {
             // while an earlier iteration awaited media time.
             let outcome = {
                 let conts = self.containers.borrow();
+                let mut scratch = self.scratch.borrow_mut();
                 akey_at(&conts, (*cid, *oid, dkey, akey), Epoch::MAX).and_then(|ak| {
                     let tree = ak.array().ok()?;
                     let span = tree.span(Epoch::MAX);
-                    Some((tree.verify_range(0, span, Epoch::MAX), span))
+                    let verdict = tree.verify_range(0, span, Epoch::MAX, &mut scratch);
+                    Some((verdict, span))
                 })
             };
             let Some((result, span)) = outcome else {
@@ -92,6 +99,7 @@ impl VosTarget {
             c.csum_mismatches += report.findings.len() as u64;
         }
         *self.scrub_cursor.borrow_mut() = if wrapped { None } else { items.last().cloned() };
+        *self.scrub_batch.borrow_mut() = items;
         report.wrapped = wrapped;
         report
     }

@@ -32,7 +32,7 @@ use daos_media::{Device, MediaSet};
 use daos_sim::Sim;
 
 use crate::tree::{CsumViolation, ExtentTree, Scratch, SingleValue};
-use crate::{Epoch, Key};
+use crate::{Epoch, Key, OneOrMany};
 
 /// Container id (DAOS uses UUIDs; dense u64 here).
 pub type ContId = u64;
@@ -210,9 +210,30 @@ impl AkeyStore {
     }
 }
 
+/// The akeys of one dkey, sorted by key. Every dkey the stack writes
+/// holds one (an array chunk's `"0"`, a KV entry's `"v"`), which sits
+/// inline and is found with one compare; a second spills the list to a
+/// `Vec` searched by bisection.
 #[derive(Default)]
 struct DkeyStore {
-    akeys: BTreeMap<Key, AkeyStore>,
+    akeys: OneOrMany<(Key, AkeyStore)>,
+}
+
+impl DkeyStore {
+    /// Where `akey` sits: `Ok` at its index, or `Err` where it would go.
+    fn find(&self, akey: &[u8]) -> Result<usize, usize> {
+        self.akeys.binary_search_by(|(k, _)| (**k).cmp(akey))
+    }
+
+    fn akey(&self, akey: &[u8]) -> Option<&AkeyStore> {
+        let i = self.find(akey).ok()?;
+        Some(&self.akeys[i].1)
+    }
+
+    fn akey_mut(&mut self, akey: &[u8]) -> Option<&mut AkeyStore> {
+        let i = self.find(akey).ok()?;
+        Some(&mut self.akeys[i].1)
+    }
 }
 
 #[derive(Default)]
@@ -250,8 +271,10 @@ fn object_at(conts: &Namespace, cid: ContId, oid: ObjKey, epoch: Epoch) -> Optio
 /// The akey at `at` as a reader at `epoch` sees it.
 fn akey_at<'a>(conts: &'a Namespace, at: AkeyAt<'_>, epoch: Epoch) -> Option<&'a AkeyStore> {
     let (cid, oid, dkey, akey) = at;
-    let dk = object_at(conts, cid, oid, epoch)?.dkeys.get(dkey)?;
-    dk.akeys.get(akey)
+    object_at(conts, cid, oid, epoch)?
+        .dkeys
+        .get(dkey)?
+        .akey(akey)
 }
 
 /// Every akey of `conts` in key order — container, object, dkey, akey —
@@ -264,9 +287,10 @@ fn walk<'a>(
         cont.objects.iter_mut().flat_map(move |(&oid, obj)| {
             let visible = obj.visible_at(Epoch::MAX);
             obj.dkeys.iter_mut().flat_map(move |(dkey, dk)| {
-                dk.akeys
-                    .iter_mut()
-                    .map(move |(akey, ak)| ((cid, oid, dkey, akey), visible, ak))
+                dk.akeys.iter_mut().map(move |(akey, ak)| {
+                    let akey: &Key = akey;
+                    ((cid, oid, dkey, akey), visible, ak)
+                })
             })
         })
     })
@@ -282,7 +306,10 @@ pub struct VosTarget {
     /// Scrubber position: the last `(cont, obj, dkey, akey)` verified.
     /// `None` = start of namespace.
     scrub_cursor: RefCell<Option<(ContId, ObjKey, Key, Key)>>,
-    /// Lent to each fetch's overlay to paint in, so a warm target paints
+    /// The chunks of the scrubber's last step, kept for its next one.
+    scrub_batch: RefCell<Vec<(ContId, ObjKey, Key, Key)>>,
+    /// Lent to every overlay the target paints — a fetch's, an array-size
+    /// query's, aggregation's and the scrubber's — so a warm target paints
     /// without allocating.
     scratch: RefCell<Scratch>,
 }
@@ -297,6 +324,7 @@ impl VosTarget {
             epoch: Cell::new(0),
             counters: RefCell::new(VosCounters::default()),
             scrub_cursor: RefCell::new(None),
+            scrub_batch: RefCell::new(Vec::new()),
             scratch: RefCell::new(Scratch::default()),
         })
     }
@@ -393,7 +421,7 @@ impl VosTarget {
         let new_dkey = !obj.dkeys.contains_key(dkey);
         #[expect(
             clippy::expect_used,
-            reason = "INVARIANT: each key is fetched only after contains_key found it in the same map"
+            reason = "INVARIANT: the dkey is fetched only after contains_key found it in the same map"
         )]
         let ak = {
             let dk = if new_dkey {
@@ -401,13 +429,12 @@ impl VosTarget {
             } else {
                 obj.dkeys.get_mut(dkey).expect("existing dkey")
             };
-            if dk.akeys.contains_key(akey) {
-                dk.akeys.get_mut(akey).expect("existing akey")
-            } else {
+            let i = dk.find(akey).unwrap_or_else(|i| {
                 ops += self.cfg.akey_ops;
-                let slot = dk.akeys.entry(Key::new(akey));
-                slot.or_insert_with(|| AkeyStore::new(shape))
-            }
+                dk.akeys.insert(i, (Key::new(akey), AkeyStore::new(shape)));
+                i
+            });
+            &mut dk.akeys[i].1
         };
         let array = shape == Shape::Array;
         if matches!(ak, AkeyStore::Array { .. }) != array {

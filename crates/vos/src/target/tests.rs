@@ -346,6 +346,45 @@ fn scrub_cursor_walks_incrementally() {
     });
 }
 
+/// A dkey of three akeys, written out of key order, after a dkey of one:
+/// a scrub step that stops inside the three resumes there and verifies
+/// each remaining akey once, in key order. Every extent is rotten, so each
+/// chunk verified is a finding that names it.
+#[test]
+fn scrub_cursor_resumes_inside_a_dkey_of_three_akeys() {
+    let (mut sim, t) = mk_target();
+    sim.block_on(|sim| {
+        let t = Rc::clone(&t);
+        async move {
+            for (dkey, akey) in [("a", "0"), ("b", "z"), ("b", "x"), ("b", "y")] {
+                let e = t.next_epoch();
+                let (dkey, akey) = (crate::key(dkey), crate::key(akey));
+                t.update_array(&sim, 1, 7, &dkey, &akey, 0, e, Payload::pattern(e, 64))
+                    .await
+                    .unwrap();
+            }
+            assert_eq!(t.inject_bit_rot(1_000_000, 3), 4);
+            let named = |rep: &ScrubReport| -> Vec<(Key, Key)> {
+                let found = rep.findings.iter();
+                found.map(|f| (f.dkey.clone(), f.akey.clone())).collect()
+            };
+            let first = t.scrub_step(&sim, 2).await;
+            assert!(!first.wrapped);
+            let rest = t.scrub_step(&sim, 16).await;
+            assert!(rest.wrapped);
+            let order = [("a", "0"), ("b", "x"), ("b", "y"), ("b", "z")];
+            let want: Vec<(Key, Key)> = order
+                .iter()
+                .map(|&(d, a)| (crate::key(d), crate::key(a)))
+                .collect();
+            assert_eq!(named(&first), want[..2]);
+            assert_eq!(named(&rest), want[2..]);
+            assert_eq!((first.chunks, rest.chunks), (2, 2));
+            assert_eq!(named(&t.scrub_step(&sim, 16).await), want, "a new pass");
+        }
+    });
+}
+
 #[test]
 fn csum_disabled_serves_rotten_bytes_silently() {
     let sim = Sim::new(5);

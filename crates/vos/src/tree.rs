@@ -6,11 +6,8 @@
 //! extent with epoch `<= e'`, or hidden by a punch.
 
 use std::cell::RefCell;
-use std::iter::Chain;
-use std::ops::{Deref, DerefMut};
-use std::{option, vec};
 
-use crate::{csum64, Epoch, Payload, CSUM_SEED};
+use crate::{csum64, Epoch, OneOrMany, Payload, CSUM_SEED};
 
 /// One recorded write (or punch, when `data` is `None`) into an array akey.
 #[derive(Clone, Debug)]
@@ -66,13 +63,7 @@ pub struct ReadSeg {
 /// data written once in one piece — is held inline, so it travels from the
 /// tree to the caller without an allocation (the simulator's one-iov
 /// `d_sg_list_t`); only an answer of two or more segments has a `Vec`.
-/// Segment for segment, it is the slice it dereferences to: equality
-/// compares those.
-#[derive(Clone, Debug)]
-pub enum Segs {
-    One(ReadSeg),
-    Many(Vec<ReadSeg>),
-}
+pub type Segs = OneOrMany<ReadSeg>;
 
 impl Segs {
     /// Bytes of the segments that carry data, holes excluded: what a fetch
@@ -91,103 +82,6 @@ impl Segs {
         for s in self.iter_mut() {
             s.offset = s.offset - from + to;
         }
-    }
-
-    /// Append `more`'s segments. An empty result takes `more` as it is,
-    /// its allocation included.
-    pub fn append(&mut self, more: Segs) {
-        match self.is_empty() {
-            true => *self = more,
-            false => self.extend(more),
-        }
-    }
-}
-
-impl Default for Segs {
-    /// No segment: the answer over an empty range.
-    fn default() -> Self {
-        Segs::Many(Vec::new())
-    }
-}
-
-impl Deref for Segs {
-    type Target = [ReadSeg];
-
-    fn deref(&self) -> &[ReadSeg] {
-        match self {
-            Segs::One(seg) => std::slice::from_ref(seg),
-            Segs::Many(segs) => segs,
-        }
-    }
-}
-
-impl DerefMut for Segs {
-    fn deref_mut(&mut self) -> &mut [ReadSeg] {
-        match self {
-            Segs::One(seg) => std::slice::from_mut(seg),
-            Segs::Many(segs) => segs,
-        }
-    }
-}
-
-impl PartialEq for Segs {
-    fn eq(&self, other: &Segs) -> bool {
-        **self == **other
-    }
-}
-
-impl Eq for Segs {}
-
-impl FromIterator<ReadSeg> for Segs {
-    /// One segment stays inline; two or more go to a `Vec`.
-    fn from_iter<I: IntoIterator<Item = ReadSeg>>(iter: I) -> Self {
-        let mut iter = iter.into_iter();
-        let Some(first) = iter.next() else {
-            return Segs::default();
-        };
-        match iter.next() {
-            None => Segs::One(first),
-            Some(second) => Segs::Many([first, second].into_iter().chain(iter).collect()),
-        }
-    }
-}
-
-impl Extend<ReadSeg> for Segs {
-    /// Segments appended to one inline segment promote it to a `Vec`.
-    fn extend<I: IntoIterator<Item = ReadSeg>>(&mut self, iter: I) {
-        let mut iter = iter.into_iter().peekable();
-        if iter.peek().is_none() {
-            return;
-        }
-        *self = match std::mem::take(self) {
-            Segs::One(first) => Segs::Many(std::iter::once(first).chain(iter).collect()),
-            Segs::Many(mut segs) => {
-                segs.extend(iter);
-                Segs::Many(segs)
-            }
-        };
-    }
-}
-
-impl IntoIterator for Segs {
-    type Item = ReadSeg;
-    type IntoIter = Chain<option::IntoIter<ReadSeg>, vec::IntoIter<ReadSeg>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        let (one, many) = match self {
-            Segs::One(seg) => (Some(seg), Vec::new()),
-            Segs::Many(segs) => (None, segs),
-        };
-        one.into_iter().chain(many)
-    }
-}
-
-impl<'a> IntoIterator for &'a Segs {
-    type Item = &'a ReadSeg;
-    type IntoIter = std::slice::Iter<'a, ReadSeg>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
     }
 }
 
@@ -444,13 +338,15 @@ impl<'a> Overlay<'a> {
 
 /// The epoch-versioned extent tree backing one array akey.
 ///
-/// Kept as an insert-ordered vec; visibility queries overlay extents in
+/// Kept as an insert-ordered list; visibility queries overlay extents in
 /// `(epoch, minor)` order. Real VOS uses an R-tree in persistent memory;
 /// the semantics here are identical and the simulator charges index-update
-/// costs separately via [`crate::VosTarget`].
+/// costs separately via [`crate::VosTarget`]. The one extent of a chunk
+/// written in one piece is held inline, so storing it allocates nothing
+/// of the tree's own.
 #[derive(Clone, Debug, Default)]
 pub struct ExtentTree {
-    extents: Vec<Extent>,
+    extents: OneOrMany<Extent>,
     next_minor: u64,
     /// Interval index over `extents`, rebuilt lazily after mutations so
     /// write bursts don't pay per-insert maintenance, and only on the
@@ -466,9 +362,8 @@ pub struct ExtentTree {
 /// arrays, no extent dereferenced: ids at positions `< lo` all end at or
 /// before `offset` (prefix max is non-decreasing), ids at positions `>= hi`
 /// all start at or beyond `qend` — only `ids[lo..hi]` need be tested.
-/// (One vector for the three arrays keeps the tree, and with it every akey
-/// slot of a dkey's map, the size of one `Vec` header, and makes a build
-/// one allocation at most.)
+/// (One vector for the three arrays keeps the index the size of one `Vec`
+/// header, and makes a build one allocation at most.)
 #[derive(Clone, Debug, Default)]
 struct ExtentIndex {
     words: Vec<u64>,
@@ -542,7 +437,7 @@ impl ExtentTree {
 
     /// Highest offset visible *as data* at `epoch` (array size). Punches
     /// count: truncating the tail shrinks the size.
-    pub fn size_at(&self, epoch: Epoch) -> u64 {
+    pub fn size_at(&self, epoch: Epoch, scratch: &mut Scratch) -> u64 {
         let span = self
             .extents
             .iter()
@@ -553,7 +448,8 @@ impl ExtentTree {
         if span == 0 {
             return 0;
         }
-        self.read(0, span, epoch)
+        self.overlay(0, span, epoch, scratch)
+            .segs()
             .iter()
             .rev()
             .find(|s| s.data.is_some())
@@ -575,7 +471,9 @@ impl ExtentTree {
 
     /// Read `[offset, offset+len)` as of `epoch`, returning maximal
     /// contiguous segments in order. Holes appear as `data: None`. A
-    /// painted read paints in scratch of its own.
+    /// painted read paints in scratch of its own: a caller that reads
+    /// often lends its own to [`overlay`](Self::overlay), as
+    /// [`crate::VosTarget`] does.
     pub fn read(&self, offset: u64, len: u64, epoch: Epoch) -> Segs {
         self.overlay(offset, len, epoch, &mut Scratch::default())
             .segs()
@@ -583,10 +481,15 @@ impl ExtentTree {
 
     /// Verify the checksum of every stored extent that contributes at least
     /// one visible byte to `[offset, offset+len)` at `epoch`
-    /// ([`Overlay::verify`]).
-    pub fn verify_range(&self, offset: u64, len: u64, epoch: Epoch) -> Result<u64, CsumViolation> {
-        self.overlay(offset, len, epoch, &mut Scratch::default())
-            .verify()
+    /// ([`Overlay::verify`]), painting in `scratch`.
+    pub fn verify_range(
+        &self,
+        offset: u64,
+        len: u64,
+        epoch: Epoch,
+        scratch: &mut Scratch,
+    ) -> Result<u64, CsumViolation> {
+        self.overlay(offset, len, epoch, scratch).verify()
     }
 
     /// Fault injection: deterministically corrupt stored data extents,
@@ -715,34 +618,21 @@ impl ExtentTree {
     /// window fails its checksum, the pass aborts (returns 0) rather than
     /// re-hashing rotten bytes under a fresh checksum — aggregation must
     /// never launder silent corruption into "valid" data. The scrubber (or
-    /// the next verified read) will find and repair it first.
-    pub fn aggregate(&mut self, upto: Epoch) -> usize {
-        let old: Vec<Extent> = self
-            .extents
-            .iter()
-            .filter(|e| e.epoch <= upto)
-            .cloned()
-            .collect();
-        if old.len() <= 1 {
-            return 0;
-        }
-        if old.iter().any(|e| !e.csum_ok()) {
+    /// the next verified read) will find and repair it first. The image is
+    /// painted in `scratch`.
+    pub fn aggregate(&mut self, upto: Epoch, scratch: &mut Scratch) -> usize {
+        let old = || self.extents.iter().filter(|e| e.epoch <= upto);
+        let reclaimed = old().count();
+        if reclaimed <= 1 || old().any(|e| !e.csum_ok()) {
             return 0;
         }
         // the visible image over the old extents' full span
-        #[expect(
-            clippy::unwrap_used,
-            reason = "INVARIANT: old.len() > 1 was checked above, so min() is Some"
-        )]
-        let lo = old.iter().map(|e| e.offset).min().unwrap();
-        #[expect(
-            clippy::unwrap_used,
-            reason = "INVARIANT: same non-empty check covers max()"
-        )]
-        let hi = old.iter().map(|e| e.end()).max().unwrap();
-        let image = self.read(lo, hi - lo, upto);
-        let newer: Vec<Extent> = self.extents.drain(..).filter(|e| e.epoch > upto).collect();
-        let reclaimed = old.len();
+        let lo = old().map(|e| e.offset).min().unwrap_or(0);
+        let hi = old().map(|e| e.end()).max().unwrap_or(0);
+        let image = self.overlay(lo, hi - lo, upto, scratch).segs();
+        let newer = std::mem::take(&mut self.extents)
+            .into_iter()
+            .filter(|e| e.epoch > upto);
         let mut added = 0usize;
         for seg in image {
             if let Some(d) = seg.data {
@@ -960,8 +850,8 @@ mod tests {
             segs[0].data.as_ref().unwrap().materialize(),
             p.materialize()
         );
-        assert_eq!(t.size_at(1), 150);
-        assert_eq!(t.size_at(0), 0);
+        assert_eq!(t.size_at(1, &mut Scratch::default()), 150);
+        assert_eq!(t.size_at(0, &mut Scratch::default()), 0);
     }
 
     #[test]
@@ -1038,7 +928,7 @@ mod tests {
                 data: None,
             };
             assert_eq!(t.read(0, 100, 1), Segs::One(hole));
-            assert_eq!(t.verify_range(0, 100, 1), Ok(0));
+            assert_eq!(t.verify_range(0, 100, 1, &mut Scratch::default()), Ok(0));
         }
         let mut t = ExtentTree::new();
         t.punch(50, 0, 1);
@@ -1106,16 +996,27 @@ mod tests {
         t.insert(0, 1, payload(1, 100));
         t.insert(20, 1, payload(2, 10));
         t.insert(0, 2, payload(3, 100));
-        assert_eq!(t.verify_range(0, 100, 2), Ok(100), "the newest covers all");
-        assert_eq!(t.verify_range(0, 100, 1), Ok(110), "split old, then new");
+        assert_eq!(
+            t.verify_range(0, 100, 2, &mut Scratch::default()),
+            Ok(100),
+            "the newest covers all"
+        );
+        assert_eq!(
+            t.verify_range(0, 100, 1, &mut Scratch::default()),
+            Ok(110),
+            "split old, then new"
+        );
         t.inject_rot(5, 1_000_000);
         let first = CsumViolation {
             offset: 0,
             len: 100,
         };
-        assert_eq!(t.verify_range(0, 100, 1), Err(first));
         assert_eq!(
-            t.verify_range(25, 10, 1),
+            t.verify_range(0, 100, 1, &mut Scratch::default()),
+            Err(first)
+        );
+        assert_eq!(
+            t.verify_range(25, 10, 1, &mut Scratch::default()),
             Err(CsumViolation {
                 offset: 20,
                 len: 10
@@ -1165,7 +1066,11 @@ mod tests {
                 for (tree, how) in [(&fresh, "scanned"), (t, "indexed")] {
                     let mut o = tree.overlay(0, 260, q, &mut scratch);
                     assert_eq!(bytes_of(&o.segs(), 0, 260), want, "{how} {at}");
-                    assert_eq!(o.verify(), t.verify_range(0, 260, q), "{how} {at}");
+                    assert_eq!(
+                        o.verify(),
+                        t.verify_range(0, 260, q, &mut Scratch::default()),
+                        "{how} {at}"
+                    );
                 }
                 assert_eq!(stale(&fresh), Stale::Scanned, "{at}");
                 assert_eq!(stale(t), Stale::No, "{at}");
@@ -1189,7 +1094,7 @@ mod tests {
         }
         let before = tree_read_bytes(&t, 0, 100, 20);
         let n_before = t.extent_count();
-        let reclaimed = t.aggregate(20);
+        let reclaimed = t.aggregate(20, &mut Scratch::default());
         let after = tree_read_bytes(&t, 0, 100, 20);
         assert_eq!(before, after);
         assert!(t.extent_count() < n_before);
@@ -1202,7 +1107,7 @@ mod tests {
         t.insert(0, 1, payload(1, 50));
         t.insert(10, 2, payload(2, 20));
         t.insert(0, 10, payload(10, 5));
-        t.aggregate(2);
+        t.aggregate(2, &mut Scratch::default());
         let img10 = tree_read_bytes(&t, 0, 50, 10);
         let want10 = {
             let mut v = payload(1, 50).materialize().to_vec();
@@ -1223,16 +1128,21 @@ mod tests {
         t.insert(0, 1, payload(1, 100));
         t.punch(20, 30, 2);
         t.insert(30, 3, payload(3, 10));
-        t.aggregate(2);
+        t.aggregate(2, &mut Scratch::default());
         t.insert(90, 4, payload(4, 40));
         for q in [1u64, 2, 3, 4] {
             let span = t.span(q);
             if span > 0 {
-                assert!(t.verify_range(0, span, q).is_ok(), "epoch {q}");
+                assert!(
+                    t.verify_range(0, span, q, &mut Scratch::default()).is_ok(),
+                    "epoch {q}"
+                );
             }
         }
         // bytes hashed counts full extents, not just visible slices
-        let n = t.verify_range(0, t.span(4), 4).unwrap();
+        let n = t
+            .verify_range(0, t.span(4), 4, &mut Scratch::default())
+            .unwrap();
         assert!(n > 0);
     }
 
@@ -1244,7 +1154,9 @@ mod tests {
         // 100% rot corrupts every data extent
         let n = t.inject_rot(0xDEAD, 1_000_000);
         assert_eq!(n, 2);
-        let v = t.verify_range(0, 128, 1).unwrap_err();
+        let v = t
+            .verify_range(0, 128, 1, &mut Scratch::default())
+            .unwrap_err();
         assert!(v.len == 64);
         // reads still "succeed" (rot is silent at the tree level); the
         // returned bytes differ from the originals
@@ -1280,9 +1192,16 @@ mod tests {
         }
         t.inject_rot(7, 1_000_000);
         let n = t.extent_count();
-        assert_eq!(t.aggregate(5), 0, "aggregation must abort on bad csum");
+        assert_eq!(
+            t.aggregate(5, &mut Scratch::default()),
+            0,
+            "aggregation must abort on bad csum"
+        );
         assert_eq!(t.extent_count(), n, "tree untouched after abort");
-        assert!(t.verify_range(0, 40, 5).is_err(), "rot stays detectable");
+        assert!(
+            t.verify_range(0, 40, 5, &mut Scratch::default()).is_err(),
+            "rot stays detectable"
+        );
     }
 
     #[test]
@@ -1291,9 +1210,9 @@ mod tests {
         for ep in 1..=10u64 {
             t.insert(0, ep, payload(ep, 50 + ep));
         }
-        assert!(t.aggregate(10) > 0);
+        assert!(t.aggregate(10, &mut Scratch::default()) > 0);
         let span = t.span(10);
-        assert!(t.verify_range(0, span, 10).is_ok());
+        assert!(t.verify_range(0, span, 10, &mut Scratch::default()).is_ok());
     }
 
     #[test]

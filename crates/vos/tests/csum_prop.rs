@@ -3,7 +3,7 @@
 //! the visible bytes always match a flat byte-array model. Mismatches must
 //! come only from injected rot — never from the bookkeeping itself.
 
-use daos_vos::tree::ExtentTree;
+use daos_vos::tree::{ExtentTree, Scratch};
 use daos_vos::{Epoch, Payload};
 use proptest::prelude::*;
 
@@ -70,12 +70,12 @@ proptest! {
                 Op::Aggregate => {
                     // reclaim everything shadowed as of the current epoch;
                     // visibility at the latest epoch must not change
-                    t.aggregate(epoch);
+                    t.aggregate(epoch, &mut Scratch::default());
                 }
             }
             // every intermediate state verifies clean over its whole span
             let span = t.span(Epoch::MAX).max(1);
-            prop_assert!(t.verify_range(0, span, Epoch::MAX).is_ok());
+            prop_assert!(t.verify_range(0, span, Epoch::MAX, &mut Scratch::default()).is_ok());
         }
         // the surviving bytes still match the flat model exactly
         let span = t.span(Epoch::MAX).max(1);

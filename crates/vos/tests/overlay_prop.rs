@@ -204,7 +204,7 @@ proptest! {
                     let len = end - start;
                     let mut overlay = tree.overlay(start, len, epoch, &mut scratch);
                     let one_pass = (overlay.segs(), overlay.verify());
-                    let two_pass = (tree.read(start, len, epoch), tree.verify_range(start, len, epoch));
+                    let two_pass = (tree.read(start, len, epoch), tree.verify_range(start, len, epoch, &mut scratch));
                     prop_assert_eq!(&one_pass, &two_pass);
                     let want = model(&recs, &owners[start as usize..end as usize], start);
                     prop_assert_eq!(&one_pass, &want, "[{}, {}) at epoch {}", start, end, epoch);

@@ -12,7 +12,8 @@
 # allocation count does not depend on the host's speed, so one run is
 # enough. Prints one row per workload; exits 1 if any count is above
 # history × (1 + bound) or a run reports incorrect output, 2 on a usage
-# or setup error.
+# or setup error. Each row also shows the run's host_peak_rss_mib, as a
+# report only: peak RSS varies from run to run, so it gates nothing.
 set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$root"
@@ -65,13 +66,14 @@ for line in open(history):
                 newest[w] = values[METRIC]
 
 failed = []
-print(f"{'workload':<18} {'history':>10} {'limit':>10} {'now':>10}  verdict")
+print(f"{'workload':<18} {'history':>10} {'limit':>10} {'now':>10} {'rss_mib':>8}  verdict")
 for w in workloads:
     run = json.load(open(f"{out}/{w}.json"))
     if w not in newest:
         print(f"{history}: no {METRIC} recorded for {w}", file=sys.stderr)
         sys.exit(2)
     now, was = run["metrics"][METRIC]["value"], newest[w]
+    rss = run["metrics"]["host_peak_rss_mib"]["value"]
     limit = was * (1 + bound)
     verdict = "ok"
     if not run["correct"]:
@@ -80,7 +82,7 @@ for w in workloads:
         verdict = "ABOVE"
     if verdict != "ok":
         failed.append(f"{w}: {verdict}")
-    print(f"{w:<18} {was:>10.6g} {limit:>10.6g} {now:>10.6g}  {verdict}")
+    print(f"{w:<18} {was:>10.6g} {limit:>10.6g} {now:>10.6g} {rss:>8.1f}  {verdict}")
 if failed:
     print("\n".join(["", "FAILED:"] + failed))
     sys.exit(1)

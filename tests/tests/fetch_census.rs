@@ -5,14 +5,15 @@
 //! loop allocates nothing at all. An answer painted from two overlapping
 //! extents allocates its one `Vec` of segments: the candidates and the
 //! paint loop's segments live in scratch the VOS target lends the fetch.
+//! The scrubber paints in the same scratch and walks its chunks from a
+//! batch buffer it keeps, so a warm scrub pass — the fragmented chunk
+//! included — allocates nothing either.
 //!
-//! Counted by this binary's own global allocator, per thread, so the tests
-//! the harness runs beside this one do not show up in its counts.
+//! Counted by the per-thread census allocator (`counting_alloc`).
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod counting_alloc;
 
 use daos_core::ClusterConfig;
 use daos_dfs::DfsConfig;
@@ -24,55 +25,7 @@ use daos_sim::units::{KIB, MIB};
 use daos_sim::Sim;
 use daos_vos::Payload;
 
-thread_local! {
-    /// Heap allocation events of this thread so far.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Forwards to `System`, counting `alloc`, `alloc_zeroed` and `realloc`
-/// against the calling thread.
-struct CountingAlloc;
-
-/// Count one allocation event on this thread. A `const`-initialised
-/// `Cell` with no destructor is a plain thread-local slot: reaching it
-/// neither allocates nor fails, even while the thread is torn down.
-fn bump() {
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the only addition is a thread-local
-// counter bump that neither allocates nor touches the returned memory.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
-        // SAFETY: the caller's `layout` obligations pass through to `System`.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
-        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
-        // `layout`; the caller guarantees `new_size` is valid for it.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Allocation events of this thread so far.
-fn allocs() -> u64 {
-    ALLOCS.with(Cell::get)
-}
+use counting_alloc::allocs;
 
 const XFER: u64 = 4 * KIB;
 /// Transfers written, then read back one by one.
@@ -83,18 +36,29 @@ const WINDOW_READS: u64 = 32;
 /// tree holds nothing else.
 const WINDOW: u64 = 4 * MIB;
 
-/// What a warm read loop allocated, in total: `(one_segment, painted)` —
-/// `COUNT` reads of 4 KiB written once, then `WINDOW_READS` reads of a
-/// window two overlapping extents answer. Each loop runs once unmeasured
-/// first: it builds the trees' indexes and fills the engines' task boxes
-/// and reply slabs, the fixed warm-up.
-fn census() -> (u64, u64) {
+/// What each warm loop allocated, in total.
+#[derive(Clone, Copy, Debug)]
+struct Census {
+    /// `COUNT` reads of 4 KiB written once.
+    one_segment: u64,
+    /// `WINDOW_READS` reads of a window two overlapping extents answer.
+    painted: u64,
+    /// One scrub pass over every target, the window's chunk included.
+    scrub: u64,
+}
+
+/// Take the census. Each loop runs once unmeasured first: it builds the
+/// trees' indexes and fills the engines' task boxes, reply slabs, lent
+/// scratch and scrub batches, the fixed warm-up.
+fn census() -> Census {
     let mut sim = Sim::new(0xF37C);
     sim.block_on(move |sim| async move {
-        // the two-server-node tiny cluster with the failure detector
-        // parked: every allocation counted is a read's own
+        // the two-server-node tiny cluster with the failure detector and
+        // the engines' own scrubber parked: every allocation counted is a
+        // read's or the measured scrub pass's own
         let mut cfg = ClusterConfig::tiny(1);
         cfg.heartbeat.interval = SimDuration::from_secs(3600);
+        cfg.engine.scrub_interval = None;
         let (dfs, dfuse) = (DfsConfig::default(), DfuseConfig::default());
         let env = DaosTestbed::setup(&sim, cfg, dfs, dfuse)
             .await
@@ -140,13 +104,46 @@ fn census() -> (u64, u64) {
                 painted = allocs() - before;
             }
         }
-        (one_segment, painted)
+        let targets = || {
+            let engines = env.cluster.engines().iter();
+            engines.flat_map(|e| (0..e.target_count()).map(move |t| e.target(t)))
+        };
+        let mut scrub = 0;
+        for measured in [false, true] {
+            let before = allocs();
+            let mut bytes = 0;
+            for target in targets() {
+                loop {
+                    let step = target.scrub_step(&sim, 16).await;
+                    assert!(step.findings.is_empty(), "{:?}", step.findings);
+                    bytes += step.bytes;
+                    if step.wrapped {
+                        break;
+                    }
+                }
+            }
+            if measured {
+                scrub = allocs() - before;
+            }
+            // every transfer once, and both extents of the window
+            assert_eq!(bytes, (COUNT + 2) * XFER);
+        }
+        Census {
+            one_segment,
+            painted,
+            scrub,
+        }
     })
 }
 
-/// Check a census: a warm one-segment read allocates nothing, and a warm
-/// painted one at most its answer's `Vec`.
-fn check((one_segment, painted): (u64, u64)) -> Result<(), String> {
+/// Check a census: a warm one-segment read allocates nothing, a warm
+/// painted one at most its answer's `Vec`, and a warm scrub pass nothing.
+fn check(census: Census) -> Result<(), String> {
+    let Census {
+        one_segment,
+        painted,
+        scrub,
+    } = census;
     if one_segment != 0 {
         return Err(format!(
             "{one_segment} allocations in {COUNT} one-segment reads, not 0"
@@ -157,6 +154,9 @@ fn check((one_segment, painted): (u64, u64)) -> Result<(), String> {
             "{painted} allocations in {WINDOW_READS} painted reads, more than one each"
         ));
     }
+    if scrub != 0 {
+        return Err(format!("{scrub} allocations in a warm scrub pass, not 0"));
+    }
     Ok(())
 }
 
@@ -166,13 +166,30 @@ fn a_warm_fetch_allocates_only_its_answer() {
     check(census).unwrap_or_else(|e| panic!("{e}: {census:?}"));
 }
 
-/// Planted negatives: a reply that built a `Vec` for its one segment, or
-/// a painted read that kept scratch of its own (the candidates, the paint
-/// loop's buffers), must fail the check, each naming its loop.
+/// Planted negatives: a reply that built a `Vec` for its one segment, a
+/// painted read that kept scratch of its own (the candidates, the paint
+/// loop's buffers), or a scrub pass that painted in fresh scratch or
+/// took a new batch per step must fail the check, each naming its loop.
 #[test]
 fn a_vec_per_reply_or_scratch_per_paint_fails_the_check() {
-    let vec_per_reply = check((COUNT, WINDOW_READS)).expect_err("a Vec per reply");
+    let warm = Census {
+        one_segment: 0,
+        painted: WINDOW_READS,
+        scrub: 0,
+    };
+    check(warm).expect("the warm census passes");
+    let vec_per_reply = Census {
+        one_segment: COUNT,
+        ..warm
+    };
+    let vec_per_reply = check(vec_per_reply).expect_err("a Vec per reply");
     assert!(vec_per_reply.contains("one-segment"), "{vec_per_reply}");
-    let scratch_per_paint = check((0, 5 * WINDOW_READS)).expect_err("scratch per paint");
+    let scratch_per_paint = Census {
+        painted: 5 * WINDOW_READS,
+        ..warm
+    };
+    let scratch_per_paint = check(scratch_per_paint).expect_err("scratch per paint");
     assert!(scratch_per_paint.contains("painted"), "{scratch_per_paint}");
+    let scratch_per_scrub = check(Census { scrub: 4, ..warm }).expect_err("scratch per scrub");
+    assert!(scratch_per_scrub.contains("scrub"), "{scratch_per_scrub}");
 }

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use daos_placement::{place, place_width, ObjectClass, ObjectId, PoolMap};
-use daos_vos::tree::ExtentTree;
+use daos_vos::tree::{ExtentTree, Scratch};
 use daos_vos::{csum64, csum64_bytes, Payload, CSUM_SEED};
 
 // ------------------------------------------------------------ extent tree
@@ -41,7 +41,7 @@ fn check_against_model(ops: &[Op], aggregate_at: Option<u64>) {
         }
     }
     if let Some(upto) = aggregate_at {
-        tree.aggregate(upto);
+        tree.aggregate(upto, &mut Scratch::default());
     }
     let span = 600u64;
     for &query_epoch in &[0u64, ops.len() as u64 / 2, ops.len() as u64] {
