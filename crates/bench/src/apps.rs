@@ -34,8 +34,8 @@ use daos_sim::Sim;
 use daos_vos::Payload;
 
 use crate::figure::{Cell, Plan, Scale};
+use crate::invariants::{holds, Claim, Probe};
 use crate::paper_cluster;
-use crate::report::{BenchReport, Verdict};
 
 /// `app_workloads`' root seed (each cell's sim is `seed ^` its rung's row
 /// in `RUNGS`).
@@ -385,29 +385,38 @@ pub fn app_workloads_plan(_: Scale) -> Option<Plan> {
     })
 }
 
-pub fn check_app_workloads(report: &BenchReport) -> Vec<Verdict> {
-    let by = |kind: &str, rung: &str| {
-        report
-            .get(&format!("{kind}/{rung}"), APP_NODES, "io_gib_s")
-            .unwrap_or(f64::NAN)
-    };
-    vec![
-        // the paper's conclusion, restated for varied patterns: file APIs stay
-        // close to the native object API even off the bulk-I/O happy path
-        Verdict::new(
-            "file interfaces within 35% of native across all three app workloads",
-            APP_KINDS.iter().all(|w| {
-                by(w, "dfs") > 0.65 * by(w, "native") && by(w, "posix") > 0.65 * by(w, "native")
-            }),
-        ),
-        Verdict::new(
-            "pipeline overlap beats phase separation (producer_consumer vs nwp)",
-            RUNGS
-                .iter()
-                .all(|(r, _)| by("producer_consumer", r) > by("nwp", r)),
-        ),
-    ]
+/// The I/O bandwidth of one workload through one rung.
+fn io_gib_s(r: &Probe, kind: &str, rung: &str) -> Result<f64, String> {
+    r.get(&format!("{kind}/{rung}"), APP_NODES, "io_gib_s")
 }
+
+/// What an `app_workloads` report must show.
+pub const APP_CLAIMS: &[Claim] = &[
+    // the paper's conclusion, restated for varied patterns: file APIs stay
+    // close to the native object API even off the bulk-I/O happy path
+    Claim {
+        prose: "file interfaces within 35% of native across all three app workloads",
+        test: |r| {
+            let mut pass = true;
+            for w in APP_KINDS {
+                let native = io_gib_s(r, w, "native")?;
+                pass &= io_gib_s(r, w, "dfs")? > 0.65 * native;
+                pass &= io_gib_s(r, w, "posix")? > 0.65 * native;
+            }
+            holds(pass)
+        },
+    },
+    Claim {
+        prose: "pipeline overlap beats phase separation (producer_consumer vs nwp)",
+        test: |r| {
+            let mut pass = true;
+            for (rung, _) in RUNGS {
+                pass &= io_gib_s(r, "producer_consumer", rung)? > io_gib_s(r, "nwp", rung)?;
+            }
+            holds(pass)
+        },
+    },
+];
 
 #[cfg(test)]
 mod tests {

@@ -156,7 +156,7 @@ fn list() -> ! {
 /// What `daos-bench <figure>` prints and `results/<figure>.txt` holds: the
 /// report's tables, then its checks.
 fn printout(run: &FigureRun) -> String {
-    let checks = render_verdicts(&run.verdicts());
+    let checks = render_verdicts(&run.figure.verdicts(&run.report));
     format!("{}\n{checks}", render(run.figure, &run.report))
 }
 
@@ -195,7 +195,12 @@ fn standalone(figure: &'static Figure, o: &Opts) -> ! {
             }
         }
     }
-    let failed = run.verdicts().iter().filter(|v| !v.pass).count();
+    let failed = run
+        .figure
+        .verdicts(&run.report)
+        .iter()
+        .filter(|v| !v.pass)
+        .count();
     if failed > 0 {
         eprintln!("{failed} check(s) failed");
         std::process::exit(1);
@@ -340,7 +345,7 @@ fn regress(o: &Opts) -> ! {
     let mut check_failures = 0usize;
     for run in &runs {
         println!("\n== {} checks ==", run.figure.name);
-        let verdicts = run.verdicts();
+        let verdicts = run.figure.verdicts(&run.report);
         print!("{}", render_verdicts(&verdicts));
         check_failures += verdicts.iter().filter(|v| !v.pass).count();
     }

@@ -6,7 +6,7 @@
 //! [`Scale`], its report-level checks, and which tier of the `regress`
 //! gate holds it to its committed baseline. A standalone `daos-bench <figure>`
 //! run and the gate both go through [`run_figures`] and
-//! [`FigureRun::verdicts`], so a figure cannot be defined one way for
+//! [`Figure::verdicts`], so a figure cannot be defined one way for
 //! one of them and another way for the other.
 //!
 //! Adding a figure is one table entry plus one committed baseline: see
@@ -17,8 +17,9 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use crate::exec::Slate;
+use crate::invariants::{self, every_cell, CellClaim, Claim};
 use crate::report::{BenchReport, Fragment, Verdict, READ_GIB_S, WRITE_GIB_S};
-use crate::{apps, figures, invariants, qos, timelines, traffic};
+use crate::{apps, figures, qos, timelines, traffic};
 
 /// How big a run is. Every figure declares `Full` (what `regress` runs
 /// and the committed `results/BENCH_<name>.json` holds); PR-gated figures
@@ -108,8 +109,19 @@ pub struct Figure {
     pub chart: bool,
     /// The cells at a scale; `None` = the figure declares no such scale.
     pub plan: fn(Scale) -> Option<Plan>,
-    /// What must hold of the finished report, at any declared scale.
-    pub checks: fn(&BenchReport) -> Vec<Verdict>,
+    /// What must hold of the finished report, at any declared scale: its
+    /// report-level claims, then the claims each cell must satisfy.
+    pub claims: &'static [Claim],
+    pub cell_claims: &'static [CellClaim],
+}
+
+impl Figure {
+    /// Every check of this figure, read off `report`: a live run and a
+    /// reloaded one give the same verdicts.
+    pub fn verdicts(&self, report: &BenchReport) -> Vec<Verdict> {
+        let claims = self.claims.iter().map(|c| c.verdict(report));
+        claims.chain(every_cell(report, self.cell_claims)).collect()
+    }
 }
 
 /// Every figure this crate can produce, in the paper's order: the eight
@@ -124,7 +136,8 @@ pub const FIGURES: &[Figure] = &[
         gate: Gate::Pr,
         chart: true,
         plan: |s| figures::paper_figure_plan(true, s),
-        checks: invariants::evaluate_fig1,
+        claims: invariants::FIG1_CLAIMS,
+        cell_claims: &[],
     },
     Figure {
         name: "fig2_shared",
@@ -133,7 +146,8 @@ pub const FIGURES: &[Figure] = &[
         gate: Gate::Pr,
         chart: true,
         plan: |s| figures::paper_figure_plan(false, s),
-        checks: invariants::evaluate_fig2,
+        claims: invariants::FIG2_CLAIMS,
+        cell_claims: &[],
     },
     Figure {
         name: "pfs_contrast",
@@ -142,7 +156,8 @@ pub const FIGURES: &[Figure] = &[
         gate: Gate::Pr,
         chart: false,
         plan: figures::pfs_contrast_plan,
-        checks: invariants::evaluate_pfs_contrast,
+        claims: invariants::PFS_CONTRAST_CLAIMS,
+        cell_claims: &[],
     },
     Figure {
         name: "io500",
@@ -151,7 +166,8 @@ pub const FIGURES: &[Figure] = &[
         gate: Gate::Pr,
         chart: false,
         plan: figures::io500_plan,
-        checks: figures::check_io500,
+        claims: figures::IO500_CLAIMS,
+        cell_claims: &[],
     },
     Figure {
         name: "fault_sweep",
@@ -160,7 +176,8 @@ pub const FIGURES: &[Figure] = &[
         gate: Gate::Pr,
         chart: false,
         plan: timelines::fault_plan,
-        checks: |r| invariants::every_cell(r, timelines::FAULT_CELLS),
+        claims: &[],
+        cell_claims: timelines::FAULT_CELLS,
     },
     Figure {
         name: "scrub_sweep",
@@ -169,7 +186,8 @@ pub const FIGURES: &[Figure] = &[
         gate: Gate::Pr,
         chart: false,
         plan: timelines::scrub_plan,
-        checks: |r| invariants::every_cell(r, timelines::SCRUB_CELLS),
+        claims: &[],
+        cell_claims: timelines::SCRUB_CELLS,
     },
     Figure {
         name: "traffic_sweep",
@@ -178,7 +196,8 @@ pub const FIGURES: &[Figure] = &[
         gate: Gate::Pr,
         chart: false,
         plan: traffic::traffic_plan,
-        checks: invariants::evaluate_traffic,
+        claims: invariants::TRAFFIC_CLAIMS,
+        cell_claims: invariants::TRAFFIC_CELLS,
     },
     Figure {
         name: "qos_sweep",
@@ -187,7 +206,8 @@ pub const FIGURES: &[Figure] = &[
         gate: Gate::Pr,
         chart: false,
         plan: qos::qos_plan,
-        checks: invariants::evaluate_qos,
+        claims: invariants::QOS_CLAIMS,
+        cell_claims: invariants::QOS_CELLS,
     },
     Figure {
         name: "scale",
@@ -196,7 +216,8 @@ pub const FIGURES: &[Figure] = &[
         gate: Gate::Nightly,
         chart: false,
         plan: figures::scale_plan,
-        checks: invariants::evaluate_scale,
+        claims: invariants::SCALE_CLAIMS,
+        cell_claims: &[],
     },
     Figure {
         name: "mdtest_bench",
@@ -205,7 +226,8 @@ pub const FIGURES: &[Figure] = &[
         gate: Gate::Pr,
         chart: false,
         plan: figures::mdtest_plan,
-        checks: figures::check_mdtest,
+        claims: figures::MDTEST_CLAIMS,
+        cell_claims: &[],
     },
     Figure {
         name: "protection_sweep",
@@ -214,7 +236,8 @@ pub const FIGURES: &[Figure] = &[
         gate: Gate::Pr,
         chart: false,
         plan: figures::protection_plan,
-        checks: figures::check_protection,
+        claims: figures::PROTECTION_CLAIMS,
+        cell_claims: &[],
     },
     Figure {
         name: "daos_api",
@@ -223,7 +246,8 @@ pub const FIGURES: &[Figure] = &[
         gate: Gate::Pr,
         chart: false,
         plan: figures::daos_api_plan,
-        checks: figures::check_daos_api,
+        claims: figures::DAOS_API_CLAIMS,
+        cell_claims: &[],
     },
     Figure {
         name: "app_workloads",
@@ -232,7 +256,8 @@ pub const FIGURES: &[Figure] = &[
         gate: Gate::Pr,
         chart: false,
         plan: apps::app_workloads_plan,
-        checks: apps::check_app_workloads,
+        claims: apps::APP_CLAIMS,
+        cell_claims: &[],
     },
     Figure {
         name: "dfuse_ablation",
@@ -241,7 +266,8 @@ pub const FIGURES: &[Figure] = &[
         gate: Gate::Pr,
         chart: false,
         plan: figures::dfuse_ablation_plan,
-        checks: figures::check_dfuse_ablation,
+        claims: figures::DFUSE_ABLATION_CLAIMS,
+        cell_claims: &[],
     },
     Figure {
         name: "oclass_sweep",
@@ -250,7 +276,8 @@ pub const FIGURES: &[Figure] = &[
         gate: Gate::Pr,
         chart: false,
         plan: figures::oclass_plan,
-        checks: figures::check_oclass,
+        claims: figures::OCLASS_CLAIMS,
+        cell_claims: &[],
     },
 ];
 
@@ -279,12 +306,6 @@ impl FigureRun {
             figure,
             report: BenchReport::load(dir, figure.name)?,
         })
-    }
-
-    /// Every check of this figure, read off its report: a live run and a
-    /// reloaded one give the same verdicts.
-    pub fn verdicts(&self) -> Vec<Verdict> {
-        (self.figure.checks)(&self.report)
     }
 }
 
@@ -592,7 +613,8 @@ mod tests {
         gate: Gate::Pr,
         chart: false,
         plan: |_| None,
-        checks: |_| Vec::new(),
+        claims: &[],
+        cell_claims: &[],
     };
 
     /// Two cells that record the same `(series, scale, metric)`.

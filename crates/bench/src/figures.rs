@@ -4,7 +4,7 @@
 //!
 //! Each `*_plan` function enumerates one figure's cells at a scale — a
 //! cell is one seeded, single-threaded sim that records its metrics into
-//! a [`Fragment`] — and each `check_*` function states what must hold of
+//! a [`Fragment`] — and each `*_CLAIMS` table states what must hold of
 //! the finished report. [`crate::FIGURES`] binds the two to the figure's
 //! name, seed and gate. Seeds are fixed per figure (an IOR sweep's per
 //! protocol), so a smoke run's cells are seeded exactly like the full
@@ -23,8 +23,8 @@ use daos_sim::units::MIB;
 use daos_sim::Sim;
 
 use crate::figure::{Cell, Plan, Scale};
-use crate::invariants::series_scales;
-use crate::report::{config_hash, BenchReport, Fragment, Verdict, READ_GIB_S, WRITE_GIB_S};
+use crate::invariants::{holds, Claim, Probe};
+use crate::report::{config_hash, Fragment, READ_GIB_S, WRITE_GIB_S};
 use crate::{
     on_testbed, on_testbed_with, paper_cluster, paper_params, run_point_in, run_point_with,
 };
@@ -54,23 +54,6 @@ pub fn figure_classes() -> [ObjectClass; 3] {
 fn record_bw(out: &mut Fragment, series: &str, scale: u32, r: &IorReport) {
     out.record(series, scale, WRITE_GIB_S, r.write_gib_s());
     out.record(series, scale, READ_GIB_S, r.read_gib_s());
-}
-
-/// The one (failing) verdict of a check that cannot find the cells it reads.
-fn missing(what: &str) -> Vec<Verdict> {
-    vec![Verdict::new(format!("{what} present in the report"), false)]
-}
-
-/// Every scale at which all of `series` carry `metric`, ascending, with
-/// the values in `series` order.
-fn rows(report: &BenchReport, series: &[&str], metric: &str) -> Vec<(u32, Vec<f64>)> {
-    series_scales(report, series[0])
-        .into_iter()
-        .filter_map(|n| {
-            let vals: Option<Vec<f64>> = series.iter().map(|s| report.get(s, n, metric)).collect();
-            Some((n, vals?))
-        })
-        .collect()
 }
 
 fn top(nodes: &[u32]) -> u32 {
@@ -171,25 +154,20 @@ pub fn oclass_plan(scale: Scale) -> Option<Plan> {
     wide_grid_plan(&[Api::Dfs], &classes, scale)
 }
 
-pub fn check_oclass(report: &BenchReport) -> Vec<Verdict> {
-    let Some((_, w)) = rows(report, &["DFS-S1", "DFS-S4", "DFS-SX"], WRITE_GIB_S).pop() else {
-        return missing("DFS-S1/S4/SX writes");
-    };
-    vec![
-        Verdict::new(
-            "sharding degree interpolates: S1 <= S4 <= SX write at the largest scale (±10%)",
-            w[0] <= w[1] * 1.1 && w[1] <= w[2] * 1.1,
-        ),
-        Verdict::new(
-            "every class lands in a sane envelope (1-60 GiB/s write)",
-            report
-                .cells()
-                .iter()
-                .filter(|(_, _, m, _)| *m == WRITE_GIB_S)
-                .all(|&(_, _, _, b)| b > 1.0 && b < 60.0),
-        ),
-    ]
-}
+/// What an `oclass_sweep` report must show.
+pub const OCLASS_CLAIMS: &[Claim] = &[
+    Claim {
+        prose: "sharding degree interpolates: S1 <= S4 <= SX write at the largest scale (±10%)",
+        test: |r| {
+            let [s1, s4, sx] = r.row(["DFS-S1", "DFS-S4", "DFS-SX"], r.top()?, WRITE_GIB_S)?;
+            holds(s1 <= s4 * 1.1 && s4 <= sx * 1.1)
+        },
+    },
+    Claim {
+        prose: "every class lands in a sane envelope (1-60 GiB/s write)",
+        test: |r| holds(r.every(WRITE_GIB_S).iter().all(|&b| b > 1.0 && b < 60.0)),
+    },
+];
 
 /// `daos_api`: the native array API against DFS and POSIX (± the
 /// interception library), SX, file-per-process.
@@ -203,33 +181,41 @@ pub fn daos_api_plan(scale: Scale) -> Option<Plan> {
     wide_grid_plan(&apis, &[ObjectClass::SX], scale)
 }
 
-pub fn check_daos_api(report: &BenchReport) -> Vec<Verdict> {
-    // indices below follow this order
+/// One metric of the `daos_api` series at every scale, each row in the
+/// order the claims index: native, DFS, POSIX, POSIX with the
+/// interception library.
+fn api_rows(r: &Probe, metric: &str) -> Result<Vec<[f64; 4]>, String> {
     let series = ["DAOS-SX", "DFS-SX", "POSIX-SX", "POSIX+IL-SX"];
-    let wr = rows(report, &series, WRITE_GIB_S);
-    let rd = rows(report, &series, READ_GIB_S);
-    if wr.is_empty() || rd.len() != wr.len() {
-        return missing("DAOS/DFS/POSIX/POSIX+IL SX cells");
-    }
-    vec![
-        Verdict::new(
-            // 6% tolerance: the native-API runs use fixed object ids, so their
-            // placement is one draw rather than the file runs' averaged draws
-            "native array API ~= DFS or better (skips namespace metadata)",
-            wr.iter().all(|(_, w)| w[0] >= 0.94 * w[1]),
-        ),
-        Verdict::new(
-            "interception library recovers DFS-level performance over POSIX (within 2%)",
-            wr.iter()
-                .chain(&rd)
-                .all(|(_, v)| (v[3] - v[1]).abs() <= 0.02 * v[1]),
-        ),
-        Verdict::new(
-            "every file interface stays within 15% of the native API (bulk I/O)",
-            wr.iter().all(|(_, w)| w[2] > 0.85 * w[0]),
-        ),
-    ]
+    let scales = r.scales()?.into_iter();
+    scales.map(|n| r.row(series, n, metric)).collect()
 }
+
+/// What a `daos_api` report must show.
+pub const DAOS_API_CLAIMS: &[Claim] = &[
+    // 6% tolerance: the native-API runs use fixed object ids, so their
+    // placement is one draw rather than the file runs' averaged draws
+    Claim {
+        prose: "native array API ~= DFS or better (skips namespace metadata)",
+        test: |r| {
+            holds(
+                api_rows(r, WRITE_GIB_S)?
+                    .iter()
+                    .all(|w| w[0] >= 0.94 * w[1]),
+            )
+        },
+    },
+    Claim {
+        prose: "interception library recovers DFS-level performance over POSIX (within 2%)",
+        test: |r| {
+            let rows = [api_rows(r, WRITE_GIB_S)?, api_rows(r, READ_GIB_S)?].concat();
+            holds(rows.iter().all(|v| (v[3] - v[1]).abs() <= 0.02 * v[1]))
+        },
+    },
+    Claim {
+        prose: "every file interface stays within 15% of the native API (bulk I/O)",
+        test: |r| holds(api_rows(r, WRITE_GIB_S)?.iter().all(|w| w[2] > 0.85 * w[0])),
+    },
+];
 
 // ---------------------------------------------------------------------
 // Beyond the paper's scale: 64-512 client nodes
@@ -438,24 +424,24 @@ pub fn io500_plan(scale: Scale) -> Option<Plan> {
     })
 }
 
-pub fn check_io500(report: &BenchReport) -> Vec<Verdict> {
-    let Some(&n) = series_scales(report, "score").first() else {
-        return missing("score series");
-    };
-    let total = report.get("score", n, "io500").unwrap_or(f64::NAN);
-    let hard = report.get("ior-hard", n, WRITE_GIB_S).unwrap_or(f64::NAN);
-    let easy = report.get("ior-easy", n, WRITE_GIB_S).unwrap_or(f64::NAN);
-    vec![
-        Verdict::new(
-            "composite score is finite and positive",
-            total.is_finite() && total > 0.0,
-        ),
-        Verdict::new(
-            "ior-hard tracks ior-easy on DAOS (the paper's headline, IO500 form)",
-            hard > 0.5 * easy,
-        ),
-    ]
-}
+/// What an `io500` report must show.
+pub const IO500_CLAIMS: &[Claim] = &[
+    Claim {
+        prose: "composite score is finite and positive",
+        test: |r| {
+            let total = r.get("score", r.axis("score")?[0], "io500")?;
+            holds(total.is_finite() && total > 0.0)
+        },
+    },
+    Claim {
+        prose: "ior-hard tracks ior-easy on DAOS (the paper's headline, IO500 form)",
+        test: |r| {
+            let n = r.axis("score")?[0];
+            let [hard, easy] = r.row(["ior-hard", "ior-easy"], n, WRITE_GIB_S)?;
+            holds(hard > 0.5 * easy)
+        },
+    },
+];
 
 // ---------------------------------------------------------------------
 // Metadata rates
@@ -509,26 +495,27 @@ pub fn mdtest_plan(scale: Scale) -> Option<Plan> {
     })
 }
 
-pub fn check_mdtest(report: &BenchReport) -> Vec<Verdict> {
-    // indices below follow this order
-    let series = ["dfs", "dfuse", "pfs"];
-    let (Some((_, c)), Some((_, s))) = (
-        rows(report, &series, "create_per_s").pop(),
-        rows(report, &series, "stat_per_s").pop(),
-    ) else {
-        return missing("dfs/dfuse/pfs rates");
-    };
-    vec![
-        Verdict::new(
-            "DAOS metadata rates scale past the single-MDS PFS",
-            c[0] > 2.0 * c[2] && s[0] > 2.0 * s[2],
-        ),
-        Verdict::new(
-            "DFuse adds overhead over native DFS but stays well above the PFS",
-            c[1] <= c[0] && c[1] > c[2],
-        ),
-    ]
-}
+/// The `mdtest_bench` backends, in the order the claims index.
+const MD_SERIES: [&str; 3] = ["dfs", "dfuse", "pfs"];
+
+/// What an `mdtest_bench` report must show.
+pub const MDTEST_CLAIMS: &[Claim] = &[
+    Claim {
+        prose: "DAOS metadata rates scale past the single-MDS PFS",
+        test: |r| {
+            let c = r.row(MD_SERIES, r.top()?, "create_per_s")?;
+            let s = r.row(MD_SERIES, r.top()?, "stat_per_s")?;
+            holds(c[0] > 2.0 * c[2] && s[0] > 2.0 * s[2])
+        },
+    },
+    Claim {
+        prose: "DFuse adds overhead over native DFS but stays well above the PFS",
+        test: |r| {
+            let c = r.row(MD_SERIES, r.top()?, "create_per_s")?;
+            holds(c[1] <= c[0] && c[1] > c[2])
+        },
+    },
+];
 
 // ---------------------------------------------------------------------
 // Data-protection ablation
@@ -613,46 +600,40 @@ pub fn protection_plan(scale: Scale) -> Option<Plan> {
     })
 }
 
-pub fn check_protection(report: &BenchReport) -> Vec<Verdict> {
-    // the one scale the report holds; 0 when empty, which fails every check
-    let n = series_scales(report, "SX").first().copied().unwrap_or(0);
-    let w_of = |c: ObjectClass| {
-        report
-            .get(&c.to_string(), n, WRITE_GIB_S)
-            .unwrap_or(f64::NAN)
-    };
-    let degraded_ok = [ObjectClass::RP_2GX, ObjectClass::EC_2P1GX]
-        .iter()
-        .all(|c| {
-            let s = format!("{c}/degraded");
-            match (
-                report.get(&s, n, "healthy_read_gib_s"),
-                report.get(&s, n, "degraded_read_gib_s"),
-            ) {
-                (Some(h), Some(d)) => d > 0.0 && h / d < 2.5,
-                _ => false,
+/// What a `protection_sweep` report must show.
+pub const PROTECTION_CLAIMS: &[Claim] = &[
+    Claim {
+        prose: "replication costs ~its amplification factor in write bandwidth",
+        test: |r| {
+            let [rp2, sx] = r.row(["RP_2GX", "SX"], r.axis("SX")?[0], WRITE_GIB_S)?;
+            holds(rp2 < 0.75 * sx && rp2 > 0.3 * sx)
+        },
+    },
+    // real DAOS guidance: EC suits large transfers; per-stripe parity
+    // rounds make it slower than replication below saturation even at
+    // lower amplification
+    Claim {
+        prose: "protection ordering: S2 > EC_2P1 and RP_3 is the most expensive",
+        test: |r| {
+            let series = ["S2", "EC_2P1GX", "RP_3GX", "RP_2GX"];
+            let [s2, ec, rp3, rp2] = r.row(series, r.axis("SX")?[0], WRITE_GIB_S)?;
+            holds(s2 > ec && rp3 < rp2)
+        },
+    },
+    Claim {
+        prose: "degraded reads stay within 2.5x of healthy (redundancy works)",
+        test: |r| {
+            let n = r.axis("SX")?[0];
+            let mut pass = true;
+            for s in ["RP_2GX/degraded", "EC_2P1GX/degraded"] {
+                let h = r.get(s, n, "healthy_read_gib_s")?;
+                let d = r.get(s, n, "degraded_read_gib_s")?;
+                pass &= d > 0.0 && h / d < 2.5;
             }
-        });
-    vec![
-        Verdict::new(
-            "replication costs ~its amplification factor in write bandwidth",
-            w_of(ObjectClass::RP_2GX) < 0.75 * w_of(ObjectClass::SX)
-                && w_of(ObjectClass::RP_2GX) > 0.3 * w_of(ObjectClass::SX),
-        ),
-        Verdict::new(
-            // real DAOS guidance: EC suits large transfers; per-stripe parity
-            // rounds make it slower than replication below saturation even at
-            // lower amplification
-            "protection ordering: S2 > EC_2P1 and RP_3 is the most expensive",
-            w_of(ObjectClass::S2) > w_of(ObjectClass::EC_2P1GX)
-                && w_of(RP_3GX) < w_of(ObjectClass::RP_2GX),
-        ),
-        Verdict::new(
-            "degraded reads stay within 2.5x of healthy (redundancy works)",
-            degraded_ok,
-        ),
-    ]
-}
+            holds(pass)
+        },
+    },
+];
 
 // ---------------------------------------------------------------------
 // DFuse-knob ablation
@@ -729,21 +710,27 @@ pub fn dfuse_ablation_plan(_: Scale) -> Option<Plan> {
     })
 }
 
-pub fn check_dfuse_ablation(report: &BenchReport) -> Vec<Verdict> {
-    let w_of = |s: &str| report.get(s, 1, WRITE_GIB_S).unwrap_or(f64::NAN);
-    let dfs_w = w_of("native-dfs");
-    vec![
-        Verdict::new(
-            "128KiB request splitting costs real write bandwidth",
-            w_of("small requests") < 0.9 * w_of("default"),
-        ),
-        Verdict::new(
-            "a single daemon thread bottlenecks the node",
-            w_of("single daemon thread") < 0.8 * w_of("default"),
-        ),
-        Verdict::new(
-            "the interception library matches native DFS",
-            (w_of("interception library") - dfs_w).abs() / dfs_w < 0.05,
-        ),
-    ]
-}
+/// What a `dfuse_ablation` report must show.
+pub const DFUSE_ABLATION_CLAIMS: &[Claim] = &[
+    Claim {
+        prose: "128KiB request splitting costs real write bandwidth",
+        test: |r| {
+            let [small, default] = r.row(["small requests", "default"], 1, WRITE_GIB_S)?;
+            holds(small < 0.9 * default)
+        },
+    },
+    Claim {
+        prose: "a single daemon thread bottlenecks the node",
+        test: |r| {
+            let [one, default] = r.row(["single daemon thread", "default"], 1, WRITE_GIB_S)?;
+            holds(one < 0.8 * default)
+        },
+    },
+    Claim {
+        prose: "the interception library matches native DFS",
+        test: |r| {
+            let [il, dfs] = r.row(["interception library", "native-dfs"], 1, WRITE_GIB_S)?;
+            holds((il - dfs).abs() / dfs < 0.05)
+        },
+    },
+];

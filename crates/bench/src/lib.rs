@@ -13,8 +13,9 @@
 //!   the table audit behind `daos-bench list`;
 //! * [`figures`], [`apps`], [`timelines`], [`traffic`], [`qos`] — the
 //!   figures' cells: what each seeded sim runs and records at each scale;
-//! * [`invariants`] — the paper's R1–R5 qualitative results (and the
-//!   R6–R11 / R2x / R5x extensions) as machine-checked predicates;
+//! * [`invariants`] — the one claim type ([`invariants::Claim`]) and its
+//!   evaluator, with the paper's R1–R5 qualitative results (and the
+//!   R6–R11 / R2x / R5x extensions) as its rows;
 //! * [`exec`] — the deterministic parallel job runner: an ordered
 //!   [`exec::Slate`] of `(label, seeded closure)` jobs fanned across host
 //!   threads with results reduced **in submission order**, so every

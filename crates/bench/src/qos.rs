@@ -198,7 +198,8 @@ pub fn jain_index(shares: &[f64]) -> f64 {
 /// QoS classes (and pool-reservation weight boosts) on every engine
 /// before the measurement window opens. Records the cell (the load axis
 /// is the scale); R9–R11 and the accounting every cell must close are
-/// checked over the whole report in [`crate::invariants::evaluate_qos`].
+/// checked over the whole report by [`crate::invariants::QOS_CLAIMS`] and
+/// [`crate::invariants::QOS_CELLS`].
 pub fn qos_point(out: &mut Fragment, shaped: bool, load_pct: u32, params: QosSweepParams) {
     let series = if shaped { "shaped" } else { "unshaped" };
     let seed = QOS_SEED ^ fnv1a(series.as_bytes()).rotate_left(17) ^ ((load_pct as u64) << 1);

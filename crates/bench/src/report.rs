@@ -9,11 +9,12 @@
 //! Reports round-trip through a small
 //! hand-rolled JSON layer — the workspace builds offline against vendored
 //! stand-ins, so there is no serde; the subset implemented here (objects,
-//! strings, numbers) is exactly what the schema needs.
+//! strings with the escapes the writer emits, numbers) is exactly what the
+//! schema needs, and the reader fills the report as it goes.
 //!
-//! Integer fields (seed, config hash) routinely exceed 2^53, so the parser
-//! keeps raw number tokens and converts on demand instead of routing
-//! everything through `f64`.
+//! Integer fields (seed, config hash) routinely exceed 2^53, so the reader
+//! converts each raw number token to the field's own type instead of
+//! routing everything through `f64`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -92,72 +93,84 @@ impl BenchReport {
     /// Serialize to pretty-printed JSON (stable key order — `BTreeMap`
     /// everywhere — so diffs of committed baselines stay readable).
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema\": {},", self.schema);
-        let _ = writeln!(s, "  \"name\": {},", quote(&self.name));
-        let _ = writeln!(s, "  \"seed\": {},", self.seed);
-        let _ = writeln!(s, "  \"config_hash\": {},", self.config_hash);
-        s.push_str("  \"series\": {");
-        let mut first_series = true;
-        for (name, scales) in &self.series {
-            if !first_series {
-                s.push(',');
-            }
-            first_series = false;
-            let _ = write!(s, "\n    {}: {{", quote(name));
-            let mut first_scale = true;
-            for (scale, metrics) in scales {
-                if !first_scale {
-                    s.push(',');
-                }
-                first_scale = false;
-                let _ = write!(s, "\n      \"{scale}\": {{");
-                let mut first_metric = true;
-                for (metric, value) in metrics {
-                    if !first_metric {
-                        s.push(',');
-                    }
-                    first_metric = false;
-                    let _ = write!(s, "\n        {}: {}", quote(metric), fmt_f64(*value));
-                }
-                s.push_str("\n      }");
-            }
-            s.push_str("\n    }");
-        }
-        s.push_str("\n  }\n}\n");
-        s
+        // `{`, the entries joined by `,`, then `}` on a line of its own
+        let object = |indent, entries: Vec<String>| format!("{{{}\n{indent}}}", entries.join(","));
+        let series = self.series.iter().map(|(name, scales)| {
+            let scales = scales.iter().map(|(scale, metrics)| {
+                let metrics = metrics.iter().map(|(metric, value)| {
+                    format!("\n        {}: {}", quote(metric), fmt_f64(*value))
+                });
+                format!(
+                    "\n      \"{scale}\": {}",
+                    object("      ", metrics.collect())
+                )
+            });
+            format!(
+                "\n    {}: {}",
+                quote(name),
+                object("    ", scales.collect())
+            )
+        });
+        format!(
+            "{{\n  \"schema\": {},\n  \"name\": {},\n  \"seed\": {},\n  \"config_hash\": {},\n  \"series\": {}\n}}\n",
+            self.schema,
+            quote(&self.name),
+            self.seed,
+            self.config_hash,
+            object("  ", series.collect())
+        )
     }
 
     /// Parse a report back from JSON; schema mismatches and malformed
-    /// documents are errors, unknown top-level keys are ignored (forward
+    /// documents are errors, unknown top-level keys are skipped (forward
     /// compatibility — and how reports written before `wall_secs` was
     /// dropped keep loading).
     pub fn from_json(text: &str) -> Result<Self, JsonError> {
-        let root = Json::parse(text)?;
-        let obj = root.as_object("document")?;
-        let schema = get_key(obj, "schema")?.as_u64("schema")?;
+        let mut r = Reader { text, pos: 0 };
+        let (mut schema, mut name, mut seed, mut config_hash) = (None, None, None, None);
+        let mut series = BTreeMap::new();
+        r.object(|r, key| {
+            match key.as_str() {
+                "schema" => schema = Some(r.number("schema")?),
+                "name" => name = Some(r.string()?),
+                "seed" => seed = Some(r.number("seed")?),
+                "config_hash" => config_hash = Some(r.number("config_hash")?),
+                "series" => r.object(|r, label| {
+                    let scales: &mut BTreeMap<u32, Metrics> = series.entry(label).or_default();
+                    r.object(|r, scale| {
+                        let scale = scale
+                            .parse()
+                            .map_err(|_| JsonError(format!("bad scale key {scale:?}")))?;
+                        let metrics = scales.entry(scale).or_default();
+                        r.object(|r, metric| {
+                            let value = r.number(&metric)?;
+                            metrics.insert(metric, value);
+                            Ok(())
+                        })
+                    })
+                })?,
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        r.ws();
+        if r.pos != text.len() {
+            return Err(r.err("trailing data after document"));
+        }
+        let need = |key: &str| JsonError(format!("missing key {key:?}"));
+        let schema = schema.ok_or_else(|| need("schema"))?;
         if schema != SCHEMA_VERSION {
             return Err(JsonError(format!(
                 "schema version {schema} != supported {SCHEMA_VERSION}"
             )));
         }
-        let mut report = BenchReport::new(
-            get_key(obj, "name")?.as_str("name")?,
-            get_key(obj, "seed")?.as_u64("seed")?,
-        );
-        report.config_hash = get_key(obj, "config_hash")?.as_u64("config_hash")?;
-        for (series, scales) in get_key(obj, "series")?.as_object("series")? {
-            for (scale, metrics) in scales.as_object(series)? {
-                let scale: u32 = scale
-                    .parse()
-                    .map_err(|_| JsonError(format!("bad scale key {scale:?} in {series:?}")))?;
-                for (metric, value) in metrics.as_object(series)? {
-                    report.record(series, scale, metric, value.as_f64(metric)?);
-                }
-            }
-        }
-        Ok(report)
+        Ok(BenchReport {
+            schema,
+            name: name.ok_or_else(|| need("name"))?,
+            seed: seed.ok_or_else(|| need("seed"))?,
+            config_hash: config_hash.ok_or_else(|| need("config_hash"))?,
+            series,
+        })
     }
 
     /// Write `BENCH_<name>.json` under `dir`; returns the path written.
@@ -232,255 +245,113 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Minimal JSON value. Numbers keep their raw token so 64-bit integers
-/// (seeds, hashes) survive without a trip through `f64`.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    /// Raw number token, e.g. `-12.5e3` or `18446744073709551615`.
-    Num(String),
-    Str(String),
-    Arr(Vec<Json>),
-    /// Insertion-ordered key/value pairs.
-    Obj(Vec<(String, Json)>),
-}
-
-fn get_key<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, JsonError> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| JsonError(format!("missing key {key:?}")))
-}
-
-impl Json {
-    /// Parse a complete JSON document (trailing garbage is an error).
-    pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing data after document"));
-        }
-        Ok(v)
-    }
-
-    fn as_object<'a>(&'a self, what: &str) -> Result<&'a [(String, Json)], JsonError> {
-        match self {
-            Json::Obj(kv) => Ok(kv),
-            other => Err(JsonError(format!("{what}: expected object, got {other:?}"))),
-        }
-    }
-
-    fn as_str<'a>(&'a self, what: &str) -> Result<&'a str, JsonError> {
-        match self {
-            Json::Str(s) => Ok(s),
-            other => Err(JsonError(format!("{what}: expected string, got {other:?}"))),
-        }
-    }
-
-    fn as_f64(&self, what: &str) -> Result<f64, JsonError> {
-        match self {
-            Json::Num(raw) => raw
-                .parse()
-                .map_err(|_| JsonError(format!("{what}: bad number {raw:?}"))),
-            other => Err(JsonError(format!("{what}: expected number, got {other:?}"))),
-        }
-    }
-
-    fn as_u64(&self, what: &str) -> Result<u64, JsonError> {
-        match self {
-            Json::Num(raw) => raw
-                .parse()
-                .map_err(|_| JsonError(format!("{what}: bad integer {raw:?}"))),
-            other => Err(JsonError(format!(
-                "{what}: expected integer, got {other:?}"
-            ))),
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// The JSON reader behind [`BenchReport::from_json`]: a cursor into the
+/// document, which the caller steers key by key.
+struct Reader<'a> {
+    text: &'a str,
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
+impl Reader<'_> {
     fn err(&self, msg: &str) -> JsonError {
         JsonError(format!("{msg} at byte {}", self.pos))
     }
 
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+    fn ws(&mut self) {
+        let rest = &self.text[self.pos..];
+        self.pos += rest.len() - rest.trim_start_matches([' ', '\t', '\n', '\r']).len();
+    }
+
+    /// Skip whitespace, then consume `b` if it comes next.
+    fn eat(&mut self, b: u8) -> bool {
+        self.ws();
+        let hit = self.text.as_bytes().get(self.pos) == Some(&b);
+        self.pos += hit as usize;
+        hit
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
+        match self.eat(b) {
+            true => Ok(()),
+            false => Err(self.err(&format!("expected {:?}", b as char))),
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn eat_lit(&mut self, lit: &str, v: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected literal {lit}")))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, JsonError> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.eat_lit("true", Json::Bool(true)),
-            Some(b'f') => self.eat_lit("false", Json::Bool(false)),
-            Some(b'n') => self.eat_lit("null", Json::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.eat(b'{')?;
-        let mut kv = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(kv));
+    /// An object, handing each key to `field`, which reads its value.
+    fn object(
+        &mut self,
+        mut field: impl FnMut(&mut Self, String) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.expect(b'{')?;
+        if self.eat(b'}') {
+            return Ok(());
         }
         loop {
-            self.skip_ws();
             let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            kv.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(kv));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
+            self.expect(b':')?;
+            field(self, key)?;
+            if self.eat(b'}') {
+                return Ok(());
             }
+            self.expect(b',')?;
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
+    /// A string, with the escapes [`quote`] emits.
     fn string(&mut self) -> Result<String, JsonError> {
-        self.eat(b'"')?;
+        self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code).ok_or_else(|| self.err("bad \\u escape"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // copy the full UTF-8 sequence
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            let rest = &self.text[self.pos..];
+            let Some(at) = rest.find(['"', '\\']) else {
+                return Err(self.err("unterminated string"));
+            };
+            out.push_str(&rest[..at]);
+            self.pos += at + 1;
+            if rest.as_bytes()[at] == b'"' {
+                return Ok(out);
             }
+            let (escape, len) = match rest.as_bytes().get(at + 1) {
+                Some(b'"') => (Some('"'), 1),
+                Some(b'\\') => (Some('\\'), 1),
+                Some(b'n') => (Some('\n'), 1),
+                Some(b't') => (Some('\t'), 1),
+                Some(b'u') => {
+                    let hex = rest.get(at + 2..at + 6).unwrap_or("");
+                    let code = u32::from_str_radix(hex, 16).ok();
+                    (code.and_then(char::from_u32), 5)
+                }
+                _ => (None, 0),
+            };
+            out.push(escape.ok_or_else(|| self.err("bad escape"))?);
+            self.pos += len;
         }
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+    /// A number, converted from its raw token to the caller's type: a
+    /// `u64` never passes through `f64`.
+    fn number<T: std::str::FromStr>(&mut self, what: &str) -> Result<T, JsonError> {
+        self.ws();
+        let rest = &self.text[self.pos..];
+        let len = rest
+            .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
+            .unwrap_or(rest.len());
+        let raw = &rest[..len];
+        let value = raw
+            .parse()
+            .map_err(|_| self.err(&format!("{what}: bad number {raw:?}")))?;
+        self.pos += len;
+        Ok(value)
+    }
+
+    /// Skip the value of a key the schema does not know.
+    fn skip(&mut self) -> Result<(), JsonError> {
+        self.ws();
+        match self.text.as_bytes().get(self.pos) {
+            Some(b'{') => self.object(|r, _| r.skip()),
+            Some(b'"') => self.string().map(drop),
+            _ => self.number::<f64>("value").map(drop),
         }
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || b == b'.' || b == b'e' || b == b'E' || b == b'+' || b == b'-' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        if self.pos == start {
-            return Err(self.err("expected number"));
-        }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid utf-8 in number"))?;
-        // validate once so downstream conversions can't see garbage
-        raw.parse::<f64>()
-            .map_err(|_| self.err(&format!("bad number {raw:?}")))?;
-        Ok(Json::Num(raw.to_string()))
     }
 }
 

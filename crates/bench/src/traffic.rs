@@ -337,8 +337,9 @@ pub(crate) fn admission_totals(cluster: &Cluster) -> (u64, u64) {
 
 /// Run one `(mode, load)` point in a fresh deterministic simulation and
 /// record it (the load axis is the scale); R6–R8 and the accounting every
-/// cell must close are checked over the whole report in
-/// [`crate::invariants::evaluate_traffic`].
+/// cell must close are checked over the whole report by
+/// [`crate::invariants::TRAFFIC_CLAIMS`] and
+/// [`crate::invariants::TRAFFIC_CELLS`].
 pub fn traffic_point(out: &mut Fragment, mode: TrafficMode, load_pct: u32, params: TrafficParams) {
     let series = mode.series();
     let seed = TRAFFIC_SEED ^ fnv1a(series.as_bytes()).rotate_left(17) ^ ((load_pct as u64) << 1);

@@ -1,16 +1,16 @@
-//! Tests for the regression-harness machinery: JSON round-trip, the
-//! exact baseline comparison, and each R1–R5 invariant predicate against
-//! hand-built pass/fail fixtures.
+//! Tests for the regression-harness machinery: JSON round-trip (and a
+//! property test of the reader over any report the writer can write), the
+//! exact baseline comparison, and each R1–R5 claim against hand-built
+//! pass/fail fixtures.
 
 use daos_bench::baseline::{compare, drift};
-use daos_bench::invariants::{
-    evaluate_fig1, evaluate_fig2, evaluate_pfs_contrast, r1_s2_reads_best, r2_sx_write_crossover,
-    r3_hdf5_dfuse_penalty, r4_shared_interface_parity, r5_pfs_collapse,
-    r5b_narrow_shared_file_bottleneck,
-};
+use daos_bench::figure::find;
+use daos_bench::invariants::{holds, Claim};
 use daos_bench::report::{
-    config_hash, fnv1a, BenchReport, READ_GIB_S, SCHEMA_VERSION, WRITE_GIB_S,
+    config_hash, fnv1a, BenchReport, Verdict, READ_GIB_S, SCHEMA_VERSION, WRITE_GIB_S,
 };
+use daos_bench::FIGURES;
+use proptest::prelude::*;
 
 // ---------------------------------------------------------------- JSON
 
@@ -91,6 +91,89 @@ fn json_rejects_schema_mismatch_and_garbage() {
         BenchReport::from_json("[1, 2]").is_err(),
         "document must be an object"
     );
+}
+
+/// What a name may hold: every kind of character `quote` escapes (`"`,
+/// `\`, newline, tab, other control characters), JSON punctuation, and
+/// non-ASCII text.
+const NAME_CHARS: [char; 17] = [
+    'a', 'Z', '0', ' ', '"', '\\', '\n', '\t', '\r', '\u{0}', '\u{1f}', '\u{7f}', '{', ':', 'é',
+    '中', '🦀',
+];
+
+fn name() -> impl Strategy<Value = String> {
+    let picks = prop::collection::vec(0..NAME_CHARS.len(), 0..6);
+    picks.prop_map(|picks| picks.into_iter().map(|i| NAME_CHARS[i]).collect())
+}
+
+/// Integral, fractional, subnormal, huge and non-finite values, and any
+/// bit pattern at all.
+fn metric() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        any::<u32>().prop_map(f64::from),
+        0.0f64..1.0,
+        any::<u64>().prop_map(|bits| f64::from_bits(bits % (1 << 52))),
+        Just(f64::MAX),
+        Just(-f64::MIN_POSITIVE),
+        Just(f64::NAN),
+        Just(f64::NEG_INFINITY),
+        any::<u64>().prop_map(f64::from_bits),
+    ]
+}
+
+/// A report of up to `cells` cells (fewer when names collide).
+fn report(cells: usize) -> impl Strategy<Value = BenchReport> {
+    let extreme = || prop_oneof![Just(0u64), Just(u64::MAX), any::<u64>()];
+    let scale = prop_oneof![Just(0u32), Just(u32::MAX), any::<u32>()];
+    let cell = (name(), scale, name(), metric());
+    let cells = prop::collection::vec(cell, 0..cells);
+    (name(), extreme(), extreme(), cells).prop_map(|(name, seed, config_hash, cells)| {
+        let mut r = BenchReport::new(&name, seed);
+        r.config_hash = config_hash;
+        for (series, scale, metric, value) in cells {
+            r.record(&series, scale, &metric, value);
+        }
+        r
+    })
+}
+
+proptest! {
+    /// Any report reads back exactly from what `to_json` writes, a
+    /// non-finite metric as the sentinel it is stored as, also with the
+    /// indentation stripped or widened (raw newlines occur only between
+    /// tokens: `quote` escapes them).
+    #[test]
+    fn any_report_reads_back_from_its_json_at_any_indentation(r in report(12)) {
+        let doc = r.to_json();
+        let mut want = r.clone();
+        for metrics in want.series.values_mut().flat_map(|s| s.values_mut()) {
+            for v in metrics.values_mut().filter(|v| !v.is_finite()) {
+                *v = -1e308;
+            }
+        }
+        let compact: String = doc.lines().map(str::trim_start).collect();
+        let widened = format!(" \r\n{}", doc.replace('\n', "\r\n\t  "));
+        for text in [&doc, &compact, &widened] {
+            let back = BenchReport::from_json(text).expect("reads back");
+            prop_assert_eq!(&back, &want);
+            prop_assert_eq!(&back.to_json(), &doc);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// No proper prefix of a report's JSON (past its trailing newline) is
+    /// a report: a truncated baseline fails to load.
+    #[test]
+    fn every_proper_prefix_of_a_report_is_rejected(r in report(6)) {
+        let json = r.to_json();
+        let doc = json.trim_end();
+        for (at, _) in doc.char_indices() {
+            prop_assert!(BenchReport::from_json(&doc[..at]).is_err(), "{:?}", &doc[..at]);
+        }
+    }
 }
 
 #[test]
@@ -234,6 +317,19 @@ fn drift_table_names_the_violating_metric() {
 
 // ------------------------------------------------------------ invariants
 
+/// The verdict of the claim with id `id` (`R1`, `R5b`, ...) on `report`.
+fn claim(id: &str, report: &BenchReport) -> Verdict {
+    let prefix = format!("{id}: ");
+    let mut claims = FIGURES.iter().flat_map(|f| f.claims);
+    let claim = claims.find(|c| c.prose.starts_with(&prefix)).unwrap();
+    claim.verdict(report)
+}
+
+/// Every check of `figure` on `report`.
+fn checks(figure: &str, report: &BenchReport) -> Vec<Verdict> {
+    find(figure).unwrap().verdicts(report)
+}
+
 /// A fig1-shaped fixture that satisfies R1, R2 and R3.
 fn fig1_fixture() -> BenchReport {
     let mut r = BenchReport::new("fig1_fpp", 1);
@@ -290,13 +386,13 @@ fn pfs_fixture() -> BenchReport {
 #[test]
 fn r1_passes_and_detects_inversion() {
     let mut f = fig1_fixture();
-    let res = r1_s2_reads_best(&f);
+    let res = claim("R1", &f);
     assert!(res.pass, "{}", res.label);
     assert!(res.label.starts_with("R1: "), "{}", res.label);
 
     // hand-invert: SX reads pull ahead of S2
     f.record("DFS-SX", 16, "read_gib_s", 120.0);
-    let res = r1_s2_reads_best(&f);
+    let res = claim("R1", &f);
     assert!(!res.pass);
     assert!(
         res.label.contains("120.00"),
@@ -308,37 +404,37 @@ fn r1_passes_and_detects_inversion() {
 #[test]
 fn r2_passes_and_detects_lost_crossover() {
     let mut f = fig1_fixture();
-    assert!(r2_sx_write_crossover(&f).pass);
+    assert!(claim("R2", &f).pass);
 
     // SX no longer wins at scale
     f.record("DFS-SX", 16, "write_gib_s", 30.0);
-    assert!(!r2_sx_write_crossover(&f).pass);
+    assert!(!claim("R2", &f).pass);
 
     // ...or SX wins even at 1 node (crossover gone the other way)
     let mut f = fig1_fixture();
     f.record("DFS-SX", 1, "write_gib_s", 3.5);
-    assert!(!r2_sx_write_crossover(&f).pass);
+    assert!(!claim("R2", &f).pass);
 }
 
 #[test]
 fn r3_passes_and_detects_hdf5_catching_up() {
     let mut f = fig1_fixture();
-    assert!(r3_hdf5_dfuse_penalty(&f).pass);
+    assert!(claim("R3", &f).pass);
 
     // HDF5 write penalty vanishes
     f.record("HDF5-S1", 1, "write_gib_s", 2.9);
-    assert!(!r3_hdf5_dfuse_penalty(&f).pass);
+    assert!(!claim("R3", &f).pass);
 
     // MPI-IO drifting far from DFS also breaks the claim
     let mut f = fig1_fixture();
     f.record("MPIIO-S1", 1, "write_gib_s", 2.0);
-    assert!(!r3_hdf5_dfuse_penalty(&f).pass);
+    assert!(!claim("R3", &f).pass);
 
     // ... at any scale, on either narrow class (the standalone figure's
     // former "R3a, all scales" check, now part of the one definition)
     let mut f = fig1_fixture();
     f.record("MPIIO-S2", 16, "write_gib_s", 28.0);
-    let res = r3_hdf5_dfuse_penalty(&f);
+    let res = claim("R3", &f);
     assert!(!res.pass);
     assert!(res.label.contains("MPIIO-S2 at 16n"), "{}", res.label);
 
@@ -354,64 +450,64 @@ fn r3_passes_and_detects_hdf5_catching_up() {
         f.record(series, 4, "write_gib_s", w);
         f.record(series, 4, "read_gib_s", rd);
     }
-    assert!(r3_hdf5_dfuse_penalty(&f).pass);
+    assert!(claim("R3", &f).pass);
     f.record("HDF5-S1", 4, "read_gib_s", 45.5); // 0.989x: gap gone at 4 nodes
-    assert!(!r3_hdf5_dfuse_penalty(&f).pass);
+    assert!(!claim("R3", &f).pass);
 }
 
 #[test]
 fn r4_passes_and_detects_parity_loss() {
     let f = fig2_fixture();
-    assert!(r4_shared_interface_parity(&f).pass);
+    assert!(claim("R4", &f).pass);
 
     let mut f = fig2_fixture();
     f.record("HDF5-SX", 16, "write_gib_s", 20.0); // 0.56x DFS: parity broken
-    assert!(!r4_shared_interface_parity(&f).pass);
+    assert!(!claim("R4", &f).pass);
 
     let mut f = fig2_fixture();
     f.record("MPIIO-SX", 16, "write_gib_s", 40.0); // DFS no longer highest
-    assert!(!r4_shared_interface_parity(&f).pass);
+    assert!(!claim("R4", &f).pass);
 
     // the one threshold both paths now share: within 2% of the best
     // passes (the standalone binary's own copy used to demand >= best)
     let mut f = fig2_fixture();
     f.record("MPIIO-SX", 16, "write_gib_s", 36.5);
-    assert!(r4_shared_interface_parity(&f).pass);
+    assert!(claim("R4", &f).pass);
 }
 
 #[test]
 fn r5b_passes_and_detects_a_narrow_class_keeping_up() {
     let f = fig2_fixture();
-    assert!(r5b_narrow_shared_file_bottleneck(&f).pass);
+    assert!(claim("R5b", &f).pass);
 
     let mut f = fig2_fixture();
     f.record("DFS-S2", 16, "write_gib_s", 14.0); // 0.39x SX
-    assert!(!r5b_narrow_shared_file_bottleneck(&f).pass);
+    assert!(!claim("R5b", &f).pass);
 }
 
 #[test]
 fn r5_passes_and_detects_pfs_recovery() {
     let f = pfs_fixture();
-    assert!(r5_pfs_collapse(&f).pass);
+    assert!(claim("R5", &f).pass);
 
     // PFS shared-file writes stop collapsing -> contrast claim dies
     let mut f = pfs_fixture();
     f.record("pfs-shared", 16, "write_gib_s", 20.0); // ratio 0.67
-    assert!(!r5_pfs_collapse(&f).pass);
+    assert!(!claim("R5", &f).pass);
 
     // DAOS shared-file writes collapse too
     let mut f = pfs_fixture();
     f.record("daos-shared", 16, "write_gib_s", 20.0); // ratio 0.53
-    assert!(!r5_pfs_collapse(&f).pass);
+    assert!(!claim("R5", &f).pass);
 }
 
 #[test]
 fn invariants_fail_loudly_on_missing_cells() {
     let empty = BenchReport::new("fig1_fpp", 1);
     for res in [
-        evaluate_fig1(&empty),
-        evaluate_fig2(&empty),
-        evaluate_pfs_contrast(&empty),
+        checks("fig1_fpp", &empty),
+        checks("fig2_shared", &empty),
+        checks("pfs_contrast", &empty),
     ]
     .concat()
     {
@@ -421,17 +517,34 @@ fn invariants_fail_loudly_on_missing_cells() {
     // a report with cells but a missing series names the gap
     let mut f = fig1_fixture();
     f.series.remove("DFS-SX");
-    let res = r1_s2_reads_best(&f);
+    let res = claim("R1", &f);
     assert!(!res.pass);
     assert!(res.label.contains("missing DFS-SX"), "{}", res.label);
+}
+
+/// A claim whose test reads no cell fails, whatever it answers: the rule
+/// that keeps an `.all()` over no cells from passing.
+#[test]
+fn a_claim_that_reads_no_cell_fails() {
+    let vacuous = Claim {
+        prose: "vacuous",
+        test: |_| holds(true),
+    };
+    let verdict = vacuous.verdict(&fig1_fixture());
+    assert_eq!(verdict, Verdict::new("vacuous — no cell read", false));
+    let reads = Claim {
+        prose: "reads",
+        test: |r| holds(r.get("DFS-S1", 1, WRITE_GIB_S)? > 0.0),
+    };
+    assert_eq!(reads.verdict(&fig1_fixture()), Verdict::new("reads", true));
 }
 
 #[test]
 fn evaluators_on_good_fixtures_are_all_green() {
     let results = [
-        evaluate_fig1(&fig1_fixture()),
-        evaluate_fig2(&fig2_fixture()),
-        evaluate_pfs_contrast(&pfs_fixture()),
+        checks("fig1_fpp", &fig1_fixture()),
+        checks("fig2_shared", &fig2_fixture()),
+        checks("pfs_contrast", &pfs_fixture()),
     ]
     .concat();
     assert!(results.iter().all(|r| r.pass));

@@ -103,18 +103,18 @@ fn audit_catches_a_missing_and_a_stray_baseline() {
 fn mdtest_checks_fail_when_dfs_and_pfs_are_swapped() {
     let figure = find("mdtest_bench").unwrap();
     let mut report = BenchReport::load(&baselines(), "mdtest_bench").unwrap();
-    let verdicts = (figure.checks)(&report);
+    let verdicts = figure.verdicts(&report);
     assert!(!verdicts.is_empty() && verdicts.iter().all(|v| v.pass));
 
     let dfs = report.series.remove("dfs").unwrap();
     let pfs = report.series.insert("pfs".to_string(), dfs).unwrap();
     report.series.insert("dfs".to_string(), pfs);
-    let verdicts = (figure.checks)(&report);
+    let verdicts = figure.verdicts(&report);
     assert!(verdicts.iter().all(|v| !v.pass), "{verdicts:?}");
 
     // and an empty report cannot pass vacuously
     let empty = BenchReport::new("mdtest_bench", figure.seed);
-    assert!((figure.checks)(&empty).iter().all(|v| !v.pass));
+    assert!(figure.verdicts(&empty).iter().all(|v| !v.pass));
 }
 
 /// Planted negatives for the newly gated `protection_sweep`: replication
@@ -124,7 +124,7 @@ fn mdtest_checks_fail_when_dfs_and_pfs_are_swapped() {
 fn protection_checks_fail_when_redundancy_is_free_or_broken() {
     let figure = find("protection_sweep").unwrap();
     let mut report = BenchReport::load(&baselines(), "protection_sweep").unwrap();
-    let verdicts = (figure.checks)(&report);
+    let verdicts = figure.verdicts(&report);
     assert!(verdicts.len() == 3 && verdicts.iter().all(|v| v.pass));
 
     let mut swap = |a: &str, b: &str| {
@@ -142,7 +142,7 @@ fn protection_checks_fail_when_redundancy_is_free_or_broken() {
             );
         }
     }
-    let verdicts = (figure.checks)(&report);
+    let verdicts = figure.verdicts(&report);
     assert!(verdicts.iter().all(|v| !v.pass), "{verdicts:?}");
 }
 
@@ -165,11 +165,11 @@ fn wide_grid_checks_fail_when_a_series_moves() {
     for (name, series, metric, factor, check) in cases {
         let figure = find(name).unwrap();
         let mut report = BenchReport::load(&baselines(), name).unwrap();
-        assert!((figure.checks)(&report).iter().all(|v| v.pass), "{name}");
+        assert!(figure.verdicts(&report).iter().all(|v| v.pass), "{name}");
         for row in report.series.get_mut(series).unwrap().values_mut() {
             *row.get_mut(metric).unwrap() *= factor;
         }
-        let verdicts = (figure.checks)(&report);
+        let verdicts = figure.verdicts(&report);
         assert!(
             !verdicts[check].pass,
             "{name} {series} x{factor}: {verdicts:?}"
@@ -211,11 +211,11 @@ fn ablation_checks_fail_when_a_series_moves() {
     for (name, series, metric, factor, check) in cases {
         let figure = find(name).unwrap();
         let mut report = BenchReport::load(&baselines(), name).unwrap();
-        assert!((figure.checks)(&report).iter().all(|v| v.pass), "{name}");
+        assert!(figure.verdicts(&report).iter().all(|v| v.pass), "{name}");
         for row in report.series.get_mut(series).unwrap().values_mut() {
             *row.get_mut(metric).unwrap() *= factor;
         }
-        let verdicts = (figure.checks)(&report);
+        let verdicts = figure.verdicts(&report);
         assert!(
             !verdicts[check].pass,
             "{name} {series} x{factor}: {verdicts:?}"
@@ -230,7 +230,7 @@ fn bump(r: &mut BenchReport, series: &str, scale: u32, metric: &str, by: f64) {
 }
 
 /// Planted negatives for every claim a mutation of one cell can break:
-/// R6–R11, R2x, R5x, the per-cell claims of the traffic, QoS, fault and
+/// R1–R11, R5b, R2x, R5x, the per-cell claims of the traffic, QoS, fault and
 /// rot reports, and the interception-library check. One mutation of the
 /// committed full-scale report per check, each failing exactly the check
 /// it targets, on the live report and on its reloaded JSON alike (a NaN
@@ -238,7 +238,33 @@ fn bump(r: &mut BenchReport, series: &str, scale: u32, metric: &str, by: f64) {
 #[test]
 fn every_invariant_fails_on_its_mutated_baseline() {
     type Mutation = fn(&mut BenchReport);
-    let cases: [(&str, usize, &str, Mutation); 25] = [
+    let cases: [(&str, usize, &str, Mutation); 31] = [
+        // SX reads overtake S2's 106.93 at 16 nodes
+        ("fig1_fpp", 0, "R1:", |r| {
+            r.record("DFS-SX", 16, READ_GIB_S, 110.0)
+        }),
+        // SX writes beat S2's 10.81 on one node: no crossover
+        ("fig1_fpp", 1, "R2:", |r| {
+            r.record("DFS-SX", 1, WRITE_GIB_S, 11.0)
+        }),
+        // HDF5 writes as fast as MPI-IO on one node
+        ("fig1_fpp", 2, "R3:", |r| {
+            let mpiio = r.get("MPIIO-S1", 1, WRITE_GIB_S).unwrap();
+            r.record("HDF5-S1", 1, WRITE_GIB_S, mpiio)
+        }),
+        // HDF5 shared-file writes fall 30 % behind DFS's 42.63
+        ("fig2_shared", 0, "R4:", |r| {
+            r.record("HDF5-SX", 16, WRITE_GIB_S, 30.0)
+        }),
+        // a shared S2 file keeps up with half of SX
+        ("fig2_shared", 1, "R5b:", |r| {
+            r.record("DFS-S2", 16, WRITE_GIB_S, 20.0)
+        }),
+        // the PFS shared file writes as fast as file-per-process
+        ("pfs_contrast", 0, "R5:", |r| {
+            let fpp = r.get("pfs-fpp", 16, WRITE_GIB_S).unwrap();
+            r.record("pfs-shared", 16, WRITE_GIB_S, fpp)
+        }),
         // SX/ac p99 falls below its 50 % point on the way to the knee
         ("traffic_sweep", 0, "R6:", |r| {
             r.record("SX/ac", 100, "p99_us", 1000.0)
@@ -348,12 +374,12 @@ fn every_invariant_fails_on_its_mutated_baseline() {
     for (name, check, id, mutate) in cases {
         let figure = find(name).unwrap();
         let mut report = BenchReport::load(&baselines(), name).unwrap();
-        let verdicts = (figure.checks)(&report);
+        let verdicts = figure.verdicts(&report);
         assert!(verdicts.iter().all(|v| v.pass), "{name}: {verdicts:?}");
         mutate(&mut report);
         let reloaded = BenchReport::from_json(&report.to_json()).unwrap();
-        let verdicts = (figure.checks)(&report);
-        assert_eq!(verdicts, (figure.checks)(&reloaded), "{name} {id}");
+        let verdicts = figure.verdicts(&report);
+        assert_eq!(verdicts, figure.verdicts(&reloaded), "{name} {id}");
         assert!(verdicts[check].label.starts_with(id), "{verdicts:?}");
         for (i, v) in verdicts.iter().enumerate() {
             assert_eq!(v.pass, i != check, "{name} {id}: {verdicts:?}");
@@ -366,7 +392,7 @@ fn every_invariant_fails_on_its_mutated_baseline() {
 #[test]
 fn no_figure_passes_its_checks_vacuously() {
     for f in FIGURES {
-        let verdicts = (f.checks)(&BenchReport::new(f.name, f.seed));
+        let verdicts = f.verdicts(&BenchReport::new(f.name, f.seed));
         assert!(!verdicts.is_empty(), "{}: no checks", f.name);
         assert!(
             verdicts.iter().all(|v| !v.pass),

@@ -296,6 +296,22 @@ impl<'a> Overlay<'a> {
         }
     }
 
+    /// Where the last data (not hole) segment of [`segs`](Self::segs)
+    /// ends, or 0 if there is none, read off without building them.
+    pub fn data_end(&self) -> u64 {
+        match &self.shape {
+            Shape::Hole => 0,
+            Shape::One { extent, end, .. } => extent.data.as_ref().map_or(0, |_| *end),
+            Shape::Painted { extents, scratch } => {
+                let data = |s: &&Seg| {
+                    s.src
+                        .is_some_and(|(i, _)| extents[scratch.vis[i] as usize].data.is_some())
+                };
+                scratch.segs.iter().rev().find(data).map_or(0, |s| s.end)
+            }
+        }
+    }
+
     /// Verify the checksum of every stored extent that contributes at least
     /// one visible byte, in segment order. Each contributing extent is
     /// hashed over its *full* stored payload (the checksum covers the whole
@@ -438,23 +454,10 @@ impl ExtentTree {
     /// Highest offset visible *as data* at `epoch` (array size). Punches
     /// count: truncating the tail shrinks the size.
     pub fn size_at(&self, epoch: Epoch, scratch: &mut Scratch) -> u64 {
-        let span = self
-            .extents
-            .iter()
-            .filter(|e| e.epoch <= epoch)
-            .map(|e| e.end())
-            .max()
-            .unwrap_or(0);
-        if span == 0 {
-            return 0;
+        match self.span(epoch) {
+            0 => 0,
+            span => self.overlay(0, span, epoch, scratch).data_end(),
         }
-        self.overlay(0, span, epoch, scratch)
-            .segs()
-            .iter()
-            .rev()
-            .find(|s| s.data.is_some())
-            .map(|s| s.offset + s.len)
-            .unwrap_or(0)
     }
 
     /// Maximum end offset over all stored extents visible at `epoch` — the

@@ -1,8 +1,9 @@
 //! Property test for the one-pass fetch: over random extent trees —
 //! overlapping and nested writes, punches, zero-length records, several
 //! epochs in any order, rot injected part-way — one [`ExtentTree::overlay`]
-//! yields the segments of `read` and the verdict of `verify_range`, and
-//! both equal a byte-by-byte model that knows nothing of painting or of
+//! yields the segments of `read` (and, without building them, where their
+//! last data segment ends) and the verdict of `verify_range`, and both
+//! equal a byte-by-byte model that knows nothing of painting or of
 //! the shortcut `overlay` takes when it sees at most one extent — and that
 //! shortcut answers every query as painting the same record does. Queries
 //! start and end on every extent edge, one byte either side, and beyond
@@ -204,6 +205,9 @@ proptest! {
                     let len = end - start;
                     let mut overlay = tree.overlay(start, len, epoch, &mut scratch);
                     let one_pass = (overlay.segs(), overlay.verify());
+                    // a size query's answer, read off without the segments
+                    let data_end = one_pass.0.iter().rev().find(|s| s.data.is_some());
+                    prop_assert_eq!(overlay.data_end(), data_end.map_or(0, |s| s.offset + s.len));
                     let two_pass = (tree.read(start, len, epoch), tree.verify_range(start, len, epoch, &mut scratch));
                     prop_assert_eq!(&one_pass, &two_pass);
                     let want = model(&recs, &owners[start as usize..end as usize], start);

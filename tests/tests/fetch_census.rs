@@ -7,7 +7,9 @@
 //! paint loop's segments live in scratch the VOS target lends the fetch.
 //! The scrubber paints in the same scratch and walks its chunks from a
 //! batch buffer it keeps, so a warm scrub pass — the fragmented chunk
-//! included — allocates nothing either.
+//! included — allocates nothing either. An array-size query reads only
+//! where the last chunk's data ends, so its painted window costs it no
+//! more than the same chunk written once.
 //!
 //! Counted by the per-thread census allocator (`counting_alloc`).
 
@@ -16,7 +18,7 @@
 mod counting_alloc;
 
 use daos_core::ClusterConfig;
-use daos_dfs::DfsConfig;
+use daos_dfs::{DfsConfig, DfsFile};
 use daos_dfuse::DfuseConfig;
 use daos_ior::DaosTestbed;
 use daos_placement::ObjectClass;
@@ -45,6 +47,26 @@ struct Census {
     painted: u64,
     /// One scrub pass over every target, the window's chunk included.
     scrub: u64,
+    /// `WINDOW_READS` size queries while the window's chunk held one extent.
+    size_plain: u64,
+    /// The same queries once the second extent overlapped it.
+    size_painted: u64,
+}
+
+/// What `WINDOW_READS` warm size queries of `file` allocated, each
+/// answering `size`.
+async fn size_census(sim: &Sim, file: &DfsFile, size: u64) -> u64 {
+    let mut allocated = 0;
+    for measured in [false, true] {
+        let before = allocs();
+        for _ in 0..WINDOW_READS {
+            assert_eq!(file.size(sim).await.expect("size"), size);
+        }
+        if measured {
+            allocated = allocs() - before;
+        }
+    }
+    allocated
 }
 
 /// Take the census. Each loop runs once unmeasured first: it builds the
@@ -77,9 +99,11 @@ fn census() -> Census {
             Payload::pattern(2 << 20, XFER),
         );
         file.write(&sim, WINDOW, older).await.expect("write");
+        let size_plain = size_census(&sim, &file, WINDOW + XFER).await;
         file.write(&sim, WINDOW + XFER / 2, newer)
             .await
             .expect("write");
+        let size_painted = size_census(&sim, &file, WINDOW + XFER / 2 + XFER).await;
 
         let mut one_segment = 0;
         for measured in [false, true] {
@@ -132,17 +156,22 @@ fn census() -> Census {
             one_segment,
             painted,
             scrub,
+            size_plain,
+            size_painted,
         }
     })
 }
 
 /// Check a census: a warm one-segment read allocates nothing, a warm
-/// painted one at most its answer's `Vec`, and a warm scrub pass nothing.
+/// painted one at most its answer's `Vec`, a warm scrub pass nothing, and
+/// a size query over the painted window no more than over one extent.
 fn check(census: Census) -> Result<(), String> {
     let Census {
         one_segment,
         painted,
         scrub,
+        size_plain,
+        size_painted,
     } = census;
     if one_segment != 0 {
         return Err(format!(
@@ -157,6 +186,12 @@ fn check(census: Census) -> Result<(), String> {
     if scrub != 0 {
         return Err(format!("{scrub} allocations in a warm scrub pass, not 0"));
     }
+    if size_painted > size_plain {
+        return Err(format!(
+            "{size_painted} allocations in {WINDOW_READS} size queries over the painted window, \
+             {size_plain} over one extent"
+        ));
+    }
     Ok(())
 }
 
@@ -168,14 +203,17 @@ fn a_warm_fetch_allocates_only_its_answer() {
 
 /// Planted negatives: a reply that built a `Vec` for its one segment, a
 /// painted read that kept scratch of its own (the candidates, the paint
-/// loop's buffers), or a scrub pass that painted in fresh scratch or
-/// took a new batch per step must fail the check, each naming its loop.
+/// loop's buffers), a scrub pass that painted in fresh scratch or took a
+/// new batch per step, or a size query that built the painted chunk's
+/// read answer must fail the check, each naming its loop.
 #[test]
 fn a_vec_per_reply_or_scratch_per_paint_fails_the_check() {
     let warm = Census {
         one_segment: 0,
         painted: WINDOW_READS,
         scrub: 0,
+        size_plain: 0,
+        size_painted: 0,
     };
     check(warm).expect("the warm census passes");
     let vec_per_reply = Census {
@@ -192,4 +230,13 @@ fn a_vec_per_reply_or_scratch_per_paint_fails_the_check() {
     assert!(scratch_per_paint.contains("painted"), "{scratch_per_paint}");
     let scratch_per_scrub = check(Census { scrub: 4, ..warm }).expect_err("scratch per scrub");
     assert!(scratch_per_scrub.contains("scrub"), "{scratch_per_scrub}");
+    let answer_per_size = Census {
+        size_painted: WINDOW_READS,
+        ..warm
+    };
+    let answer_per_size = check(answer_per_size).expect_err("an answer per size query");
+    assert!(
+        answer_per_size.contains("size queries"),
+        "{answer_per_size}"
+    );
 }

@@ -9,8 +9,7 @@
 //! sanctioned executor.
 
 use daos_bench::exec::Slate;
-use daos_bench::figure::{run_figures, Figure, Scale};
-use daos_bench::invariants::evaluate_traffic;
+use daos_bench::figure::{find, run_figures, Figure, Scale};
 use daos_bench::qos::{qos_point, QosSweepParams};
 use daos_bench::report::{BenchReport, Fragment};
 use daos_bench::timelines::rot_timeline;
@@ -82,12 +81,16 @@ fn every_smoke_figure_is_byte_identical_across_thread_counts() {
             );
         }
         let reports: Vec<String> = run.figures.iter().map(|r| r.report.to_json()).collect();
-        let verdicts: Vec<_> = run.figures.iter().map(|r| r.verdicts()).collect();
+        let verdicts: Vec<_> = run
+            .figures
+            .iter()
+            .map(|r| r.figure.verdicts(&r.report))
+            .collect();
         for (r, live) in run.figures.iter().zip(&verdicts) {
             let reloaded = BenchReport::from_json(&r.report.to_json()).expect("round trip");
             assert_eq!(
                 live,
-                &(r.figure.checks)(&reloaded),
+                &r.figure.verdicts(&reloaded),
                 "{}: a check reads the reloaded report differently",
                 r.figure.name
             );
@@ -140,7 +143,9 @@ fn traffic_cells_are_deterministic_directly_and_under_the_slate() {
             out.replay_into(&mut report);
         }
     }
-    let accounting: Vec<_> = evaluate_traffic(&report)
+    let accounting: Vec<_> = find("traffic_sweep")
+        .unwrap()
+        .verdicts(&report)
         .into_iter()
         .filter(|v| v.label.contains("traffic cell"))
         .collect();
