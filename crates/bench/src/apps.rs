@@ -340,7 +340,7 @@ async fn producer_consumer(
 /// NWP field output, checkpoint/restart and a producer-consumer pipeline,
 /// each through the native API, `libdfs` and POSIX/DFuse, on 4 nodes.
 /// Every scale runs the whole plan: it takes milliseconds.
-pub fn app_workloads_plan(_: Scale) -> Option<Plan> {
+pub fn app_workloads_plan(_: Scale) -> Plan {
     let mut cells = Vec::new();
     for kind in APP_KINDS {
         for (salt, (rung, over_dfs)) in RUNGS.into_iter().enumerate() {
@@ -379,10 +379,10 @@ pub fn app_workloads_plan(_: Scale) -> Option<Plan> {
             }));
         }
     }
-    Some(Plan {
+    Plan {
         config_hash: 0,
         cells,
-    })
+    }
 }
 
 /// The I/O bandwidth of one workload through one rung.

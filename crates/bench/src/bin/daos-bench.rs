@@ -7,7 +7,6 @@
 //! daos-bench regress                    # the CI gate
 //! daos-bench regress --update           # rewrite the committed reports
 //! daos-bench regress --compare-only     # re-diff a previous run's reports
-//! daos-bench regress --nightly          # + the nightly-gated figures (scale tier)
 //! ```
 //!
 //! (`cargo run -p daos-bench --release -- <args>` from the repo root, or
@@ -19,7 +18,7 @@
 //! `BENCH_<figure>.json` to `$DAOS_BENCH_OUT` (default `target/bench/`)
 //! and exits 1 if any check failed.
 //!
-//! **`regress`** runs every PR-gated figure's full plan as one slate,
+//! **`regress`** runs every figure's full plan as one slate,
 //! compares each fresh report byte for byte with the committed
 //! `results/BENCH_<figure>.json`, evaluates every figure's checks, and
 //! exits nonzero naming each differing cell or failed check. The simulator
@@ -27,8 +26,7 @@
 //! unchanged tree reproduces its reports exactly *at any thread count*;
 //! a PR that moves a figure rewrites them *intentionally* with `--update`,
 //! the one writer of `results/`, which also rewrites each
-//! `results/<figure>.txt` with what `daos-bench <figure>` prints. `--nightly` adds the nightly-gated
-//! entries (the 64–512-node scale sweep, far heavier than the PR gate).
+//! `results/<figure>.txt` with what `daos-bench <figure>` prints.
 //! `--update` refuses to write from a dirty working tree (the reports'
 //! provenance must be reproducible from a commit) unless `--allow-dirty`.
 //! Fresh reports, `drift.txt` and per-job wall times (`timing.txt`) land
@@ -42,8 +40,7 @@ use std::path::{Path, PathBuf};
 
 use daos_bench::baseline::drift;
 use daos_bench::figure::{
-    find, out_dir, render, render_verdicts, run_figures, table_problems, Figure, FigureRun, Gate,
-    Scale,
+    find, out_dir, render, render_verdicts, run_figures, table_problems, Figure, FigureRun, Scale,
 };
 use daos_bench::FIGURES;
 
@@ -52,7 +49,7 @@ const RESULTS_DIR: &str = "results";
 
 fn die(msg: &str) -> ! {
     eprintln!("daos-bench: {msg}");
-    eprintln!("usage: daos-bench list | <figure> [--compare-only] | regress [--update [--allow-dirty]] [--compare-only] [--nightly]   (all: [--threads N])");
+    eprintln!("usage: daos-bench list | <figure> [--compare-only] | regress [--update [--allow-dirty]] [--compare-only]   (all: [--threads N])");
     std::process::exit(2);
 }
 
@@ -63,7 +60,6 @@ struct Opts {
     compare_only: bool,
     update: bool,
     allow_dirty: bool,
-    nightly: bool,
     /// Every flag given, for per-command validation.
     given: Vec<String>,
 }
@@ -93,7 +89,6 @@ fn main() {
             "--compare-only" => o.compare_only = true,
             "--update" => o.update = true,
             "--allow-dirty" => o.allow_dirty = true,
-            "--nightly" => o.nightly = true,
             flag if flag.starts_with("--") => die(&format!("unknown flag {flag}")),
             _ => {
                 positional.push(a);
@@ -108,10 +103,7 @@ fn main() {
             list()
         }
         [cmd] if cmd == "regress" => {
-            o.allow_only(
-                "regress",
-                &["--compare-only", "--update", "--allow-dirty", "--nightly"],
-            );
+            o.allow_only("regress", &["--compare-only", "--update", "--allow-dirty"]);
             regress(&o)
         }
         [name] => match find(name) {
@@ -129,24 +121,15 @@ fn main() {
 /// committed reports.
 fn list() -> ! {
     println!(
-        "{:<17} {:<8} {:>8}  {:<16} about",
-        "figure", "gate", "seed", "cells full/smoke"
+        "{:<17} {:>8}  {:<16} about",
+        "figure", "seed", "cells full/smoke"
     );
     for f in FIGURES {
-        let cells: Vec<String> = Scale::ALL
-            .iter()
-            .map(|&s| (f.plan)(s).map_or("-".to_string(), |p| p.cells.len().to_string()))
-            .collect();
-        println!(
-            "{:<17} {:<8} {:>#8x}  {:<16} {}",
-            f.name,
-            f.gate.name(),
-            f.seed,
-            cells.join("/"),
-            f.about
-        );
+        let [full, smoke] = Scale::ALL.map(|s| (f.plan)(s).cells.len());
+        let cells = format!("{full}/{smoke}");
+        println!("{:<17} {:>#8x}  {cells:<16} {}", f.name, f.seed, f.about);
     }
-    let problems = table_problems(Path::new(RESULTS_DIR));
+    let problems = table_problems(FIGURES, Path::new(RESULTS_DIR));
     for p in &problems {
         eprintln!("daos-bench list: {p}");
     }
@@ -235,7 +218,7 @@ fn refuse_dirty_tree() {
     }
 }
 
-/// The CI gate: every gated figure's full plan, run → compare with its
+/// The CI gate: every figure's full plan, run → compare with its
 /// committed report → checks.
 fn regress(o: &Opts) -> ! {
     if o.update && o.compare_only {
@@ -248,13 +231,9 @@ fn regress(o: &Opts) -> ! {
         .map(PathBuf::from)
         .unwrap_or_else(|_| PathBuf::from("target/regress"));
 
-    let wanted: Vec<(&'static Figure, Scale)> = FIGURES
-        .iter()
-        .filter(|f| f.gate == Gate::Pr || (o.nightly && f.gate == Gate::Nightly))
-        .map(|f| (f, Scale::Full))
-        .collect();
+    let wanted: Vec<(&'static Figure, Scale)> = FIGURES.iter().map(|f| (f, Scale::Full)).collect();
 
-    // ---- the gated figures, one parallel slate ------------------------
+    // ---- every figure, one parallel slate -----------------------------
     let runs: Vec<FigureRun> = if o.compare_only {
         wanted
             .iter()

@@ -3,8 +3,8 @@
 //!
 //! An entry holds everything that is true of a figure exactly once — its
 //! report name and root seed, how it enumerates its cells at each
-//! [`Scale`], its report-level checks, and which tier of the `regress`
-//! gate holds it to its committed baseline. A standalone `daos-bench <figure>`
+//! [`Scale`] and its report-level checks; `regress` holds every entry's
+//! full plan to its committed baseline. A standalone `daos-bench <figure>`
 //! run and the gate both go through [`run_figures`] and
 //! [`Figure::verdicts`], so a figure cannot be defined one way for
 //! one of them and another way for the other.
@@ -21,9 +21,9 @@ use crate::invariants::{self, every_cell, CellClaim, Claim};
 use crate::report::{BenchReport, Fragment, Verdict, READ_GIB_S, WRITE_GIB_S};
 use crate::{apps, figures, qos, timelines, traffic};
 
-/// How big a run is. Every figure declares `Full` (what `regress` runs
-/// and the committed `results/BENCH_<name>.json` holds); PR-gated figures
-/// also declare `Smoke` (a miniature for debug-build determinism tests).
+/// How big a run is: `Full` is what `regress` runs and the committed
+/// `results/BENCH_<name>.json` holds, `Smoke` a miniature every figure
+/// declares for the debug-build determinism tests.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
     Full,
@@ -37,24 +37,6 @@ impl Scale {
         match self {
             Scale::Full => "full",
             Scale::Smoke => "smoke",
-        }
-    }
-}
-
-/// When `regress` holds a figure's full plan to its committed report.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Gate {
-    /// On every PR.
-    Pr,
-    /// In the scheduled job only (`regress --nightly`).
-    Nightly,
-}
-
-impl Gate {
-    pub fn name(self) -> &'static str {
-        match self {
-            Gate::Pr => "pr",
-            Gate::Nightly => "nightly",
         }
     }
 }
@@ -104,12 +86,11 @@ pub struct Figure {
     pub seed: u64,
     /// One line for `daos-bench list` and the printed header.
     pub about: &'static str,
-    pub gate: Gate,
     /// Also render bandwidth-vs-nodes ASCII charts (the paper's figures).
     pub chart: bool,
-    /// The cells at a scale; `None` = the figure declares no such scale.
-    pub plan: fn(Scale) -> Option<Plan>,
-    /// What must hold of the finished report, at any declared scale: its
+    /// The cells at a scale.
+    pub plan: fn(Scale) -> Plan,
+    /// What must hold of the finished report, at either scale: its
     /// report-level claims, then the claims each cell must satisfy.
     pub claims: &'static [Claim],
     pub cell_claims: &'static [CellClaim],
@@ -124,16 +105,15 @@ impl Figure {
     }
 }
 
-/// Every figure this crate can produce, in the paper's order: the eight
-/// PR-gated reports, the nightly scale tier, then `mdtest_bench`,
-/// `protection_sweep`, `daos_api`, `app_workloads`, `dfuse_ablation` and
-/// `oclass_sweep`, each gated since by flipping this one field.
+/// Every figure this crate can produce, each gated on every PR: the
+/// paper's figures and their extensions, the beyond-paper scale sweep,
+/// then `mdtest_bench`, `protection_sweep`, `daos_api`, `app_workloads`,
+/// `dfuse_ablation` and `oclass_sweep`.
 pub const FIGURES: &[Figure] = &[
     Figure {
         name: "fig1_fpp",
         seed: figures::FIG1_SEED,
         about: "Figure 1: IOR file-per-process, interface x object class x nodes",
-        gate: Gate::Pr,
         chart: true,
         plan: |s| figures::paper_figure_plan(true, s),
         claims: invariants::FIG1_CLAIMS,
@@ -143,7 +123,6 @@ pub const FIGURES: &[Figure] = &[
         name: "fig2_shared",
         seed: figures::FIG2_SEED,
         about: "Figure 2: IOR single shared file, same grid",
-        gate: Gate::Pr,
         chart: true,
         plan: |s| figures::paper_figure_plan(false, s),
         claims: invariants::FIG2_CLAIMS,
@@ -153,7 +132,6 @@ pub const FIGURES: &[Figure] = &[
         name: "pfs_contrast",
         seed: figures::PFS_SEED,
         about: "the 'stark contrast': fpp vs shared on DAOS and a Lustre-like PFS",
-        gate: Gate::Pr,
         chart: false,
         plan: figures::pfs_contrast_plan,
         claims: invariants::PFS_CONTRAST_CLAIMS,
@@ -163,7 +141,6 @@ pub const FIGURES: &[Figure] = &[
         name: "io500",
         seed: figures::IO500_SEED,
         about: "IO500-style composite: ior-easy + ior-hard + mdtest-easy",
-        gate: Gate::Pr,
         chart: false,
         plan: figures::io500_plan,
         claims: figures::IO500_CLAIMS,
@@ -173,7 +150,6 @@ pub const FIGURES: &[Figure] = &[
         name: "fault_sweep",
         seed: timelines::FAULT_SEED,
         about: "bandwidth along an engine failure: crash, exclude, rebuild, reintegrate",
-        gate: Gate::Pr,
         chart: false,
         plan: timelines::fault_plan,
         claims: &[],
@@ -183,7 +159,6 @@ pub const FIGURES: &[Figure] = &[
         name: "scrub_sweep",
         seed: timelines::SCRUB_SEED,
         about: "integrity: checksum overhead + bit-rot detection and repair",
-        gate: Gate::Pr,
         chart: false,
         plan: timelines::scrub_plan,
         claims: &[],
@@ -193,7 +168,6 @@ pub const FIGURES: &[Figure] = &[
         name: "traffic_sweep",
         seed: traffic::TRAFFIC_SEED,
         about: "open-loop offered load vs latency/goodput, admission ON and OFF (R6-R8)",
-        gate: Gate::Pr,
         chart: false,
         plan: traffic::traffic_plan,
         claims: invariants::TRAFFIC_CLAIMS,
@@ -203,7 +177,6 @@ pub const FIGURES: &[Figure] = &[
         name: "qos_sweep",
         seed: qos::QOS_SEED,
         about: "noisy-neighbor isolation, per-tenant shaping ON and OFF (R9-R11)",
-        gate: Gate::Pr,
         chart: false,
         plan: qos::qos_plan,
         claims: invariants::QOS_CLAIMS,
@@ -213,7 +186,6 @@ pub const FIGURES: &[Figure] = &[
         name: "scale",
         seed: figures::SCALE_SEED,
         about: "beyond the paper: DFS S2/SX x fpp/shared at 64-512 client nodes (R2x, R5x)",
-        gate: Gate::Nightly,
         chart: false,
         plan: figures::scale_plan,
         claims: invariants::SCALE_CLAIMS,
@@ -223,7 +195,6 @@ pub const FIGURES: &[Figure] = &[
         name: "mdtest_bench",
         seed: figures::MDTEST_SEED,
         about: "mdtest create/stat/unlink rates: DFS vs DFuse vs PFS",
-        gate: Gate::Pr,
         chart: false,
         plan: figures::mdtest_plan,
         claims: figures::MDTEST_CLAIMS,
@@ -233,7 +204,6 @@ pub const FIGURES: &[Figure] = &[
         name: "protection_sweep",
         seed: figures::PROTECTION_SEED,
         about: "replication / erasure-coding write cost and degraded reads",
-        gate: Gate::Pr,
         chart: false,
         plan: figures::protection_plan,
         claims: figures::PROTECTION_CLAIMS,
@@ -243,7 +213,6 @@ pub const FIGURES: &[Figure] = &[
         name: "daos_api",
         seed: figures::FIG1_SEED,
         about: "native DAOS array API vs DFS vs POSIX (+ interception library)",
-        gate: Gate::Pr,
         chart: false,
         plan: figures::daos_api_plan,
         claims: figures::DAOS_API_CLAIMS,
@@ -253,7 +222,6 @@ pub const FIGURES: &[Figure] = &[
         name: "app_workloads",
         seed: apps::APP_SEED,
         about: "NWP / checkpoint / producer-consumer through native, DFS and POSIX",
-        gate: Gate::Pr,
         chart: false,
         plan: apps::app_workloads_plan,
         claims: apps::APP_CLAIMS,
@@ -263,7 +231,6 @@ pub const FIGURES: &[Figure] = &[
         name: "dfuse_ablation",
         seed: figures::DFUSE_ABLATION_SEED,
         about: "DFuse cost decomposition: crossings, request splitting, daemon threads, IL",
-        gate: Gate::Pr,
         chart: false,
         plan: figures::dfuse_ablation_plan,
         claims: figures::DFUSE_ABLATION_CLAIMS,
@@ -273,7 +240,6 @@ pub const FIGURES: &[Figure] = &[
         name: "oclass_sweep",
         seed: figures::FIG1_SEED,
         about: "DFS over S1/S2/S4/S8/SX, file-per-process",
-        gate: Gate::Pr,
         chart: false,
         plan: figures::oclass_plan,
         claims: figures::OCLASS_CLAIMS,
@@ -357,8 +323,7 @@ impl SlateRun {
 /// figure that lists them in submission order, so the reports (and
 /// everything derived from them: JSON, drift tables, verdicts) are
 /// byte-identical regardless of thread count or schedule. Panics — with
-/// the offending job's label — if any job panics, if a figure does not
-/// declare the scale asked of it, or if two of a figure's records name the
+/// the offending job's label — if any job panics, or if two of a figure's records name the
 /// same `(series, scale, metric)`: metric names are free-form strings at
 /// the record site, and the replay would silently keep the later value.
 pub fn run_figures(wanted: &[(&'static Figure, Scale)], threads: usize) -> SlateRun {
@@ -366,8 +331,7 @@ pub fn run_figures(wanted: &[(&'static Figure, Scale)], threads: usize) -> Slate
     let mut job_of_key = BTreeMap::new();
     let mut spans = Vec::new();
     for &(figure, scale) in wanted {
-        let plan = (figure.plan)(scale)
-            .unwrap_or_else(|| panic!("{} declares no {} scale", figure.name, scale.name()));
+        let plan = (figure.plan)(scale);
         let mut jobs = Vec::new();
         for cell in plan.cells {
             // a figure-local cell is keyed by the job it is about to become
@@ -553,27 +517,19 @@ pub fn render_verdicts(verdicts: &[Verdict]) -> String {
 // Auditing the table
 // ---------------------------------------------------------------------
 
-/// Everything wrong with the table, or between it and the committed
+/// Everything wrong with `table`, or between it and the committed
 /// baselines in `baseline_dir`; empty = consistent. `daos-bench list`
-/// and the completeness test both gate on this.
-pub fn table_problems(baseline_dir: &Path) -> Vec<String> {
+/// and the completeness test both gate on this for [`FIGURES`].
+pub fn table_problems(table: &[Figure], baseline_dir: &Path) -> Vec<String> {
     let mut problems = Vec::new();
     let mut names = BTreeSet::new();
-    for f in FIGURES {
+    for f in table {
         if !names.insert(f.name) {
             problems.push(format!("{}: duplicate entry", f.name));
         }
         for scale in Scale::ALL {
-            match (f.plan)(scale) {
-                Some(plan) if plan.cells.is_empty() => {
-                    problems.push(format!("{}: no cells at {} scale", f.name, scale.name()))
-                }
-                None if scale == Scale::Full => problems.push(format!(
-                    "{}: must declare the {} scale",
-                    f.name,
-                    scale.name()
-                )),
-                _ => {}
+            if (f.plan)(scale).cells.is_empty() {
+                problems.push(format!("{}: no cells at {} scale", f.name, scale.name()));
             }
         }
         match BenchReport::load(baseline_dir, f.name) {
@@ -592,9 +548,7 @@ pub fn table_problems(baseline_dir: &Path) -> Vec<String> {
         .filter_map(|entry| {
             let file = entry.file_name().into_string().ok()?;
             let name = file.strip_prefix("BENCH_")?.strip_suffix(".json")?;
-            find(name)
-                .is_none()
-                .then(|| format!("{file}: baseline without a table entry"))
+            (!names.contains(name)).then(|| format!("{file}: baseline without a table entry"))
         })
         .collect();
     stray.sort();
@@ -610,9 +564,11 @@ mod tests {
         name: "unit",
         seed: 0,
         about: "",
-        gate: Gate::Pr,
         chart: false,
-        plan: |_| None,
+        plan: |_| Plan {
+            config_hash: 0,
+            cells: Vec::new(),
+        },
         claims: &[],
         cell_claims: &[],
     };
@@ -621,10 +577,10 @@ mod tests {
     static COLLIDING: Figure = Figure {
         plan: |_| {
             let cell = |label| Cell::new(label, |out| out.record("s", 1, "m", 1.0));
-            Some(Plan {
+            Plan {
                 config_hash: 0,
                 cells: vec![cell("a"), cell("b")],
-            })
+            }
         },
         ..UNIT
     };
@@ -637,15 +593,15 @@ mod tests {
 
     /// A plan that lists the content key `k`, and with `local` a
     /// figure-local cell too.
-    fn sharing_plan(local: bool) -> Option<Plan> {
+    fn sharing_plan(local: bool) -> Plan {
         let mut cells = vec![Cell::new("c", |out| out.record("s", 1, "m", 1.0)).keyed("k".into())];
         if local {
             cells.push(Cell::new("own", |out| out.record("t", 1, "m", 2.0)));
         }
-        Some(Plan {
+        Plan {
             config_hash: 0,
             cells,
-        })
+        }
     }
 
     static SHARE_A: Figure = Figure {

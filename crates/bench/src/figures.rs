@@ -6,7 +6,7 @@
 //! cell is one seeded, single-threaded sim that records its metrics into
 //! a [`Fragment`] — and each `*_CLAIMS` table states what must hold of
 //! the finished report. [`crate::FIGURES`] binds the two to the figure's
-//! name, seed and gate. Seeds are fixed per figure (an IOR sweep's per
+//! name and seed. Seeds are fixed per figure (an IOR sweep's per
 //! protocol), so a smoke run's cells are seeded exactly like the full
 //! figure's.
 
@@ -25,9 +25,7 @@ use daos_sim::Sim;
 use crate::figure::{Cell, Plan, Scale};
 use crate::invariants::{holds, Claim, Probe};
 use crate::report::{config_hash, Fragment, READ_GIB_S, WRITE_GIB_S};
-use crate::{
-    on_testbed, on_testbed_with, paper_cluster, paper_params, run_point_in, run_point_with,
-};
+use crate::{on_testbed, on_testbed_with, paper_cluster, paper_params, run_point_in};
 
 /// The paper figures' full scale axis.
 pub const FULL_NODES: [u32; 5] = [1, 2, 4, 8, 16];
@@ -61,15 +59,15 @@ fn top(nodes: &[u32]) -> u32 {
 }
 
 /// One IOR sweep on the paper testbed: interface × class × node count,
-/// every cell a [`run_point_with`] run. At full scale the node axis is
-/// `full_nodes` at the paper's volume, [`FULL_REPEATS`] placements per
-/// cell; the smoke scale is the figures' miniature. Cells are seeded by
-/// the protocol — [`FIG1_SEED`] file-per-process, [`FIG2_SEED`] for a
-/// shared file — and keyed by every input they read, so a figure that
-/// lists another's cell shares its one run. Heaviest (largest node count)
-/// cells first — a scheduling hint only; reduction is keyed by (series,
-/// scale). The report is stamped with the largest testbed's config hash
-/// if `stamp`, else 0.
+/// every cell a [`run_point_in`] run on [`paper_cluster`]. At full scale
+/// the node axis is `full_nodes` at the paper's volume, [`FULL_REPEATS`]
+/// placements per cell; the smoke scale is the figures' miniature. Cells
+/// are seeded by the protocol — [`FIG1_SEED`] file-per-process,
+/// [`FIG2_SEED`] for a shared file — and keyed by every input they read,
+/// so a figure that lists another's cell shares its one run. Heaviest
+/// (largest node count) cells first — a scheduling hint only; reduction
+/// is keyed by (series, scale). The report is stamped with the largest
+/// testbed's config hash if `stamp`, else 0.
 fn ior_sweep_plan(
     apis: &[Api],
     classes: &[ObjectClass],
@@ -77,7 +75,7 @@ fn ior_sweep_plan(
     full_nodes: &[u32],
     stamp: bool,
     scale: Scale,
-) -> Option<Plan> {
+) -> Plan {
     let (nodes, repeats, ppn, block): (&[u32], u64, u32, u64) = match scale {
         Scale::Full => (full_nodes, FULL_REPEATS, PPN, PAPER_BLOCK),
         Scale::Smoke => (&[1, 2], 1, 4, MIB),
@@ -92,21 +90,21 @@ fn ior_sweep_plan(
                 let cell = Cell::new(label, move |out| {
                     let mut params = paper_params(api, oclass, fpp, ppn);
                     params.block_size = block;
-                    let m = run_point_with(client_nodes, params, seed, repeats);
+                    let m = run_point_in(paper_cluster(client_nodes), params, seed, repeats);
                     record_bw(out, &m.series, client_nodes, &m.report);
                 });
                 cells.push(cell.keyed(format!("{key:?}")));
             }
         }
     }
-    Some(Plan {
+    Plan {
         config_hash: if stamp {
             config_hash(&paper_cluster(top(nodes)))
         } else {
             0
         },
         cells,
-    })
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -121,7 +119,7 @@ pub const FIG2_SEED: u64 = 0xF162;
 
 /// Figure 1 (`fpp`) or Figure 2 (shared file): the interface × class
 /// grid over the node axis.
-pub fn paper_figure_plan(fpp: bool, scale: Scale) -> Option<Plan> {
+pub fn paper_figure_plan(fpp: bool, scale: Scale) -> Plan {
     ior_sweep_plan(
         &figure_apis(),
         &figure_classes(),
@@ -138,12 +136,12 @@ pub fn paper_figure_plan(fpp: bool, scale: Scale) -> Option<Plan> {
 
 /// A file-per-process grid at 1, 4 and 16 nodes; its cells that Figure 1
 /// lists too are Figure 1's.
-fn wide_grid_plan(apis: &[Api], classes: &[ObjectClass], scale: Scale) -> Option<Plan> {
+fn wide_grid_plan(apis: &[Api], classes: &[ObjectClass], scale: Scale) -> Plan {
     ior_sweep_plan(apis, classes, true, &[1, 4, 16], false, scale)
 }
 
 /// `oclass_sweep`: DFS over a wider class set than the figures.
-pub fn oclass_plan(scale: Scale) -> Option<Plan> {
+pub fn oclass_plan(scale: Scale) -> Plan {
     let classes = [
         ObjectClass::S1,
         ObjectClass::S2,
@@ -171,7 +169,7 @@ pub const OCLASS_CLAIMS: &[Claim] = &[
 
 /// `daos_api`: the native array API against DFS and POSIX (± the
 /// interception library), SX, file-per-process.
-pub fn daos_api_plan(scale: Scale) -> Option<Plan> {
+pub fn daos_api_plan(scale: Scale) -> Plan {
     let apis = [
         Api::DaosArray,
         Api::Dfs,
@@ -247,20 +245,21 @@ pub fn scale_cluster(client_nodes: u32) -> ClusterConfig {
 /// The DFS scale grid past the paper's reach: S2 (the small-scale write
 /// leader) vs SX (the contended-write leader) locates the R2 crossover;
 /// fpp vs shared locates the R5 shared-file asymptote. One placement per
-/// cell, heaviest first. Full scale only — the nightly gate runs exactly
-/// this.
+/// cell, heaviest first. The smoke scale runs the same three series at 1
+/// and 2 client nodes, 4 ranks per node and 1 MiB per rank.
 ///
 /// The shared-file column runs SX only: S2 stripes one object over two
 /// targets, so a shared S2 file at thousands of ranks is a fixed-size
 /// funnel whose queueing delay grows with the client count until any
 /// finite RPC deadline trips — the same reason the paper's own
 /// shared-file runs use SX.
-pub fn scale_plan(scale: Scale) -> Option<Plan> {
-    if scale != Scale::Full {
-        return None;
-    }
+pub fn scale_plan(scale: Scale) -> Plan {
+    let (nodes, ppn, block): (&[u32], u32, u64) = match scale {
+        Scale::Full => (&SCALE_NODES, PPN, SCALE_BLOCK),
+        Scale::Smoke => (&[1, 2], 4, MIB),
+    };
     let mut cells = Vec::new();
-    for &n in SCALE_NODES.iter().rev() {
+    for &n in nodes.iter().rev() {
         for (fpp, oclass) in [
             (true, ObjectClass::S2),
             (true, ObjectClass::SX),
@@ -270,18 +269,18 @@ pub fn scale_plan(scale: Scale) -> Option<Plan> {
             cells.push(Cell::new(
                 format!("DFS-{oclass}-{suffix}/{n}n"),
                 move |out| {
-                    let mut p = paper_params(Api::Dfs, oclass, fpp, PPN);
-                    p.block_size = SCALE_BLOCK;
+                    let mut p = paper_params(Api::Dfs, oclass, fpp, ppn);
+                    p.block_size = block;
                     let m = run_point_in(scale_cluster(n), p, SCALE_SEED, 1);
                     record_bw(out, &format!("{}-{suffix}", m.series), n, &m.report);
                 },
             ));
         }
     }
-    Some(Plan {
-        config_hash: config_hash(&scale_cluster(top(&SCALE_NODES))),
+    Plan {
+        config_hash: config_hash(&scale_cluster(top(nodes))),
         cells,
-    })
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -324,7 +323,7 @@ fn daos_point(nodes: u32, fpp: bool, block: u64, ppn: u32) -> IorReport {
 /// The same IOR workloads on DAOS and on the Lustre-like PFS, FPP and
 /// shared, at each scale: four seeded sims per node count. Lock
 /// ping-pong makes big runs slow, hence the 16 MiB per-rank block.
-pub fn pfs_contrast_plan(scale: Scale) -> Option<Plan> {
+pub fn pfs_contrast_plan(scale: Scale) -> Plan {
     let (nodes, block, ppn): (&[u32], u64, u32) = match scale {
         Scale::Full => (&[1, 4, 8, 16], 16 * MIB, PPN),
         Scale::Smoke => (&[1, 2], MIB, 4),
@@ -346,10 +345,10 @@ pub fn pfs_contrast_plan(scale: Scale) -> Option<Plan> {
             }));
         }
     }
-    Some(Plan {
+    Plan {
         config_hash: config_hash(&paper_cluster(top(nodes))),
         cells,
-    })
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -411,17 +410,17 @@ fn io500_cell(out: &mut Fragment, nodes: u32, ppn: u32, block: u64) {
     out.record("score", nodes, "io500", (bw_score * md_score).sqrt());
 }
 
-pub fn io500_plan(scale: Scale) -> Option<Plan> {
+pub fn io500_plan(scale: Scale) -> Plan {
     let (nodes, ppn, block) = match scale {
         Scale::Full => (8, PPN, 16 * MIB),
         Scale::Smoke => (2, 2, MIB),
     };
-    Some(Plan {
+    Plan {
         config_hash: config_hash(&paper_cluster(nodes)),
         cells: vec![Cell::new(format!("{nodes}n"), move |out| {
             io500_cell(out, nodes, ppn, block)
         })],
-    })
+    }
 }
 
 /// What an `io500` report must show.
@@ -459,7 +458,7 @@ fn record_md(out: &mut Fragment, series: &str, nodes: u32, r: &MdtestReport) {
 
 /// mdtest-style create / stat / unlink storms through DFS, DFuse and the
 /// Lustre-like PFS, one sim per backend.
-pub fn mdtest_plan(scale: Scale) -> Option<Plan> {
+pub fn mdtest_plan(scale: Scale) -> Plan {
     let (nodes, ppn, files) = match scale {
         Scale::Full => (8, 8, 64),
         Scale::Smoke => (1, 2, 4),
@@ -489,10 +488,10 @@ pub fn mdtest_plan(scale: Scale) -> Option<Plan> {
         });
         record_md(out, "pfs", nodes, &r);
     }));
-    Some(Plan {
+    Plan {
         config_hash: 0,
         cells,
-    })
+    }
 }
 
 /// The `mdtest_bench` backends, in the order the claims index.
@@ -564,7 +563,7 @@ fn degraded_point(out: &mut Fragment, series: &str, class: ObjectClass, nodes: u
 /// What replication and erasure coding cost relative to the unprotected
 /// classes (DFS, fpp; 8 nodes and 16 MiB per rank at full scale), plus
 /// degraded reads with one target excluded mid-run.
-pub fn protection_plan(scale: Scale) -> Option<Plan> {
+pub fn protection_plan(scale: Scale) -> Plan {
     let (nodes, block) = match scale {
         Scale::Full => (8, 16 * MIB),
         Scale::Smoke => (1, MIB),
@@ -594,10 +593,10 @@ pub fn protection_plan(scale: Scale) -> Option<Plan> {
             degraded_point(out, &series, class, nodes, block);
         }));
     }
-    Some(Plan {
+    Plan {
         config_hash: 0,
         cells,
-    })
+    }
 }
 
 /// What a `protection_sweep` report must show.
@@ -646,7 +645,7 @@ pub const DFUSE_ABLATION_SEED: u64 = 0xAB1A;
 /// one node × 4 ppn (the latency-bound regime, where knob effects are
 /// visible), S2, fpp, one cell per DFuse variant plus native DFS. Every
 /// scale runs the whole plan: it takes milliseconds.
-pub fn dfuse_ablation_plan(_: Scale) -> Option<Plan> {
+pub fn dfuse_ablation_plan(_: Scale) -> Plan {
     // default: 4us crossing, 1MiB reqs, 16 threads
     let base = DfuseConfig::default();
     let variants = [
@@ -704,10 +703,10 @@ pub fn dfuse_ablation_plan(_: Scale) -> Option<Plan> {
             })
         })
         .collect();
-    Some(Plan {
+    Plan {
         config_hash: 0,
         cells,
-    })
+    }
 }
 
 /// What a `dfuse_ablation` report must show.

@@ -8,7 +8,7 @@
 //! machinery:
 //!
 //! * [`figure`] — the [`FIGURES`] table (name, seed, cells per scale,
-//!   checks, gate), the runner that turns entries into reports and
+//!   checks), the runner that turns entries into reports and
 //!   verdicts ([`figure::run_figures`]), the one table/chart printer and
 //!   the table audit behind `daos-bench list`;
 //! * [`figures`], [`apps`], [`timelines`], [`traffic`], [`qos`] — the
@@ -25,8 +25,8 @@
 //!   `BENCH_<name>.json`;
 //! * [`baseline`] — the byte-for-byte comparison with committed baselines
 //!   and the drift table that names each differing cell;
-//! * [`run_point_with`] — one (api, object class, client-node count) IOR
-//!   cell on the paper testbed, as a [`Measurement`].
+//! * [`run_point_in`] — one IOR cell (api, object class) on a testbed
+//!   ([`paper_cluster`] for the paper's figures), as a [`Measurement`].
 
 // No `unsafe` may enter the workspace outside the audited kernel
 // crate (`daos-sim`, which denies `clippy::undocumented_unsafe_blocks`).
@@ -108,25 +108,14 @@ pub fn on_testbed_with<T: 'static, Fut: Future<Output = T> + 'static>(
     })
 }
 
-/// Execute one point — `params` on `client_nodes` nodes — in a fresh
-/// simulation on the paper testbed (deterministic per point); phase times
-/// are averaged over `repeats` placements (distinct seeds -> distinct
-/// placements, like IOR's `-i` iterations in the paper's runs). The figure
-/// cells pass [`paper_params`]; the determinism regression test keeps the
-/// exact same machinery (salted testbed, per-repeat seed derivation) at a
-/// smaller I/O volume.
-pub fn run_point_with(
-    client_nodes: u32,
-    params: IorParams,
-    seed: u64,
-    repeats: u64,
-) -> Measurement {
-    run_point_in(paper_cluster(client_nodes), params, seed, repeats)
-}
-
-/// [`run_point_with`] on an explicit testbed: the paper-figure cells use
-/// [`paper_cluster`]; the beyond-paper scale sweep weak-scales the
-/// server side alongside the client axis.
+/// Execute one point — `params` on `cluster` — in a fresh simulation
+/// (deterministic per point); phase times are averaged over `repeats`
+/// placements (distinct seeds -> distinct placements, like IOR's `-i`
+/// iterations in the paper's runs). The paper-figure cells run
+/// [`paper_params`] on [`paper_cluster`]; the beyond-paper scale sweep
+/// weak-scales the server side alongside the client axis; the determinism
+/// regression test keeps the exact same machinery (salted testbed,
+/// per-repeat seed derivation) at a smaller I/O volume.
 pub fn run_point_in(
     cluster: ClusterConfig,
     params: IorParams,

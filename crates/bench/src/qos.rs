@@ -398,7 +398,7 @@ pub fn qos_point(out: &mut Fragment, shaped: bool, load_pct: u32, params: QosSwe
 
 /// `qos_sweep`: shaped and unshaped series × every noisy load, one seeded
 /// sim per point (heaviest loads first).
-pub fn qos_plan(scale: Scale) -> Option<Plan> {
+pub fn qos_plan(scale: Scale) -> Plan {
     let params = match scale {
         Scale::Full => QosSweepParams::full(),
         Scale::Smoke => QosSweepParams::smoke(),
@@ -412,10 +412,10 @@ pub fn qos_plan(scale: Scale) -> Option<Plan> {
             }));
         }
     }
-    Some(Plan {
+    Plan {
         config_hash: config_hash(&qos_cluster(&params)),
         cells,
-    })
+    }
 }
 
 #[cfg(test)]

@@ -157,7 +157,7 @@ pub const FAULT_CELLS: &[CellClaim] = &[
 /// `fault_sweep`: one timeline per protected class. Full scale crashes an
 /// engine under a replicated and an erasure-coded class; the smoke scale
 /// keeps the replicated one at a smaller volume.
-pub fn fault_plan(scale: Scale) -> Option<Plan> {
+pub fn fault_plan(scale: Scale) -> Plan {
     let ec = ObjectClass::ErasureCoded {
         data: 4,
         parity: 1,
@@ -175,10 +175,10 @@ pub fn fault_plan(scale: Scale) -> Option<Plan> {
             })
         })
         .collect();
-    Some(Plan {
+    Plan {
         config_hash: 0,
         cells,
-    })
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -374,7 +374,7 @@ pub fn rot_timeline(out: &mut Fragment, class: ObjectClass, scrub: bool, seed: u
 
 /// `scrub_sweep`: four checksum-overhead cells (pattern × csum on/off)
 /// plus a client-read and a scrubber rot timeline per protected class.
-pub fn scrub_plan(scale: Scale) -> Option<Plan> {
+pub fn scrub_plan(scale: Scale) -> Plan {
     let ec = ObjectClass::ErasureCoded {
         data: 2,
         parity: 1,
@@ -406,8 +406,8 @@ pub fn scrub_plan(scale: Scale) -> Option<Plan> {
             }));
         }
     }
-    Some(Plan {
+    Plan {
         config_hash: 0,
         cells,
-    })
+    }
 }

@@ -437,7 +437,7 @@ pub fn traffic_point(out: &mut Fragment, mode: TrafficMode, load_pct: u32, param
 
 /// `traffic_sweep`: every series × every offered load, one seeded sim
 /// per point (heaviest loads first).
-pub fn traffic_plan(scale: Scale) -> Option<Plan> {
+pub fn traffic_plan(scale: Scale) -> Plan {
     let params = match scale {
         Scale::Full => TrafficParams::full(),
         Scale::Smoke => TrafficParams::smoke(),
@@ -451,8 +451,8 @@ pub fn traffic_plan(scale: Scale) -> Option<Plan> {
             ));
         }
     }
-    Some(Plan {
+    Plan {
         config_hash: config_hash(&traffic_cluster(&params, true)),
         cells,
-    })
+    }
 }

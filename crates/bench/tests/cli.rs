@@ -89,7 +89,7 @@ fn inverted_r9_fails_the_gate() {
         stdout.contains("-- qos_sweep: differs from its baseline in"),
         "{stdout}"
     );
-    assert!(stdout.contains("1 of 14 report(s) differ"), "{stdout}");
+    assert!(stdout.contains("1 of 15 report(s) differ"), "{stdout}");
     let _ = std::fs::remove_dir_all(&out);
 }
 
@@ -120,6 +120,18 @@ fn list_passes_and_bad_usage_is_rejected() {
     ] {
         assert_eq!(daos_bench(&out, bad).status.code(), Some(2), "{bad:?}");
     }
+    let _ = std::fs::remove_dir_all(&out);
+}
+
+/// Every figure is gated on every PR: there is no second tier to ask
+/// for, so `--nightly` is an unknown flag.
+#[test]
+fn regress_has_no_nightly_tier() {
+    let out = out_dir_with_baselines("nightly");
+    let run = daos_bench(&out, &["regress", "--nightly"]);
+    assert_eq!(run.status.code(), Some(2), "{run:?}");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(stderr.contains("unknown flag --nightly"), "{stderr}");
     let _ = std::fs::remove_dir_all(&out);
 }
 

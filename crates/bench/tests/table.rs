@@ -3,7 +3,8 @@
 
 use std::path::{Path, PathBuf};
 
-use daos_bench::figure::{find, table_problems, Gate, Scale};
+use daos_bench::figure::{find, table_problems, Figure, Plan, Scale};
+use daos_bench::figures::{io500_plan, scale_plan};
 use daos_bench::report::{BenchReport, READ_GIB_S, WRITE_GIB_S};
 use daos_bench::FIGURES;
 
@@ -17,27 +18,18 @@ fn baselines() -> PathBuf {
 
 /// Names unique; every baseline has a gated entry with the same seed;
 /// every gated entry has a baseline; every entry enumerates >= 1 cell at
-/// every scale it declares — `table_problems` is what `daos-bench list`
-/// exits 1 on.
+/// both scales — `table_problems` is what `daos-bench list` exits 1 on.
 #[test]
 fn table_and_baselines_agree() {
-    assert_eq!(table_problems(&baselines()), Vec::<String>::new());
+    assert_eq!(table_problems(FIGURES, &baselines()), Vec::<String>::new());
 }
 
-/// The complete figure set: 14 PR-gated (the first eight, `mdtest_bench`,
-/// `protection_sweep`, `daos_api`, `app_workloads`, `dfuse_ablation` and
-/// `oclass_sweep`) and 1 nightly — nothing else.
+/// The complete figure set, in table order — nothing else.
 #[test]
 fn table_holds_exactly_the_known_figures() {
-    let names = |gate: Gate| -> Vec<&str> {
-        FIGURES
-            .iter()
-            .filter(|f| f.gate == gate)
-            .map(|f| f.name)
-            .collect()
-    };
+    let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
     assert_eq!(
-        names(Gate::Pr),
+        names,
         [
             "fig1_fpp",
             "fig2_shared",
@@ -47,6 +39,7 @@ fn table_holds_exactly_the_known_figures() {
             "scrub_sweep",
             "traffic_sweep",
             "qos_sweep",
+            "scale",
             "mdtest_bench",
             "protection_sweep",
             "daos_api",
@@ -55,15 +48,6 @@ fn table_holds_exactly_the_known_figures() {
             "oclass_sweep"
         ]
     );
-    assert_eq!(names(Gate::Nightly), ["scale"]);
-    // a PR-gated figure is also in the debug-build determinism test
-    for f in FIGURES.iter().filter(|f| f.gate == Gate::Pr) {
-        assert!(
-            (f.plan)(Scale::Smoke).is_some(),
-            "{} needs a smoke scale",
-            f.name
-        );
-    }
 }
 
 /// Planted negatives: a gated entry without its baseline, and a baseline
@@ -77,14 +61,14 @@ fn audit_catches_a_missing_and_a_stray_baseline() {
         let file = format!("BENCH_{}.json", f.name);
         std::fs::copy(baselines().join(&file), dir.join(file)).unwrap();
     }
-    assert!(table_problems(&dir).is_empty());
+    assert!(table_problems(FIGURES, &dir).is_empty());
 
     std::fs::remove_file(dir.join("BENCH_io500.json")).unwrap();
     // a baseline for a figure the table does not hold is stray
     BenchReport::new("no_such_figure", 0)
         .write_to(&dir)
         .unwrap();
-    let problems = table_problems(&dir);
+    let problems = table_problems(FIGURES, &dir);
     assert_eq!(problems.len(), 2, "{problems:?}");
     assert!(problems[0].starts_with("io500: gated but has no baseline"));
     assert!(problems[1].starts_with("BENCH_no_such_figure.json: baseline without"));
@@ -93,8 +77,45 @@ fn audit_catches_a_missing_and_a_stray_baseline() {
     let mut wrong = BenchReport::load(&baselines(), "io500").unwrap();
     wrong.seed ^= 1;
     wrong.write_to(&dir).unwrap();
-    assert!(table_problems(&dir)[0].starts_with("io500: baseline seed"));
+    assert!(table_problems(FIGURES, &dir)[0].starts_with("io500: baseline seed"));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Planted negatives: an entry whose smoke plan has no cells, and one
+/// whose full plan has none, are each named.
+#[test]
+fn audit_catches_a_plan_without_cells() {
+    fn no_cells() -> Plan {
+        Plan {
+            config_hash: 0,
+            cells: Vec::new(),
+        }
+    }
+    let mut table: Vec<Figure> = FIGURES.iter().map(|f| Figure { ..*f }).collect();
+    for f in &mut table {
+        match f.name {
+            "io500" => {
+                f.plan = |s| match s {
+                    Scale::Full => io500_plan(s),
+                    Scale::Smoke => no_cells(),
+                }
+            }
+            "scale" => {
+                f.plan = |s| match s {
+                    Scale::Full => no_cells(),
+                    Scale::Smoke => scale_plan(s),
+                }
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(
+        table_problems(&table, &baselines()),
+        [
+            "io500: no cells at smoke scale",
+            "scale: no cells at full scale"
+        ]
+    );
 }
 
 /// Planted negative for the newly gated `mdtest_bench`: with the `dfs`

@@ -14,7 +14,7 @@ impl VosTarget {
     pub fn aggregate(&self, cid: ContId, epoch: Epoch) -> usize {
         let mut conts = self.containers.borrow_mut();
         let mut scratch = self.scratch.borrow_mut();
-        walk(conts.range_mut(cid..=cid))
+        walk(conts.range_mut(cid..=cid), None)
             .map(|(_, _, ak)| match ak {
                 AkeyStore::Array { tree, .. } => tree.aggregate(epoch, &mut scratch),
                 AkeyStore::Single(sv) => {
@@ -35,21 +35,21 @@ impl VosTarget {
     /// single-value akeys are covered by wire checksums at the engine
     /// boundary, not stored ones, so the scrubber skips them too.
     pub async fn scrub_step(&self, sim: &Sim, budget: usize) -> ScrubReport {
-        // Snapshot the akey coordinates after the cursor (borrow must not
-        // be held across awaits).
-        let cursor = self.scrub_cursor.borrow().clone();
+        // Snapshot the coordinates of the next `budget` chunks after the
+        // cursor (borrows must not be held across awaits).
         let (items, wrapped) = {
             let mut conts = self.containers.borrow_mut();
-            let mut todo = walk(conts.iter_mut())
-                .filter(|(_, visible, ak)| *visible && ak.array().is_ok())
-                .map(|((cid, oid, dkey, akey), ..)| (cid, oid, dkey.clone(), akey.clone()))
-                .filter(|coord| cursor.as_ref().is_none_or(|c| coord > c));
+            let cursor = self.scrub_cursor.borrow();
+            let after = cursor.as_ref().map(|(c, o, d, a)| (*c, *o, &d[..], &a[..]));
+            let mut todo = walk(conts.range_mut(after.map_or(0, |a| a.0)..), after)
+                .filter(|(_, visible, ak)| *visible && ak.array().is_ok());
             // in the batch buffer the last step left, so a warm scrubber
             // allocates nothing
             let mut items = std::mem::take(&mut *self.scrub_batch.borrow_mut());
             items.clear();
             items.reserve(budget);
-            items.extend(todo.by_ref().take(budget));
+            let batch = todo.by_ref().take(budget);
+            items.extend(batch.map(|((c, o, d, a), ..)| (c, o, d.clone(), a.clone())));
             // the pass is done when no work remains past this batch
             (items, todo.next().is_none())
         };
@@ -117,7 +117,7 @@ impl VosTarget {
             h
         }
         let mut rotted = 0u64;
-        for ((cid, oid, dkey, akey), _, ak) in walk(self.containers.borrow_mut().iter_mut()) {
+        for ((cid, oid, dkey, akey), _, ak) in walk(self.containers.borrow_mut().iter_mut(), None) {
             if let AkeyStore::Array { tree, .. } = ak {
                 let s = seed ^ cid ^ (oid as u64) ^ ((oid >> 64) as u64);
                 rotted += tree.inject_rot(mix(mix(s, dkey), akey), fraction_ppm);

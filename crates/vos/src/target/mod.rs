@@ -26,6 +26,7 @@ mod single;
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::rc::Rc;
 
 use daos_media::{Device, MediaSet};
@@ -280,18 +281,29 @@ fn akey_at<'a>(conts: &'a Namespace, at: AkeyAt<'_>, epoch: Epoch) -> Option<&'a
 /// Every akey of `conts` in key order — container, object, dkey, akey —
 /// with its coordinates and whether its object is visible at
 /// `Epoch::MAX`. Aggregation, scrub and rot injection all walk this way.
+/// With `after`, the walk starts past that akey: each level descends from
+/// its key in `after` while the walk is still inside `after`'s prefix.
 fn walk<'a>(
     conts: impl Iterator<Item = (&'a ContId, &'a mut ContStore)>,
+    after: Option<AkeyAt<'a>>,
 ) -> impl Iterator<Item = ((ContId, ObjKey, &'a Key, &'a Key), bool, &'a mut AkeyStore)> {
-    conts.flat_map(|(&cid, cont)| {
-        cont.objects.iter_mut().flat_map(move |(&oid, obj)| {
+    conts.flat_map(move |(&cid, cont)| {
+        let after = after.filter(|a| a.0 == cid);
+        let objects = cont.objects.range_mut(after.map_or(0, |a| a.1)..);
+        objects.flat_map(move |(&oid, obj)| {
+            let after = after.filter(|a| a.1 == oid);
             let visible = obj.visible_at(Epoch::MAX);
-            obj.dkeys.iter_mut().flat_map(move |(dkey, dk)| {
-                dk.akeys.iter_mut().map(move |(akey, ak)| {
-                    let akey: &Key = akey;
-                    ((cid, oid, dkey, akey), visible, ak)
+            let from = Bound::Included(after.map_or(&[][..], |a| a.2));
+            obj.dkeys
+                .range_mut::<[u8], _>((from, Bound::Unbounded))
+                .flat_map(move |(dkey, dk)| {
+                    let after = after.filter(|a| a.2 == &dkey[..]);
+                    let first = after.map_or(0, |a| dk.find(a.3).map_or_else(|i| i, |i| i + 1));
+                    dk.akeys[first..].iter_mut().map(move |(akey, ak)| {
+                        let akey: &Key = akey;
+                        ((cid, oid, dkey, akey), visible, ak)
+                    })
                 })
-            })
         })
     })
 }

@@ -547,3 +547,74 @@ fn every_reader_agrees_on_punch_visibility() {
         }
     });
 }
+
+/// A scrub step's chunks found by the rule steps used before `walk` took
+/// a start: walk the whole namespace and drop every chunk at or before
+/// the cursor. Returns the chunks a step of `budget` verifies and whether
+/// it ends the pass.
+fn scrub_reference(t: &VosTarget, budget: usize) -> (Vec<(ContId, ObjKey, Key, Key)>, bool) {
+    let cursor = t.scrub_cursor.borrow().clone();
+    let mut conts = t.containers.borrow_mut();
+    let mut todo = walk(conts.iter_mut(), None)
+        .filter(|(_, visible, ak)| *visible && ak.array().is_ok())
+        .map(|((cid, oid, dkey, akey), ..)| (cid, oid, dkey.clone(), akey.clone()))
+        .filter(|coord| cursor.as_ref().is_none_or(|c| coord > c));
+    let batch = todo.by_ref().take(budget).collect();
+    (batch, todo.next().is_none())
+}
+
+/// Property: over random namespaces — several containers and objects,
+/// dkeys of several akeys, single values, punched objects — with updates
+/// and punches between steps of random budgets, every scrub step verifies
+/// exactly the chunks of [`scrub_reference`] and ends the pass on the same
+/// step.
+#[test]
+fn scrub_steps_match_the_filter_after_walk_reference() {
+    let mut rng = proptest::test_runner::TestRng::new(0x5C2B);
+    let (mut resumed, mut ended) = (0, 0);
+    for _ in 0..64 {
+        let (mut sim, t) = mk_target();
+        // kind (0-3 a step, 4 a punch, 5 a single value, else an array
+        // extent), container, object, dkey, akey, budget - 1
+        let ops: Vec<[u64; 6]> = (0..rng.below(80) + 1)
+            .map(|_| [10, 3, 4, 5, 3, 5].map(|n| rng.below(n)))
+            .collect();
+        let (r, e) = sim.block_on(|sim| async move {
+            let (mut resumed, mut ended) = (0, 0);
+            for [kind, cid, oid, dkey, akey, budget] in ops {
+                let oid = ObjKey::from(oid);
+                let (dkey, akey) = (crate::key([dkey as u8]), crate::key([b'a' + akey as u8]));
+                let e = t.next_epoch();
+                match kind {
+                    0..=3 => {
+                        let budget = budget as usize + 1;
+                        let (want, ends) = scrub_reference(&t, budget);
+                        let rep = t.scrub_step(&sim, budget).await;
+                        assert_eq!(*t.scrub_batch.borrow(), want);
+                        assert_eq!((rep.chunks, rep.wrapped), (want.len() as u64, ends));
+                        *if ends { &mut ended } else { &mut resumed } += 1;
+                    }
+                    4 => t.punch_object(&sim, cid, oid, e).await,
+                    5 => {
+                        let value = Payload::bytes(vec![1]);
+                        let _ = t
+                            .update_single(&sim, cid, oid, &dkey, &akey, e, value)
+                            .await;
+                    }
+                    _ => {
+                        let extent = Payload::pattern(e, 64);
+                        let _ = t
+                            .update_array(&sim, cid, oid, &dkey, &akey, 0, e, extent)
+                            .await;
+                    }
+                }
+            }
+            (resumed, ended)
+        });
+        (resumed, ended) = (resumed + r, ended + e);
+    }
+    assert!(
+        resumed > 100 && ended > 100,
+        "{resumed} resumed, {ended} ended"
+    );
+}

@@ -6,13 +6,13 @@
 //! these tests cover what it does not: the figure-cell bandwidth path
 //! (client → fabric → engine → VOS → media with checksums charged) and
 //! the scrub/targeted-repair path added with the integrity model. They
-//! intentionally share machinery (`run_point_with`, `rot_timeline`) and
+//! intentionally share machinery (`run_point_in`, `rot_timeline`) and
 //! seeds with the `regress` gate, so a nondeterminism bug that would
 //! make CI flaky fails here first, with a readable diff.
 
 use daos_bench::report::{config_hash, BenchReport, Fragment};
 use daos_bench::timelines::rot_timeline;
-use daos_bench::{paper_cluster, paper_params, run_point_with};
+use daos_bench::{paper_cluster, paper_params, run_point_in};
 use daos_ior::Api;
 use daos_placement::ObjectClass;
 
@@ -22,7 +22,7 @@ use daos_placement::ObjectClass;
 fn figure_cell_json() -> String {
     let mut params = paper_params(Api::Dfs, ObjectClass::S2, true, 16);
     params.block_size = 4 << 20;
-    let m = run_point_with(1, params, 0xF161, 1);
+    let m = run_point_in(paper_cluster(1), params, 0xF161, 1);
     let mut report = BenchReport::new("determinism_cell", 0xF161);
     report.config_hash = config_hash(&paper_cluster(1));
     report.record(&m.series, 1, "write_gib_s", m.report.write_gib_s());

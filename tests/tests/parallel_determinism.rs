@@ -54,22 +54,15 @@ fn assert_pure(what: &str, cell: impl Fn(&mut Fragment) + Sync) -> Fragment {
     direct
 }
 
-/// Every figure that declares a smoke scale, as one slate: each report
+/// Every figure at its smoke scale, as one slate: each report
 /// byte-identical across thread counts, and so are its verdicts (their
 /// labels carry the numbers they read) and the job order. Every check
 /// reads the report, so the report reloaded from its JSON — where a NaN
 /// is stored as a finite sentinel — gives the live run's verdicts.
 #[test]
 fn every_smoke_figure_is_byte_identical_across_thread_counts() {
-    let wanted: Vec<(&'static Figure, Scale)> = FIGURES
-        .iter()
-        .filter(|f| (f.plan)(Scale::Smoke).is_some())
-        .map(|f| (f, Scale::Smoke))
-        .collect();
-    assert!(
-        wanted.len() >= 10,
-        "every PR-gated figure declares a smoke scale"
-    );
+    let wanted: Vec<(&'static Figure, Scale)> = FIGURES.iter().map(|f| (f, Scale::Smoke)).collect();
+    assert_eq!(wanted.len(), FIGURES.len());
     let observe = |threads: usize| {
         let run = run_figures(&wanted, threads);
         assert_eq!(run.threads, threads);
@@ -108,6 +101,12 @@ fn every_smoke_figure_is_byte_identical_across_thread_counts() {
             .any(|v| v.label.starts_with("victim accounting closes")),
         "the smoke slate must check the QoS cells' accounting"
     );
+    for id in ["R2x:", "R5x:"] {
+        assert!(
+            base.1.iter().flatten().any(|v| v.label.starts_with(id)),
+            "the smoke slate must check scale's {id}"
+        );
+    }
     for threads in [2usize, 8] {
         assert_eq!(base, observe(threads), "diverged at {threads} threads");
     }
