@@ -3,21 +3,22 @@
 //! ```text
 //! daosctl ior   [--api dfs|posix|posix-il|mpiio|mpiio-coll|hdf5|daos]
 //!               [--nodes N] [--ppn N] [--xfer BYTES] [--block BYTES]
-//!               [--segments N] [--oclass S1|S2|...|SX|RP_2GX|EC_2P1GX]
+//!               [--segments N] [--chunk BYTES]
+//!               [--oclass S1|S2|...|SX|RP_2GX|EC_2P1GX]
 //!               [--shared] [--random] [--reorder] [--stonewall-ms N]
-//!               [--verify] [--seed N] [--json DIR]
+//!               [--verify] [--seed N]
 //! daosctl pool  [--nodes N]            # build a cluster, print its layout
 //! daosctl place --oclass CLASS [--count N]   # show placement statistics
 //! ```
 //!
 //! Sizes accept `k`/`m`/`g` suffixes (KiB/MiB/GiB); `--reorder` (IOR's
-//! `-C`) and `--api mpiio-coll` need `--shared`. Everything runs in simulation; output includes
-//! both bandwidth and the simulated duration.
+//! `-C`) and `--api mpiio-coll` need `--shared`. A flag its command does
+//! not list exits 2. Everything runs in simulation; output includes both
+//! bandwidth and the simulated duration.
 
 use std::rc::Rc;
 
 use daos_bench::paper_cluster;
-use daos_bench::report::{READ_GIB_S, WRITE_GIB_S};
 use daos_dfs::DfsConfig;
 use daos_dfuse::DfuseConfig;
 use daos_ior::{run, Api, DaosTestbed, IorParams};
@@ -48,12 +49,16 @@ struct Args {
 }
 
 impl Args {
-    fn parse(raw: &[String]) -> Args {
+    /// Parse `raw`, refusing any flag not in `known`.
+    fn parse(raw: &[String], known: &[&str]) -> Args {
         let mut flags = Vec::new();
         let mut i = 0;
         while i < raw.len() {
             let a = &raw[i];
             if let Some(name) = a.strip_prefix("--") {
+                if !known.contains(&name) {
+                    die(&format!("unknown flag {a}"));
+                }
                 let val = raw.get(i + 1).filter(|v| !v.starts_with("--")).cloned();
                 if val.is_some() {
                     i += 1;
@@ -76,6 +81,23 @@ impl Args {
         self.flags.iter().any(|(n, _)| n == name)
     }
 }
+
+const IOR_FLAGS: &[&str] = &[
+    "api",
+    "nodes",
+    "ppn",
+    "xfer",
+    "block",
+    "segments",
+    "chunk",
+    "oclass",
+    "shared",
+    "random",
+    "reorder",
+    "stonewall-ms",
+    "verify",
+    "seed",
+];
 
 fn cmd_ior(args: &Args) {
     let api = match args.get("api").unwrap_or("dfs") {
@@ -166,27 +188,6 @@ fn cmd_ior(args: &Args) {
         report.read_time,
         report.read_gib_s()
     );
-    // ad-hoc runs can join the machine-readable trail too
-    if let Some(dir) = args.get("json") {
-        let mut bench = daos_bench::report::BenchReport::new("daosctl", seed);
-        bench.config_hash = daos_bench::report::config_hash(&paper_cluster(nodes));
-        let series = format!(
-            "{}-{}-{}",
-            api.name(),
-            oclass.name(),
-            if params.file_per_process {
-                "fpp"
-            } else {
-                "shared"
-            }
-        );
-        bench.record(&series, nodes, WRITE_GIB_S, report.write_gib_s());
-        bench.record(&series, nodes, READ_GIB_S, report.read_gib_s());
-        match bench.write_to(std::path::Path::new(dir)) {
-            Ok(path) => eprintln!("wrote {}", path.display()),
-            Err(e) => die(&format!("writing json: {e}")),
-        }
-    }
 }
 
 fn cmd_pool(args: &Args) {
@@ -253,11 +254,11 @@ fn main() {
     let Some((cmd, rest)) = argv.split_first() else {
         die("usage: daosctl <ior|pool|place> [flags]; see source header for flags")
     };
-    let args = Args::parse(rest);
-    match cmd.as_str() {
-        "ior" => cmd_ior(&args),
-        "pool" => cmd_pool(&args),
-        "place" => cmd_place(&args),
+    let (run, flags): (fn(&Args), &[&str]) = match cmd.as_str() {
+        "ior" => (cmd_ior, IOR_FLAGS),
+        "pool" => (cmd_pool, &["nodes"]),
+        "place" => (cmd_place, &["oclass", "count"]),
         other => die(&format!("unknown command: {other}")),
-    }
+    };
+    run(&Args::parse(rest, flags))
 }

@@ -648,14 +648,16 @@ pub const DFUSE_ABLATION_SEED: u64 = 0xAB1A;
 pub fn dfuse_ablation_plan(_: Scale) -> Plan {
     // default: 4us crossing, 1MiB reqs, 16 threads
     let base = DfuseConfig::default();
-    let variants = [
-        ("default", base),
+    let posix = Api::Posix { il: false };
+    let points = [
+        ("default", base, posix),
         (
             "slow crossings",
             DfuseConfig {
                 kernel_crossing: SimDuration::from_us(20),
                 ..base
             },
+            posix,
         ),
         (
             "small requests",
@@ -663,6 +665,7 @@ pub fn dfuse_ablation_plan(_: Scale) -> Plan {
                 max_req: 128 << 10,
                 ..base
             },
+            posix,
         ),
         (
             "single daemon thread",
@@ -670,25 +673,11 @@ pub fn dfuse_ablation_plan(_: Scale) -> Plan {
                 daemon_threads: 1,
                 ..base
             },
+            posix,
         ),
-        (
-            "interception library",
-            DfuseConfig {
-                interception: true,
-                ..base
-            },
-        ),
+        ("interception library", base, Api::Posix { il: true }),
+        ("native-dfs", base, Api::Dfs),
     ];
-    let mut points: Vec<_> = variants
-        .into_iter()
-        .map(|(series, cfg)| {
-            let api = Api::Posix {
-                il: cfg.interception,
-            };
-            (series, cfg, api)
-        })
-        .collect();
-    points.push(("native-dfs", base, Api::Dfs));
     let cells = points
         .into_iter()
         .map(|(series, dfuse, api)| {

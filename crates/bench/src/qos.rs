@@ -155,7 +155,6 @@ pub fn qos_policy_classes(per_engine_write_bps: f64) -> QosParams {
             QosClass {
                 weight: 8,
                 bw_cap: None,
-                iops_cap: None,
                 burst: 8 * MIB,
             },
         )
@@ -164,7 +163,6 @@ pub fn qos_policy_classes(per_engine_write_bps: f64) -> QosParams {
             QosClass {
                 weight: 1,
                 bw_cap: Some(noisy_cap as u64),
-                iops_cap: None,
                 burst: 2 * MIB,
             },
         )
@@ -173,7 +171,6 @@ pub fn qos_policy_classes(per_engine_write_bps: f64) -> QosParams {
             QosClass {
                 weight: 1,
                 bw_cap: Some(BG_BUDGET_PER_ENGINE),
-                iops_cap: None,
                 burst: MIB,
             },
         )

@@ -163,3 +163,46 @@ fn results_txt_is_the_printer_run_on_the_committed_json() {
         "every committed report has its pinned rendering"
     );
 }
+
+fn daosctl(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_daosctl"))
+        .args(args)
+        .output()
+        .expect("spawn daosctl")
+}
+
+/// `daosctl` runs each command with the flags it lists, names the
+/// interception-library rung, and exits 2 on a value or a flag it does
+/// not know instead of running without it.
+#[test]
+fn daosctl_runs_its_commands_and_refuses_unknown_flags() {
+    let ior = [
+        "ior", "--api", "posix-il", "--nodes", "1", "--ppn", "2", "--block", "1m",
+    ];
+    let run = daosctl(&ior);
+    assert_eq!(run.status.code(), Some(0), "{run:?}");
+    assert!(
+        String::from_utf8_lossy(&run.stdout).contains("POSIX+IL"),
+        "{run:?}"
+    );
+    for args in [
+        &["pool", "--nodes", "1"][..],
+        &["place", "--oclass", "S2", "--count", "100"],
+    ] {
+        let run = daosctl(args);
+        assert_eq!(run.status.code(), Some(0), "{args:?}: {run:?}");
+    }
+    for (args, said) in [
+        (&["ior", "--api", "bogus"][..], "unknown api: bogus"),
+        (
+            &["ior", "--api", "dfs", "--nodse", "8"],
+            "unknown flag --nodse",
+        ),
+        (&["ior", "--json", "d"], "unknown flag --json"),
+    ] {
+        let run = daosctl(args);
+        assert_eq!(run.status.code(), Some(2), "{args:?}: {run:?}");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(stderr.contains(said), "{args:?}: {stderr}");
+    }
+}

@@ -49,10 +49,6 @@ pub struct ClusterConfig {
     pub svc_tick: SimDuration,
     /// Failure-detector (heartbeat) tuning.
     pub heartbeat: HeartbeatConfig,
-    /// Concurrent repair RPCs per rebuild pass — the rebuild bandwidth
-    /// knob: higher drains faster but steals more engine bandwidth from
-    /// foreground I/O.
-    pub rebuild_inflight: u32,
 }
 
 impl ClusterConfig {
@@ -70,7 +66,6 @@ impl ClusterConfig {
             svc_replicas: 3,
             svc_tick: SimDuration::from_ms(5),
             heartbeat: HeartbeatConfig::default(),
-            rebuild_inflight: 4,
         }
     }
 
@@ -91,7 +86,6 @@ impl ClusterConfig {
                 timeout: SimDuration::from_ms(1),
                 suspect: 3,
             },
-            rebuild_inflight: 4,
         }
     }
 

@@ -58,8 +58,9 @@ impl Admission {
 
     /// The two gates, queue depth before bytes. Every shed is a
     /// header-only `Busy` (`Response::Err` has `bulk_out() == 0`), so it
-    /// costs the engine a queue-depth probe and one eager frame: the
-    /// same cheap lane heartbeats ride on. Note the fabric charges write
+    /// costs the engine a queue-depth probe and one header on the fabric's
+    /// control lane, the cheap lane heartbeats ride on
+    /// (`Fabric::message_control`). Note the fabric charges write
     /// bulk on the client's TX path, so a shed saves the engine's queue
     /// slots, service time, and buffer memory — not the sender's wire
     /// time.

@@ -24,15 +24,22 @@ pub(super) struct Background {
     pub(super) on_corruption: RefCell<Option<CorruptionHook>>,
 }
 
-/// Background VOS aggregation service: every `interval`, flatten
-/// overwrite history older than `aggregation_retention` on each target.
-pub(super) async fn aggregation(e: Rc<Engine>, s: Sim, interval: SimDuration) {
+/// How often the aggregation service runs on each engine.
+const AGGREGATION_INTERVAL: SimDuration = SimDuration::from_secs(5);
+/// Overwrite history younger than this is kept for snapshot readers.
+const AGGREGATION_RETENTION: SimDuration = SimDuration::from_secs(2);
+
+/// Background VOS aggregation service — DAOS's epoch aggregation: every
+/// [`AGGREGATION_INTERVAL`], flatten overwrite history older than
+/// [`AGGREGATION_RETENTION`] on each target, reclaiming extent-tree
+/// records.
+pub(super) async fn aggregation(e: Rc<Engine>, s: Sim) {
     loop {
-        s.sleep(interval).await;
+        s.sleep(AGGREGATION_INTERVAL).await;
         let horizon = s
             .now()
             .as_ns()
-            .saturating_sub(e.cfg.aggregation_retention.as_ns());
+            .saturating_sub(AGGREGATION_RETENTION.as_ns());
         for t in 0..e.target_count() {
             let target = Rc::clone(e.target(t));
             for cid in target.container_ids() {

@@ -98,13 +98,6 @@ pub struct EngineConfig {
     pub read_miss_amp: f64,
     /// VOS index cost model shared by this engine's targets.
     pub vos: VosConfig,
-    /// Background epoch-aggregation interval (None disables). Aggregation
-    /// flattens overwrite history older than `aggregation_retention`,
-    /// reclaiming extent-tree records — DAOS's background VOS aggregation
-    /// service.
-    pub aggregation_interval: Option<SimDuration>,
-    /// History younger than this is kept for snapshot readers.
-    pub aggregation_retention: SimDuration,
     /// Throughput of the xstream checksum engine (ISA-L-style CRC on the
     /// service cores). Charged per payload byte on verify-on-write and
     /// verify-on-fetch when `vos.csum_enabled` — the "measured overhead"
@@ -145,8 +138,6 @@ impl Default for EngineConfig {
             read_miss_latency: SimDuration::from_us(40),
             read_miss_amp: 1.6,
             vos: VosConfig::default(),
-            aggregation_interval: Some(SimDuration::from_secs(5)),
-            aggregation_retention: SimDuration::from_secs(2),
             // hardware-accelerated hash class (crc32c / xxh3 on one core)
             csum_bw: Bandwidth::gib_per_sec(40.0),
             scrub_interval: Some(SimDuration::from_ms(500)),
@@ -229,13 +220,7 @@ impl Engine {
             corrupt_ppm: Cell::new(0),
             background: Background::default(),
         });
-        if let Some(interval) = cfg.aggregation_interval {
-            sim.spawn_detached(background::aggregation(
-                Rc::clone(&eng),
-                sim.clone(),
-                interval,
-            ));
-        }
+        sim.spawn_detached(background::aggregation(Rc::clone(&eng), sim.clone()));
         // the scrubber is idle without checksums to verify against
         if let (true, Some(interval)) = (cfg.vos.csum_enabled, cfg.scrub_interval) {
             sim.spawn_detached(background::scrubber(Rc::clone(&eng), sim.clone(), interval));

@@ -1,11 +1,11 @@
 //! The shaper stage of the request pipeline: per-tenant QoS.
 //!
 //! Sits *behind* the admission gates and *before* the xstream FIFO: a
-//! DRR per xstream picks whose request runs next, engine-wide token
-//! buckets decide when. Default-off — engines spawn unshaped and
-//! [`super::Engine::set_qos`] installs a shaper afterwards, so
-//! [`super::EngineConfig`] (and every committed baseline's config hash)
-//! never learns about it.
+//! DRR per xstream picks whose request runs next, an engine-wide token
+//! bucket per capped tenant decides when. Default-off — engines spawn
+//! unshaped and [`super::Engine::set_qos`] installs a shaper afterwards,
+//! so [`super::EngineConfig`] (and every committed baseline's config
+//! hash) never learns about it.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
@@ -20,9 +20,9 @@ use crate::qos::{Drr, QosParams, TokenBucket, BG_TENANT};
 /// payload, so header-only ops still cost the shaper something.
 pub(super) const RPC_OVERHEAD_BYTES: u64 = 512;
 
-/// Cost granularity for the IOPS bucket's burst depth: one op-token of
-/// headroom per MiB of byte burst.
-const MIB_COST: u64 = 1 << 20;
+/// DRR quantum in cost units (bytes) added to a backlogged tenant's
+/// deficit per round, scaled by its weight.
+const DRR_QUANTUM: u64 = 64 * daos_sim::units::KIB;
 
 /// Per-tenant shaper observability counters (see
 /// [`super::Engine::tenant_stats`]). All zero while shaping is disabled.
@@ -60,7 +60,7 @@ struct XsGate {
     /// pushes both in the same order, so fronts stay aligned).
     waiters: RefCell<BTreeMap<u8, VecDeque<OneshotSender<()>>>>,
     /// The DRR's current selection, parked while its tenant's token
-    /// buckets are short.
+    /// bucket is short.
     head: Cell<Option<(u8, u64)>>,
     /// A grant is outstanding (its request is being served).
     busy: Cell<bool>,
@@ -73,16 +73,14 @@ struct XsGate {
 /// bit-for-bit as before.
 pub(crate) struct QosShaper {
     params: QosParams,
-    /// Per-tenant token buckets, lazily created from the tenant's class.
-    buckets: RefCell<BTreeMap<u8, TenantBuckets>>,
+    /// Per-tenant bandwidth buckets, lazily created from the tenant's
+    /// class; `None` = uncapped.
+    buckets: RefCell<BTreeMap<u8, Option<TokenBucket>>>,
     gates: Vec<Rc<XsGate>>,
     /// One slot per request waiting at a gate for its grant.
     grants: ReplySlots<()>,
     stats: RefCell<BTreeMap<u8, TenantStats>>,
 }
-
-/// A tenant's `(bandwidth bucket, iops bucket)`; `None` = uncapped.
-type TenantBuckets = (Option<TokenBucket>, Option<TokenBucket>);
 
 /// RAII release of an [`XsGate`] grant: fires on every exit from
 /// service — including an engine crash mid-request — so the gate can
@@ -104,7 +102,7 @@ impl QosShaper {
     pub(super) fn new(params: QosParams, xstreams: usize) -> Rc<QosShaper> {
         let gates = (0..xstreams)
             .map(|_| {
-                let mut drr = Drr::new(params.quantum);
+                let mut drr = Drr::new(DRR_QUANTUM);
                 for (&tenant, class) in &params.classes {
                     drr.set_weight(tenant, class.weight);
                 }
@@ -135,15 +133,11 @@ impl QosShaper {
         }
     }
 
-    fn with_buckets<R>(&self, tenant: u8, f: impl FnOnce(&mut TenantBuckets) -> R) -> R {
+    fn with_bucket<R>(&self, tenant: u8, f: impl FnOnce(&mut Option<TokenBucket>) -> R) -> R {
         let mut map = self.buckets.borrow_mut();
         let entry = map.entry(tenant).or_insert_with(|| {
             let class = self.params.class(tenant);
-            let ops_burst = class.burst / MIB_COST + 1;
-            (
-                class.bw_cap.map(|r| TokenBucket::new(r, class.burst)),
-                class.iops_cap.map(|r| TokenBucket::new(r, ops_burst)),
-            )
+            class.bw_cap.map(|r| TokenBucket::new(r, class.burst))
         });
         f(entry)
     }
@@ -153,36 +147,27 @@ impl QosShaper {
         f(stats.entry(tenant).or_default());
     }
 
-    /// Nanoseconds until `tenant`'s buckets cover `cost` (0 = now).
+    /// Nanoseconds until `tenant`'s bucket covers `cost` (0 = now).
     fn token_wait(&self, now_ns: u64, tenant: u8, cost: u64) -> u64 {
-        self.with_buckets(tenant, |(bw, iops)| {
-            let mut wait = 0u64;
-            if let Some(b) = bw {
+        self.with_bucket(tenant, |bw| {
+            bw.as_mut().map_or(0, |b| {
                 b.refill(now_ns);
-                wait = wait.max(b.ns_until(cost));
-            }
-            if let Some(b) = iops {
-                b.refill(now_ns);
-                wait = wait.max(b.ns_until(1));
-            }
-            wait
+                b.ns_until(cost)
+            })
         })
     }
 
     fn take_tokens(&self, now_ns: u64, tenant: u8, cost: u64) {
-        self.with_buckets(tenant, |(bw, iops)| {
+        self.with_bucket(tenant, |bw| {
             if let Some(b) = bw {
                 b.try_take(now_ns, cost);
-            }
-            if let Some(b) = iops {
-                b.try_take(now_ns, 1);
             }
         });
     }
 
     /// Drive one gate forward: park the DRR head while its tenant's
-    /// buckets are short (arming a single refill sleeper), grant it when
-    /// they cover. Synchronous, so it is safe from [`GateGuard::drop`].
+    /// bucket is short (arming a single refill sleeper), grant it when
+    /// it covers. Synchronous, so it is safe from [`GateGuard::drop`].
     fn pump(self: &Rc<Self>, sim: &Sim, xs: usize) {
         let gate = &self.gates[xs];
         if gate.busy.get() {
@@ -274,7 +259,7 @@ impl QosShaper {
         if amount == 0 {
             return;
         }
-        self.with_buckets(tenant, |(bw, _)| {
+        self.with_bucket(tenant, |bw| {
             if let Some(b) = bw {
                 b.refund(amount);
             }
@@ -314,7 +299,7 @@ impl QosShaper {
                 sim.sleep_ns(wait).await;
                 continue;
             }
-            let step = self.with_buckets(BG_TENANT, |(bw, _)| match bw {
+            let step = self.with_bucket(BG_TENANT, |bw| match bw {
                 Some(b) => remaining.min(b.burst().max(1)),
                 None => remaining,
             });
@@ -334,12 +319,9 @@ impl QosShaper {
             t.bytes += RPC_OVERHEAD_BYTES;
         });
         let now = sim.now().as_ns();
-        self.with_buckets(BG_TENANT, |(bw, iops)| {
+        self.with_bucket(BG_TENANT, |bw| {
             if let Some(b) = bw {
                 b.take_saturating(now, RPC_OVERHEAD_BYTES);
-            }
-            if let Some(b) = iops {
-                b.take_saturating(now, 1);
             }
         });
     }

@@ -4,7 +4,7 @@
 //! no I/O. The engine ([`crate::engine`]) composes them into a shaper
 //! that sits behind the admission gates: a [`Drr`] per xstream decides
 //! *whose* request runs next, and per-tenant [`TokenBucket`]s decide
-//! *when* it may run (bandwidth / IOPS caps with bounded burst).
+//! *when* it may run (a bandwidth cap with bounded burst).
 //!
 //! All arithmetic is scaled-integer (`u128` token units of
 //! `token × ns`), so refill and depletion are exact: two runs with the
@@ -24,21 +24,18 @@ pub const BG_TENANT: u8 = 255;
 /// Nanoseconds per second — the token scale factor.
 const NS_PER_SEC: u128 = 1_000_000_000;
 
-/// One tenant's service class: a DRR weight plus optional hard caps.
+/// One tenant's service class: a DRR weight plus an optional hard cap.
 ///
 /// `weight` sets the tenant's share of an xstream when everyone is
 /// backlogged (deficit round robin is work-conserving: idle tenants
-/// donate their share). `bw_cap` / `iops_cap` are absolute ceilings in
-/// bytes/sec and ops/sec enforced by token buckets with `burst` bytes
-/// (and `burst / MIB + 1` ops) of depth.
+/// donate their share). `bw_cap` is an absolute ceiling in bytes/sec
+/// enforced by a token bucket `burst` bytes deep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct QosClass {
     /// Relative DRR weight (clamped to ≥ 1).
     pub weight: u32,
     /// Absolute bandwidth ceiling in bytes per second (`None` = uncapped).
     pub bw_cap: Option<u64>,
-    /// Absolute operation-rate ceiling in ops per second (`None` = uncapped).
-    pub iops_cap: Option<u64>,
     /// Token-bucket depth in bytes: how far a tenant may burst above
     /// its sustained rate after idling.
     pub burst: u64,
@@ -49,7 +46,6 @@ impl Default for QosClass {
         QosClass {
             weight: 1,
             bw_cap: None,
-            iops_cap: None,
             burst: 8 * MIB,
         }
     }
@@ -65,25 +61,13 @@ impl QosClass {
     }
 }
 
-/// The cluster-wide shaping policy: per-tenant classes plus the DRR
-/// quantum. Tenants not present get [`QosClass::default`] (weight 1,
-/// uncapped) — unknown traffic is never starved, only outweighed.
-#[derive(Clone, Debug)]
+/// The cluster-wide shaping policy: per-tenant classes. Tenants not
+/// present get [`QosClass::default`] (weight 1, uncapped) — unknown
+/// traffic is never starved, only outweighed.
+#[derive(Clone, Debug, Default)]
 pub struct QosParams {
     /// Per-tenant service classes.
     pub classes: BTreeMap<u8, QosClass>,
-    /// DRR quantum in cost units (bytes) added to a backlogged
-    /// tenant's deficit per round, scaled by its weight.
-    pub quantum: u64,
-}
-
-impl Default for QosParams {
-    fn default() -> Self {
-        QosParams {
-            classes: BTreeMap::new(),
-            quantum: 64 * daos_sim::units::KIB,
-        }
-    }
 }
 
 impl QosParams {
@@ -512,6 +496,6 @@ mod tests {
         assert_eq!(p.class(3).weight, 8);
         let d = p.class(200);
         assert_eq!(d.weight, 1);
-        assert!(d.bw_cap.is_none() && d.iops_cap.is_none());
+        assert!(d.bw_cap.is_none());
     }
 }

@@ -10,8 +10,8 @@
 //!
 //! The pass is server-pull, as in DAOS: the destination engine's node
 //! issues the fetch and update RPCs, so repair traffic competes with
-//! foreground I/O for engine bandwidth. Concurrency is bounded by the
-//! `rebuild_inflight` knob.
+//! foreground I/O for engine bandwidth. Concurrency is bounded by
+//! `REBUILD_INFLIGHT`.
 
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -33,6 +33,9 @@ use crate::ContId;
 /// Per-RPC deadline inside a rebuild pass; a source that stays dark this
 /// long is skipped and the chunk is left for the next pass.
 const REPAIR_RPC_DEADLINE: SimDuration = SimDuration::from_secs(2);
+/// Concurrent repair RPCs per rebuild pass: more drains faster but
+/// steals more engine bandwidth from foreground I/O.
+const REBUILD_INFLIGHT: usize = 4;
 
 /// What a rebuild pass accomplished.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -291,7 +294,7 @@ pub(crate) async fn run(
     push_map(sim, cluster, version, new_excluded).await;
     let old_map = map_with(cluster, old_excluded);
     let new_map = Rc::new(map_with(cluster, new_excluded));
-    let throttle = Semaphore::new(cluster.cfg.rebuild_inflight.max(1) as usize);
+    let throttle = Semaphore::new(REBUILD_INFLIGHT);
     let tpe = cluster.cfg.targets_per_engine;
 
     // only protected arrays are registered: unprotected shards on a dead

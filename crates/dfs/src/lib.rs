@@ -160,21 +160,18 @@ fn decode(v: &Payload) -> Result<DirEntry, DaosError> {
 pub struct DfsConfig {
     /// Default chunk size for new files.
     pub chunk_size: u64,
-    /// Object class for directories.
-    pub dir_class: ObjectClass,
-    /// Default object class for files.
-    pub file_class: ObjectClass,
 }
 
 impl Default for DfsConfig {
     fn default() -> Self {
         DfsConfig {
             chunk_size: DEFAULT_CHUNK,
-            dir_class: ObjectClass::S1,
-            file_class: ObjectClass::SX,
         }
     }
 }
+
+/// Object class of every directory.
+const DIR_CLASS: ObjectClass = ObjectClass::S1;
 
 /// A mounted DFS namespace.
 pub struct Dfs {
@@ -291,7 +288,7 @@ impl Dfs {
     }
 
     fn dir_kv(&self, oid: ObjectId) -> KvHandle {
-        self.cont.object(oid, self.cfg.dir_class).kv()
+        self.cont.object(oid, DIR_CLASS).kv()
     }
 
     /// Split `path` into its directory components and its last one,
@@ -333,7 +330,7 @@ impl Dfs {
                 kind: EntryKind::Dir,
                 oid: OID_ROOT,
                 chunk_size: self.cfg.chunk_size,
-                class: self.cfg.dir_class,
+                class: DIR_CLASS,
                 link_target: None,
             }));
         }
@@ -354,7 +351,7 @@ impl Dfs {
             kind: EntryKind::Dir,
             oid: self.alloc_oid(),
             chunk_size: self.cfg.chunk_size,
-            class: self.cfg.dir_class,
+            class: DIR_CLASS,
             link_target: None,
         };
         kv.put(sim, name, Payload::bytes(ent.to_bytes())).await

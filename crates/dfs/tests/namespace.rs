@@ -421,10 +421,7 @@ fn mangled_dirent_surfaces_as_corrupt_metadata() {
         // (root directory object is oid {0, 2}, dir class S1): kind byte 9
         // is no valid entry kind, so deserialisation must refuse it
         let root = daos_placement::ObjectId::new(0, 2);
-        let kv = fs
-            .container()
-            .object(root, DfsConfig::default().dir_class)
-            .kv();
+        let kv = fs.container().object(root, ObjectClass::S1).kv();
         kv.put(&sim, "victim.dat", Payload::bytes(vec![9u8; 32]))
             .await
             .unwrap();

@@ -14,8 +14,9 @@
 //!   HDF5's poor showing through DFuse in the paper's Figure 1;
 //! * **daemon concurrency**: one DFuse daemon with a bounded service pool
 //!   per mount (per client node);
-//! * optionally, the **interception library** (`libioil`): data I/O on
-//!   intercepted descriptors bypasses the kernel and goes straight to DFS.
+//! * the **interception library** (`libioil`): a file opened through the
+//!   mount whose reads and writes go through [`PosixFile::il_pwrite`] /
+//!   [`PosixFile::il_pread`] bypasses the kernel and goes straight to DFS.
 //!
 //! No data is cached (`dfuse --disable-caching`, as in the paper's runs):
 //! every POSIX I/O reaches DAOS.
@@ -53,6 +54,9 @@ fn pieces(max_req: u64, offset: u64, len: u64) -> impl Iterator<Item = (u64, u64
     })
 }
 
+/// Object class of a file created without [`OpenFlags::class`].
+const FILE_CLASS: ObjectClass = ObjectClass::SX;
+
 /// DFuse tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct DfuseConfig {
@@ -62,8 +66,6 @@ pub struct DfuseConfig {
     pub kernel_crossing: SimDuration,
     /// DFuse daemon service threads per mount.
     pub daemon_threads: usize,
-    /// Interception library (`libioil`): read/write bypass the kernel.
-    pub interception: bool,
 }
 
 impl Default for DfuseConfig {
@@ -72,7 +74,6 @@ impl Default for DfuseConfig {
             max_req: 1 << 20,
             kernel_crossing: SimDuration::from_us(4),
             daemon_threads: 16,
-            interception: false,
         }
     }
 }
@@ -101,7 +102,7 @@ pub struct DfuseMount {
 #[derive(Clone, Copy, Debug)]
 pub struct OpenFlags {
     pub create: bool,
-    /// Class for newly created files (`None` = mount default).
+    /// Class for newly created files (`None` = `SX`).
     pub class: Option<ObjectClass>,
     /// Chunk size for newly created files (`None` = mount default).
     pub chunk_size: Option<u64>,
@@ -191,7 +192,7 @@ impl DfuseMount {
     ) -> Result<PosixFile, DaosError> {
         let _t = self.request(sim).await;
         let file = if flags.create {
-            let class = flags.class.unwrap_or(self.dfs.config().file_class);
+            let class = flags.class.unwrap_or(FILE_CLASS);
             let chunk = flags.chunk_size.unwrap_or(self.dfs.config().chunk_size);
             self.dfs.create(sim, path, class, chunk).await?
         } else {
@@ -259,17 +260,12 @@ impl DfuseMount {
 impl PosixFile {
     /// POSIX `pwrite(2)`.
     ///
-    /// Without interception the kernel cuts the write at `max_req`-aligned
-    /// boundaries and issues the pieces **sequentially** (FUSE direct-io
-    /// write-back behaviour) — an unaligned 1 MiB write costs two full
-    /// round trips.
+    /// The kernel cuts the write at `max_req`-aligned boundaries and issues
+    /// the pieces **sequentially** (FUSE direct-io write-back behaviour) —
+    /// an unaligned 1 MiB write costs two full round trips.
     pub async fn pwrite(&self, sim: &Sim, offset: u64, data: Payload) -> Result<(), DaosError> {
         let m = &self.mount;
         m.wr_bytes.set(m.wr_bytes.get() + data.len());
-        if m.cfg.interception {
-            m.il_ops.set(m.il_ops.get() + 1);
-            return self.file.write(sim, offset, data).await;
-        }
         for (piece_off, piece_len) in pieces(m.cfg.max_req, offset, data.len()) {
             let _t = m.request(sim).await;
             let piece = data.slice(piece_off - offset, piece_len);
@@ -282,10 +278,6 @@ impl PosixFile {
     pub async fn pread(&self, sim: &Sim, offset: u64, len: u64) -> Result<Segs, DaosError> {
         let m = &self.mount;
         m.rd_bytes.set(m.rd_bytes.get() + len);
-        if m.cfg.interception {
-            m.il_ops.set(m.il_ops.get() + 1);
-            return self.file.read(sim, offset, len).await;
-        }
         let mut segs = Segs::default();
         for (piece_off, piece_len) in pieces(m.cfg.max_req, offset, len) {
             let _t = m.request(sim).await;
@@ -293,6 +285,23 @@ impl PosixFile {
             segs.append(self.file.read(sim, piece_off, piece_len).await?);
         }
         Ok(segs)
+    }
+
+    /// `pwrite(2)` under the interception library: one DFS write, no
+    /// kernel crossing, counted in [`DfuseStats::intercepted_ops`].
+    pub async fn il_pwrite(&self, sim: &Sim, offset: u64, data: Payload) -> Result<(), DaosError> {
+        let m = &self.mount;
+        m.wr_bytes.set(m.wr_bytes.get() + data.len());
+        m.il_ops.set(m.il_ops.get() + 1);
+        self.file.write(sim, offset, data).await
+    }
+
+    /// `pread(2)` under the interception library; see [`Self::il_pwrite`].
+    pub async fn il_pread(&self, sim: &Sim, offset: u64, len: u64) -> Result<Segs, DaosError> {
+        let m = &self.mount;
+        m.rd_bytes.set(m.rd_bytes.get() + len);
+        m.il_ops.set(m.il_ops.get() + 1);
+        self.file.read(sim, offset, len).await
     }
 
     /// Materialising read (test helper).

@@ -65,14 +65,6 @@ pub struct FabricConfig {
     pub per_msg_cpu: SimDuration,
     /// Bandwidth of the intra-node loopback path (shared-memory copy).
     pub loopback_bw: Bandwidth,
-    /// Messages at or below this size ride the eager lane: they pay
-    /// injection, serialization and wire latency but do not queue behind
-    /// bulk frames. Packet interleaving and virtual-lane arbitration give
-    /// small control messages bounded delay on a loaded real fabric —
-    /// without this, a heartbeat stuck behind megabytes of bulk data looks
-    /// exactly like a dead engine and the failure detector melts down
-    /// under saturating I/O.
-    pub eager: u64,
 }
 
 impl Default for FabricConfig {
@@ -84,7 +76,6 @@ impl Default for FabricConfig {
             frame: 128 * 1024,
             per_msg_cpu: SimDuration::from_ns(300),
             loopback_bw: Bandwidth::gib_per_sec(20.0),
-            eager: 4096,
         }
     }
 }
@@ -270,8 +261,7 @@ impl Fabric {
     /// virtual-lane arbitration give small control messages bounded delay
     /// on a loaded real fabric — without this, a heartbeat stuck behind
     /// megabytes of bulk data looks exactly like a dead engine and the
-    /// failure detector melts down under saturating I/O. Messages above
-    /// [`FabricConfig::eager`] fall back to the bulk path.
+    /// failure detector melts down under saturating I/O.
     pub async fn message_control(
         &self,
         sim: &Sim,
@@ -279,9 +269,6 @@ impl Fabric {
         to: NodeId,
         bytes: u64,
     ) -> SimTime {
-        if bytes > self.cfg.eager {
-            return self.message(sim, from, to, bytes).await;
-        }
         let now = sim.now().as_ns();
         let cpu = self.cfg.per_msg_cpu.as_ns();
         let done = if from == to {

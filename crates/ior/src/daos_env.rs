@@ -22,10 +22,9 @@ pub struct DaosTestbed {
     pub containers: Vec<ContainerHandle>,
     /// One DFS mount per client node.
     pub dfs: Vec<Rc<Dfs>>,
-    /// One DFuse daemon per client node (no interception).
+    /// One DFuse daemon per client node; an interception-library run
+    /// opens its files here too ([`crate::Intercepted`]).
     pub dfuse: Vec<Rc<DfuseMount>>,
-    /// One DFuse daemon per client node with the interception library.
-    pub dfuse_il: Vec<Rc<DfuseMount>>,
 }
 
 impl DaosTestbed {
@@ -56,7 +55,6 @@ impl DaosTestbed {
         let mut containers = Vec::with_capacity(n as usize);
         let mut dfs = Vec::with_capacity(n as usize);
         let mut dfuse = Vec::with_capacity(n as usize);
-        let mut dfuse_il = Vec::with_capacity(n as usize);
         for i in 0..n {
             let client = DaosClient::new(Rc::clone(&cluster), i);
             let pool = client.connect(sim).await?;
@@ -70,13 +68,6 @@ impl DaosTestbed {
             )
             .await?;
             dfuse.push(DfuseMount::new(Rc::clone(&fsm), dfuse_cfg));
-            dfuse_il.push(DfuseMount::new(
-                Rc::clone(&fsm),
-                DfuseConfig {
-                    interception: true,
-                    ..dfuse_cfg
-                },
-            ));
             dfs.push(fsm);
             containers.push(cont);
             pools.push(pool);
@@ -89,7 +80,6 @@ impl DaosTestbed {
             containers,
             dfs,
             dfuse,
-            dfuse_il,
         }))
     }
 

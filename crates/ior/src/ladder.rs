@@ -57,13 +57,26 @@ impl ByteFile for DfsFile {
     }
 }
 
-/// POSIX through a DFuse mount (with or without the interception library).
+/// POSIX through a DFuse mount.
 impl ByteFile for PosixFile {
     async fn write(&self, sim: &Sim, off: u64, data: Payload) -> Result<(), DaosError> {
         self.pwrite(sim, off, data).await
     }
     async fn read(&self, sim: &Sim, off: u64, len: u64) -> Result<Segs, DaosError> {
         self.pread(sim, off, len).await
+    }
+}
+
+/// POSIX under the interception library (`libioil`): a file opened through
+/// the DFuse mount whose reads and writes bypass the kernel.
+pub struct Intercepted(pub PosixFile);
+
+impl ByteFile for Intercepted {
+    async fn write(&self, sim: &Sim, off: u64, data: Payload) -> Result<(), DaosError> {
+        self.0.il_pwrite(sim, off, data).await
+    }
+    async fn read(&self, sim: &Sim, off: u64, len: u64) -> Result<Segs, DaosError> {
+        self.0.il_pread(sim, off, len).await
     }
 }
 

@@ -9,7 +9,7 @@
 //! |----------|------|------|--------------|
 //! | `DAOS`   | [`Api::DaosArray`] | `ArrayHandle` | native `daos_array` (the paper's future work) |
 //! | `DFS`    | [`Api::Dfs`]    | `DfsFile` | `libdfs` |
-//! | `POSIX`  | [`Api::Posix`]  | `PosixFile` | DFuse mount (optionally the interception library) |
+//! | `POSIX`  | [`Api::Posix`]  | `PosixFile` / [`Intercepted`] | DFuse mount, through the kernel or the interception library |
 //! | `MPIIO`  | [`Api::Mpiio`]  | `MpiFile` / [`Collective`] | ROMIO UFS driver over DFuse, independent or collective transfers |
 //! | `HDF5`   | [`Api::Hdf5`]   | `(Rc<H5File>, Dataset)` | mini-HDF5 over `sec2` (file per process) or `mpio` with independent transfers (shared), both over DFuse |
 //! | `POSIX` on the PFS | [`pfs_files`] | `PfsFile` | none: the Lustre-like baseline of the closing contrast |
@@ -37,7 +37,7 @@ pub mod mdtest;
 pub mod runner;
 
 pub use daos_env::DaosTestbed;
-pub use ladder::{ByteFile, Collective, MetaOps, PfsClient};
+pub use ladder::{ByteFile, Collective, Intercepted, MetaOps, PfsClient};
 pub use mdtest::{mdtest, mdtest_ranks, MdBackend, MdtestReport};
 pub use runner::{pfs_files, run, run_files};
 

@@ -17,7 +17,7 @@ use daos_sim::Sim;
 use daos_vos::Payload;
 
 use crate::daos_env::DaosTestbed;
-use crate::ladder::{ByteFile, Collective, PfsClient};
+use crate::ladder::{ByteFile, Collective, Intercepted, PfsClient};
 use crate::{data_seed, Api, IorParams, IorReport};
 
 fn file_path(params: &IorParams, rank: u32) -> String {
@@ -210,25 +210,29 @@ pub async fn run(
     let node_of = |r: u32| env.node_of_rank(r, params.ppn) as usize;
     let shared = !params.file_per_process;
     // rank r's DFuse file, ready to move into an open future
-    let posix = |mounts: &[Rc<DfuseMount>], r: u32| {
-        let (sim, mount) = (sim.clone(), Rc::clone(&mounts[node_of(r)]));
+    let posix = |r: u32| {
+        let (sim, mount) = (sim.clone(), Rc::clone(&env.dfuse[node_of(r)]));
         async move { posix_open(&sim, &mount, &params, r).await }
     };
     // rank 0 alone creates a shared file's dirent, before every rank opens
     // it concurrently, so the opens are race-free
     let create_shared_posix = async || {
         if shared {
-            posix(&env.dfuse, 0).await?;
+            posix(0).await?;
         }
         Ok::<(), DaosError>(())
     };
 
     match params.api {
         Api::Posix { il } => {
-            let mounts = if il { &env.dfuse_il } else { &env.dfuse };
             create_shared_posix().await?;
-            let files = open_all(sim, ranks, |r| posix(mounts, r)).await?;
-            run_files(sim, nodes, params, files).await
+            let files = open_all(sim, ranks, posix).await?;
+            if il {
+                let files = files.into_iter().map(Intercepted).collect();
+                run_files(sim, nodes, params, files).await
+            } else {
+                run_files(sim, nodes, params, files).await
+            }
         }
         Api::Dfs => {
             let open = |r: u32| {
@@ -247,7 +251,7 @@ pub async fn run(
         }
         Api::Mpiio { collective } => {
             let open = |r: u32| {
-                let (sim, rank, file) = (sim.clone(), world.rank(r as usize), posix(&env.dfuse, r));
+                let (sim, rank, file) = (sim.clone(), world.rank(r as usize), posix(r));
                 async move {
                     let (file, hints) = (RankFile::Posix(file.await?), Hints::default());
                     Ok(if shared {
@@ -268,7 +272,7 @@ pub async fn run(
         }
         Api::Hdf5 => {
             let open = |r: u32| {
-                let (sim, rank, file) = (sim.clone(), world.rank(r as usize), posix(&env.dfuse, r));
+                let (sim, rank, file) = (sim.clone(), world.rank(r as usize), posix(r));
                 async move {
                     let file = file.await?;
                     let block = params.block_size * params.segments as u64;

@@ -24,30 +24,24 @@ pub struct Config {
     pub id: NodeId,
     /// The full replica set (including `id`).
     pub peers: Vec<NodeId>,
-    /// Election timeout range in ticks (randomised per election).
-    pub election_ticks: (u64, u64),
-    /// Leader heartbeat interval in ticks.
-    pub heartbeat_ticks: u64,
-    /// Max entries per AppendEntries message.
-    pub max_batch: usize,
-    /// Compact the log once it exceeds this many in-memory entries.
-    pub snapshot_threshold: usize,
 }
 
 impl Config {
-    /// Sensible defaults for a replica set.
+    /// The configuration of replica `id` in the set `peers`.
     pub fn new(id: NodeId, peers: Vec<NodeId>) -> Self {
         assert!(peers.contains(&id), "id must be a member of peers");
-        Config {
-            id,
-            peers,
-            election_ticks: (10, 20),
-            heartbeat_ticks: 3,
-            max_batch: 64,
-            snapshot_threshold: 1024,
-        }
+        Config { id, peers }
     }
 }
+
+/// Election timeout range in ticks (randomised per election).
+const ELECTION_TICKS: std::ops::RangeInclusive<u64> = 10..=20;
+/// Leader heartbeat interval in ticks.
+const HEARTBEAT_TICKS: u64 = 3;
+/// Max entries per AppendEntries message.
+const MAX_BATCH: usize = 64;
+/// Compact the log once it exceeds this many in-memory entries.
+const SNAPSHOT_THRESHOLD: usize = 1024;
 
 /// What actually sits in the replicated log: application commands plus the
 /// no-op barrier a fresh leader appends to commit prior-term entries
@@ -150,7 +144,7 @@ impl<C: Clone> Raft<C> {
     /// Create a follower with an empty log.
     pub fn new(cfg: Config, seed: u64) -> Self {
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ cfg.id);
-        let deadline = rng.gen_range(cfg.election_ticks.0..=cfg.election_ticks.1);
+        let deadline = rng.gen_range(ELECTION_TICKS);
         Raft {
             cfg,
             rng,
@@ -213,7 +207,7 @@ impl<C: Clone> Raft<C> {
         self.elapsed += 1;
         match self.role {
             Role::Leader => {
-                if self.elapsed >= self.cfg.heartbeat_ticks {
+                if self.elapsed >= HEARTBEAT_TICKS {
                     self.elapsed = 0;
                     return self.broadcast_append();
                 }
@@ -230,9 +224,7 @@ impl<C: Clone> Raft<C> {
 
     fn reset_election_timer(&mut self) {
         self.elapsed = 0;
-        self.election_deadline = self
-            .rng
-            .gen_range(self.cfg.election_ticks.0..=self.cfg.election_ticks.1);
+        self.election_deadline = self.rng.gen_range(ELECTION_TICKS);
     }
 
     fn start_election(&mut self) -> Vec<Envelope<C>> {
@@ -307,7 +299,7 @@ impl<C: Clone> Raft<C> {
         }
         let prev_index = next - 1;
         let prev_term = self.log.term_at(prev_index).unwrap_or(0);
-        let entries = self.log.entries_from(prev_index, self.cfg.max_batch);
+        let entries = self.log.entries_from(prev_index, MAX_BATCH);
         Envelope {
             to,
             msg: Message::AppendEntries {
@@ -541,7 +533,7 @@ impl<C: Clone> Raft<C> {
 
     /// True once the in-memory log is large enough to warrant compaction.
     pub fn wants_snapshot(&self) -> bool {
-        self.log.len_in_memory() > self.cfg.snapshot_threshold
+        self.log.len_in_memory() > SNAPSHOT_THRESHOLD
             && self.applied_index > self.log.snapshot().last_index
     }
 

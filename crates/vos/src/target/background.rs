@@ -14,7 +14,7 @@ impl VosTarget {
     pub fn aggregate(&self, cid: ContId, epoch: Epoch) -> usize {
         let mut conts = self.containers.borrow_mut();
         let mut scratch = self.scratch.borrow_mut();
-        walk(conts.range_mut(cid..=cid), None)
+        walk(conts.range_mut(cid..=cid), None, false)
             .map(|(_, _, ak)| match ak {
                 AkeyStore::Array { tree, .. } => tree.aggregate(epoch, &mut scratch),
                 AkeyStore::Single(sv) => {
@@ -41,8 +41,8 @@ impl VosTarget {
             let mut conts = self.containers.borrow_mut();
             let cursor = self.scrub_cursor.borrow();
             let after = cursor.as_ref().map(|(c, o, d, a)| (*c, *o, &d[..], &a[..]));
-            let mut todo = walk(conts.range_mut(after.map_or(0, |a| a.0)..), after)
-                .filter(|(_, visible, ak)| *visible && ak.array().is_ok());
+            let mut todo = walk(conts.range_mut(after.map_or(0, |a| a.0)..), after, true)
+                .filter(|(.., ak)| ak.array().is_ok());
             // in the batch buffer the last step left, so a warm scrubber
             // allocates nothing
             let mut items = std::mem::take(&mut *self.scrub_batch.borrow_mut());
@@ -117,7 +117,9 @@ impl VosTarget {
             h
         }
         let mut rotted = 0u64;
-        for ((cid, oid, dkey, akey), _, ak) in walk(self.containers.borrow_mut().iter_mut(), None) {
+        for ((cid, oid, dkey, akey), _, ak) in
+            walk(self.containers.borrow_mut().iter_mut(), None, false)
+        {
             if let AkeyStore::Array { tree, .. } = ak {
                 let s = seed ^ cid ^ (oid as u64) ^ ((oid >> 64) as u64);
                 rotted += tree.inject_rot(mix(mix(s, dkey), akey), fraction_ppm);

@@ -283,13 +283,17 @@ fn akey_at<'a>(conts: &'a Namespace, at: AkeyAt<'_>, epoch: Epoch) -> Option<&'a
 /// `Epoch::MAX`. Aggregation, scrub and rot injection all walk this way.
 /// With `after`, the walk starts past that akey: each level descends from
 /// its key in `after` while the walk is still inside `after`'s prefix.
+/// With `visible_only` (the scrubber's walk), an object invisible at
+/// `Epoch::MAX` is passed over without visiting its dkeys.
 fn walk<'a>(
     conts: impl Iterator<Item = (&'a ContId, &'a mut ContStore)>,
     after: Option<AkeyAt<'a>>,
+    visible_only: bool,
 ) -> impl Iterator<Item = ((ContId, ObjKey, &'a Key, &'a Key), bool, &'a mut AkeyStore)> {
     conts.flat_map(move |(&cid, cont)| {
         let after = after.filter(|a| a.0 == cid);
         let objects = cont.objects.range_mut(after.map_or(0, |a| a.1)..);
+        let objects = objects.filter(move |(_, obj)| !visible_only || obj.visible_at(Epoch::MAX));
         objects.flat_map(move |(&oid, obj)| {
             let after = after.filter(|a| a.1 == oid);
             let visible = obj.visible_at(Epoch::MAX);

@@ -548,6 +548,65 @@ fn every_reader_agrees_on_punch_visibility() {
     });
 }
 
+/// The scrubber's walk passes over a punched object whole: of a
+/// namespace holding a punched object of 32 array akeys beside a visible
+/// one of three array akeys and a single value, it yields only the
+/// visible object's four akeys, three of them arrays.
+#[test]
+fn the_scrubbers_walk_skips_a_punched_object() {
+    let (mut sim, t) = mk_target();
+    sim.block_on(|sim| {
+        let t = Rc::clone(&t);
+        async move {
+            let e = t.next_epoch();
+            for d in 0..4u8 {
+                for a in 0..8u8 {
+                    let (d, a) = (crate::key([d]), crate::key([a]));
+                    t.update_array(&sim, 1, 5, &d, &a, 0, e, Payload::pattern(1, 64))
+                        .await
+                        .unwrap();
+                }
+            }
+            let d = crate::key("d");
+            for a in ["x", "y", "z"] {
+                t.update_array(
+                    &sim,
+                    1,
+                    6,
+                    &d,
+                    &crate::key(a),
+                    0,
+                    e,
+                    Payload::pattern(2, 64),
+                )
+                .await
+                .unwrap();
+            }
+            t.update_single(
+                &sim,
+                1,
+                6,
+                &d,
+                &crate::key("one"),
+                e,
+                Payload::bytes(vec![7]),
+            )
+            .await
+            .unwrap();
+            t.punch_object(&sim, 1, 5, t.next_epoch()).await;
+        }
+    });
+    let mut conts = t.containers.borrow_mut();
+    assert_eq!(walk(conts.iter_mut(), None, false).count(), 36);
+    let (mut akeys, mut arrays) = (0, 0);
+    for ((_, oid, ..), visible, ak) in walk(conts.iter_mut(), None, true) {
+        assert!(visible && oid == 6, "the walk reached object {oid}");
+        akeys += 1;
+        arrays += usize::from(ak.array().is_ok());
+    }
+    assert_eq!((akeys, arrays), (4, 3));
+}
+
 /// A scrub step's chunks found by the rule steps used before `walk` took
 /// a start: walk the whole namespace and drop every chunk at or before
 /// the cursor. Returns the chunks a step of `budget` verifies and whether
@@ -555,7 +614,7 @@ fn every_reader_agrees_on_punch_visibility() {
 fn scrub_reference(t: &VosTarget, budget: usize) -> (Vec<(ContId, ObjKey, Key, Key)>, bool) {
     let cursor = t.scrub_cursor.borrow().clone();
     let mut conts = t.containers.borrow_mut();
-    let mut todo = walk(conts.iter_mut(), None)
+    let mut todo = walk(conts.iter_mut(), None, false)
         .filter(|(_, visible, ak)| *visible && ak.array().is_ok())
         .map(|((cid, oid, dkey, akey), ..)| (cid, oid, dkey.clone(), akey.clone()))
         .filter(|coord| cursor.as_ref().is_none_or(|c| coord > c));

@@ -266,10 +266,43 @@ fn ior_posix_fpp_and_shared_verify() {
     }
 }
 
+/// One verified file-per-process POSIX run, and the DFuse counters of
+/// every client node's one mount summed after it:
+/// `(fuse_requests, intercepted_ops)`.
+fn posix_run_counters(il: bool) -> (IorReport, u64, u64) {
+    let mut sim = Sim::new(0x10D);
+    sim.block_on(move |sim| async move {
+        let env = tiny_testbed(&sim).await;
+        let api = Api::Posix { il };
+        let r = run(&sim, &env, small_params(api, true))
+            .await
+            .expect("ior run");
+        let stats = env.dfuse.iter().map(|m| m.stats());
+        let (fuse, il_ops) = stats.fold((0, 0), |(f, i), s| {
+            (f + s.fuse_requests, i + s.intercepted_ops)
+        });
+        (r, fuse, il_ops)
+    })
+}
+
+/// Under the interception library a rank's file is opened through the
+/// node's mount, one FUSE request, and every transfer after that
+/// bypasses the kernel; the same run without it crosses the kernel at
+/// least once per transfer.
 #[test]
 fn ior_posix_interception_verify() {
-    let r = run_one(Api::Posix { il: true }, true);
-    assert!(r.write_gib_s() > 0.0);
+    let p = small_params(Api::Dfs, true);
+    let ranks = u64::from(NODES * p.ppn);
+    let transfers = 2 * ranks * p.segments as u64 * p.block_size / p.transfer_size;
+    let (r, fuse, il_ops) = posix_run_counters(true);
+    assert!(r.write_gib_s() > 0.0 && r.read_gib_s() > 0.0, "{r:?}");
+    assert_eq!((fuse, il_ops), (ranks, transfers));
+    let (_, fuse, il_ops) = posix_run_counters(false);
+    assert_eq!(il_ops, 0);
+    assert!(
+        fuse >= transfers + ranks,
+        "{fuse} FUSE requests for {transfers} transfers"
+    );
 }
 
 #[test]
