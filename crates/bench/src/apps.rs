@@ -101,8 +101,7 @@ fn native(cont: &ContainerHandle, tag: u64, class: ObjectClass) -> ArrayHandle {
 
 impl RankAccess {
     /// Build a `cfg` cluster and bind every client node to it as
-    /// `over_dfs` says (container 5, default DFS and DFuse configurations,
-    /// DFS client tag = node).
+    /// `over_dfs` says (container 5, default DFS and DFuse configurations).
     async fn per_node(
         sim: &Sim,
         cfg: ClusterConfig,
@@ -114,9 +113,7 @@ impl RankAccess {
             let pool = DaosClient::new(Rc::clone(&cluster), i).connect(sim).await?;
             out.push(match over_dfs {
                 None => RankAccess::Native(pool.open_or_create(sim, 5).await?),
-                Some(bind) => {
-                    bind(Dfs::mount(sim, &pool, 5, DfsConfig::default(), i as u64).await?)
-                }
+                Some(bind) => bind(Dfs::mount(sim, &pool, 5, DfsConfig::default()).await?),
             });
         }
         Ok(out)

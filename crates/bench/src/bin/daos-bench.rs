@@ -34,11 +34,14 @@
 //!
 //! `--threads N` pins the slate width of any command; the default is the
 //! host's available parallelism and `1` is serial. Every check reads the
-//! report, so `--compare-only` prints what the live run printed.
+//! report, so `--compare-only` prints what the live run printed. Any
+//! other flag, a switch given a value, a flag given twice or a stray word
+//! exits 2 ([`daos_bench::cli::Args`]).
 
 use std::path::{Path, PathBuf};
 
 use daos_bench::baseline::drift;
+use daos_bench::cli::Args;
 use daos_bench::figure::{
     find, out_dir, render, render_verdicts, run_figures, table_problems, Figure, FigureRun, Scale,
 };
@@ -53,67 +56,46 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-#[derive(Default)]
 struct Opts {
     /// Slate width (`--threads N`).
     threads: usize,
     compare_only: bool,
     update: bool,
     allow_dirty: bool,
-    /// Every flag given, for per-command validation.
-    given: Vec<String>,
-}
-
-impl Opts {
-    fn allow_only(&self, cmd: &str, allowed: &[&str]) {
-        if let Some(bad) = self.given.iter().find(|f| !allowed.contains(&f.as_str())) {
-            die(&format!("`{cmd}` does not take {bad}"));
-        }
-    }
 }
 
 fn main() {
-    let mut o = Opts {
-        threads: std::thread::available_parallelism().map_or(4, |p| p.get()),
-        ..Opts::default()
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Some((cmd, rest)) = argv.split_first() else {
+        die("expected a command")
     };
-    let mut positional = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--threads" => {
-                let n = args.next().and_then(|v| v.parse().ok()).filter(|&n| n > 0);
-                o.threads = n.unwrap_or_else(|| die("--threads needs a positive integer"));
-                continue;
-            }
-            "--compare-only" => o.compare_only = true,
-            "--update" => o.update = true,
-            "--allow-dirty" => o.allow_dirty = true,
-            flag if flag.starts_with("--") => die(&format!("unknown flag {flag}")),
-            _ => {
-                positional.push(a);
-                continue;
-            }
-        }
-        o.given.push(a);
-    }
-    match positional.as_slice() {
-        [cmd] if cmd == "list" => {
-            o.allow_only("list", &[]);
-            list()
-        }
-        [cmd] if cmd == "regress" => {
-            o.allow_only("regress", &["--compare-only", "--update", "--allow-dirty"]);
-            regress(&o)
-        }
-        [name] => match find(name) {
-            Some(figure) => {
-                o.allow_only(name, &["--compare-only"]);
-                standalone(figure, &o)
-            }
+    let switches: &[&str] = match cmd.as_str() {
+        "list" => &[],
+        "regress" => &["compare-only", "update", "allow-dirty"],
+        _ => &["compare-only"],
+    };
+    let args = Args::parse(rest, switches, &["threads"]).unwrap_or_else(|e| die(&e));
+    let threads = match args.get("threads") {
+        None => std::thread::available_parallelism().map_or(4, |p| p.get()),
+        Some(n) => n
+            .parse()
+            .ok()
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| die("--threads needs a positive integer")),
+    };
+    let o = Opts {
+        threads,
+        compare_only: args.has("compare-only"),
+        update: args.has("update"),
+        allow_dirty: args.has("allow-dirty"),
+    };
+    match cmd.as_str() {
+        "list" => list(),
+        "regress" => regress(&o),
+        name => match find(name) {
+            Some(figure) => standalone(figure, &o),
             None => die(&format!("no figure named {name:?} (see `daos-bench list`)")),
         },
-        _ => die("expected exactly one command"),
     }
 }
 

@@ -12,12 +12,15 @@
 //! ```
 //!
 //! Sizes accept `k`/`m`/`g` suffixes (KiB/MiB/GiB); `--reorder` (IOR's
-//! `-C`) and `--api mpiio-coll` need `--shared`. A flag its command does
-//! not list exits 2. Everything runs in simulation; output includes both
-//! bandwidth and the simulated duration.
+//! `-C`) and `--api mpiio-coll` need `--shared`. Exit 2 on a flag its
+//! command does not list, a switch given a value, a flag without its
+//! value or given twice, or a stray word ([`daos_bench::cli::Args`]).
+//! Everything runs in simulation; output includes both bandwidth and the
+//! simulated duration.
 
 use std::rc::Rc;
 
+use daos_bench::cli::Args;
 use daos_bench::paper_cluster;
 use daos_dfs::DfsConfig;
 use daos_dfuse::DfuseConfig;
@@ -44,45 +47,8 @@ fn die(msg: &str) -> ! {
     std::process::exit(2)
 }
 
-struct Args {
-    flags: Vec<(String, Option<String>)>,
-}
-
-impl Args {
-    /// Parse `raw`, refusing any flag not in `known`.
-    fn parse(raw: &[String], known: &[&str]) -> Args {
-        let mut flags = Vec::new();
-        let mut i = 0;
-        while i < raw.len() {
-            let a = &raw[i];
-            if let Some(name) = a.strip_prefix("--") {
-                if !known.contains(&name) {
-                    die(&format!("unknown flag {a}"));
-                }
-                let val = raw.get(i + 1).filter(|v| !v.starts_with("--")).cloned();
-                if val.is_some() {
-                    i += 1;
-                }
-                flags.push((name.to_string(), val));
-            } else {
-                die(&format!("unexpected argument: {a}"));
-            }
-            i += 1;
-        }
-        Args { flags }
-    }
-    fn get(&self, name: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .find(|(n, _)| n == name)
-            .and_then(|(_, v)| v.as_deref())
-    }
-    fn has(&self, name: &str) -> bool {
-        self.flags.iter().any(|(n, _)| n == name)
-    }
-}
-
-const IOR_FLAGS: &[&str] = &[
+const IOR_SWITCHES: &[&str] = &["shared", "random", "reorder", "verify"];
+const IOR_VALUES: &[&str] = &[
     "api",
     "nodes",
     "ppn",
@@ -91,13 +57,15 @@ const IOR_FLAGS: &[&str] = &[
     "segments",
     "chunk",
     "oclass",
-    "shared",
-    "random",
-    "reorder",
     "stonewall-ms",
-    "verify",
     "seed",
 ];
+
+/// Flag `name`'s value as a `T` (`default` if not given); exit 2 if it
+/// does not parse.
+fn num<T: std::str::FromStr>(args: &Args, name: &str, default: T) -> T {
+    args.parsed(name, default).unwrap_or_else(|e| die(&e))
+}
 
 fn cmd_ior(args: &Args) {
     let api = match args.get("api").unwrap_or("dfs") {
@@ -112,25 +80,12 @@ fn cmd_ior(args: &Args) {
     };
     let oclass = ObjectClass::parse(args.get("oclass").unwrap_or("SX"))
         .unwrap_or_else(|| die("bad --oclass"));
-    let nodes: u32 = args
-        .get("nodes")
-        .unwrap_or("4")
-        .parse()
-        .unwrap_or_else(|_| die("bad --nodes"));
-    let ppn: u32 = args
-        .get("ppn")
-        .unwrap_or("16")
-        .parse()
-        .unwrap_or_else(|_| die("bad --ppn"));
+    let (nodes, ppn): (u32, u32) = (num(args, "nodes", 4), num(args, "ppn", 16));
     let params = IorParams {
         api,
         transfer_size: parse_size(args.get("xfer").unwrap_or("1m")),
         block_size: parse_size(args.get("block").unwrap_or("32m")),
-        segments: args
-            .get("segments")
-            .unwrap_or("1")
-            .parse()
-            .unwrap_or_else(|_| die("bad --segments")),
+        segments: num(args, "segments", 1),
         file_per_process: !args.has("shared"),
         ppn,
         oclass,
@@ -141,14 +96,10 @@ fn cmd_ior(args: &Args) {
         random_offsets: args.has("random"),
         reorder_read: args.has("reorder"),
         stonewall: args
-            .get("stonewall-ms")
-            .map(|v| SimDuration::from_ms(v.parse().unwrap_or_else(|_| die("bad --stonewall-ms")))),
+            .has("stonewall-ms")
+            .then(|| SimDuration::from_ms(num(args, "stonewall-ms", 0))),
     };
-    let seed: u64 = args
-        .get("seed")
-        .unwrap_or("1")
-        .parse()
-        .unwrap_or_else(|_| die("bad --seed"));
+    let seed: u64 = num(args, "seed", 1);
 
     let mut sim = Sim::new(seed);
     let report = sim.block_on(move |sim| async move {
@@ -191,11 +142,7 @@ fn cmd_ior(args: &Args) {
 }
 
 fn cmd_pool(args: &Args) {
-    let nodes: u32 = args
-        .get("nodes")
-        .unwrap_or("4")
-        .parse()
-        .unwrap_or_else(|_| die("bad --nodes"));
+    let nodes: u32 = num(args, "nodes", 4);
     let mut sim = Sim::new(7);
     sim.block_on(move |sim| async move {
         let cluster = daos_core::Cluster::build(&sim, paper_cluster(nodes));
@@ -228,11 +175,7 @@ fn cmd_pool(args: &Args) {
 fn cmd_place(args: &Args) {
     let class = ObjectClass::parse(args.get("oclass").unwrap_or("S2"))
         .unwrap_or_else(|| die("bad --oclass"));
-    let count: u64 = args
-        .get("count")
-        .unwrap_or("1000")
-        .parse()
-        .unwrap_or_else(|_| die("bad --count"));
+    let count: u64 = num(args, "count", 1000);
     let map = PoolMap::new(16, 8);
     let layouts: Vec<_> = (0..count)
         .map(|i| place(ObjectId::new(i, i * 7 + 1), class, &map))
@@ -254,11 +197,11 @@ fn main() {
     let Some((cmd, rest)) = argv.split_first() else {
         die("usage: daosctl <ior|pool|place> [flags]; see source header for flags")
     };
-    let (run, flags): (fn(&Args), &[&str]) = match cmd.as_str() {
-        "ior" => (cmd_ior, IOR_FLAGS),
-        "pool" => (cmd_pool, &["nodes"]),
-        "place" => (cmd_place, &["oclass", "count"]),
+    let (run, switches, values): (fn(&Args), &[&str], &[&str]) = match cmd.as_str() {
+        "ior" => (cmd_ior, IOR_SWITCHES, IOR_VALUES),
+        "pool" => (cmd_pool, &[], &["nodes"]),
+        "place" => (cmd_place, &[], &["oclass", "count"]),
         other => die(&format!("unknown command: {other}")),
     };
-    run(&Args::parse(rest, flags))
+    run(&Args::parse(rest, switches, values).unwrap_or_else(|e| die(&e)))
 }

@@ -23,7 +23,7 @@ use daos_sim::units::MIB;
 use daos_sim::Sim;
 
 use crate::figure::{Cell, Plan, Scale};
-use crate::invariants::{holds, Claim, Probe};
+use crate::invariants::{holds, Claim, Probe, R5_SHARED_OVER_FPP};
 use crate::report::{config_hash, Fragment, READ_GIB_S, WRITE_GIB_S};
 use crate::{on_testbed, on_testbed_with, paper_cluster, paper_params, run_point_in};
 
@@ -190,17 +190,12 @@ fn api_rows(r: &Probe, metric: &str) -> Result<Vec<[f64; 4]>, String> {
 
 /// What a `daos_api` report must show.
 pub const DAOS_API_CLAIMS: &[Claim] = &[
-    // 6% tolerance: the native-API runs use fixed object ids, so their
-    // placement is one draw rather than the file runs' averaged draws
+    // no tolerance: a native rank's array takes the object ID its DFS
+    // file would, so both see the same placements and only the file
+    // layer's own work can separate them
     Claim {
-        prose: "native array API ~= DFS or better (skips namespace metadata)",
-        test: |r| {
-            holds(
-                api_rows(r, WRITE_GIB_S)?
-                    .iter()
-                    .all(|w| w[0] >= 0.94 * w[1]),
-            )
-        },
+        prose: "native array API >= DFS write (skips namespace metadata)",
+        test: |r| holds(api_rows(r, WRITE_GIB_S)?.iter().all(|w| w[0] >= w[1])),
     },
     Claim {
         prose: "interception library recovers DFS-level performance over POSIX (within 2%)",
@@ -432,12 +427,16 @@ pub const IO500_CLAIMS: &[Claim] = &[
             holds(total.is_finite() && total > 0.0)
         },
     },
+    // R5 in IO500 form: ior-hard writes one shared file, ior-easy one
+    // file per process
     Claim {
-        prose: "ior-hard tracks ior-easy on DAOS (the paper's headline, IO500 form)",
+        prose: "R5 (IO500 form): DAOS ior-hard/ior-easy write >= 0.8",
         test: |r| {
             let n = r.axis("score")?[0];
             let [hard, easy] = r.row(["ior-hard", "ior-easy"], n, WRITE_GIB_S)?;
-            holds(hard > 0.5 * easy)
+            let ratio = hard / easy;
+            let detail = format!("{n} nodes ior-hard/ior-easy write ratio {ratio:.2}");
+            Ok((ratio > R5_SHARED_OVER_FPP, detail))
         },
     },
 ];

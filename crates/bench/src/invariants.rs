@@ -287,6 +287,10 @@ pub const FIG2_CLAIMS: &[Claim] = &[
     },
 ];
 
+/// R5's floor on DAOS's shared-file write bandwidth over its
+/// file-per-process bandwidth ("parity").
+pub const R5_SHARED_OVER_FPP: f64 = 0.8;
+
 /// The PFS contrast's claim: R5.
 pub const PFS_CONTRAST_CLAIMS: &[Claim] = &[
     // R5 — the "stark contrast" claim: on DAOS a shared file writes at
@@ -303,7 +307,8 @@ pub const PFS_CONTRAST_CLAIMS: &[Claim] = &[
             let detail = format!(
                 "{top} nodes shared/fpp write ratio: daos {daos_ratio:.2} vs pfs {pfs_ratio:.2}"
             );
-            let pass = daos_ratio > 0.8 && pfs_ratio < 0.5 && daos_ratio >= 3.0 * pfs_ratio;
+            let pass =
+                daos_ratio > R5_SHARED_OVER_FPP && pfs_ratio < 0.5 && daos_ratio >= 3.0 * pfs_ratio;
             Ok((pass, detail))
         },
     },
@@ -372,7 +377,7 @@ pub const SCALE_CLAIMS: &[Claim] = &[
             let [.., (n_prev, r_prev), (n_top, r_top)] = ratios[..] else {
                 return Err("need >= 2 scales in DFS-SX-shared".into());
             };
-            let parity = ratios.iter().all(|&(_, ratio)| ratio >= 0.8);
+            let parity = ratios.iter().all(|&(_, ratio)| ratio >= R5_SHARED_OVER_FPP);
             let flat = (r_top / r_prev - 1.0).abs() < 0.10;
             let detail = format!(
                 "shared/fpp write ratio: {} ; flat {n_prev}->{n_top}: {r_prev:.3}->{r_top:.3}",

@@ -25,6 +25,7 @@
 //!   `BENCH_<name>.json`;
 //! * [`baseline`] — the byte-for-byte comparison with committed baselines
 //!   and the drift table that names each differing cell;
+//! * [`cli`] — the strict flag parser both binaries share;
 //! * [`run_point_in`] — one IOR cell (api, object class) on a testbed
 //!   ([`paper_cluster`] for the paper's figures), as a [`Measurement`].
 
@@ -44,6 +45,7 @@ use daos_sim::Sim;
 
 pub mod apps;
 pub mod baseline;
+pub mod cli;
 pub mod exec;
 pub mod figure;
 pub mod figures;

@@ -117,6 +117,18 @@ fn list_passes_and_bad_usage_is_rejected() {
         &["list", "--verbose"],
         &["io500", "--bogus"],
         &[],
+        // a switch given a value, a flag given twice
+        &["io500", "--compare-only", "yes"],
+        &["io500", "--compare-only", "--compare-only"],
+        &[
+            "io500",
+            "--compare-only",
+            "--threads",
+            "2",
+            "--threads",
+            "3",
+        ],
+        &["list", "--threads"],
     ] {
         assert_eq!(daos_bench(&out, bad).status.code(), Some(2), "{bad:?}");
     }
@@ -172,8 +184,9 @@ fn daosctl(args: &[&str]) -> Output {
 }
 
 /// `daosctl` runs each command with the flags it lists, names the
-/// interception-library rung, and exits 2 on a value or a flag it does
-/// not know instead of running without it.
+/// interception-library rung, and exits 2 instead of running on a value
+/// or a flag it does not know, a switch given a value, a flag without its
+/// value or given twice, or a stray word.
 #[test]
 fn daosctl_runs_its_commands_and_refuses_unknown_flags() {
     let ior = [
@@ -199,6 +212,22 @@ fn daosctl_runs_its_commands_and_refuses_unknown_flags() {
             "unknown flag --nodse",
         ),
         (&["ior", "--json", "d"], "unknown flag --json"),
+        (
+            &["ior", "--verify", "yes"],
+            "--verify takes no value (got yes)",
+        ),
+        (
+            &["ior", "--nodes", "1", "--nodes", "2"],
+            "--nodes given twice",
+        ),
+        (&["ior", "--shared", "--shared"], "--shared given twice"),
+        (&["ior", "--seed"], "--seed needs a value"),
+        (&["ior", "--nodes", "--verify"], "--nodes needs a value"),
+        (
+            &["pool", "--nodes", "1", "extra"],
+            "unexpected argument: extra",
+        ),
+        (&["place", "--count", "x"], "bad --count: x"),
     ] {
         let run = daosctl(args);
         assert_eq!(run.status.code(), Some(2), "{args:?}: {run:?}");

@@ -167,8 +167,9 @@ fn protection_checks_fail_when_redundancy_is_free_or_broken() {
     assert!(verdicts.iter().all(|v| !v.pass), "{verdicts:?}");
 }
 
-/// Planted negatives for the newly gated `oclass_sweep` and `daos_api`:
-/// each check fails once the series it reads is moved out of shape.
+/// Planted negatives for the newly gated `oclass_sweep` and `daos_api`,
+/// and `io500`'s R5 row: each check fails once the series it reads is
+/// moved out of shape.
 #[test]
 fn wide_grid_checks_fail_when_a_series_moves() {
     let cases = [
@@ -176,12 +177,16 @@ fn wide_grid_checks_fail_when_a_series_moves() {
         ("oclass_sweep", "DFS-S1", WRITE_GIB_S, 2.0, 0),
         // 100x writes leave the sane envelope
         ("oclass_sweep", "DFS-S8", WRITE_GIB_S, 100.0, 1),
-        // the native API at half of DFS
+        // the native API at half of DFS, and 1 % below it
         ("daos_api", "DAOS-SX", WRITE_GIB_S, 0.5, 0),
+        ("daos_api", "DAOS-SX", WRITE_GIB_S, 0.99, 0),
         // the interception library recovers nothing
         ("daos_api", "POSIX+IL-SX", READ_GIB_S, 0.5, 1),
         // POSIX at half of the native API
         ("daos_api", "POSIX-SX", WRITE_GIB_S, 0.5, 2),
+        // a shared file at 0.7x file-per-process (1.11x committed): R5
+        // fails in IO500 form
+        ("io500", "ior-hard", WRITE_GIB_S, 0.63, 1),
     ];
     for (name, series, metric, factor, check) in cases {
         let figure = find(name).unwrap();

@@ -49,6 +49,35 @@ pub struct DaosClient {
     /// QoS tenant every RPC from this client is billed to (0 = the
     /// default class; see [`DaosClient::with_tenant`]).
     tenant: u8,
+    /// The object IDs this client gives out, shared by every clone and
+    /// every container handle it opens.
+    oids: Rc<OidSeq>,
+}
+
+/// One client's object-ID sequence. The high word names the client node,
+/// shifted by the repeat salt; the low word counts up in steps of two.
+/// Real DFS reserves an ID range per client from its container; here each
+/// client node owns the range its high word names. Both starting values
+/// are fixed: every committed report's placements follow from them.
+struct OidSeq {
+    hi: u64,
+    next_lo: Cell<u64>,
+}
+
+impl OidSeq {
+    fn new(client_node_idx: u32, salt: u64) -> OidSeq {
+        OidSeq {
+            hi: (0x1D0 + client_node_idx as u64)
+                .wrapping_add(salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            next_lo: Cell::new(0x12),
+        }
+    }
+
+    fn allocate(&self) -> ObjectId {
+        let lo = self.next_lo.get();
+        self.next_lo.set(lo + 2);
+        ObjectId::new(self.hi, lo)
+    }
 }
 
 impl DaosClient {
@@ -61,7 +90,17 @@ impl DaosClient {
             damp: Rc::new(DampState::new(RetryPolicy::default())),
             spares: Rc::new(Spares::new()),
             tenant: 0,
+            oids: Rc::new(OidSeq::new(client_node_idx, 0)),
         }
+    }
+
+    /// Same client node drawing its object IDs for repeat `salt` of a run:
+    /// a fresh sequence whose IDs, and so whose placements, the salt
+    /// shifts, as IOR's `-i` iterations each create their files anew.
+    pub fn salted(mut self, salt: u64) -> Self {
+        let idx = self.node as u32 - self.cluster.cfg.engine_count();
+        self.oids = Rc::new(OidSeq::new(idx, salt));
+        self
     }
 
     /// Same client billing its RPCs to `tenant`'s QoS class (handles
@@ -404,6 +443,13 @@ impl ContainerHandle {
             Response::Epoch(e) => Ok(e),
             other => Err(other.into_err()),
         }
+    }
+
+    /// A fresh object ID (`daos_cont_alloc_oids`), drawn from the one
+    /// sequence of this handle's client: no two objects any handle of one
+    /// client creates share an ID.
+    pub fn allocate_oid(&self) -> ObjectId {
+        self.client.oids.allocate()
     }
 
     /// Open an object with a class; computes the layout client-side.

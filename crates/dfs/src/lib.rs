@@ -28,7 +28,6 @@
     clippy::unimplemented
 )]
 
-use std::cell::Cell;
 use std::io::Write;
 use std::rc::Rc;
 
@@ -119,7 +118,10 @@ impl DirEntry {
                       guard above ensures the fixed header region is present"
         )]
         let rd = |i: usize| u64::from_le_bytes(b[i..i + 8].try_into().ok().unwrap());
-        let oid = ObjectId::new(rd(1), rd(9));
+        let oid = ObjectId {
+            hi: rd(1),
+            lo: rd(9),
+        };
         let chunk_size = rd(17);
         let n = b[25] as usize;
         if b.len() < 26 + n {
@@ -177,10 +179,6 @@ const DIR_CLASS: ObjectClass = ObjectClass::S1;
 pub struct Dfs {
     cont: ContainerHandle,
     cfg: DfsConfig,
-    /// Client-local object-id allocator (hi word carries the client tag so
-    /// concurrent clients never collide; real DFS reserves oid ranges).
-    next_oid: Cell<u64>,
-    oid_salt: u64,
     /// The empty value every tombstone of this mount shares.
     tombstone: Payload,
 }
@@ -237,22 +235,18 @@ pub struct Stat {
 impl Dfs {
     /// Mount the filesystem in container `cont_id`, creating the container
     /// and formatting the superblock if needed (`dfs_mount` + `dfs_format`).
-    ///
-    /// `client_tag` must be unique per mounting client (it salts the oid
-    /// allocator).
+    /// New entries take their object IDs from the pool's client
+    /// ([`ContainerHandle::allocate_oid`]).
     pub async fn mount(
         sim: &Sim,
         pool: &PoolHandle,
         cont_id: u64,
         cfg: DfsConfig,
-        client_tag: u64,
     ) -> Result<Rc<Dfs>, DaosError> {
         let cont = pool.open_or_create(sim, cont_id).await?;
         let dfs = Rc::new(Dfs {
             cont,
             cfg,
-            next_oid: Cell::new(1),
-            oid_salt: client_tag,
             tombstone: Payload::bytes(Vec::new()),
         });
         // read-or-write the superblock (magic + defaults)
@@ -276,15 +270,6 @@ impl Dfs {
     /// The container backing the mount.
     pub fn container(&self) -> &ContainerHandle {
         &self.cont
-    }
-
-    fn alloc_oid(&self) -> ObjectId {
-        let seq = self.next_oid.get();
-        self.next_oid.set(seq + 1);
-        ObjectId::new(
-            self.oid_salt.wrapping_add(0x100),
-            seq.wrapping_mul(2) + 0x10,
-        )
     }
 
     fn dir_kv(&self, oid: ObjectId) -> KvHandle {
@@ -349,7 +334,7 @@ impl Dfs {
         }
         let ent = DirEntry {
             kind: EntryKind::Dir,
-            oid: self.alloc_oid(),
+            oid: self.cont.allocate_oid(),
             chunk_size: self.cfg.chunk_size,
             class: DIR_CLASS,
             link_target: None,
@@ -366,7 +351,7 @@ impl Dfs {
         }
         let ent = DirEntry {
             kind: EntryKind::Symlink,
-            oid: self.alloc_oid(),
+            oid: self.cont.allocate_oid(),
             chunk_size: 0,
             class: ObjectClass::S1,
             link_target: Some(target.to_string()),
@@ -427,7 +412,7 @@ impl Dfs {
         }
         let ent = DirEntry {
             kind: EntryKind::File,
-            oid: self.alloc_oid(),
+            oid: self.cont.allocate_oid(),
             chunk_size,
             class,
             link_target: None,

@@ -28,7 +28,7 @@ fn four_engines() -> ClusterConfig {
 async fn mount(sim: &Sim, cluster: &Rc<Cluster>, retry: RetryPolicy) -> Rc<Dfs> {
     let client = DaosClient::new(Rc::clone(cluster), 0).with_retry(retry);
     let pool = client.connect(sim).await.unwrap();
-    Dfs::mount(sim, &pool, 1, DfsConfig::default(), 3)
+    Dfs::mount(sim, &pool, 1, DfsConfig::default())
         .await
         .unwrap()
 }

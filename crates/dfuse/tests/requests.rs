@@ -20,7 +20,7 @@ fn every_kernel_crossing_is_one_counted_request() {
             .connect(&sim)
             .await
             .unwrap();
-        let dfs = Dfs::mount(&sim, &pool, 1, DfsConfig::default(), 3)
+        let dfs = Dfs::mount(&sim, &pool, 1, DfsConfig::default())
             .await
             .unwrap();
         let m = DfuseMount::new(dfs, DfuseConfig::default());

@@ -38,9 +38,10 @@ impl DaosTestbed {
         Self::setup_salted(sim, cluster_cfg, dfs_cfg, dfuse_cfg, 0).await
     }
 
-    /// Like [`DaosTestbed::setup`], with an iteration salt that shifts the
-    /// DFS object-id space — and therefore every file's placement — so
-    /// repeated runs average over placements like IOR `-i` iterations.
+    /// Like [`DaosTestbed::setup`], with an iteration salt that shifts every
+    /// client's object-ID space ([`DaosClient::salted`]) — and therefore
+    /// every file's and array's placement — so repeated runs average over
+    /// placements like IOR `-i` iterations.
     pub async fn setup_salted(
         sim: &Sim,
         cluster_cfg: ClusterConfig,
@@ -56,17 +57,10 @@ impl DaosTestbed {
         let mut dfs = Vec::with_capacity(n as usize);
         let mut dfuse = Vec::with_capacity(n as usize);
         for i in 0..n {
-            let client = DaosClient::new(Rc::clone(&cluster), i);
+            let client = DaosClient::new(Rc::clone(&cluster), i).salted(salt);
             let pool = client.connect(sim).await?;
             let cont = pool.open_or_create(sim, BENCH_CONT).await?;
-            let fsm = Dfs::mount(
-                sim,
-                &pool,
-                BENCH_CONT,
-                dfs_cfg,
-                0xD0 + i as u64 + salt.wrapping_mul(0x9E3779B97F4A7C15),
-            )
-            .await?;
+            let fsm = Dfs::mount(sim, &pool, BENCH_CONT, dfs_cfg).await?;
             dfuse.push(DfuseMount::new(Rc::clone(&fsm), dfuse_cfg));
             dfs.push(fsm);
             containers.push(cont);

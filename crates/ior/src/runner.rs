@@ -10,7 +10,6 @@ use daos_dfuse::{DfuseMount, OpenFlags, PosixFile};
 use daos_hdf5::{H5Config, H5File, H5Vfd, Layout};
 use daos_mpiio::{Hints, MpiFile, RankFile};
 use daos_pfs::{Pfs, PfsFile};
-use daos_placement::ObjectId;
 use daos_sim::executor::join_all;
 use daos_sim::time::{SimDuration, SimTime};
 use daos_sim::Sim;
@@ -298,15 +297,13 @@ pub async fn run(
             run_files(sim, nodes, params, files).await
         }
         Api::DaosArray => {
+            // each rank's node allocates its array's ID; a shared array is
+            // allocated once, on rank 0's node
+            let shared_oid = shared.then(|| env.containers[node_of(0)].allocate_oid());
             let files = (0..ranks).map(|r| {
-                let oid = if shared {
-                    ObjectId::new(0xBEEF, 7)
-                } else {
-                    ObjectId::new(0xBEEF, 100 + r as u64)
-                };
-                env.containers[node_of(r)]
-                    .object(oid, params.oclass)
-                    .array(params.chunk_size)
+                let cont = &env.containers[node_of(r)];
+                let oid = shared_oid.unwrap_or_else(|| cont.allocate_oid());
+                cont.object(oid, params.oclass).array(params.chunk_size)
             });
             run_files(sim, nodes, params, files.collect()).await
         }

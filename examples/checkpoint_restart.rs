@@ -36,7 +36,7 @@ pub fn main() {
         for i in 0..NODES {
             let client = DaosClient::new(Rc::clone(&cluster), i);
             let pool = client.connect(&sim).await.expect("connect");
-            let dfs = Dfs::mount(&sim, &pool, 5, DfsConfig::default(), i as u64)
+            let dfs = Dfs::mount(&sim, &pool, 5, DfsConfig::default())
                 .await
                 .expect("mount");
             mounts.push(DfuseMount::new(dfs, DfuseConfig::default()));

@@ -57,7 +57,7 @@ pub fn main() {
         );
 
         // 4. a filesystem on top: DFS + a DFuse POSIX mount
-        let dfs = Dfs::mount(&sim, &pool, 8, DfsConfig::default(), 1)
+        let dfs = Dfs::mount(&sim, &pool, 8, DfsConfig::default())
             .await
             .expect("dfs mount");
         let mount = DfuseMount::new(Rc::clone(&dfs), DfuseConfig::default());

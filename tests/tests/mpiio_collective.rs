@@ -88,7 +88,7 @@ fn cycle(pattern: Pattern, io: Io) -> Cycle {
         for i in 0..2 {
             let client = DaosClient::new(Rc::clone(&cluster), i);
             let pool = client.connect(&sim).await.unwrap();
-            let fs = Dfs::mount(&sim, &pool, 1, DfsConfig::default(), i as u64)
+            let fs = Dfs::mount(&sim, &pool, 1, DfsConfig::default())
                 .await
                 .unwrap();
             dfs.push(fs);
