@@ -66,8 +66,9 @@ struct Opts {
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = argv.split_first() else {
-        die("expected a command")
+    let first = argv.split_first();
+    let Some((cmd, rest)) = first.filter(|(cmd, _)| !cmd.starts_with("--")) else {
+        die("expected a command before any flag")
     };
     let switches: &[&str] = match cmd.as_str() {
         "list" => &[],
@@ -75,16 +76,10 @@ fn main() {
         _ => &["compare-only"],
     };
     let args = Args::parse(rest, switches, &["threads"]).unwrap_or_else(|e| die(&e));
-    let threads = match args.get("threads") {
-        None => std::thread::available_parallelism().map_or(4, |p| p.get()),
-        Some(n) => n
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| die("--threads needs a positive integer")),
-    };
+    let host = std::thread::available_parallelism().map_or(4, |p| p.get());
+    let threads = args.parsed("threads", host).ok().filter(|&n| n > 0);
     let o = Opts {
-        threads,
+        threads: threads.unwrap_or_else(|| die("--threads needs a positive integer")),
         compare_only: args.has("compare-only"),
         update: args.has("update"),
         allow_dirty: args.has("allow-dirty"),

@@ -53,37 +53,3 @@ impl Args {
         }
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::Args;
-
-    fn parse(words: &[&str]) -> Result<Args, String> {
-        let raw: Vec<String> = words.iter().map(|w| w.to_string()).collect();
-        Args::parse(&raw, &["verify"], &["nodes"])
-    }
-
-    #[test]
-    fn strict_flags() {
-        let args = parse(&["--nodes", "2", "--verify"]).unwrap();
-        assert_eq!(args.get("nodes"), Some("2"));
-        assert!(args.has("verify") && !args.has("seed"));
-        assert_eq!(args.parsed("nodes", 4u32), Ok(2));
-        assert_eq!(parse(&[]).unwrap().parsed("nodes", 4u32), Ok(4));
-        for (words, said) in [
-            (&["--nodse", "2"][..], "unknown flag --nodse"),
-            (&["--verify", "yes"], "--verify takes no value (got yes)"),
-            (&["--nodes"], "--nodes needs a value"),
-            (&["--nodes", "--verify"], "--nodes needs a value"),
-            (&["--nodes", "1", "--nodes", "2"], "--nodes given twice"),
-            (&["--verify", "--verify"], "--verify given twice"),
-            (&["stray"], "unexpected argument: stray"),
-        ] {
-            assert_eq!(parse(words).err().as_deref(), Some(said), "{words:?}");
-        }
-        assert_eq!(
-            parse(&["--nodes", "x"]).unwrap().parsed("nodes", 4u32),
-            Err("bad --nodes: x".to_string())
-        );
-    }
-}

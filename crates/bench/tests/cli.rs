@@ -129,6 +129,8 @@ fn list_passes_and_bad_usage_is_rejected() {
             "3",
         ],
         &["list", "--threads"],
+        // flags come after the command
+        &["--threads", "2", "regress"],
     ] {
         assert_eq!(daos_bench(&out, bad).status.code(), Some(2), "{bad:?}");
     }

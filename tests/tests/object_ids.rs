@@ -128,10 +128,9 @@ fn fixed_native_ids_ignore_the_salt() {
 }
 
 /// Each client node's DFS IDs at repeat salts 0, 1 and `FIG1_SEED ^ 7`
-/// (the salt `benchmark/`'s `ior_hard_hdf5` takes at `--seed 0xF166`) —
-/// a file, a directory and a file in it — as the allocator that lived in
-/// `Dfs` gave them. A salted run's placements, every committed report
-/// included, depend on these staying put.
+/// (the salt `benchmark/`'s `ior_hard_hdf5` runs at `--seed 7`): a file,
+/// a directory and a file in it. Every salted run's placements, the
+/// committed reports' and the benchmark's, follow from these values.
 #[test]
 fn testbed_dfs_ids_keep_their_values() {
     // per salt, each node's high word; the low words run 0x12, 0x14, 0x16
