@@ -111,9 +111,10 @@ impl RankAccess {
         let mut out = Vec::new();
         for i in 0..cfg.client_nodes {
             let pool = DaosClient::new(Rc::clone(&cluster), i).connect(sim).await?;
+            let cont = pool.open_or_create(sim, 5).await?;
             out.push(match over_dfs {
-                None => RankAccess::Native(pool.open_or_create(sim, 5).await?),
-                Some(bind) => bind(Dfs::mount(sim, &pool, 5, DfsConfig::default()).await?),
+                None => RankAccess::Native(cont),
+                Some(bind) => bind(Dfs::mount(sim, cont, DfsConfig::default()).await?),
             });
         }
         Ok(out)

@@ -12,8 +12,11 @@
 //! ```
 //!
 //! Sizes accept `k`/`m`/`g` suffixes (KiB/MiB/GiB); `--reorder` (IOR's
-//! `-C`) and `--api mpiio-coll` need `--shared`. Exit 2 on a flag its
-//! command does not list, a switch given a value, a flag without its
+//! `-C`) and `--api mpiio-coll` need `--shared`, and IOR's driver refuses
+//! a `--block` that is not a multiple of `--xfer`. Exit 2 on a zero count
+//! or size (`--nodes`, `--ppn`, `--segments`, `--xfer`, `--block`,
+//! `--chunk`, `--stonewall-ms`, `--count`), naming the flag, and on a flag
+//! its command does not list, a switch given a value, a flag without its
 //! value or given twice, or a stray word ([`daos_bench::cli::Args`]).
 //! Everything runs in simulation; output includes both bandwidth and the
 //! simulated duration.
@@ -29,18 +32,6 @@ use daos_placement::{load_spread, place, ObjectClass, ObjectId, PoolMap};
 use daos_sim::time::SimDuration;
 use daos_sim::units::fmt_bytes;
 use daos_sim::Sim;
-
-fn parse_size(s: &str) -> u64 {
-    let (num, mult) = match s.to_ascii_lowercase() {
-        x if x.ends_with('g') => (x[..x.len() - 1].to_string(), 1u64 << 30),
-        x if x.ends_with('m') => (x[..x.len() - 1].to_string(), 1u64 << 20),
-        x if x.ends_with('k') => (x[..x.len() - 1].to_string(), 1u64 << 10),
-        x => (x, 1),
-    };
-    num.parse::<u64>()
-        .unwrap_or_else(|_| die(&format!("bad size: {s}")))
-        * mult
-}
 
 fn die(msg: &str) -> ! {
     eprintln!("daosctl: {msg}");
@@ -61,10 +52,29 @@ const IOR_VALUES: &[&str] = &[
     "seed",
 ];
 
-/// Flag `name`'s value as a `T` (`default` if not given); exit 2 if it
-/// does not parse.
-fn num<T: std::str::FromStr>(args: &Args, name: &str, default: T) -> T {
-    args.parsed(name, default).unwrap_or_else(|e| die(&e))
+/// Flag `name`'s value as a count (`default` if not given); exit 2,
+/// naming the flag, if it does not parse or is zero: a run of zero nodes,
+/// ranks, segments or objects has nothing to report.
+fn count<T: std::str::FromStr + PartialEq + From<u8>>(args: &Args, name: &str, default: T) -> T {
+    match args.parsed(name, default) {
+        Ok(n) if n == T::from(0) => die(&format!("--{name} must be at least 1")),
+        n => n.unwrap_or_else(|e| die(&e)),
+    }
+}
+
+/// Flag `name`'s size in bytes, with a `k`/`m`/`g` suffix for KiB/MiB/GiB
+/// (`default` if not given); exit 2 as [`count`] does.
+fn size(args: &Args, name: &str, default: &str) -> u64 {
+    let s = args.get(name).unwrap_or(default).to_ascii_lowercase();
+    let unit = |&(u, shift): &(&str, u32)| Some((s.strip_suffix(u)?, shift));
+    let units = [("k", 10), ("m", 20), ("g", 30)];
+    let (digits, shift) = units.iter().find_map(unit).unwrap_or((&s, 0));
+    let n: Option<u64> = digits.parse().ok();
+    match n.and_then(|n| n.checked_mul(1 << shift)) {
+        Some(0) => die(&format!("--{name} must be at least 1")),
+        Some(bytes) => bytes,
+        None => die(&format!("bad --{name}: {s}")),
+    }
 }
 
 fn cmd_ior(args: &Args) {
@@ -80,16 +90,16 @@ fn cmd_ior(args: &Args) {
     };
     let oclass = ObjectClass::parse(args.get("oclass").unwrap_or("SX"))
         .unwrap_or_else(|| die("bad --oclass"));
-    let (nodes, ppn): (u32, u32) = (num(args, "nodes", 4), num(args, "ppn", 16));
+    let (nodes, ppn): (u32, u32) = (count(args, "nodes", 4), count(args, "ppn", 16));
     let params = IorParams {
         api,
-        transfer_size: parse_size(args.get("xfer").unwrap_or("1m")),
-        block_size: parse_size(args.get("block").unwrap_or("32m")),
-        segments: num(args, "segments", 1),
+        transfer_size: size(args, "xfer", "1m"),
+        block_size: size(args, "block", "32m"),
+        segments: count(args, "segments", 1),
         file_per_process: !args.has("shared"),
         ppn,
         oclass,
-        chunk_size: parse_size(args.get("chunk").unwrap_or("1m")),
+        chunk_size: size(args, "chunk", "1m"),
         verify: args.has("verify"),
         do_write: true,
         do_read: true,
@@ -97,9 +107,9 @@ fn cmd_ior(args: &Args) {
         reorder_read: args.has("reorder"),
         stonewall: args
             .has("stonewall-ms")
-            .then(|| SimDuration::from_ms(num(args, "stonewall-ms", 0))),
+            .then(|| SimDuration::from_ms(count(args, "stonewall-ms", 1))),
     };
-    let seed: u64 = num(args, "seed", 1);
+    let seed: u64 = args.parsed("seed", 1).unwrap_or_else(|e| die(&e));
 
     let mut sim = Sim::new(seed);
     let report = sim.block_on(move |sim| async move {
@@ -115,18 +125,11 @@ fn cmd_ior(args: &Args) {
             .await
             .unwrap_or_else(|e| die(&format!("ior: {e}")))
     });
-    println!(
-        "api {:8} oclass {:8} {} | {} ranks on {} nodes",
-        api.name(),
-        oclass.name(),
-        if params.file_per_process {
-            "fpp"
-        } else {
-            "shared"
-        },
-        report.ranks,
-        report.client_nodes,
-    );
+    let fpp = params.file_per_process;
+    let layout = if fpp { "fpp" } else { "shared" };
+    let (api, oclass) = (api.name(), oclass.name());
+    let (ranks, nodes) = (report.ranks, report.client_nodes);
+    println!("api {api:8} oclass {oclass:8} {layout} | {ranks} ranks on {nodes} nodes");
     println!(
         "write: {} in {}  ->  {:8.3} GiB/s",
         fmt_bytes(report.bytes_written),
@@ -142,15 +145,13 @@ fn cmd_ior(args: &Args) {
 }
 
 fn cmd_pool(args: &Args) {
-    let nodes: u32 = num(args, "nodes", 4);
+    let nodes: u32 = count(args, "nodes", 4);
     let mut sim = Sim::new(7);
     sim.block_on(move |sim| async move {
         let cluster = daos_core::Cluster::build(&sim, paper_cluster(nodes));
         let client = daos_core::DaosClient::new(Rc::clone(&cluster), 0);
-        client
-            .connect(&sim)
-            .await
-            .unwrap_or_else(|e| die(&format!("connect: {e}")));
+        let connected = client.connect(&sim).await;
+        connected.unwrap_or_else(|e| die(&format!("connect: {e}")));
         let cfg = &cluster.cfg;
         println!("pool ready at {} (leader elected)", sim.now());
         println!(
@@ -175,7 +176,7 @@ fn cmd_pool(args: &Args) {
 fn cmd_place(args: &Args) {
     let class = ObjectClass::parse(args.get("oclass").unwrap_or("S2"))
         .unwrap_or_else(|| die("bad --oclass"));
-    let count: u64 = num(args, "count", 1000);
+    let count: u64 = count(args, "count", 1000);
     let map = PoolMap::new(16, 8);
     let layouts: Vec<_> = (0..count)
         .map(|i| place(ObjectId::new(i, i * 7 + 1), class, &map))

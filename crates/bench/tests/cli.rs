@@ -237,3 +237,39 @@ fn daosctl_runs_its_commands_and_refuses_unknown_flags() {
         assert!(stderr.contains(said), "{args:?}: {stderr}");
     }
 }
+
+/// `daosctl` refuses a run with nothing in it, and IOR's driver a block
+/// that is not a whole number of transfers: each exits 2 naming what it
+/// refused, where they once panicked (exit 101) or reported 0 GiB/s.
+#[test]
+fn daosctl_refuses_degenerate_input() {
+    for (args, said) in [
+        (&["ior", "--xfer", "0"][..], "--xfer must be at least 1"),
+        (&["ior", "--block", "0"], "--block must be at least 1"),
+        (&["ior", "--chunk", "0"], "--chunk must be at least 1"),
+        (&["ior", "--nodes", "0"], "--nodes must be at least 1"),
+        (&["ior", "--ppn", "0"], "--ppn must be at least 1"),
+        (&["ior", "--segments", "0"], "--segments must be at least 1"),
+        (
+            &["ior", "--stonewall-ms", "0"],
+            "--stonewall-ms must be at least 1",
+        ),
+        (
+            &["ior", "--block", "99999999999g"],
+            "bad --block: 99999999999g",
+        ),
+        (&["pool", "--nodes", "0"], "--nodes must be at least 1"),
+        (&["place", "--count", "0"], "--count must be at least 1"),
+        (
+            &[
+                "ior", "--nodes", "1", "--ppn", "1", "--block", "3m", "--xfer", "2m",
+            ],
+            "blocksize 3.0MiB is not a multiple of xfersize 2.0MiB",
+        ),
+    ] {
+        let run = daosctl(args);
+        assert_eq!(run.status.code(), Some(2), "{args:?}: {run:?}");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(stderr.contains(said), "{args:?}: {stderr}");
+    }
+}

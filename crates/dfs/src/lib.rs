@@ -31,7 +31,7 @@
 use std::io::Write;
 use std::rc::Rc;
 
-use daos_core::{ContainerHandle, DaosError, KvHandle, PoolHandle};
+use daos_core::{ContainerHandle, DaosError, KvHandle};
 use daos_placement::{ObjectClass, ObjectId};
 use daos_sim::Sim;
 use daos_vos::tree::Segs;
@@ -233,17 +233,16 @@ pub struct Stat {
 }
 
 impl Dfs {
-    /// Mount the filesystem in container `cont_id`, creating the container
-    /// and formatting the superblock if needed (`dfs_mount` + `dfs_format`).
-    /// New entries take their object IDs from the pool's client
-    /// ([`ContainerHandle::allocate_oid`]).
+    /// Mount the filesystem in the container `cont` is open on, formatting
+    /// the superblock if the container holds none (`dfs_mount` on a handle
+    /// from `daos_cont_open`, `dfs_format` on first use). DFS never opens
+    /// or creates a container itself. New entries take their object IDs
+    /// from the handle's client ([`ContainerHandle::allocate_oid`]).
     pub async fn mount(
         sim: &Sim,
-        pool: &PoolHandle,
-        cont_id: u64,
+        cont: ContainerHandle,
         cfg: DfsConfig,
     ) -> Result<Rc<Dfs>, DaosError> {
-        let cont = pool.open_or_create(sim, cont_id).await?;
         let dfs = Rc::new(Dfs {
             cont,
             cfg,

@@ -28,9 +28,8 @@ fn four_engines() -> ClusterConfig {
 async fn mount(sim: &Sim, cluster: &Rc<Cluster>, retry: RetryPolicy) -> Rc<Dfs> {
     let client = DaosClient::new(Rc::clone(cluster), 0).with_retry(retry);
     let pool = client.connect(sim).await.unwrap();
-    Dfs::mount(sim, &pool, 1, DfsConfig::default())
-        .await
-        .unwrap()
+    let cont = pool.open_or_create(sim, 1).await.unwrap();
+    Dfs::mount(sim, cont, DfsConfig::default()).await.unwrap()
 }
 
 /// The engine holding the entries of the directory at `path`.

@@ -15,9 +15,8 @@ async fn fs(sim: &Sim) -> Rc<Dfs> {
     let cluster = Cluster::build(sim, ClusterConfig::tiny(1));
     let client = DaosClient::new(cluster, 0);
     let pool = client.connect(sim).await.unwrap();
-    Dfs::mount(sim, &pool, 1, DfsConfig::default())
-        .await
-        .unwrap()
+    let cont = pool.open_or_create(sim, 1).await.unwrap();
+    Dfs::mount(sim, cont, DfsConfig::default()).await.unwrap()
 }
 
 #[test]
@@ -92,9 +91,8 @@ fn truncate_of_an_ec_file_ends_mid_cell() {
         };
         let client = DaosClient::new(Cluster::build(&sim, cfg), 0);
         let pool = client.connect(&sim).await.unwrap();
-        let fs = Dfs::mount(&sim, &pool, 1, DfsConfig::default())
-            .await
-            .unwrap();
+        let cont = pool.open_or_create(&sim, 1).await.unwrap();
+        let fs = Dfs::mount(&sim, cont, DfsConfig::default()).await.unwrap();
         let (chunk, len, cut) = (64 * KIB, 256 * KIB, 100 * KIB);
         let f = fs
             .create(&sim, "/ec.dat", ObjectClass::EC_2P1GX, chunk)
@@ -332,9 +330,8 @@ fn file_unlink_costs_three_rpcs_plus_one_per_engine() {
             .connect(&sim)
             .await
             .unwrap();
-        let fs = Dfs::mount(&sim, &pool, 1, DfsConfig::default())
-            .await
-            .unwrap();
+        let cont = pool.open_or_create(&sim, 1).await.unwrap();
+        let fs = Dfs::mount(&sim, cont, DfsConfig::default()).await.unwrap();
         let rpcs = || -> u64 {
             let engines = cluster.engines().iter();
             engines.map(|e| e.endpoint().call_count()).sum()
@@ -386,12 +383,10 @@ fn two_mounts_see_each_others_changes() {
         let c1 = DaosClient::new(Rc::clone(&cluster), 1);
         let p0 = c0.connect(&sim).await.unwrap();
         let p1 = c1.connect(&sim).await.unwrap();
-        let fs0 = Dfs::mount(&sim, &p0, 1, DfsConfig::default())
-            .await
-            .unwrap();
-        let fs1 = Dfs::mount(&sim, &p1, 1, DfsConfig::default())
-            .await
-            .unwrap();
+        let cont = p0.open_or_create(&sim, 1).await.unwrap();
+        let fs0 = Dfs::mount(&sim, cont, DfsConfig::default()).await.unwrap();
+        let cont = p1.open_or_create(&sim, 1).await.unwrap();
+        let fs1 = Dfs::mount(&sim, cont, DfsConfig::default()).await.unwrap();
         // node 0 writes, node 1 reads — no caches in between
         let f0 = fs0
             .create(&sim, "/shared.dat", ObjectClass::S2, MIB)

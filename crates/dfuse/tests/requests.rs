@@ -20,9 +20,8 @@ fn every_kernel_crossing_is_one_counted_request() {
             .connect(&sim)
             .await
             .unwrap();
-        let dfs = Dfs::mount(&sim, &pool, 1, DfsConfig::default())
-            .await
-            .unwrap();
+        let cont = pool.open_or_create(&sim, 1).await.unwrap();
+        let dfs = Dfs::mount(&sim, cont, DfsConfig::default()).await.unwrap();
         let m = DfuseMount::new(dfs, DfuseConfig::default());
         let requests = || m.stats().fuse_requests;
 

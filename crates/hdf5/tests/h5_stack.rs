@@ -17,9 +17,8 @@ async fn mount(sim: &Sim) -> Rc<DfuseMount> {
     let cluster = Cluster::build(sim, ClusterConfig::tiny(1));
     let client = DaosClient::new(cluster, 0);
     let pool = client.connect(sim).await.unwrap();
-    let dfs = Dfs::mount(sim, &pool, 1, DfsConfig::default())
-        .await
-        .unwrap();
+    let cont = pool.open_or_create(sim, 1).await.unwrap();
+    let dfs = Dfs::mount(sim, cont, DfsConfig::default()).await.unwrap();
     DfuseMount::new(dfs, DfuseConfig::default())
 }
 

@@ -8,6 +8,7 @@ use daos_dfs::{Dfs, DfsConfig};
 use daos_dfuse::{DfuseConfig, DfuseMount};
 use daos_fabric::NodeId;
 use daos_mpi::MpiWorld;
+use daos_sim::executor::join_all;
 use daos_sim::Sim;
 
 /// Container id used by all benchmark runs.
@@ -19,6 +20,8 @@ pub struct DaosTestbed {
     /// One connected client per client node.
     pub clients: Vec<DaosClient>,
     pub pools: Vec<PoolHandle>,
+    /// The container handle each client node opened; `dfs[i]` is mounted
+    /// on `containers[i]`.
     pub containers: Vec<ContainerHandle>,
     /// One DFS mount per client node.
     pub dfs: Vec<Rc<Dfs>>,
@@ -50,26 +53,33 @@ impl DaosTestbed {
         salt: u64,
     ) -> Result<Rc<DaosTestbed>, DaosError> {
         let cluster = Cluster::build(sim, cluster_cfg);
+        // one node's bring-up: connect, open the container, mount DFS on
+        // that handle and start DFuse on that mount
+        let up = |i| {
+            let (sim, cluster) = (sim.clone(), Rc::clone(&cluster));
+            async move {
+                let pool = DaosClient::new(cluster, i)
+                    .salted(salt)
+                    .connect(&sim)
+                    .await?;
+                let cont = pool.open_or_create(&sim, BENCH_CONT).await?;
+                let fsm = Dfs::mount(&sim, cont, dfs_cfg).await?;
+                Ok::<_, DaosError>((pool, DfuseMount::new(fsm, dfuse_cfg)))
+            }
+        };
+        // node 0 creates the container and formats its superblock, as
+        // `daos cont create --type POSIX` does before a job; then every
+        // other node comes up at once, as IOR's ranks start together
         let n = cluster_cfg.client_nodes;
-        let mut clients = Vec::with_capacity(n as usize);
-        let mut pools = Vec::with_capacity(n as usize);
-        let mut containers = Vec::with_capacity(n as usize);
-        let mut dfs = Vec::with_capacity(n as usize);
-        let mut dfuse = Vec::with_capacity(n as usize);
-        for i in 0..n {
-            let client = DaosClient::new(Rc::clone(&cluster), i).salted(salt);
-            let pool = client.connect(sim).await?;
-            let cont = pool.open_or_create(sim, BENCH_CONT).await?;
-            let fsm = Dfs::mount(sim, &pool, BENCH_CONT, dfs_cfg).await?;
-            dfuse.push(DfuseMount::new(Rc::clone(&fsm), dfuse_cfg));
-            dfs.push(fsm);
-            containers.push(cont);
-            pools.push(pool);
-            clients.push(client);
-        }
+        let first = if n > 0 { Some(up(0).await?) } else { None };
+        let rest = join_all(sim, (1..n).map(up).collect()).await;
+        let nodes = first.into_iter().map(Ok).chain(rest);
+        let (pools, dfuse): (Vec<_>, Vec<_>) = nodes.collect::<Result<_, _>>()?;
+        let dfs: Vec<Rc<Dfs>> = dfuse.iter().map(|m| Rc::clone(m.dfs())).collect();
+        let containers: Vec<_> = dfs.iter().map(|fs| fs.container().clone()).collect();
         Ok(Rc::new(DaosTestbed {
             cluster,
-            clients,
+            clients: containers.iter().map(|c| c.client().clone()).collect(),
             pools,
             containers,
             dfs,

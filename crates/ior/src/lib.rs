@@ -41,9 +41,10 @@ pub use ladder::{ByteFile, Collective, Intercepted, MetaOps, PfsClient};
 pub use mdtest::{mdtest, mdtest_ranks, MdBackend, MdtestReport};
 pub use runner::{pfs_files, run, run_files};
 
+use daos_core::DaosError;
 use daos_placement::ObjectClass;
 use daos_sim::time::SimDuration;
-use daos_sim::units::gib_per_sec;
+use daos_sim::units::{fmt_bytes, gib_per_sec};
 
 /// Access API under test.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -137,13 +138,15 @@ impl IorParams {
         self.block_size * self.segments as u64 * self.ppn as u64 * client_nodes as u64
     }
 
-    /// Transfers per rank per segment.
-    pub fn transfers_per_block(&self) -> u64 {
-        assert!(
-            self.block_size.is_multiple_of(self.transfer_size),
-            "block size must be a multiple of transfer size"
-        );
-        self.block_size / self.transfer_size
+    /// Transfers per rank per segment; refused unless each block is a
+    /// whole number of transfers, as IOR refuses it.
+    pub fn transfers_per_block(&self) -> Result<u64, DaosError> {
+        let (block, xfer) = (self.block_size, self.transfer_size);
+        let whole = block.checked_rem(xfer) == Some(0);
+        whole.then(|| block / xfer).ok_or_else(|| {
+            let (b, x) = (fmt_bytes(block), fmt_bytes(xfer));
+            DaosError::Other(format!("blocksize {b} is not a multiple of xfersize {x}"))
+        })
     }
 
     /// Byte offset of `(rank, segment, transfer)` in the target file.
@@ -235,7 +238,7 @@ mod tests {
         let mut seen = std::collections::BTreeSet::new();
         for r in 0..ranks {
             for s in 0..p.segments as u64 {
-                for k in 0..p.transfers_per_block() {
+                for k in 0..p.transfers_per_block().unwrap() {
                     let off = p.offset(ranks, r, s, k);
                     assert!(seen.insert(off), "offset {off} written twice");
                 }
@@ -253,10 +256,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "multiple")]
     fn misaligned_transfer_rejected() {
         let mut p = params(false);
-        p.transfer_size = 5;
-        let _ = p.transfers_per_block();
+        for (xfer, said) in [
+            (5, "16B is not a multiple of xfersize 5B"),
+            (0, "xfersize 0B"),
+        ] {
+            p.transfer_size = xfer;
+            let refused = p.transfers_per_block().unwrap_err().to_string();
+            assert!(refused.contains(said), "{refused}");
+        }
     }
 }

@@ -45,7 +45,7 @@ async fn rank_io_phase<F: ByteFile>(
         rank
     };
     // plan the (segment, transfer) visit order; -z shuffles it
-    let tpb = params.transfers_per_block();
+    let tpb = params.transfers_per_block()?;
     let mut plan: Vec<(u64, u64)> = (0..params.segments as u64)
         .flat_map(|s| (0..tpb).map(move |k| (s, k)))
         .collect();
@@ -137,6 +137,9 @@ pub async fn run_files<F: ByteFile + 'static>(
             "verify: this rung models timing only and stores no bytes".into(),
         ));
     }
+    // a block that is not a whole number of transfers is refused here,
+    // before any rank starts
+    params.transfers_per_block()?;
     if params.reorder_read && params.file_per_process {
         // a rank's handle is bound to its own file: there is no
         // neighbour's block to read through it

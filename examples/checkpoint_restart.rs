@@ -36,7 +36,8 @@ pub fn main() {
         for i in 0..NODES {
             let client = DaosClient::new(Rc::clone(&cluster), i);
             let pool = client.connect(&sim).await.expect("connect");
-            let dfs = Dfs::mount(&sim, &pool, 5, DfsConfig::default())
+            let cont = pool.open_or_create(&sim, 5).await.expect("container");
+            let dfs = Dfs::mount(&sim, cont, DfsConfig::default())
                 .await
                 .expect("mount");
             mounts.push(DfuseMount::new(dfs, DfuseConfig::default()));

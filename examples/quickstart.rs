@@ -57,7 +57,8 @@ pub fn main() {
         );
 
         // 4. a filesystem on top: DFS + a DFuse POSIX mount
-        let dfs = Dfs::mount(&sim, &pool, 8, DfsConfig::default())
+        let posix = pool.create_container(&sim, 8).await.expect("container");
+        let dfs = Dfs::mount(&sim, posix, DfsConfig::default())
             .await
             .expect("dfs mount");
         let mount = DfuseMount::new(Rc::clone(&dfs), DfuseConfig::default());

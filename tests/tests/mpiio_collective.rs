@@ -88,9 +88,8 @@ fn cycle(pattern: Pattern, io: Io) -> Cycle {
         for i in 0..2 {
             let client = DaosClient::new(Rc::clone(&cluster), i);
             let pool = client.connect(&sim).await.unwrap();
-            let fs = Dfs::mount(&sim, &pool, 1, DfsConfig::default())
-                .await
-                .unwrap();
+            let cont = pool.open_or_create(&sim, 1).await.unwrap();
+            let fs = Dfs::mount(&sim, cont, DfsConfig::default()).await.unwrap();
             dfs.push(fs);
         }
         let mounts: Vec<_> = (0..RANKS)

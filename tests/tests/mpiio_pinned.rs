@@ -58,9 +58,8 @@ fn cycle(interleave: bool) -> (Vec<DfuseStats>, u64) {
         for i in 0..2 {
             let client = DaosClient::new(Rc::clone(&cluster), i);
             let pool = client.connect(&sim).await.unwrap();
-            let dfs = Dfs::mount(&sim, &pool, 1, DfsConfig::default())
-                .await
-                .unwrap();
+            let cont = pool.open_or_create(&sim, 1).await.unwrap();
+            let dfs = Dfs::mount(&sim, cont, DfsConfig::default()).await.unwrap();
             mounts.push(DfuseMount::new(dfs, DfuseConfig::default()));
         }
         mounts[0]
