@@ -150,8 +150,10 @@ fn cmd_pool(args: &Args) {
     sim.block_on(move |sim| async move {
         let cluster = daos_core::Cluster::build(&sim, paper_cluster(nodes));
         let client = daos_core::DaosClient::new(Rc::clone(&cluster), 0);
-        let connected = client.connect(&sim).await;
-        connected.unwrap_or_else(|e| die(&format!("connect: {e}")));
+        client
+            .connect(&sim)
+            .await
+            .unwrap_or_else(|e| die(&format!("connect: {e}")));
         let cfg = &cluster.cfg;
         println!("pool ready at {} (leader elected)", sim.now());
         println!(

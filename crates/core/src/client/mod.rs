@@ -378,7 +378,8 @@ impl PoolHandle {
         Ok(self.handle(cont))
     }
 
-    /// Open-or-create (what `dfs_mount` does).
+    /// Open the container, creating it first if it does not exist (what
+    /// `dfs_connect` with `O_CREAT` does before it mounts).
     pub async fn open_or_create(
         &self,
         sim: &Sim,
