@@ -7,9 +7,10 @@
 //! `(deadline, registration sequence)` and the ready queue is FIFO, so runs
 //! are deterministic.
 //!
-//! Timers live in one binary min-heap on `(deadline, seq)` beside a slab
-//! of their wakers (`crate::timers`). [`Sleep`] registers its timer once,
-//! on its first `Pending` poll, and cancels it on drop; a cancelled entry
+//! Timers live in one monotone radix heap popped in `(deadline, seq)`
+//! order, beside a slab of their wakers (`crate::timers`). [`Sleep`]
+//! registers its timer once, on its first `Pending` poll, and cancels it
+//! on drop; a cancelled entry
 //! is skipped at pop without touching the clock, so `now` only ever moves
 //! to a timer somebody is still waiting for.
 //!
@@ -478,9 +479,10 @@ impl Sim {
         self.inner.live_tasks.get()
     }
 
-    /// Number of timer entries currently queued, cancelled ones that have
-    /// not been discarded yet included: what the timer store holds, not
-    /// how many sleepers are waiting.
+    /// Number of timer entries currently queued, across every bucket of
+    /// the radix store, cancelled ones that have not been discarded yet
+    /// included: what the timer store holds, not how many sleepers are
+    /// waiting.
     pub fn pending_timers(&self) -> usize {
         self.inner.timers.borrow().len()
     }

@@ -1,6 +1,27 @@
-//! The executor's timer store: one binary min-heap of queued entries,
-//! ordered by `(deadline, registration sequence)`, beside a slab of the
-//! wakers they will fire.
+//! The executor's timer store: a monotone radix heap of queued entries
+//! (Ahuja, Mehlhorn, Orlin and Tarjan, 1990), popped in `(deadline,
+//! registration sequence)` order, beside a slab of the wakers they will
+//! fire.
+//!
+//! The store keeps `last`, the deadline of the last timer it fired, and
+//! files each entry by the highest bit in which its deadline differs from
+//! `last`: bucket 0 holds the entries due at `last` itself, bucket `b ≥ 1`
+//! those whose highest differing bit is `b − 1`. Every entry of a lower
+//! bucket is due before every entry of a higher one, so the earliest
+//! entries are in the first non-empty bucket, which one `trailing_zeros`
+//! of an occupancy word finds. Bucket 0 is served first, FIFO from a head
+//! index. When it runs dry, the first non-empty bucket is opened: `last`
+//! moves to its earliest deadline and its entries are filed again, in
+//! their stored order, into lower buckets. An entry only ever moves down,
+//! so each pays at most one re-filing per bit of its distance from the
+//! clock.
+//!
+//! This is sound because the store is monotone: no timer is registered
+//! before `last`. The executor registers a timer only for a deadline later
+//! than its clock, and moves its clock only to a deadline popped here.
+//! The order is exactly `(at, seq)`: entries due at the same instant are
+//! always filed in the same bucket, move together and in order, and a
+//! later push, with a later `seq`, lands behind them.
 //!
 //! A queued entry is a `Copy` `(at, seq, slot)`; the [`Waker`] it will fire
 //! sits in the slab at `slot`, stamped with the entry's `seq`. Cancelling
@@ -8,22 +29,27 @@
 //! returned, and [`Timers::cancel`] takes the waker out of the slab and
 //! frees the slot if the stamp still matches — so a timer that already
 //! fired, or a slot that has since been let to a later timer, is left
-//! alone. The queued entry stays in the heap and is *dead*: its slot is
-//! empty or carries another stamp. [`Timers::pop_min`] discards dead
-//! entries as it meets them and returns only a live one, so a dead
-//! deadline never becomes an event. Dead entries are counted, and the heap
-//! is swept as soon as they outnumber the live ones, so its length follows
-//! the timers *in flight* (at most twice them), not the timers ever
-//! registered.
+//! alone. The queued entry stays where it was filed and is *dead*: its
+//! slot is empty or carries another stamp. [`Timers::pop_min`] discards
+//! dead entries as it meets them and returns only a live one, so a dead
+//! deadline never becomes an event. Dead entries are counted, and the
+//! store is swept as soon as they outnumber the live ones, so its length
+//! follows the timers *in flight* (at most twice them), not the timers
+//! ever registered.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::task::Waker;
 
-/// A queued timer, ordered by `(at, seq)` so ties break by registration
-/// order and the run is deterministic (`seq` is unique, so the derived
-/// order never reaches `slot`). The waker is in `Timers::wakers[slot]`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// Bucket 0 for the deadline `last` itself, one bucket per bit for the
+/// rest.
+const BUCKETS: usize = u64::BITS as usize + 1;
+
+/// Room each bucket is made with, up front: a bucket first used mid-run
+/// (the clock crossed into a new bit) allocates nothing unless it holds
+/// more entries than this at once, and its capacity is kept from then on.
+const BUCKET_ROOM: usize = 16;
+
+/// A queued timer. The waker is in `Timers::wakers[slot]`.
+#[derive(Clone, Copy)]
 struct TimerEnt {
     at: u64,
     seq: u64,
@@ -53,19 +79,37 @@ impl WakerSlot {
     }
 }
 
+/// The bucket of a deadline `at ≥ last`: 0 if it is `last`, else one more
+/// than the highest bit in which the two differ.
+fn bucket(at: u64, last: u64) -> usize {
+    (u64::BITS - (at ^ last).leading_zeros()) as usize
+}
+
 /// The timer store.
 ///
 /// Invariants:
+/// * every queued deadline is at or after `last`, and an entry in
+///   `buckets[b]` is due at `last` if `b` is 0, else differs from `last`
+///   highest at bit `b − 1`;
+/// * entries due at the same instant sit in one bucket in `seq` order;
+/// * bit `b − 1` of `occupied` is set iff `buckets[b]` (`b ≥ 1`) is
+///   non-empty. Bucket 0 has no bit: it is non-empty iff `head` is short
+///   of its length, so no stale bit can send a pop to an empty bucket;
 /// * an entry is live iff `wakers[slot]` holds a waker stamped with its
 ///   `seq`. A live entry owns its slot; a dead one owns nothing, and is
 ///   dropped by whichever of pop or sweep meets it first;
-/// * `dead` counts the dead entries in `heap`, exactly, and never exceeds
+/// * `dead` counts the dead entries queued, exactly, and never exceeds
 ///   the live ones once a cancel or a pop has returned.
-#[derive(Default)]
 pub(crate) struct Timers {
-    /// Every queued entry, dead ones included.
-    heap: BinaryHeap<Reverse<TimerEnt>>,
-    /// Dead entries in `heap`.
+    /// Queued entries by bucket; `buckets[0][..head]` are popped already.
+    buckets: [Vec<TimerEnt>; BUCKETS],
+    head: usize,
+    occupied: u64,
+    /// The deadline of the last timer fired; 0 before the first.
+    last: u64,
+    /// Queued entries, dead ones included.
+    len: usize,
+    /// Dead entries queued.
     dead: usize,
     /// Waker slab: one slot per live timer, reused through `free`.
     wakers: Vec<WakerSlot>,
@@ -73,17 +117,48 @@ pub(crate) struct Timers {
     /// The next registration sequence number. Never reset, so a key from
     /// before a [`Timers::clear`] cannot match a later tenant of its slot.
     next_seq: u64,
+    /// Entries filed again when their bucket was opened, and timers fired:
+    /// the store's work per event, which the tests bound.
+    #[cfg(test)]
+    refiled: u64,
+    #[cfg(test)]
+    fired: u64,
+}
+
+impl Default for Timers {
+    fn default() -> Self {
+        Timers {
+            buckets: std::array::from_fn(|_| Vec::with_capacity(BUCKET_ROOM)),
+            head: 0,
+            occupied: 0,
+            last: 0,
+            len: 0,
+            dead: 0,
+            wakers: Vec::new(),
+            free: Vec::new(),
+            next_seq: 0,
+            #[cfg(test)]
+            refiled: 0,
+            #[cfg(test)]
+            fired: 0,
+        }
+    }
 }
 
 impl Timers {
     /// Queued entries, dead ones included.
     pub(crate) fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// Queue `waker` to fire at `at`, after every timer already queued for
-    /// the same instant.
+    /// the same instant. `at` must not be before the last timer fired.
     pub(crate) fn push(&mut self, at: u64, waker: Waker) -> TimerKey {
+        debug_assert!(
+            at >= self.last,
+            "timer at {at} registered before the last one fired, at {}",
+            self.last
+        );
         let seq = self.next_seq;
         self.next_seq += 1;
         let tenant = WakerSlot {
@@ -107,8 +182,18 @@ impl Timers {
                 slot
             }
         };
-        self.heap.push(Reverse(TimerEnt { at, seq, slot }));
+        self.file(TimerEnt { at, seq, slot });
+        self.len += 1;
         TimerKey { seq, slot }
+    }
+
+    /// Append `ent` to its bucket relative to `last`.
+    fn file(&mut self, ent: TimerEnt) {
+        let b = bucket(ent.at, self.last);
+        if b > 0 {
+            self.occupied |= 1 << (b - 1);
+        }
+        self.buckets[b].push(ent);
     }
 
     /// Take the waker of the timer `(seq, slot)` and free its slot; `None`
@@ -138,31 +223,84 @@ impl Timers {
     /// returned to nobody, so the caller only ever moves its clock to a
     /// timer somebody is still waiting for.
     pub(crate) fn pop_min(&mut self) -> Option<(u64, Waker)> {
-        while let Some(Reverse(ent)) = self.heap.pop() {
-            if let Some(waker) = self.take_waker(ent.seq, ent.slot) {
-                self.sweep_if_mostly_dead();
-                return Some((ent.at, waker));
+        let fired_last = self.last;
+        loop {
+            while let Some(&ent) = self.buckets[0].get(self.head) {
+                self.head += 1;
+                self.len -= 1;
+                if let Some(waker) = self.take_waker(ent.seq, ent.slot) {
+                    #[cfg(test)]
+                    {
+                        self.fired += 1;
+                    }
+                    self.sweep_if_mostly_dead();
+                    return Some((ent.at, waker));
+                }
+                self.dead -= 1;
             }
-            self.dead -= 1;
+            self.buckets[0].clear();
+            self.head = 0;
+            if self.occupied == 0 {
+                // nothing is queued, so no floor is needed: keep the last
+                // fired deadline rather than one a dead entry left
+                self.last = fired_last;
+                return None;
+            }
+            self.open_first_bucket();
         }
-        None
+    }
+
+    /// Move `last` to the earliest deadline of the first non-empty bucket
+    /// and file that bucket's entries again, in their stored order: each
+    /// lands in a lower bucket, those due at the new `last` in bucket 0.
+    /// Bucket 0 is empty, so it receives them in `(at, seq)` order. The
+    /// drained `Vec` goes back to its bucket, keeping its capacity.
+    fn open_first_bucket(&mut self) {
+        let b = self.occupied.trailing_zeros() as usize + 1;
+        self.occupied &= !(1 << (b - 1));
+        let mut opened = std::mem::take(&mut self.buckets[b]);
+        debug_assert!(!opened.is_empty(), "bucket {b} marked but empty");
+        if let Some(min) = opened.iter().map(|e| e.at).min() {
+            self.last = min;
+        }
+        #[cfg(test)]
+        {
+            self.refiled += opened.len() as u64;
+        }
+        for ent in opened.drain(..) {
+            self.file(ent);
+        }
+        self.buckets[b] = opened;
     }
 
     /// Drop every dead entry once they outnumber the live ones: each sweep
     /// is O(n) and paid for by the n/2 cancels since the last one, and the
-    /// heap never holds more than twice the timers in flight.
+    /// store never holds more than twice the timers in flight.
     fn sweep_if_mostly_dead(&mut self) {
-        if self.dead * 2 > self.heap.len() {
+        if self.dead * 2 > self.len {
+            self.buckets[0].drain(..self.head);
+            self.head = 0;
             let wakers = &self.wakers;
-            self.heap
-                .retain(|Reverse(e)| wakers[e.slot as usize].holds(e.seq));
+            for (b, ents) in self.buckets.iter_mut().enumerate() {
+                ents.retain(|e| wakers[e.slot as usize].holds(e.seq));
+                if b > 0 && ents.is_empty() {
+                    self.occupied &= !(1 << (b - 1));
+                }
+            }
+            self.len -= self.dead;
             self.dead = 0;
         }
     }
 
     /// Drop every timer, live or dead, and its waker.
     pub(crate) fn clear(&mut self) {
-        self.heap.clear();
+        for ents in &mut self.buckets {
+            ents.clear();
+        }
+        self.head = 0;
+        self.occupied = 0;
+        self.last = 0;
+        self.len = 0;
         self.dead = 0;
         self.wakers.clear();
         self.free.clear();
@@ -196,10 +334,17 @@ mod tests {
 
         /// Pop the next live timer and return its deadline.
         fn pop(&mut self) -> Option<u64> {
+            self.pop_seq().map(|(at, _)| at)
+        }
+
+        /// Pop the next live timer and return its deadline and `seq`: the
+        /// stamp left in the slot it just freed.
+        fn pop_seq(&mut self) -> Option<(u64, u64)> {
             let (at, _waker) = self.timers.pop_min()?;
             assert!(self.now <= at, "time went backwards");
             self.now = at;
-            Some(at)
+            let slot = *self.timers.free.last().expect("the fired slot is free");
+            Some((at, self.timers.wakers[slot as usize].seq))
         }
 
         /// Slab slots let to a waiting timer.
@@ -262,6 +407,150 @@ mod tests {
         assert_eq!(rig.pop(), None);
     }
 
+    #[test]
+    fn equal_deadlines_either_side_of_a_redistribution_fire_in_seq_order() {
+        let mut rig = Rig::new();
+        let due = (1 << 20) + 7;
+        // one tie queued before each step the clock takes towards `due`:
+        // each near pop opens a bucket and files the earlier ties again
+        let mut ties = vec![rig.push(due).seq];
+        for near in [600, 1 << 19, (1 << 20) - 1, 1 << 20, (1 << 20) + 6] {
+            rig.push(near);
+            ties.push(rig.push(due).seq);
+            assert_eq!(rig.pop(), Some(near));
+        }
+        assert!(rig.timers.refiled > 0, "the ties moved");
+        rig.push(due + 1);
+        for seq in ties {
+            assert_eq!(rig.pop_seq(), Some((due, seq)));
+        }
+        assert_eq!(rig.pop(), Some(due + 1));
+        assert_eq!(rig.pop(), None);
+    }
+
+    #[test]
+    fn deadlines_in_the_top_bucket_pop_in_order() {
+        let mut rig = Rig::new();
+        let top = 1u64 << 63;
+        let a = rig.push(u64::MAX).seq;
+        let b = rig.push(top + 5).seq;
+        let c = rig.push(top).seq;
+        let d = rig.push(u64::MAX).seq;
+        rig.push(3);
+        assert_eq!(rig.timers.occupied, 1 << 63 | 1 << 1, "buckets 64 and 2");
+        assert_eq!(rig.pop(), Some(3));
+        assert_eq!(rig.pop_seq(), Some((top, c)));
+        let e = rig.push(top + 5).seq;
+        assert_eq!(rig.pop_seq(), Some((top + 5, b)));
+        assert_eq!(rig.pop_seq(), Some((top + 5, e)));
+        assert_eq!(rig.pop_seq(), Some((u64::MAX, a)));
+        assert_eq!(rig.pop_seq(), Some((u64::MAX, d)));
+        assert_eq!(rig.pop(), None);
+    }
+
+    #[test]
+    fn a_sweep_of_a_partly_popped_bucket_0_keeps_its_order() {
+        let mut rig = Rig::new();
+        let ties: Vec<TimerKey> = (0..4).map(|_| rig.push(1_000)).collect();
+        let far: Vec<TimerKey> = (0..3).map(|_| rig.push(5_000)).collect();
+        assert_eq!(rig.pop_seq(), Some((1_000, ties[0].seq)));
+        assert_eq!(rig.timers.head, 1, "bucket 0 is partly popped");
+        for key in far {
+            rig.timers.cancel(key);
+        }
+        assert_eq!((rig.timers.len(), rig.timers.dead), (6, 3));
+        rig.timers.cancel(ties[2]);
+        assert_eq!((rig.timers.len(), rig.timers.dead), (2, 0), "swept");
+        assert_eq!((rig.timers.head, rig.timers.occupied), (0, 0));
+        assert_eq!(rig.pop_seq(), Some((1_000, ties[1].seq)));
+        let late = rig.push(1_000);
+        assert_eq!(rig.pop_seq(), Some((1_000, ties[3].seq)));
+        assert_eq!(rig.pop_seq(), Some((1_000, late.seq)));
+        assert_eq!(rig.pop(), None);
+    }
+
+    /// Entries filed again per fired timer on the shape of a random 4 KiB
+    /// workload: `SLEEPERS` ranks, each op a 1 s deadline pushed, a chain
+    /// of eight 64 ns – 16 µs sleeps, and the deadline cancelled. With
+    /// `refile_all`, every queued entry is filed again after each pop.
+    fn refiled_per_fire(refile_all: bool) -> f64 {
+        const SLEEPERS: usize = 256;
+        const OPS: usize = 20_000;
+        const CHAIN: u32 = 8;
+        let mut rig = Rig::new();
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut nap = |now: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            now + 64 + rng % (16_000 - 64)
+        };
+        // per sleeper: its deadline, and the sleeps left in its chain
+        let mut state: Vec<(TimerKey, u32)> = Vec::new();
+        // the sleeper each `seq` belongs to; deadlines never fire
+        let mut owner: Vec<usize> = Vec::new();
+        for s in 0..SLEEPERS {
+            state.push((rig.push(1_000_000_000), CHAIN));
+            rig.push(nap(0));
+            owner.extend([usize::MAX, s]);
+        }
+        let mut ops = 0;
+        while ops < OPS {
+            let (_, seq) = rig.pop_seq().expect("a sleeper is waiting");
+            let s = owner[seq as usize];
+            let (deadline, left) = &mut state[s];
+            *left -= 1;
+            if *left == 0 {
+                rig.timers.cancel(*deadline);
+                ops += 1;
+                *deadline = rig.push(rig.now + 1_000_000_000);
+                owner.push(usize::MAX);
+                *left = CHAIN;
+            }
+            rig.push(nap(rig.now));
+            owner.push(s);
+            if refile_all {
+                rig.timers.refile_all();
+            }
+        }
+        rig.timers.refiled as f64 / rig.timers.fired as f64
+    }
+
+    impl Timers {
+        /// Planted waste: file every queued entry of buckets 1 to 64 again
+        /// in place, as a store that re-sorts on each pop would.
+        fn refile_all(&mut self) {
+            for b in 1..BUCKETS {
+                let mut ents = std::mem::take(&mut self.buckets[b]);
+                self.refiled += ents.len() as u64;
+                self.buckets[b].append(&mut ents);
+            }
+        }
+    }
+
+    /// Measured: 4.90 entries filed again per fired timer (a binary heap
+    /// moves about log2 of its ~540 entries, 9, per pop). The bound leaves
+    /// room for a change of pattern, not for a store that redoes its
+    /// buckets on each pop.
+    const REFILED_PER_FIRE_BOUND: f64 = 6.0;
+
+    #[test]
+    fn a_random_4k_pattern_refiles_little_per_fired_timer() {
+        let per_fire = refiled_per_fire(false);
+        assert!(
+            per_fire <= REFILED_PER_FIRE_BOUND,
+            "{per_fire:.3} entries filed again per fired timer"
+        );
+    }
+
+    /// Planted negative: re-filing every bucket on each pop must fail the
+    /// bound above.
+    #[test]
+    fn refiling_every_bucket_per_pop_fails_the_bound() {
+        let per_fire = refiled_per_fire(true);
+        assert!(per_fire > REFILED_PER_FIRE_BOUND, "{per_fire:.3}");
+    }
+
     /// One step against the store.
     #[derive(Clone, Copy, Debug)]
     enum Op {
@@ -273,9 +562,15 @@ mod tests {
         Pop,
     }
 
-    /// Ties, near and far deadlines.
+    /// Ties, near and far deadlines, and deadlines far enough out to
+    /// reach the top buckets (and, summed, to saturate at `u64::MAX`).
     fn after() -> impl Strategy<Value = u64> {
-        prop_oneof![0u64..4, 0u64..5_000, 4_000_000u64..20_000_000]
+        prop_oneof![
+            0u64..4,
+            0u64..5_000,
+            4_000_000u64..20_000_000,
+            (1u64 << 40)..(1u64 << 62),
+        ]
     }
 
     fn op() -> impl Strategy<Value = Op> {
@@ -304,7 +599,7 @@ mod tests {
             for op in ops.into_iter().chain(std::iter::repeat_n(Op::Pop, 201)) {
                 match op {
                     Op::Push(after) => {
-                        let at = rig.now + after;
+                        let at = rig.now.saturating_add(after);
                         let key = rig.push(at);
                         model.insert((at, key.seq));
                         keys.push((at, key));

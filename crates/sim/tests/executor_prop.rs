@@ -91,8 +91,9 @@ fn executor_order(workload: &[Vec<Step>]) -> Vec<Event> {
 }
 
 /// Per-step delay: mostly a few microseconds, sometimes about one
-/// microsecond exactly, sometimes milliseconds out. Ties are likely: short
-/// delays repeat.
+/// microsecond exactly, sometimes milliseconds out, and sometimes minutes
+/// to years out, far enough to reach the timer store's high buckets. Ties
+/// are likely: short delays repeat.
 fn delay() -> impl Strategy<Value = u64> {
     prop_oneof![
         1u64..5_000,
@@ -100,6 +101,7 @@ fn delay() -> impl Strategy<Value = u64> {
         1u64..5_000,
         prop_oneof![Just(1024u64), Just(1023), Just(1025), Just(4096)],
         4_000_000u64..20_000_000,
+        (1u64 << 40)..(1u64 << 58),
     ]
 }
 

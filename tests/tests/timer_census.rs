@@ -9,8 +9,8 @@
 //!
 //! Two numbers are read. `held` is `pending_timers()` as found: the live
 //! entries plus the cancelled ones the store has not swept yet. The store
-//! is one heap, swept whenever its cancelled entries outnumber its live
-//! ones, so `held` is bounded — at most twice `live` — but where between
+//! (a radix heap of buckets) is swept whenever its cancelled entries
+//! outnumber its live ones, so `held` is bounded — at most twice `live` — but where between
 //! the two it stands depends on how long ago the last sweep was. `live` is
 //! the same reading once a sweep has been forced, and is exact: the
 //! cluster's own periodic timers (raft ticks, the parked failure detector,
