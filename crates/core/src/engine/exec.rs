@@ -110,10 +110,11 @@ impl Engine {
         Ok(payload)
     }
 
-    /// Execute one data-plane request against one of its targets. VOS
-    /// failures (csum violations, akey-shape mismatches) surface as their
-    /// typed [`DaosError`] twins.
-    pub(super) async fn exec_data(
+    /// Execute a request addressed to one target ([`Request::target`]):
+    /// an array or single-value update or fetch. VOS failures (csum
+    /// violations, akey-shape mismatches) surface as their typed
+    /// [`DaosError`] twins.
+    pub(super) async fn exec_target(
         &self,
         sim: &Sim,
         target: &VosTarget,
@@ -203,6 +204,21 @@ impl Engine {
                     .fetch_single(sim, cont, oid_key(oid), dkey, akey, epoch)
                     .await?,
             ),
+            _ => return Err(DaosError::Other("not a one-target op".into())),
+        })
+    }
+
+    /// Execute one target's share of an object-wide request
+    /// ([`Request::targets`]): a punch, a listing or a query. Kept apart
+    /// from [`Engine::exec_target`] so that a visit's children, one per
+    /// target, are sized by these steps and not by the bulk path's.
+    pub(super) async fn exec_visit(
+        &self,
+        sim: &Sim,
+        target: &VosTarget,
+        req: &Request,
+    ) -> Result<Response, DaosError> {
+        Ok(match *req {
             Request::PunchArray {
                 cont,
                 oid,
@@ -237,7 +253,7 @@ impl Engine {
                     .await,
             ),
             Request::QueryEpoch { .. } => Response::Epoch(target.current_epoch()),
-            _ => return Err(DaosError::Other("control op on data path".into())),
+            _ => return Err(DaosError::Other("not an object-wide op".into())),
         })
     }
 }

@@ -17,7 +17,7 @@
 //! * `admission` — the admission gates and the xstream FIFOs;
 //! * `shaper` — the per-tenant QoS shaper (DRR + token buckets);
 //! * `exec` — the CPU/copy/checksum charge, the stream window and the
-//!   VOS operation;
+//!   VOS operation, one step per route (`exec_target`, `exec_visit`);
 //! * `background` — epoch aggregation and the checksum scrubber.
 
 mod admission;
@@ -27,6 +27,7 @@ mod shaper;
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
+use std::future::Future;
 use std::rc::Rc;
 
 use daos_fabric::{Endpoint, Fabric, Incoming, NodeId};
@@ -378,7 +379,8 @@ impl Engine {
         // header's tenant routes the op through its service class
         let (Rpc { tenant, req }, responder) = inc.split();
         let rsp = if let Some(t) = req.target() {
-            self.serve_data(sim, t, tenant, &req, true).await
+            self.serve_data(sim, t, tenant, &req, true, Self::exec_target)
+                .await
         } else if let Some((targets, oid)) = req.targets() {
             self.visit(sim, targets, oid, tenant, &req).await
         } else {
@@ -453,10 +455,9 @@ impl Engine {
         req: &Request,
     ) -> Response {
         let lead = oid.map_or(0, |o| o.mix() % targets.len().max(1) as u64);
-        let visits = targets
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| self.serve_data(sim, t, tenant, req, i as u64 == lead));
+        let visits = targets.iter().enumerate().map(|(i, &t)| {
+            self.serve_data(sim, t, tenant, req, i as u64 == lead, Self::exec_visit)
+        });
         let replies = join_inline(visits).await;
         replies.reduce(Response::merge).unwrap_or(Response::Ok)
     }
@@ -468,15 +469,21 @@ impl Engine {
     /// every exit, including service that outlives a crash — the buffer
     /// is freed either way. `rpc` is whether this target's xstream also
     /// pays for the RPC itself ([`Engine::charge`]) or only for its VOS
-    /// op.
-    async fn serve_data(
-        &self,
-        sim: &Sim,
+    /// op. `exec` is that op, [`Engine::exec_target`] or
+    /// [`Engine::exec_visit`] by the request's route: the caller picks
+    /// it, so the future is only as large as the step it can run.
+    async fn serve_data<'a, Fut>(
+        &'a self,
+        sim: &'a Sim,
         t: u32,
         tenant: u8,
-        req: &Request,
+        req: &'a Request,
         rpc: bool,
-    ) -> Response {
+        exec: impl FnOnce(&'a Self, &'a Sim, &'a VosTarget, &'a Request) -> Fut,
+    ) -> Response
+    where
+        Fut: Future<Output = Result<Response, DaosError>>,
+    {
         let t = t as usize % self.targets.len();
         let bulk_in = req.bulk_in();
         if let Some(e) = self.refusal(t, bulk_in) {
@@ -498,8 +505,7 @@ impl Engine {
         if rpc {
             self.charge(sim, copy_bytes).await;
         }
-        let rsp = self
-            .exec_data(sim, &self.targets[t], req)
+        let rsp = exec(self, sim, &self.targets[t], req)
             .await
             .unwrap_or_else(Response::Err);
         self.admission.release(bulk_in);

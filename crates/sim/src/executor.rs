@@ -658,23 +658,12 @@ impl Sim {
         }
     }
 
-    /// Whether any of `bits` is set in task `task`'s wake mask, clearing
-    /// them.
-    pub(crate) fn take_woken(&self, task: u32, bits: u64) -> bool {
+    /// Task `task`'s wake mask, cleared.
+    pub(crate) fn take_woken(&self, task: u32) -> u64 {
         let mut tasks = self.inner.tasks.borrow_mut();
-        let Some(mark) = tasks.mark(task) else {
-            return false;
-        };
-        let hit = mark.woken & bits != 0;
-        mark.woken &= !bits;
-        hit
-    }
-
-    /// Whether any of `bits` is set in task `task`'s wake mask.
-    pub(crate) fn is_woken(&self, task: u32, bits: u64) -> bool {
-        let tasks = self.inner.tasks.borrow();
-        let slot = tasks.slots.get(task as usize);
-        slot.is_some_and(|s| s.mark.woken & bits != 0)
+        tasks
+            .mark(task)
+            .map_or(0, |mark| std::mem::take(&mut mark.woken))
     }
 
     /// The earliest deadline, in ns, of every [`Sleep`] that returned

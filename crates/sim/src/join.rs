@@ -27,31 +27,70 @@ pub struct JoinInline<I: Iterator<Item: Future>> {
     /// The children, until the first poll moves them into `slots`.
     futs: Option<I>,
     /// One slot per child, in one block for the join's lifetime: the
-    /// child until it completes, then its output.
+    /// child until it completes, and its output from then on.
     slots: Slots<I::Item>,
+    /// Bit `i`: child `i` (below [`TAIL`]) is still running.
+    running: u64,
     wakes: Wakes,
+    #[cfg(test)]
+    census: tests::Census,
 }
+
+/// The first child that shares a wake bit with the ones after it.
+const TAIL: usize = 63;
 
 /// A child of a join, then what it returned, and when it is next due.
 struct Slot<F: Future> {
-    state: State<F>,
+    /// The child until it completes, pinned where it stands.
+    fut: Option<F>,
+    /// What the child returned, until the join's caller reads it.
+    out: Option<F::Output>,
     /// The earliest deadline of the `Sleep`s the child was waiting on
     /// after its last poll (`u64::MAX`: none).
     due: u64,
 }
 
-enum State<F: Future> {
-    Running(F),
-    Done(F::Output),
-    /// The output went to the join's caller.
-    Taken,
+impl<F: Future> Slot<F> {
+    /// Poll the child, if it still runs: whether it has completed. A
+    /// child that completes is dropped where it stands, as `Pin::set`
+    /// drops it, and its output kept beside it.
+    #[allow(unsafe_code, reason = "the child re-pin below")]
+    fn poll(&mut self, cx: &mut Context<'_>) -> bool {
+        let Some(fut) = &mut self.fut else {
+            return true;
+        };
+        // SAFETY: `fut` stands in the join's block, which neither moves
+        // nor frees it until it is dropped in place: the block only moves
+        // while `Slots::fill` builds it, before any child is polled, and
+        // the child is only ever dropped where it stands (below, or by
+        // `Slots`' drop).
+        let fut = unsafe { Pin::new_unchecked(fut) };
+        match fut.poll(cx) {
+            Poll::Ready(v) => {
+                self.fut = None;
+                self.out = Some(v);
+                true
+            }
+            Poll::Pending => false,
+        }
+    }
 }
 
 /// How a join learns which children may have progressed.
 enum Wakes {
     /// The join holds its task's wake mask under `claim`: child `i` runs
     /// under a waker that sets bit `min(i, 63)`.
-    Tracked { sim: Sim, task: u32, claim: u32 },
+    Tracked {
+        sim: Sim,
+        task: u32,
+        claim: u32,
+        /// Wakes taken from the mask and not yet spent on a poll: those
+        /// of children below one polled after them, for the next pass.
+        woken: u64,
+        /// No running child below [`TAIL`] is due before this instant,
+        /// in ns (a lower bound: it may be stale low, never high).
+        soon: u64,
+    },
     /// Every child runs under the caller's waker and is polled on every
     /// poll of the join (and, before the first poll, nothing is decided).
     Every,
@@ -93,7 +132,10 @@ where
     JoinInline {
         futs: Some(futs.into_iter()),
         slots: Slots::empty(),
+        running: 0,
         wakes: Wakes::Every,
+        #[cfg(test)]
+        census: tests::Census::default(),
     }
 }
 
@@ -111,14 +153,23 @@ impl<I: ExactSizeIterator<Item: Future>> JoinInline<I> {
             let home = Sim::of_waker(cx.waker());
             if let Some((sim, Some(task))) = &home {
                 if let Some(claim) = sim.claim_wakes(*task) {
-                    let (sim, task) = (sim.clone(), *task);
-                    self.wakes = Wakes::Tracked { sim, task, claim };
+                    self.wakes = Wakes::Tracked {
+                        sim: sim.clone(),
+                        task: *task,
+                        claim,
+                        woken: 0,
+                        soon: 0,
+                    };
                 }
             }
             self.slots.fill(futs, home.map(|(sim, _)| sim));
+            self.running = (1 << self.slots.len.min(TAIL)) - 1;
             return true;
         }
-        if let Wakes::Tracked { sim, task, claim } = &self.wakes {
+        if let Wakes::Tracked {
+            sim, task, claim, ..
+        } = &self.wakes
+        {
             if !sim.is_task_waker(cx.waker(), *task) {
                 // moved to another task: its children's wakers point at
                 // the old one, so from here on every poll polls them all
@@ -133,64 +184,119 @@ impl<I: ExactSizeIterator<Item: Future>> JoinInline<I> {
 impl<I: ExactSizeIterator<Item: Future>> Future for JoinInline<I> {
     type Output = JoinOutputs<I::Item>;
 
-    #[allow(unsafe_code, reason = "the child re-pin below")]
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
         let first = this.settle_wakes(cx);
-        let tracked = match &this.wakes {
-            Wakes::Tracked { sim, task, .. } => Some((sim, *task, sim.now().as_ns())),
-            Wakes::Every => None,
-        };
-        let mut pending = false;
-        // the children from 63 on share one bit: taken once, when the
-        // first of them comes up
-        let mut tail = false;
-        for (i, slot) in this.slots.as_mut_slice().iter_mut().enumerate() {
-            if let (Some((sim, task, _)), 63) = (tracked, i) {
-                tail = sim.take_woken(task, 1 << 63);
-            }
-            let State::Running(fut) = &mut slot.state else {
-                continue;
-            };
-            // SAFETY: `fut` stands in the join's block, which neither
-            // moves nor frees it until it is dropped in place: the block
-            // only moves while `Slots::fill` builds it, before any child
-            // is polled, and a state is only ever overwritten in place
-            // (below), as `Pin::set` does — the child dropped where it
-            // stands.
-            let fut = unsafe { Pin::new_unchecked(fut) };
-            let polled = match tracked {
-                None => fut.poll(cx),
-                Some((sim, task, now)) => {
-                    let woken = match i {
-                        ..63 => sim.take_woken(task, 1 << i),
-                        _ => tail || sim.is_woken(task, 1 << 63),
-                    };
-                    if !(first || woken || slot.due <= now) {
-                        pending = true;
-                        continue;
+        let slots = this.slots.as_mut_slice();
+        let (low, tail) = slots.split_at_mut(slots.len().min(TAIL));
+        let mut tail_pending = false;
+        match &mut this.wakes {
+            Wakes::Every => {
+                let mut left = this.running;
+                while left != 0 {
+                    let i = left.trailing_zeros() as usize;
+                    left &= left - 1;
+                    if low[i].poll(cx) {
+                        this.running &= !(1 << i);
                     }
+                }
+                for slot in tail.iter_mut().filter(|slot| slot.fut.is_some()) {
+                    tail_pending |= !slot.poll(cx);
+                }
+            }
+            Wakes::Tracked {
+                sim,
+                task,
+                woken,
+                soon,
+                ..
+            } => {
+                let (sim, task, now) = (&*sim, *task, sim.now().as_ns());
+                #[cfg(test)]
+                let census = &mut this.census;
+                #[cfg(test)]
+                use tests::Count;
+                #[cfg(test)]
+                census.count(Count::Pass);
+                // the mask is read once here and once after each child
+                // polled: a wake in between comes from that child
+                *woken |= sim.take_woken(task);
+                let poll = |slot: &mut Slot<I::Item>, i: usize, woken: &mut u64| {
                     let waker = sim.child_waker(task, i);
                     sim.take_sleep_due();
-                    let polled = fut.poll(&mut Context::from_waker(&waker));
+                    let done = slot.poll(&mut Context::from_waker(&waker));
                     slot.due = sim.take_sleep_due();
-                    polled
+                    *woken |= sim.take_woken(task);
+                    done
+                };
+                // a child can be due only from `soon` on; before that,
+                // only the woken ones are looked at
+                let scan = first || now >= *soon;
+                #[cfg(test)]
+                let scan = scan || census.waste;
+                if scan {
+                    *soon = u64::MAX;
                 }
-            };
-            match polled {
-                Poll::Ready(v) => slot.state = State::Done(v),
-                Poll::Pending => pending = true,
+                // the running children above the last one looked at
+                let mut left = this.running;
+                loop {
+                    let next = if scan { left } else { left & *woken };
+                    if next == 0 {
+                        break;
+                    }
+                    let i = next.trailing_zeros() as usize;
+                    let bit = 1 << i;
+                    left &= !((bit << 1) - 1);
+                    let slot = &mut low[i];
+                    #[cfg(test)]
+                    census.count(Count::Examined);
+                    if !(first || *woken & bit != 0 || slot.due <= now) {
+                        *soon = (*soon).min(slot.due);
+                        continue;
+                    }
+                    *woken &= !bit;
+                    #[cfg(test)]
+                    census.count(Count::Polled);
+                    if poll(slot, i, woken) {
+                        this.running &= !bit;
+                    } else {
+                        *soon = (*soon).min(slot.due);
+                    }
+                }
+                // the children from 63 on share one bit: taken once, when
+                // the first of them comes up, and any of them is polled
+                // while it is set again
+                let shared = 1 << TAIL;
+                let tail_woken = *woken & shared != 0;
+                if !tail.is_empty() {
+                    *woken &= !shared;
+                }
+                for (i, slot) in (TAIL..).zip(tail.iter_mut()) {
+                    if slot.fut.is_none() {
+                        continue;
+                    }
+                    #[cfg(test)]
+                    census.count(Count::Examined);
+                    if !(first || tail_woken || *woken & shared != 0 || slot.due <= now) {
+                        tail_pending = true;
+                        continue;
+                    }
+                    #[cfg(test)]
+                    census.count(Count::Polled);
+                    tail_pending |= !poll(slot, i, woken);
+                }
             }
         }
-        if pending {
+        if this.running != 0 || tail_pending {
             return Poll::Pending;
         }
-        if let Wakes::Tracked { sim, task, claim } =
-            std::mem::replace(&mut this.wakes, Wakes::Every)
+        if let Wakes::Tracked {
+            sim, task, claim, ..
+        } = std::mem::replace(&mut this.wakes, Wakes::Every)
         {
             sim.release_wakes(task, claim);
         }
-        // nothing is pending, so every state is `Done` and no slot holds a
+        // nothing is pending, so every child is done and no slot holds a
         // pinned child any more (a join polled again after completion
         // hands over no slot at all)
         let slots = std::mem::replace(&mut this.slots, Slots::empty());
@@ -200,7 +306,10 @@ impl<I: ExactSizeIterator<Item: Future>> Future for JoinInline<I> {
 
 impl<I: Iterator<Item: Future>> Drop for JoinInline<I> {
     fn drop(&mut self) {
-        if let Wakes::Tracked { sim, task, claim } = &self.wakes {
+        if let Wakes::Tracked {
+            sim, task, claim, ..
+        } = &self.wakes
+        {
             sim.release_wakes(*task, *claim);
         }
     }
@@ -225,9 +334,9 @@ impl<F: Future> Iterator for JoinOutputs<F> {
     fn next(&mut self) -> Option<F::Output> {
         let slot = self.slots.as_mut_slice().get_mut(self.next)?;
         self.next += 1;
-        match std::mem::replace(&mut slot.state, State::Taken) {
-            State::Done(v) => Some(v),
-            _ => panic!("join output read before it was done"),
+        match slot.out.take() {
+            Some(v) => Some(v),
+            None => panic!("join output read before it was done"),
         }
     }
 
@@ -289,7 +398,8 @@ impl<F: Future> Slots<F> {
                 self.move_to((2 * self.cap).max(4));
             }
             let slot = Slot {
-                state: State::Running(fut),
+                fut: Some(fut),
+                out: None,
                 due: u64::MAX,
             };
             // SAFETY: `len < cap`, so slot `len` lies inside the block,
@@ -454,6 +564,36 @@ mod tests {
     use std::cell::{Cell, RefCell};
     use std::rc::Rc;
     use std::task::Waker;
+
+    /// What a tracked join's passes cost, counted in test builds only.
+    #[derive(Clone, Copy, Debug, Default)]
+    pub(super) struct Census {
+        /// Passes: polls of the join while it tracks its children's wakes.
+        pub(super) passes: u64,
+        /// Slots looked at: each one polled, or checked for a deadline.
+        pub(super) examined: u64,
+        /// Children polled.
+        pub(super) polled: u64,
+        /// The planted fault: every pass looks at every running child.
+        pub(super) waste: bool,
+    }
+
+    /// One unit of a join's work.
+    pub(super) enum Count {
+        Pass,
+        Examined,
+        Polled,
+    }
+
+    impl Census {
+        pub(super) fn count(&mut self, what: Count) {
+            match what {
+                Count::Pass => self.passes += 1,
+                Count::Examined => self.examined += 1,
+                Count::Polled => self.polled += 1,
+            }
+        }
+    }
 
     /// Poll `f` once outside any task.
     fn poll_once<F: Future + Unpin>(f: &mut F) -> Poll<F::Output> {
@@ -625,6 +765,64 @@ mod tests {
         }
     }
 
+    /// Run a 48-child join whose children each wait on a oneshot that a
+    /// driver task sends one or two at a time, 1 us apart, in scrambled
+    /// order; `waste` plants the fault of looking at every running child
+    /// on every pass. Returns the join's census.
+    fn census_of_a_trickle(waste: bool) -> Census {
+        let mut sim = Sim::new(1);
+        sim.block_on(move |sim| async move {
+            let slots = ReplySlots::<usize>::new();
+            let (txs, rxs): (Vec<_>, Vec<_>) = (0..48).map(|_| slots.channel()).unzip();
+            let s = sim.clone();
+            sim.spawn_detached(async move {
+                let mut txs: Vec<_> = txs.into_iter().map(Some).collect();
+                // 7 is prime to 48: every child, each once
+                for (n, i) in (0..48).map(|k| k * 7 % 48).enumerate() {
+                    if let Some(tx) = txs[i].take() {
+                        tx.send(i);
+                    }
+                    if n % 3 != 1 {
+                        s.sleep_us(1).await;
+                    }
+                }
+            });
+            let mut join = join_inline(rxs.into_iter().map(|rx| async move { rx.await.ok() }));
+            join.census.waste = waste;
+            let outs = std::future::poll_fn(|cx| Pin::new(&mut join).poll(cx)).await;
+            let want: Vec<_> = (0..48).map(Some).collect();
+            assert_eq!(outs.collect::<Vec<_>>(), want);
+            join.census
+        })
+    }
+
+    /// The work census: a pass looks only at the children it polls, so
+    /// over a join's life the slots examined are at most the children
+    /// polled plus one per pass, beyond the first poll's 48.
+    #[test]
+    fn a_pass_examines_only_the_children_it_polls() {
+        let c = census_of_a_trickle(false);
+        assert_eq!(
+            c.polled,
+            48 + 48,
+            "each child: the first poll and its one wake"
+        );
+        assert!(c.passes > 30, "the wakes trickle in: {c:?}");
+        assert!(c.examined <= c.polled + c.passes + 48, "{c:?}");
+    }
+
+    /// The census's planted negative: a join that looks at every running
+    /// child on every pass polls the same children but fails the bound.
+    #[test]
+    fn examining_every_running_child_fails_the_census_bound() {
+        let (lean, waste) = (census_of_a_trickle(false), census_of_a_trickle(true));
+        assert_eq!((waste.polled, waste.passes), (lean.polled, lean.passes));
+        assert!(
+            waste.examined > waste.polled + waste.passes + 48,
+            "{waste:?}"
+        );
+    }
+
     /// Two joins raced in one task: the first claims the task's wakes,
     /// the second polls every child, and neither loses a wake — the
     /// loser still finishes on time once awaited on its own.
@@ -766,22 +964,57 @@ mod tests {
         });
     }
 
+    /// A child that counts its own drop apart from its output's: the
+    /// count moves only when the join drops the child itself.
+    struct Held<F> {
+        fut: Pin<Box<F>>,
+        _drop: Drops,
+    }
+
+    impl<F: Future> Future for Held<F> {
+        type Output = F::Output;
+        fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<F::Output> {
+            self.fut.as_mut().poll(cx)
+        }
+    }
+
+    /// Each child is dropped once, in the pass it completes in, before
+    /// any output is read; each output is dropped once, whether it is
+    /// read, half the outputs are or none is.
     #[test]
     fn outputs_dropped_half_read_drop_each_unread_output_once() {
-        let mut sim = Sim::new(1);
-        sim.block_on(|sim| async move {
-            let (outs, polls) = (Drops::default(), Rc::new(Cell::new(0)));
-            let futs = (0..6u32).map(|i| counted(&sim, i, &outs, &polls));
-            let mut done = join_inline(futs).await;
-            assert_eq!(outs.0.get(), 0, "no output dropped yet");
-            let read: Vec<Drops> = done.by_ref().take(2).collect();
-            assert_eq!(done.len(), 4);
-            drop(done);
-            assert_eq!(outs.0.get(), 4, "the four unread outputs, once each");
-            drop(read);
-            assert_eq!(outs.0.get(), 6);
-            assert_eq!(spare(&sim), 1);
-        });
+        for read in [0, 2, 6] {
+            let mut sim = Sim::new(1);
+            sim.block_on(move |sim| async move {
+                let (outs, kids, polls) = (Drops::default(), Drops::default(), Rc::default());
+                // child `i` sleeps `i` us: child 0 completes on the first poll
+                let futs = (0..6u32).map(|i| Held {
+                    fut: Box::pin(counted(&sim, i, &outs, &polls)),
+                    _drop: kids.clone(),
+                });
+                let mut join = join_inline(futs);
+                assert!(poll_in_task(&mut join).await.is_pending());
+                assert_eq!(kids.0.get(), 1, "child 0, at its completion");
+                sim.sleep_us(3).await;
+                assert_eq!(kids.0.get(), 1, "no pass yet");
+                assert!(poll_in_task(&mut join).await.is_pending());
+                assert_eq!(
+                    kids.0.get(),
+                    4,
+                    "children 1 to 3, in the pass they finish in"
+                );
+                let mut done = join.await;
+                assert_eq!(kids.0.get(), 6, "every child, before any output is read");
+                assert_eq!(outs.0.get(), 0, "no output dropped yet");
+                let got: Vec<Drops> = done.by_ref().take(read).collect();
+                assert_eq!(done.len(), 6 - read);
+                drop(done);
+                assert_eq!(outs.0.get(), 6 - read as u32, "each unread output, once");
+                drop(got);
+                assert_eq!((kids.0.get(), outs.0.get()), (6, 6), "read {read}");
+                assert_eq!(spare(&sim), 1);
+            });
+        }
     }
 
     /// Nothing to hold, nothing allocated; and a join of zero-sized
@@ -1109,6 +1342,33 @@ mod tests {
         });
         let log = log.borrow().clone();
         (log, end)
+    }
+
+    /// The rule that the mask is read again after each polled child,
+    /// pinned: at one instant child 5 wakes child 7 (after it: polled in
+    /// the same pass), child 2 (before it: the next pass) and itself (a
+    /// yield: the next pass), as a join that polls every child does.
+    #[test]
+    fn a_wake_from_a_sibling_is_seen_in_the_pass_it_belongs_to() {
+        use Step::*;
+        let mut programs = vec![vec![Sleep(1_000)]; 8];
+        programs[2] = vec![Recv(0)];
+        programs[7] = vec![Recv(1)];
+        programs[5] = vec![Sleep(1_000), Send(0), Send(1), Yield];
+        let prog = (programs, 8, false, 1, 2);
+        let (got, got_end) = run(&prog, false);
+        let (want, want_end) = run(&prog, true);
+        assert_eq!((got_end, &got), (want_end, &want));
+        // at 1 us: child 7's receive comes before child 2's, and child
+        // 5's yield returns after both
+        let at_1us: Vec<_> = got
+            .iter()
+            .filter(|&&(t, _, ev)| t == 1_000 && ev % 16 == 2)
+            .map(|&(_, i, _)| i)
+            .collect();
+        assert_eq!(at_1us, [7, 2]);
+        let order = |i: usize, ev: u32| got.iter().position(|&e| e == (1_000, i, ev));
+        assert!(order(2, 0) < order(5, 48), "{got:?}");
     }
 
     proptest! {
